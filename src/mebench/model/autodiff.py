@@ -10,6 +10,7 @@ checks every one against central finite differences).
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Tensor:
@@ -223,16 +224,16 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     batch, chans, h, w = x.shape
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-    cols = np.empty((batch, chans, kh, kw, out_h, out_w), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
-    return cols.reshape(batch, chans * kh * kw, out_h * out_w), out_h, out_w
+    if pad:
+        padded = np.zeros((batch, chans, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:-pad, pad:-pad] = x
+        x = padded
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2:4]
+    # (B, C, out_h, out_w, kh, kw) -> rows in (C, kh, kw) order, as in w.reshape(F, -1)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, chans * kh * kw, out_h * out_w)
+    return cols, out_h, out_w
 
 
 def _col2im(dcols: np.ndarray, x_shape, kh, kw, stride, pad, out_h, out_w):
@@ -242,13 +243,11 @@ def _col2im(dcols: np.ndarray, x_shape, kh, kw, stride, pad, out_h, out_w):
     for i in range(kh):
         for j in range(kw):
             dx[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += d[:, :, i, j]
-    if pad:
-        dx = dx[:, :, pad:-pad, pad:-pad]
-    return dx
+    return dx[:, :, pad : pad + h, pad : pad + w]
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
-    """x: (B, C, H, W); w: (F, C, kh, kw); b: (F,)."""
+    """im2col plus batched matmul, both passes. x: (B, C, H, W); w: (F, C, kh, kw); b: (F,)."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     filters, _, kh, kw = w.shape
     cols, out_h, out_w = _im2col(x.data, kh, kw, stride, pad)
@@ -260,8 +259,8 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     def push(g):
         g_mat = g.reshape(batch, filters, out_h * out_w)
         _accum(b, g_mat.sum(axis=(0, 2)))
-        _accum(w, np.einsum("bfl,bcl->fc", g_mat, cols).reshape(w.shape))
-        dcols = np.einsum("fc,bfl->bcl", w_mat, g_mat)
+        _accum(w, (g_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
+        dcols = w_mat.T @ g_mat
         _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, pad, out_h, out_w))
 
     out._push = push

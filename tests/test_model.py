@@ -36,6 +36,7 @@ from mebench.model import (
     total_loss,
     train_fold,
 )
+from mebench.model import autodiff as ad
 from mebench.model.losses import LossBreakdown
 
 
@@ -318,6 +319,72 @@ class TestBackward:
         params = init_params(config, Variant.DUAL_MOTION, seed=0)
         with pytest.raises(DataError):
             backward(params, [], config, Variant.DUAL_MOTION)
+
+
+# ---------------------------------------------------------------- conv2d kernel
+
+
+def _loop_im2col(x, kh, kw, stride, pad):
+    """Reference im2col: np.pad plus one strided copy per kernel tap."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    batch, chans, h, w = x.shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    cols = np.empty((batch, chans, kh, kw, out_h, out_w))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+    return cols.reshape(batch, chans * kh * kw, out_h * out_w), out_h, out_w
+
+
+def _einsum_conv2d(x, w, b, g, stride, pad):
+    """Reference conv2d forward and backward: loop im2col plus the einsum adjoints."""
+    filters, _, kh, kw = w.shape
+    batch = x.shape[0]
+    cols, out_h, out_w = _loop_im2col(x, kh, kw, stride, pad)
+    w_mat = w.reshape(filters, -1)
+    out = ((w_mat @ cols) + b[:, None]).reshape(batch, filters, out_h, out_w)
+    g_mat = g.reshape(batch, filters, out_h * out_w)
+    dw = np.einsum("bfl,bcl->fc", g_mat, cols).reshape(w.shape)
+    d = np.einsum("fc,bfl->bcl", w_mat, g_mat).reshape(batch, x.shape[1], kh, kw, out_h, out_w)
+    dx = np.zeros((batch, x.shape[1], x.shape[2] + 2 * pad, x.shape[3] + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += d[:, :, i, j]
+    if pad:
+        dx = dx[:, :, pad:-pad, pad:-pad]
+    return cols, out, dx, dw, g_mat.sum(axis=(0, 2))
+
+
+_CONV_CASES = [
+    (batch, chans, filters, size, 3, stride, pad)
+    for batch in (1, 2)
+    for chans, filters in ((3, 8), (8, 16), (16, 32))
+    for size in (16, 32, 64)
+    for stride in (1, 2)
+    for pad in (0, 1)
+] + [(2, 8, 16, 32, 1, 1, 0), (2, 3, 8, 32, 5, 2, 2)]
+
+
+class TestConv2dKernel:
+    @pytest.mark.parametrize("batch,chans,filters,size,k,stride,pad", _CONV_CASES)
+    def test_matches_einsum_reference(self, batch, chans, filters, size, k, stride, pad):
+        rng = np.random.default_rng(size * 1000 + chans * 10 + k + stride + pad)
+        x = rng.normal(size=(batch, chans, size, size))
+        w = rng.normal(size=(filters, chans, k, k))
+        b = rng.normal(size=filters)
+        out_size = (size + 2 * pad - k) // stride + 1
+        g = rng.normal(size=(batch, filters, out_size, out_size))
+        cols_ref, out_ref, dx_ref, dw_ref, db_ref = _einsum_conv2d(x, w, b, g, stride, pad)
+
+        assert np.array_equal(ad._im2col(x, k, k, stride, pad)[0], cols_ref)
+        xt, wt, bt = ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)
+        out = ad.conv2d(xt, wt, bt, stride=stride, pad=pad)
+        assert np.array_equal(out.data, out_ref)
+        out._push(g)
+        for got, ref in ((wt.grad, dw_ref), (bt.grad, db_ref), (xt.grad, dx_ref)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 # ---------------------------------------------------------------- optimizer
