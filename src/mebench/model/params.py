@@ -81,7 +81,7 @@ def _conv_stack(out: OrderedDict, rng, prefix: str, cfg) -> None:
 def _patch_stack(out: OrderedDict, rng, prefix: str, cfg, n_patches: int) -> None:
     patch_dim = 3 * cfg.patch_size * cfg.patch_size
     d = cfg.embed_dim
-    out[f"{prefix}.embed.w"] = _trunc_normal(rng, (d, patch_dim))
+    out[f"{prefix}.embed.w"] = _trunc_normal(rng, (d, patch_dim), std=np.sqrt(1.0 / patch_dim))
     out[f"{prefix}.embed.b"] = np.zeros(d)
     out[f"{prefix}.pos"] = _trunc_normal(rng, (n_patches, d))
     hidden = int(round(cfg.mlp_ratio * d))

@@ -38,6 +38,7 @@ from mebench.model import (
 )
 from mebench.model import autodiff as ad
 from mebench.model.losses import LossBreakdown
+from mebench.model.network import INPUT_CENTER
 
 
 def toy_forward(variant, seed=3, size=16):
@@ -78,6 +79,26 @@ class TestEncodeMotion:
 
 
 class TestEncodePatches:
+    @pytest.mark.parametrize("config", [ModelConfig.small(64), ModelConfig.toy()], ids=["small64", "toy"])
+    def test_first_layer_norm_input_variance_is_order_one(self, config, monkeypatch):
+        """Fan-in patch embedding: unit-variance pixels reach the first LayerNorm
+        with O(1) token variance, far above its eps, so the LN stays well conditioned."""
+        variances = []
+        real_layer_norm = ad.layer_norm
+
+        def spy(x, gamma, beta, eps=1e-6):
+            variances.append(x.data.var(axis=-1).mean())
+            return real_layer_norm(x, gamma, beta, eps)
+
+        monkeypatch.setattr(ad, "layer_norm", spy)
+        rng = np.random.default_rng(0)
+        for seed in range(3):
+            params = init_params(config, Variant.MOTION_RGB_PATCH, seed=seed)
+            rgb = INPUT_CENTER + rng.standard_normal((3, config.image_size, config.image_size))
+            variances.clear()
+            encode_texture_patches(rgb, params, config)
+            assert 0.1 <= variances[0] <= 10.0, f"seed {seed}: ln1 input variance {variances[0]:.3g}"
+
     def test_patch_count_64(self):
         config = ModelConfig.small(image_size=64)
         params = init_params(config, Variant.MOTION_RGB_PATCH, seed=0)
