@@ -46,9 +46,11 @@ def ingest_dataset_index(index_path, dataset_kind: Dataset) -> list[SampleRecord
     index_path = Path(index_path)
     if not index_path.exists():
         raise FileNotFoundError(f"index not found: {index_path}")
-    text = index_path.read_text(encoding="utf-8")
-    delimiter = "\t" if "\t" in text.splitlines()[0] else ","
-    reader = csv.DictReader(text.splitlines(), delimiter=delimiter)
+    lines = index_path.read_text(encoding="utf-8").splitlines()
+    if not any(line.strip() for line in lines):
+        raise DataError(f"{index_path}: empty index")
+    delimiter = "\t" if "\t" in lines[0] else ","
+    reader = csv.DictReader(lines, delimiter=delimiter)
     header = [h.strip().casefold() for h in (reader.fieldnames or [])]
     missing = [c for c in _INDEX_COLUMNS if c not in header]
     if missing:

@@ -145,24 +145,27 @@ def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant, dict]:
     if not data.startswith(_MAGIC):
         raise DataError(f"{path}: not a checkpoint (bad magic)")
     off = len(_MAGIC)
+    if len(data) < off + 4:
+        raise DataError(f"{path}: truncated checkpoint header length")
     (header_len,) = struct.unpack_from("<I", data, off)
     off += 4
     try:
         header = json.loads(data[off : off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: malformed checkpoint header") from exc
+        entries = [(entry["name"], tuple(int(n) for n in entry["shape"])) for entry in header["tensors"]]
+        config = ModelConfig.from_dict(header["config"])
+        variant = Variant(header["variant"])
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
+        raise DataError(f"{path}: malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
     off += header_len
     tensors: OrderedDict[str, np.ndarray] = OrderedDict()
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in entries:
+        if any(n < 0 for n in shape):
+            raise DataError(f"{path}: negative dimension in shape of {name}")
+        nbytes = int(np.prod(shape)) * 8
         if off + nbytes > len(data):
-            raise DataError(f"{path}: truncated tensor data at {entry['name']}")
-        tensors[entry["name"]] = np.frombuffer(data[off : off + nbytes], dtype="<f8").reshape(shape).copy()
+            raise DataError(f"{path}: truncated tensor data at {name}")
+        tensors[name] = np.frombuffer(data[off : off + nbytes], dtype="<f8").reshape(shape).copy()
         off += nbytes
-    config = ModelConfig.from_dict(header["config"])
-    variant = Variant(header["variant"])
     return ParamSet(tensors), config, variant, header.get("extra", {})
 
 

@@ -116,7 +116,7 @@ def optimizer_step(
     eps: float = 1e-8,
 ) -> tuple[ParamSet, AdamState]:
     """One Adam update with bias correction; functional (new ParamSet/state)."""
-    new_params = params.copy()
+    new_params = ParamSet()
     new_state = AdamState(step=state.step + 1, m={}, v={})
     t = new_state.step
     for name in params.names():

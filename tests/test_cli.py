@@ -109,6 +109,11 @@ class TestManifestCommand:
     def test_no_inputs_is_config_error(self, tmp_path):
         assert main(["manifest", "--out", str(tmp_path / "x")]) == 2
 
+    def test_empty_index_is_data_error(self, tmp_path):
+        index = tmp_path / "index.csv"
+        index.write_text("")
+        assert main(["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index)]) == 3
+
 
 class TestFlowCommand:
     def test_caching_contract(self, synth_run, capsys):

@@ -156,6 +156,13 @@ class TestIngest:
         with pytest.raises(MissingColumnError):
             ingest_dataset_index(index, Dataset.SAMM)
 
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"], ids=["empty", "newline", "blank"])
+    def test_empty_index_is_data_error(self, tmp_path, text):
+        index = tmp_path / "empty.csv"
+        index.write_text(text)
+        with pytest.raises(DataError, match="empty index"):
+            ingest_dataset_index(index, Dataset.SAMM)
+
     def test_dangling_path(self, tmp_path):
         index = tmp_path / "dangling.csv"
         index.write_text("subject,clip,onset,apex,emotion\ns01,c01,no.pgm,no2.pgm,happiness\n")

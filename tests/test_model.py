@@ -1,4 +1,7 @@
+import copy
+import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -442,6 +445,20 @@ class TestOptimizer:
         with pytest.raises(ConfigError):
             optimizer_step(params, {"p": np.zeros(3)}, AdamState.init(params), 0.01)
 
+    def test_inputs_unmodified(self):
+        params = init_params(ModelConfig.toy(16), Variant.DUAL_MOTION, seed=1)
+        rng = np.random.default_rng(2)
+        grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
+        params, state = optimizer_step(params, grads, AdamState.init(params), 0.01)
+        params_before, state_before = params.copy(), copy.deepcopy(state)
+        new_params, _ = optimizer_step(params, grads, state, 0.01)
+        assert params.allclose(params_before, atol=0.0)
+        assert state.step == state_before.step
+        for name in params.names():
+            np.testing.assert_array_equal(state.m[name], state_before.m[name])
+            np.testing.assert_array_equal(state.v[name], state_before.v[name])
+        assert new_params.names() == params.names()
+
 
 # ---------------------------------------------------------------- training
 
@@ -546,6 +563,39 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.meck"
         path.write_bytes(b"NOPE" + bytes(100))
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda h: h.pop("tensors"),
+            lambda h: h.pop("config"),
+            lambda h: h.pop("variant"),
+            lambda h: h["tensors"][0].pop("shape"),
+            lambda h: h["config"].pop("image_size"),
+            lambda h: h.update(variant="no_such_variant"),
+            lambda h: h["tensors"][0].update(shape=[-1, 2]),
+        ],
+        ids=["no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "unknown-variant", "negative-dim"],
+    )
+    def test_malformed_header_is_data_error(self, tmp_path, corrupt):
+        path = tmp_path / "model.meck"
+        config = ModelConfig.toy(16)
+        save_checkpoint(path, init_params(config, Variant.MOTION_ONLY, seed=0), config, Variant.MOTION_ONLY)
+        data = path.read_bytes()
+        magic, body = data[:6], data[10:]  # b"MECK1\n", then a u32 header length
+        (header_len,) = struct.unpack_from("<I", data, 6)
+        header = json.loads(body[:header_len])
+        corrupt(header)
+        header_bytes = json.dumps(header).encode("utf-8")
+        path.write_bytes(magic + struct.pack("<I", len(header_bytes)) + header_bytes + body[header_len:])
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_truncated_header_length_is_data_error(self, tmp_path):
+        path = tmp_path / "short.meck"
+        path.write_bytes(b"MECK1\n\x10\x00")
         with pytest.raises(DataError):
             load_checkpoint(path)
 
