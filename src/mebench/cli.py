@@ -402,12 +402,11 @@ def cmd_gradcam(args) -> int:
     sidecar_lines = []
     n_maps = 0
     for record in manifest.eligible():
-        emotion_name = {"Negative": "Negative", "Positive": "Positive", "Surprise": "Surprise"}[
-            record.mapped_emotion.value
-        ]
+        emotion_name = record.mapped_emotion.value
         if emotion_name not in class_filter:
             continue
-        image = read_flow_image(flow_image_path(args.flow_dir, record))
+        ofi_path = flow_image_path(args.flow_dir, record)
+        image = read_flow_image(ofi_path)
         inputs = ModelInputs(flow=image.as_array()[None])
         amap = gradcam(
             params,
@@ -418,7 +417,7 @@ def cmd_gradcam(args) -> int:
             branch=args.branch,
         )
         group_dir = out_dir / record.mapped_ethnicity.value / emotion_name
-        stem = f"{record.dataset.value}_{record.subject_id}_{record.clip_id}"
+        stem = ofi_path.stem
         export_activation_map(
             amap,
             group_dir / f"{stem}.pgm",

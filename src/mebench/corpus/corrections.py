@@ -144,14 +144,18 @@ def apply_heuristic_corrections(
 
 def load_ledger(path) -> list[CorrectionRule]:
     """One JSON rule per line; blank lines and # comments are skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: ledger is not UTF-8 text") from exc
     rules = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             rules.append(CorrectionRule.from_json_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
             raise ConfigError(f"{path}:{line_no}: malformed correction rule") from exc
     return rules
 

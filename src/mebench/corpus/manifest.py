@@ -46,7 +46,10 @@ def ingest_dataset_index(index_path, dataset_kind: Dataset) -> list[SampleRecord
     index_path = Path(index_path)
     if not index_path.exists():
         raise FileNotFoundError(f"index not found: {index_path}")
-    lines = index_path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = index_path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{index_path}: index is not UTF-8 text: {exc}") from exc
     if not any(line.strip() for line in lines):
         raise DataError(f"{index_path}: empty index")
     delimiter = "\t" if "\t" in lines[0] else ","
@@ -138,21 +141,24 @@ def save_manifest(manifest: Manifest, path) -> None:
 def load_manifest(path) -> Manifest:
     path = Path(path)
     base = path.resolve().parent
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty manifest")
-    head = json.loads(lines[0])
-    if head.get("type") != "provenance":
-        raise DataError(f"{path}: first line must be the provenance object")
-    head.pop("type")
-    records = []
-    for ln in lines[1:]:
-        d = json.loads(ln)
-        for field_name in ("onset_path", "apex_path"):
-            p = Path(d[field_name])
-            if not p.is_absolute():
-                d[field_name] = str(base / p)
-        records.append(SampleRecord.from_json_dict(d))
+    try:
+        lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+        if not lines:
+            raise DataError(f"{path}: empty manifest")
+        head = json.loads(lines[0])
+        if not isinstance(head, dict) or head.get("type") != "provenance":
+            raise DataError(f"{path}: first line must be the provenance object")
+        head.pop("type")
+        records = []
+        for ln in lines[1:]:
+            d = json.loads(ln)
+            for field_name in ("onset_path", "apex_path"):
+                p = Path(d[field_name])
+                if not p.is_absolute():
+                    d[field_name] = str(base / p)
+            records.append(SampleRecord.from_json_dict(d))
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8, JSON and enum values
+        raise DataError(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
     return build_manifest(records, head, check_paths=False)
 
 

@@ -43,8 +43,12 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def backward(self):
-        """Accumulate gradients of self (seeded with ones) into the graph."""
+    def backward(self, grad=None):
+        """Accumulate gradients of self into the graph.
+
+        The walk is seeded with `grad` (same shape as self.data) when one
+        is given, e.g. a one-hot on a single class score, else with ones.
+        """
         order = []
         seen = set()
         stack = [(self, False)]
@@ -60,7 +64,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = np.ones_like(self.data) if grad is None else grad
         for node in reversed(order):
             if node._push is not None and node.grad is not None:
                 node._push(node.grad)
@@ -292,12 +296,13 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= n_classes:
         raise ValueError(f"target out of range for {n_classes} classes")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
+    e = np.exp(z)
+    lse = np.log(e.sum(axis=1))
     picked = z[np.arange(batch), targets]
     out = Tensor(np.mean(lse - picked), parents=(logits,))
 
     def push(g):
-        probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        probs = e / e.sum(axis=1, keepdims=True)
         probs[np.arange(batch), targets] -= 1.0
         _accum(logits, g * probs / batch)
 

@@ -18,21 +18,14 @@ from ..runutil import derived_rng
 from .autodiff import Tensor
 from .config import EncoderConfig
 from .network import encode_conv
-from .params import ParamSet, _conv_stack, load_checkpoint, save_checkpoint
+from .params import ParamSet, _conv_stack, check_shapes, load_checkpoint, save_checkpoint
 
 
 class FrozenEncoder:
     """Fixed-weight conv encoder; no gradient state."""
 
     def __init__(self, config: EncoderConfig, params: ParamSet, origin: str):
-        expected = _frozen_param_set(config, seed=0)
-        if params.names() != expected.names():
-            raise ConfigError("weight file does not match the frozen encoder configuration")
-        for name in expected.names():
-            if params[name].shape != expected[name].shape:
-                raise ConfigError(
-                    f"weight {name}: shape {params[name].shape} != config shape {expected[name].shape}"
-                )
+        check_shapes(params, _frozen_param_set(config, seed=0))
         self.config = config
         self.params = params
         self.origin = origin

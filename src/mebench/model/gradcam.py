@@ -72,8 +72,7 @@ def gradcam(
     # seed the backward pass from the selected class score
     seed = np.zeros_like(logits.data)
     seed[0, target_class] = 1.0
-    logits.grad = seed
-    _backward_from(logits)
+    logits.backward(seed)
 
     grads = grid.grad
     if grads is None:
@@ -86,28 +85,6 @@ def gradcam(
     h, w = inputs.flow.shape[-2:]
     overlay = np.clip(bilinear_resize(cam, h, w), 0.0, 1.0)
     return ActivationMap(grid=cam, overlay=overlay, target_class=target_class, branch=branch)
-
-
-def _backward_from(root) -> None:
-    """Run reverse accumulation with root.grad already seeded."""
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    for node in reversed(order):
-        if node._push is not None and node.grad is not None:
-            node._push(node.grad)
 
 
 def export_activation_map(

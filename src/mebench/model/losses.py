@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from . import autodiff as ad
 from .network import ModelOutputs
 
 
@@ -25,15 +26,11 @@ def cce(logits: np.ndarray, target: int) -> float:
         raise DataError("non-finite logits")
     if not (0 <= target < logits.shape[0]):
         raise ConfigError(f"target {target} out of range for {logits.shape[0]} classes")
-    z = logits - logits.max()
-    return float(np.log(np.exp(z).sum()) - z[target])
+    return float(ad.cross_entropy_mean(logits[None], [target]).data)
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return ad.softmax(logits).data
 
 
 @dataclass(frozen=True)

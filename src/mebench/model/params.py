@@ -156,6 +156,9 @@ def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant, dict]:
         variant = Variant(header["variant"])
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise DataError(f"{path}: malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise DataError(f"{path}: checkpoint extra must be an object, got {type(extra).__name__}")
     off += header_len
     tensors: OrderedDict[str, np.ndarray] = OrderedDict()
     for name, shape in entries:
@@ -166,7 +169,7 @@ def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant, dict]:
             raise DataError(f"{path}: truncated tensor data at {name}")
         tensors[name] = np.frombuffer(data[off : off + nbytes], dtype="<f8").reshape(shape).copy()
         off += nbytes
-    return ParamSet(tensors), config, variant, header.get("extra", {})
+    return ParamSet(tensors), config, variant, extra
 
 
 def check_shapes(params: ParamSet, reference: ParamSet) -> None:

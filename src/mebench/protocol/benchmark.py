@@ -86,15 +86,7 @@ class BenchmarkReport:
 
 def _run_one_fold(job: tuple) -> tuple:
     """Worker: train on one fold's split and score the held-out subject."""
-    (records, train_keys, test_keys, subject, variant_value, model_dict, train_dict, fold_seed, flow_dir) = job
-    variant = Variant(variant_value)
-    model_config = ModelConfig.from_dict(model_dict)
-    train_config = TrainConfig(**train_dict)
-    by_key = {f"{r.dataset.value}:{r.subject_id}:{r.clip_id}": r for r in records}
-    train_records = [by_key[k] for k in train_keys]
-    test_records = [by_key[k] for k in test_keys]
-    train_samples = load_train_samples(train_records, flow_dir, need_rgb=variant.needs_rgb)
-    test_samples = load_train_samples(test_records, flow_dir, need_rgb=variant.needs_rgb)
+    train_samples, test_samples, subject, variant, model_config, train_config, fold_seed = job
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # LOSO folds may lack a class
         params, _history = train_fold(train_samples, model_config, variant, train_config, fold_seed)
@@ -118,7 +110,10 @@ def run_loso_variant(
     """Train/evaluate one variant across all LOSO folds.
 
     With checkpoint_dir set, completed folds are stored as JSON keyed by
-    the fold provenance hash, and matching files are reused on resume.
+    the fold provenance hash, and matching files are reused on resume;
+    each fold's file is written as soon as its result arrives. Only if
+    some fold is still pending are the variant's samples loaded from
+    flow_dir, once, and split into each fold's train and test lists.
     Folds are independent jobs (seeded per subject), so workers > 1 runs
     them in processes; results merge in plan order either way.
     """
@@ -148,43 +143,41 @@ def run_loso_variant(
             if stored.get("fold_hash") == fold_hash:
                 results_by_subject[fold.held_out_subject] = np.array(stored["counts"])
                 continue
-        pending.append(
+        pending.append((fold, fold_seed, fold_hash, ckpt_path))
+
+    jobs = []
+    if pending:
+        by_key = {s.key: s for s in load_train_samples(records, flow_dir, need_rgb=variant.needs_rgb)}
+        jobs = [
             (
-                (
-                    records,
-                    fold.train_keys,
-                    fold.test_keys,
-                    fold.held_out_subject,
-                    variant.value,
-                    model_config.to_dict(),
-                    train_config.to_dict(),
-                    fold_seed,
-                    str(flow_dir),
-                ),
-                fold_hash,
-                ckpt_path,
+                [by_key[k] for k in fold.train_keys],
+                [by_key[k] for k in fold.test_keys],
+                fold.held_out_subject,
+                variant,
+                model_config,
+                train_config,
+                fold_seed,
             )
-        )
+            for fold, fold_seed, _, _ in pending
+        ]
 
-    def record_result(subject, counts_list, fold_hash, ckpt_path):
-        results_by_subject[subject] = np.array(counts_list)
-        if ckpt_path is not None:
-            atomic_write_text(
-                ckpt_path,
-                json.dumps({"fold_hash": fold_hash, "counts": counts_list}, sort_keys=True) + "\n",
-            )
+    def record_results(outcomes):
+        for (_, _, fold_hash, ckpt_path), (subject, counts_list) in zip(pending, outcomes):
+            results_by_subject[subject] = np.array(counts_list)
+            if ckpt_path is not None:
+                atomic_write_text(
+                    ckpt_path,
+                    json.dumps({"fold_hash": fold_hash, "counts": counts_list}, sort_keys=True) + "\n",
+                )
 
-    if workers > 1 and len(pending) > 1:
+    # both maps are lazy, so each checkpoint is written as soon as its fold finishes
+    if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = pool.map(_run_one_fold, [job for job, _, _ in pending])
-            for (job, fold_hash, ckpt_path), (subject, counts_list) in zip(pending, outcomes):
-                record_result(subject, counts_list, fold_hash, ckpt_path)
+            record_results(pool.map(_run_one_fold, jobs))
     else:
-        for job, fold_hash, ckpt_path in pending:
-            subject, counts_list = _run_one_fold(job)
-            record_result(subject, counts_list, fold_hash, ckpt_path)
+        record_results(map(_run_one_fold, jobs))
 
     fold_results = [
         FoldResult(

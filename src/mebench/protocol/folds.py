@@ -11,10 +11,7 @@ from dataclasses import dataclass
 
 from ..corpus import SampleRecord
 from ..errors import DataError
-
-
-def sample_key(record: SampleRecord) -> str:
-    return f"{record.dataset.value}:{record.subject_id}:{record.clip_id}"
+from ..pipeline import sample_key
 
 
 @dataclass(frozen=True)

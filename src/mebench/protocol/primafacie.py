@@ -18,7 +18,7 @@ import numpy as np
 
 from ..corpus import Manifest, MappedEmotion, MappedEthnicity, SampleRecord
 from ..errors import DataError
-from ..pipeline import BINARY_CLASSES
+from ..pipeline import BINARY_CLASSES, sample_key
 from ..runutil import derive_seed, derived_rng, stable_hash
 from .folds import plan_loso
 from .forest import ForestConfig, forest_predict_batch, forest_train
@@ -182,7 +182,7 @@ def run_scenario(
     """One scenario at one sampling seed: sample -> binarize -> LOSO forest."""
     records = sample_prima_facie(manifest, scenario)
     labels = binarize_emotions(records)
-    by_key = {f"{r.dataset.value}:{r.subject_id}:{r.clip_id}": i for i, r in enumerate(records)}
+    by_key = {sample_key(r): i for i, r in enumerate(records)}
     feats = np.stack([features[k] for k in by_key])
     label_arr = np.array(labels)
 

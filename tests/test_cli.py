@@ -115,6 +115,54 @@ class TestManifestCommand:
         assert main(["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index)]) == 3
 
 
+_PROVENANCE = json.dumps({"type": "provenance"})
+_RECORD = {
+    "dataset": "SYNTH",
+    "subject_id": "01",
+    "clip_id": "a",
+    "onset_path": "f.pgm",
+    "apex_path": "f.pgm",
+    "raw_emotion": "fear",
+}
+
+
+def _manifest_bytes(record):
+    return f"{_PROVENANCE}\n{json.dumps(record)}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "flag, content, code",
+    [
+        ("--manifest", b"\xff\xfe" + _PROVENANCE.encode(), 3),
+        ("--manifest", (_PROVENANCE + "\n{not json\n").encode(), 3),
+        ("--manifest", b"[1, 2]\n", 3),
+        ("--manifest", _manifest_bytes({k: v for k, v in _RECORD.items() if k != "onset_path"}), 3),
+        ("--manifest", _manifest_bytes({**_RECORD, "dataset": "NOPE"}), 3),
+        ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,\xff\xfe\n", 3),
+        ("--ledger", b"\xff\xfe\n", 2),
+        ("--ledger", b"[1, 2]\n", 2),
+    ],
+    ids=["manifest-not-utf8", "manifest-bad-json", "manifest-list-head", "manifest-no-onset", "manifest-bad-dataset",
+         "index-not-utf8", "ledger-not-utf8", "ledger-list-rule"],
+)
+def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, code):
+    from mebench.flowcore import write_pgm
+
+    write_pgm(tmp_path / "f.pgm", np.zeros((32, 32)))
+    index = tmp_path / "index.csv"
+    index.write_text("subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,fear\n")
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    out = str(tmp_path / "out")
+    if flag == "--manifest":
+        argv = ["flow", "--manifest", str(bad), "--out", out]
+    elif flag == "--casme2":
+        argv = ["manifest", "--out", out, "--casme2", str(bad)]
+    else:
+        argv = ["manifest", "--out", out, "--casme2", str(index), "--ledger", str(bad)]
+    assert main(argv) == code
+
+
 class TestFlowCommand:
     def test_caching_contract(self, synth_run, capsys):
         _, corpus, flows = synth_run

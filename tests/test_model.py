@@ -576,8 +576,12 @@ class TestCheckpoint:
             lambda h: h["config"].pop("image_size"),
             lambda h: h.update(variant="no_such_variant"),
             lambda h: h["tensors"][0].update(shape=[-1, 2]),
+            lambda h: h.update(extra=["kind", "frozen_encoder"]),
         ],
-        ids=["no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "unknown-variant", "negative-dim"],
+        ids=[
+            "no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "unknown-variant", "negative-dim",
+            "extra-not-object",
+        ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, corrupt):
         path = tmp_path / "model.meck"

@@ -1,11 +1,27 @@
+import multiprocessing
+import shutil
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mebench.corpus import Dataset, RawEthnicity, SampleRecord, build_manifest, finalize_mappings
+from mebench import pipeline
+from mebench.corpus import (
+    Dataset,
+    RawEthnicity,
+    SampleRecord,
+    SynthSpec,
+    build_manifest,
+    finalize_mappings,
+    synthesize_desk_corpus,
+)
 from mebench.errors import DataError
-from mebench.pipeline import BINARY_CLASSES
+from mebench.flowcore import FlowParams
+from mebench.model import ModelConfig, TrainConfig, Variant
+from mebench.pipeline import BINARY_CLASSES, materialize_flow_images
 from mebench.protocol import (
     ConfusionMatrix,
     FoldResult,
@@ -20,8 +36,10 @@ from mebench.protocol import (
     forest_train,
     macro_f1,
     plan_loso,
+    run_loso_variant,
     sample_prima_facie,
 )
+from mebench.protocol import benchmark
 from mebench.protocol.forest import _best_split, _gini
 
 
@@ -290,3 +308,77 @@ class TestForest:
     def test_inconsistent_feature_lengths(self):
         with pytest.raises(DataError):
             forest_train(np.zeros((4, 3)), np.zeros(5), ForestConfig(), seed=0)
+
+
+# ---------------------------------------------------------------- LOSO benchmark
+
+
+@pytest.fixture(scope="module")
+def tiny_loso(tmp_path_factory):
+    """Two subjects, two clips each, 32 px, with cheap flows."""
+    root = tmp_path_factory.mktemp("tiny_loso")
+    manifest, _ = synthesize_desk_corpus(SynthSpec(1, 2, 32), seed=3, out_dir=root / "corpus")
+    materialize_flow_images(manifest, FlowParams(iterations=5), root / "flows")
+    return manifest, root / "flows"
+
+
+def run_tiny_loso(manifest, flow_dir, **kwargs):
+    _, folds = run_loso_variant(
+        manifest, Variant.DUAL_MOTION, ModelConfig.toy(32), TrainConfig(epochs=2, batch_size=2), flow_dir, 0,
+        **kwargs,
+    )
+    return [(f.held_out_subject, f.confusion.counts.tolist()) for f in folds]
+
+
+class TestRunLosoVariant:
+    def test_reads_each_ofi_once(self, tiny_loso, monkeypatch):
+        manifest, flow_dir = tiny_loso
+        reads = Counter()
+        original = pipeline.read_flow_image
+
+        def counting_read(path):
+            reads[Path(path).name] += 1
+            return original(path)
+
+        monkeypatch.setattr(pipeline, "read_flow_image", counting_read)
+        run_tiny_loso(manifest, flow_dir)
+        assert len(reads) == len(manifest.eligible())
+        assert set(reads.values()) == {1}
+
+    def test_worker_count_does_not_change_results(self, tiny_loso):
+        manifest, flow_dir = tiny_loso
+        assert run_tiny_loso(manifest, flow_dir, workers=1) == run_tiny_loso(manifest, flow_dir, workers=2)
+
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            1,
+            pytest.param(2, marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork", reason="only forked workers see the patched train_fold"
+            )),
+        ],
+    )
+    def test_finished_folds_stay_checkpointed_when_a_later_fold_fails(self, tiny_loso, tmp_path, monkeypatch, workers):
+        manifest, flow_dir = tiny_loso
+        plans = plan_loso(manifest.eligible())
+        first, last = plans[0].held_out_subject, plans[-1].held_out_subject
+        original = benchmark.train_fold
+
+        def failing_train_fold(samples, *args):
+            if all(s.key.split(":")[1] != last for s in samples):  # the fold holding out `last`
+                raise RuntimeError("interrupted")
+            return original(samples, *args)
+
+        monkeypatch.setattr(benchmark, "train_fold", failing_train_fold)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_tiny_loso(manifest, flow_dir, checkpoint_dir=tmp_path, workers=workers)
+        assert (tmp_path / f"fold_dual_motion_{first}.json").exists()
+        assert not (tmp_path / f"fold_dual_motion_{last}.json").exists()
+
+    def test_cached_resume_needs_no_flows(self, tiny_loso, tmp_path):
+        manifest, flow_dir = tiny_loso
+        flows = tmp_path / "flows"
+        shutil.copytree(flow_dir, flows)
+        first = run_tiny_loso(manifest, flows, checkpoint_dir=tmp_path / "folds")
+        shutil.rmtree(flows)
+        assert run_tiny_loso(manifest, flows, checkpoint_dir=tmp_path / "folds") == first
