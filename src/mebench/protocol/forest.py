@@ -4,8 +4,12 @@ Split candidates are midpoints between consecutive distinct sorted
 feature values; the split minimizing the weighted Gini impurity wins,
 scanning features in ascending index order and thresholds in ascending
 order with strict improvement, so the choice is deterministic and
-invariant under duplicating every training sample. Prediction is a
-majority vote over trees (ties resolve to the lowest class index).
+invariant under duplicating every training sample. Each node scores all
+of its candidates at once: one stable sort of the sampled columns, one
+prefix count of the one-hot labels (the CART criterion scan of Breiman
+2001), and the weighted Gini of every cut as whole-array expressions.
+Prediction is a majority vote over trees (ties resolve to the lowest
+class index).
 """
 
 from __future__ import annotations
@@ -75,29 +79,52 @@ def _majority(class_counts: np.ndarray) -> int:
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, n_classes: int):
-    """Scan candidate midpoints; returns (impurity, feature, threshold) or None."""
+    """Scan candidate midpoints; returns (impurity, feature, threshold) or None.
+
+    The columns `feature_ids` are sorted together, and a prefix sum of the
+    one-hot labels gives the left class counts after every sorted position,
+    shape (n-1, k, C). Every candidate's weighted Gini is computed with the
+    same expression, in the same order, as `_gini` on one count vector, so
+    each impurity is the exact float a per-threshold loop would produce;
+    positions between equal values are not cuts and score +inf.
+
+    The winner is the first candidate, features ascending then thresholds
+    ascending, that is strictly below the current best minus 1e-15, walked
+    as a chain of first-below-bound searches. An argmin would instead take
+    the global minimum, which can be a later candidate only a few ULPs
+    below an earlier one that this rule keeps, and so grow a different tree.
+    """
     n = y.size
-    best = None
-    for feature in feature_ids:
-        values = x[:, feature]
-        order = np.argsort(values, kind="stable")
-        sorted_vals = values[order]
-        sorted_y = y[order]
-        # prefix class counts: counts_left[i] = counts of first i samples
-        onehot = np.zeros((n, n_classes), dtype=np.int64)
-        onehot[np.arange(n), sorted_y] = 1
-        prefix = np.cumsum(onehot, axis=0)
-        distinct = np.nonzero(sorted_vals[:-1] < sorted_vals[1:])[0]  # split after index i
-        for i in distinct:
-            left = prefix[i]
-            right = prefix[-1] - left
-            n_left = i + 1
-            n_right = n - n_left
-            impurity = (n_left * _gini(left) + n_right * _gini(right)) / n
-            threshold = 0.5 * (sorted_vals[i] + sorted_vals[i + 1])
-            if best is None or impurity < best[0] - 1e-15:
-                best = (impurity, int(feature), float(threshold))
-    return best
+    cols = x[:, feature_ids]
+    order = np.argsort(cols, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(cols, order, axis=0)
+    prefix = np.cumsum(np.eye(n_classes, dtype=np.int64)[y[order]], axis=0)
+    left = prefix[:-1]
+    right = prefix[-1] - left
+    n_left = np.arange(1, n, dtype=np.int64)[:, None]
+    n_right = n - n_left
+
+    def gini(counts, n_side):
+        p = counts / n_side[..., None]
+        return 1.0 - (p * p).sum(axis=-1)
+
+    impurity = (n_left * gini(left, n_left) + n_right * gini(right, n_right)) / n
+    impurity[sorted_vals[:-1] == sorted_vals[1:]] = np.inf
+    flat = impurity.T.ravel()  # feature-major, thresholds ascending within a feature
+
+    pos, bound = -1, np.inf
+    while pos + 1 < flat.size:
+        below = flat[pos + 1 :] < bound
+        step = int(below.argmax())
+        if not below[step]:
+            break
+        pos += 1 + step
+        bound = flat[pos] - 1e-15
+    if pos < 0:
+        return None
+    column, i = divmod(pos, n - 1)
+    threshold = 0.5 * (sorted_vals[i, column] + sorted_vals[i + 1, column])
+    return flat[pos], int(feature_ids[column]), float(threshold)
 
 
 def _grow(x, y, n_classes, config: ForestConfig, rng, depth: int) -> _Node:
@@ -132,6 +159,10 @@ def forest_train(features: np.ndarray, labels: np.ndarray, config: ForestConfig,
         raise DataError(f"features must be a non-empty (n, d) matrix, got shape {x.shape}")
     if y.shape != (x.shape[0],):
         raise DataError(f"labels shape {y.shape} inconsistent with {x.shape[0]} samples")
+    if not np.isfinite(x).all():
+        raise DataError("features must all be finite")
+    if y.min() < 0:
+        raise DataError(f"labels must be >= 0, got {y.min()}")
     n_classes = int(y.max()) + 1
     trees = []
     n = x.shape[0]

@@ -117,7 +117,11 @@ class ScenarioResult:
 
 @dataclass
 class PrimaFacieReport:
-    """Rows AsianOnly / NonAsianOnly / Mixed; columns Negative / NonNegative / Average."""
+    """Rows AsianOnly / NonAsianOnly / Mixed; columns Negative / NonNegative / Average.
+
+    Each row is the mean over sampling seeds, with the min, max and
+    population std (ddof 0) of the per-seed Average beside it.
+    """
 
     per_seed: list = field(default_factory=list)  # ScenarioResult
     forest_config: dict = field(default_factory=dict)
@@ -132,12 +136,16 @@ class PrimaFacieReport:
                 continue
             neg = float(np.mean([r.f1_negative for r in results]))
             nonneg = float(np.mean([r.f1_nonnegative for r in results]))
+            averages = np.array([r.average for r in results])
             rows.append(
                 {
                     "kind": kind.value,
                     "Negative": neg,
                     "NonNegative": nonneg,
                     "Average": (neg + nonneg) / 2.0,
+                    "Average_min": float(averages.min()),
+                    "Average_max": float(averages.max()),
+                    "Average_std": float(averages.std()),
                     "n_seeds": len(results),
                 }
             )
@@ -145,21 +153,23 @@ class PrimaFacieReport:
 
     def to_markdown(self) -> str:
         lines = [
-            "| Train/Test | Negative | Non-negative | Average |",
-            "|---|---|---|---|",
+            "| Train/Test | Negative | Non-negative | Average | Average min | Average max | Average std | Seeds |",
+            "|---|---|---|---|---|---|---|---|",
         ]
         for row in self.mean_rows():
             lines.append(
-                f"| {row['kind']} | {row['Negative']:.4f} | {row['NonNegative']:.4f} | {row['Average']:.4f} |"
+                f"| {row['kind']} | {row['Negative']:.4f} | {row['NonNegative']:.4f} | {row['Average']:.4f}"
+                f" | {row['Average_min']:.4f} | {row['Average_max']:.4f} | {row['Average_std']:.4f}"
+                f" | {row['n_seeds']} |"
             )
         return "\n".join(lines)
 
     def to_tsv(self) -> str:
-        lines = ["scenario\tNegative\tNonNegative\tAverage\tn_seeds"]
+        lines = ["scenario\tNegative\tNonNegative\tAverage\tAverage_min\tAverage_max\tAverage_std\tn_seeds"]
         for row in self.mean_rows():
             lines.append(
-                f"{row['kind']}\t{row['Negative']:.6f}\t{row['NonNegative']:.6f}"
-                f"\t{row['Average']:.6f}\t{row['n_seeds']}"
+                f"{row['kind']}\t{row['Negative']:.6f}\t{row['NonNegative']:.6f}\t{row['Average']:.6f}"
+                f"\t{row['Average_min']:.6f}\t{row['Average_max']:.6f}\t{row['Average_std']:.6f}\t{row['n_seeds']}"
             )
         return "\n".join(lines)
 

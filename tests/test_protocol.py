@@ -26,9 +26,11 @@ from mebench.protocol import (
     ConfusionMatrix,
     FoldResult,
     ForestConfig,
+    PrimaFacieReport,
     PrimaFacieScenario,
     QuotaError,
     ScenarioKind,
+    ScenarioResult,
     aggregate_folds,
     binarize_emotions,
     forest_predict,
@@ -39,7 +41,7 @@ from mebench.protocol import (
     run_loso_variant,
     sample_prima_facie,
 )
-from mebench.protocol import benchmark
+from mebench.protocol import benchmark, forest
 from mebench.protocol.forest import _best_split, _gini
 
 
@@ -308,6 +310,147 @@ class TestForest:
     def test_inconsistent_feature_lengths(self):
         with pytest.raises(DataError):
             forest_train(np.zeros((4, 3)), np.zeros(5), ForestConfig(), seed=0)
+
+    def test_non_finite_feature_is_data_error(self):
+        x = np.random.default_rng(0).normal(size=(8, 3))
+        x[2, 1] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            forest_train(x, np.arange(8) % 2, ForestConfig(n_trees=3), seed=0)
+
+    def test_negative_label_is_data_error(self):
+        x = np.random.default_rng(0).normal(size=(8, 3))
+        with pytest.raises(DataError, match=">= 0"):
+            forest_train(x, np.array([0, 1, -1, 0, 1, 0, 1, 0]), ForestConfig(n_trees=3), seed=0)
+
+
+def _scalar_best_split(x, y, feature_ids, n_classes):
+    """Reference split scan: one `_gini` pair per feature and distinct threshold."""
+    n = y.size
+    best = None
+    for feature in feature_ids:
+        values = x[:, feature]
+        order = np.argsort(values, kind="stable")
+        sorted_vals = values[order]
+        sorted_y = y[order]
+        onehot = np.zeros((n, n_classes), dtype=np.int64)
+        onehot[np.arange(n), sorted_y] = 1
+        prefix = np.cumsum(onehot, axis=0)
+        distinct = np.nonzero(sorted_vals[:-1] < sorted_vals[1:])[0]
+        for i in distinct:
+            left = prefix[i]
+            right = prefix[-1] - left
+            n_left = i + 1
+            n_right = n - n_left
+            impurity = (n_left * _gini(left) + n_right * _gini(right)) / n
+            threshold = 0.5 * (sorted_vals[i] + sorted_vals[i + 1])
+            if best is None or impurity < best[0] - 1e-15:
+                best = (impurity, int(feature), float(threshold))
+    return best
+
+
+def _describe_tree(node):
+    if node.is_leaf:
+        return ("leaf", node.prediction)
+    return ("split", node.feature, node.threshold, _describe_tree(node.left), _describe_tree(node.right))
+
+
+class TestBestSplitKernel:
+    def check(self, x, y, n_classes, feature_ids=None):
+        feature_ids = np.arange(x.shape[1]) if feature_ids is None else feature_ids
+        expected = _scalar_best_split(x, y, feature_ids, n_classes)
+        assert _best_split(x, y, feature_ids, n_classes) == expected
+        return expected
+
+    def test_two_samples(self):
+        assert self.check(np.array([[0.0], [1.0]]), np.array([0, 1]), 2) == (0.0, 0, 0.5)
+
+    def test_constant_column_has_no_split(self):
+        assert self.check(np.full((6, 1), 3.0), np.array([0, 1, 0, 1, 1, 0]), 2) is None
+
+    def test_integer_columns_with_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x = rng.integers(0, 3, size=(40, 5)).astype(float)
+            self.check(x, rng.integers(0, 3, 40), 3)
+
+    def test_duplicated_columns_first_wins(self):
+        rng = np.random.default_rng(12)
+        column = rng.normal(size=(30, 1))
+        x = np.hstack([rng.normal(size=(30, 1)), column, column])
+        y = (column[:, 0] > 0).astype(int)
+        assert self.check(x, y, 2)[1] == 1
+
+    def test_earlier_cut_beats_one_ulp_lower_later_cut(self):
+        # the cut at 2.5 scores 0.3999999999999999, one ULP below the cut at
+        # 0.5; strict improvement by 1e-15 keeps the earlier cut, argmin would not
+        x = np.array([[4.0, 1.0, 0.0, 1.0, 4.0, 3.0, 1.0, 4.0, 3.0, 2.0]]).T
+        y = np.array([1, 0, 1, 0, 0, 1, 0, 1, 0, 0])
+        assert self.check(x, y, 2) == (0.4, 0, 0.5)
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 9, 10])
+    def test_class_counts(self, n_classes):
+        # 9 or more classes sum p*p through numpy's pairwise (unrolled) path
+        rng = np.random.default_rng(n_classes)
+        for _ in range(30):
+            x = rng.normal(size=(int(rng.integers(2, 60)), 6))
+            y = rng.integers(0, n_classes, x.shape[0])
+            self.check(x, y, n_classes, np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 25),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_random_matrices(self, n, d, n_classes, seed, integer_valued):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 4, size=(n, d)).astype(float) if integer_valued else rng.normal(size=(n, d))
+        self.check(x, rng.integers(0, n_classes, n), n_classes)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("subsample", ["sqrt", "all"])
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    @pytest.mark.parametrize("max_depth", [1, 8])
+    def test_forest_matches_scalar_scan(self, monkeypatch, bootstrap, subsample, min_leaf, max_depth):
+        rng = np.random.default_rng(21)
+        x = np.round(rng.normal(size=(60, 9)), 1)  # rounding leaves ties
+        y = (x[:, 0] + x[:, 3] + rng.normal(scale=0.5, size=60) > 0).astype(int) + (x[:, 5] > 1)
+        config = ForestConfig(
+            n_trees=4, max_depth=max_depth, min_leaf=min_leaf, feature_subsample=subsample, bootstrap=bootstrap
+        )
+        vectorised = forest_train(x, y, config, seed=3)
+        monkeypatch.setattr(forest, "_best_split", _scalar_best_split)
+        scalar = forest_train(x, y, config, seed=3)
+        assert [_describe_tree(t) for t in vectorised.trees] == [_describe_tree(t) for t in scalar.trees]
+
+
+# ---------------------------------------------------------------- prima facie report
+
+
+class TestPrimaFacieReport:
+    def test_seed_spread(self):
+        per_seed = [
+            ScenarioResult("Mixed", seed, neg, nonneg)
+            for seed, neg, nonneg in ((0, 0.5, 0.7), (1, 0.6, 0.9), (2, 0.4, 0.6))
+        ]
+        report = PrimaFacieReport(per_seed=per_seed)
+        (row,) = report.mean_rows()
+        averages = [0.6, 0.75, 0.5]
+        assert row["n_seeds"] == 3
+        assert row["Average_min"] == pytest.approx(0.5)
+        assert row["Average_max"] == pytest.approx(0.75)
+        assert row["Average_std"] == pytest.approx(np.std(averages))
+        header, line = report.to_tsv().splitlines()
+        assert header.split("\t")[4:7] == ["Average_min", "Average_max", "Average_std"]
+        assert line.split("\t")[4:] == ["0.500000", "0.750000", f"{np.std(averages):.6f}", "3"]
+        assert report.to_markdown().splitlines()[-1] == (
+            f"| Mixed | 0.5000 | 0.7333 | 0.6167 | 0.5000 | 0.7500 | {np.std(averages):.4f} | 3 |"
+        )
+        assert report.per_seed[1].to_dict() == {
+            "kind": "Mixed", "seed": 1, "Negative": 0.6, "NonNegative": 0.9, "Average": 0.75,
+        }
 
 
 # ---------------------------------------------------------------- LOSO benchmark
