@@ -4,13 +4,10 @@ from .network import (
     ModelInputs,
     ModelOutputs,
     VariantInputError,
-    encode_motion,
-    encode_texture_patches,
     forward,
-    fuse_and_classify,
     predict_emotion,
 )
-from .losses import LossBreakdown, cce, softmax_probs, total_loss
+from .losses import LossBreakdown, cce
 from .training import (
     AdamState,
     NonFiniteGradientError,
@@ -41,15 +38,10 @@ __all__ = [
     "ModelInputs",
     "ModelOutputs",
     "VariantInputError",
-    "encode_motion",
-    "encode_texture_patches",
     "forward",
-    "fuse_and_classify",
     "predict_emotion",
     "LossBreakdown",
     "cce",
-    "softmax_probs",
-    "total_loss",
     "AdamState",
     "NonFiniteGradientError",
     "TrainConfig",

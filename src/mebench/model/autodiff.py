@@ -34,15 +34,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, name={self.name})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def backward(self, grad=None):
         """Accumulate gradients of self into the graph.
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from . import autodiff as ad
-from .network import ModelOutputs
 
 
 def cce(logits: np.ndarray, target: int) -> float:
@@ -27,10 +26,6 @@ def cce(logits: np.ndarray, target: int) -> float:
     if not (0 <= target < logits.shape[0]):
         raise ConfigError(f"target {target} out of range for {logits.shape[0]} classes")
     return float(ad.cross_entropy_mean(logits[None], [target]).data)
-
-
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    return ad.softmax(logits).data
 
 
 @dataclass(frozen=True)
@@ -53,15 +48,3 @@ class LossBreakdown:
     def to_dict(self) -> dict:
         return {"l_emo": self.l_emo, "l_ethnic": self.l_ethnic, "l_fusion": self.l_fusion, "total": self.total}
 
-
-def total_loss(outputs: ModelOutputs, emotion_label: int, ethnicity_label: int | None = None) -> LossBreakdown:
-    """Per-sample loss breakdown for a batch-of-one forward pass."""
-    emotion_logits, ethnicity_logits, fused_logits = outputs.logits_arrays()
-    l_emo = cce(emotion_logits[0], emotion_label)
-    if ethnicity_logits is None:
-        return LossBreakdown.of(l_emo)
-    if ethnicity_label is None:
-        raise DataError("ethnicity label required for dual variants")
-    l_ethnic = cce(ethnicity_logits[0], ethnicity_label)
-    l_fusion = cce(fused_logits[0], emotion_label)
-    return LossBreakdown.of(l_emo, l_ethnic, l_fusion)

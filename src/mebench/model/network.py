@@ -45,28 +45,10 @@ class ModelOutputs:
     fused_logits: Optional[Tensor]
     motion_grid: Tensor
     ethnic_grid: Optional[Tensor]
-
-    def logits_arrays(self):
-        return (
-            self.emotion_logits.data,
-            self.ethnicity_logits.data if self.ethnicity_logits is not None else None,
-            self.fused_logits.data if self.fused_logits is not None else None,
-        )
+    leaves: dict  # parameter name -> leaf Tensor; backward() reads the gradients here
 
 
-def _leaf(params: ParamSet, name: str, leaves: dict) -> Tensor:
-    if name not in leaves:
-        leaves[name] = Tensor(params[name], name=name)
-    return leaves[name]
-
-
-def encode_conv(
-    x: Tensor,
-    params: ParamSet,
-    leaves: dict,
-    prefix: str,
-    cfg: EncoderConfig,
-) -> tuple[Tensor, Tensor]:
+def encode_conv(x: Tensor, leaves: dict, prefix: str, cfg: EncoderConfig) -> tuple[Tensor, Tensor]:
     """Staged conv encoder; returns (features (B, E), final grid (B, F, h, w))."""
     if x.shape[1] != cfg.input_channels:
         raise ConfigError(f"{prefix}: expected {cfg.input_channels} input channels, got {x.shape[1]}")
@@ -75,56 +57,47 @@ def encode_conv(
     for i in range(len(cfg.stage_widths)):
         h = ad.conv2d(
             h,
-            _leaf(params, f"{prefix}.stage{i}.w", leaves),
-            _leaf(params, f"{prefix}.stage{i}.b", leaves),
+            leaves[f"{prefix}.stage{i}.w"],
+            leaves[f"{prefix}.stage{i}.b"],
             stride=cfg.downsample,
             pad=pad,
         )
         h = ad.relu(h)
     grid = h
     pooled = ad.mean(h, axes=(2, 3))  # global average over the final feature grid
-    feat = ad.linear(pooled, _leaf(params, f"{prefix}.proj.w", leaves), _leaf(params, f"{prefix}.proj.b", leaves))
+    feat = ad.linear(pooled, leaves[f"{prefix}.proj.w"], leaves[f"{prefix}.proj.b"])
     return feat, grid
 
 
-def _attention_block(x: Tensor, params: ParamSet, leaves: dict, prefix: str, cfg: PatchEncoderConfig, capture):
+def _attention_block(x: Tensor, leaves: dict, prefix: str, cfg: PatchEncoderConfig) -> Tensor:
     batch, n, d = x.shape
     heads = cfg.n_heads
     head_dim = d // heads
 
-    normed = ad.layer_norm(x, _leaf(params, f"{prefix}.ln1.gamma", leaves), _leaf(params, f"{prefix}.ln1.beta", leaves))
+    normed = ad.layer_norm(x, leaves[f"{prefix}.ln1.gamma"], leaves[f"{prefix}.ln1.beta"])
 
     def split_heads(t: Tensor) -> Tensor:
         t = ad.reshape(t, (batch, n, heads, head_dim))
         return ad.transpose(t, (0, 2, 1, 3))  # (B, H, N, dh)
 
-    q = split_heads(ad.linear(normed, _leaf(params, f"{prefix}.attn.q.w", leaves), _leaf(params, f"{prefix}.attn.q.b", leaves)))
-    k = split_heads(ad.linear(normed, _leaf(params, f"{prefix}.attn.k.w", leaves), _leaf(params, f"{prefix}.attn.k.b", leaves)))
-    v = split_heads(ad.linear(normed, _leaf(params, f"{prefix}.attn.v.w", leaves), _leaf(params, f"{prefix}.attn.v.b", leaves)))
+    q = split_heads(ad.linear(normed, leaves[f"{prefix}.attn.q.w"], leaves[f"{prefix}.attn.q.b"]))
+    k = split_heads(ad.linear(normed, leaves[f"{prefix}.attn.k.w"], leaves[f"{prefix}.attn.k.b"]))
+    v = split_heads(ad.linear(normed, leaves[f"{prefix}.attn.v.w"], leaves[f"{prefix}.attn.v.b"]))
 
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
     probs = ad.softmax(scores, axis=-1)
-    if capture is not None:
-        capture.setdefault("attention_probs", []).append(probs.data.copy())
     mixed = ad.matmul(probs, v)  # (B, H, N, dh)
     mixed = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (batch, n, d))
-    attn_out = ad.linear(mixed, _leaf(params, f"{prefix}.attn.o.w", leaves), _leaf(params, f"{prefix}.attn.o.b", leaves))
+    attn_out = ad.linear(mixed, leaves[f"{prefix}.attn.o.w"], leaves[f"{prefix}.attn.o.b"])
     x = ad.add(x, attn_out)
 
-    normed2 = ad.layer_norm(x, _leaf(params, f"{prefix}.ln2.gamma", leaves), _leaf(params, f"{prefix}.ln2.beta", leaves))
-    hidden = ad.relu(ad.linear(normed2, _leaf(params, f"{prefix}.mlp.fc1.w", leaves), _leaf(params, f"{prefix}.mlp.fc1.b", leaves)))
-    mlp_out = ad.linear(hidden, _leaf(params, f"{prefix}.mlp.fc2.w", leaves), _leaf(params, f"{prefix}.mlp.fc2.b", leaves))
+    normed2 = ad.layer_norm(x, leaves[f"{prefix}.ln2.gamma"], leaves[f"{prefix}.ln2.beta"])
+    hidden = ad.relu(ad.linear(normed2, leaves[f"{prefix}.mlp.fc1.w"], leaves[f"{prefix}.mlp.fc1.b"]))
+    mlp_out = ad.linear(hidden, leaves[f"{prefix}.mlp.fc2.w"], leaves[f"{prefix}.mlp.fc2.b"])
     return ad.add(x, mlp_out)
 
 
-def encode_patches(
-    x: Tensor,
-    params: ParamSet,
-    leaves: dict,
-    prefix: str,
-    cfg: PatchEncoderConfig,
-    capture=None,
-) -> Tensor:
+def encode_patches(x: Tensor, leaves: dict, prefix: str, cfg: PatchEncoderConfig) -> Tensor:
     """Patchify -> embed (+positions) -> attention blocks -> mean pool -> project."""
     batch, chans, h, w = x.shape
     p = cfg.patch_size
@@ -136,49 +109,41 @@ def encode_patches(
     patches = ad.transpose(patches, (0, 2, 4, 1, 3, 5))
     patches = ad.reshape(patches, (batch, n, chans * p * p))
 
-    tokens = ad.linear(patches, _leaf(params, f"{prefix}.embed.w", leaves), _leaf(params, f"{prefix}.embed.b", leaves))
-    tokens = ad.add(tokens, _leaf(params, f"{prefix}.pos", leaves))
+    tokens = ad.linear(patches, leaves[f"{prefix}.embed.w"], leaves[f"{prefix}.embed.b"])
+    tokens = ad.add(tokens, leaves[f"{prefix}.pos"])
     for blk in range(cfg.n_blocks):
-        tokens = _attention_block(tokens, params, leaves, f"{prefix}.block{blk}", cfg, capture)
-    tokens = ad.layer_norm(tokens, _leaf(params, f"{prefix}.norm.gamma", leaves), _leaf(params, f"{prefix}.norm.beta", leaves))
+        tokens = _attention_block(tokens, leaves, f"{prefix}.block{blk}", cfg)
+    tokens = ad.layer_norm(tokens, leaves[f"{prefix}.norm.gamma"], leaves[f"{prefix}.norm.beta"])
     pooled = ad.mean(tokens, axes=(1,))
-    return ad.linear(pooled, _leaf(params, f"{prefix}.proj.w", leaves), _leaf(params, f"{prefix}.proj.b", leaves))
+    return ad.linear(pooled, leaves[f"{prefix}.proj.w"], leaves[f"{prefix}.proj.b"])
 
 
-def fuse_features(f_emotion: Tensor, f_ethnic: Tensor, params: ParamSet, leaves: dict) -> Tensor:
+def fuse_features(f_emotion: Tensor, f_ethnic: Tensor, leaves: dict) -> Tensor:
     """Concatenate (emotion, ethnicity) and apply the fused affine head."""
     if f_emotion.shape[-1] != f_ethnic.shape[-1]:
         raise ConfigError(f"feature length mismatch: {f_emotion.shape[-1]} vs {f_ethnic.shape[-1]}")
     merged = ad.concat([f_emotion, f_ethnic], axis=-1)
-    return ad.linear(merged, _leaf(params, "head.fusion.w", leaves), _leaf(params, "head.fusion.b", leaves))
+    return ad.linear(merged, leaves["head.fusion.w"], leaves["head.fusion.b"])
 
 
-def forward(
-    inputs: ModelInputs,
-    params: ParamSet,
-    config: ModelConfig,
-    variant: Variant,
-    capture: dict | None = None,
-) -> ModelOutputs:
+def forward(inputs: ModelInputs, params: ParamSet, config: ModelConfig, variant: Variant) -> ModelOutputs:
     """Run one batch; motion_only emits emotion logits only."""
     config.validate_for(variant)
     flow = np.asarray(inputs.flow, dtype=np.float64)
     if flow.ndim != 4 or flow.shape[1] != 3:
         raise DataError(f"flow input must be (B, 3, H, W), got {flow.shape}")
-    leaves: dict = {}
-    if capture is not None:
-        capture["leaves"] = leaves
+    leaves = params.leaves()
 
     flow = flow - INPUT_CENTER
-    f_emotion, motion_grid = encode_conv(Tensor(flow), params, leaves, "motion", config.motion)
-    emotion_logits = ad.linear(f_emotion, _leaf(params, "head.emotion.w", leaves), _leaf(params, "head.emotion.b", leaves))
+    f_emotion, motion_grid = encode_conv(Tensor(flow), leaves, "motion", config.motion)
+    emotion_logits = ad.linear(f_emotion, leaves["head.emotion.w"], leaves["head.emotion.b"])
 
     if not variant.has_ethnic_branch:
-        return ModelOutputs(emotion_logits, None, None, motion_grid, None)
+        return ModelOutputs(emotion_logits, None, None, motion_grid, None, leaves)
 
     ethnic_grid = None
     if variant == Variant.DUAL_MOTION:
-        f_ethnic, ethnic_grid = encode_conv(Tensor(flow), params, leaves, "ethnic", config.ethnic_conv)
+        f_ethnic, ethnic_grid = encode_conv(Tensor(flow), leaves, "ethnic", config.ethnic_conv)
     else:
         if inputs.rgb is None:
             raise VariantInputError(f"variant {variant.value} requires an apex RGB frame")
@@ -186,40 +151,13 @@ def forward(
         if rgb.shape != flow.shape:
             raise DataError(f"rgb shape {rgb.shape} != flow shape {flow.shape}")
         if variant == Variant.MOTION_RGB_CONV:
-            f_ethnic, ethnic_grid = encode_conv(Tensor(rgb), params, leaves, "ethnic", config.ethnic_conv)
+            f_ethnic, ethnic_grid = encode_conv(Tensor(rgb), leaves, "ethnic", config.ethnic_conv)
         else:
-            f_ethnic = encode_patches(Tensor(rgb), params, leaves, "texture", config.texture, capture)
+            f_ethnic = encode_patches(Tensor(rgb), leaves, "texture", config.texture)
 
-    ethnicity_logits = ad.linear(
-        f_ethnic, _leaf(params, "head.ethnicity.w", leaves), _leaf(params, "head.ethnicity.b", leaves)
-    )
-    fused_logits = fuse_features(f_emotion, f_ethnic, params, leaves)
-    return ModelOutputs(emotion_logits, ethnicity_logits, fused_logits, motion_grid, ethnic_grid)
-
-
-# single-sample conveniences matching the operation-level contracts
-
-
-def encode_motion(flow_image: np.ndarray, params: ParamSet, config: ModelConfig) -> np.ndarray:
-    """Embed one (3, H, W) flow image; returns a length-E vector."""
-    x = np.asarray(flow_image, dtype=np.float64) - INPUT_CENTER
-    feat, _ = encode_conv(Tensor(x[None]), params, {}, "motion", config.motion)
-    return feat.data[0]
-
-
-def encode_texture_patches(
-    rgb_frame: np.ndarray, params: ParamSet, config: ModelConfig, capture: dict | None = None
-) -> np.ndarray:
-    """Embed one (3, H, W) RGB frame through the patch transformer."""
-    x = np.asarray(rgb_frame, dtype=np.float64) - INPUT_CENTER
-    feat = encode_patches(Tensor(x[None]), params, {}, "texture", config.texture, capture)
-    return feat.data[0]
-
-
-def fuse_and_classify(f_emotion: np.ndarray, f_ethnic: np.ndarray, params: ParamSet) -> np.ndarray:
-    """Fused 3-class logits for one pair of length-E features."""
-    out = fuse_features(Tensor(f_emotion[None]), Tensor(f_ethnic[None]), params, {})
-    return out.data[0]
+    ethnicity_logits = ad.linear(f_ethnic, leaves["head.ethnicity.w"], leaves["head.ethnicity.b"])
+    fused_logits = fuse_features(f_emotion, f_ethnic, leaves)
+    return ModelOutputs(emotion_logits, ethnicity_logits, fused_logits, motion_grid, ethnic_grid, leaves)
 
 
 def predict_emotion(outputs: ModelOutputs) -> np.ndarray:

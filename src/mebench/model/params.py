@@ -4,7 +4,10 @@ Checkpoint layout (MECK1, little-endian):
 
     magic "MECK1\\n"
     u32 header length
-    header JSON: {"config": ..., "variant": ..., "tensors": [{"name", "shape"}, ...]}
+    header JSON: {"config": ..., "variant": ..., "tensors": [{"name", "shape"}, ...],
+                  "extra": {...}}
+        "extra" is optional: an object of caller metadata, written only when
+        non-empty; frozen-encoder files carry {"kind": "frozen_encoder"}
     concatenated row-major float64 tensor data, in header order
 """
 
@@ -20,6 +23,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..runutil import atomic_write_bytes, derived_rng
+from .autodiff import Tensor
 from .config import ModelConfig, N_EMOTIONS, N_ETHNICITIES, Variant
 
 _MAGIC = b"MECK1\n"
@@ -50,8 +54,9 @@ class ParamSet:
             return all(np.array_equal(self.tensors[k], other.tensors[k]) for k in self.tensors)
         return all(np.allclose(self.tensors[k], other.tensors[k], atol=atol) for k in self.tensors)
 
-    def n_scalars(self) -> int:
-        return sum(v.size for v in self.tensors.values())
+    def leaves(self) -> dict:
+        """One fresh autodiff leaf per parameter, keyed by name."""
+        return {name: Tensor(value, name=name) for name, value in self.tensors.items()}
 
 
 GradientSet = dict  # name -> ndarray, same shapes as the ParamSet

@@ -52,8 +52,7 @@ def batch_loss_graph(
     params: ParamSet, batch: list[TrainSample], config: ModelConfig, variant: Variant
 ) -> tuple[ad.Tensor, LossBreakdown, dict]:
     """Build the mean-reduced three-term loss over a batch; returns (loss, breakdown, leaves)."""
-    capture: dict = {}
-    outputs = forward(_batch_inputs(batch, variant), params, config, variant, capture)
+    outputs = forward(_batch_inputs(batch, variant), params, config, variant)
     emotions = np.array([s.emotion for s in batch])
     l_emo = ad.cross_entropy_mean(outputs.emotion_logits, emotions)
     if variant.has_ethnic_branch:
@@ -65,7 +64,7 @@ def batch_loss_graph(
     else:
         total = l_emo
         breakdown = LossBreakdown.of(float(l_emo.data))
-    return total, breakdown, capture["leaves"]
+    return total, breakdown, outputs.leaves
 
 
 def backward(

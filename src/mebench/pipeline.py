@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import Manifest, MappedEmotion, MappedEthnicity, SampleRecord
 from .errors import DataError
 from .flowcore import (
@@ -29,7 +27,7 @@ from .flowcore import (
     write_flow_image,
 )
 from .model import TrainSample
-from .runutil import atomic_write_text, stable_hash
+from .runutil import atomic_write_text, read_json_object, stable_hash
 
 EMOTION_CLASSES = ("Negative", "Positive", "Surprise")
 ETHNICITY_CLASSES = ("Asian", "NonAsian")
@@ -116,11 +114,8 @@ def materialize_flow_images(
     for record in manifest.records:
         out_path = flow_image_path(flow_dir, record)
         sidecar = out_path.with_suffix(".ofi.json")
-        if not force and out_path.exists() and sidecar.exists():
-            try:
-                meta = json.loads(sidecar.read_text())
-            except json.JSONDecodeError:
-                meta = {}
+        if not force and out_path.exists():
+            meta = read_json_object(sidecar) or {}
             if meta.get("flow_params_hash") == params_hash:
                 cached += 1
                 fractions[sample_key(record)] = tuple(meta.get("clip_fraction", (0.0, 0.0, 0.0)))

@@ -19,7 +19,7 @@ from ..corpus import Manifest
 from ..errors import DataError
 from ..model import ModelConfig, TrainConfig, Variant, evaluate_predictions, train_fold
 from ..pipeline import EMOTION_CLASSES, load_train_samples
-from ..runutil import atomic_write_text, derive_seed, stable_hash
+from ..runutil import atomic_write_text, derive_seed, read_json_object, stable_hash
 from .folds import plan_loso
 from .metrics import ConfusionMatrix, FoldResult, aggregate_folds
 
@@ -138,11 +138,10 @@ def run_loso_variant(
             if checkpoint_dir is not None
             else None
         )
-        if ckpt_path is not None and ckpt_path.exists():
-            stored = json.loads(ckpt_path.read_text())
-            if stored.get("fold_hash") == fold_hash:
-                results_by_subject[fold.held_out_subject] = np.array(stored["counts"])
-                continue
+        stored = read_json_object(ckpt_path) if ckpt_path is not None else None
+        if stored is not None and stored.get("fold_hash") == fold_hash:
+            results_by_subject[fold.held_out_subject] = np.array(stored["counts"])
+            continue
         pending.append((fold, fold_seed, fold_hash, ckpt_path))
 
     jobs = []

@@ -154,13 +154,16 @@ def _grow(x, y, n_classes, config: ForestConfig, rng, depth: int) -> _Node:
 
 def forest_train(features: np.ndarray, labels: np.ndarray, config: ForestConfig, seed: int) -> ForestModel:
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    raw = np.asarray(labels)
+    y = raw.astype(np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError(f"features must be a non-empty (n, d) matrix, got shape {x.shape}")
     if y.shape != (x.shape[0],):
         raise DataError(f"labels shape {y.shape} inconsistent with {x.shape[0]} samples")
     if not np.isfinite(x).all():
         raise DataError("features must all be finite")
+    if not np.array_equal(y, raw):
+        raise DataError("labels must be integer class indices")
     if y.min() < 0:
         raise DataError(f"labels must be >= 0, got {y.min()}")
     n_classes = int(y.max()) + 1

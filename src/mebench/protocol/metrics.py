@@ -12,7 +12,7 @@ fold lacks a class, which LOSO routinely produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,40 +76,11 @@ class FoldResult:
 @dataclass
 class MetricsReport:
     classes: tuple[str, ...]
-    per_fold: list = field(default_factory=list)          # [(subject, confusion counts list)]
-    pooled: ConfusionMatrix = None
-    per_class_f1: dict = field(default_factory=dict)
-    macro: float = 0.0
-    metadata: dict = field(default_factory=dict)
-    provenance_hash: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "classes": list(self.classes),
-            "per_fold": [
-                {"subject": subj, "counts": counts.tolist()} for subj, counts in self.per_fold
-            ],
-            "pooled_counts": self.pooled.counts.tolist(),
-            "per_class_f1": self.per_class_f1,
-            "macro_f1": self.macro,
-            "metadata": self.metadata,
-            "provenance_hash": self.provenance_hash,
-        }
-
-    def to_markdown(self) -> str:
-        lines = [
-            "| class | F1 |",
-            "|---|---|",
-        ]
-        for c in self.classes:
-            lines.append(f"| {c} | {self.per_class_f1[c]:.4f} |")
-        lines.append(f"| **macro** | **{self.macro:.4f}** |")
-        return "\n".join(lines)
+    per_class_f1: dict
+    macro: float
 
 
-def aggregate_folds(
-    fold_results: list[FoldResult], metadata: dict | None = None, provenance_hash: str = ""
-) -> MetricsReport:
+def aggregate_folds(fold_results: list[FoldResult]) -> MetricsReport:
     """Pool confusions across folds, then score once."""
     if not fold_results:
         raise DataError("no fold results to aggregate")
@@ -118,12 +89,4 @@ def aggregate_folds(
     for result in fold_results:
         pooled = pooled + result.confusion
     per_class, macro = macro_f1(pooled)
-    return MetricsReport(
-        classes=classes,
-        per_fold=[(r.held_out_subject, r.confusion.counts.copy()) for r in fold_results],
-        pooled=pooled,
-        per_class_f1=per_class,
-        macro=macro,
-        metadata=metadata or {},
-        provenance_hash=provenance_hash,
-    )
+    return MetricsReport(classes=classes, per_class_f1=per_class, macro=macro)

@@ -1,4 +1,4 @@
-"""Seed derivation, canonical hashing, and atomic file writes.
+"""Seed derivation, canonical hashing, atomic file writes, and cache reads.
 
 All randomness in a run flows from one root seed, fanned out by labeled
 derivation: derive_seed(root, *labels) hashes "root|label|..." with
@@ -44,6 +44,17 @@ def hash_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def read_json_object(path) -> dict | None:
+    """The JSON object stored at path, or None when the file is missing, is
+    not UTF-8 or not JSON, or holds something other than an object. Cache
+    readers treat None as a miss, so a damaged entry is recomputed."""
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (FileNotFoundError, ValueError):  # ValueError covers bad UTF-8 and bad JSON
+        return None
+    return obj if isinstance(obj, dict) else None
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -354,3 +355,35 @@ class TestReportCommand:
     def test_missing_sidecars_fail(self, tmp_path):
         (tmp_path / "empty").mkdir()
         assert main(["report", "--run-dir", str(tmp_path / "empty")]) == 3
+
+
+@pytest.mark.parametrize(
+    "entry, content",
+    [
+        ("sidecar", b"[1, 2]\n"),
+        ("sidecar", b"\xff\xfe{}\n"),
+        ("fold", b'{"fold_hash": '),
+        ("fold", b"[]\n"),
+    ],
+    ids=["sidecar-list", "sidecar-not-utf8", "fold-truncated", "fold-list"],
+)
+def test_damaged_cache_entry_is_recomputed(synth_run, tmp_path, entry, content):
+    _, corpus, flows = synth_run
+    flow_dir = tmp_path / "flows"
+    shutil.copytree(flows, flow_dir)
+    manifest = str(corpus / "manifest.jsonl")
+    if entry == "sidecar":
+        argv = ["flow", "--manifest", manifest, "--out", str(flow_dir)]
+        target = sorted(flow_dir.glob("*.ofi.json"))[0]
+    else:
+        out = tmp_path / "loso"
+        argv = [
+            "loso", "--manifest", manifest, "--flow-dir", str(flow_dir), "--out", str(out),
+            "--variants", "dual_motion", "--image-size", "32", "--batch-size", "2", "--seed", "7",
+        ]
+        assert main(argv) == 0
+        target = sorted((out / "folds").glob("fold_dual_motion_*.json"))[0]
+    intact = target.read_bytes()
+    target.write_bytes(content)
+    assert main(argv) == 0
+    assert target.read_bytes() == intact

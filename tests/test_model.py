@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import struct
@@ -24,24 +25,21 @@ from mebench.model import (
     VariantInputError,
     backward,
     cce,
-    encode_motion,
-    encode_texture_patches,
     extract_frozen_features,
     forward,
-    fuse_and_classify,
     gradcam,
     init_params,
     load_checkpoint,
     lr_schedule,
     optimizer_step,
     save_checkpoint,
-    softmax_probs,
-    total_loss,
     train_fold,
 )
 from mebench.model import autodiff as ad
+from mebench.model.autodiff import Tensor
 from mebench.model.losses import LossBreakdown
-from mebench.model.network import INPUT_CENTER
+from mebench.model.network import INPUT_CENTER, encode_conv, encode_patches, fuse_features
+from mebench.model.training import batch_loss_graph
 
 
 def toy_forward(variant, seed=3, size=16):
@@ -58,27 +56,48 @@ def toy_forward(variant, seed=3, size=16):
 # ---------------------------------------------------------------- encoders
 
 
-class TestEncodeMotion:
+def spy_attention(monkeypatch) -> list:
+    """Record the attention probabilities of every ad.softmax call."""
+    probs = []
+    real_softmax = ad.softmax
+
+    def spy(a, axis=-1):
+        out = real_softmax(a, axis)
+        probs.append(out.data)
+        return out
+
+    monkeypatch.setattr(ad, "softmax", spy)
+    return probs
+
+
+def encode_texture(rgb, params, config):
+    """Patch-encoder features of a (B, 3, H, W) batch in [0, 1]."""
+    return encode_patches(Tensor(rgb - INPUT_CENTER), params.leaves(), "texture", config.texture).data
+
+
+class TestEncodeConv:
     def test_output_length(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.MOTION_ONLY, seed=0)
-        x = np.random.default_rng(0).uniform(0, 1, (3, 16, 16))
-        feat = encode_motion(x, params, config)
-        assert feat.shape == (4,)
+        x = np.random.default_rng(0).uniform(0, 1, (1, 3, 16, 16))
+        feat, _ = encode_conv(Tensor(x), params.leaves(), "motion", config.motion)
+        assert feat.shape == (1, 4)
 
     def test_deterministic(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.MOTION_ONLY, seed=0)
-        x = np.random.default_rng(1).uniform(0, 1, (3, 16, 16))
-        assert np.array_equal(encode_motion(x, params, config), encode_motion(x, params, config))
+        x = np.random.default_rng(1).uniform(0, 1, (1, 3, 16, 16))
+        a, _ = encode_conv(Tensor(x), params.leaves(), "motion", config.motion)
+        b, _ = encode_conv(Tensor(x), params.leaves(), "motion", config.motion)
+        assert np.array_equal(a.data, b.data)
 
     def test_zero_weights_zero_embedding(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.MOTION_ONLY, seed=0)
         for name in params.names():
             params.tensors[name] = np.zeros_like(params[name])
-        feat = encode_motion(np.zeros((3, 16, 16)), params, config)
-        assert np.array_equal(feat, np.zeros(4))
+        feat, _ = encode_conv(Tensor(np.zeros((1, 3, 16, 16))), params.leaves(), "motion", config.motion)
+        assert np.array_equal(feat.data, np.zeros((1, 4)))
 
 
 class TestEncodePatches:
@@ -97,50 +116,50 @@ class TestEncodePatches:
         rng = np.random.default_rng(0)
         for seed in range(3):
             params = init_params(config, Variant.MOTION_RGB_PATCH, seed=seed)
-            rgb = INPUT_CENTER + rng.standard_normal((3, config.image_size, config.image_size))
+            rgb = INPUT_CENTER + rng.standard_normal((1, 3, config.image_size, config.image_size))
             variances.clear()
-            encode_texture_patches(rgb, params, config)
+            encode_texture(rgb, params, config)
             assert 0.1 <= variances[0] <= 10.0, f"seed {seed}: ln1 input variance {variances[0]:.3g}"
 
-    def test_patch_count_64(self):
+    def test_patch_count_64(self, monkeypatch):
         config = ModelConfig.small(image_size=64)
         params = init_params(config, Variant.MOTION_RGB_PATCH, seed=0)
-        capture = {}
-        x = np.random.default_rng(0).uniform(0, 1, (3, 64, 64))
-        feat = encode_texture_patches(x, params, config, capture)
-        assert feat.shape == (32,)
-        probs = capture["attention_probs"][0]
+        attention = spy_attention(monkeypatch)
+        x = np.random.default_rng(0).uniform(0, 1, (1, 3, 64, 64))
+        feat = encode_texture(x, params, config)
+        assert feat.shape == (1, 32)
+        probs = attention[0]
         assert probs.shape[-1] == 64  # 64x64 / 8x8 -> 64 patches
 
-    def test_attention_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self, monkeypatch):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.MOTION_RGB_PATCH, seed=1)
-        capture = {}
-        x = np.random.default_rng(2).uniform(0, 1, (3, 16, 16))
-        encode_texture_patches(x, params, config, capture)
-        assert capture["attention_probs"], "no attention recorded"
-        for probs in capture["attention_probs"]:
+        attention = spy_attention(monkeypatch)
+        x = np.random.default_rng(2).uniform(0, 1, (1, 3, 16, 16))
+        encode_texture(x, params, config)
+        assert attention, "no attention recorded"
+        for probs in attention:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_positional_term_breaks_permutation_invariance(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.MOTION_RGB_PATCH, seed=2)
         rng = np.random.default_rng(3)
-        x = rng.uniform(0, 1, (3, 16, 16))
+        x = rng.uniform(0, 1, (1, 3, 16, 16))
         swapped = x.copy()
         p = config.texture.patch_size
-        swapped[:, :p, :p], swapped[:, :p, p : 2 * p] = (
-            x[:, :p, p : 2 * p].copy(),
-            x[:, :p, :p].copy(),
+        swapped[..., :p, :p], swapped[..., :p, p : 2 * p] = (
+            x[..., :p, p : 2 * p].copy(),
+            x[..., :p, :p].copy(),
         )
-        a = encode_texture_patches(x, params, config)
-        b = encode_texture_patches(swapped, params, config)
+        a = encode_texture(x, params, config)
+        b = encode_texture(swapped, params, config)
         assert not np.allclose(a, b)
 
         # sanity: with the positional term removed the swap is invisible
         params.tensors["texture.pos"] = np.zeros_like(params["texture.pos"])
-        a0 = encode_texture_patches(x, params, config)
-        b0 = encode_texture_patches(swapped, params, config)
+        a0 = encode_texture(x, params, config)
+        b0 = encode_texture(swapped, params, config)
         np.testing.assert_allclose(a0, b0, atol=1e-9)
 
     def test_divisibility_enforced(self):
@@ -156,33 +175,37 @@ class TestEncodePatches:
             bad.validate_for(Variant.MOTION_RGB_PATCH)
 
 
-class TestFuseAndClassify:
+def fuse(f_emotion, f_ethnic, params):
+    return fuse_features(Tensor(f_emotion), Tensor(f_ethnic), params.leaves()).data
+
+
+class TestFuseFeatures:
     def test_concat_length_and_shape(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.DUAL_MOTION, seed=0)
         assert params["head.fusion.w"].shape == (3, 8)  # 2E with E=4
-        out = fuse_and_classify(np.ones(4), np.zeros(4), params)
-        assert out.shape == (3,)
+        out = fuse(np.ones((1, 4)), np.zeros((1, 4)), params)
+        assert out.shape == (1, 3)
 
     def test_zero_weights_returns_bias(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.DUAL_MOTION, seed=0)
         params.tensors["head.fusion.w"] = np.zeros_like(params["head.fusion.w"])
         params.tensors["head.fusion.b"] = np.array([0.3, -0.2, 0.7])
-        out = fuse_and_classify(np.ones(4) * 5, np.ones(4) * -2, params)
-        np.testing.assert_array_equal(out, [0.3, -0.2, 0.7])
+        out = fuse(np.ones((1, 4)) * 5, np.ones((1, 4)) * -2, params)
+        np.testing.assert_array_equal(out, [[0.3, -0.2, 0.7]])
 
     def test_swap_order_with_permuted_weights(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.DUAL_MOTION, seed=4)
         rng = np.random.default_rng(5)
-        f_emotion, f_ethnic = rng.normal(size=4), rng.normal(size=4)
-        baseline = fuse_and_classify(f_emotion, f_ethnic, params)
+        f_emotion, f_ethnic = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+        baseline = fuse(f_emotion, f_ethnic, params)
 
         permuted = params.copy()
         w = params["head.fusion.w"]
         permuted.tensors["head.fusion.w"] = np.concatenate([w[:, 4:], w[:, :4]], axis=1)
-        swapped = fuse_and_classify(f_ethnic, f_emotion, permuted)
+        swapped = fuse(f_ethnic, f_emotion, permuted)
         np.testing.assert_allclose(baseline, swapped, atol=1e-12)
 
 
@@ -262,7 +285,7 @@ class TestCce:
     def test_softmax_sums_and_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         logits = rng.normal(scale=10, size=(3, 6))
-        probs = softmax_probs(logits)
+        probs = ad.softmax(logits).data
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
         assert cce(logits[0], 0) >= 0
 
@@ -277,37 +300,25 @@ class TestTotalLoss:
         assert bd.l_ethnic == 0.0 and bd.l_fusion == 0.0 and bd.total == 0.7
 
     def test_per_sample_breakdown(self):
-        _, _, batch, outputs = toy_forward(Variant.DUAL_MOTION)
-        single = ModelInputs(flow=batch[0].flow[None], rgb=None)
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.DUAL_MOTION, seed=3)
-        out1 = forward(single, params, config, Variant.DUAL_MOTION)
-        bd = total_loss(out1, batch[0].emotion, batch[0].ethnicity)
+        single = make_toy_batch(3)[:1]
+        _, bd, _ = batch_loss_graph(params, single, config, Variant.DUAL_MOTION)
         assert bd.total == bd.l_emo + bd.l_ethnic + bd.l_fusion
         assert bd.total > 0
 
     def test_perfect_one_hot_agreement(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.DUAL_MOTION, seed=3)
-        sample = make_toy_batch(3)[0]
-        out = forward(ModelInputs(flow=sample.flow[None]), params, config, Variant.DUAL_MOTION)
+        sample = dataclasses.replace(make_toy_batch(3)[0], emotion=0, ethnicity=0)
         # force near-one-hot logits by overwriting head biases and zero weights
         for head, n in (("emotion", 3), ("ethnicity", 2), ("fusion", 3)):
             params.tensors[f"head.{head}.w"] = np.zeros_like(params[f"head.{head}.w"])
             bias = np.full(n, -1e4)
             bias[0] = 1e4
             params.tensors[f"head.{head}.b"] = bias
-        out = forward(ModelInputs(flow=sample.flow[None]), params, config, Variant.DUAL_MOTION)
-        bd = total_loss(out, 0, 0)
+        _, bd, _ = batch_loss_graph(params, [sample], config, Variant.DUAL_MOTION)
         assert bd.total < 1e-9
-
-    def test_missing_label(self):
-        config = ModelConfig.toy(16)
-        params = init_params(config, Variant.DUAL_MOTION, seed=3)
-        sample = make_toy_batch(3)[0]
-        out = forward(ModelInputs(flow=sample.flow[None]), params, config, Variant.DUAL_MOTION)
-        with pytest.raises(DataError):
-            total_loss(out, 0, None)
 
 
 # ---------------------------------------------------------------- gradients

@@ -322,6 +322,12 @@ class TestForest:
         with pytest.raises(DataError, match=">= 0"):
             forest_train(x, np.array([0, 1, -1, 0, 1, 0, 1, 0]), ForestConfig(n_trees=3), seed=0)
 
+    def test_fractional_label_is_data_error(self):
+        x = np.random.default_rng(0).normal(size=(6, 3))
+        with pytest.raises(DataError, match="integer"):
+            forest_train(x, np.array([0.2, 1.9, 0.7, 1.2, 0.1, 1.5]), ForestConfig(n_trees=3), seed=0)
+        forest_train(x, np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]), ForestConfig(n_trees=3), seed=0)  # whole floats pass
+
 
 def _scalar_best_split(x, y, feature_ids, n_classes):
     """Reference split scan: one `_gini` pair per feature and distinct threshold."""
@@ -471,6 +477,21 @@ def run_tiny_loso(manifest, flow_dir, **kwargs):
         **kwargs,
     )
     return [(f.held_out_subject, f.confusion.counts.tolist()) for f in folds]
+
+
+def test_flows_identical_across_worker_counts(tiny_loso, tmp_path):
+    manifest, _ = tiny_loso
+    stats = {
+        workers: materialize_flow_images(manifest, FlowParams(iterations=5), tmp_path / f"w{workers}", workers=workers)
+        for workers in (1, 2)
+    }
+    assert stats[1].computed == stats[2].computed == len(manifest.records)
+    assert stats[1].clip_fractions == stats[2].clip_fractions
+    names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
+    assert len(names) == 2 * len(manifest.records)  # one OFI file and one sidecar per clip
+    for name in names:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
 
 
 class TestRunLosoVariant:
