@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,7 @@ from .pipeline import (
     sample_key,
 )
 from .protocol import ForestConfig, ScenarioKind, run_benchmark, run_prima_facie
-from .runutil import atomic_write_text, derive_seed, hash_file, stable_hash
+from .runutil import atomic_write_text, derive_seed, hash_file, read_json_object, stable_hash
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,10 +71,15 @@ EXIT_INTERNAL = 4
 
 
 def _workers() -> int:
+    """Worker processes from MEBENCH_THREADS: a positive integer, 1 when unset."""
+    raw = os.environ.get("MEBENCH_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("MEBENCH_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"MEBENCH_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _write_provenance(out_dir: Path, command: str, payload: dict) -> None:
@@ -94,7 +100,7 @@ def _deviations(flow_params: FlowParams | None = None, train: TrainConfig | None
     if flow_params is not None:
         out["flow_solver"] = {
             "note": "variational solver parameters are a configuration choice",
-            **flow_params.to_dict(),
+            **asdict(flow_params),
         }
     if train is not None:
         out["training"] = {
@@ -113,12 +119,17 @@ def _load_predictor(args):
         return CommandPredictor(args.predictor_cmd.split())
     table = {}
     if args.predictor_table:
-        raw = json.loads(Path(args.predictor_table).read_text(encoding="utf-8"))
-        for subject, entry in raw.items():
-            if isinstance(entry, str):
-                table[subject] = RawEthnicity(entry)
-            else:
-                table[subject] = (Gender(entry[0]), int(entry[1]), RawEthnicity(entry[2]))
+        try:
+            raw = json.loads(Path(args.predictor_table).read_text(encoding="utf-8"))
+            if not isinstance(raw, dict):
+                raise TypeError(f"expected an object, got {type(raw).__name__}")
+            for subject, entry in raw.items():
+                if isinstance(entry, str):
+                    table[subject] = RawEthnicity(entry)
+                else:
+                    table[subject] = (Gender(entry[0]), int(entry[1]), RawEthnicity(entry[2]))
+        except (IndexError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
+            raise ConfigError(f"{args.predictor_table}: malformed predictor table: {exc}") from exc
         return TablePredictor(table)
     warnings.warn(
         "no predictor given; the default stub marks every subject Others/unknown "
@@ -250,8 +261,8 @@ def cmd_flow(args) -> int:
         {
             "manifest": str(args.manifest),
             "manifest_hash": hash_file(args.manifest),
-            "flow_params": params.to_dict(),
-            "flow_params_hash": stable_hash(params.to_dict()),
+            "flow_params": asdict(params),
+            "flow_params_hash": stable_hash(asdict(params)),
             "deviations": _deviations(flow_params=params),
         },
     )
@@ -316,8 +327,8 @@ def cmd_loso(args) -> int:
             "manifest_hash": hash_file(args.manifest),
             "seed": args.seed,
             "variants": [v.value for v in variants],
-            "model": model_config.to_dict(),
-            "train": train_config.to_dict(),
+            "model": asdict(model_config),
+            "train": asdict(train_config),
             "report_hash": report.provenance_hash,
             "deviations": _deviations(train=train_config),
         },
@@ -374,7 +385,7 @@ def cmd_prima_facie(args) -> int:
             "seed": args.seed,
             "n_seeds": args.seeds,
             "budget": args.budget,
-            "forest": forest_config.to_dict(),
+            "forest": asdict(forest_config),
             "encoder": encoder.origin,
             "report_hash": report.provenance_hash,
             "deviations": {
@@ -393,7 +404,7 @@ def cmd_gradcam(args) -> int:
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params, model_config, variant, _extra = load_checkpoint(args.checkpoint)
+    params, model_config, variant = load_checkpoint(args.checkpoint)
     class_filter = [c.strip() for c in args.classes.split(",")]
     for name in class_filter:
         if name not in EMOTION_CLASSES:
@@ -469,7 +480,9 @@ def cmd_report(args) -> int:
 
     lines = ["# Run report", ""]
     for sidecar in sidecars:
-        payload = json.loads(sidecar.read_text(encoding="utf-8"))
+        payload = read_json_object(sidecar)
+        if payload is None:
+            raise DataError(f"{sidecar}: provenance is not a JSON object")
         rel = sidecar.parent.relative_to(run_dir)
         lines.append(f"## {payload.get('command', '?')} ({rel if str(rel) != '.' else 'run root'})")
         lines.append("")
@@ -478,6 +491,8 @@ def cmd_report(args) -> int:
             if key in payload:
                 lines.append(f"- {key}: `{payload[key]}`")
         deviations = payload.get("deviations", {})
+        if not isinstance(deviations, dict):
+            raise DataError(f"{sidecar}: provenance deviations are not a JSON object")
         if deviations:
             lines.append("- configured deviations:")
             for key, value in sorted(deviations.items()):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -45,26 +45,11 @@ class CorrectionRule:
         if self.attribute not in _ATTRIBUTES:
             raise ConfigError(f"correctable attributes are {_ATTRIBUTES}, got {self.attribute!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "attribute": self.attribute,
-            "replacement": self.replacement,
-            "note": self.note,
-            "dataset": self.dataset,
-            "subject_id": self.subject_id,
-            "expect": self.expect,
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "CorrectionRule":
-        return cls(
-            attribute=d["attribute"],
-            replacement=str(d["replacement"]),
-            note=d.get("note", ""),
-            dataset=d.get("dataset"),
-            subject_id=d.get("subject_id"),
-            expect=d.get("expect"),
-        )
+        """Read a ledger rule; fields other than attribute and replacement are optional."""
+        optional = {k: d[k] for k in ("note", "dataset", "subject_id", "expect") if k in d}
+        return cls(attribute=d["attribute"], replacement=str(d["replacement"]), **optional)
 
 
 @dataclass(frozen=True)
@@ -161,5 +146,5 @@ def load_ledger(path) -> list[CorrectionRule]:
 
 
 def save_ledger(path, rules: list[CorrectionRule]) -> None:
-    lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in rules]
+    lines = [json.dumps(asdict(r), sort_keys=True) for r in rules]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,14 +70,6 @@ class SynthSpec:
         if not (0.0 <= self.shift_strength <= 1.0):
             raise ConfigError("shift_strength must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "subjects_per_group": self.subjects_per_group,
-            "clips_per_subject": self.clips_per_subject,
-            "image_size": self.image_size,
-            "shift_strength": self.shift_strength,
-        }
-
 
 @dataclass(frozen=True)
 class ClipTruth:
@@ -92,19 +84,6 @@ class ClipTruth:
     angle_deg: float
     amplitude: float
     sigma: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "clip_id": self.clip_id,
-            "group": self.group,
-            "raw_emotion": self.raw_emotion,
-            "center_x": self.center_x,
-            "center_y": self.center_y,
-            "angle_deg": self.angle_deg,
-            "amplitude": self.amplitude,
-            "sigma": self.sigma,
-        }
 
 
 def _lerp_angle(a: float, b: float, t: float) -> float:
@@ -217,9 +196,9 @@ def synthesize_desk_corpus(spec: SynthSpec, seed: int, out_dir) -> tuple[Manifes
     records = finalize_mappings(records)
     manifest = build_manifest(
         records,
-        provenance={"generator": "synthetic-desk-corpus", "spec": spec.to_dict(), "seed": int(seed)},
+        provenance={"generator": "synthetic-desk-corpus", "spec": asdict(spec), "seed": int(seed)},
     )
     save_manifest(manifest, out_dir / "manifest.jsonl")
-    truth_lines = [json.dumps(t.to_json_dict(), sort_keys=True) for t in truths]
+    truth_lines = [json.dumps(asdict(t), sort_keys=True) for t in truths]
     atomic_write_text(out_dir / "truth.jsonl", "\n".join(truth_lines) + "\n")
     return manifest, truths

@@ -56,15 +56,6 @@ class FlowParams:
         if not (0.0 < self.pyramid_scale < 1.0):
             raise ConfigError("pyramid_scale must lie in (0, 1)")
 
-    def to_dict(self) -> dict:
-        return {
-            "smoothness_alpha": self.smoothness_alpha,
-            "iterations": self.iterations,
-            "pyramid_levels": self.pyramid_levels,
-            "pyramid_scale": self.pyramid_scale,
-            "zero_init": self.zero_init,
-        }
-
 
 @dataclass(frozen=True)
 class FlowField:

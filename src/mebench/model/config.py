@@ -9,7 +9,7 @@ texture). Branches never share weights.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import ConfigError
 
@@ -64,25 +64,6 @@ class EncoderConfig:
         if self.downsample < 1:
             raise ConfigError("downsample must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "input_channels": self.input_channels,
-            "stage_widths": list(self.stage_widths),
-            "kernel_size": self.kernel_size,
-            "downsample": self.downsample,
-            "feature_dim": self.feature_dim,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(
-            input_channels=d["input_channels"],
-            stage_widths=tuple(d["stage_widths"]),
-            kernel_size=d["kernel_size"],
-            downsample=d["downsample"],
-            feature_dim=d["feature_dim"],
-        )
-
 
 @dataclass(frozen=True)
 class PatchEncoderConfig:
@@ -104,29 +85,6 @@ class PatchEncoderConfig:
             raise ConfigError("only mean pooling is supported")
         if self.n_blocks < 1:
             raise ConfigError("need at least one block")
-
-    def to_dict(self) -> dict:
-        return {
-            "patch_size": self.patch_size,
-            "embed_dim": self.embed_dim,
-            "n_blocks": self.n_blocks,
-            "n_heads": self.n_heads,
-            "mlp_ratio": self.mlp_ratio,
-            "feature_dim": self.feature_dim,
-            "pooling": self.pooling,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PatchEncoderConfig":
-        return cls(
-            patch_size=d["patch_size"],
-            embed_dim=d["embed_dim"],
-            n_blocks=d["n_blocks"],
-            n_heads=d["n_heads"],
-            mlp_ratio=d["mlp_ratio"],
-            feature_dim=d["feature_dim"],
-            pooling=d.get("pooling", "mean"),
-        )
 
 
 @dataclass(frozen=True)
@@ -156,25 +114,6 @@ class ModelConfig:
     def n_patches(self) -> int:
         return (self.image_size // self.texture.patch_size) ** 2
 
-    def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size,
-            "feature_dim": self.feature_dim,
-            "motion": self.motion.to_dict(),
-            "ethnic_conv": self.ethnic_conv.to_dict(),
-            "texture": self.texture.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            image_size=d["image_size"],
-            feature_dim=d["feature_dim"],
-            motion=EncoderConfig.from_dict(d["motion"]),
-            ethnic_conv=EncoderConfig.from_dict(d["ethnic_conv"]),
-            texture=PatchEncoderConfig.from_dict(d["texture"]),
-        )
-
     @classmethod
     def small(cls, image_size: int = 64, feature_dim: int = 32) -> "ModelConfig":
         """Desk-scale default used by the CLI and tests."""
@@ -196,3 +135,24 @@ class ModelConfig:
             ethnic_conv=EncoderConfig(stage_widths=(2, 3), feature_dim=4),
             texture=PatchEncoderConfig(patch_size=8, embed_dim=6, n_blocks=2, n_heads=2, feature_dim=4),
         )
+
+
+_NESTED = {"EncoderConfig": EncoderConfig, "PatchEncoderConfig": PatchEncoderConfig}  # by field annotation
+
+
+def config_from_dict(cls, d: dict):
+    """Rebuild a config dataclass from its `dataclasses.asdict` form.
+
+    Every field is required (a missing one raises KeyError, a non-object
+    TypeError); nested encoder configs are rebuilt and tuple fields, which
+    JSON stores as lists, become tuples again.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        value = d[f.name]
+        if f.type in _NESTED:
+            value = config_from_dict(_NESTED[f.type], value)
+        elif f.type.startswith("tuple"):
+            value = tuple(value)
+        kwargs[f.name] = value
+    return cls(**kwargs)

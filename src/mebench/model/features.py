@@ -10,15 +10,18 @@ machines). Extraction is a pure function of the input.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import asdict
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..runutil import derived_rng
 from .autodiff import Tensor
-from .config import EncoderConfig
+from .config import EncoderConfig, config_from_dict
 from .network import encode_conv
-from .params import ParamSet, _conv_stack, check_shapes, load_checkpoint, save_checkpoint
+from .params import ParamSet, _conv_stack, check_shapes, read_meck, write_meck
+
+_KIND = "frozen_encoder"  # the MECK1 header "kind" of a frozen-encoder file
 
 
 class FrozenEncoder:
@@ -36,22 +39,16 @@ class FrozenEncoder:
 
     @classmethod
     def from_file(cls, path) -> "FrozenEncoder":
-        params, model_config, _variant, extra = load_checkpoint(path)
-        if extra.get("kind") != "frozen_encoder":
-            raise ConfigError(f"{path}: not a frozen-encoder checkpoint")
-        return cls(model_config.motion, params, origin=f"file:{path}")
+        def decode(header):
+            if header.get("kind") != _KIND:
+                raise ConfigError(f"{path}: not a frozen-encoder checkpoint")
+            return config_from_dict(EncoderConfig, header["config"])
+
+        config, params = read_meck(path, decode)
+        return cls(config, params, origin=f"file:{path}")
 
     def save(self, path) -> None:
-        from .config import ModelConfig, PatchEncoderConfig, Variant
-
-        container = ModelConfig(
-            image_size=64,
-            feature_dim=self.config.feature_dim,
-            motion=self.config,
-            ethnic_conv=self.config,
-            texture=PatchEncoderConfig(feature_dim=self.config.feature_dim),
-        )
-        save_checkpoint(path, self.params, container, Variant.MOTION_ONLY, extra={"kind": "frozen_encoder"})
+        write_meck(path, {"kind": _KIND, "config": asdict(self.config)}, self.params)
 
 
 def _frozen_param_set(config: EncoderConfig, seed: int) -> ParamSet:

@@ -44,7 +44,3 @@ class LossBreakdown:
     def of(cls, l_emo: float, l_ethnic: float = 0.0, l_fusion: float = 0.0) -> "LossBreakdown":
         # total evaluated in the declared order so the identity is exact
         return cls(l_emo=l_emo, l_ethnic=l_ethnic, l_fusion=l_fusion, total=l_emo + l_ethnic + l_fusion)
-
-    def to_dict(self) -> dict:
-        return {"l_emo": self.l_emo, "l_ethnic": self.l_ethnic, "l_fusion": self.l_fusion, "total": self.total}
-

@@ -4,10 +4,11 @@ Checkpoint layout (MECK1, little-endian):
 
     magic "MECK1\\n"
     u32 header length
-    header JSON: {"config": ..., "variant": ..., "tensors": [{"name", "shape"}, ...],
-                  "extra": {...}}
-        "extra" is optional: an object of caller metadata, written only when
-        non-empty; frozen-encoder files carry {"kind": "frozen_encoder"}
+    header JSON, one of
+        model checkpoint: {"config": <ModelConfig>, "variant": ..., "tensors": [...]}
+        frozen encoder:   {"kind": "frozen_encoder", "config": <EncoderConfig>, "tensors": [...]}
+    where each config is its dataclasses.asdict form and "tensors" lists
+    {"name", "shape"} per tensor
     concatenated row-major float64 tensor data, in header order
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from ..runutil import atomic_write_bytes, derived_rng
 from .autodiff import Tensor
-from .config import ModelConfig, N_EMOTIONS, N_ETHNICITIES, Variant
+from .config import ModelConfig, N_EMOTIONS, N_ETHNICITIES, Variant, config_from_dict
 
 _MAGIC = b"MECK1\n"
 
@@ -130,14 +131,9 @@ def init_params(config: ModelConfig, variant: Variant, seed: int) -> ParamSet:
     return ParamSet(out)
 
 
-def save_checkpoint(path, params: ParamSet, config: ModelConfig, variant: Variant, extra: dict | None = None) -> None:
-    header = {
-        "config": config.to_dict(),
-        "variant": variant.value,
-        "tensors": [{"name": k, "shape": list(v.shape)} for k, v in params.tensors.items()],
-    }
-    if extra:
-        header["extra"] = extra
+def write_meck(path, header: dict, params: ParamSet) -> None:
+    """Write params under `header` plus the "tensors" list, in MECK1 layout."""
+    header = {**header, "tensors": [{"name": k, "shape": list(v.shape)} for k, v in params.tensors.items()]}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes]
     for v in params.tensors.values():
@@ -145,7 +141,11 @@ def save_checkpoint(path, params: ParamSet, config: ModelConfig, variant: Varian
     atomic_write_bytes(path, b"".join(parts))
 
 
-def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant, dict]:
+def read_meck(path, decode):
+    """Check a MECK1 file's magic, header, shapes and length; return
+    (decode(header), params). The "tensors" list is read first, so decode
+    always sees an object; a KeyError, TypeError or ValueError in parsing
+    or in decode becomes a DataError."""
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -157,13 +157,9 @@ def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant, dict]:
     try:
         header = json.loads(data[off : off + header_len].decode("utf-8"))
         entries = [(entry["name"], tuple(int(n) for n in entry["shape"])) for entry in header["tensors"]]
-        config = ModelConfig.from_dict(header["config"])
-        variant = Variant(header["variant"])
+        decoded = decode(header)
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise DataError(f"{path}: malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
-    extra = header.get("extra", {})
-    if not isinstance(extra, dict):
-        raise DataError(f"{path}: checkpoint extra must be an object, got {type(extra).__name__}")
     off += header_len
     tensors: OrderedDict[str, np.ndarray] = OrderedDict()
     for name, shape in entries:
@@ -174,7 +170,21 @@ def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant, dict]:
             raise DataError(f"{path}: truncated tensor data at {name}")
         tensors[name] = np.frombuffer(data[off : off + nbytes], dtype="<f8").reshape(shape).copy()
         off += nbytes
-    return ParamSet(tensors), config, variant, extra
+    return decoded, ParamSet(tensors)
+
+
+def save_checkpoint(path, params: ParamSet, config: ModelConfig, variant: Variant) -> None:
+    write_meck(path, {"config": asdict(config), "variant": variant.value}, params)
+
+
+def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant]:
+    def decode(header):
+        if "kind" in header:
+            raise ConfigError(f"{path}: a {header['kind']!r} file, not a model checkpoint")
+        return config_from_dict(ModelConfig, header["config"]), Variant(header["variant"])
+
+    (config, variant), params = read_meck(path, decode)
+    return params, config, variant
 
 
 def check_shapes(params: ParamSet, reference: ParamSet) -> None:

@@ -146,14 +146,6 @@ class TrainConfig:
     base_lr: float = 1e-3
     lr_gamma: float = 0.9
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "base_lr": self.base_lr,
-            "lr_gamma": self.lr_gamma,
-        }
-
 
 def train_fold(
     samples: list[TrainSample],

@@ -11,7 +11,7 @@ class orders used in every confusion matrix and report:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .corpus import Manifest, MappedEmotion, MappedEthnicity, SampleRecord
@@ -69,12 +69,19 @@ class FlowStats:
     clip_fractions: dict  # sample key -> (fx, fy, strain) boundary fractions
 
 
+def _is_fraction_triple(value) -> bool:
+    """Three floats in [0, 1] (NaN fails the range test), as a sidecar stores them."""
+    return isinstance(value, list) and len(value) == 3 and all(
+        isinstance(x, float) and 0.0 <= x <= 1.0 for x in value
+    )
+
+
 def _compute_one_flow(job: tuple) -> tuple:
     """Worker for one record: compute, write, and describe its OFI file."""
-    key, onset_path, apex_path, out_path, sidecar_path, params_dict, params_hash = job
+    key, onset_path, apex_path, out_path, sidecar_path, flow_params, params_hash = job
     onset = load_frame(onset_path)
     apex = load_frame(apex_path)
-    flow = estimate_flow(onset, apex, FlowParams(**params_dict))
+    flow = estimate_flow(onset, apex, flow_params)
     image = assemble_flow_image(flow, compute_strain(flow))
     write_flow_image(image, out_path)
     atomic_write_text(
@@ -100,14 +107,15 @@ def materialize_flow_images(
 ) -> FlowStats:
     """Compute and cache the OFI file for every record in the manifest.
 
-    A sidecar JSON per OFI records the flow-parameter hash; files whose
-    hash matches are skipped unless force is set. Samples are independent,
-    so workers > 1 fans them out over processes; results are identical
-    regardless of worker count.
+    A sidecar JSON per OFI records the flow-parameter hash and the clip
+    fractions; files whose hash matches and whose fractions are valid are
+    skipped unless force is set. Samples are independent, so workers > 1
+    fans them out over processes; results are identical regardless of
+    worker count.
     """
     flow_dir = Path(flow_dir)
     flow_dir.mkdir(parents=True, exist_ok=True)
-    params_hash = stable_hash(flow_params.to_dict())
+    params_hash = stable_hash(asdict(flow_params))
     cached = 0
     fractions = {}
     jobs = []
@@ -116,9 +124,10 @@ def materialize_flow_images(
         sidecar = out_path.with_suffix(".ofi.json")
         if not force and out_path.exists():
             meta = read_json_object(sidecar) or {}
-            if meta.get("flow_params_hash") == params_hash:
+            fraction = meta.get("clip_fraction")
+            if meta.get("flow_params_hash") == params_hash and _is_fraction_triple(fraction):
                 cached += 1
-                fractions[sample_key(record)] = tuple(meta.get("clip_fraction", (0.0, 0.0, 0.0)))
+                fractions[sample_key(record)] = tuple(fraction)
                 continue
         jobs.append(
             (
@@ -127,7 +136,7 @@ def materialize_flow_images(
                 record.apex_path,
                 str(out_path),
                 str(sidecar),
-                flow_params.to_dict(),
+                flow_params,
                 params_hash,
             )
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +84,14 @@ class BenchmarkReport:
         }
 
 
+def _is_counts(value) -> bool:
+    """A k x k list of non-negative ints over the k emotion classes, as a fold checkpoint stores it."""
+    k = len(EMOTION_CLASSES)
+    return isinstance(value, list) and len(value) == k and all(
+        isinstance(row, list) and len(row) == k and all(type(c) is int and c >= 0 for c in row) for row in value
+    )
+
+
 def _run_one_fold(job: tuple) -> tuple:
     """Worker: train on one fold's split and score the held-out subject."""
     train_samples, test_samples, subject, variant, model_config, train_config, fold_seed = job
@@ -110,10 +118,11 @@ def run_loso_variant(
     """Train/evaluate one variant across all LOSO folds.
 
     With checkpoint_dir set, completed folds are stored as JSON keyed by
-    the fold provenance hash, and matching files are reused on resume;
-    each fold's file is written as soon as its result arrives. Only if
-    some fold is still pending are the variant's samples loaded from
-    flow_dir, once, and split into each fold's train and test lists.
+    the fold provenance hash, and matching files with valid counts are
+    reused on resume; each fold's file is written as soon as its result
+    arrives. Only if some fold is still pending are the variant's samples
+    loaded from flow_dir, once, and split into each fold's train and test
+    lists.
     Folds are independent jobs (seeded per subject), so workers > 1 runs
     them in processes; results merge in plan order either way.
     """
@@ -122,8 +131,8 @@ def run_loso_variant(
         raise DataError("manifest has no eligible records")
     fold_hash_base = {
         "variant": variant.value,
-        "model": model_config.to_dict(),
-        "train": train_config.to_dict(),
+        "model": asdict(model_config),
+        "train": asdict(train_config),
         "seed": seed,
     }
 
@@ -139,7 +148,7 @@ def run_loso_variant(
             else None
         )
         stored = read_json_object(ckpt_path) if ckpt_path is not None else None
-        if stored is not None and stored.get("fold_hash") == fold_hash:
+        if stored is not None and stored.get("fold_hash") == fold_hash and _is_counts(stored.get("counts")):
             results_by_subject[fold.held_out_subject] = np.array(stored["counts"])
             continue
         pending.append((fold, fold_seed, fold_hash, ckpt_path))
@@ -208,22 +217,14 @@ def run_benchmark(
     workers: int = 1,
 ) -> BenchmarkReport:
     """All requested variants, rows in the requested order."""
+    metadata = {
+        "variants": [v.value for v in variants],
+        "model": asdict(model_config),
+        "train": asdict(train_config),
+        "seed": seed,
+    }
     report = BenchmarkReport(
-        metadata={
-            "variants": [v.value for v in variants],
-            "model": model_config.to_dict(),
-            "train": train_config.to_dict(),
-            "seed": seed,
-        },
-        provenance_hash=stable_hash(
-            {
-                "variants": [v.value for v in variants],
-                "model": model_config.to_dict(),
-                "train": train_config.to_dict(),
-                "seed": seed,
-                "manifest": manifest.provenance,
-            }
-        ),
+        metadata=metadata, provenance_hash=stable_hash({**metadata, "manifest": manifest.provenance})
     )
     for variant in variants:
         row, _ = run_loso_variant(

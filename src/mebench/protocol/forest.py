@@ -36,15 +36,6 @@ class ForestConfig:
         if self.feature_subsample not in ("sqrt", "all"):
             raise ConfigError("feature_subsample must be 'sqrt' or 'all'")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "feature_subsample": self.feature_subsample,
-            "bootstrap": self.bootstrap,
-        }
-
 
 @dataclass
 class _Node:

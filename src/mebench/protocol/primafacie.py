@@ -12,7 +12,7 @@ table cannot show.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,14 +41,6 @@ class PrimaFacieScenario:
     subject_budget: int = 16
     per_group_quota: int = 8  # used by Mixed
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "subject_budget": self.subject_budget,
-            "per_group_quota": self.per_group_quota,
-            "seed": self.seed,
-        }
 
 
 def _subjects_by_group(records: list[SampleRecord]) -> dict:
@@ -237,18 +229,16 @@ def run_prima_facie(
     """
     forest_config = forest_config or ForestConfig()
     kinds = scenario_kinds or list(ScenarioKind)
+    metadata = {
+        "forest": asdict(forest_config),
+        "seeds": list(seeds),
+        "budget": subject_budget,
+        "kinds": [k.value for k in kinds],
+    }
     report = PrimaFacieReport(
-        forest_config=forest_config.to_dict(),
+        forest_config=metadata["forest"],
         encoder_origin=encoder_origin,
-        provenance_hash=stable_hash(
-            {
-                "forest": forest_config.to_dict(),
-                "seeds": list(seeds),
-                "budget": subject_budget,
-                "kinds": [k.value for k in kinds],
-                "manifest": manifest.provenance,
-            }
-        ),
+        provenance_hash=stable_hash({**metadata, "manifest": manifest.provenance}),
     )
     for seed in seeds:
         for kind in kinds:

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mebench.cli import main
+from mebench.cli import _workers, main
 from mebench.corpus import load_manifest
 
 
@@ -142,9 +142,15 @@ def _manifest_bytes(record):
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,\xff\xfe\n", 3),
         ("--ledger", b"\xff\xfe\n", 2),
         ("--ledger", b"[1, 2]\n", 2),
+        ("--predictor-table", b"{not json", 2),
+        ("--predictor-table", b'{"01": "Martian"}', 2),
+        ("--predictor-table", b'{"01": ["male"]}', 2),
+        ("--predictor-table", b'{"01": {"gender": "male"}}', 2),
+        ("--predictor-table", b'["01", "Asian"]', 2),
     ],
     ids=["manifest-not-utf8", "manifest-bad-json", "manifest-list-head", "manifest-no-onset", "manifest-bad-dataset",
-         "index-not-utf8", "ledger-not-utf8", "ledger-list-rule"],
+         "index-not-utf8", "ledger-not-utf8", "ledger-list-rule", "table-bad-json", "table-unknown-ethnicity",
+         "table-short-entry", "table-object-entry", "table-not-object"],
 )
 def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, code):
     from mebench.flowcore import write_pgm
@@ -160,8 +166,24 @@ def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, cod
     elif flag == "--casme2":
         argv = ["manifest", "--out", out, "--casme2", str(bad)]
     else:
-        argv = ["manifest", "--out", out, "--casme2", str(index), "--ledger", str(bad)]
+        argv = ["manifest", "--out", out, "--casme2", str(index), flag, str(bad)]
     assert main(argv) == code
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0", ""])
+def test_invalid_thread_count_is_config_error(synth_run, tmp_path, monkeypatch, capsys, value):
+    _, corpus, _ = synth_run
+    monkeypatch.setenv("MEBENCH_THREADS", value)
+    assert main(["flow", "--manifest", str(corpus / "manifest.jsonl"), "--out", str(tmp_path)]) == 2
+    assert "MEBENCH_THREADS" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.ofi"))
+
+
+def test_thread_count_defaults_to_one(monkeypatch):
+    monkeypatch.delenv("MEBENCH_THREADS", raising=False)
+    assert _workers() == 1
+    monkeypatch.setenv("MEBENCH_THREADS", "2")
+    assert _workers() == 2
 
 
 class TestFlowCommand:
@@ -356,34 +378,89 @@ class TestReportCommand:
         (tmp_path / "empty").mkdir()
         assert main(["report", "--run-dir", str(tmp_path / "empty")]) == 3
 
+    @pytest.mark.parametrize(
+        "content", [b'{"command": ', b"[1, 2]\n", b'{"deviations": [1, 2]}'], ids=["bad-json", "list", "deviations-list"]
+    )
+    def test_damaged_provenance_is_data_error(self, tmp_path, capsys, content):
+        sidecar = tmp_path / "run" / "provenance.json"
+        sidecar.parent.mkdir()
+        sidecar.write_bytes(content)
+        assert main(["report", "--run-dir", str(tmp_path / "run")]) == 3
+        assert str(sidecar) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def loso_folds(synth_run):
+    """Fold checkpoints of one dual_motion LOSO run on the shared corpus."""
+    root, corpus, flows = synth_run
+    out = root / "loso_folds"
+    assert main(_loso_argv(corpus, flows, out)) == 0
+    return out / "folds"
+
+
+def _loso_argv(corpus, flows, out):
+    return [
+        "loso", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows), "--out", str(out),
+        "--variants", "dual_motion", "--image-size", "32", "--batch-size", "2", "--seed", "7",
+    ]
+
+
+_DROP = object()  # deletes a field in a damage spec
+
+
+def _damaged(intact: bytes, damage) -> bytes:
+    """damage is the replacement bytes, or {field: new value} applied to the entry's JSON object."""
+    if isinstance(damage, bytes):
+        return damage
+    obj = json.loads(intact)
+    for key, value in damage.items():
+        if value is _DROP:
+            del obj[key]
+        else:
+            obj[key] = value
+    return json.dumps(obj).encode()
+
 
 @pytest.mark.parametrize(
-    "entry, content",
+    "entry, damage",
     [
         ("sidecar", b"[1, 2]\n"),
         ("sidecar", b"\xff\xfe{}\n"),
+        ("sidecar", {"clip_fraction": 5}),
+        ("sidecar", {"clip_fraction": ["a", "b", "c"]}),
+        ("sidecar", {"clip_fraction": _DROP}),
+        ("sidecar", {"clip_fraction": [0.1, 0.2]}),
+        ("sidecar", {"clip_fraction": [0.1, 0.2, 1.5]}),
+        ("sidecar", {"clip_fraction": [0.1, float("nan"), 0.2]}),
+        ("sidecar", {"clip_fraction": [0, 0, 1]}),
         ("fold", b'{"fold_hash": '),
         ("fold", b"[]\n"),
+        ("fold", {"counts": _DROP}),
+        ("fold", {"counts": [[1, 0, 0], [0, 1, 0]]}),
+        ("fold", {"counts": [[1, 0], [0, 1], [0, 0]]}),
+        ("fold", {"counts": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}),
+        ("fold", {"counts": [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("fold", {"counts": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("fold", {"counts": "x"}),
     ],
-    ids=["sidecar-list", "sidecar-not-utf8", "fold-truncated", "fold-list"],
+    ids=["sidecar-list", "sidecar-not-utf8", "sidecar-fraction-int", "sidecar-fraction-strings",
+         "sidecar-no-fraction", "sidecar-fraction-short", "sidecar-fraction-above-1", "sidecar-fraction-nan",
+         "sidecar-fraction-ints", "fold-truncated", "fold-list", "fold-no-counts", "fold-counts-2x3",
+         "fold-counts-3x2", "fold-counts-negative", "fold-counts-float", "fold-counts-bool", "fold-counts-string"],
 )
-def test_damaged_cache_entry_is_recomputed(synth_run, tmp_path, entry, content):
+def test_damaged_cache_entry_is_recomputed(synth_run, loso_folds, tmp_path, entry, damage):
     _, corpus, flows = synth_run
     flow_dir = tmp_path / "flows"
     shutil.copytree(flows, flow_dir)
-    manifest = str(corpus / "manifest.jsonl")
     if entry == "sidecar":
-        argv = ["flow", "--manifest", manifest, "--out", str(flow_dir)]
+        argv = ["flow", "--manifest", str(corpus / "manifest.jsonl"), "--out", str(flow_dir)]
         target = sorted(flow_dir.glob("*.ofi.json"))[0]
     else:
         out = tmp_path / "loso"
-        argv = [
-            "loso", "--manifest", manifest, "--flow-dir", str(flow_dir), "--out", str(out),
-            "--variants", "dual_motion", "--image-size", "32", "--batch-size", "2", "--seed", "7",
-        ]
-        assert main(argv) == 0
+        argv = _loso_argv(corpus, flow_dir, out)
+        shutil.copytree(loso_folds, out / "folds")
         target = sorted((out / "folds").glob("fold_dual_motion_*.json"))[0]
     intact = target.read_bytes()
-    target.write_bytes(content)
+    target.write_bytes(_damaged(intact, damage))
     assert main(argv) == 0
     assert target.read_bytes() == intact

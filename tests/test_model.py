@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import struct
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -559,17 +561,53 @@ class TestFrozenFeatures:
 # ---------------------------------------------------------------- checkpoints
 
 
+def _rewrite_header(path, corrupt):
+    """Apply corrupt() to a MECK1 file's header JSON in place, keeping its tensor data."""
+    data = path.read_bytes()
+    magic, body = data[:6], data[10:]  # b"MECK1\n", then a u32 header length
+    (header_len,) = struct.unpack_from("<I", data, 6)
+    header = json.loads(body[:header_len])
+    corrupt(header)
+    header_bytes = json.dumps(header).encode("utf-8")
+    path.write_bytes(magic + struct.pack("<I", len(header_bytes)) + header_bytes + body[header_len:])
+
+
+def _save_toy_encoder(path):
+    FrozenEncoder.random_fallback(EncoderConfig(stage_widths=(2, 3), feature_dim=4), seed=0).save(path)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.DUAL_MOTION, seed=3)
         path = tmp_path / "model.meck"
-        save_checkpoint(path, params, config, Variant.DUAL_MOTION, extra={"note": "test"})
-        loaded, loaded_config, loaded_variant, extra = load_checkpoint(path)
+        save_checkpoint(path, params, config, Variant.DUAL_MOTION)
+        loaded, loaded_config, loaded_variant = load_checkpoint(path)
         assert loaded_variant == Variant.DUAL_MOTION
         assert loaded_config == config
-        assert extra == {"note": "test"}
         assert params.allclose(loaded, atol=0.0)
+
+    def test_model_checkpoint_bytes_are_pinned(self, tmp_path):
+        # fixed tensors, not init_params, so the digest does not depend on numpy's RNG
+        params = ParamSet(
+            OrderedDict([("motion.proj.w", np.arange(6.0).reshape(2, 3)), ("head.emotion.b", np.arange(3.0))])
+        )
+        path = tmp_path / "model.meck"
+        save_checkpoint(path, params, ModelConfig.toy(16), Variant.DUAL_MOTION)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "79e05f1f3164b37c31aa5cef54864b5b1f02bc576226fe27e950cb444ff22c83"
+        )
+
+    def test_frozen_encoder_header(self, tmp_path):
+        path = tmp_path / "enc.meck"
+        _save_toy_encoder(path)
+        (header_len,) = struct.unpack_from("<I", path.read_bytes(), 6)
+        header = json.loads(path.read_bytes()[10 : 10 + header_len])
+        assert sorted(header) == ["config", "kind", "tensors"]
+        assert header["kind"] == "frozen_encoder"
+        assert header["config"] == {
+            "input_channels": 3, "stage_widths": [2, 3], "kernel_size": 3, "downsample": 2, "feature_dim": 4,
+        }
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.meck"
@@ -585,28 +623,58 @@ class TestCheckpoint:
             lambda h: h.pop("variant"),
             lambda h: h["tensors"][0].pop("shape"),
             lambda h: h["config"].pop("image_size"),
+            lambda h: h["config"]["texture"].pop("pooling"),
             lambda h: h.update(variant="no_such_variant"),
             lambda h: h["tensors"][0].update(shape=[-1, 2]),
-            lambda h: h.update(extra=["kind", "frozen_encoder"]),
         ],
         ids=[
-            "no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "unknown-variant", "negative-dim",
-            "extra-not-object",
+            "no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "no-pooling", "unknown-variant",
+            "negative-dim",
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, corrupt):
         path = tmp_path / "model.meck"
         config = ModelConfig.toy(16)
         save_checkpoint(path, init_params(config, Variant.MOTION_ONLY, seed=0), config, Variant.MOTION_ONLY)
-        data = path.read_bytes()
-        magic, body = data[:6], data[10:]  # b"MECK1\n", then a u32 header length
-        (header_len,) = struct.unpack_from("<I", data, 6)
-        header = json.loads(body[:header_len])
-        corrupt(header)
-        header_bytes = json.dumps(header).encode("utf-8")
-        path.write_bytes(magic + struct.pack("<I", len(header_bytes)) + header_bytes + body[header_len:])
+        _rewrite_header(path, corrupt)
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda h: h.pop("config"),
+            lambda h: h["config"].pop("stage_widths"),
+            lambda h: h.update(config=[4, 8]),
+            lambda h: h["tensors"][0].update(shape=[-1, 2]),
+        ],
+        ids=["no-config", "no-stage-widths", "config-not-object", "negative-dim"],
+    )
+    def test_malformed_frozen_encoder_header_is_data_error(self, tmp_path, corrupt):
+        path = tmp_path / "enc.meck"
+        _save_toy_encoder(path)
+        _rewrite_header(path, corrupt)
+        with pytest.raises(DataError):
+            FrozenEncoder.from_file(path)
+
+    def test_frozen_encoder_file_is_not_a_model_checkpoint(self, tmp_path):
+        path = tmp_path / "enc.meck"
+        _save_toy_encoder(path)
+        with pytest.raises(ConfigError, match="frozen_encoder"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda h: None, lambda h: h.update(kind="model")],
+        ids=["model-checkpoint", "unknown-kind"],
+    )
+    def test_wrong_kind_is_not_a_frozen_encoder(self, tmp_path, corrupt):
+        path = tmp_path / "model.meck"
+        config = ModelConfig.toy(16)
+        save_checkpoint(path, init_params(config, Variant.MOTION_ONLY, seed=0), config, Variant.MOTION_ONLY)
+        _rewrite_header(path, corrupt)
+        with pytest.raises(ConfigError, match="not a frozen-encoder checkpoint"):
+            FrozenEncoder.from_file(path)
 
     def test_truncated_header_length_is_data_error(self, tmp_path):
         path = tmp_path / "short.meck"

@@ -1,6 +1,8 @@
+import json
 import multiprocessing
 import shutil
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,7 @@ from mebench.protocol import (
 )
 from mebench.protocol import benchmark, forest
 from mebench.protocol.forest import _best_split, _gini
+from mebench.runutil import stable_hash
 
 
 def records_for(subjects, clips_per=2, emotions=("happiness", "disgust"), ethnicity=RawEthnicity.ASIAN):
@@ -492,6 +495,39 @@ def test_flows_identical_across_worker_counts(tiny_loso, tmp_path):
     assert len(names) == 2 * len(manifest.records)  # one OFI file and one sidecar per clip
     for name in names:
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+
+
+# Cache keys written by earlier versions; a change here silently invalidates every stored cache entry.
+_DEFAULT_FLOW_PARAMS_HASH = "315b6d976d59467e4ca253282c851b02609ef5cad27529a16858a9254c55a9bf"
+_TINY_LOSO_FOLD_HASHES = {  # run_tiny_loso's fold keys
+    "sa01": "2cb67e9d9d7fbce307356bb445e98e4d7b5088565d5238e078ded09d51ebd93c",
+    "sn01": "57868a277bcb125b300a02b1989607dd2ba0960d1b4dc7f73346a28caea002a2",
+}
+
+
+def test_stored_flow_sidecar_is_a_cache_hit(tiny_loso, tmp_path):
+    manifest, _ = tiny_loso
+    assert stable_hash(asdict(FlowParams())) == _DEFAULT_FLOW_PARAMS_HASH
+    for record in manifest.records:
+        path = pipeline.flow_image_path(tmp_path, record)
+        path.write_bytes(b"")  # only the sidecar is read on a hit
+        path.with_suffix(".ofi.json").write_text(
+            json.dumps({"clip_fraction": [0.25, 0.5, 0.0], "flow_params_hash": _DEFAULT_FLOW_PARAMS_HASH})
+        )
+    stats = materialize_flow_images(manifest, FlowParams(), tmp_path)
+    assert (stats.computed, stats.cached) == (0, len(manifest.records))
+    assert set(stats.clip_fractions.values()) == {(0.25, 0.5, 0.0)}
+
+
+def test_stored_fold_checkpoint_is_a_cache_hit(tiny_loso, tmp_path):
+    manifest, _ = tiny_loso
+    counts = {"sa01": [[1, 0, 0], [0, 1, 0], [0, 0, 0]], "sn01": [[0, 0, 0], [1, 0, 0], [0, 0, 1]]}
+    for subject, fold_hash in _TINY_LOSO_FOLD_HASHES.items():
+        (tmp_path / f"fold_dual_motion_{subject}.json").write_text(
+            json.dumps({"counts": counts[subject], "fold_hash": fold_hash})
+        )
+    # a pending fold would need the missing flow directory
+    assert run_tiny_loso(manifest, tmp_path / "no_flows", checkpoint_dir=tmp_path) == sorted(counts.items())
 
 
 class TestRunLosoVariant:
