@@ -82,14 +82,22 @@ def _workers() -> int:
     return workers
 
 
-def _write_provenance(out_dir: Path, command: str, payload: dict) -> None:
-    payload = {
-        "command": command,
-        "package_version": __version__,
-        **payload,
-    }
+def _write_provenance(out_dir: Path, command: str, payload: dict, manifest_path=None) -> None:
+    """provenance.json: payload, command and version, plus the input manifest and its hash when given."""
+    payload = {"command": command, "package_version": __version__, **payload}
+    if manifest_path is not None:
+        payload.update(manifest=str(manifest_path), manifest_hash=hash_file(manifest_path))
     payload["provenance_hash"] = stable_hash(payload)
     atomic_write_text(out_dir / "provenance.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_report(out_dir: Path, stem: str, report) -> None:
+    """Write a report's .tsv, .md and .json artifacts under out_dir and print its markdown."""
+    markdown = report.to_markdown()
+    atomic_write_text(out_dir / f"{stem}.tsv", report.to_tsv() + "\n")
+    atomic_write_text(out_dir / f"{stem}.md", markdown + "\n")
+    atomic_write_text(out_dir / f"{stem}.json", json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    print(markdown)
 
 
 def _deviations(flow_params: FlowParams | None = None, train: TrainConfig | None = None) -> dict:
@@ -259,12 +267,11 @@ def cmd_flow(args) -> int:
         out_dir,
         "flow",
         {
-            "manifest": str(args.manifest),
-            "manifest_hash": hash_file(args.manifest),
             "flow_params": asdict(params),
             "flow_params_hash": stable_hash(asdict(params)),
             "deviations": _deviations(flow_params=params),
         },
+        args.manifest,
     )
     return EXIT_OK
 
@@ -302,12 +309,7 @@ def cmd_loso(args) -> int:
         checkpoint_dir=checkpoint_dir,
         workers=_workers(),
     )
-    atomic_write_text(out_dir / "benchmark.tsv", report.to_tsv() + "\n")
-    atomic_write_text(out_dir / "benchmark.md", report.to_markdown() + "\n")
-    atomic_write_text(
-        out_dir / "benchmark.json", json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    )
-    print(report.to_markdown())
+    _write_report(out_dir, "benchmark", report)
 
     # full-data checkpoint per variant, for activation-map analysis
     for variant in variants:
@@ -323,8 +325,6 @@ def cmd_loso(args) -> int:
         out_dir,
         "loso",
         {
-            "manifest": str(args.manifest),
-            "manifest_hash": hash_file(args.manifest),
             "seed": args.seed,
             "variants": [v.value for v in variants],
             "model": asdict(model_config),
@@ -332,6 +332,7 @@ def cmd_loso(args) -> int:
             "report_hash": report.provenance_hash,
             "deviations": _deviations(train=train_config),
         },
+        args.manifest,
     )
     return EXIT_OK
 
@@ -370,18 +371,11 @@ def cmd_prima_facie(args) -> int:
         subject_budget=args.budget,
         encoder_origin=encoder.origin,
     )
-    atomic_write_text(out_dir / "prima_facie.tsv", report.to_tsv() + "\n")
-    atomic_write_text(out_dir / "prima_facie.md", report.to_markdown() + "\n")
-    atomic_write_text(
-        out_dir / "prima_facie.json", json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    )
-    print(report.to_markdown())
+    _write_report(out_dir, "prima_facie", report)
     _write_provenance(
         out_dir,
         "prima-facie",
         {
-            "manifest": str(args.manifest),
-            "manifest_hash": hash_file(args.manifest),
             "seed": args.seed,
             "n_seeds": args.seeds,
             "budget": args.budget,
@@ -393,6 +387,7 @@ def cmd_prima_facie(args) -> int:
                 "frozen_features": "deterministic random-feature fallback unless --encoder-file is given",
             },
         },
+        args.manifest,
     )
     return EXIT_OK
 
@@ -455,14 +450,13 @@ def cmd_gradcam(args) -> int:
         out_dir,
         "gradcam",
         {
-            "manifest": str(args.manifest),
-            "manifest_hash": hash_file(args.manifest),
             "checkpoint": str(args.checkpoint),
             "checkpoint_hash": hash_file(args.checkpoint),
             "classes": class_filter,
             "branch": args.branch,
             "deviations": _deviations(),
         },
+        args.manifest,
     )
     return EXIT_OK
 

@@ -13,8 +13,11 @@ from dataclasses import dataclass, field, fields
 
 from ..errors import ConfigError
 
-N_EMOTIONS = 3     # Negative, Positive, Surprise
-N_ETHNICITIES = 2  # Asian, NonAsian
+# Canonical class orders: head outputs, label indices, confusion rows and reports.
+EMOTION_CLASSES = ("Negative", "Positive", "Surprise")
+ETHNICITY_CLASSES = ("Asian", "NonAsian")
+N_EMOTIONS = len(EMOTION_CLASSES)
+N_ETHNICITIES = len(ETHNICITY_CLASSES)
 
 
 class Variant(enum.Enum):

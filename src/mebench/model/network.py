@@ -130,8 +130,9 @@ def forward(inputs: ModelInputs, params: ParamSet, config: ModelConfig, variant:
     """Run one batch; motion_only emits emotion logits only."""
     config.validate_for(variant)
     flow = np.asarray(inputs.flow, dtype=np.float64)
-    if flow.ndim != 4 or flow.shape[1] != 3:
-        raise DataError(f"flow input must be (B, 3, H, W), got {flow.shape}")
+    side = config.image_size
+    if flow.ndim != 4 or flow.shape[1:] != (3, side, side):
+        raise DataError(f"flow input must be (B, 3, {side}, {side}) for image_size {side}, got {flow.shape}")
     leaves = params.leaves()
 
     flow = flow - INPUT_CENTER

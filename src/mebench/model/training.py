@@ -146,6 +146,10 @@ class TrainConfig:
     base_lr: float = 1e-3
     lr_gamma: float = 0.9
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError(f"epochs and batch_size must be >= 1, got {self.epochs} and {self.batch_size}")
+
 
 def train_fold(
     samples: list[TrainSample],

@@ -1,8 +1,8 @@
 """Bridges between the corpus, flowcore, and model layers.
 
 Materializes OFI files for manifest records (with parameter-hash
-caching), loads them back as model inputs, and fixes the canonical
-class orders used in every confusion matrix and report:
+caching through runutil's cache entries) and loads them back as model
+inputs, with class indices in the canonical orders of model.config:
 
     emotions:    Negative, Positive, Surprise
     ethnicities: Asian, NonAsian
@@ -10,11 +10,10 @@ class orders used in every confusion matrix and report:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .corpus import Manifest, MappedEmotion, MappedEthnicity, SampleRecord
+from .corpus import Manifest, SampleRecord
 from .errors import DataError
 from .flowcore import (
     FlowParams,
@@ -27,31 +26,24 @@ from .flowcore import (
     write_flow_image,
 )
 from .model import TrainSample
-from .runutil import atomic_write_text, read_json_object, stable_hash
-
-EMOTION_CLASSES = ("Negative", "Positive", "Surprise")
-ETHNICITY_CLASSES = ("Asian", "NonAsian")
-
-_EMOTION_INDEX = {
-    MappedEmotion.NEGATIVE: 0,
-    MappedEmotion.POSITIVE: 1,
-    MappedEmotion.SURPRISE: 2,
-}
-_ETHNICITY_INDEX = {MappedEthnicity.ASIAN: 0, MappedEthnicity.NON_ASIAN: 1}
+from .model.config import EMOTION_CLASSES, ETHNICITY_CLASSES
+from .runutil import read_cache_entry, run_jobs, stable_hash, write_cache_entry
 
 BINARY_CLASSES = ("Negative", "NonNegative")
 
 
 def emotion_index(record: SampleRecord) -> int:
-    if record.mapped_emotion not in _EMOTION_INDEX:
-        raise DataError(f"record {record.key} has no eligible emotion label")
-    return _EMOTION_INDEX[record.mapped_emotion]
+    try:
+        return EMOTION_CLASSES.index(record.mapped_emotion.value)
+    except (AttributeError, ValueError):  # unlabelled (None) or Excluded
+        raise DataError(f"record {record.key} has no eligible emotion label") from None
 
 
 def ethnicity_index(record: SampleRecord) -> int:
-    if record.mapped_ethnicity not in _ETHNICITY_INDEX:
-        raise DataError(f"record {record.key} has no ethnicity label")
-    return _ETHNICITY_INDEX[record.mapped_ethnicity]
+    try:
+        return ETHNICITY_CLASSES.index(record.mapped_ethnicity.value)
+    except (AttributeError, ValueError):  # unlabelled (None) or not a class
+        raise DataError(f"record {record.key} has no ethnicity label") from None
 
 
 def sample_key(record: SampleRecord) -> str:
@@ -77,25 +69,14 @@ def _is_fraction_triple(value) -> bool:
 
 
 def _compute_one_flow(job: tuple) -> tuple:
-    """Worker for one record: compute, write, and describe its OFI file."""
-    key, onset_path, apex_path, out_path, sidecar_path, flow_params, params_hash = job
-    onset = load_frame(onset_path)
-    apex = load_frame(apex_path)
-    flow = estimate_flow(onset, apex, flow_params)
+    """Worker for one record: compute and write its OFI file and sidecar."""
+    record, out_path, sidecar, flow_params, params_hash = job
+    flow = estimate_flow(load_frame(record.onset_path), load_frame(record.apex_path), flow_params)
     image = assemble_flow_image(flow, compute_strain(flow))
     write_flow_image(image, out_path)
-    atomic_write_text(
-        sidecar_path,
-        json.dumps(
-            {
-                "flow_params_hash": params_hash,
-                "clip_fraction": list(image.normalization.clip_fraction),
-            },
-            sort_keys=True,
-        )
-        + "\n",
-    )
-    return key, image.normalization.clip_fraction
+    fraction = image.normalization.clip_fraction
+    write_cache_entry(sidecar, "flow_params_hash", params_hash, "clip_fraction", list(fraction))
+    return sample_key(record), fraction
 
 
 def materialize_flow_images(
@@ -107,50 +88,30 @@ def materialize_flow_images(
 ) -> FlowStats:
     """Compute and cache the OFI file for every record in the manifest.
 
-    A sidecar JSON per OFI records the flow-parameter hash and the clip
-    fractions; files whose hash matches and whose fractions are valid are
-    skipped unless force is set. Samples are independent, so workers > 1
-    fans them out over processes; results are identical regardless of
-    worker count.
+    Beside each OFI file, a runutil cache entry (`.ofi.json`) keyed by the
+    flow-parameter hash holds the clip fractions. Unless force is set, a
+    record whose OFI file exists and whose entry is a hit is skipped. The
+    rest go through runutil.run_jobs, each worker writing its own OFI file
+    and entry; results are identical regardless of worker count.
     """
     flow_dir = Path(flow_dir)
     flow_dir.mkdir(parents=True, exist_ok=True)
     params_hash = stable_hash(asdict(flow_params))
-    cached = 0
     fractions = {}
     jobs = []
     for record in manifest.records:
         out_path = flow_image_path(flow_dir, record)
         sidecar = out_path.with_suffix(".ofi.json")
         if not force and out_path.exists():
-            meta = read_json_object(sidecar) or {}
-            fraction = meta.get("clip_fraction")
-            if meta.get("flow_params_hash") == params_hash and _is_fraction_triple(fraction):
-                cached += 1
+            fraction = read_cache_entry(
+                sidecar, "flow_params_hash", params_hash, "clip_fraction", _is_fraction_triple
+            )
+            if fraction is not None:
                 fractions[sample_key(record)] = tuple(fraction)
                 continue
-        jobs.append(
-            (
-                sample_key(record),
-                record.onset_path,
-                record.apex_path,
-                str(out_path),
-                str(sidecar),
-                flow_params,
-                params_hash,
-            )
-        )
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, fraction in pool.map(_compute_one_flow, jobs):
-                fractions[key] = tuple(fraction)
-    else:
-        for job in jobs:
-            key, fraction = _compute_one_flow(job)
-            fractions[key] = tuple(fraction)
-    return FlowStats(computed=len(jobs), cached=cached, clip_fractions=fractions)
+        jobs.append((record, out_path, sidecar, flow_params, params_hash))
+    fractions.update(run_jobs(_compute_one_flow, jobs, workers))  # (sample key, fraction triple) pairs
+    return FlowStats(computed=len(jobs), cached=len(manifest.records) - len(jobs), clip_fractions=fractions)
 
 
 def load_train_samples(

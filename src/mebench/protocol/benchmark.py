@@ -2,13 +2,12 @@
 
 Each variant row reports per-class F1 for Negative/Positive/Surprise
 and their mean, plus whether ethnic context is present and which input
-representation feeds it. Fold results are checkpointed as JSON files so
-interrupted many-fold runs resume instead of restarting.
+representation feeds it. Fold results are checkpointed as runutil cache
+entries so interrupted many-fold runs resume instead of restarting.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ from ..corpus import Manifest
 from ..errors import DataError
 from ..model import ModelConfig, TrainConfig, Variant, evaluate_predictions, train_fold
 from ..pipeline import EMOTION_CLASSES, load_train_samples
-from ..runutil import atomic_write_text, derive_seed, read_json_object, stable_hash
+from ..runutil import derive_seed, read_cache_entry, run_jobs, stable_hash, write_cache_entry
 from .folds import plan_loso
 from .metrics import ConfusionMatrix, FoldResult, aggregate_folds
 
@@ -100,8 +99,7 @@ def _run_one_fold(job: tuple) -> tuple:
         params, _history = train_fold(train_samples, model_config, variant, train_config, fold_seed)
     predictions = evaluate_predictions(params, test_samples, model_config, variant)
     counts = np.zeros((len(EMOTION_CLASSES), len(EMOTION_CLASSES)), dtype=np.int64)
-    for sample, pred in zip(test_samples, predictions):
-        counts[sample.emotion, int(pred)] += 1
+    np.add.at(counts, ([s.emotion for s in test_samples], predictions), 1)
     return subject, counts.tolist()
 
 
@@ -117,14 +115,14 @@ def run_loso_variant(
 ) -> tuple[VariantRow, list[FoldResult]]:
     """Train/evaluate one variant across all LOSO folds.
 
-    With checkpoint_dir set, completed folds are stored as JSON keyed by
-    the fold provenance hash, and matching files with valid counts are
-    reused on resume; each fold's file is written as soon as its result
-    arrives. Only if some fold is still pending are the variant's samples
-    loaded from flow_dir, once, and split into each fold's train and test
-    lists.
-    Folds are independent jobs (seeded per subject), so workers > 1 runs
-    them in processes; results merge in plan order either way.
+    With checkpoint_dir set, each fold has a runutil cache entry there
+    keyed by the fold provenance hash and holding its confusion counts; a
+    hit with valid counts is reused on resume. Only if some fold is still
+    pending are the variant's samples loaded from flow_dir, once, and
+    split into each fold's train and test lists. Folds are independent
+    jobs (seeded per subject), so they run through runutil.run_jobs (a
+    process pool when workers > 1); each fold's entry is written as soon
+    as its result arrives, and results merge in plan order either way.
     """
     records = manifest.eligible()
     if not records:
@@ -140,18 +138,15 @@ def run_loso_variant(
     pending = []
     plans = plan_loso(records)
     for fold in plans:
-        fold_seed = derive_seed(seed, "fold", variant.value, fold.held_out_subject)
         fold_hash = stable_hash({**fold_hash_base, "subject": fold.held_out_subject})
-        ckpt_path = (
-            Path(checkpoint_dir) / f"fold_{variant.value}_{fold.held_out_subject}.json"
-            if checkpoint_dir is not None
-            else None
-        )
-        stored = read_json_object(ckpt_path) if ckpt_path is not None else None
-        if stored is not None and stored.get("fold_hash") == fold_hash and _is_counts(stored.get("counts")):
-            results_by_subject[fold.held_out_subject] = np.array(stored["counts"])
-            continue
-        pending.append((fold, fold_seed, fold_hash, ckpt_path))
+        ckpt_path = None
+        if checkpoint_dir is not None:
+            ckpt_path = Path(checkpoint_dir) / f"fold_{variant.value}_{fold.held_out_subject}.json"
+            counts = read_cache_entry(ckpt_path, "fold_hash", fold_hash, "counts", _is_counts)
+            if counts is not None:
+                results_by_subject[fold.held_out_subject] = np.array(counts)
+                continue
+        pending.append((fold, fold_hash, ckpt_path))
 
     jobs = []
     if pending:
@@ -164,28 +159,15 @@ def run_loso_variant(
                 variant,
                 model_config,
                 train_config,
-                fold_seed,
+                derive_seed(seed, "fold", variant.value, fold.held_out_subject),
             )
-            for fold, fold_seed, _, _ in pending
+            for fold, _, _ in pending
         ]
-
-    def record_results(outcomes):
-        for (_, _, fold_hash, ckpt_path), (subject, counts_list) in zip(pending, outcomes):
-            results_by_subject[subject] = np.array(counts_list)
-            if ckpt_path is not None:
-                atomic_write_text(
-                    ckpt_path,
-                    json.dumps({"fold_hash": fold_hash, "counts": counts_list}, sort_keys=True) + "\n",
-                )
-
-    # both maps are lazy, so each checkpoint is written as soon as its fold finishes
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            record_results(pool.map(_run_one_fold, jobs))
-    else:
-        record_results(map(_run_one_fold, jobs))
+    # the generator comes first, so it runs to its end and closes its pool
+    for (subject, counts), (_, fold_hash, ckpt_path) in zip(run_jobs(_run_one_fold, jobs, workers), pending):
+        results_by_subject[subject] = np.array(counts)
+        if ckpt_path is not None:
+            write_cache_entry(ckpt_path, "fold_hash", fold_hash, "counts", counts)
 
     fold_results = [
         FoldResult(

@@ -40,9 +40,6 @@ class ConfusionMatrix:
     def add(self, actual: str, predicted: str, weight: int = 1) -> None:
         self.counts[self.classes.index(actual), self.classes.index(predicted)] += weight
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         if self.classes != other.classes:
             raise DataError(f"class sets differ: {self.classes} vs {other.classes}")

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..corpus import Manifest, MappedEmotion, MappedEthnicity, SampleRecord
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from ..pipeline import BINARY_CLASSES, sample_key
 from ..runutil import derive_seed, derived_rng, stable_hash
 from .folds import plan_loso
@@ -38,9 +38,12 @@ class ScenarioKind(enum.Enum):
 @dataclass(frozen=True)
 class PrimaFacieScenario:
     kind: ScenarioKind
-    subject_budget: int = 16
-    per_group_quota: int = 8  # used by Mixed
+    subject_budget: int = 16  # Mixed takes half from each group
     seed: int = 0
+
+    def __post_init__(self):
+        if self.subject_budget < 2:
+            raise ConfigError(f"subject budget must be >= 2, got {self.subject_budget}")
 
 
 def _subjects_by_group(records: list[SampleRecord]) -> dict:
@@ -57,7 +60,7 @@ def sample_prima_facie(manifest: Manifest, scenario: PrimaFacieScenario) -> list
     rng = derived_rng(scenario.seed, "prima-facie", scenario.kind.value)
 
     if scenario.kind == ScenarioKind.MIXED:
-        quotas = {"Asian": scenario.per_group_quota, "NonAsian": scenario.per_group_quota}
+        quotas = {"Asian": scenario.subject_budget // 2, "NonAsian": scenario.subject_budget // 2}
     elif scenario.kind == ScenarioKind.ASIAN_ONLY:
         quotas = {"Asian": scenario.subject_budget}
     else:
@@ -199,10 +202,9 @@ def run_scenario(
             seed=derive_seed(scenario.seed, "forest", scenario.kind.value, fold.held_out_subject),
         )
         predictions = forest_predict_batch(model, feats[test_idx])
-        confusion = ConfusionMatrix(BINARY_CLASSES)
-        for idx, pred in zip(test_idx, predictions):
-            confusion.add(BINARY_CLASSES[label_arr[idx]], BINARY_CLASSES[min(int(pred), 1)])
-        fold_results.append(FoldResult(held_out_subject=fold.held_out_subject, confusion=confusion))
+        counts = np.zeros((len(BINARY_CLASSES), len(BINARY_CLASSES)), dtype=np.int64)
+        np.add.at(counts, (label_arr[test_idx], predictions), 1)
+        fold_results.append(FoldResult(fold.held_out_subject, ConfusionMatrix(BINARY_CLASSES, counts)))
 
     report = aggregate_folds(fold_results)
     return ScenarioResult(
@@ -242,11 +244,6 @@ def run_prima_facie(
     )
     for seed in seeds:
         for kind in kinds:
-            scenario = PrimaFacieScenario(
-                kind=kind,
-                subject_budget=subject_budget,
-                per_group_quota=subject_budget // 2,
-                seed=seed,
-            )
+            scenario = PrimaFacieScenario(kind=kind, subject_budget=subject_budget, seed=seed)
             report.per_seed.append(run_scenario(manifest, scenario, features, forest_config))
     return report

@@ -1,4 +1,5 @@
-"""Seed derivation, canonical hashing, atomic file writes, and cache reads.
+"""Seed derivation, canonical hashing, atomic file writes, and the cache
+and job fan-out shared by the OFI sidecars and the LOSO fold checkpoints.
 
 All randomness in a run flows from one root seed, fanned out by labeled
 derivation: derive_seed(root, *labels) hashes "root|label|..." with
@@ -74,3 +75,27 @@ def atomic_write_bytes(path, payload: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_cache_entry(path, key_name: str, key: str, field: str, valid):
+    """The entry's `field` value on a hit (stored `key_name` equals key and
+    valid(value) holds), else None; a missing or damaged file is a miss."""
+    entry = read_json_object(path) or {}
+    value = entry.get(field)
+    return value if entry.get(key_name) == key and valid(value) else None
+
+
+def write_cache_entry(path, key_name: str, key: str, field: str, value) -> None:
+    atomic_write_text(path, json.dumps({key_name: key, field: value}, sort_keys=True) + "\n")
+
+
+def run_jobs(fn, jobs: list, workers: int = 1):
+    """Yield fn(job) for each job, in order, as each finishes. With workers > 1
+    and two or more jobs they run in a process pool, imported only then."""
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, jobs)
+    else:
+        yield from map(fn, jobs)

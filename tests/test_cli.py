@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mebench
 from mebench.cli import _workers, main
 from mebench.corpus import load_manifest
 
@@ -464,3 +469,39 @@ def test_damaged_cache_entry_is_recomputed(synth_run, loso_folds, tmp_path, entr
     target.write_bytes(_damaged(intact, damage))
     assert main(argv) == 0
     assert target.read_bytes() == intact
+
+
+@pytest.mark.parametrize(
+    "command, extra, code, message",
+    [
+        ("loso", ["--batch-size", "0"], 2, "batch_size must be >= 1"),
+        ("loso", ["--epochs", "0"], 2, "epochs and batch_size must be >= 1"),
+        ("prima-facie", ["--budget", "0"], 2, "subject budget must be >= 2"),
+        ("prima-facie", ["--budget", "-2"], 2, "subject budget must be >= 2"),
+        ("loso", ["--image-size", "64"], 3, "for image_size 64"),
+        ("loso", ["--image-size", "64", "--variants", "motion_plus_rgb_patch"], 3, "for image_size 64"),
+    ],
+    ids=["batch-size-0", "epochs-0", "budget-0", "budget-negative", "image-size-dual", "image-size-patch"],
+)
+def test_out_of_range_argument_is_not_internal_error(synth_run, tmp_path, capsys, command, extra, code, message):
+    _, corpus, flows = synth_run
+    out = tmp_path / "out"
+    if command == "loso":
+        argv = _loso_argv(corpus, flows, out)
+    else:
+        argv = ["prima-facie", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows),
+                "--out", str(out), "--seeds", "1", "--trees", "2"]
+    capsys.readouterr()
+    assert main(argv + extra) == code
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.meck")) and not (out / "provenance.json").exists()
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported only when a command fans out to workers, so a serial run never pays for it
+    src = str(Path(mebench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    pool_modules = ("concurrent.futures.process", "multiprocessing")
+    code = f"import sys, mebench.cli; print([m for m in {pool_modules!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

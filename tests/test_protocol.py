@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from mebench import pipeline
 from mebench.corpus import (
     Dataset,
+    MappedEmotion,
+    MappedEthnicity,
     RawEthnicity,
     SampleRecord,
     SynthSpec,
@@ -23,7 +25,15 @@ from mebench.corpus import (
 from mebench.errors import DataError
 from mebench.flowcore import FlowParams
 from mebench.model import ModelConfig, TrainConfig, Variant
-from mebench.pipeline import BINARY_CLASSES, materialize_flow_images
+from mebench.pipeline import (
+    BINARY_CLASSES,
+    EMOTION_CLASSES,
+    ETHNICITY_CLASSES,
+    emotion_index,
+    ethnicity_index,
+    materialize_flow_images,
+    sample_key,
+)
 from mebench.protocol import (
     ConfusionMatrix,
     FoldResult,
@@ -64,6 +74,29 @@ def records_for(subjects, clips_per=2, emotions=("happiness", "disgust"), ethnic
                 )
             )
     return finalize_mappings(records)
+
+
+# ---------------------------------------------------------------- class orders
+
+
+def test_every_mapped_label_indexes_its_class_or_is_refused():
+    def record(emotion=None, ethnicity=None):
+        return SampleRecord(Dataset.SYNTH, "S1", "c0", "x", "y", "", mapped_emotion=emotion, mapped_ethnicity=ethnicity)
+
+    for emotion in MappedEmotion:
+        if emotion is MappedEmotion.EXCLUDED:
+            with pytest.raises(DataError, match="no eligible emotion label"):
+                emotion_index(record(emotion=emotion))
+        else:
+            assert EMOTION_CLASSES[emotion_index(record(emotion=emotion))] == emotion.value
+    for ethnicity in MappedEthnicity:
+        assert ETHNICITY_CLASSES[ethnicity_index(record(ethnicity=ethnicity))] == ethnicity.value
+    assert [emotion_index(record(emotion=MappedEmotion(c))) for c in EMOTION_CLASSES] == [0, 1, 2]
+    assert [ethnicity_index(record(ethnicity=MappedEthnicity(c))) for c in ETHNICITY_CLASSES] == [0, 1]
+    with pytest.raises(DataError, match="no eligible emotion label"):
+        emotion_index(record())
+    with pytest.raises(DataError, match="no ethnicity label"):
+        ethnicity_index(record())
 
 
 # ---------------------------------------------------------------- folds
@@ -495,6 +528,11 @@ def test_flows_identical_across_worker_counts(tiny_loso, tmp_path):
     assert len(names) == 2 * len(manifest.records)  # one OFI file and one sidecar per clip
     for name in names:
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+    params_hash = stable_hash(asdict(FlowParams(iterations=5)))
+    for record in manifest.records:
+        entry = {"flow_params_hash": params_hash, "clip_fraction": list(stats[1].clip_fractions[sample_key(record)])}
+        sidecar = pipeline.flow_image_path(tmp_path / "w1", record).with_suffix(".ofi.json")
+        assert sidecar.read_text() == json.dumps(entry, sort_keys=True) + "\n"
 
 
 # Cache keys written by earlier versions; a change here silently invalidates every stored cache entry.
@@ -580,5 +618,9 @@ class TestRunLosoVariant:
         flows = tmp_path / "flows"
         shutil.copytree(flow_dir, flows)
         first = run_tiny_loso(manifest, flows, checkpoint_dir=tmp_path / "folds")
+        for subject, counts in first:
+            entry = {"fold_hash": _TINY_LOSO_FOLD_HASHES[subject], "counts": counts}
+            text = (tmp_path / "folds" / f"fold_dual_motion_{subject}.json").read_text()
+            assert text == json.dumps(entry, sort_keys=True) + "\n"
         shutil.rmtree(flows)
         assert run_tiny_loso(manifest, flows, checkpoint_dir=tmp_path / "folds") == first
