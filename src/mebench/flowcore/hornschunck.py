@@ -2,7 +2,11 @@
 
 Variational smoothness-regularized flow (the classical quadratic data +
 smoothness objective) solved with Jacobi iterations inside a
-coarse-to-fine pyramid with inter-level warping. The flow convention is
+coarse-to-fine pyramid with inter-level warping. Each Jacobi step takes
+the weighted 8-neighbour average of the increment, `nearest`-mode at the
+border, summed tap by tap in `scipy.ndimage.correlate`'s order, so it is
+bit-identical to `correlate(d, _AVG_KERNEL, mode="nearest")`. The flow
+convention is
 
     onset(x, y) ~= apex(x + u(x, y), y + v(x, y))
 
@@ -27,6 +31,12 @@ from .frames import GrayFrame
 _AVG_KERNEL = np.array(
     [[1 / 12, 1 / 6, 1 / 12], [1 / 6, 0.0, 1 / 6], [1 / 12, 1 / 6, 1 / 12]],
     dtype=np.float64,
+)
+# The nonzero taps of _AVG_KERNEL in row-major order, the order in which
+# correlate accumulates them: (index into _AVG_WEIGHTS, row offset, column offset).
+_AVG_WEIGHTS = np.unique(_AVG_KERNEL[_AVG_KERNEL != 0])
+_AVG_TAPS = tuple(
+    (_AVG_WEIGHTS.tolist().index(_AVG_KERNEL[i, j]), i - 1, j - 1) for i, j in np.argwhere(_AVG_KERNEL).tolist()
 )
 
 _MIN_SIDE = 8  # coarsest pyramid level is never smaller than this
@@ -102,28 +112,69 @@ def warp_bilinear(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _derivatives(im1: np.ndarray, im2: np.ndarray):
     """Spatial/temporal derivative estimates averaged over the frame pair (2x2 stencils)."""
-    kx = np.array([[-1, 1], [-1, 1]], dtype=np.float64) * 0.25
-    ky = np.array([[-1, -1], [1, 1]], dtype=np.float64) * 0.25
-    kt = np.ones((2, 2), dtype=np.float64) * 0.25
-    fx = correlate(im1, kx, mode="nearest") + correlate(im2, kx, mode="nearest")
-    fy = correlate(im1, ky, mode="nearest") + correlate(im2, ky, mode="nearest")
-    ft = correlate(im2, kt, mode="nearest") - correlate(im1, kt, mode="nearest")
-    return fx, fy, ft
+    kx = np.array([[[-1, 1], [-1, 1]]], dtype=np.float64) * 0.25
+    ky = np.array([[[-1, -1], [1, 1]]], dtype=np.float64) * 0.25
+    kt = np.ones((1, 2, 2), dtype=np.float64) * 0.25
+    pair = np.stack([im1, im2])
+    cx = correlate(pair, kx, mode="nearest")
+    cy = correlate(pair, ky, mode="nearest")
+    ct = correlate(pair, kt, mode="nearest")
+    return cx[0] + cx[1], cy[0] + cy[1], ct[1] - ct[0]
+
+
+def _neighbour_average(padded: np.ndarray, out: np.ndarray, scaled: np.ndarray) -> None:
+    """Write `correlate(x, _AVG_KERNEL, mode="nearest")` of each plane x into `out`, bit for bit.
+
+    `padded` (n, H+2, W+2) holds the planes in its interior; its 1 px border
+    is refilled here by edge replication. Only the interior of `out` (same
+    shape) is the result. `scaled[k]` receives _AVG_WEIGHTS[k] * padded, so
+    on the flattened grid each tap's product is one contiguous shifted slice;
+    the taps are summed from +0.0 in correlate's order.
+    """
+    padded[:, 0, 1:-1] = padded[:, 1, 1:-1]
+    padded[:, -1, 1:-1] = padded[:, -2, 1:-1]
+    padded[:, :, 0] = padded[:, :, 1]
+    padded[:, :, -1] = padded[:, :, -2]
+    for weight, plane in zip(_AVG_WEIGHTS, scaled):
+        np.multiply(padded, weight, out=plane)
+    # all but the first and last row + 1 cells; border cells get don't-care sums
+    row = padded.shape[-1]
+    lo, hi = row + 1, padded.size - row - 1
+    flat_out = out.reshape(-1)[lo:hi]
+    flat_scaled = scaled.reshape(len(scaled), -1)
+    flat_out.fill(0.0)
+    for k, di, dj in _AVG_TAPS:
+        shift = di * row + dj
+        flat_out += flat_scaled[k, lo + shift : hi + shift]
 
 
 def _solve_level(im1, im2, u, v, alpha, iterations):
-    """Refine (u, v) on one pyramid level: warp, then Jacobi-iterate the increment."""
+    """Refine (u, v) on one pyramid level: warp, then Jacobi-iterate the increment.
+
+    Every per-step array lives on the 1 px padded grid and is updated in
+    place. The increment (du, dv) is the interior of `padded`; each stencil
+    refills its border, so the don't-care values the update leaves there are
+    never read.
+    """
     warped = warp_bilinear(im2, u, v)
     fx, fy, ft = _derivatives(im1, warped)
-    denom = alpha * alpha + fx * fx + fy * fy
-    du = np.zeros_like(u)
-    dv = np.zeros_like(v)
+    grad = np.pad(np.stack([fx, fy]), ((0, 0), (1, 1), (1, 1)))
+    ft = np.pad(ft, 1)
+    denom = alpha * alpha + grad[0] * grad[0] + grad[1] * grad[1]
+    padded = np.zeros_like(grad)
+    bar = np.zeros_like(grad)
+    prod = np.empty_like(grad)
+    scaled = np.empty((len(_AVG_WEIGHTS), *grad.shape))
+    shared = np.empty_like(ft)
     for _ in range(iterations):
-        du_bar = correlate(du, _AVG_KERNEL, mode="nearest")
-        dv_bar = correlate(dv, _AVG_KERNEL, mode="nearest")
-        shared = (fx * du_bar + fy * dv_bar + ft) / denom
-        du = du_bar - fx * shared
-        dv = dv_bar - fy * shared
+        _neighbour_average(padded, bar, scaled)
+        np.multiply(grad, bar, out=prod)
+        np.add(prod[0], prod[1], out=shared)
+        shared += ft
+        shared /= denom
+        np.multiply(grad, shared, out=prod)
+        np.subtract(bar, prod, out=padded)
+    du, dv = padded[:, 1:-1, 1:-1]
     return u + du, v + dv
 
 

@@ -149,6 +149,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"epochs and batch_size must be >= 1, got {self.epochs} and {self.batch_size}")
+        for name in ("base_lr", "lr_gamma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 def train_fold(

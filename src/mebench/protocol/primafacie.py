@@ -229,6 +229,8 @@ def run_prima_facie(
     `features` maps sample keys (dataset:subject:clip) to fixed-length
     frozen feature vectors.
     """
+    if not seeds:
+        raise ConfigError("prima facie needs at least one seed")
     forest_config = forest_config or ForestConfig()
     kinds = scenario_kinds or list(ScenarioKind)
     metadata = {

@@ -476,12 +476,17 @@ def test_damaged_cache_entry_is_recomputed(synth_run, loso_folds, tmp_path, entr
     [
         ("loso", ["--batch-size", "0"], 2, "batch_size must be >= 1"),
         ("loso", ["--epochs", "0"], 2, "epochs and batch_size must be >= 1"),
+        ("loso", ["--lr", "-1"], 2, "base_lr must be finite and > 0"),
+        ("loso", ["--lr", "0"], 2, "base_lr must be finite and > 0"),
+        ("loso", ["--lr-gamma", "0"], 2, "lr_gamma must be finite and > 0"),
         ("prima-facie", ["--budget", "0"], 2, "subject budget must be >= 2"),
         ("prima-facie", ["--budget", "-2"], 2, "subject budget must be >= 2"),
+        ("prima-facie", ["--seeds", "0"], 2, "needs at least one seed"),
         ("loso", ["--image-size", "64"], 3, "for image_size 64"),
         ("loso", ["--image-size", "64", "--variants", "motion_plus_rgb_patch"], 3, "for image_size 64"),
     ],
-    ids=["batch-size-0", "epochs-0", "budget-0", "budget-negative", "image-size-dual", "image-size-patch"],
+    ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "budget-0", "budget-negative", "seeds-0",
+         "image-size-dual", "image-size-patch"],
 )
 def test_out_of_range_argument_is_not_internal_error(synth_run, tmp_path, capsys, command, extra, code, message):
     _, corpus, flows = synth_run
@@ -494,7 +499,8 @@ def test_out_of_range_argument_is_not_internal_error(synth_run, tmp_path, capsys
     capsys.readouterr()
     assert main(argv + extra) == code
     assert message in capsys.readouterr().err
-    assert not list(out.glob("*.meck")) and not (out / "provenance.json").exists()
+    assert not list(out.glob("*.meck")) and not list(out.glob("prima_facie.*"))
+    assert not (out / "provenance.json").exists()
 
 
 def test_cli_import_loads_no_process_pool():

@@ -1,8 +1,11 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import correlate, gaussian_filter
 
 from mebench.errors import ConfigError, DataError
 from mebench.flowcore import (
@@ -22,6 +25,8 @@ from mebench.flowcore import (
     write_pgm,
 )
 from mebench.flowcore.flowimage import BadMagicError, TruncatedFileError
+from mebench.flowcore import hornschunck
+from mebench.flowcore.hornschunck import _AVG_KERNEL, _AVG_WEIGHTS, _neighbour_average
 
 
 def smooth_texture(h, w, seed, sigma=3.0):
@@ -164,6 +169,143 @@ class TestEstimateFlow:
         a = GrayFrame(np.zeros((4, 4)))
         with pytest.raises(DataError):
             estimate_flow(a, a)
+
+
+# ---------------------------------------------------------------- Jacobi stencil
+
+
+def bits(a):
+    """int64 view, so equality also compares the sign of zero and NaN payloads."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def stencil(planes):
+    """_neighbour_average of (n, H, W) planes through a padded buffer whose border starts as NaN."""
+    n, h, w = planes.shape
+    padded = np.full((n, h + 2, w + 2), np.nan)
+    padded[:, 1:-1, 1:-1] = planes
+    out = np.full_like(padded, np.nan)
+    scaled = np.empty((len(_AVG_WEIGHTS), *padded.shape))
+    _neighbour_average(padded, out, scaled)
+    return out[:, 1:-1, 1:-1]
+
+
+def correlate_planes(planes):
+    return np.stack([correlate(p, _AVG_KERNEL, mode="nearest") for p in planes])
+
+
+SPECIAL_VALUES = {
+    "neg-zero": -0.0,
+    "subnormal": -1e-320,
+    "pos-inf": np.inf,
+    "neg-inf": -np.inf,
+    "nan": np.nan,
+}
+
+
+class TestNeighbourAverage:
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 13), (32, 32), (64, 64), (128, 128)])
+    def test_random_planes_match_correlate(self, shape):
+        rng = np.random.Generator(np.random.PCG64(shape[0] * 1000 + shape[1]))
+        planes = rng.normal(scale=3.0, size=(2, *shape))
+        assert np.array_equal(bits(stencil(planes)), bits(correlate_planes(planes)))
+
+    def test_all_negative_zero_sums_to_positive_zero(self):
+        planes = np.full((2, 8, 13), -0.0)
+        got = stencil(planes)
+        assert np.array_equal(bits(got), bits(correlate_planes(planes)))
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("where", ["centre", "corner", "edge"])
+    @pytest.mark.parametrize("value", list(SPECIAL_VALUES.values()), ids=list(SPECIAL_VALUES))
+    def test_special_values_match_correlate(self, value, where):
+        rng = np.random.Generator(np.random.PCG64(3))
+        planes = rng.normal(size=(2, 8, 13))
+        planes[1] = -0.0
+        pos = {"centre": (4, 6), "corner": (0, 0), "edge": (7, 5)}[where]
+        planes[(0, *pos)] = value
+        planes[(1, *pos)] = value
+        with np.errstate(invalid="ignore"):
+            got = stencil(planes)
+        assert np.array_equal(bits(got), bits(correlate_planes(planes)))
+
+    def test_opposite_infinities_and_nan_match_correlate(self):
+        planes = np.full((2, 8, 8), 1.5)
+        planes[0, 3, 3], planes[0, 3, 4], planes[0, 4, 3] = np.inf, -np.inf, np.nan
+        planes[1, 0, 0], planes[1, 0, 1], planes[1, 7, 7] = -np.inf, np.inf, -np.nan
+        with np.errstate(invalid="ignore"):
+            got = stencil(planes)
+        assert np.array_equal(bits(got), bits(correlate_planes(planes)))
+
+
+def _reference_derivatives(im1, im2):
+    kx = np.array([[-1, 1], [-1, 1]], dtype=np.float64) * 0.25
+    ky = np.array([[-1, -1], [1, 1]], dtype=np.float64) * 0.25
+    kt = np.ones((2, 2), dtype=np.float64) * 0.25
+    fx = correlate(im1, kx, mode="nearest") + correlate(im2, kx, mode="nearest")
+    fy = correlate(im1, ky, mode="nearest") + correlate(im2, ky, mode="nearest")
+    ft = correlate(im2, kt, mode="nearest") - correlate(im1, kt, mode="nearest")
+    return fx, fy, ft
+
+
+def _reference_solve_level(im1, im2, u, v, alpha, iterations):
+    """Plain solver level: per-frame derivatives, two correlate calls per Jacobi step."""
+    warped = warp_bilinear(im2, u, v)
+    fx, fy, ft = _reference_derivatives(im1, warped)
+    denom = alpha * alpha + fx * fx + fy * fy
+    du = np.zeros_like(u)
+    dv = np.zeros_like(v)
+    for _ in range(iterations):
+        du_bar = correlate(du, _AVG_KERNEL, mode="nearest")
+        dv_bar = correlate(dv, _AVG_KERNEL, mode="nearest")
+        shared = (fx * du_bar + fy * dv_bar + ft) / denom
+        du = du_bar - fx * shared
+        dv = dv_bar - fy * shared
+    return u + du, v + dv
+
+
+def reference_flow(onset, apex, params):
+    with mock.patch.object(hornschunck, "_solve_level", _reference_solve_level):
+        return estimate_flow(onset, apex, params)
+
+
+def assert_same_flow(a, b):
+    assert np.array_equal(bits(a.u), bits(b.u)) and np.array_equal(bits(a.v), bits(b.v))
+
+
+class TestSolverMatchesReference:
+    @pytest.mark.parametrize("iterations", [1, 7, 200])
+    @pytest.mark.parametrize("zero_init", [True, False])
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_translated_pair(self, levels, zero_init, iterations):
+        tex = smooth_texture(40, 52, 13)
+        onset, apex = GrayFrame(tex), GrayFrame(translate_frame(tex, 1.3, -0.6))
+        params = FlowParams(iterations=iterations, pyramid_levels=levels, zero_init=zero_init)
+        assert_same_flow(estimate_flow(onset, apex, params), reference_flow(onset, apex, params))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(8, 40),
+        st.integers(8, 40),
+        st.integers(1, 30),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_random_frames(self, seed, h, w, iterations, levels, zero_init):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        onset, apex = GrayFrame(rng.random((h, w))), GrayFrame(rng.random((h, w)))
+        params = FlowParams(iterations=iterations, pyramid_levels=levels, zero_init=zero_init)
+        assert_same_flow(estimate_flow(onset, apex, params), reference_flow(onset, apex, params))
+
+    def test_flow_image_bytes_pinned(self, tmp_path):
+        # sha256 of this pair's OFI file as written by the two-correlate solver
+        tex = smooth_texture(48, 40, 21)
+        flow = estimate_flow(GrayFrame(tex), GrayFrame(translate_frame(tex, 0.6, -0.4)))
+        path = tmp_path / "pair.ofi"
+        write_flow_image(assemble_flow_image(flow, compute_strain(flow)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "c6ef368c85a14ecbad235ec9e22229e2d6e5f028ab2558716b6078800177437c"
 
 
 # ---------------------------------------------------------------- strain
