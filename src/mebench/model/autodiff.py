@@ -2,7 +2,11 @@
 
 A Tensor wraps a float64 ndarray plus a closure describing how to push
 gradients to its parents; backward() walks the recorded graph in
-reverse topological order. Only the operations the fusion model needs
+reverse topological order. The parameter leaves of a training or
+Grad-CAM pass carry requires_grad; data leaves and the leaves of an
+inference pass do not. An op's output needs a gradient only when one of
+its parents does, and an output that needs none keeps no closure, no
+parents and no saved arrays. Only the operations the fusion model needs
 are implemented, each with an exact analytic adjoint (the test suite
 checks every one against central finite differences).
 """
@@ -14,13 +18,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_push", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_push", "name")
 
-    def __init__(self, data, parents=(), push=None, name=None):
+    def __init__(self, data, parents=(), push=None, name=None, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = tuple(parents)
-        self._push = push
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self._parents = tuple(parents) if self.requires_grad else ()
+        self._push = push if self.requires_grad else None
         self.name = name
 
     @property
@@ -39,6 +44,7 @@ class Tensor:
 
         The walk is seeded with `grad` (same shape as self.data) when one
         is given, e.g. a one-hot on a single class score, else with ones.
+        It visits only nodes that require a gradient.
         """
         order = []
         seen = set()
@@ -53,7 +59,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data) if grad is None else grad
         for node in reversed(order):
@@ -79,92 +85,84 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# Each op passes its push closure to the output Tensor, which keeps it only
+# when the output requires a gradient. A push with one parent therefore runs
+# only when that parent needs the adjoint; a push with several checks each.
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, parents=(a, b))
 
     def push(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
-    out._push = push
-    return out
+    return Tensor(a.data + b.data, (a, b), push)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, parents=(a, b))
 
     def push(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    out._push = push
-    return out
+    return Tensor(a.data * b.data, (a, b), push)
 
 
 def scale(a, k: float) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data * k, parents=(a,))
-    out._push = lambda g: _accum(a, g * k)
-    return out
+    return Tensor(a.data * k, (a,), lambda g: _accum(a, g * k))
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data @ b.data, parents=(a, b))
 
     def push(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accum(a, _unbroadcast(ga, a.shape))
-        _accum(b, _unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
-    out._push = push
-    return out
+    return Tensor(a.data @ b.data, (a, b), push)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), parents=(a,))
-    out._push = lambda g: _accum(a, g.reshape(a.shape))
-    return out
+    return Tensor(a.data.reshape(shape), (a,), lambda g: _accum(a, g.reshape(a.shape)))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     inverse = np.argsort(axes)
-    out = Tensor(a.data.transpose(axes), parents=(a,))
-    out._push = lambda g: _accum(a, g.transpose(inverse))
-    return out
+    return Tensor(a.data.transpose(axes), (a,), lambda g: _accum(a, g.transpose(inverse)))
 
 
 def concat(parts, axis=-1) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), parents=tuple(parts))
     sizes = [p.data.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
 
     def push(g):
         for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            _accum(p, piece)
+            if p.requires_grad:
+                _accum(p, piece)
 
-    out._push = push
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=axis), parts, push)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0.0), parents=(a,))
-    out._push = lambda g: _accum(a, g * mask)
-    return out
+    return Tensor(np.where(mask, a.data, 0.0), (a,), lambda g: _accum(a, g * mask))
 
 
 def mean(a, axes=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    out_data = a.data.mean(axis=axes, keepdims=keepdims)
-    out = Tensor(out_data, parents=(a,))
     count = a.data.size if axes is None else np.prod([a.data.shape[ax] for ax in np.atleast_1d(axes)])
 
     def push(g):
@@ -172,8 +170,7 @@ def mean(a, axes=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, tuple(np.atleast_1d(axes)))
         _accum(a, np.broadcast_to(g, a.shape) / count)
 
-    out._push = push
-    return out
+    return Tensor(a.data.mean(axis=axes, keepdims=keepdims), (a,), push)
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -181,41 +178,39 @@ def softmax(a, axis=-1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, parents=(a,))
 
     def push(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
         _accum(a, y * (g - inner))
 
-    out._push = push
-    return out
+    return Tensor(y, (a,), push)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
     """Normalize over the last axis with a learned affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    n = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered**2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = centered * inv_std
-    out = Tensor(gamma.data * x_hat + beta.data, parents=(x, gamma, beta))
 
     def push(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        _accum(gamma, (g * x_hat).sum(axis=reduce_axes))
-        _accum(beta, g.sum(axis=reduce_axes))
-        g_hat = g * gamma.data
-        gx = inv_std * (
-            g_hat
-            - g_hat.mean(axis=-1, keepdims=True)
-            - x_hat * (g_hat * x_hat).mean(axis=-1, keepdims=True)
-        )
-        _accum(x, gx)
+        if gamma.requires_grad:
+            _accum(gamma, (g * x_hat).sum(axis=reduce_axes))
+        if beta.requires_grad:
+            _accum(beta, g.sum(axis=reduce_axes))
+        if x.requires_grad:
+            g_hat = g * gamma.data
+            gx = inv_std * (
+                g_hat
+                - g_hat.mean(axis=-1, keepdims=True)
+                - x_hat * (g_hat * x_hat).mean(axis=-1, keepdims=True)
+            )
+            _accum(x, gx)
 
-    out._push = push
-    return out
+    return Tensor(gamma.data * x_hat + beta.data, (x, gamma, beta), push)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
@@ -249,34 +244,35 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     w_mat = w.data.reshape(filters, -1)
     out_data = (w_mat @ cols) + b.data[:, None]
     batch = x.data.shape[0]
-    out = Tensor(out_data.reshape(batch, filters, out_h, out_w), parents=(x, w, b))
 
     def push(g):
         g_mat = g.reshape(batch, filters, out_h * out_w)
-        _accum(b, g_mat.sum(axis=(0, 2)))
-        _accum(w, (g_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
-        dcols = w_mat.T @ g_mat
-        _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, pad, out_h, out_w))
+        if b.requires_grad:
+            _accum(b, g_mat.sum(axis=(0, 2)))
+        if w.requires_grad:
+            _accum(w, (g_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
+        if x.requires_grad:
+            dcols = w_mat.T @ g_mat
+            _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, pad, out_h, out_w))
 
-    out._push = push
-    return out
+    return Tensor(out_data.reshape(batch, filters, out_h, out_w), (x, w, b), push)
 
 
 def linear(x, w, b) -> Tensor:
     """x: (..., D_in); w: (D_out, D_in); b: (D_out,)."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    out = Tensor(x.data @ w.data.T + b.data, parents=(x, w, b))
 
     def push(g):
-        _accum(x, g @ w.data)
+        if x.requires_grad:
+            _accum(x, g @ w.data)
         lead = int(np.prod(g.shape[:-1])) if g.ndim > 1 else 1
         g2 = g.reshape(lead, g.shape[-1])
-        x2 = x.data.reshape(lead, x.data.shape[-1])
-        _accum(w, g2.T @ x2)
-        _accum(b, g2.sum(axis=0))
+        if w.requires_grad:
+            _accum(w, g2.T @ x.data.reshape(lead, x.data.shape[-1]))
+        if b.requires_grad:
+            _accum(b, g2.sum(axis=0))
 
-    out._push = push
-    return out
+    return Tensor(x.data @ w.data.T + b.data, (x, w, b), push)
 
 
 def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -290,12 +286,10 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     e = np.exp(z)
     lse = np.log(e.sum(axis=1))
     picked = z[np.arange(batch), targets]
-    out = Tensor(np.mean(lse - picked), parents=(logits,))
 
     def push(g):
         probs = e / e.sum(axis=1, keepdims=True)
         probs[np.arange(batch), targets] -= 1.0
         _accum(logits, g * probs / batch)
 
-    out._push = push
-    return out
+    return Tensor(np.mean(lse - picked), (logits,), push)

@@ -65,5 +65,6 @@ def extract_frozen_features(flow_image: np.ndarray, encoder: FrozenEncoder) -> n
         raise ConfigError(f"expected a (3, H, W) flow image, got shape {x.shape}")
     from .network import INPUT_CENTER
 
-    feat, _ = encode_conv(Tensor(x[None] - INPUT_CENTER), encoder.params.leaves(), "motion", encoder.config)
+    leaves = encoder.params.leaves(requires_grad=False)
+    feat, _ = encode_conv(Tensor(x[None] - INPUT_CENTER), leaves, "motion", encoder.config)
     return feat.data[0]

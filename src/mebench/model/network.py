@@ -126,14 +126,17 @@ def fuse_features(f_emotion: Tensor, f_ethnic: Tensor, leaves: dict) -> Tensor:
     return ad.linear(merged, leaves["head.fusion.w"], leaves["head.fusion.b"])
 
 
-def forward(inputs: ModelInputs, params: ParamSet, config: ModelConfig, variant: Variant) -> ModelOutputs:
-    """Run one batch; motion_only emits emotion logits only."""
+def forward(
+    inputs: ModelInputs, params: ParamSet, config: ModelConfig, variant: Variant, requires_grad: bool = True
+) -> ModelOutputs:
+    """Run one batch; motion_only emits emotion logits only. With requires_grad=False
+    the parameter leaves need no gradient, so the pass records no graph."""
     config.validate_for(variant)
     flow = np.asarray(inputs.flow, dtype=np.float64)
     side = config.image_size
     if flow.ndim != 4 or flow.shape[1:] != (3, side, side):
         raise DataError(f"flow input must be (B, 3, {side}, {side}) for image_size {side}, got {flow.shape}")
-    leaves = params.leaves()
+    leaves = params.leaves(requires_grad)
 
     flow = flow - INPUT_CENTER
     f_emotion, motion_grid = encode_conv(Tensor(flow), leaves, "motion", config.motion)

@@ -55,9 +55,10 @@ class ParamSet:
             return all(np.array_equal(self.tensors[k], other.tensors[k]) for k in self.tensors)
         return all(np.allclose(self.tensors[k], other.tensors[k], atol=atol) for k in self.tensors)
 
-    def leaves(self) -> dict:
-        """One fresh autodiff leaf per parameter, keyed by name."""
-        return {name: Tensor(value, name=name) for name, value in self.tensors.items()}
+    def leaves(self, requires_grad: bool = True) -> dict:
+        """One fresh autodiff leaf per parameter, keyed by name; inference passes
+        requires_grad=False so the forward records no graph."""
+        return {name: Tensor(v, name=name, requires_grad=requires_grad) for name, v in self.tensors.items()}
 
 
 GradientSet = dict  # name -> ndarray, same shapes as the ParamSet

@@ -9,6 +9,7 @@ per-epoch shuffle come from labeled PCG64 streams.
 from __future__ import annotations
 
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -81,13 +82,25 @@ def backward(
     grads: GradientSet = {}
     for name in params.names():
         leaf = leaves.get(name)
-        if leaf is None or leaf.grad is None:
-            grads[name] = np.zeros_like(params[name])
-            continue
-        if not np.isfinite(leaf.grad).all():
-            raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
-        grads[name] = leaf.grad
+        grads[name] = np.zeros_like(params[name]) if leaf is None or leaf.grad is None else leaf.grad
+    if not np.isfinite(_flatten(grads.values())).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
     return grads, breakdown
+
+
+def _flatten(arrays) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def _views(flat: np.ndarray, like: ParamSet) -> OrderedDict:
+    """Per-name reshaped views of `flat`, laid out in `like`'s order and shapes."""
+    views = OrderedDict()
+    start = 0
+    for name, t in like.tensors.items():
+        views[name] = flat[start : start + t.size].reshape(t.shape)
+        start += t.size
+    return views
 
 
 @dataclass
@@ -114,24 +127,45 @@ def optimizer_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ParamSet, AdamState]:
-    """One Adam update with bias correction; functional (new ParamSet/state)."""
-    new_params = ParamSet()
-    new_state = AdamState(step=state.step + 1, m={}, v={})
-    t = new_state.step
-    for name in params.names():
+    """One Adam update with bias correction; functional (new ParamSet/state).
+
+    Each Adam line runs once over every parameter concatenated in ParamSet
+    order, in place on fresh vectors so that each step allocates only five.
+    Every line keeps the operands and the evaluation order of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        params - lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+
+    so the result is bit-identical to a per-parameter loop. The returned
+    per-name arrays are views of the new vectors."""
+    names = params.names()
+    for name in names:
         if name not in grads:
             raise ConfigError(f"gradient missing for parameter {name!r}")
         g = grads[name]
         if g.shape != params[name].shape:
             raise ConfigError(f"gradient shape {g.shape} != param shape {params[name].shape} for {name!r}")
-        m = beta1 * state.m[name] + (1 - beta1) * g
-        v = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        new_params.tensors[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_state.m[name] = m
-        new_state.v[name] = v
-    return new_params, new_state
+    g = _flatten(grads[name] for name in names)
+    t = state.step + 1
+    m = _flatten(state.m[name] for name in names)
+    m *= beta1
+    tmp = np.multiply(g, 1 - beta1)
+    m += tmp
+    v = _flatten(state.v[name] for name in names)
+    v *= beta2
+    np.multiply(g, 1 - beta2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(m, 1 - beta1**t, out=tmp)  # m_hat
+    tmp *= lr
+    np.divide(v, 1 - beta2**t, out=g)    # v_hat; g is not read again
+    np.sqrt(g, out=g)
+    g += eps
+    tmp /= g
+    new = _flatten(params.tensors.values())
+    new -= tmp
+    return ParamSet(_views(new, params)), AdamState(step=t, m=_views(m, params), v=_views(v, params))
 
 
 def lr_schedule(epoch: int, base_lr: float = 1e-3, gamma: float = 0.9) -> float:
@@ -203,6 +237,6 @@ def evaluate_predictions(
     preds = []
     for start in range(0, len(samples), batch_size):
         batch = samples[start : start + batch_size]
-        outputs = forward(_batch_inputs(batch, variant), params, config, variant)
+        outputs = forward(_batch_inputs(batch, variant), params, config, variant, requires_grad=False)
         preds.append(predict_emotion(outputs))
     return np.concatenate(preds) if preds else np.array([], dtype=int)

@@ -20,6 +20,7 @@ from mebench.model import (
     FrozenEncoder,
     ModelConfig,
     ModelInputs,
+    NonFiniteGradientError,
     ParamSet,
     TrainConfig,
     TrainSample,
@@ -27,6 +28,7 @@ from mebench.model import (
     VariantInputError,
     backward,
     cce,
+    evaluate_predictions,
     extract_frozen_features,
     forward,
     gradcam,
@@ -38,10 +40,18 @@ from mebench.model import (
     train_fold,
 )
 from mebench.model import autodiff as ad
+from mebench.model import network, training
 from mebench.model.autodiff import Tensor
 from mebench.model.losses import LossBreakdown
 from mebench.model.network import INPUT_CENTER, encode_conv, encode_patches, fuse_features
 from mebench.model.training import batch_loss_graph
+
+
+def assert_bits_equal(got, ref):
+    """Exact float64 equality through int64 views, so -0.0 != +0.0 and NaN payloads count."""
+    got, ref = (np.ascontiguousarray(a, dtype=np.float64) for a in (got, ref))
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def toy_forward(variant, seed=3, size=16):
@@ -357,6 +367,51 @@ class TestBackward:
         with pytest.raises(DataError):
             backward(params, [], config, Variant.DUAL_MOTION)
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_parameter_gradients_match_all_grad_graph_bitwise(self, variant, monkeypatch):
+        config = ModelConfig.toy(16)
+        params = init_params(config, variant, seed=FD_SEEDS[variant])
+        batch = make_toy_batch(FD_SEEDS[variant], n=3)
+        grads, breakdown = backward(params, batch, config, variant)
+
+        # reference: every data input requires a gradient, so every op pushes to every parent
+        data_leaves = []
+
+        def grad_leaf(data):
+            data_leaves.append(Tensor(data, requires_grad=True))
+            return data_leaves[-1]
+
+        monkeypatch.setattr(network, "Tensor", grad_leaf)
+        ref_grads, ref_breakdown = backward(params, batch, config, variant)
+        assert data_leaves and all(leaf.grad is not None for leaf in data_leaves)
+        assert breakdown == ref_breakdown
+        assert list(grads) == list(ref_grads) == params.names()
+        for name in params.names():
+            assert_bits_equal(grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize(
+        "poisoned,named",
+        [(("head.fusion.w",), "head.fusion.w"), (("head.fusion.w", "motion.stage1.b"), "motion.stage1.b")],
+        ids=["one", "first-in-order"],
+    )
+    def test_non_finite_gradient_names_first_parameter(self, poisoned, named, monkeypatch):
+        config = ModelConfig.toy(16)
+        params = init_params(config, Variant.DUAL_MOTION, seed=0)
+        real_graph = training.batch_loss_graph
+
+        def poisoned_graph(*args):
+            # adds mean(w * mask) for each poisoned w: its gradient is mask / w.size, NaN at one entry
+            loss, breakdown, leaves = real_graph(*args)
+            for name in poisoned:
+                mask = np.zeros(params[name].shape)
+                mask.ravel()[1] = np.nan
+                loss = ad.add(loss, ad.mean(ad.mul(leaves[name], mask)))
+            return loss, breakdown, leaves
+
+        monkeypatch.setattr(training, "batch_loss_graph", poisoned_graph)
+        with pytest.raises(NonFiniteGradientError, match=f"non-finite gradient for parameter '{named}'$"):
+            backward(params, make_toy_batch(0), config, Variant.DUAL_MOTION)
+
 
 # ---------------------------------------------------------------- conv2d kernel
 
@@ -404,30 +459,125 @@ _CONV_CASES = [
 ] + [(2, 8, 16, 32, 1, 1, 0), (2, 3, 8, 32, 5, 2, 2)]
 
 
+def _always_push_conv2d(x, w, b, stride=1, pad=0):
+    """conv2d as it was before requires_grad, kept as the bitwise reference:
+    its push computes and accumulates the gradient of every parent."""
+    filters, _, kh, kw = w.shape
+    cols, out_h, out_w = ad._im2col(x.data, kh, kw, stride, pad)
+    w_mat = w.data.reshape(filters, -1)
+    out_data = (w_mat @ cols) + b.data[:, None]
+    batch = x.data.shape[0]
+    out = ad.Tensor(out_data.reshape(batch, filters, out_h, out_w), parents=(x, w, b))
+
+    def push(g):
+        g_mat = g.reshape(batch, filters, out_h * out_w)
+        ad._accum(b, g_mat.sum(axis=(0, 2)))
+        ad._accum(w, (g_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
+        dcols = w_mat.T @ g_mat
+        ad._accum(x, ad._col2im(dcols, x.data.shape, kh, kw, stride, pad, out_h, out_w))
+
+    out._push = push
+    return out
+
+
+def _conv_case(batch, chans, filters, size, k, stride, pad):
+    """Seeded input, weights, bias and output gradient for one _CONV_CASES entry."""
+    rng = np.random.default_rng(size * 1000 + chans * 10 + k + stride + pad)
+    x = rng.normal(size=(batch, chans, size, size))
+    w = rng.normal(size=(filters, chans, k, k))
+    b = rng.normal(size=filters)
+    out_size = (size + 2 * pad - k) // stride + 1
+    return x, w, b, rng.normal(size=(batch, filters, out_size, out_size))
+
+
 class TestConv2dKernel:
     @pytest.mark.parametrize("batch,chans,filters,size,k,stride,pad", _CONV_CASES)
     def test_matches_einsum_reference(self, batch, chans, filters, size, k, stride, pad):
-        rng = np.random.default_rng(size * 1000 + chans * 10 + k + stride + pad)
-        x = rng.normal(size=(batch, chans, size, size))
-        w = rng.normal(size=(filters, chans, k, k))
-        b = rng.normal(size=filters)
-        out_size = (size + 2 * pad - k) // stride + 1
-        g = rng.normal(size=(batch, filters, out_size, out_size))
+        x, w, b, g = _conv_case(batch, chans, filters, size, k, stride, pad)
         cols_ref, out_ref, dx_ref, dw_ref, db_ref = _einsum_conv2d(x, w, b, g, stride, pad)
 
         assert np.array_equal(ad._im2col(x, k, k, stride, pad)[0], cols_ref)
-        xt, wt, bt = ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)
+        xt, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (x, w, b))
         out = ad.conv2d(xt, wt, bt, stride=stride, pad=pad)
         assert np.array_equal(out.data, out_ref)
         out._push(g)
         for got, ref in ((wt.grad, dw_ref), (bt.grad, db_ref), (xt.grad, dx_ref)):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("batch,chans,filters,size,k,stride,pad", _CONV_CASES)
+    def test_no_grad_input_skips_dx_and_keeps_dw_db_bits(self, batch, chans, filters, size, k, stride, pad):
+        x, w, b, g = _conv_case(batch, chans, filters, size, k, stride, pad)
+        ref_x, ref_w, ref_b = (ad.Tensor(a, requires_grad=True) for a in (x, w, b))
+        ref = _always_push_conv2d(ref_x, ref_w, ref_b, stride=stride, pad=pad)
+        ref._push(g)
+
+        xt = ad.Tensor(x)
+        wt, bt = ad.Tensor(w, requires_grad=True), ad.Tensor(b, requires_grad=True)
+        out = ad.conv2d(xt, wt, bt, stride=stride, pad=pad)
+        assert_bits_equal(out.data, ref.data)
+        out._push(g)
+        assert xt.grad is None
+        assert ref_x.grad is not None
+        assert_bits_equal(wt.grad, ref_w.grad)
+        assert_bits_equal(bt.grad, ref_b.grad)
+
+    def test_no_grad_parents_record_nothing(self):
+        rng = np.random.default_rng(0)
+        out = ad.conv2d(rng.normal(size=(1, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3)), np.zeros(4), pad=1)
+        assert not out.requires_grad
+        assert out._push is None and out._parents == ()
+
 
 # ---------------------------------------------------------------- optimizer
 
 
+def _per_parameter_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as one loop over the named parameters, kept as the bitwise reference
+    for the concatenated-vector update."""
+    new_params = ParamSet()
+    new_state = AdamState(step=state.step + 1, m={}, v={})
+    t = new_state.step
+    for name in params.names():
+        g = grads[name]
+        m = beta1 * state.m[name] + (1 - beta1) * g
+        v = beta2 * state.v[name] + (1 - beta2) * g * g
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        new_params.tensors[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_state.m[name] = m
+        new_state.v[name] = v
+    return new_params, new_state
+
+
 class TestOptimizer:
+    @pytest.mark.parametrize("variant", [Variant.DUAL_MOTION, Variant.MOTION_RGB_PATCH], ids=lambda v: v.value)
+    def test_matches_per_parameter_reference_bitwise(self, variant):
+        params = init_params(ModelConfig.small(64), variant, seed=4)
+        rng = np.random.default_rng(5)
+        ref_params, ref_state = params, AdamState.init(params)
+        state = AdamState.init(params)
+        for step in range(5):
+            lr = lr_schedule(step, 1e-3, 0.9)
+            # magnitudes over 15 decades, plus 0.0, -0.0 and a near-underflow value
+            grads = {name: rng.normal(size=t.shape) * 10.0 ** rng.integers(-12, 3, size=t.shape)
+                     for name, t in params.tensors.items()}
+            grads[params.names()[0]].ravel()[:3] = (0.0, -0.0, 1e-300)
+            params, state = optimizer_step(params, grads, state, lr)
+            ref_params, ref_state = _per_parameter_adam(ref_params, grads, ref_state, lr)
+            assert state.step == ref_state.step == step + 1
+            assert params.names() == ref_params.names()
+            for name in ref_params.names():
+                assert_bits_equal(params[name], ref_params[name])
+                assert_bits_equal(state.m[name], ref_state.m[name])
+                assert_bits_equal(state.v[name], ref_state.v[name])
+
+    def test_missing_gradient(self):
+        params = ParamSet()
+        params.tensors["p"] = np.zeros(2)
+        params.tensors["q"] = np.zeros(1)
+        with pytest.raises(ConfigError, match="'q'"):
+            optimizer_step(params, {"p": np.zeros(2)}, AdamState.init(params), 0.01)
+
     def test_lr_schedule_values(self):
         assert lr_schedule(0) == 0.001
         assert abs(lr_schedule(1) - 0.0009) < 1e-15
@@ -513,6 +663,23 @@ class TestTrainFold:
         with pytest.warns(UserWarning, match="classes"):
             train_fold(samples, ModelConfig.toy(16), Variant.MOTION_ONLY, TrainConfig(epochs=1), seed=0)
 
+    # sha256 of the save_checkpoint bytes after train_fold, computed with the
+    # per-parameter Adam loop and the always-push conv2d that the tests keep as
+    # references. The matmul bits come from the BLAS build, so another BLAS
+    # may give other weights.
+    _TRAINED_CHECKPOINT_SHA256 = {
+        Variant.DUAL_MOTION: "d65ab8cf17f9bf248d5c2a3cb45d1e12ebb046cff791105089b606671a843e03",
+        Variant.MOTION_RGB_PATCH: "4511d4d56d1bb797a683fe380a6fe93cd39728c005584b9b898b0154685f7b71",
+    }
+
+    @pytest.mark.parametrize("variant", list(_TRAINED_CHECKPOINT_SHA256), ids=lambda v: v.value)
+    def test_trained_checkpoint_bytes_are_pinned(self, variant, tmp_path):
+        config = ModelConfig.toy(16)
+        params, _ = train_fold(self.small_samples(), config, variant, TrainConfig(epochs=2, batch_size=4), seed=7)
+        path = tmp_path / "fold.meck"
+        save_checkpoint(path, params, config, variant)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self._TRAINED_CHECKPOINT_SHA256[variant]
+
     def test_loss_decreases_on_separable_toy(self):
         rng = np.random.default_rng(3)
         samples = []
@@ -524,6 +691,55 @@ class TestTrainFold:
         config = ModelConfig.toy(16)
         _, history = train_fold(samples, config, Variant.MOTION_ONLY, TrainConfig(epochs=10, batch_size=4), seed=2)
         assert history[-1].total < history[0].total
+
+
+# ---------------------------------------------------------------- inference records no graph
+
+_GRAPH_OPS = ("add", "mul", "scale", "matmul", "reshape", "transpose", "concat", "relu", "mean", "softmax",
+              "layer_norm", "conv2d", "linear", "cross_entropy_mean")
+
+
+def spy_op_outputs(monkeypatch) -> list:
+    """Record the output Tensor of every autodiff op call."""
+    outputs = []
+    for op in _GRAPH_OPS:
+        real = getattr(ad, op)
+
+        def spy(*args, _real=real, **kwargs):
+            outputs.append(_real(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(ad, op, spy)
+    return outputs
+
+
+class TestInferenceRecordsNoGraph:
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_evaluate_predictions_forward(self, variant, monkeypatch):
+        config = ModelConfig.toy(16)
+        params = init_params(config, variant, seed=1)
+        batch = make_toy_batch(1, n=3)
+        expected = evaluate_predictions(params, batch, config, variant)
+        outputs = spy_op_outputs(monkeypatch)
+        assert np.array_equal(evaluate_predictions(params, batch, config, variant), expected)
+        assert len(outputs) > 5
+        for out in outputs:
+            assert out._push is None and out._parents == () and not out.requires_grad
+
+    def test_extract_frozen_features(self, monkeypatch):
+        encoder = FrozenEncoder.random_fallback(EncoderConfig(feature_dim=8, stage_widths=(4, 8)), seed=0)
+        x = np.random.default_rng(0).uniform(0, 1, (3, 32, 32))
+        expected = extract_frozen_features(x, encoder)
+        outputs = spy_op_outputs(monkeypatch)
+        assert_bits_equal(extract_frozen_features(x, encoder), expected)
+        assert len(outputs) == 6  # two conv2d + relu stages, mean, linear
+        for out in outputs:
+            assert out._push is None and out._parents == () and not out.requires_grad
+
+    def test_training_forward_records_the_parameter_graph(self):
+        config, params, _, outputs = toy_forward(Variant.DUAL_MOTION)
+        assert all(leaf.requires_grad for leaf in outputs.leaves.values())
+        assert outputs.fused_logits.requires_grad and outputs.fused_logits._push is not None
 
 
 # ---------------------------------------------------------------- frozen features
