@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -174,8 +174,6 @@ def cmd_manifest(args) -> int:
         by_subject = {}
         for rec in records:
             by_subject.setdefault(rec.subject_id, []).append(rec)
-        from dataclasses import replace
-
         for subject, recs in sorted(by_subject.items()):
             try:
                 attrs = annotate_attributes(load_frame(recs[0].apex_path), predictor, subject)

@@ -1,5 +1,5 @@
 from .config import EncoderConfig, ModelConfig, N_EMOTIONS, N_ETHNICITIES, PatchEncoderConfig, Variant
-from .params import GradientSet, ParamSet, check_shapes, init_params, load_checkpoint, save_checkpoint
+from .params import ParamSet, init_params, load_checkpoint, save_checkpoint
 from .network import (
     ModelInputs,
     ModelOutputs,
@@ -29,9 +29,7 @@ __all__ = [
     "N_ETHNICITIES",
     "PatchEncoderConfig",
     "Variant",
-    "GradientSet",
     "ParamSet",
-    "check_shapes",
     "init_params",
     "load_checkpoint",
     "save_checkpoint",

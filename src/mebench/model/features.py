@@ -18,8 +18,8 @@ from ..errors import ConfigError
 from ..runutil import derived_rng
 from .autodiff import Tensor
 from .config import EncoderConfig, config_from_dict
-from .network import encode_conv
-from .params import ParamSet, _conv_stack, check_shapes, read_meck, write_meck
+from .network import INPUT_CENTER, encode_conv
+from .params import ParamSet, _conv_stack, check_layout, read_meck, write_meck
 
 _KIND = "frozen_encoder"  # the MECK1 header "kind" of a frozen-encoder file
 
@@ -28,7 +28,7 @@ class FrozenEncoder:
     """Fixed-weight conv encoder; no gradient state."""
 
     def __init__(self, config: EncoderConfig, params: ParamSet, origin: str):
-        check_shapes(params, _frozen_param_set(config, seed=0))
+        check_layout(params.layout, _frozen_param_set(config, seed=0).layout)
         self.config = config
         self.params = params
         self.origin = origin
@@ -44,7 +44,7 @@ class FrozenEncoder:
                 raise ConfigError(f"{path}: not a frozen-encoder checkpoint")
             return config_from_dict(EncoderConfig, header["config"])
 
-        config, params = read_meck(path, decode)
+        config, params = read_meck(path, decode, lambda config: _frozen_param_set(config, seed=0))
         return cls(config, params, origin=f"file:{path}")
 
     def save(self, path) -> None:
@@ -63,8 +63,6 @@ def extract_frozen_features(flow_image: np.ndarray, encoder: FrozenEncoder) -> n
     x = np.asarray(flow_image, dtype=np.float64)
     if x.ndim != 3:
         raise ConfigError(f"expected a (3, H, W) flow image, got shape {x.shape}")
-    from .network import INPUT_CENTER
-
     leaves = encoder.params.leaves(requires_grad=False)
     feat, _ = encode_conv(Tensor(x[None] - INPUT_CENTER), leaves, "motion", encoder.config)
     return feat.data[0]

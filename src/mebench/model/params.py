@@ -9,16 +9,22 @@ Checkpoint layout (MECK1, little-endian):
         frozen encoder:   {"kind": "frozen_encoder", "config": <EncoderConfig>, "tensors": [...]}
     where each config is its dataclasses.asdict form and "tensors" lists
     {"name", "shape"} per tensor
-    concatenated row-major float64 tensor data, in header order
+    concatenated row-major float64 tensor data, in header order, and
+    nothing after it; this is ParamSet.flat as written
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict
+from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,30 +36,51 @@ from .config import ModelConfig, N_EMOTIONS, N_ETHNICITIES, Variant, config_from
 _MAGIC = b"MECK1\n"
 
 
-@dataclass
 class ParamSet:
-    """Ordered name -> float64 ndarray mapping; treated as immutable between steps."""
+    """Named float64 tensors held as one contiguous vector, `flat`, laid out by
+    `layout`, a tuple of (name, shape) pairs in order. `tensors` maps each name
+    to a reshaped view of `flat`; it is read-only and built on first use, so a
+    set that is only used as a vector never pays for it."""
 
-    tensors: "OrderedDict[str, np.ndarray]" = field(default_factory=OrderedDict)
+    def __init__(self, tensors: Mapping[str, np.ndarray]):
+        self.flat = np.concatenate([np.ravel(v) for v in tensors.values()], dtype=np.float64)
+        self.layout = tuple((name, np.shape(v)) for name, v in tensors.items())
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray, layout: tuple) -> "ParamSet":
+        params = cls.__new__(cls)
+        params.flat, params.layout = flat, layout
+        return params
+
+    def __reduce__(self):  # the cached views do not pickle; they are rebuilt on use
+        return ParamSet._wrap, (self.flat, self.layout)
+
+    @cached_property
+    def tensors(self) -> Mapping[str, np.ndarray]:
+        views, start = {}, 0
+        for name, shape in self.layout:
+            size = math.prod(shape)
+            views[name] = self.flat[start : start + size].reshape(shape)
+            start += size
+        return MappingProxyType(views)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
+    def __iter__(self):
+        return (name for name, _ in self.layout)
 
     def names(self) -> list[str]:
-        return list(self.tensors.keys())
+        return list(self)
+
+    def like(self, flat: np.ndarray) -> "ParamSet":
+        """`flat`, a float64 vector of this set's size, in this set's layout."""
+        if flat.dtype != np.float64 or flat.shape != self.flat.shape:
+            raise ConfigError(f"a {flat.dtype} vector of shape {flat.shape} does not fit layout size {self.flat.size}")
+        return ParamSet._wrap(flat, self.layout)
 
     def copy(self) -> "ParamSet":
-        return ParamSet(OrderedDict((k, v.copy()) for k, v in self.tensors.items()))
-
-    def allclose(self, other: "ParamSet", atol: float = 0.0) -> bool:
-        if self.names() != other.names():
-            return False
-        if atol == 0.0:
-            return all(np.array_equal(self.tensors[k], other.tensors[k]) for k in self.tensors)
-        return all(np.allclose(self.tensors[k], other.tensors[k], atol=atol) for k in self.tensors)
+        return ParamSet._wrap(self.flat.copy(), self.layout)
 
     def leaves(self, requires_grad: bool = True) -> dict:
         """One fresh autodiff leaf per parameter, keyed by name; inference passes
@@ -61,7 +88,11 @@ class ParamSet:
         return {name: Tensor(v, name=name, requires_grad=requires_grad) for name, v in self.tensors.items()}
 
 
-GradientSet = dict  # name -> ndarray, same shapes as the ParamSet
+def check_layout(layout: tuple, reference: tuple) -> None:
+    """Raise ConfigError unless `layout` has exactly the reference's (name, shape) pairs, in order."""
+    if layout != reference:
+        got, expected = next((a, b) for a, b in zip_longest(layout, reference) if a != b)
+        raise ConfigError(f"parameter layout mismatch: got {got}, expected {expected}")
 
 
 def _kaiming(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
@@ -134,19 +165,18 @@ def init_params(config: ModelConfig, variant: Variant, seed: int) -> ParamSet:
 
 def write_meck(path, header: dict, params: ParamSet) -> None:
     """Write params under `header` plus the "tensors" list, in MECK1 layout."""
-    header = {**header, "tensors": [{"name": k, "shape": list(v.shape)} for k, v in params.tensors.items()]}
+    header = {**header, "tensors": [{"name": name, "shape": list(shape)} for name, shape in params.layout]}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes]
-    for v in params.tensors.values():
-        parts.append(np.ascontiguousarray(v, dtype="<f8").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    data = params.flat.astype("<f8", copy=False).tobytes()
+    atomic_write_bytes(path, b"".join([_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, data]))
 
 
-def read_meck(path, decode):
-    """Check a MECK1 file's magic, header, shapes and length; return
+def read_meck(path, decode, reference):
+    """Check a MECK1 file's magic, header, layout and length; return
     (decode(header), params). The "tensors" list is read first, so decode
     always sees an object; a KeyError, TypeError or ValueError in parsing
-    or in decode becomes a DataError."""
+    or in decode, or a layout other than that of reference(decoded), is a
+    DataError."""
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -157,21 +187,19 @@ def read_meck(path, decode):
     off += 4
     try:
         header = json.loads(data[off : off + header_len].decode("utf-8"))
-        entries = [(entry["name"], tuple(int(n) for n in entry["shape"])) for entry in header["tensors"]]
+        layout = tuple((entry["name"], tuple(int(n) for n in entry["shape"])) for entry in header["tensors"])
         decoded = decode(header)
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise DataError(f"{path}: malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
+    try:
+        check_layout(layout, reference(decoded).layout)
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     off += header_len
-    tensors: OrderedDict[str, np.ndarray] = OrderedDict()
-    for name, shape in entries:
-        if any(n < 0 for n in shape):
-            raise DataError(f"{path}: negative dimension in shape of {name}")
-        nbytes = int(np.prod(shape)) * 8
-        if off + nbytes > len(data):
-            raise DataError(f"{path}: truncated tensor data at {name}")
-        tensors[name] = np.frombuffer(data[off : off + nbytes], dtype="<f8").reshape(shape).copy()
-        off += nbytes
-    return decoded, ParamSet(tensors)
+    nbytes = 8 * sum(math.prod(shape) for _, shape in layout)
+    if len(data) - off != nbytes:
+        raise DataError(f"{path}: {len(data) - off} bytes of tensor data, the header declares {nbytes}")
+    return decoded, ParamSet._wrap(np.frombuffer(data, dtype="<f8", offset=off).astype(np.float64), layout)
 
 
 def save_checkpoint(path, params: ParamSet, config: ModelConfig, variant: Variant) -> None:
@@ -184,18 +212,5 @@ def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant]:
             raise ConfigError(f"{path}: a {header['kind']!r} file, not a model checkpoint")
         return config_from_dict(ModelConfig, header["config"]), Variant(header["variant"])
 
-    (config, variant), params = read_meck(path, decode)
+    (config, variant), params = read_meck(path, decode, lambda decoded: init_params(*decoded, seed=0))
     return params, config, variant
-
-
-def check_shapes(params: ParamSet, reference: ParamSet) -> None:
-    """Raise if params does not carry exactly the reference names/shapes."""
-    if params.names() != reference.names():
-        raise ConfigError(
-            f"parameter names mismatch: {set(params.names()) ^ set(reference.names())}"
-        )
-    for name in reference.names():
-        if params[name].shape != reference[name].shape:
-            raise ConfigError(
-                f"shape mismatch for {name}: {params[name].shape} != {reference[name].shape}"
-            )

@@ -8,9 +8,9 @@ per-epoch shuffle come from labeled PCG64 streams.
 
 from __future__ import annotations
 
+import math
 import warnings
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .config import ModelConfig, N_EMOTIONS, Variant
 from .losses import LossBreakdown
 from .network import ModelInputs, forward, predict_emotion
-from .params import GradientSet, ParamSet, init_params
+from .params import ParamSet, check_layout, init_params
 
 
 class NonFiniteGradientError(DataError):
@@ -70,8 +70,9 @@ def batch_loss_graph(
 
 def backward(
     params: ParamSet, batch: list[TrainSample], config: ModelConfig, variant: Variant
-) -> tuple[GradientSet, LossBreakdown]:
-    """Exact gradients of the mean-reduced total loss w.r.t. every parameter.
+) -> tuple[ParamSet, LossBreakdown]:
+    """Exact gradients of the mean-reduced total loss w.r.t. every parameter,
+    in the layout of `params`.
 
     Parameters with no data path in the variant get exactly-zero gradients.
     """
@@ -79,48 +80,33 @@ def backward(
         raise DataError("empty batch")
     loss, breakdown, leaves = batch_loss_graph(params, batch, config, variant)
     loss.backward()
-    grads: GradientSet = {}
-    for name in params.names():
+    parts = []
+    for name, shape in params.layout:
         leaf = leaves.get(name)
-        grads[name] = np.zeros_like(params[name]) if leaf is None or leaf.grad is None else leaf.grad
-    if not np.isfinite(_flatten(grads.values())).all():
-        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        parts.append(np.zeros(math.prod(shape)) if leaf is None or leaf.grad is None else leaf.grad.ravel())
+    grads = params.like(np.concatenate(parts))
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name in grads if not np.isfinite(grads[name]).all())
         raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
     return grads, breakdown
 
 
-def _flatten(arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _views(flat: np.ndarray, like: ParamSet) -> OrderedDict:
-    """Per-name reshaped views of `flat`, laid out in `like`'s order and shapes."""
-    views = OrderedDict()
-    start = 0
-    for name, t in like.tensors.items():
-        views[name] = flat[start : start + t.size].reshape(t.shape)
-        start += t.size
-    return views
-
-
 @dataclass
 class AdamState:
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Step count and the first and second moments, in the parameters' layout."""
+
+    step: int
+    m: ParamSet
+    v: ParamSet
 
     @classmethod
     def init(cls, params: ParamSet) -> "AdamState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(t) for k, t in params.tensors.items()},
-            v={k: np.zeros_like(t) for k, t in params.tensors.items()},
-        )
+        return cls(step=0, m=params.like(np.zeros_like(params.flat)), v=params.like(np.zeros_like(params.flat)))
 
 
 def optimizer_step(
     params: ParamSet,
-    grads: GradientSet,
+    grads: ParamSet,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -129,43 +115,32 @@ def optimizer_step(
 ) -> tuple[ParamSet, AdamState]:
     """One Adam update with bias correction; functional (new ParamSet/state).
 
-    Each Adam line runs once over every parameter concatenated in ParamSet
-    order, in place on fresh vectors so that each step allocates only five.
-    Every line keeps the operands and the evaluation order of
+    Each Adam line runs once over the flat vectors, in place on fresh
+    vectors so that each step allocates only five. Every line keeps the
+    operands and the evaluation order of
 
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         params - lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
 
-    so the result is bit-identical to a per-parameter loop. The returned
-    per-name arrays are views of the new vectors."""
-    names = params.names()
-    for name in names:
-        if name not in grads:
-            raise ConfigError(f"gradient missing for parameter {name!r}")
-        g = grads[name]
-        if g.shape != params[name].shape:
-            raise ConfigError(f"gradient shape {g.shape} != param shape {params[name].shape} for {name!r}")
-    g = _flatten(grads[name] for name in names)
+    so the result is bit-identical to a per-parameter loop."""
+    check_layout(grads.layout, params.layout)
+    g = grads.flat
     t = state.step + 1
-    m = _flatten(state.m[name] for name in names)
-    m *= beta1
+    m = state.m.flat * beta1
     tmp = np.multiply(g, 1 - beta1)
     m += tmp
-    v = _flatten(state.v[name] for name in names)
-    v *= beta2
+    v = state.v.flat * beta2
     np.multiply(g, 1 - beta2, out=tmp)
     tmp *= g
     v += tmp
     np.divide(m, 1 - beta1**t, out=tmp)  # m_hat
     tmp *= lr
-    np.divide(v, 1 - beta2**t, out=g)    # v_hat; g is not read again
-    np.sqrt(g, out=g)
-    g += eps
-    tmp /= g
-    new = _flatten(params.tensors.values())
-    new -= tmp
-    return ParamSet(_views(new, params)), AdamState(step=t, m=_views(m, params), v=_views(v, params))
+    denom = np.divide(v, 1 - beta2**t)   # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    tmp /= denom
+    return params.like(params.flat - tmp), AdamState(step=t, m=params.like(m), v=params.like(v))
 
 
 def lr_schedule(epoch: int, base_lr: float = 1e-3, gamma: float = 0.9) -> float:

@@ -11,6 +11,7 @@ import pytest
 import mebench
 from mebench.cli import _workers, main
 from mebench.corpus import load_manifest
+from mebench.model import ModelConfig, ParamSet, Variant, init_params, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +368,29 @@ class TestGradcamCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda t: t.pop("head.fusion.b"), lambda t: t.update({"head.fusion.w": np.zeros((3, 5))})],
+        ids=["missing-tensor", "wrong-shape"],
+    )
+    def test_checkpoint_off_its_variant_layout_is_data_error(self, synth_run, tmp_path, damage):
+        _, corpus, flows = synth_run
+        config = ModelConfig.toy(32)
+        tensors = dict(init_params(config, Variant.DUAL_MOTION, seed=0).tensors)
+        damage(tensors)
+        ckpt = tmp_path / "model.meck"
+        save_checkpoint(ckpt, ParamSet(tensors), config, Variant.DUAL_MOTION)
+        code = main(
+            [
+                "gradcam",
+                "--manifest", str(corpus / "manifest.jsonl"),
+                "--flow-dir", str(flows),
+                "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "cams"),
+            ]
+        )
+        assert code == 3
 
 
 class TestReportCommand:

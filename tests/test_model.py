@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import struct
 import warnings
 from collections import OrderedDict
@@ -107,7 +108,7 @@ class TestEncodeConv:
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.MOTION_ONLY, seed=0)
         for name in params.names():
-            params.tensors[name] = np.zeros_like(params[name])
+            params[name][...] = np.zeros_like(params[name])
         feat, _ = encode_conv(Tensor(np.zeros((1, 3, 16, 16))), params.leaves(), "motion", config.motion)
         assert np.array_equal(feat.data, np.zeros((1, 4)))
 
@@ -169,7 +170,7 @@ class TestEncodePatches:
         assert not np.allclose(a, b)
 
         # sanity: with the positional term removed the swap is invisible
-        params.tensors["texture.pos"] = np.zeros_like(params["texture.pos"])
+        params["texture.pos"][...] = np.zeros_like(params["texture.pos"])
         a0 = encode_texture(x, params, config)
         b0 = encode_texture(swapped, params, config)
         np.testing.assert_allclose(a0, b0, atol=1e-9)
@@ -202,8 +203,8 @@ class TestFuseFeatures:
     def test_zero_weights_returns_bias(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.DUAL_MOTION, seed=0)
-        params.tensors["head.fusion.w"] = np.zeros_like(params["head.fusion.w"])
-        params.tensors["head.fusion.b"] = np.array([0.3, -0.2, 0.7])
+        params["head.fusion.w"][...] = np.zeros_like(params["head.fusion.w"])
+        params["head.fusion.b"][...] = np.array([0.3, -0.2, 0.7])
         out = fuse(np.ones((1, 4)) * 5, np.ones((1, 4)) * -2, params)
         np.testing.assert_array_equal(out, [[0.3, -0.2, 0.7]])
 
@@ -216,7 +217,7 @@ class TestFuseFeatures:
 
         permuted = params.copy()
         w = params["head.fusion.w"]
-        permuted.tensors["head.fusion.w"] = np.concatenate([w[:, 4:], w[:, :4]], axis=1)
+        permuted["head.fusion.w"][...] = np.concatenate([w[:, 4:], w[:, :4]], axis=1)
         swapped = fuse(f_ethnic, f_emotion, permuted)
         np.testing.assert_allclose(baseline, swapped, atol=1e-12)
 
@@ -251,7 +252,7 @@ class TestForward:
         dual = init_params(config, Variant.DUAL_MOTION, seed=6)
         mo = init_params(config, Variant.MOTION_ONLY, seed=7)
         for name in mo.names():
-            mo.tensors[name] = dual[name].copy()
+            mo[name][...] = dual[name].copy()
         batch = make_toy_batch(8)
         inputs = ModelInputs(flow=np.stack([s.flow for s in batch]))
         out_dual = forward(inputs, dual, config, Variant.DUAL_MOTION)
@@ -325,10 +326,10 @@ class TestTotalLoss:
         sample = dataclasses.replace(make_toy_batch(3)[0], emotion=0, ethnicity=0)
         # force near-one-hot logits by overwriting head biases and zero weights
         for head, n in (("emotion", 3), ("ethnicity", 2), ("fusion", 3)):
-            params.tensors[f"head.{head}.w"] = np.zeros_like(params[f"head.{head}.w"])
+            params[f"head.{head}.w"][...] = np.zeros_like(params[f"head.{head}.w"])
             bias = np.full(n, -1e4)
             bias[0] = 1e4
-            params.tensors[f"head.{head}.b"] = bias
+            params[f"head.{head}.b"][...] = bias
         _, bd, _ = batch_loss_graph(params, [sample], config, Variant.DUAL_MOTION)
         assert bd.total < 1e-9
 
@@ -534,19 +535,18 @@ class TestConv2dKernel:
 def _per_parameter_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam as one loop over the named parameters, kept as the bitwise reference
     for the concatenated-vector update."""
-    new_params = ParamSet()
-    new_state = AdamState(step=state.step + 1, m={}, v={})
-    t = new_state.step
+    new_params, new_m, new_v = OrderedDict(), OrderedDict(), OrderedDict()
+    t = state.step + 1
     for name in params.names():
         g = grads[name]
         m = beta1 * state.m[name] + (1 - beta1) * g
         v = beta2 * state.v[name] + (1 - beta2) * g * g
         m_hat = m / (1 - beta1**t)
         v_hat = v / (1 - beta2**t)
-        new_params.tensors[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_state.m[name] = m
-        new_state.v[name] = v
-    return new_params, new_state
+        new_params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        new_m[name] = m
+        new_v[name] = v
+    return ParamSet(new_params), AdamState(step=t, m=ParamSet(new_m), v=ParamSet(new_v))
 
 
 class TestOptimizer:
@@ -559,8 +559,8 @@ class TestOptimizer:
         for step in range(5):
             lr = lr_schedule(step, 1e-3, 0.9)
             # magnitudes over 15 decades, plus 0.0, -0.0 and a near-underflow value
-            grads = {name: rng.normal(size=t.shape) * 10.0 ** rng.integers(-12, 3, size=t.shape)
-                     for name, t in params.tensors.items()}
+            grads = ParamSet({name: rng.normal(size=t.shape) * 10.0 ** rng.integers(-12, 3, size=t.shape)
+                              for name, t in params.tensors.items()})
             grads[params.names()[0]].ravel()[:3] = (0.0, -0.0, 1e-300)
             params, state = optimizer_step(params, grads, state, lr)
             ref_params, ref_state = _per_parameter_adam(ref_params, grads, ref_state, lr)
@@ -572,11 +572,9 @@ class TestOptimizer:
                 assert_bits_equal(state.v[name], ref_state.v[name])
 
     def test_missing_gradient(self):
-        params = ParamSet()
-        params.tensors["p"] = np.zeros(2)
-        params.tensors["q"] = np.zeros(1)
+        params = ParamSet({"p": np.zeros(2), "q": np.zeros(1)})
         with pytest.raises(ConfigError, match="'q'"):
-            optimizer_step(params, {"p": np.zeros(2)}, AdamState.init(params), 0.01)
+            optimizer_step(params, ParamSet({"p": np.zeros(2)}), AdamState.init(params), 0.01)
 
     def test_lr_schedule_values(self):
         assert lr_schedule(0) == 0.001
@@ -586,36 +584,33 @@ class TestOptimizer:
     def test_first_adam_step_magnitude(self):
         # hand evaluation: m_hat = v_hat = 1 after the first step with g = 1,
         # so the update is lr / (1 + eps) ~ lr against the gradient sign
-        params = ParamSet()
-        params.tensors["p"] = np.zeros(1)
+        params = ParamSet({"p": np.zeros(1)})
         state = AdamState.init(params)
         lr = 0.05
-        new_params, new_state = optimizer_step(params, {"p": np.ones(1)}, state, lr)
+        new_params, new_state = optimizer_step(params, ParamSet({"p": np.ones(1)}), state, lr)
         expected = -lr * 1.0 / (1.0 + 1e-8)
         assert abs(new_params["p"][0] - expected) < 1e-15
         assert new_state.step == 1
 
     def test_zero_gradient_keeps_params(self):
-        params = ParamSet()
-        params.tensors["p"] = np.array([1.5, -2.0])
+        params = ParamSet({"p": np.array([1.5, -2.0])})
         state = AdamState.init(params)
-        new_params, new_state = optimizer_step(params, {"p": np.zeros(2)}, state, 0.01)
+        new_params, new_state = optimizer_step(params, ParamSet({"p": np.zeros(2)}), state, 0.01)
         np.testing.assert_array_equal(new_params["p"], params["p"])
 
     def test_shape_mismatch(self):
-        params = ParamSet()
-        params.tensors["p"] = np.zeros(2)
+        params = ParamSet({"p": np.zeros(2)})
         with pytest.raises(ConfigError):
-            optimizer_step(params, {"p": np.zeros(3)}, AdamState.init(params), 0.01)
+            optimizer_step(params, ParamSet({"p": np.zeros(3)}), AdamState.init(params), 0.01)
 
     def test_inputs_unmodified(self):
         params = init_params(ModelConfig.toy(16), Variant.DUAL_MOTION, seed=1)
         rng = np.random.default_rng(2)
-        grads = {name: rng.normal(size=t.shape) for name, t in params.tensors.items()}
+        grads = ParamSet({name: rng.normal(size=t.shape) for name, t in params.tensors.items()})
         params, state = optimizer_step(params, grads, AdamState.init(params), 0.01)
         params_before, state_before = params.copy(), copy.deepcopy(state)
         new_params, _ = optimizer_step(params, grads, state, 0.01)
-        assert params.allclose(params_before, atol=0.0)
+        assert params.layout == params_before.layout and np.array_equal(params.flat, params_before.flat)
         assert state.step == state_before.step
         for name in params.names():
             np.testing.assert_array_equal(state.m[name], state_before.m[name])
@@ -645,7 +640,7 @@ class TestTrainFold:
         samples = self.small_samples()
         p1, h1 = train_fold(samples, config, Variant.DUAL_MOTION, cfg, seed=42)
         p2, h2 = train_fold(samples, config, Variant.DUAL_MOTION, cfg, seed=42)
-        assert p1.allclose(p2, atol=0.0)
+        assert p1.layout == p2.layout and np.array_equal(p1.flat, p2.flat)
         assert h1 == h2
 
     def test_history_length(self):
@@ -670,6 +665,8 @@ class TestTrainFold:
     _TRAINED_CHECKPOINT_SHA256 = {
         Variant.DUAL_MOTION: "d65ab8cf17f9bf248d5c2a3cb45d1e12ebb046cff791105089b606671a843e03",
         Variant.MOTION_RGB_PATCH: "4511d4d56d1bb797a683fe380a6fe93cd39728c005584b9b898b0154685f7b71",
+        Variant.MOTION_ONLY: "38b6a9f81c94bc09f7d3b8e7637825c7f17200db6f3ca02d2a4d62957f8e8fab",
+        Variant.MOTION_RGB_CONV: "72d2a9e9d0ff260c879b88a408cec4cd26a8c552d478702fbc18c9a381500b41",
     }
 
     @pytest.mark.parametrize("variant", list(_TRAINED_CHECKPOINT_SHA256), ids=lambda v: v.value)
@@ -774,6 +771,37 @@ class TestFrozenFeatures:
         np.testing.assert_array_equal(extract_frozen_features(x, enc), extract_frozen_features(x, again))
 
 
+# ---------------------------------------------------------------- parameter sets
+
+
+class TestParamSet:
+    def test_tensors_are_read_only_views_of_flat(self):
+        params = init_params(ModelConfig.toy(16), Variant.DUAL_MOTION, seed=0)
+        with pytest.raises(TypeError):
+            params.tensors["head.fusion.b"] = np.zeros(3)
+        params["head.fusion.b"][...] = (1.0, 2.0, 3.0)
+        assert np.array_equal(params.flat[-3:], [1.0, 2.0, 3.0])
+        assert params.tensors is params.tensors
+
+    @pytest.mark.parametrize("flat", [np.zeros(5), np.zeros(6, dtype=np.float32), np.zeros((2, 3))],
+                             ids=["wrong-size", "wrong-dtype", "not-a-vector"])
+    def test_like_rejects_a_vector_off_the_layout(self, flat):
+        params = ParamSet({"a": np.zeros((2, 2)), "b": np.zeros(2)})
+        with pytest.raises(ConfigError):
+            params.like(flat)
+
+    @pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                             ids=["deepcopy", "pickle"])
+    def test_round_trip_keeps_layout_and_bits(self, round_trip):
+        params = init_params(ModelConfig.toy(16), Variant.MOTION_RGB_PATCH, seed=2)
+        params.flat[:2] = (-0.0, 1e-300)
+        copied = round_trip(params)
+        assert copied.layout == params.layout
+        assert_bits_equal(copied.flat, params.flat)
+        assert copied.names() == params.names()
+        assert not np.shares_memory(copied.flat, params.flat)
+
+
 # ---------------------------------------------------------------- checkpoints
 
 
@@ -801,7 +829,7 @@ class TestCheckpoint:
         loaded, loaded_config, loaded_variant = load_checkpoint(path)
         assert loaded_variant == Variant.DUAL_MOTION
         assert loaded_config == config
-        assert params.allclose(loaded, atol=0.0)
+        assert params.layout == loaded.layout and np.array_equal(params.flat, loaded.flat)
 
     def test_model_checkpoint_bytes_are_pinned(self, tmp_path):
         # fixed tensors, not init_params, so the digest does not depend on numpy's RNG
@@ -842,10 +870,12 @@ class TestCheckpoint:
             lambda h: h["config"]["texture"].pop("pooling"),
             lambda h: h.update(variant="no_such_variant"),
             lambda h: h["tensors"][0].update(shape=[-1, 2]),
+            lambda h: h["tensors"][0].update(shape=[1, 2]),
+            lambda h: h["tensors"].pop(),
         ],
         ids=[
             "no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "no-pooling", "unknown-variant",
-            "negative-dim",
+            "negative-dim", "wrong-shape", "missing-tensor",
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, corrupt):
@@ -863,8 +893,9 @@ class TestCheckpoint:
             lambda h: h["config"].pop("stage_widths"),
             lambda h: h.update(config=[4, 8]),
             lambda h: h["tensors"][0].update(shape=[-1, 2]),
+            lambda h: h["tensors"][0].update(shape=[1, 2]),
         ],
-        ids=["no-config", "no-stage-widths", "config-not-object", "negative-dim"],
+        ids=["no-config", "no-stage-widths", "config-not-object", "negative-dim", "wrong-shape"],
     )
     def test_malformed_frozen_encoder_header_is_data_error(self, tmp_path, corrupt):
         path = tmp_path / "enc.meck"
@@ -896,6 +927,17 @@ class TestCheckpoint:
         path = tmp_path / "short.meck"
         path.write_bytes(b"MECK1\n\x10\x00")
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage", [lambda data: data[:-8], lambda data: data + data], ids=["truncated-data", "trailing-copy"]
+    )
+    def test_tensor_data_length_is_checked(self, tmp_path, damage):
+        path = tmp_path / "model.meck"
+        config = ModelConfig.toy(16)
+        save_checkpoint(path, init_params(config, Variant.MOTION_ONLY, seed=0), config, Variant.MOTION_ONLY)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataError, match="bytes of tensor data"):
             load_checkpoint(path)
 
 
