@@ -39,12 +39,11 @@ from .corpus import (
     synthesize_desk_corpus,
 )
 from .errors import ConfigError, DataError, MebenchError
-from .flowcore import FlowParams, load_frame, read_flow_image
+from .flowcore import FlowParams, load_frame
 from .model import (
     EncoderConfig,
     FrozenEncoder,
     ModelConfig,
-    ModelInputs,
     TrainConfig,
     Variant,
     extract_frozen_features,
@@ -54,12 +53,12 @@ from .model import (
     train_fold,
     export_activation_map,
 )
+from .model.training import _batch_inputs
 from .pipeline import (
     EMOTION_CLASSES,
     flow_image_path,
     load_train_samples,
     materialize_flow_images,
-    sample_key,
 )
 from .protocol import ForestConfig, ScenarioKind, run_benchmark, run_prima_facie
 from .runutil import atomic_write_text, derive_seed, hash_file, read_json_object, stable_hash
@@ -177,25 +176,13 @@ def cmd_manifest(args) -> int:
         for subject, recs in sorted(by_subject.items()):
             try:
                 attrs = annotate_attributes(load_frame(recs[0].apex_path), predictor, subject)
+                fields = {"raw_ethnicity": attrs.raw_ethnicity, "gender": attrs.gender, "age": attrs.age}
             except DataError as exc:
                 if args.on_annotation_error == "fail":
                     raise
                 print(f"warning: {exc}; subject left unannotated", file=sys.stderr)
-                attrs = None
-            for rec in recs:
-                if attrs is None:
-                    annotated.append(
-                        replace(rec, raw_ethnicity=RawEthnicity.OTHERS, gender=Gender.UNKNOWN, age=0)
-                    )
-                else:
-                    annotated.append(
-                        replace(
-                            rec,
-                            raw_ethnicity=attrs.raw_ethnicity,
-                            gender=attrs.gender,
-                            age=attrs.age,
-                        )
-                    )
+                fields = {"raw_ethnicity": RawEthnicity.OTHERS, "gender": Gender.UNKNOWN, "age": 0}
+            annotated += [replace(rec, **fields) for rec in recs]
 
         ledger = []
         ledger_hash = ""
@@ -349,10 +336,10 @@ def cmd_prima_facie(args) -> int:
         encoder = FrozenEncoder.random_fallback(
             EncoderConfig(feature_dim=args.feature_dim), seed=derive_seed(args.seed, "frozen-encoder")
         )
-    features = {}
-    for record in manifest.eligible():
-        image = read_flow_image(flow_image_path(args.flow_dir, record))
-        features[sample_key(record)] = extract_frozen_features(image.as_array(), encoder)
+    features = {
+        sample.key: extract_frozen_features(sample.flow, encoder)
+        for sample in load_train_samples(manifest.eligible(), args.flow_dir)
+    }
 
     try:
         kinds = [ScenarioKind(k.strip()) for k in args.scenarios.split(",")] if args.scenarios else None
@@ -403,25 +390,15 @@ def cmd_gradcam(args) -> int:
         if name not in EMOTION_CLASSES:
             raise ConfigError(f"unknown class {name!r}; choose from {EMOTION_CLASSES}")
 
+    records = [r for r in manifest.eligible() if r.mapped_emotion.value in class_filter]
+    samples = load_train_samples(records, args.flow_dir, need_rgb=variant.needs_rgb)
     sidecar_lines = []
-    n_maps = 0
-    for record in manifest.eligible():
+    for record, sample in zip(records, samples):
+        target = sample.ethnicity if args.branch == "ethnicity" else sample.emotion
+        amap = gradcam(params, model_config, variant, _batch_inputs([sample], variant), target, branch=args.branch)
         emotion_name = record.mapped_emotion.value
-        if emotion_name not in class_filter:
-            continue
-        ofi_path = flow_image_path(args.flow_dir, record)
-        image = read_flow_image(ofi_path)
-        inputs = ModelInputs(flow=image.as_array()[None])
-        amap = gradcam(
-            params,
-            model_config,
-            variant,
-            inputs,
-            EMOTION_CLASSES.index(emotion_name),
-            branch=args.branch,
-        )
         group_dir = out_dir / record.mapped_ethnicity.value / emotion_name
-        stem = ofi_path.stem
+        stem = flow_image_path(args.flow_dir, record).stem
         export_activation_map(
             amap,
             group_dir / f"{stem}.pgm",
@@ -441,9 +418,8 @@ def cmd_gradcam(args) -> int:
                 sort_keys=True,
             )
         )
-        n_maps += 1
     atomic_write_text(out_dir / "maps.jsonl", "\n".join(sidecar_lines) + ("\n" if sidecar_lines else ""))
-    print(f"wrote {n_maps} activation maps grouped by ethnicity under {out_dir}")
+    print(f"wrote {len(sidecar_lines)} activation maps grouped by ethnicity under {out_dir}")
     _write_provenance(
         out_dir,
         "gradcam",

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from ..errors import DataError
 from ..runutil import atomic_write_text
-from .records import Dataset, MappedEmotion, RawEthnicity, SampleRecord
+from .records import Dataset, MappedEmotion, RawEthnicity, SampleRecord, map_ethnicity
 
 _INDEX_COLUMNS = ("subject", "clip", "onset", "apex", "emotion")
 
@@ -96,9 +96,6 @@ class Manifest:
     def eligible(self) -> list[SampleRecord]:
         """Records that enter training/evaluation splits."""
         return [r for r in self.records if r.eligible]
-
-    def subjects(self) -> list[str]:
-        return sorted({r.subject_id for r in self.records})
 
 
 def build_manifest(records: Iterable[SampleRecord], provenance: dict, check_paths: bool = True) -> Manifest:
@@ -204,8 +201,6 @@ class DistributionReport:
 
 
 def map_to_group(raw_name: str) -> str:
-    from .records import map_ethnicity
-
     return map_ethnicity(RawEthnicity(raw_name)).value
 
 

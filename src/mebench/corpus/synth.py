@@ -32,6 +32,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
 from ..errors import ConfigError
+from ..flowcore import write_pgm
 from ..runutil import atomic_write_text, derived_rng
 from .manifest import Manifest, build_manifest, save_manifest
 from .records import Dataset, Gender, RawEthnicity, SampleRecord, finalize_mappings
@@ -141,8 +142,6 @@ def synthesize_desk_corpus(spec: SynthSpec, seed: int, out_dir) -> tuple[Manifes
 
     records: list[SampleRecord] = []
     truths: list[ClipTruth] = []
-    from ..flowcore import write_pgm
-
     for group_tag, raw_eth, tex_sigma in _GROUPS:
         group_shift = spec.shift_strength if group_tag == "n" else 0.0
         for si in range(spec.subjects_per_group):

@@ -1,9 +1,10 @@
-"""Gradient-weighted class activation maps over the conv branches.
+"""Gradient-weighted class activation maps over each branch's final grid,
+a conv map or a patch-token grid.
 
 Channel weights are the spatial means of the class-score gradient at
-the branch's final conv grid; the map is the rectified weighted sum,
-normalized so its maximum is 1 (unless identically zero), then
-bilinearly upsampled to input resolution.
+that grid; the map is the rectified weighted sum, normalized so its
+maximum is 1 (unless identically zero), then bilinearly upsampled to
+input resolution.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ BRANCHES = ("emotion", "ethnicity", "fusion")
 
 @dataclass(frozen=True)
 class ActivationMap:
-    grid: np.ndarray       # (h, w) attribution at conv-grid resolution, in [0, 1]
+    grid: np.ndarray       # (h, w) attribution at grid resolution, in [0, 1]
     overlay: np.ndarray    # (H, W) upsampled to input resolution, in [0, 1]
     target_class: int
     branch: str
@@ -61,8 +62,6 @@ def gradcam(
     else:
         if outputs.ethnicity_logits is None:
             raise ConfigError(f"variant {variant.value} has no ethnic branch")
-        if outputs.ethnic_grid is None:
-            raise ConfigError("ethnic branch has no convolutional grid (patch encoder)")
         logits, grid = outputs.ethnicity_logits, outputs.ethnic_grid
 
     n_classes = logits.shape[-1]
@@ -76,7 +75,7 @@ def gradcam(
 
     grads = grid.grad
     if grads is None:
-        raise DataError("no gradient reached the conv grid")
+        raise DataError("no gradient reached the branch grid")
     weights = grads[0].mean(axis=(1, 2))                     # (F,)
     cam = np.maximum((weights[:, None, None] * grid.data[0]).sum(axis=0), 0.0)
     peak = cam.max()

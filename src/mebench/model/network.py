@@ -3,7 +3,9 @@
 The motion branch is a staged conv encoder over the 3-channel flow
 image. The ethnic branch, when present, is either another conv encoder
 (over the flow image or the apex RGB frame) or a patch transformer over
-the apex RGB frame. Branch features go through per-task affine heads;
+the apex RGB frame. Every encoder returns (features, final grid): a conv
+map, or the final tokens laid out on the patch grid, so Grad-CAM treats
+all branches alike. Branch features go through per-task affine heads;
 the fused head sees the concatenation (emotion first, then ethnicity).
 """
 
@@ -97,8 +99,9 @@ def _attention_block(x: Tensor, leaves: dict, prefix: str, cfg: PatchEncoderConf
     return ad.add(x, mlp_out)
 
 
-def encode_patches(x: Tensor, leaves: dict, prefix: str, cfg: PatchEncoderConfig) -> Tensor:
-    """Patchify -> embed (+positions) -> attention blocks -> mean pool -> project."""
+def encode_patches(x: Tensor, leaves: dict, prefix: str, cfg: PatchEncoderConfig) -> tuple[Tensor, Tensor]:
+    """Patchify -> embed (+positions) -> attention blocks -> mean pool -> project;
+    returns (features (B, E), final token grid (B, D, gh, gw))."""
     batch, chans, h, w = x.shape
     p = cfg.patch_size
     if h % p != 0 or w % p != 0:
@@ -114,8 +117,10 @@ def encode_patches(x: Tensor, leaves: dict, prefix: str, cfg: PatchEncoderConfig
     for blk in range(cfg.n_blocks):
         tokens = _attention_block(tokens, leaves, f"{prefix}.block{blk}", cfg)
     tokens = ad.layer_norm(tokens, leaves[f"{prefix}.norm.gamma"], leaves[f"{prefix}.norm.beta"])
-    pooled = ad.mean(tokens, axes=(1,))
-    return ad.linear(pooled, leaves[f"{prefix}.proj.w"], leaves[f"{prefix}.proj.b"])
+    grid = ad.reshape(ad.transpose(tokens, (0, 2, 1)), (batch, -1, gh, gw))
+    pooled = ad.mean(grid, axes=(2, 3))  # pooled through the grid, so Grad-CAM's grid gets a gradient
+    feat = ad.linear(pooled, leaves[f"{prefix}.proj.w"], leaves[f"{prefix}.proj.b"])
+    return feat, grid
 
 
 def fuse_features(f_emotion: Tensor, f_ethnic: Tensor, leaves: dict) -> Tensor:
@@ -145,7 +150,6 @@ def forward(
     if not variant.has_ethnic_branch:
         return ModelOutputs(emotion_logits, None, None, motion_grid, None, leaves)
 
-    ethnic_grid = None
     if variant == Variant.DUAL_MOTION:
         f_ethnic, ethnic_grid = encode_conv(Tensor(flow), leaves, "ethnic", config.ethnic_conv)
     else:
@@ -157,7 +161,7 @@ def forward(
         if variant == Variant.MOTION_RGB_CONV:
             f_ethnic, ethnic_grid = encode_conv(Tensor(rgb), leaves, "ethnic", config.ethnic_conv)
         else:
-            f_ethnic = encode_patches(Tensor(rgb), leaves, "texture", config.texture)
+            f_ethnic, ethnic_grid = encode_patches(Tensor(rgb), leaves, "texture", config.texture)
 
     ethnicity_logits = ad.linear(f_ethnic, leaves["head.ethnicity.w"], leaves["head.ethnicity.b"])
     fused_logits = fuse_features(f_emotion, f_ethnic, leaves)

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import mebench
+from mebench import cli
 from mebench.cli import _workers, main
 from mebench.corpus import load_manifest
 from mebench.model import ModelConfig, ParamSet, Variant, init_params, save_checkpoint
+from mebench.model.config import ETHNICITY_CLASSES
+from mebench.pipeline import flow_image_path
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,26 @@ class TestManifestCommand:
             )
         assert code == 0
         assert (out / "manifest.jsonl").exists()
+
+    def test_annotation_error_fails_or_leaves_subject_unannotated(self, tmp_path, capsys):
+        from mebench.flowcore import write_pgm
+
+        (tmp_path / "fr").mkdir()
+        write_pgm(tmp_path / "fr" / "f.pgm", np.zeros((32, 32)))
+        index = tmp_path / "index.csv"
+        index.write_text("subject,clip,onset,apex,emotion\n01,a,fr/f.pgm,fr/f.pgm,happiness\n"
+                         "02,a,fr/f.pgm,fr/f.pgm,happiness\n")
+        table = tmp_path / "attrs.json"
+        table.write_text(json.dumps({"01": ["male", 30, "Asian"]}))  # no entry for subject 02
+        argv = ["manifest", "--casme2", str(index), "--predictor-table", str(table)]
+        assert main(argv + ["--out", str(tmp_path / "fail")]) == 3
+        assert "subject '02'" in capsys.readouterr().err
+
+        assert main(argv + ["--out", str(tmp_path / "skip"), "--on-annotation-error", "skip"]) == 0
+        assert "subject left unannotated" in capsys.readouterr().err
+        records = load_manifest(tmp_path / "skip" / "manifest.jsonl").records
+        attrs = {r.subject_id: (r.raw_ethnicity.value, r.gender.value, r.age) for r in records}
+        assert attrs == {"01": ("Asian", "male", 30), "02": ("Others", "unknown", 0)}
 
     def test_no_inputs_is_config_error(self, tmp_path):
         assert main(["manifest", "--out", str(tmp_path / "x")]) == 2
@@ -391,6 +414,47 @@ class TestGradcamCommand:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("branch", ["emotion", "fusion", "ethnicity"])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_every_variant_and_branch(self, synth_run, tmp_path, monkeypatch, variant, branch):
+        _, corpus, flows = synth_run
+        config = ModelConfig.small(32)
+        ckpt = tmp_path / "model.meck"
+        save_checkpoint(ckpt, init_params(config, variant, 0), config, variant)
+        real_gradcam, amaps = cli.gradcam, []
+
+        def spy(*args, **kwargs):
+            amaps.append(real_gradcam(*args, **kwargs))
+            return amaps[-1]
+
+        monkeypatch.setattr(cli, "gradcam", spy)
+        out = tmp_path / "cams"
+        code = main(
+            [
+                "gradcam",
+                "--manifest", str(corpus / "manifest.jsonl"),
+                "--flow-dir", str(flows),
+                "--checkpoint", str(ckpt),
+                "--out", str(out),
+                "--branch", branch,
+            ]
+        )
+        if not variant.has_ethnic_branch and branch != "emotion":
+            assert code == 2
+            return
+        assert code == 0
+        manifest = load_manifest(corpus / "manifest.jsonl")
+        selected = [r for r in manifest.eligible() if r.mapped_emotion.value in ("Positive", "Surprise")]
+        assert len((out / "maps.jsonl").read_text().splitlines()) == len(selected) == len(amaps) == 12
+        assert all(0.0 <= a.overlay.min() and a.overlay.max() <= 1.0 for a in amaps)
+        if branch == "ethnicity":
+            for record in selected:
+                stem = flow_image_path(flows, record).stem
+                sidecar = out / record.mapped_ethnicity.value / record.mapped_emotion.value / f"{stem}.json"
+                target = json.loads(sidecar.read_text())["target_class"]
+                assert target == ETHNICITY_CLASSES.index(record.mapped_ethnicity.value)
+                assert target == {"sa": 0, "sn": 1}[record.subject_id[:2]]
 
 
 class TestReportCommand:

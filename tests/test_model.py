@@ -85,7 +85,7 @@ def spy_attention(monkeypatch) -> list:
 
 def encode_texture(rgb, params, config):
     """Patch-encoder features of a (B, 3, H, W) batch in [0, 1]."""
-    return encode_patches(Tensor(rgb - INPUT_CENTER), params.leaves(), "texture", config.texture).data
+    return encode_patches(Tensor(rgb - INPUT_CENTER), params.leaves(), "texture", config.texture)[0].data
 
 
 class TestEncodeConv:
@@ -986,9 +986,13 @@ class TestGradCam:
         with pytest.raises(ConfigError):
             gradcam(params, config, Variant.MOTION_ONLY, ModelInputs(flow=np.zeros((1, 3, 16, 16))), 5)
 
-    def test_patch_branch_has_no_grid(self):
+    def test_patch_branch_maps_its_token_grid(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.MOTION_RGB_PATCH, seed=0)
-        inputs = ModelInputs(flow=np.zeros((1, 3, 16, 16)), rgb=np.zeros((1, 3, 16, 16)))
-        with pytest.raises(ConfigError, match="patch"):
-            gradcam(params, config, Variant.MOTION_RGB_PATCH, inputs, 0, branch="ethnicity")
+        rng = np.random.default_rng(0)
+        inputs = ModelInputs(flow=rng.uniform(0, 1, (1, 3, 16, 16)), rgb=rng.uniform(0, 1, (1, 3, 16, 16)))
+        amap = gradcam(params, config, Variant.MOTION_RGB_PATCH, inputs, 0, branch="ethnicity")
+        assert amap.grid.shape == (2, 2)  # 16 px in 8 px patches
+        assert amap.overlay.shape == (16, 16)
+        for values in (amap.grid, amap.overlay):
+            assert values.min() >= 0.0 and values.max() <= 1.0
