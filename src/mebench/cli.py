@@ -60,8 +60,8 @@ from .pipeline import (
     load_train_samples,
     materialize_flow_images,
 )
-from .protocol import ForestConfig, ScenarioKind, run_benchmark, run_prima_facie
-from .runutil import atomic_write_text, derive_seed, hash_file, read_json_object, stable_hash
+from .protocol import ForestConfig, PrimaFacieScenario, ScenarioKind, run_benchmark, run_prima_facie
+from .runutil import atomic_write_text, derive_seed, hash_file, read_json_object, stable_hash, to_json_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -194,7 +194,7 @@ def cmd_manifest(args) -> int:
                 warnings.warn(f"ledger {args.ledger} not found; continuing with an empty ledger", stacklevel=2)
         corrected, audit = apply_heuristic_corrections(annotated, ledger)
         if audit:
-            audit_lines = [json.dumps(vars(entry), sort_keys=True) for entry in audit]
+            audit_lines = [json.dumps(to_json_dict(entry), sort_keys=True) for entry in audit]
             atomic_write_text(out_dir / "correction_audit.jsonl", "\n".join(audit_lines) + "\n")
             print(f"applied {len(audit)} corrections (audit log written)")
 
@@ -500,10 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictor-cmd", help="external predictor command (PGM path appended)")
     p.add_argument("--on-annotation-error", choices=("fail", "skip"), default="fail")
     p.add_argument("--synth", action="store_true", help="generate the synthetic desk corpus instead")
-    p.add_argument("--subjects-per-group", type=int, default=4)
-    p.add_argument("--clips-per-subject", type=int, default=3)
-    p.add_argument("--image-size", type=int, default=64)
-    p.add_argument("--shift-strength", type=float, default=0.0)
+    p.add_argument("--subjects-per-group", type=int, default=SynthSpec.subjects_per_group)
+    p.add_argument("--clips-per-subject", type=int, default=SynthSpec.clips_per_subject)
+    p.add_argument("--image-size", type=int, default=SynthSpec.image_size)
+    p.add_argument("--shift-strength", type=float, default=SynthSpec.shift_strength)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_manifest)
 
@@ -511,10 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true", help="recompute even when cached")
-    p.add_argument("--alpha", type=float, default=15.0)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--scale", type=float, default=0.5)
+    p.add_argument("--alpha", type=float, default=FlowParams.smoothness_alpha)
+    p.add_argument("--iterations", type=int, default=FlowParams.iterations)
+    p.add_argument("--levels", type=int, default=FlowParams.pyramid_levels)
+    p.add_argument("--scale", type=float, default=FlowParams.pyramid_scale)
     p.add_argument("--coarse-init", action="store_true", help="integer-shift init instead of zero init")
     p.set_defaults(func=cmd_flow)
 
@@ -528,12 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of: motion_only,dual_motion,motion_plus_rgb_conv,motion_plus_rgb_patch",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--lr-gamma", type=float, default=0.9)
-    p.add_argument("--image-size", type=int, default=64)
-    p.add_argument("--feature-dim", type=int, default=32)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.base_lr)
+    p.add_argument("--lr-gamma", type=float, default=TrainConfig.lr_gamma)
+    p.add_argument("--image-size", type=int, default=ModelConfig.image_size)
+    p.add_argument("--feature-dim", type=int, default=ModelConfig.feature_dim)
     p.add_argument("--no-resume", action="store_true", help="ignore fold checkpoints")
     p.set_defaults(func=cmd_loso)
 
@@ -543,11 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=int, default=5, help="number of sampling seeds")
     p.add_argument("--seed", type=int, default=0, help="root seed")
-    p.add_argument("--budget", type=int, default=16, help="subjects per scenario")
+    p.add_argument("--budget", type=int, default=PrimaFacieScenario.subject_budget, help="subjects per scenario")
     p.add_argument("--scenarios", help="comma list of AsianOnly,NonAsianOnly,Mixed (default all)")
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--feature-dim", type=int, default=32)
+    p.add_argument("--trees", type=int, default=ForestConfig.n_trees)
+    p.add_argument("--depth", type=int, default=ForestConfig.max_depth)
+    p.add_argument("--feature-dim", type=int, default=EncoderConfig.feature_dim)
     p.add_argument("--encoder-file", help="frozen-encoder checkpoint instead of the random fallback")
     p.set_defaults(func=cmd_prima_facie)
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from ..errors import ConfigError
-from ..runutil import atomic_write_text
+from ..runutil import atomic_write_text, to_json_dict
 from .records import Dataset, Gender, RawEthnicity, SampleRecord
 
 _ATTRIBUTES = ("raw_ethnicity", "gender", "age")
@@ -146,5 +146,5 @@ def load_ledger(path) -> list[CorrectionRule]:
 
 
 def save_ledger(path, rules: list[CorrectionRule]) -> None:
-    lines = [json.dumps(asdict(r), sort_keys=True) for r in rules]
+    lines = [json.dumps(to_json_dict(r), sort_keys=True) for r in rules]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..errors import DataError
-from ..runutil import atomic_write_text
+from ..runutil import atomic_write_text, from_json_dict, to_json_dict
 from .records import Dataset, MappedEmotion, RawEthnicity, SampleRecord, map_ethnicity
 
 _INDEX_COLUMNS = ("subject", "clip", "onset", "apex", "emotion")
@@ -126,7 +126,7 @@ def save_manifest(manifest: Manifest, path) -> None:
     base = path.resolve().parent
     lines = [json.dumps({"type": "provenance", **manifest.provenance}, sort_keys=True)]
     for rec in manifest.records:
-        d = rec.to_json_dict()
+        d = to_json_dict(rec)
         for field_name in ("onset_path", "apex_path"):
             p = Path(d[field_name])
             if p.is_absolute():
@@ -153,7 +153,7 @@ def load_manifest(path) -> Manifest:
                 p = Path(d[field_name])
                 if not p.is_absolute():
                     d[field_name] = str(base / p)
-            records.append(SampleRecord.from_json_dict(d))
+            records.append(from_json_dict(SampleRecord, d))
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8, JSON and enum values
         raise DataError(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
     return build_manifest(records, head, check_paths=False)

@@ -127,39 +127,6 @@ class SampleRecord:
     def eligible(self) -> bool:
         return self.mapped_emotion is not None and self.mapped_emotion != MappedEmotion.EXCLUDED
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.value,
-            "subject_id": self.subject_id,
-            "clip_id": self.clip_id,
-            "onset_path": self.onset_path,
-            "apex_path": self.apex_path,
-            "raw_emotion": self.raw_emotion,
-            "mapped_emotion": self.mapped_emotion.value if self.mapped_emotion else None,
-            "raw_ethnicity": self.raw_ethnicity.value if self.raw_ethnicity else None,
-            "mapped_ethnicity": self.mapped_ethnicity.value if self.mapped_ethnicity else None,
-            "gender": self.gender.value,
-            "age": self.age,
-            "corrected": self.corrected,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SampleRecord":
-        return cls(
-            dataset=Dataset(d["dataset"]),
-            subject_id=d["subject_id"],
-            clip_id=d["clip_id"],
-            onset_path=d["onset_path"],
-            apex_path=d["apex_path"],
-            raw_emotion=d["raw_emotion"],
-            mapped_emotion=MappedEmotion(d["mapped_emotion"]) if d.get("mapped_emotion") else None,
-            raw_ethnicity=RawEthnicity(d["raw_ethnicity"]) if d.get("raw_ethnicity") else None,
-            mapped_ethnicity=MappedEthnicity(d["mapped_ethnicity"]) if d.get("mapped_ethnicity") else None,
-            gender=Gender(d.get("gender", "unknown")),
-            age=d.get("age"),
-            corrected=bool(d.get("corrected", False)),
-        )
-
 
 def finalize_mappings(records: list[SampleRecord]) -> list[SampleRecord]:
     """Fill mapped_emotion / mapped_ethnicity from the raw labels."""

@@ -33,7 +33,7 @@ from scipy.ndimage import gaussian_filter, map_coordinates
 
 from ..errors import ConfigError
 from ..flowcore import write_pgm
-from ..runutil import atomic_write_text, derived_rng
+from ..runutil import atomic_write_text, derived_rng, to_json_dict
 from .manifest import Manifest, build_manifest, save_manifest
 from .records import Dataset, Gender, RawEthnicity, SampleRecord, finalize_mappings
 
@@ -198,6 +198,6 @@ def synthesize_desk_corpus(spec: SynthSpec, seed: int, out_dir) -> tuple[Manifes
         provenance={"generator": "synthetic-desk-corpus", "spec": asdict(spec), "seed": int(seed)},
     )
     save_manifest(manifest, out_dir / "manifest.jsonl")
-    truth_lines = [json.dumps(asdict(t), sort_keys=True) for t in truths]
+    truth_lines = [json.dumps(to_json_dict(t), sort_keys=True) for t in truths]
     atomic_write_text(out_dir / "truth.jsonl", "\n".join(truth_lines) + "\n")
     return manifest, truths

@@ -9,7 +9,7 @@ texture). Branches never share weights.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 
@@ -138,24 +138,3 @@ class ModelConfig:
             ethnic_conv=EncoderConfig(stage_widths=(2, 3), feature_dim=4),
             texture=PatchEncoderConfig(patch_size=8, embed_dim=6, n_blocks=2, n_heads=2, feature_dim=4),
         )
-
-
-_NESTED = {"EncoderConfig": EncoderConfig, "PatchEncoderConfig": PatchEncoderConfig}  # by field annotation
-
-
-def config_from_dict(cls, d: dict):
-    """Rebuild a config dataclass from its `dataclasses.asdict` form.
-
-    Every field is required (a missing one raises KeyError, a non-object
-    TypeError); nested encoder configs are rebuilt and tuple fields, which
-    JSON stores as lists, become tuples again.
-    """
-    kwargs = {}
-    for f in fields(cls):
-        value = d[f.name]
-        if f.type in _NESTED:
-            value = config_from_dict(_NESTED[f.type], value)
-        elif f.type.startswith("tuple"):
-            value = tuple(value)
-        kwargs[f.name] = value
-    return cls(**kwargs)

@@ -10,14 +10,13 @@ machines). Extraction is a pure function of the input.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import asdict
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..runutil import derived_rng
+from ..runutil import derived_rng, from_json_dict, to_json_dict
 from .autodiff import Tensor
-from .config import EncoderConfig, config_from_dict
+from .config import EncoderConfig
 from .network import INPUT_CENTER, encode_conv
 from .params import ParamSet, _conv_stack, check_layout, read_meck, write_meck
 
@@ -42,13 +41,13 @@ class FrozenEncoder:
         def decode(header):
             if header.get("kind") != _KIND:
                 raise ConfigError(f"{path}: not a frozen-encoder checkpoint")
-            return config_from_dict(EncoderConfig, header["config"])
+            return from_json_dict(EncoderConfig, header["config"])
 
         config, params = read_meck(path, decode, lambda config: _frozen_param_set(config, seed=0))
         return cls(config, params, origin=f"file:{path}")
 
     def save(self, path) -> None:
-        write_meck(path, {"kind": _KIND, "config": asdict(self.config)}, self.params)
+        write_meck(path, {"kind": _KIND, "config": to_json_dict(self.config)}, self.params)
 
 
 def _frozen_param_set(config: EncoderConfig, seed: int) -> ParamSet:

@@ -7,7 +7,7 @@ Checkpoint layout (MECK1, little-endian):
     header JSON, one of
         model checkpoint: {"config": <ModelConfig>, "variant": ..., "tensors": [...]}
         frozen encoder:   {"kind": "frozen_encoder", "config": <EncoderConfig>, "tensors": [...]}
-    where each config is its dataclasses.asdict form and "tensors" lists
+    where each config is its runutil.to_json_dict form and "tensors" lists
     {"name", "shape"} per tensor
     concatenated row-major float64 tensor data, in header order, and
     nothing after it; this is ParamSet.flat as written
@@ -20,7 +20,6 @@ import math
 import struct
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import asdict
 from functools import cached_property
 from itertools import zip_longest
 from pathlib import Path
@@ -29,9 +28,9 @@ from types import MappingProxyType
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..runutil import atomic_write_bytes, derived_rng
+from ..runutil import atomic_write_bytes, derived_rng, from_json_dict, to_json_dict
 from .autodiff import Tensor
-from .config import ModelConfig, N_EMOTIONS, N_ETHNICITIES, Variant, config_from_dict
+from .config import ModelConfig, N_EMOTIONS, N_ETHNICITIES, Variant
 
 _MAGIC = b"MECK1\n"
 
@@ -203,14 +202,14 @@ def read_meck(path, decode, reference):
 
 
 def save_checkpoint(path, params: ParamSet, config: ModelConfig, variant: Variant) -> None:
-    write_meck(path, {"config": asdict(config), "variant": variant.value}, params)
+    write_meck(path, {"config": to_json_dict(config), "variant": variant.value}, params)
 
 
 def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant]:
     def decode(header):
         if "kind" in header:
             raise ConfigError(f"{path}: a {header['kind']!r} file, not a model checkpoint")
-        return config_from_dict(ModelConfig, header["config"]), Variant(header["variant"])
+        return from_json_dict(ModelConfig, header["config"]), Variant(header["variant"])
 
     (config, variant), params = read_meck(path, decode, lambda decoded: init_params(*decoded, seed=0))
     return params, config, variant

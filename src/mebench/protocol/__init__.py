@@ -1,5 +1,5 @@
 from .folds import FoldPlan, plan_loso
-from .metrics import ConfusionMatrix, FoldResult, MetricsReport, aggregate_folds, macro_f1
+from .metrics import ConfusionMatrix, FoldResult, aggregate_folds, macro_f1
 from .forest import ForestConfig, ForestModel, forest_predict, forest_predict_batch, forest_train
 from .primafacie import (
     PrimaFacieReport,
@@ -19,7 +19,6 @@ __all__ = [
     "plan_loso",
     "ConfusionMatrix",
     "FoldResult",
-    "MetricsReport",
     "aggregate_folds",
     "macro_f1",
     "ForestConfig",

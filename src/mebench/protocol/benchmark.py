@@ -176,13 +176,13 @@ def run_loso_variant(
         )
         for fold in plans
     ]
-    report = aggregate_folds(fold_results)
+    per_class_f1, average_mf1 = aggregate_folds(fold_results)
     row = VariantRow(
         variant=variant.value,
         ethnic_context=variant.has_ethnic_branch,
         representation=variant.ethnicity_representation,
-        per_class_f1=report.per_class_f1,
-        average_mf1=report.macro,
+        per_class_f1=per_class_f1,
+        average_mf1=average_mf1,
         epochs=train_config.epochs,
     )
     return row, fold_results

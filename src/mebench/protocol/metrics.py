@@ -70,20 +70,11 @@ class FoldResult:
     confusion: ConfusionMatrix
 
 
-@dataclass
-class MetricsReport:
-    classes: tuple[str, ...]
-    per_class_f1: dict
-    macro: float
-
-
-def aggregate_folds(fold_results: list[FoldResult]) -> MetricsReport:
-    """Pool confusions across folds, then score once."""
+def aggregate_folds(fold_results: list[FoldResult]) -> tuple[dict, float]:
+    """Pool confusions across folds, then score once: macro_f1 of the pooled matrix."""
     if not fold_results:
         raise DataError("no fold results to aggregate")
-    classes = fold_results[0].confusion.classes
-    pooled = ConfusionMatrix(classes)
+    pooled = ConfusionMatrix(fold_results[0].confusion.classes)
     for result in fold_results:
         pooled = pooled + result.confusion
-    per_class, macro = macro_f1(pooled)
-    return MetricsReport(classes=classes, per_class_f1=per_class, macro=macro)
+    return macro_f1(pooled)

@@ -206,12 +206,12 @@ def run_scenario(
         np.add.at(counts, (label_arr[test_idx], predictions), 1)
         fold_results.append(FoldResult(fold.held_out_subject, ConfusionMatrix(BINARY_CLASSES, counts)))
 
-    report = aggregate_folds(fold_results)
+    per_class_f1, _ = aggregate_folds(fold_results)
     return ScenarioResult(
         kind=scenario.kind.value,
         seed=scenario.seed,
-        f1_negative=report.per_class_f1["Negative"],
-        f1_nonnegative=report.per_class_f1["NonNegative"],
+        f1_negative=per_class_f1["Negative"],
+        f1_nonnegative=per_class_f1["NonNegative"],
     )
 
 
@@ -221,7 +221,7 @@ def run_prima_facie(
     seeds: list[int],
     forest_config: ForestConfig | None = None,
     scenario_kinds: list[ScenarioKind] | None = None,
-    subject_budget: int = 16,
+    subject_budget: int = PrimaFacieScenario.subject_budget,
     encoder_origin: str = "",
 ) -> PrimaFacieReport:
     """Full study: every scenario at every seed, mean rows across seeds.

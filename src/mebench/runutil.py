@@ -1,5 +1,6 @@
-"""Seed derivation, canonical hashing, atomic file writes, and the cache
-and job fan-out shared by the OFI sidecars and the LOSO fold checkpoints.
+"""Seed derivation, canonical hashing, atomic file writes, the JSON form
+of every persisted dataclass, and the cache and job fan-out shared by the
+OFI sidecars and the LOSO fold checkpoints.
 
 All randomness in a run flows from one root seed, fanned out by labeled
 derivation: derive_seed(root, *labels) hashes "root|label|..." with
@@ -9,10 +10,15 @@ which are platform-stable.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import hashlib
 import json
 import os
 import tempfile
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +62,44 @@ def read_json_object(path) -> dict | None:
     except (FileNotFoundError, ValueError):  # ValueError covers bad UTF-8 and bad JSON
         return None
     return obj if isinstance(obj, dict) else None
+
+
+def to_json_dict(obj) -> dict:
+    """`dataclasses.asdict` of a dataclass, with each enum member written as its value."""
+    return dataclasses.asdict(
+        obj, dict_factory=lambda items: {k: v.value if isinstance(v, enum.Enum) else v for k, v in items}
+    )
+
+
+def from_json_dict(cls, d: dict):
+    """Rebuild a dataclass from its `to_json_dict` form, by the resolved
+    field types: nested dataclasses, enum members (from their values) and
+    `Optional[...]` fields are rebuilt, and tuples, which JSON stores as
+    lists, become tuples again. Every field is required: a missing one
+    raises KeyError, a non-object TypeError, a bad enum value ValueError."""
+    return cls(**{name: read(d[name]) for name, read in _field_readers(cls)})
+
+
+@functools.cache
+def _field_readers(cls) -> tuple:
+    """(name, reader) of each field of a dataclass; reader maps the JSON value to the field value."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, _reader(hints[f.name])) for f in dataclasses.fields(cls))
+
+
+def _reader(tp):
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):  # Optional[X]
+        (inner,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+        read = _reader(inner)
+        return lambda value: None if value is None else read(value)
+    if origin is tuple:
+        return tuple
+    if dataclasses.is_dataclass(tp):
+        return functools.partial(from_json_dict, tp)
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return tp
+    return lambda value: value
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:

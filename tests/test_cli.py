@@ -11,10 +11,12 @@ import pytest
 import mebench
 from mebench import cli
 from mebench.cli import _workers, main
-from mebench.corpus import load_manifest
-from mebench.model import ModelConfig, ParamSet, Variant, init_params, save_checkpoint
+from mebench.corpus import SynthSpec, load_manifest
+from mebench.flowcore import FlowParams
+from mebench.model import EncoderConfig, ModelConfig, ParamSet, TrainConfig, Variant, init_params, save_checkpoint
 from mebench.model.config import ETHNICITY_CLASSES
 from mebench.pipeline import flow_image_path
+from mebench.protocol import ForestConfig, PrimaFacieScenario, ScenarioKind
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,23 @@ def synth_run(tmp_path_factory):
         main(["flow", "--manifest", str(corpus / "manifest.jsonl"), "--out", str(flows)]) == 0
     )
     return root, corpus, flows
+
+
+@pytest.fixture(scope="module")
+def loso_run(synth_run):
+    """Output directory of one dual_motion LOSO run on the shared corpus: its
+    fold checkpoints under folds/ and its full-data model_dual_motion.meck."""
+    root, corpus, flows = synth_run
+    out = root / "loso_run"
+    assert main(_loso_argv(corpus, flows, out)) == 0
+    return out
+
+
+def _loso_argv(corpus, flows, out):
+    return [
+        "loso", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows), "--out", str(out),
+        "--variants", "dual_motion", "--image-size", "32", "--batch-size", "2", "--seed", "7",
+    ]
 
 
 class TestManifestCommand:
@@ -153,6 +172,12 @@ _RECORD = {
     "onset_path": "f.pgm",
     "apex_path": "f.pgm",
     "raw_emotion": "fear",
+    "mapped_emotion": "Negative",
+    "raw_ethnicity": "Asian",
+    "mapped_ethnicity": "Asian",
+    "gender": "male",
+    "age": 30,
+    "corrected": False,
 }
 
 
@@ -168,6 +193,7 @@ def _manifest_bytes(record):
         ("--manifest", b"[1, 2]\n", 3),
         ("--manifest", _manifest_bytes({k: v for k, v in _RECORD.items() if k != "onset_path"}), 3),
         ("--manifest", _manifest_bytes({**_RECORD, "dataset": "NOPE"}), 3),
+        ("--manifest", _manifest_bytes({k: v for k, v in _RECORD.items() if k != "gender"}), 3),
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,\xff\xfe\n", 3),
         ("--ledger", b"\xff\xfe\n", 2),
         ("--ledger", b"[1, 2]\n", 2),
@@ -178,8 +204,8 @@ def _manifest_bytes(record):
         ("--predictor-table", b'["01", "Asian"]', 2),
     ],
     ids=["manifest-not-utf8", "manifest-bad-json", "manifest-list-head", "manifest-no-onset", "manifest-bad-dataset",
-         "index-not-utf8", "ledger-not-utf8", "ledger-list-rule", "table-bad-json", "table-unknown-ethnicity",
-         "table-short-entry", "table-object-entry", "table-not-object"],
+         "manifest-no-gender", "index-not-utf8", "ledger-not-utf8", "ledger-list-rule", "table-bad-json",
+         "table-unknown-ethnicity", "table-short-entry", "table-object-entry", "table-not-object"],
 )
 def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, code):
     from mebench.flowcore import write_pgm
@@ -213,6 +239,28 @@ def test_thread_count_defaults_to_one(monkeypatch):
     assert _workers() == 1
     monkeypatch.setenv("MEBENCH_THREADS", "2")
     assert _workers() == 2
+
+
+def test_bare_commands_build_the_dataclass_defaults():
+    parse = cli.build_parser().parse_args
+    args = parse(["manifest", "--out", "o", "--synth"])
+    spec = SynthSpec(
+        subjects_per_group=args.subjects_per_group,
+        clips_per_subject=args.clips_per_subject,
+        image_size=args.image_size,
+        shift_strength=args.shift_strength,
+    )
+    assert spec == SynthSpec()
+    assert cli._flow_params(parse(["flow", "--manifest", "m", "--out", "o"])) == FlowParams()
+    args = parse(["loso", "--manifest", "m", "--flow-dir", "f", "--out", "o"])
+    assert cli._model_config(args) == ModelConfig()
+    train = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr, lr_gamma=args.lr_gamma)
+    assert train == TrainConfig()
+    args = parse(["prima-facie", "--manifest", "m", "--flow-dir", "f", "--out", "o"])
+    assert ForestConfig(n_trees=args.trees, max_depth=args.depth) == ForestConfig()
+    assert EncoderConfig(feature_dim=args.feature_dim) == EncoderConfig()
+    scenario = PrimaFacieScenario(ScenarioKind.MIXED, subject_budget=args.budget)
+    assert scenario == PrimaFacieScenario(ScenarioKind.MIXED)
 
 
 class TestFlowCommand:
@@ -352,9 +400,9 @@ class TestPrimaFacieCommand:
 
 
 class TestGradcamCommand:
-    def test_maps_grouped_and_deterministic(self, synth_run):
+    def test_maps_grouped_and_deterministic(self, synth_run, loso_run):
         root, corpus, flows = synth_run
-        ckpt = root / "loso1" / "model_dual_motion.meck"
+        ckpt = loso_run / "model_dual_motion.meck"
         out = root / "cams"
         code = main(
             [
@@ -377,9 +425,9 @@ class TestGradcamCommand:
         # 3+3 subjects x 1 positive + 1 surprise clip each
         assert len(pgms) == 12
 
-    def test_unknown_class_is_config_error(self, synth_run):
+    def test_unknown_class_is_config_error(self, synth_run, loso_run):
         root, corpus, flows = synth_run
-        ckpt = root / "loso1" / "model_dual_motion.meck"
+        ckpt = loso_run / "model_dual_motion.meck"
         code = main(
             [
                 "gradcam",
@@ -482,22 +530,6 @@ class TestReportCommand:
         assert str(sidecar) in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def loso_folds(synth_run):
-    """Fold checkpoints of one dual_motion LOSO run on the shared corpus."""
-    root, corpus, flows = synth_run
-    out = root / "loso_folds"
-    assert main(_loso_argv(corpus, flows, out)) == 0
-    return out / "folds"
-
-
-def _loso_argv(corpus, flows, out):
-    return [
-        "loso", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows), "--out", str(out),
-        "--variants", "dual_motion", "--image-size", "32", "--batch-size", "2", "--seed", "7",
-    ]
-
-
 _DROP = object()  # deletes a field in a damage spec
 
 
@@ -541,7 +573,7 @@ def _damaged(intact: bytes, damage) -> bytes:
          "sidecar-fraction-ints", "fold-truncated", "fold-list", "fold-no-counts", "fold-counts-2x3",
          "fold-counts-3x2", "fold-counts-negative", "fold-counts-float", "fold-counts-bool", "fold-counts-string"],
 )
-def test_damaged_cache_entry_is_recomputed(synth_run, loso_folds, tmp_path, entry, damage):
+def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, entry, damage):
     _, corpus, flows = synth_run
     flow_dir = tmp_path / "flows"
     shutil.copytree(flows, flow_dir)
@@ -551,7 +583,7 @@ def test_damaged_cache_entry_is_recomputed(synth_run, loso_folds, tmp_path, entr
     else:
         out = tmp_path / "loso"
         argv = _loso_argv(corpus, flow_dir, out)
-        shutil.copytree(loso_folds, out / "folds")
+        shutil.copytree(loso_run / "folds", out / "folds")
         target = sorted((out / "folds").glob("fold_dual_motion_*.json"))[0]
     intact = target.read_bytes()
     target.write_bytes(_damaged(intact, damage))

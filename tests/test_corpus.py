@@ -36,6 +36,7 @@ from mebench.corpus.corrections import StaleRuleWarning
 from mebench.corpus.manifest import DanglingPathError, DuplicateKeyError, MissingColumnError
 from mebench.errors import DataError
 from mebench.flowcore import GrayFrame, write_pgm
+from mebench.runutil import from_json_dict, to_json_dict
 
 
 def make_record(subject="s01", clip="c01", emotion="happiness", ethnicity=RawEthnicity.ASIAN, dataset=Dataset.SYNTH):
@@ -304,6 +305,37 @@ class TestManifest:
         back = load_manifest(out)
         assert [r.key for r in back.records] == [r.key for r in manifest.records]
         assert [r.mapped_emotion for r in back.records] == [r.mapped_emotion for r in manifest.records]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(
+            SampleRecord,
+            dataset=st.sampled_from(list(Dataset)),
+            subject_id=st.text(),
+            clip_id=st.text(),
+            onset_path=st.text(),
+            apex_path=st.text(),
+            raw_emotion=st.text(),
+            mapped_emotion=st.none() | st.sampled_from(list(MappedEmotion)),
+            raw_ethnicity=st.none() | st.sampled_from(list(RawEthnicity)),
+            mapped_ethnicity=st.none() | st.sampled_from(list(MappedEthnicity)),
+            gender=st.sampled_from(list(Gender)),
+            age=st.none() | st.integers(0, 120),
+            corrected=st.booleans(),
+        )
+    )
+    def test_record_json_round_trip(self, record):
+        assert from_json_dict(SampleRecord, json.loads(json.dumps(to_json_dict(record)))) == record
+
+    def test_record_json_form_is_strict(self):
+        d = to_json_dict(finalize_mappings([make_record()])[0])
+        assert d["mapped_emotion"] == "Positive" and d["gender"] == "unknown" and d["age"] is None
+        with pytest.raises(KeyError):
+            from_json_dict(SampleRecord, {k: v for k, v in d.items() if k != "gender"})
+        with pytest.raises(TypeError):
+            from_json_dict(SampleRecord, list(d))
+        with pytest.raises(ValueError):
+            from_json_dict(SampleRecord, {**d, "raw_ethnicity": "Martian"})
 
 
 # ---------------------------------------------------------------- distribution

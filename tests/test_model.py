@@ -46,6 +46,7 @@ from mebench.model.autodiff import Tensor
 from mebench.model.losses import LossBreakdown
 from mebench.model.network import INPUT_CENTER, encode_conv, encode_patches, fuse_features
 from mebench.model.training import batch_loss_graph
+from mebench.runutil import from_json_dict, to_json_dict
 
 
 def assert_bits_equal(got, ref):
@@ -830,6 +831,12 @@ class TestCheckpoint:
         assert loaded_variant == Variant.DUAL_MOTION
         assert loaded_config == config
         assert params.layout == loaded.layout and np.array_equal(params.flat, loaded.flat)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 8))
+    def test_config_json_round_trip(self, patches_per_side):
+        config = ModelConfig.toy(8 * patches_per_side)
+        assert from_json_dict(ModelConfig, json.loads(json.dumps(to_json_dict(config)))) == config
 
     def test_model_checkpoint_bytes_are_pinned(self, tmp_path):
         # fixed tensors, not init_params, so the digest does not depend on numpy's RNG

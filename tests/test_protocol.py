@@ -191,21 +191,21 @@ class TestMacroF1:
 class TestAggregateFolds:
     def test_single_fold_identity(self):
         result = FoldResult("S1", hand_binary_confusion())
-        report = aggregate_folds([result])
+        per_class_f1, macro_pooled = aggregate_folds([result])
         per_class, macro = macro_f1(hand_binary_confusion())
-        assert report.per_class_f1 == per_class
-        assert report.macro == macro
+        assert per_class_f1 == per_class
+        assert macro_pooled == macro
 
     def test_two_folds_pool_to_hand_example(self):
         half_a = ConfusionMatrix(BINARY_CLASSES, np.array([[2, 0], [1, 1]]))
         half_b = ConfusionMatrix(BINARY_CLASSES, np.array([[1, 1], [1, 1]]))
-        report = aggregate_folds([FoldResult("S1", half_a), FoldResult("S2", half_b)])
-        assert abs(report.macro - (2 / 3 + 4 / 7) / 2) < 1e-9
+        _, macro = aggregate_folds([FoldResult("S1", half_a), FoldResult("S2", half_b)])
+        assert abs(macro - (2 / 3 + 4 / 7) / 2) < 1e-9
 
     def test_fold_order_irrelevant(self):
         a = FoldResult("S1", ConfusionMatrix(BINARY_CLASSES, np.array([[2, 0], [1, 1]])))
         b = FoldResult("S2", ConfusionMatrix(BINARY_CLASSES, np.array([[1, 1], [1, 1]])))
-        assert aggregate_folds([a, b]).macro == aggregate_folds([b, a]).macro
+        assert aggregate_folds([a, b])[1] == aggregate_folds([b, a])[1]
 
     def test_class_mismatch(self):
         a = FoldResult("S1", ConfusionMatrix(("x", "y")))
