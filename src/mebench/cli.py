@@ -39,7 +39,7 @@ from .corpus import (
     synthesize_desk_corpus,
 )
 from .errors import ConfigError, DataError, MebenchError
-from .flowcore import FlowParams, load_frame
+from .flowcore import FlowParams, load_frame, write_pgm
 from .model import (
     EncoderConfig,
     FrozenEncoder,
@@ -51,7 +51,6 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
     train_fold,
-    export_activation_map,
 )
 from .model.training import _batch_inputs
 from .pipeline import (
@@ -60,7 +59,16 @@ from .pipeline import (
     load_train_samples,
     materialize_flow_images,
 )
-from .protocol import ForestConfig, PrimaFacieScenario, ScenarioKind, run_benchmark, run_prima_facie
+from .protocol import (
+    BENCHMARK_COLUMNS,
+    PRIMA_FACIE_COLUMNS,
+    ForestConfig,
+    PrimaFacieScenario,
+    ScenarioKind,
+    render_table,
+    run_loso_variant,
+    run_prima_facie,
+)
 from .runutil import atomic_write_text, derive_seed, hash_file, read_json_object, stable_hash, to_json_dict
 
 EXIT_OK = 0
@@ -90,12 +98,13 @@ def _write_provenance(out_dir: Path, command: str, payload: dict, manifest_path=
     atomic_write_text(out_dir / "provenance.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_report(out_dir: Path, stem: str, report) -> None:
-    """Write a report's .tsv, .md and .json artifacts under out_dir and print its markdown."""
-    markdown = report.to_markdown()
-    atomic_write_text(out_dir / f"{stem}.tsv", report.to_tsv() + "\n")
+def _write_report(out_dir: Path, stem: str, result: dict, columns: tuple) -> None:
+    """Write a study's result record as <stem>.json, the .md and .tsv tables
+    rendered from its "rows", and print the markdown."""
+    markdown, tsv = render_table(result["rows"], columns)
+    atomic_write_text(out_dir / f"{stem}.tsv", tsv + "\n")
     atomic_write_text(out_dir / f"{stem}.md", markdown + "\n")
-    atomic_write_text(out_dir / f"{stem}.json", json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    atomic_write_text(out_dir / f"{stem}.json", json.dumps(result, sort_keys=True, indent=2) + "\n")
     print(markdown)
 
 
@@ -284,17 +293,14 @@ def cmd_loso(args) -> int:
     if checkpoint_dir is not None:
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
-    report = run_benchmark(
-        manifest,
-        variants,
-        model_config,
-        train_config,
-        args.flow_dir,
-        seed=args.seed,
-        checkpoint_dir=checkpoint_dir,
-        workers=_workers(),
-    )
-    _write_report(out_dir, "benchmark", report)
+    workers = _workers()
+    rows = [
+        run_loso_variant(
+            manifest, variant, model_config, train_config, args.flow_dir, args.seed, checkpoint_dir, workers
+        )[0].to_dict()
+        for variant in variants
+    ]
+    _write_report(out_dir, "benchmark", {"rows": rows}, BENCHMARK_COLUMNS)
 
     # full-data checkpoint per variant, for activation-map analysis
     for variant in variants:
@@ -314,7 +320,6 @@ def cmd_loso(args) -> int:
             "variants": [v.value for v in variants],
             "model": asdict(model_config),
             "train": asdict(train_config),
-            "report_hash": report.provenance_hash,
             "deviations": _deviations(train=train_config),
         },
         args.manifest,
@@ -342,7 +347,7 @@ def cmd_prima_facie(args) -> int:
     }
 
     try:
-        kinds = [ScenarioKind(k.strip()) for k in args.scenarios.split(",")] if args.scenarios else None
+        kinds = [ScenarioKind(k.strip()) for k in args.scenarios.split(",")] if args.scenarios else list(ScenarioKind)
     except ValueError as exc:
         raise ConfigError(f"unknown scenario: {exc}") from exc
     forest_config = ForestConfig(n_trees=args.trees, max_depth=args.depth)
@@ -356,7 +361,7 @@ def cmd_prima_facie(args) -> int:
         subject_budget=args.budget,
         encoder_origin=encoder.origin,
     )
-    _write_report(out_dir, "prima_facie", report)
+    _write_report(out_dir, "prima_facie", report.to_json_dict(), PRIMA_FACIE_COLUMNS)
     _write_provenance(
         out_dir,
         "prima-facie",
@@ -364,9 +369,10 @@ def cmd_prima_facie(args) -> int:
             "seed": args.seed,
             "n_seeds": args.seeds,
             "budget": args.budget,
+            "scenarios": [k.value for k in kinds],
             "forest": asdict(forest_config),
             "encoder": encoder.origin,
-            "report_hash": report.provenance_hash,
+            "feature_dim": encoder.config.feature_dim,
             "deviations": {
                 **_deviations(),
                 "frozen_features": "deterministic random-feature fallback unless --encoder-file is given",
@@ -392,34 +398,31 @@ def cmd_gradcam(args) -> int:
 
     records = [r for r in manifest.eligible() if r.mapped_emotion.value in class_filter]
     samples = load_train_samples(records, args.flow_dir, need_rgb=variant.needs_rgb)
-    sidecar_lines = []
+    map_lines = []
     for record, sample in zip(records, samples):
         target = sample.ethnicity if args.branch == "ethnicity" else sample.emotion
         amap = gradcam(params, model_config, variant, _batch_inputs([sample], variant), target, branch=args.branch)
         emotion_name = record.mapped_emotion.value
-        group_dir = out_dir / record.mapped_ethnicity.value / emotion_name
         stem = flow_image_path(args.flow_dir, record).stem
-        export_activation_map(
-            amap,
-            group_dir / f"{stem}.pgm",
-            group_dir / f"{stem}.json",
-            meta={"subject": record.subject_id, "clip": record.clip_id, "emotion": emotion_name},
-        )
-        sidecar_lines.append(
+        write_pgm(out_dir / record.mapped_ethnicity.value / emotion_name / f"{stem}.pgm", amap.overlay)
+        map_lines.append(
             json.dumps(
                 {
                     "sample": stem,
+                    "subject": record.subject_id,
+                    "clip": record.clip_id,
                     "ethnicity": record.mapped_ethnicity.value,
                     "class": emotion_name,
                     "branch": amap.branch,
+                    "target_class": amap.target_class,
                     "argmax_x": amap.argmax_xy[0],
                     "argmax_y": amap.argmax_xy[1],
                 },
                 sort_keys=True,
             )
         )
-    atomic_write_text(out_dir / "maps.jsonl", "\n".join(sidecar_lines) + ("\n" if sidecar_lines else ""))
-    print(f"wrote {len(sidecar_lines)} activation maps grouped by ethnicity under {out_dir}")
+    atomic_write_text(out_dir / "maps.jsonl", "\n".join(map_lines) + ("\n" if map_lines else ""))
+    print(f"wrote {len(map_lines)} activation maps grouped by ethnicity under {out_dir}")
     _write_provenance(
         out_dir,
         "gradcam",
@@ -455,7 +458,7 @@ def cmd_report(args) -> int:
         lines.append(f"## {payload.get('command', '?')} ({rel if str(rel) != '.' else 'run root'})")
         lines.append("")
         lines.append(f"- provenance hash: `{payload.get('provenance_hash', '')}`")
-        for key in ("manifest_hash", "flow_params_hash", "report_hash", "checkpoint_hash", "seed"):
+        for key in ("manifest_hash", "flow_params_hash", "checkpoint_hash", "seed"):
             if key in payload:
                 lines.append(f"- {key}: `{payload[key]}`")
         deviations = payload.get("deviations", {})

@@ -98,7 +98,7 @@ class Manifest:
         return [r for r in self.records if r.eligible]
 
 
-def build_manifest(records: Iterable[SampleRecord], provenance: dict, check_paths: bool = True) -> Manifest:
+def build_manifest(records: Iterable[SampleRecord], provenance: dict) -> Manifest:
     records = list(records)
     seen: dict[tuple[str, str], SampleRecord] = {}
     subject_datasets: dict[str, str] = {}
@@ -112,25 +112,21 @@ def build_manifest(records: Iterable[SampleRecord], provenance: dict, check_path
                 f"subject_id {rec.subject_id!r} appears in both {prev} and {rec.dataset.value}; "
                 "disambiguate subject ids in the dataset indices"
             )
-        if check_paths:
-            for p in (rec.onset_path, rec.apex_path):
-                if not Path(p).exists():
-                    raise DanglingPathError(f"record {rec.key}: missing frame {p}")
     return Manifest(records=tuple(records), provenance=dict(provenance))
 
 
 def save_manifest(manifest: Manifest, path) -> None:
-    """Frame paths are stored relative to the manifest file, so generated
-    corpora are byte-identical regardless of the output directory."""
+    """Frame paths, absolute or relative to the working directory, are stored
+    relative to the manifest file, which is what load_manifest resolves them
+    against; generated corpora are byte-identical regardless of the output
+    directory."""
     path = Path(path)
     base = path.resolve().parent
     lines = [json.dumps({"type": "provenance", **manifest.provenance}, sort_keys=True)]
     for rec in manifest.records:
         d = to_json_dict(rec)
         for field_name in ("onset_path", "apex_path"):
-            p = Path(d[field_name])
-            if p.is_absolute():
-                d[field_name] = os.path.relpath(p, base)
+            d[field_name] = os.path.relpath(Path(d[field_name]).resolve(), base)
         lines.append(json.dumps(d, sort_keys=True))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -156,7 +152,7 @@ def load_manifest(path) -> Manifest:
             records.append(from_json_dict(SampleRecord, d))
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8, JSON and enum values
         raise DataError(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
-    return build_manifest(records, head, check_paths=False)
+    return build_manifest(records, head)
 
 
 @dataclass(frozen=True)

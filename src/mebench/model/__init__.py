@@ -20,7 +20,7 @@ from .training import (
     train_fold,
 )
 from .features import FrozenEncoder, extract_frozen_features
-from .gradcam import ActivationMap, export_activation_map, gradcam
+from .gradcam import ActivationMap, gradcam
 
 __all__ = [
     "EncoderConfig",
@@ -52,6 +52,5 @@ __all__ = [
     "FrozenEncoder",
     "extract_frozen_features",
     "ActivationMap",
-    "export_activation_map",
     "gradcam",
 ]

@@ -9,15 +9,12 @@ input resolution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..flowcore import write_pgm
 from ..flowcore.hornschunck import bilinear_resize
-from ..runutil import atomic_write_text
 from .config import ModelConfig, Variant
 from .network import ModelInputs, forward
 from .params import ParamSet
@@ -84,19 +81,3 @@ def gradcam(
     h, w = inputs.flow.shape[-2:]
     overlay = np.clip(bilinear_resize(cam, h, w), 0.0, 1.0)
     return ActivationMap(grid=cam, overlay=overlay, target_class=target_class, branch=branch)
-
-
-def export_activation_map(
-    amap: ActivationMap, pgm_path, sidecar_path, meta: dict | None = None
-) -> None:
-    """PGM image plus a JSON-lines sidecar of (class, branch, argmax location)."""
-    write_pgm(pgm_path, amap.overlay)
-    record = {
-        "target_class": amap.target_class,
-        "branch": amap.branch,
-        "argmax_x": amap.argmax_xy[0],
-        "argmax_y": amap.argmax_xy[1],
-    }
-    if meta:
-        record.update(meta)
-    atomic_write_text(sidecar_path, json.dumps(record, sort_keys=True) + "\n")

@@ -1,7 +1,8 @@
 from .folds import FoldPlan, plan_loso
-from .metrics import ConfusionMatrix, FoldResult, aggregate_folds, macro_f1
+from .metrics import ConfusionMatrix, FoldResult, aggregate_folds, macro_f1, render_table
 from .forest import ForestConfig, ForestModel, forest_predict, forest_predict_batch, forest_train
 from .primafacie import (
+    PRIMA_FACIE_COLUMNS,
     PrimaFacieReport,
     PrimaFacieScenario,
     QuotaError,
@@ -12,7 +13,7 @@ from .primafacie import (
     run_scenario,
     sample_prima_facie,
 )
-from .benchmark import BenchmarkReport, VariantRow, run_benchmark, run_loso_variant
+from .benchmark import BENCHMARK_COLUMNS, VariantRow, run_loso_variant
 
 __all__ = [
     "FoldPlan",
@@ -21,11 +22,13 @@ __all__ = [
     "FoldResult",
     "aggregate_folds",
     "macro_f1",
+    "render_table",
     "ForestConfig",
     "ForestModel",
     "forest_predict",
     "forest_predict_batch",
     "forest_train",
+    "PRIMA_FACIE_COLUMNS",
     "PrimaFacieReport",
     "PrimaFacieScenario",
     "QuotaError",
@@ -35,8 +38,7 @@ __all__ = [
     "run_prima_facie",
     "run_scenario",
     "sample_prima_facie",
-    "BenchmarkReport",
+    "BENCHMARK_COLUMNS",
     "VariantRow",
-    "run_benchmark",
     "run_loso_variant",
 ]

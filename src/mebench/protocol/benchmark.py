@@ -9,7 +9,7 @@ entries so interrupted many-fold runs resume instead of restarting.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,17 @@ from ..pipeline import EMOTION_CLASSES, load_train_samples
 from ..runutil import derive_seed, read_cache_entry, run_jobs, stable_hash, write_cache_entry
 from .folds import plan_loso
 from .metrics import ConfusionMatrix, FoldResult, aggregate_folds
+
+
+# (row key, markdown title, tsv title) of each benchmark table column; see metrics.render_table
+BENCHMARK_COLUMNS = (
+    ("variant", "Variant", "variant"),
+    ("motion_context", "Motion Context", None),
+    ("ethnic_context", "Ethnic Context", "ethnic_context"),
+    ("ethnicity_representation", "Ethnicity Representation", "representation"),
+    *((name, name, name) for name in EMOTION_CLASSES),
+    ("average_mf1", "Average MF1", "average_mf1"),
+)
 
 
 @dataclass
@@ -41,45 +52,6 @@ class VariantRow:
             **{k: v for k, v in self.per_class_f1.items()},
             "average_mf1": self.average_mf1,
             "epochs": self.epochs,
-        }
-
-
-@dataclass
-class BenchmarkReport:
-    rows: list = field(default_factory=list)  # VariantRow, in requested order
-    metadata: dict = field(default_factory=dict)
-    provenance_hash: str = ""
-
-    def to_markdown(self) -> str:
-        lines = [
-            "| Variant | Motion Context | Ethnic Context | Ethnicity Representation "
-            "| Negative | Positive | Surprise | Average MF1 |",
-            "|---|---|---|---|---|---|---|---|",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"| {row.variant} | yes | {'yes' if row.ethnic_context else 'no'} "
-                f"| {row.representation} | {row.per_class_f1['Negative']:.4f} "
-                f"| {row.per_class_f1['Positive']:.4f} | {row.per_class_f1['Surprise']:.4f} "
-                f"| {row.average_mf1:.4f} |"
-            )
-        return "\n".join(lines)
-
-    def to_tsv(self) -> str:
-        lines = ["variant\tethnic_context\trepresentation\tNegative\tPositive\tSurprise\taverage_mf1"]
-        for row in self.rows:
-            lines.append(
-                f"{row.variant}\t{int(row.ethnic_context)}\t{row.representation}"
-                f"\t{row.per_class_f1['Negative']:.6f}\t{row.per_class_f1['Positive']:.6f}"
-                f"\t{row.per_class_f1['Surprise']:.6f}\t{row.average_mf1:.6f}"
-            )
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "metadata": self.metadata,
-            "provenance_hash": self.provenance_hash,
         }
 
 
@@ -186,31 +158,3 @@ def run_loso_variant(
         epochs=train_config.epochs,
     )
     return row, fold_results
-
-
-def run_benchmark(
-    manifest: Manifest,
-    variants: list[Variant],
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    flow_dir,
-    seed: int,
-    checkpoint_dir=None,
-    workers: int = 1,
-) -> BenchmarkReport:
-    """All requested variants, rows in the requested order."""
-    metadata = {
-        "variants": [v.value for v in variants],
-        "model": asdict(model_config),
-        "train": asdict(train_config),
-        "seed": seed,
-    }
-    report = BenchmarkReport(
-        metadata=metadata, provenance_hash=stable_hash({**metadata, "manifest": manifest.provenance})
-    )
-    for variant in variants:
-        row, _ = run_loso_variant(
-            manifest, variant, model_config, train_config, flow_dir, seed, checkpoint_dir, workers
-        )
-        report.rows.append(row)
-    return report

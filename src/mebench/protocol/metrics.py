@@ -37,9 +37,6 @@ class ConfusionMatrix:
             if (self.counts < 0).any():
                 raise DataError("negative confusion counts")
 
-    def add(self, actual: str, predicted: str, weight: int = 1) -> None:
-        self.counts[self.classes.index(actual), self.classes.index(predicted)] += weight
-
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         if self.classes != other.classes:
             raise DataError(f"class sets differ: {self.classes} vs {other.classes}")
@@ -78,3 +75,24 @@ def aggregate_folds(fold_results: list[FoldResult]) -> tuple[dict, float]:
     for result in fold_results:
         pooled = pooled + result.confusion
     return macro_f1(pooled)
+
+
+def render_table(rows: list[dict], columns: tuple) -> tuple[str, str]:
+    """(markdown, tsv) tables of rows. Each column is (row key, markdown
+    title, tsv title); a tsv title of None leaves the column out of the
+    TSV. Floats show 4 decimals in markdown and 6 in TSV, booleans
+    yes/no and 0/1, anything else its str()."""
+
+    def cell(value, markdown: bool) -> str:
+        if isinstance(value, bool):
+            return ("yes" if value else "no") if markdown else str(int(value))
+        if isinstance(value, float):
+            return f"{value:.4f}" if markdown else f"{value:.6f}"
+        return str(value)
+
+    markdown = ["| " + " | ".join(title for _, title, _ in columns) + " |", "|" + "---|" * len(columns)]
+    markdown += ["| " + " | ".join(cell(row[key], True) for key, _, _ in columns) + " |" for row in rows]
+    tsv_columns = [(key, title) for key, _, title in columns if title is not None]
+    tsv = ["\t".join(title for _, title in tsv_columns)]
+    tsv += ["\t".join(cell(row[key], False) for key, _ in tsv_columns) for row in rows]
+    return "\n".join(markdown), "\n".join(tsv)

@@ -12,14 +12,14 @@ table cannot show.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..corpus import Manifest, MappedEmotion, MappedEthnicity, SampleRecord
 from ..errors import ConfigError, DataError
 from ..pipeline import BINARY_CLASSES, sample_key
-from ..runutil import derive_seed, derived_rng, stable_hash
+from ..runutil import derive_seed, derived_rng
 from .folds import plan_loso
 from .forest import ForestConfig, forest_predict_batch, forest_train
 from .metrics import ConfusionMatrix, FoldResult, aggregate_folds
@@ -110,6 +110,15 @@ class ScenarioResult:
         }
 
 
+# (row key, markdown title, tsv title) of each prima facie table column; see metrics.render_table
+PRIMA_FACIE_COLUMNS = (
+    ("kind", "Train/Test", "scenario"),
+    *((name, {"NonNegative": "Non-negative"}.get(name, name), name) for name in BINARY_CLASSES),
+    *((key, key.replace("_", " "), key) for key in ("Average", "Average_min", "Average_max", "Average_std")),
+    ("n_seeds", "Seeds", "n_seeds"),
+)
+
+
 @dataclass
 class PrimaFacieReport:
     """Rows AsianOnly / NonAsianOnly / Mixed; columns Negative / NonNegative / Average.
@@ -119,9 +128,7 @@ class PrimaFacieReport:
     """
 
     per_seed: list = field(default_factory=list)  # ScenarioResult
-    forest_config: dict = field(default_factory=dict)
     encoder_origin: str = ""
-    provenance_hash: str = ""
 
     def mean_rows(self) -> list[dict]:
         rows = []
@@ -146,35 +153,11 @@ class PrimaFacieReport:
             )
         return rows
 
-    def to_markdown(self) -> str:
-        lines = [
-            "| Train/Test | Negative | Non-negative | Average | Average min | Average max | Average std | Seeds |",
-            "|---|---|---|---|---|---|---|---|",
-        ]
-        for row in self.mean_rows():
-            lines.append(
-                f"| {row['kind']} | {row['Negative']:.4f} | {row['NonNegative']:.4f} | {row['Average']:.4f}"
-                f" | {row['Average_min']:.4f} | {row['Average_max']:.4f} | {row['Average_std']:.4f}"
-                f" | {row['n_seeds']} |"
-            )
-        return "\n".join(lines)
-
-    def to_tsv(self) -> str:
-        lines = ["scenario\tNegative\tNonNegative\tAverage\tAverage_min\tAverage_max\tAverage_std\tn_seeds"]
-        for row in self.mean_rows():
-            lines.append(
-                f"{row['kind']}\t{row['Negative']:.6f}\t{row['NonNegative']:.6f}\t{row['Average']:.6f}"
-                f"\t{row['Average_min']:.6f}\t{row['Average_max']:.6f}\t{row['Average_std']:.6f}\t{row['n_seeds']}"
-            )
-        return "\n".join(lines)
-
     def to_json_dict(self) -> dict:
         return {
             "rows": self.mean_rows(),
             "per_seed": [r.to_dict() for r in self.per_seed],
-            "forest_config": self.forest_config,
             "encoder_origin": self.encoder_origin,
-            "provenance_hash": self.provenance_hash,
         }
 
 
@@ -233,17 +216,7 @@ def run_prima_facie(
         raise ConfigError("prima facie needs at least one seed")
     forest_config = forest_config or ForestConfig()
     kinds = scenario_kinds or list(ScenarioKind)
-    metadata = {
-        "forest": asdict(forest_config),
-        "seeds": list(seeds),
-        "budget": subject_budget,
-        "kinds": [k.value for k in kinds],
-    }
-    report = PrimaFacieReport(
-        forest_config=metadata["forest"],
-        encoder_origin=encoder_origin,
-        provenance_hash=stable_hash({**metadata, "manifest": manifest.provenance}),
-    )
+    report = PrimaFacieReport(encoder_origin=encoder_origin)
     for seed in seeds:
         for kind in kinds:
             scenario = PrimaFacieScenario(kind=kind, subject_budget=subject_budget, seed=seed)

@@ -76,7 +76,10 @@ def from_json_dict(cls, d: dict):
     field types: nested dataclasses, enum members (from their values) and
     `Optional[...]` fields are rebuilt, and tuples, which JSON stores as
     lists, become tuples again. Every field is required: a missing one
-    raises KeyError, a non-object TypeError, a bad enum value ValueError."""
+    raises KeyError, a bad enum value ValueError, and a non-object or a
+    value of the wrong type TypeError. int, str and bool fields take only
+    their own type (a bool is not an int); a float field also takes an
+    int, stored as a float."""
     return cls(**{name: read(d[name]) for name, read in _field_readers(cls)})
 
 
@@ -93,13 +96,25 @@ def _reader(tp):
         (inner,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
         read = _reader(inner)
         return lambda value: None if value is None else read(value)
-    if origin is tuple:
-        return tuple
+    if origin is tuple:  # tuple[X, ...]
+        read = _reader(typing.get_args(tp)[0])
+        return lambda value: tuple(read(v) for v in _checked(value, list))
+    if tp is float:
+        return lambda value: float(_checked(value, (int, float)))
+    if tp in (int, str, bool):
+        return functools.partial(_checked, expected=tp)
     if dataclasses.is_dataclass(tp):
         return functools.partial(from_json_dict, tp)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         return tp
     return lambda value: value
+
+
+def _checked(value, expected):
+    """value itself when it is an instance of expected and not a bool standing in for a number, else TypeError."""
+    if not isinstance(value, expected) or (isinstance(value, bool) and expected is not bool):
+        raise TypeError(f"expected {expected}, got {type(value).__name__} {value!r}")
+    return value
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:

@@ -210,7 +210,7 @@ def test_c06_protocol_invariants():
                 )
             )
     records = finalize_mappings(records)
-    manifest = build_manifest(records, {"seed": 0}, check_paths=False)
+    manifest = build_manifest(records, {"seed": 0})
 
     plans = plan_loso(manifest.eligible())
     assert len(plans) == 54

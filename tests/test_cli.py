@@ -155,6 +155,24 @@ class TestManifestCommand:
         attrs = {r.subject_id: (r.raw_ethnicity.value, r.gender.value, r.age) for r in records}
         assert attrs == {"01": ("Asian", "male", 30), "02": ("Others", "unknown", 0)}
 
+    @pytest.mark.parametrize("source", ["synth", "index"])
+    def test_relative_paths_round_trip(self, tmp_path, monkeypatch, source):
+        # frame paths relative to the working directory are stored relative to the manifest
+        from mebench.flowcore import write_pgm
+
+        monkeypatch.chdir(tmp_path)
+        if source == "synth":
+            argv = ["--synth", "--subjects-per-group", "1", "--clips-per-subject", "1", "--image-size", "32"]
+        else:
+            write_pgm("data/fr/f.pgm", np.zeros((32, 32)))
+            Path("data/index.csv").write_text("subject,clip,onset,apex,emotion\n01,a,fr/f.pgm,fr/f.pgm,fear\n")
+            Path("attrs.json").write_text(json.dumps({"01": "Asian"}))
+            argv = ["--casme2", "data/index.csv", "--predictor-table", "attrs.json"]
+        assert main(["manifest", "--out", "rel", *argv]) == 0
+        assert main(["flow", "--manifest", "rel/manifest.jsonl", "--out", "flows"]) == 0
+        assert main(["manifest", "--out", str(tmp_path / "abs"), *argv]) == 0
+        assert Path("rel/manifest.jsonl").read_bytes() == Path("abs/manifest.jsonl").read_bytes()
+
     def test_no_inputs_is_config_error(self, tmp_path):
         assert main(["manifest", "--out", str(tmp_path / "x")]) == 2
 
@@ -194,6 +212,8 @@ def _manifest_bytes(record):
         ("--manifest", _manifest_bytes({k: v for k, v in _RECORD.items() if k != "onset_path"}), 3),
         ("--manifest", _manifest_bytes({**_RECORD, "dataset": "NOPE"}), 3),
         ("--manifest", _manifest_bytes({k: v for k, v in _RECORD.items() if k != "gender"}), 3),
+        ("--manifest", _manifest_bytes({**_RECORD, "age": "x"}), 3),
+        ("--manifest", _manifest_bytes({**_RECORD, "corrected": "yes"}), 3),
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,\xff\xfe\n", 3),
         ("--ledger", b"\xff\xfe\n", 2),
         ("--ledger", b"[1, 2]\n", 2),
@@ -204,8 +224,9 @@ def _manifest_bytes(record):
         ("--predictor-table", b'["01", "Asian"]', 2),
     ],
     ids=["manifest-not-utf8", "manifest-bad-json", "manifest-list-head", "manifest-no-onset", "manifest-bad-dataset",
-         "manifest-no-gender", "index-not-utf8", "ledger-not-utf8", "ledger-list-rule", "table-bad-json",
-         "table-unknown-ethnicity", "table-short-entry", "table-object-entry", "table-not-object"],
+         "manifest-no-gender", "manifest-age-string", "manifest-corrected-string", "index-not-utf8",
+         "ledger-not-utf8", "ledger-list-rule", "table-bad-json", "table-unknown-ethnicity", "table-short-entry",
+         "table-object-entry", "table-not-object"],
 )
 def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, code):
     from mebench.flowcore import write_pgm
@@ -384,6 +405,17 @@ class TestPrimaFacieCommand:
         assert [r["kind"] for r in rows] == ["Mixed"]
         assert rows[0]["n_seeds"] == 2
 
+    def test_provenance_records_scenarios_and_feature_dim(self, synth_run):
+        root, corpus, flows = synth_run
+        hashes = []
+        for name, extra in (("base", []), ("dim", ["--feature-dim", "16"]), ("kinds", ["--scenarios", "Mixed"])):
+            out = root / f"pf_{name}"
+            argv = ["prima-facie", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows),
+                    "--out", str(out), "--seeds", "1", "--budget", "2", "--trees", "2", *extra]
+            assert main(argv) == 0
+            hashes.append(json.loads((out / "provenance.json").read_text())["provenance_hash"])
+        assert len(set(hashes)) == 3
+
     def test_quota_refusal(self, synth_run):
         root, corpus, flows = synth_run
         code = main(
@@ -421,9 +453,12 @@ class TestGradcamCommand:
         classes = {p.parts[1] for p in pgms}
         assert groups == {"Asian", "NonAsian"}
         assert classes == {"Positive", "Surprise"}
-        assert (out / "maps.jsonl").exists()
         # 3+3 subjects x 1 positive + 1 surprise clip each
         assert len(pgms) == 12
+        # one maps.jsonl line per map, naming its file, and no other JSON record
+        lines = [json.loads(line) for line in (out / "maps.jsonl").read_text().splitlines()]
+        assert sorted(Path(line["ethnicity"], line["class"], f"{line['sample']}.pgm") for line in lines) == pgms
+        assert [p.relative_to(out) for p in out.rglob("*.json")] == [Path("provenance.json")]
 
     def test_unknown_class_is_config_error(self, synth_run, loso_run):
         root, corpus, flows = synth_run
@@ -497,10 +532,9 @@ class TestGradcamCommand:
         assert len((out / "maps.jsonl").read_text().splitlines()) == len(selected) == len(amaps) == 12
         assert all(0.0 <= a.overlay.min() and a.overlay.max() <= 1.0 for a in amaps)
         if branch == "ethnicity":
+            lines = {line["sample"]: line for line in map(json.loads, (out / "maps.jsonl").read_text().splitlines())}
             for record in selected:
-                stem = flow_image_path(flows, record).stem
-                sidecar = out / record.mapped_ethnicity.value / record.mapped_emotion.value / f"{stem}.json"
-                target = json.loads(sidecar.read_text())["target_class"]
+                target = lines[flow_image_path(flows, record).stem]["target_class"]
                 assert target == ETHNICITY_CLASSES.index(record.mapped_ethnicity.value)
                 assert target == {"sa": 0, "sn": 1}[record.subject_id[:2]]
 

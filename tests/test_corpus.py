@@ -270,29 +270,29 @@ class TestManifest:
         records = finalize_mappings(
             [make_record("s1", "c1"), make_record("s1", "c2"), make_record("s2", "c1")]
         )
-        manifest = build_manifest(records, {"seed": 1}, check_paths=False)
+        manifest = build_manifest(records, {"seed": 1})
         assert len(manifest.records) == 3
 
     def test_excluded_flagged_not_dropped(self):
         records = finalize_mappings([make_record("s1", "c1", "others"), make_record("s1", "c2", "fear")])
-        manifest = build_manifest(records, {}, check_paths=False)
+        manifest = build_manifest(records, {})
         assert len(manifest.records) == 2
         assert len(manifest.eligible()) == 1
 
     def test_duplicate_key(self):
         records = [make_record("s1", "c1"), make_record("s1", "c1")]
         with pytest.raises(DuplicateKeyError):
-            build_manifest(records, {}, check_paths=False)
+            build_manifest(records, {})
 
     def test_subject_across_datasets_rejected(self):
         records = [make_record("s1", "c1", dataset=Dataset.CASME2), make_record("s1", "c2", dataset=Dataset.SAMM)]
         with pytest.raises(DataError, match="disambiguate"):
-            build_manifest(records, {}, check_paths=False)
+            build_manifest(records, {})
 
     def test_provenance_round_trip(self, tmp_path):
         records = finalize_mappings([make_record()])
         provenance = {"seed": 7, "flow_params": {"smoothness_alpha": 15.0}, "ledger_hash": "abc"}
-        manifest = build_manifest(records, provenance, check_paths=False)
+        manifest = build_manifest(records, provenance)
         path = tmp_path / "m.jsonl"
         save_manifest(manifest, path)
         back = load_manifest(path)
@@ -332,8 +332,9 @@ class TestManifest:
         assert d["mapped_emotion"] == "Positive" and d["gender"] == "unknown" and d["age"] is None
         with pytest.raises(KeyError):
             from_json_dict(SampleRecord, {k: v for k, v in d.items() if k != "gender"})
-        with pytest.raises(TypeError):
-            from_json_dict(SampleRecord, list(d))
+        for bad in (list(d), {**d, "age": "x"}, {**d, "age": True}, {**d, "corrected": "yes"}, {**d, "clip_id": 1}):
+            with pytest.raises(TypeError):
+                from_json_dict(SampleRecord, bad)
         with pytest.raises(ValueError):
             from_json_dict(SampleRecord, {**d, "raw_ethnicity": "Martian"})
 

@@ -879,10 +879,15 @@ class TestCheckpoint:
             lambda h: h["tensors"][0].update(shape=[-1, 2]),
             lambda h: h["tensors"][0].update(shape=[1, 2]),
             lambda h: h["tensors"].pop(),
+            lambda h: h["config"]["motion"].update(stage_widths="ab"),
+            lambda h: h["config"]["motion"].update(stage_widths=[2, "3"]),
+            lambda h: h["config"].update(image_size="16"),
+            lambda h: h["config"]["texture"].update(mlp_ratio="2"),
         ],
         ids=[
             "no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "no-pooling", "unknown-variant",
-            "negative-dim", "wrong-shape", "missing-tensor",
+            "negative-dim", "wrong-shape", "missing-tensor", "stage-widths-string", "stage-width-string",
+            "image-size-string", "mlp-ratio-string",
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, corrupt):

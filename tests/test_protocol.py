@@ -35,6 +35,8 @@ from mebench.pipeline import (
     sample_key,
 )
 from mebench.protocol import (
+    BENCHMARK_COLUMNS,
+    PRIMA_FACIE_COLUMNS,
     ConfusionMatrix,
     FoldResult,
     ForestConfig,
@@ -43,6 +45,7 @@ from mebench.protocol import (
     QuotaError,
     ScenarioKind,
     ScenarioResult,
+    VariantRow,
     aggregate_folds,
     binarize_emotions,
     forest_predict,
@@ -50,6 +53,7 @@ from mebench.protocol import (
     forest_train,
     macro_f1,
     plan_loso,
+    render_table,
     run_loso_variant,
     sample_prima_facie,
 )
@@ -208,10 +212,8 @@ class TestAggregateFolds:
         assert aggregate_folds([a, b])[1] == aggregate_folds([b, a])[1]
 
     def test_class_mismatch(self):
-        a = FoldResult("S1", ConfusionMatrix(("x", "y")))
-        b = FoldResult("S2", ConfusionMatrix(("x", "z")))
-        a.confusion.add("x", "x")
-        b.confusion.add("x", "x")
+        a = FoldResult("S1", ConfusionMatrix(("x", "y"), np.array([[1, 0], [0, 0]])))
+        b = FoldResult("S2", ConfusionMatrix(("x", "z"), np.array([[1, 0], [0, 0]])))
         with pytest.raises(DataError):
             aggregate_folds([a, b])
 
@@ -224,7 +226,7 @@ def mixed_manifest(n_asian=20, n_nonasian=16):
     records += records_for(
         [f"N{i:02d}" for i in range(n_nonasian)], ethnicity=RawEthnicity.CAUCASIAN
     )
-    return build_manifest(records, {"seed": 0}, check_paths=False)
+    return build_manifest(records, {"seed": 0})
 
 
 class TestSamplePrimaFacie:
@@ -484,10 +486,11 @@ class TestPrimaFacieReport:
         assert row["Average_min"] == pytest.approx(0.5)
         assert row["Average_max"] == pytest.approx(0.75)
         assert row["Average_std"] == pytest.approx(np.std(averages))
-        header, line = report.to_tsv().splitlines()
+        markdown, tsv = render_table(report.mean_rows(), PRIMA_FACIE_COLUMNS)
+        header, line = tsv.splitlines()
         assert header.split("\t")[4:7] == ["Average_min", "Average_max", "Average_std"]
         assert line.split("\t")[4:] == ["0.500000", "0.750000", f"{np.std(averages):.6f}", "3"]
-        assert report.to_markdown().splitlines()[-1] == (
+        assert markdown.splitlines()[-1] == (
             f"| Mixed | 0.5000 | 0.7333 | 0.6167 | 0.5000 | 0.7500 | {np.std(averages):.4f} | 3 |"
         )
         assert report.per_seed[1].to_dict() == {
@@ -496,6 +499,21 @@ class TestPrimaFacieReport:
 
 
 # ---------------------------------------------------------------- LOSO benchmark
+
+
+def test_benchmark_table_columns():
+    row = VariantRow("motion_only", False, "N/A", {"Negative": 0.5, "Positive": 0.25, "Surprise": 1.0}, 7 / 12, 3)
+    markdown, tsv = render_table([row.to_dict()], BENCHMARK_COLUMNS)
+    assert markdown.splitlines() == [
+        "| Variant | Motion Context | Ethnic Context | Ethnicity Representation "
+        "| Negative | Positive | Surprise | Average MF1 |",
+        "|---|---|---|---|---|---|---|---|",
+        "| motion_only | yes | no | N/A | 0.5000 | 0.2500 | 1.0000 | 0.5833 |",
+    ]
+    assert tsv.splitlines() == [
+        "variant\tethnic_context\trepresentation\tNegative\tPositive\tSurprise\taverage_mf1",
+        "motion_only\t0\tN/A\t0.500000\t0.250000\t1.000000\t0.583333",
+    ]
 
 
 @pytest.fixture(scope="module")
