@@ -65,11 +65,22 @@ from .protocol import (
     ForestConfig,
     PrimaFacieScenario,
     ScenarioKind,
+    loso_key_base,
     render_table,
     run_loso_variant,
     run_prima_facie,
 )
-from .runutil import atomic_write_text, derive_seed, hash_file, read_json_object, stable_hash, to_json_dict
+from .runutil import (
+    atomic_write_text,
+    cache_key,
+    derive_seed,
+    hash_file,
+    read_cache_entry,
+    read_json_object,
+    stable_hash,
+    to_json_dict,
+    write_cache_entry,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,6 +107,15 @@ def _write_provenance(out_dir: Path, command: str, payload: dict, manifest_path=
         payload.update(manifest=str(manifest_path), manifest_hash=hash_file(manifest_path))
     payload["provenance_hash"] = stable_hash(payload)
     atomic_write_text(out_dir / "provenance.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _flow_provenance_hash(flow_dir) -> str:
+    """The provenance hash of the `flow` run that wrote flow_dir, read from its provenance.json."""
+    path = Path(flow_dir) / "provenance.json"
+    payload = read_json_object(path)
+    if payload is None or not isinstance(payload.get("provenance_hash"), str):
+        raise DataError(f"{path}: flow provenance is missing, or is not a JSON object with a provenance_hash")
+    return payload["provenance_hash"]
 
 
 def _write_report(out_dir: Path, stem: str, result: dict, columns: tuple) -> None:
@@ -279,6 +299,7 @@ def _model_config(args) -> ModelConfig:
 
 def cmd_loso(args) -> int:
     manifest = load_manifest(args.manifest)
+    flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -290,27 +311,42 @@ def cmd_loso(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr, lr_gamma=args.lr_gamma
     )
     checkpoint_dir = None if args.no_resume else out_dir / "folds"
-    if checkpoint_dir is not None:
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    # one cache key base per variant, shared by its folds and its full-data model; none without resume
+    key_bases = {
+        variant: loso_key_base(manifest.eligible(), variant, model_config, train_config, args.flow_dir, args.seed)
+        for variant in variants
+        if not args.no_resume
+    }
 
     workers = _workers()
     rows = [
         run_loso_variant(
-            manifest, variant, model_config, train_config, args.flow_dir, args.seed, checkpoint_dir, workers
+            manifest, variant, model_config, train_config, args.flow_dir, args.seed, checkpoint_dir, workers,
+            key_bases.get(variant),
         )[0].to_dict()
         for variant in variants
     ]
     _write_report(out_dir, "benchmark", {"rows": rows}, BENCHMARK_COLUMNS)
 
-    # full-data checkpoint per variant, for activation-map analysis
+    # full-data checkpoint per variant, for activation-map analysis; its cache entry holds the
+    # hash of the .meck it describes, so a hit needs that exact file and trains nothing
     for variant in variants:
+        model_path = out_dir / f"model_{variant.value}.meck"
+        entry_path = model_path.with_suffix(".meck.json")
+        key = None if args.no_resume else cache_key({"loso": key_bases[variant], "held_out": None})
+        if key is not None and read_cache_entry(
+            entry_path, key, lambda digest: model_path.is_file() and digest == hash_file(model_path)
+        ) is not None:
+            continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             samples = load_train_samples(manifest.eligible(), args.flow_dir, need_rgb=variant.needs_rgb)
             params, _ = train_fold(
                 samples, model_config, variant, train_config, derive_seed(args.seed, "full", variant.value)
             )
-        save_checkpoint(out_dir / f"model_{variant.value}.meck", params, model_config, variant)
+        save_checkpoint(model_path, params, model_config, variant)
+        if key is not None:
+            write_cache_entry(entry_path, key, hash_file(model_path))
 
     _write_provenance(
         out_dir,
@@ -320,6 +356,7 @@ def cmd_loso(args) -> int:
             "variants": [v.value for v in variants],
             "model": asdict(model_config),
             "train": asdict(train_config),
+            "flow_provenance_hash": flow_provenance_hash,
             "deviations": _deviations(train=train_config),
         },
         args.manifest,
@@ -332,6 +369,7 @@ def cmd_loso(args) -> int:
 
 def cmd_prima_facie(args) -> int:
     manifest = load_manifest(args.manifest)
+    flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -372,7 +410,9 @@ def cmd_prima_facie(args) -> int:
             "scenarios": [k.value for k in kinds],
             "forest": asdict(forest_config),
             "encoder": encoder.origin,
+            **({"encoder_hash": hash_file(args.encoder_file)} if args.encoder_file else {}),
             "feature_dim": encoder.config.feature_dim,
+            "flow_provenance_hash": flow_provenance_hash,
             "deviations": {
                 **_deviations(),
                 "frozen_features": "deterministic random-feature fallback unless --encoder-file is given",
@@ -388,6 +428,7 @@ def cmd_prima_facie(args) -> int:
 
 def cmd_gradcam(args) -> int:
     manifest = load_manifest(args.manifest)
+    flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     params, model_config, variant = load_checkpoint(args.checkpoint)
@@ -431,6 +472,7 @@ def cmd_gradcam(args) -> int:
             "checkpoint_hash": hash_file(args.checkpoint),
             "classes": class_filter,
             "branch": args.branch,
+            "flow_provenance_hash": flow_provenance_hash,
             "deviations": _deviations(),
         },
         args.manifest,
@@ -458,7 +500,7 @@ def cmd_report(args) -> int:
         lines.append(f"## {payload.get('command', '?')} ({rel if str(rel) != '.' else 'run root'})")
         lines.append("")
         lines.append(f"- provenance hash: `{payload.get('provenance_hash', '')}`")
-        for key in ("manifest_hash", "flow_params_hash", "checkpoint_hash", "seed"):
+        for key in ("manifest_hash", "flow_params_hash", "flow_provenance_hash", "checkpoint_hash", "seed"):
             if key in payload:
                 lines.append(f"- {key}: `{payload[key]}`")
         deviations = payload.get("deviations", {})

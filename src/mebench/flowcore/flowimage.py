@@ -24,6 +24,7 @@ from ..runutil import atomic_write_bytes
 from .hornschunck import FlowField
 from .strain import StrainMap
 
+# both clips are exact in float32, so a record matches its serialized form exactly
 FLOW_CLIP = (-3.0, 3.0)
 STRAIN_CLIP = (0.0, 0.5)
 
@@ -111,26 +112,16 @@ def _boundary_fraction(plane: np.ndarray) -> float:
     return float(np.mean((plane == 0.0) | (plane == 1.0)))
 
 
-def assemble_flow_image(
-    flow: FlowField,
-    strain: StrainMap,
-    flow_clip: tuple[float, float] = FLOW_CLIP,
-    strain_clip: tuple[float, float] = STRAIN_CLIP,
-) -> OpticalFlowImage:
-    """Stack (u, v, strain magnitude) and normalize each channel to [0, 1]."""
+def assemble_flow_image(flow: FlowField, strain: StrainMap) -> OpticalFlowImage:
+    """Stack (u, v, strain magnitude) and normalize each channel to [0, 1]
+    by FLOW_CLIP and STRAIN_CLIP."""
     if flow.shape != strain.shape:
         raise DataError(f"flow shape {flow.shape} != strain shape {strain.shape}")
-    # clips pass through float32 so the record matches its serialized form exactly
-    flow_clip = tuple(float(np.float32(c)) for c in flow_clip)
-    strain_clip = tuple(float(np.float32(c)) for c in strain_clip)
-    fx = _normalize(flow.u, *flow_clip)
-    fy = _normalize(flow.v, *flow_clip)
-    st = _normalize(strain.magnitude, *strain_clip)
+    fx = _normalize(flow.u, *FLOW_CLIP)
+    fy = _normalize(flow.v, *FLOW_CLIP)
+    st = _normalize(strain.magnitude, *STRAIN_CLIP)
     record = NormalizationRecord(
-        fx_clip=flow_clip,
-        fy_clip=flow_clip,
-        strain_clip=strain_clip,
-        clip_fraction=(_boundary_fraction(fx), _boundary_fraction(fy), _boundary_fraction(st)),
+        clip_fraction=(_boundary_fraction(fx), _boundary_fraction(fy), _boundary_fraction(st))
     )
     return OpticalFlowImage(channel_fx=fx, channel_fy=fy, channel_strain=st, normalization=record)
 

@@ -1,8 +1,9 @@
 """Bridges between the corpus, flowcore, and model layers.
 
-Materializes OFI files for manifest records (with parameter-hash
-caching through runutil's cache entries) and loads them back as model
-inputs, with class indices in the canonical orders of model.config:
+Materializes OFI files for manifest records (cached through runutil's
+cache entries, keyed by the flow parameters and both frames' bytes) and
+loads them back as model inputs, with class indices in the canonical
+orders of model.config:
 
     emotions:    Negative, Positive, Surprise
     ethnicities: Asian, NonAsian
@@ -27,7 +28,7 @@ from .flowcore import (
 )
 from .model import TrainSample
 from .model.config import EMOTION_CLASSES, ETHNICITY_CLASSES
-from .runutil import read_cache_entry, run_jobs, stable_hash, write_cache_entry
+from .runutil import cache_key, read_cache_entry, run_jobs, write_cache_entry
 
 BINARY_CLASSES = ("Negative", "NonNegative")
 
@@ -70,12 +71,12 @@ def _is_fraction_triple(value) -> bool:
 
 def _compute_one_flow(job: tuple) -> tuple:
     """Worker for one record: compute and write its OFI file and sidecar."""
-    record, out_path, sidecar, flow_params, params_hash = job
+    record, out_path, sidecar, flow_params, key = job
     flow = estimate_flow(load_frame(record.onset_path), load_frame(record.apex_path), flow_params)
     image = assemble_flow_image(flow, compute_strain(flow))
     write_flow_image(image, out_path)
     fraction = image.normalization.clip_fraction
-    write_cache_entry(sidecar, "flow_params_hash", params_hash, "clip_fraction", list(fraction))
+    write_cache_entry(sidecar, key, list(fraction))
     return sample_key(record), fraction
 
 
@@ -89,27 +90,26 @@ def materialize_flow_images(
     """Compute and cache the OFI file for every record in the manifest.
 
     Beside each OFI file, a runutil cache entry (`.ofi.json`) keyed by the
-    flow-parameter hash holds the clip fractions. Unless force is set, a
-    record whose OFI file exists and whose entry is a hit is skipped. The
-    rest go through runutil.run_jobs, each worker writing its own OFI file
-    and entry; results are identical regardless of worker count.
+    flow parameters and the bytes of the record's onset and apex frames
+    holds the clip fractions. Unless force is set, a record whose OFI file
+    exists and whose entry is a hit is skipped. The rest go through
+    runutil.run_jobs, each worker writing its own OFI file and entry;
+    results are identical regardless of worker count.
     """
     flow_dir = Path(flow_dir)
     flow_dir.mkdir(parents=True, exist_ok=True)
-    params_hash = stable_hash(asdict(flow_params))
     fractions = {}
     jobs = []
     for record in manifest.records:
         out_path = flow_image_path(flow_dir, record)
         sidecar = out_path.with_suffix(".ofi.json")
+        key = cache_key(asdict(flow_params), (record.onset_path, record.apex_path))
         if not force and out_path.exists():
-            fraction = read_cache_entry(
-                sidecar, "flow_params_hash", params_hash, "clip_fraction", _is_fraction_triple
-            )
+            fraction = read_cache_entry(sidecar, key, _is_fraction_triple)
             if fraction is not None:
                 fractions[sample_key(record)] = tuple(fraction)
                 continue
-        jobs.append((record, out_path, sidecar, flow_params, params_hash))
+        jobs.append((record, out_path, sidecar, flow_params, key))
     fractions.update(run_jobs(_compute_one_flow, jobs, workers))  # (sample key, fraction triple) pairs
     return FlowStats(computed=len(jobs), cached=len(manifest.records) - len(jobs), clip_fractions=fractions)
 

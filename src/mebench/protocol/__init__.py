@@ -13,7 +13,7 @@ from .primafacie import (
     run_scenario,
     sample_prima_facie,
 )
-from .benchmark import BENCHMARK_COLUMNS, VariantRow, run_loso_variant
+from .benchmark import BENCHMARK_COLUMNS, VariantRow, loso_key_base, run_loso_variant
 
 __all__ = [
     "FoldPlan",
@@ -40,5 +40,6 @@ __all__ = [
     "sample_prima_facie",
     "BENCHMARK_COLUMNS",
     "VariantRow",
+    "loso_key_base",
     "run_loso_variant",
 ]

@@ -3,7 +3,8 @@
 Each variant row reports per-class F1 for Negative/Positive/Surprise
 and their mean, plus whether ethnic context is present and which input
 representation feeds it. Fold results are checkpointed as runutil cache
-entries so interrupted many-fold runs resume instead of restarting.
+entries so interrupted many-fold runs resume instead of restarting; each
+fold's key, and the full-data model's, derives from loso_key_base.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from ..corpus import Manifest
 from ..errors import DataError
 from ..model import ModelConfig, TrainConfig, Variant, evaluate_predictions, train_fold
-from ..pipeline import EMOTION_CLASSES, load_train_samples
-from ..runutil import derive_seed, read_cache_entry, run_jobs, stable_hash, write_cache_entry
+from ..pipeline import EMOTION_CLASSES, emotion_index, ethnicity_index, flow_image_path, load_train_samples, sample_key
+from ..runutil import cache_key, derive_seed, read_cache_entry, run_jobs, write_cache_entry
 from .folds import plan_loso
 from .metrics import ConfusionMatrix, FoldResult, aggregate_folds
 
@@ -75,6 +76,27 @@ def _run_one_fold(job: tuple) -> tuple:
     return subject, counts.tolist()
 
 
+def loso_key_base(
+    records: list, variant: Variant, model_config: ModelConfig, train_config: TrainConfig, flow_dir, seed: int
+) -> str:
+    """The cache key every model trained on these records shares: the variant,
+    configs and seed, each record's sample key and labels, and the bytes of
+    its OFI file (and apex frame, for RGB variants). A model's own key is
+    cache_key({"loso": base, "held_out": subject}), with subject None for
+    the full-data model."""
+    files = [flow_image_path(flow_dir, r) for r in records]
+    if variant.needs_rgb:
+        files += [r.apex_path for r in records]
+    inputs = {
+        "variant": variant.value,
+        "model": asdict(model_config),
+        "train": asdict(train_config),
+        "seed": seed,
+        "samples": [[sample_key(r), emotion_index(r), ethnicity_index(r)] for r in records],
+    }
+    return cache_key(inputs, files)
+
+
 def run_loso_variant(
     manifest: Manifest,
     variant: Variant,
@@ -84,12 +106,14 @@ def run_loso_variant(
     seed: int,
     checkpoint_dir=None,
     workers: int = 1,
+    key_base: str | None = None,
 ) -> tuple[VariantRow, list[FoldResult]]:
     """Train/evaluate one variant across all LOSO folds.
 
     With checkpoint_dir set, each fold has a runutil cache entry there
-    keyed by the fold provenance hash and holding its confusion counts; a
-    hit with valid counts is reused on resume. Only if some fold is still
+    keyed by all its inputs, from key_base (computed here by loso_key_base
+    when not given), and holding its confusion counts; a hit with valid
+    counts is reused on resume. Only if some fold is still
     pending are the variant's samples loaded from flow_dir, once, and
     split into each fold's train and test lists. Folds are independent
     jobs (seeded per subject), so they run through runutil.run_jobs (a
@@ -99,26 +123,22 @@ def run_loso_variant(
     records = manifest.eligible()
     if not records:
         raise DataError("manifest has no eligible records")
-    fold_hash_base = {
-        "variant": variant.value,
-        "model": asdict(model_config),
-        "train": asdict(train_config),
-        "seed": seed,
-    }
+    if checkpoint_dir is not None and key_base is None:
+        key_base = loso_key_base(records, variant, model_config, train_config, flow_dir, seed)
 
     results_by_subject: dict[str, np.ndarray] = {}
     pending = []
     plans = plan_loso(records)
     for fold in plans:
-        fold_hash = stable_hash({**fold_hash_base, "subject": fold.held_out_subject})
-        ckpt_path = None
+        key = ckpt_path = None
         if checkpoint_dir is not None:
+            key = cache_key({"loso": key_base, "held_out": fold.held_out_subject})
             ckpt_path = Path(checkpoint_dir) / f"fold_{variant.value}_{fold.held_out_subject}.json"
-            counts = read_cache_entry(ckpt_path, "fold_hash", fold_hash, "counts", _is_counts)
+            counts = read_cache_entry(ckpt_path, key, _is_counts)
             if counts is not None:
                 results_by_subject[fold.held_out_subject] = np.array(counts)
                 continue
-        pending.append((fold, fold_hash, ckpt_path))
+        pending.append((fold, key, ckpt_path))
 
     jobs = []
     if pending:
@@ -136,10 +156,10 @@ def run_loso_variant(
             for fold, _, _ in pending
         ]
     # the generator comes first, so it runs to its end and closes its pool
-    for (subject, counts), (_, fold_hash, ckpt_path) in zip(run_jobs(_run_one_fold, jobs, workers), pending):
+    for (subject, counts), (_, key, ckpt_path) in zip(run_jobs(_run_one_fold, jobs, workers), pending):
         results_by_subject[subject] = np.array(counts)
         if ckpt_path is not None:
-            write_cache_entry(ckpt_path, "fold_hash", fold_hash, "counts", counts)
+            write_cache_entry(ckpt_path, key, counts)
 
     fold_results = [
         FoldResult(

@@ -1,6 +1,7 @@
 """Seed derivation, canonical hashing, atomic file writes, the JSON form
-of every persisted dataclass, and the cache and job fan-out shared by the
-OFI sidecars and the LOSO fold checkpoints.
+of every persisted dataclass, and the cache key, cache entry and job
+fan-out shared by the OFI sidecars, the LOSO fold checkpoints and the
+full-data models.
 
 All randomness in a run flows from one root seed, fanned out by labeled
 derivation: derive_seed(root, *labels) hashes "root|label|..." with
@@ -136,16 +137,24 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def read_cache_entry(path, key_name: str, key: str, field: str, valid):
-    """The entry's `field` value on a hit (stored `key_name` equals key and
-    valid(value) holds), else None; a missing or damaged file is a miss."""
+def cache_key(inputs: dict, files=()) -> str:
+    """The content address of an artifact: the hash of the inputs it is
+    computed from plus the bytes of each file it reads. This is the only
+    place a cache key is built, so an entry can be reused only when nothing
+    it depends on has changed. Code is not part of any key."""
+    return stable_hash({**inputs, "files": [hash_file(p) for p in files]})
+
+
+def read_cache_entry(path, key: str, valid):
+    """The entry's value on a hit (its stored key equals key and valid(value)
+    holds), else None; a missing or damaged file is a miss."""
     entry = read_json_object(path) or {}
-    value = entry.get(field)
-    return value if entry.get(key_name) == key and valid(value) else None
+    value = entry.get("value")
+    return value if entry.get("key") == key and valid(value) else None
 
 
-def write_cache_entry(path, key_name: str, key: str, field: str, value) -> None:
-    atomic_write_text(path, json.dumps({key_name: key, field: value}, sort_keys=True) + "\n")
+def write_cache_entry(path, key: str, value) -> None:
+    atomic_write_text(path, json.dumps({"key": key, "value": value}, sort_keys=True) + "\n")
 
 
 def run_jobs(fn, jobs: list, workers: int = 1):

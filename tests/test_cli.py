@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,22 @@ import pytest
 import mebench
 from mebench import cli
 from mebench.cli import _workers, main
-from mebench.corpus import SynthSpec, load_manifest
-from mebench.flowcore import FlowParams
-from mebench.model import EncoderConfig, ModelConfig, ParamSet, TrainConfig, Variant, init_params, save_checkpoint
+from mebench.corpus import MappedEmotion, SynthSpec, build_manifest, load_manifest, save_manifest
+from mebench.flowcore import FlowParams, OpticalFlowImage, read_flow_image, write_flow_image
+from mebench.model import (
+    EncoderConfig,
+    FrozenEncoder,
+    ModelConfig,
+    ParamSet,
+    TrainConfig,
+    Variant,
+    init_params,
+    save_checkpoint,
+)
 from mebench.model.config import ETHNICITY_CLASSES
 from mebench.pipeline import flow_image_path
-from mebench.protocol import ForestConfig, PrimaFacieScenario, ScenarioKind
+from mebench.protocol import ForestConfig, PrimaFacieScenario, ScenarioKind, benchmark
+from mebench.runutil import hash_file
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +54,19 @@ def synth_run(tmp_path_factory):
         main(["flow", "--manifest", str(corpus / "manifest.jsonl"), "--out", str(flows)]) == 0
     )
     return root, corpus, flows
+
+
+def _count_train_fold(monkeypatch, stub=False) -> dict:
+    """Count the train_fold calls of the full-data models (cli) and of the LOSO folds (benchmark); with
+    stub, each call returns initial parameters instead of training."""
+    calls = {"cli": 0, "benchmark": 0}
+    for name, module in (("cli", cli), ("benchmark", benchmark)):
+        def counting(samples, config, variant, train, seed, _name=name, _real=module.train_fold):
+            calls[_name] += 1
+            return (init_params(config, variant, seed), []) if stub else _real(samples, config, variant, train, seed)
+
+        monkeypatch.setattr(module, "train_fold", counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -351,16 +375,47 @@ class TestLosoCommand:
     def test_run_and_artifacts(self, synth_run):
         code, out = self.run_loso(synth_run, "loso1")
         assert code == 0
-        for artifact in ("benchmark.tsv", "benchmark.md", "benchmark.json", "provenance.json", "model_dual_motion.meck"):
+        for artifact in ("benchmark.tsv", "benchmark.md", "benchmark.json", "provenance.json", "model_dual_motion.meck",
+                         "model_dual_motion.meck.json"):
             assert (out / artifact).exists(), artifact
         folds = list((out / "folds").glob("fold_dual_motion_*.json"))
         assert len(folds) == 6
 
-    def test_resume_uses_checkpoints(self, synth_run, capsys):
-        code, out = self.run_loso(synth_run, "loso1")  # same out dir: all folds cached
-        assert code == 0
+    def test_resume_uses_checkpoints(self, synth_run, loso_run, tmp_path, monkeypatch):
+        _, corpus, flows = synth_run
+        out = tmp_path / "loso"
+        shutil.copytree(loso_run, out)
+        cached = sorted((out / "folds").glob("*.json")) + sorted(out.glob("model_dual_motion.meck*"))
+        before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in cached}
+        calls = _count_train_fold(monkeypatch)
+        assert main(_loso_argv(corpus, flows, out)) == 0  # same inputs: every fold and the model are cached
+        assert calls == {"cli": 0, "benchmark": 0}
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in cached} == before
         report = json.loads((out / "benchmark.json").read_text())
-        assert report["rows"][0]["variant"] == "dual_motion"
+        assert report["rows"] == json.loads((loso_run / "benchmark.json").read_text())["rows"]
+
+    @pytest.mark.parametrize("change", ["flow", "label"])
+    def test_changed_input_retrains_every_model(self, synth_run, loso_run, tmp_path, monkeypatch, change):
+        _, corpus, flows = synth_run
+        manifest_path, flow_dir, out = corpus / "manifest.jsonl", tmp_path / "flows", tmp_path / "loso"
+        shutil.copytree(flows, flow_dir)
+        shutil.copytree(loso_run, out)
+        manifest = load_manifest(manifest_path)
+        if change == "flow":  # swap one clip's flow planes
+            path = flow_image_path(flow_dir, manifest.records[0])
+            image = read_flow_image(path)
+            swapped = OpticalFlowImage(image.channel_fy, image.channel_fx, image.channel_strain, image.normalization)
+            write_flow_image(swapped, path)
+        else:  # relabel one clip as Surprise
+            index = next(i for i, r in enumerate(manifest.records) if r.mapped_emotion == MappedEmotion.POSITIVE)
+            records = list(manifest.records)
+            records[index] = replace(records[index], mapped_emotion=MappedEmotion.SURPRISE)
+            manifest_path = tmp_path / "manifest.jsonl"
+            save_manifest(build_manifest(records, manifest.provenance), manifest_path)
+        calls = _count_train_fold(monkeypatch, stub=True)
+        assert main(_loso_argv(manifest_path.parent, flow_dir, out)) == 0
+        subjects = {r.subject_id for r in manifest.eligible()}
+        assert calls == {"cli": 1, "benchmark": len(subjects)}
 
     def test_deterministic_replay(self, synth_run):
         code_a, out_a = self.run_loso(synth_run, "loso_a", extra=("--no-resume",))
@@ -415,6 +470,20 @@ class TestPrimaFacieCommand:
             assert main(argv) == 0
             hashes.append(json.loads((out / "provenance.json").read_text())["provenance_hash"])
         assert len(set(hashes)) == 3
+
+    def test_provenance_records_the_encoder_file(self, synth_run, tmp_path):
+        _, corpus, flows = synth_run
+        encoder_file = tmp_path / "enc.meck"
+        hashes = []
+        for seed in (1, 2):  # two encoders saved in turn to the same path
+            FrozenEncoder.random_fallback(EncoderConfig(), seed=seed).save(encoder_file)
+            out = tmp_path / f"pf{seed}"
+            argv = [*_flow_reader_argv("prima-facie", corpus, flows, out), "--encoder-file", str(encoder_file)]
+            assert main(argv) == 0
+            payload = json.loads((out / "provenance.json").read_text())
+            assert payload["encoder_hash"] == hash_file(encoder_file)
+            hashes.append(payload["provenance_hash"])
+        assert hashes[0] != hashes[1]
 
     def test_quota_refusal(self, synth_run):
         root, corpus, flows = synth_run
@@ -540,7 +609,7 @@ class TestGradcamCommand:
 
 
 class TestReportCommand:
-    def test_consolidated_report(self, synth_run, capsys):
+    def test_consolidated_report(self, synth_run, loso_run, capsys):
         root, corpus, flows = synth_run
         out = root / "report.md"
         code = main(["report", "--run-dir", str(root), "--out", str(out)])
@@ -548,6 +617,8 @@ class TestReportCommand:
         text = out.read_text()
         assert "provenance hash" in text
         assert "configured deviations" in text
+        flow_hash = json.loads((flows / "provenance.json").read_text())["provenance_hash"]
+        assert f"- flow_provenance_hash: `{flow_hash}`" in text
 
     def test_missing_sidecars_fail(self, tmp_path):
         (tmp_path / "empty").mkdir()
@@ -564,13 +635,54 @@ class TestReportCommand:
         assert str(sidecar) in capsys.readouterr().err
 
 
+def _flow_reader_argv(command, corpus, flows, out, loso_run=None) -> list:
+    """A cheap run of a command that reads --flow-dir; gradcam maps loso_run's model."""
+    if command == "loso":
+        return _loso_argv(corpus, flows, out)
+    common = ["--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows), "--out", str(out)]
+    if command == "prima-facie":
+        return ["prima-facie", *common, "--seeds", "1", "--budget", "2", "--trees", "2"]
+    return ["gradcam", *common, "--checkpoint", str(loso_run / "model_dual_motion.meck"), "--classes", "Positive"]
+
+
+@pytest.mark.parametrize("command", ["loso", "prima-facie", "gradcam"])
+def test_flow_provenance_is_recorded(synth_run, loso_run, tmp_path, command):
+    _, corpus, flows = synth_run
+    out = loso_run
+    if command != "loso":
+        out = tmp_path / "out"
+        assert main(_flow_reader_argv(command, corpus, flows, out, loso_run)) == 0
+    flow_hash = json.loads((flows / "provenance.json").read_text())["provenance_hash"]
+    assert json.loads((out / "provenance.json").read_text())["flow_provenance_hash"] == flow_hash
+
+
+@pytest.mark.parametrize("content", [None, b"[1, 2]\n", b'{"provenance_hash": '], ids=["missing", "list", "bad-json"])
+@pytest.mark.parametrize("command", ["loso", "prima-facie", "gradcam"])
+def test_bad_flow_provenance_is_data_error(synth_run, loso_run, tmp_path, capsys, command, content):
+    _, corpus, flows = synth_run
+    flow_dir, out = tmp_path / "flows", tmp_path / "out"
+    shutil.copytree(flows, flow_dir)
+    sidecar = flow_dir / "provenance.json"
+    if content is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_bytes(content)
+    capsys.readouterr()
+    assert main(_flow_reader_argv(command, corpus, flow_dir, out, loso_run)) == 3
+    assert str(sidecar) in capsys.readouterr().err
+    assert not (out / "provenance.json").exists()
+
+
 _DROP = object()  # deletes a field in a damage spec
 
 
 def _damaged(intact: bytes, damage) -> bytes:
-    """damage is the replacement bytes, or {field: new value} applied to the entry's JSON object."""
+    """damage is the replacement bytes, a function of the intact bytes, or {field: new value} applied
+    to the entry's JSON object."""
     if isinstance(damage, bytes):
         return damage
+    if callable(damage):
+        return damage(intact)
     obj = json.loads(intact)
     for key, value in damage.items():
         if value is _DROP:
@@ -585,29 +697,35 @@ def _damaged(intact: bytes, damage) -> bytes:
     [
         ("sidecar", b"[1, 2]\n"),
         ("sidecar", b"\xff\xfe{}\n"),
-        ("sidecar", {"clip_fraction": 5}),
-        ("sidecar", {"clip_fraction": ["a", "b", "c"]}),
-        ("sidecar", {"clip_fraction": _DROP}),
-        ("sidecar", {"clip_fraction": [0.1, 0.2]}),
-        ("sidecar", {"clip_fraction": [0.1, 0.2, 1.5]}),
-        ("sidecar", {"clip_fraction": [0.1, float("nan"), 0.2]}),
-        ("sidecar", {"clip_fraction": [0, 0, 1]}),
-        ("fold", b'{"fold_hash": '),
+        ("sidecar", {"value": 5}),
+        ("sidecar", {"value": ["a", "b", "c"]}),
+        ("sidecar", {"value": _DROP}),
+        ("sidecar", {"value": [0.1, 0.2]}),
+        ("sidecar", {"value": [0.1, 0.2, 1.5]}),
+        ("sidecar", {"value": [0.1, float("nan"), 0.2]}),
+        ("sidecar", {"value": [0, 0, 1]}),
+        ("fold", b'{"key": '),
         ("fold", b"[]\n"),
-        ("fold", {"counts": _DROP}),
-        ("fold", {"counts": [[1, 0, 0], [0, 1, 0]]}),
-        ("fold", {"counts": [[1, 0], [0, 1], [0, 0]]}),
-        ("fold", {"counts": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}),
-        ("fold", {"counts": [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]}),
-        ("fold", {"counts": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}),
-        ("fold", {"counts": "x"}),
+        ("fold", {"value": _DROP}),
+        ("fold", {"value": [[1, 0, 0], [0, 1, 0]]}),
+        ("fold", {"value": [[1, 0], [0, 1], [0, 0]]}),
+        ("fold", {"value": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}),
+        ("fold", {"value": [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("fold", {"value": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("fold", {"value": "x"}),
+        ("model-entry", b"garbage"),
+        ("model-entry", {"value": "0" * 64}),
+        ("model", lambda intact: intact[:-1] + bytes([intact[-1] ^ 1])),
+        ("model", None),
     ],
     ids=["sidecar-list", "sidecar-not-utf8", "sidecar-fraction-int", "sidecar-fraction-strings",
          "sidecar-no-fraction", "sidecar-fraction-short", "sidecar-fraction-above-1", "sidecar-fraction-nan",
          "sidecar-fraction-ints", "fold-truncated", "fold-list", "fold-no-counts", "fold-counts-2x3",
-         "fold-counts-3x2", "fold-counts-negative", "fold-counts-float", "fold-counts-bool", "fold-counts-string"],
+         "fold-counts-3x2", "fold-counts-negative", "fold-counts-float", "fold-counts-bool", "fold-counts-string",
+         "model-entry-garbage", "model-entry-other-hash", "model-bytes-altered", "model-deleted"],
 )
 def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, entry, damage):
+    """A damaged entry, or a model file that no longer matches its entry, is recomputed; damage None deletes."""
     _, corpus, flows = synth_run
     flow_dir = tmp_path / "flows"
     shutil.copytree(flows, flow_dir)
@@ -617,10 +735,17 @@ def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, entry,
     else:
         out = tmp_path / "loso"
         argv = _loso_argv(corpus, flow_dir, out)
-        shutil.copytree(loso_run / "folds", out / "folds")
-        target = sorted((out / "folds").glob("fold_dual_motion_*.json"))[0]
+        shutil.copytree(loso_run, out)
+        target = {
+            "fold": sorted((out / "folds").glob("fold_dual_motion_*.json"))[0],
+            "model-entry": out / "model_dual_motion.meck.json",
+            "model": out / "model_dual_motion.meck",
+        }[entry]
     intact = target.read_bytes()
-    target.write_bytes(_damaged(intact, damage))
+    if damage is None:
+        target.unlink()
+    else:
+        target.write_bytes(_damaged(intact, damage))
     assert main(argv) == 0
     assert target.read_bytes() == intact
 

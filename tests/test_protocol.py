@@ -1,8 +1,7 @@
 import json
 import multiprocessing
-import shutil
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +50,7 @@ from mebench.protocol import (
     forest_predict,
     forest_predict_batch,
     forest_train,
+    loso_key_base,
     macro_f1,
     plan_loso,
     render_table,
@@ -59,7 +59,7 @@ from mebench.protocol import (
 )
 from mebench.protocol import benchmark, forest
 from mebench.protocol.forest import _best_split, _gini
-from mebench.runutil import stable_hash
+from mebench.runutil import cache_key
 
 
 def records_for(subjects, clips_per=2, emotions=("happiness", "disgust"), ethnicity=RawEthnicity.ASIAN):
@@ -546,44 +546,69 @@ def test_flows_identical_across_worker_counts(tiny_loso, tmp_path):
     assert len(names) == 2 * len(manifest.records)  # one OFI file and one sidecar per clip
     for name in names:
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
-    params_hash = stable_hash(asdict(FlowParams(iterations=5)))
     for record in manifest.records:
-        entry = {"flow_params_hash": params_hash, "clip_fraction": list(stats[1].clip_fractions[sample_key(record)])}
+        key = cache_key(asdict(FlowParams(iterations=5)), (record.onset_path, record.apex_path))
+        entry = {"key": key, "value": list(stats[1].clip_fractions[sample_key(record)])}
         sidecar = pipeline.flow_image_path(tmp_path / "w1", record).with_suffix(".ofi.json")
         assert sidecar.read_text() == json.dumps(entry, sort_keys=True) + "\n"
 
 
-# Cache keys written by earlier versions; a change here silently invalidates every stored cache entry.
-_DEFAULT_FLOW_PARAMS_HASH = "315b6d976d59467e4ca253282c851b02609ef5cad27529a16858a9254c55a9bf"
-_TINY_LOSO_FOLD_HASHES = {  # run_tiny_loso's fold keys
-    "sa01": "2cb67e9d9d7fbce307356bb445e98e4d7b5088565d5238e078ded09d51ebd93c",
-    "sn01": "57868a277bcb125b300a02b1989607dd2ba0960d1b4dc7f73346a28caea002a2",
+def test_changed_frame_recomputes_only_its_flow(tmp_path):
+    manifest, _ = synthesize_desk_corpus(SynthSpec(1, 2, 32), seed=3, out_dir=tmp_path / "corpus")
+    flow_dir = tmp_path / "flows"
+    materialize_flow_images(manifest, FlowParams(iterations=5), flow_dir)
+    sidecars = {r.apex_path: pipeline.flow_image_path(flow_dir, r).with_suffix(".ofi.json") for r in manifest.records}
+    before = {apex: sidecar.read_bytes() for apex, sidecar in sidecars.items()}
+    changed = manifest.records[1].apex_path
+    frame = Path(changed).read_bytes()
+    Path(changed).write_bytes(frame[:-1] + bytes([frame[-1] ^ 1]))  # one pixel, one grey level
+    stats = materialize_flow_images(manifest, FlowParams(iterations=5), flow_dir)
+    assert (stats.computed, stats.cached) == (1, len(manifest.records) - 1)
+    assert [apex for apex, sidecar in sidecars.items() if sidecar.read_bytes() != before[apex]] == [changed]
+
+
+# Cache keys of fixed inputs, written by earlier versions; a change here silently invalidates every
+# stored cache entry.
+_DEFAULT_FLOW_KEY = "91a33678406aaee9f47bd7acbf3a54bb4196b36e8536e078e9947c62743204c8"  # default FlowParams, fixed frames
+_TINY_LOSO_FOLD_KEYS = {  # run_tiny_loso's fold keys on fixed_loso_inputs
+    "sa01": "9f2174ca189c5ee648bac6644328ad977db4d634b306b6e9d8a9a8ba89bb9c99",
+    "sn01": "24bae96a78e5ee9c3d0a923dced67e89c0fd0bd59892f3f89d17ac2e3d2d3a4b",
 }
 
 
-def test_stored_flow_sidecar_is_a_cache_hit(tiny_loso, tmp_path):
-    manifest, _ = tiny_loso
-    assert stable_hash(asdict(FlowParams())) == _DEFAULT_FLOW_PARAMS_HASH
+def fixed_loso_inputs(flow_dir: Path):
+    """A two-subject manifest whose OFI files hold fixed bytes; a cache hit never parses them."""
+    records = records_for(["sa01"]) + records_for(["sn01"], ethnicity=RawEthnicity.CAUCASIAN)
+    flow_dir.mkdir(parents=True, exist_ok=True)
+    for record in records:
+        pipeline.flow_image_path(flow_dir, record).write_bytes(f"flow of {sample_key(record)}".encode())
+    return build_manifest(records, provenance={})
+
+
+def test_stored_flow_sidecar_is_a_cache_hit(tmp_path):
+    (tmp_path / "onset.pgm").write_bytes(b"onset frame")
+    (tmp_path / "apex.pgm").write_bytes(b"apex frame")
+    records = [
+        replace(r, onset_path=str(tmp_path / "onset.pgm"), apex_path=str(tmp_path / "apex.pgm"))
+        for r in records_for(["s1", "s2"])
+    ]
+    manifest = build_manifest(records, provenance={})
     for record in manifest.records:
         path = pipeline.flow_image_path(tmp_path, record)
         path.write_bytes(b"")  # only the sidecar is read on a hit
-        path.with_suffix(".ofi.json").write_text(
-            json.dumps({"clip_fraction": [0.25, 0.5, 0.0], "flow_params_hash": _DEFAULT_FLOW_PARAMS_HASH})
-        )
+        path.with_suffix(".ofi.json").write_text(json.dumps({"key": _DEFAULT_FLOW_KEY, "value": [0.25, 0.5, 0.0]}))
     stats = materialize_flow_images(manifest, FlowParams(), tmp_path)
     assert (stats.computed, stats.cached) == (0, len(manifest.records))
     assert set(stats.clip_fractions.values()) == {(0.25, 0.5, 0.0)}
 
 
-def test_stored_fold_checkpoint_is_a_cache_hit(tiny_loso, tmp_path):
-    manifest, _ = tiny_loso
+def test_stored_fold_checkpoint_is_a_cache_hit(tmp_path):
+    manifest = fixed_loso_inputs(tmp_path / "flows")
     counts = {"sa01": [[1, 0, 0], [0, 1, 0], [0, 0, 0]], "sn01": [[0, 0, 0], [1, 0, 0], [0, 0, 1]]}
-    for subject, fold_hash in _TINY_LOSO_FOLD_HASHES.items():
-        (tmp_path / f"fold_dual_motion_{subject}.json").write_text(
-            json.dumps({"counts": counts[subject], "fold_hash": fold_hash})
-        )
-    # a pending fold would need the missing flow directory
-    assert run_tiny_loso(manifest, tmp_path / "no_flows", checkpoint_dir=tmp_path) == sorted(counts.items())
+    for subject, key in _TINY_LOSO_FOLD_KEYS.items():
+        (tmp_path / f"fold_dual_motion_{subject}.json").write_text(json.dumps({"key": key, "value": counts[subject]}))
+    # a pending fold would fail to parse its fixed-bytes OFI files
+    assert run_tiny_loso(manifest, tmp_path / "flows", checkpoint_dir=tmp_path) == sorted(counts.items())
 
 
 class TestRunLosoVariant:
@@ -631,14 +656,21 @@ class TestRunLosoVariant:
         assert (tmp_path / f"fold_dual_motion_{first}.json").exists()
         assert not (tmp_path / f"fold_dual_motion_{last}.json").exists()
 
-    def test_cached_resume_needs_no_flows(self, tiny_loso, tmp_path):
+    def test_cached_resume_loads_and_trains_nothing(self, tiny_loso, tmp_path, monkeypatch):
         manifest, flow_dir = tiny_loso
-        flows = tmp_path / "flows"
-        shutil.copytree(flow_dir, flows)
-        first = run_tiny_loso(manifest, flows, checkpoint_dir=tmp_path / "folds")
+        first = run_tiny_loso(manifest, flow_dir, checkpoint_dir=tmp_path)
+        base = loso_key_base(
+            manifest.eligible(), Variant.DUAL_MOTION, ModelConfig.toy(32), TrainConfig(epochs=2, batch_size=2),
+            flow_dir, 0,
+        )
         for subject, counts in first:
-            entry = {"fold_hash": _TINY_LOSO_FOLD_HASHES[subject], "counts": counts}
-            text = (tmp_path / "folds" / f"fold_dual_motion_{subject}.json").read_text()
+            entry = {"key": cache_key({"loso": base, "held_out": subject}), "value": counts}
+            text = (tmp_path / f"fold_dual_motion_{subject}.json").read_text()
             assert text == json.dumps(entry, sort_keys=True) + "\n"
-        shutil.rmtree(flows)
-        assert run_tiny_loso(manifest, flows, checkpoint_dir=tmp_path / "folds") == first
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fully cached resume must not load samples or train")
+
+        monkeypatch.setattr(benchmark, "load_train_samples", forbidden)
+        monkeypatch.setattr(benchmark, "train_fold", forbidden)
+        assert run_tiny_loso(manifest, flow_dir, checkpoint_dir=tmp_path) == first
