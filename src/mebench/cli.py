@@ -49,8 +49,6 @@ from .model import (
     extract_frozen_features,
     gradcam,
     load_checkpoint,
-    save_checkpoint,
-    train_fold,
 )
 from .model.training import _batch_inputs
 from .pipeline import (
@@ -65,22 +63,12 @@ from .protocol import (
     ForestConfig,
     PrimaFacieScenario,
     ScenarioKind,
-    loso_key_base,
+    fit_full_model,
     render_table,
     run_loso_variant,
     run_prima_facie,
 )
-from .runutil import (
-    atomic_write_text,
-    cache_key,
-    derive_seed,
-    hash_file,
-    read_cache_entry,
-    read_json_object,
-    stable_hash,
-    to_json_dict,
-    write_cache_entry,
-)
+from .runutil import atomic_write_text, derive_seed, hash_file, read_json_object, stable_hash, to_json_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -311,42 +299,22 @@ def cmd_loso(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr, lr_gamma=args.lr_gamma
     )
     checkpoint_dir = None if args.no_resume else out_dir / "folds"
-    # one cache key base per variant, shared by its folds and its full-data model; none without resume
-    key_bases = {
-        variant: loso_key_base(manifest.eligible(), variant, model_config, train_config, args.flow_dir, args.seed)
-        for variant in variants
-        if not args.no_resume
-    }
 
     workers = _workers()
     rows = [
         run_loso_variant(
-            manifest, variant, model_config, train_config, args.flow_dir, args.seed, checkpoint_dir, workers,
-            key_bases.get(variant),
+            manifest, variant, model_config, train_config, args.flow_dir, args.seed, checkpoint_dir, workers
         )[0].to_dict()
         for variant in variants
     ]
     _write_report(out_dir, "benchmark", {"rows": rows}, BENCHMARK_COLUMNS)
 
-    # full-data checkpoint per variant, for activation-map analysis; its cache entry holds the
-    # hash of the .meck it describes, so a hit needs that exact file and trains nothing
+    # full-data checkpoint per variant, for activation-map analysis
     for variant in variants:
-        model_path = out_dir / f"model_{variant.value}.meck"
-        entry_path = model_path.with_suffix(".meck.json")
-        key = None if args.no_resume else cache_key({"loso": key_bases[variant], "held_out": None})
-        if key is not None and read_cache_entry(
-            entry_path, key, lambda digest: model_path.is_file() and digest == hash_file(model_path)
-        ) is not None:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            samples = load_train_samples(manifest.eligible(), args.flow_dir, need_rgb=variant.needs_rgb)
-            params, _ = train_fold(
-                samples, model_config, variant, train_config, derive_seed(args.seed, "full", variant.value)
-            )
-        save_checkpoint(model_path, params, model_config, variant)
-        if key is not None:
-            write_cache_entry(entry_path, key, hash_file(model_path))
+        fit_full_model(
+            manifest, variant, model_config, train_config, args.flow_dir, args.seed,
+            out_dir / f"model_{variant.value}.meck", resume=not args.no_resume,
+        )
 
     _write_provenance(
         out_dir,

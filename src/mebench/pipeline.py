@@ -55,6 +55,14 @@ def flow_image_path(flow_dir, record: SampleRecord) -> Path:
     return Path(flow_dir) / f"{record.dataset.value}_{record.subject_id}_{record.clip_id}.ofi"
 
 
+def existing_flow_image_path(flow_dir, record: SampleRecord) -> Path:
+    """flow_image_path, checked to exist: a DataError names a file the flow step has not written."""
+    path = flow_image_path(flow_dir, record)
+    if not path.exists():
+        raise DataError(f"flow image missing for {record.key}: {path} (run the flow step first)")
+    return path
+
+
 @dataclass
 class FlowStats:
     computed: int
@@ -120,10 +128,7 @@ def load_train_samples(
     """Materialized model inputs for eligible records, in the given order."""
     samples = []
     for record in records:
-        path = flow_image_path(flow_dir, record)
-        if not path.exists():
-            raise DataError(f"flow image missing for {record.key}: {path} (run the flow step first)")
-        image = read_flow_image(path)
+        image = read_flow_image(existing_flow_image_path(flow_dir, record))
         samples.append(
             TrainSample(
                 flow=image.as_array(),

@@ -13,7 +13,7 @@ from .primafacie import (
     run_scenario,
     sample_prima_facie,
 )
-from .benchmark import BENCHMARK_COLUMNS, VariantRow, loso_key_base, run_loso_variant
+from .benchmark import BENCHMARK_COLUMNS, VariantRow, fit_full_model, run_loso_variant
 
 __all__ = [
     "FoldPlan",
@@ -40,6 +40,6 @@ __all__ = [
     "sample_prima_facie",
     "BENCHMARK_COLUMNS",
     "VariantRow",
-    "loso_key_base",
+    "fit_full_model",
     "run_loso_variant",
 ]

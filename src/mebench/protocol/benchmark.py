@@ -3,8 +3,9 @@
 Each variant row reports per-class F1 for Negative/Positive/Surprise
 and their mean, plus whether ethnic context is present and which input
 representation feeds it. Fold results are checkpointed as runutil cache
-entries so interrupted many-fold runs resume instead of restarting; each
-fold's key, and the full-data model's, derives from loso_key_base.
+entries so interrupted many-fold runs resume instead of restarting; the
+full-data model saved for activation-map analysis has one entry too. Each
+model's key derives from loso_key_base.
 """
 
 from __future__ import annotations
@@ -17,9 +18,16 @@ import numpy as np
 
 from ..corpus import Manifest
 from ..errors import DataError
-from ..model import ModelConfig, TrainConfig, Variant, evaluate_predictions, train_fold
-from ..pipeline import EMOTION_CLASSES, emotion_index, ethnicity_index, flow_image_path, load_train_samples, sample_key
-from ..runutil import cache_key, derive_seed, read_cache_entry, run_jobs, write_cache_entry
+from ..model import ModelConfig, TrainConfig, Variant, evaluate_predictions, save_checkpoint, train_fold
+from ..pipeline import (
+    EMOTION_CLASSES,
+    emotion_index,
+    ethnicity_index,
+    existing_flow_image_path,
+    load_train_samples,
+    sample_key,
+)
+from ..runutil import cache_key, derive_seed, hash_file, read_cache_entry, run_jobs, write_cache_entry
 from .folds import plan_loso
 from .metrics import ConfusionMatrix, FoldResult, aggregate_folds
 
@@ -82,9 +90,8 @@ def loso_key_base(
     """The cache key every model trained on these records shares: the variant,
     configs and seed, each record's sample key and labels, and the bytes of
     its OFI file (and apex frame, for RGB variants). A model's own key is
-    cache_key({"loso": base, "held_out": subject}), with subject None for
-    the full-data model."""
-    files = [flow_image_path(flow_dir, r) for r in records]
+    _model_key(base, subject), with subject None for the full-data model."""
+    files = [existing_flow_image_path(flow_dir, r) for r in records]
     if variant.needs_rgb:
         files += [r.apex_path for r in records]
     inputs = {
@@ -97,6 +104,10 @@ def loso_key_base(
     return cache_key(inputs, files)
 
 
+def _model_key(base: str, held_out: str | None) -> str:
+    return cache_key({"loso": base, "held_out": held_out})
+
+
 def run_loso_variant(
     manifest: Manifest,
     variant: Variant,
@@ -106,16 +117,14 @@ def run_loso_variant(
     seed: int,
     checkpoint_dir=None,
     workers: int = 1,
-    key_base: str | None = None,
 ) -> tuple[VariantRow, list[FoldResult]]:
     """Train/evaluate one variant across all LOSO folds.
 
     With checkpoint_dir set, each fold has a runutil cache entry there
-    keyed by all its inputs, from key_base (computed here by loso_key_base
-    when not given), and holding its confusion counts; a hit with valid
-    counts is reused on resume. Only if some fold is still
-    pending are the variant's samples loaded from flow_dir, once, and
-    split into each fold's train and test lists. Folds are independent
+    keyed by all its inputs (see loso_key_base) and holding its confusion
+    counts; a hit with valid counts is reused on resume. Only if some fold
+    is still pending are the variant's samples loaded from flow_dir, once,
+    and split into each fold's train and test lists. Folds are independent
     jobs (seeded per subject), so they run through runutil.run_jobs (a
     process pool when workers > 1); each fold's entry is written as soon
     as its result arrives, and results merge in plan order either way.
@@ -123,7 +132,7 @@ def run_loso_variant(
     records = manifest.eligible()
     if not records:
         raise DataError("manifest has no eligible records")
-    if checkpoint_dir is not None and key_base is None:
+    if checkpoint_dir is not None:
         key_base = loso_key_base(records, variant, model_config, train_config, flow_dir, seed)
 
     results_by_subject: dict[str, np.ndarray] = {}
@@ -132,7 +141,7 @@ def run_loso_variant(
     for fold in plans:
         key = ckpt_path = None
         if checkpoint_dir is not None:
-            key = cache_key({"loso": key_base, "held_out": fold.held_out_subject})
+            key = _model_key(key_base, fold.held_out_subject)
             ckpt_path = Path(checkpoint_dir) / f"fold_{variant.value}_{fold.held_out_subject}.json"
             counts = read_cache_entry(ckpt_path, key, _is_counts)
             if counts is not None:
@@ -178,3 +187,32 @@ def run_loso_variant(
         epochs=train_config.epochs,
     )
     return row, fold_results
+
+
+def fit_full_model(
+    manifest: Manifest, variant: Variant, model_config: ModelConfig, train_config: TrainConfig, flow_dir, seed: int,
+    model_path: Path, resume: bool,
+) -> None:
+    """Train one variant on every eligible record and save it to model_path.
+
+    Its runutil cache entry (`.meck.json` beside it) is keyed as the LOSO
+    folds are, with no subject held out, and holds the hash of the .meck it
+    describes. With resume, a hit whose .meck still has that hash loads no
+    samples and trains nothing; without it, as for the folds, no entry is
+    read or written.
+    """
+    records = manifest.eligible()
+    entry_path, key = model_path.with_suffix(".meck.json"), None
+    if resume:
+        key = _model_key(loso_key_base(records, variant, model_config, train_config, flow_dir, seed), None)
+    if key is not None and read_cache_entry(
+        entry_path, key, lambda digest: model_path.is_file() and digest == hash_file(model_path)
+    ) is not None:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        samples = load_train_samples(records, flow_dir, need_rgb=variant.needs_rgb)
+        params, _ = train_fold(samples, model_config, variant, train_config, derive_seed(seed, "full", variant.value))
+    save_checkpoint(model_path, params, model_config, variant)
+    if key is not None:
+        write_cache_entry(entry_path, key, hash_file(model_path))

@@ -56,17 +56,18 @@ def synth_run(tmp_path_factory):
     return root, corpus, flows
 
 
-def _count_train_fold(monkeypatch, stub=False) -> dict:
-    """Count the train_fold calls of the full-data models (cli) and of the LOSO folds (benchmark); with
-    stub, each call returns initial parameters instead of training."""
-    calls = {"cli": 0, "benchmark": 0}
-    for name, module in (("cli", cli), ("benchmark", benchmark)):
-        def counting(samples, config, variant, train, seed, _name=name, _real=module.train_fold):
-            calls[_name] += 1
-            return (init_params(config, variant, seed), []) if stub else _real(samples, config, variant, train, seed)
+def _count_train_fold(monkeypatch, stub=False) -> list:
+    """Record the training-set size of each train_fold call, for the LOSO folds and the full-data
+    models alike; with stub, each call returns initial parameters instead of training."""
+    sizes = []
+    real = benchmark.train_fold
 
-        monkeypatch.setattr(module, "train_fold", counting)
-    return calls
+    def counting(samples, config, variant, train, seed):
+        sizes.append(len(samples))
+        return (init_params(config, variant, seed), []) if stub else real(samples, config, variant, train, seed)
+
+    monkeypatch.setattr(benchmark, "train_fold", counting)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -387,9 +388,9 @@ class TestLosoCommand:
         shutil.copytree(loso_run, out)
         cached = sorted((out / "folds").glob("*.json")) + sorted(out.glob("model_dual_motion.meck*"))
         before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in cached}
-        calls = _count_train_fold(monkeypatch)
+        sizes = _count_train_fold(monkeypatch)
         assert main(_loso_argv(corpus, flows, out)) == 0  # same inputs: every fold and the model are cached
-        assert calls == {"cli": 0, "benchmark": 0}
+        assert sizes == []
         assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in cached} == before
         report = json.loads((out / "benchmark.json").read_text())
         assert report["rows"] == json.loads((loso_run / "benchmark.json").read_text())["rows"]
@@ -412,15 +413,18 @@ class TestLosoCommand:
             records[index] = replace(records[index], mapped_emotion=MappedEmotion.SURPRISE)
             manifest_path = tmp_path / "manifest.jsonl"
             save_manifest(build_manifest(records, manifest.provenance), manifest_path)
-        calls = _count_train_fold(monkeypatch, stub=True)
+        sizes = _count_train_fold(monkeypatch, stub=True)
         assert main(_loso_argv(manifest_path.parent, flow_dir, out)) == 0
-        subjects = {r.subject_id for r in manifest.eligible()}
-        assert calls == {"cli": 1, "benchmark": len(subjects)}
+        eligible = manifest.eligible()
+        # one model per held-out subject, plus the full-data model trained on every clip
+        assert len(sizes) == len({r.subject_id for r in eligible}) + 1
+        assert sizes.count(len(eligible)) == 1
 
     def test_deterministic_replay(self, synth_run):
         code_a, out_a = self.run_loso(synth_run, "loso_a", extra=("--no-resume",))
         code_b, out_b = self.run_loso(synth_run, "loso_b", extra=("--no-resume",))
         assert code_a == code_b == 0
+        assert not (out_a / "folds").exists() and not (out_a / "model_dual_motion.meck.json").exists()
         ra = json.loads((out_a / "benchmark.json").read_text())
         rb = json.loads((out_b / "benchmark.json").read_text())
         assert ra["rows"] == rb["rows"]
@@ -671,6 +675,20 @@ def test_bad_flow_provenance_is_data_error(synth_run, loso_run, tmp_path, capsys
     assert main(_flow_reader_argv(command, corpus, flow_dir, out, loso_run)) == 3
     assert str(sidecar) in capsys.readouterr().err
     assert not (out / "provenance.json").exists()
+
+
+@pytest.mark.parametrize("command", ["loso", "loso-no-resume", "prima-facie", "gradcam"])
+def test_missing_flow_image_is_data_error(synth_run, loso_run, tmp_path, capsys, command):
+    _, corpus, flows = synth_run
+    flow_dir, out = tmp_path / "flows", tmp_path / "out"
+    shutil.copytree(flows, flow_dir)
+    missing = flow_image_path(flow_dir, load_manifest(corpus / "manifest.jsonl").eligible()[0])
+    missing.unlink()
+    argv = _flow_reader_argv(command.removesuffix("-no-resume"), corpus, flow_dir, out, loso_run)
+    capsys.readouterr()
+    assert main(argv + (["--no-resume"] if command == "loso-no-resume" else [])) == 3
+    err = capsys.readouterr().err
+    assert "flow image missing for" in err and str(missing) in err
 
 
 _DROP = object()  # deletes a field in a damage spec

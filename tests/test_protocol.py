@@ -50,7 +50,6 @@ from mebench.protocol import (
     forest_predict,
     forest_predict_batch,
     forest_train,
-    loso_key_base,
     macro_f1,
     plan_loso,
     render_table,
@@ -659,7 +658,7 @@ class TestRunLosoVariant:
     def test_cached_resume_loads_and_trains_nothing(self, tiny_loso, tmp_path, monkeypatch):
         manifest, flow_dir = tiny_loso
         first = run_tiny_loso(manifest, flow_dir, checkpoint_dir=tmp_path)
-        base = loso_key_base(
+        base = benchmark.loso_key_base(
             manifest.eligible(), Variant.DUAL_MOTION, ModelConfig.toy(32), TrainConfig(epochs=2, batch_size=2),
             flow_dir, 0,
         )
