@@ -63,7 +63,6 @@ from .protocol import (
     ForestConfig,
     PrimaFacieScenario,
     ScenarioKind,
-    fit_full_model,
     render_table,
     run_loso_variant,
     run_prima_facie,
@@ -301,20 +300,15 @@ def cmd_loso(args) -> int:
     checkpoint_dir = None if args.no_resume else out_dir / "folds"
 
     workers = _workers()
+    # the LOSO folds and a full-data checkpoint per variant, for activation-map analysis
     rows = [
         run_loso_variant(
-            manifest, variant, model_config, train_config, args.flow_dir, args.seed, checkpoint_dir, workers
+            manifest, variant, model_config, train_config, args.flow_dir, args.seed, checkpoint_dir, workers,
+            model_path=out_dir / f"model_{variant.value}.meck",
         )[0].to_dict()
         for variant in variants
     ]
     _write_report(out_dir, "benchmark", {"rows": rows}, BENCHMARK_COLUMNS)
-
-    # full-data checkpoint per variant, for activation-map analysis
-    for variant in variants:
-        fit_full_model(
-            manifest, variant, model_config, train_config, args.flow_dir, args.seed,
-            out_dir / f"model_{variant.value}.meck", resume=not args.no_resume,
-        )
 
     _write_provenance(
         out_dir,

@@ -151,7 +151,7 @@ def lr_schedule(epoch: int, base_lr: float = 1e-3, gamma: float = 0.9) -> float:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 15
-    batch_size: int = 32
+    batch_size: int = 2
     base_lr: float = 1e-3
     lr_gamma: float = 0.9
 

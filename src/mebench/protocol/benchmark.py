@@ -2,10 +2,11 @@
 
 Each variant row reports per-class F1 for Negative/Positive/Surprise
 and their mean, plus whether ethnic context is present and which input
-representation feeds it. Fold results are checkpointed as runutil cache
-entries so interrupted many-fold runs resume instead of restarting; the
-full-data model saved for activation-map analysis has one entry too. Each
-model's key derives from loso_key_base.
+representation feeds it. A variant's jobs are its LOSO folds plus,
+when asked for, the full-data model saved for activation-map analysis:
+one job list, one sample load and one run_jobs call. Each job's result
+is checkpointed as a runutil cache entry, keyed from loso_key_base, so
+interrupted many-fold runs resume instead of restarting.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..pipeline import (
     sample_key,
 )
 from ..runutil import cache_key, derive_seed, hash_file, read_cache_entry, run_jobs, write_cache_entry
-from .folds import plan_loso
+from .folds import FoldPlan, plan_loso
 from .metrics import ConfusionMatrix, FoldResult, aggregate_folds
 
 
@@ -72,16 +73,20 @@ def _is_counts(value) -> bool:
     )
 
 
-def _run_one_fold(job: tuple) -> tuple:
-    """Worker: train on one fold's split and score the held-out subject."""
-    train_samples, test_samples, subject, variant, model_config, train_config, fold_seed = job
+def _run_one_fold(job: tuple):
+    """Worker: train one LOSO job. A fold job scores its held-out subject and
+    returns the confusion counts; the full-data job (held_out None) returns
+    the trained ParamSet."""
+    train_samples, test_samples, held_out, variant, model_config, train_config, seed = job
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # LOSO folds may lack a class
-        params, _history = train_fold(train_samples, model_config, variant, train_config, fold_seed)
+        params, _history = train_fold(train_samples, model_config, variant, train_config, seed)
+    if held_out is None:
+        return params
     predictions = evaluate_predictions(params, test_samples, model_config, variant)
     counts = np.zeros((len(EMOTION_CLASSES), len(EMOTION_CLASSES)), dtype=np.int64)
     np.add.at(counts, ([s.emotion for s in test_samples], predictions), 1)
-    return subject, counts.tolist()
+    return counts.tolist()
 
 
 def loso_key_base(
@@ -117,17 +122,21 @@ def run_loso_variant(
     seed: int,
     checkpoint_dir=None,
     workers: int = 1,
+    model_path=None,
 ) -> tuple[VariantRow, list[FoldResult]]:
-    """Train/evaluate one variant across all LOSO folds.
+    """Train/evaluate one variant across all LOSO folds and, with model_path
+    set, train its full-data model on every eligible record and save it there.
 
-    With checkpoint_dir set, each fold has a runutil cache entry there
-    keyed by all its inputs (see loso_key_base) and holding its confusion
-    counts; a hit with valid counts is reused on resume. Only if some fold
-    is still pending are the variant's samples loaded from flow_dir, once,
-    and split into each fold's train and test lists. Folds are independent
-    jobs (seeded per subject), so they run through runutil.run_jobs (a
-    process pool when workers > 1); each fold's entry is written as soon
-    as its result arrives, and results merge in plan order either way.
+    Each model is one job: a fold per held-out subject, then the full-data
+    model (held_out None). With checkpoint_dir set, each job has a runutil
+    cache entry keyed by all its inputs (see loso_key_base): a fold's, in
+    checkpoint_dir, holds its confusion counts; the full-data model's,
+    `.meck.json` beside model_path, the hash of that .meck. A valid hit is
+    reused. Only if some job is pending are the samples loaded from
+    flow_dir, once. The jobs are independent (each has its own derived
+    seed), so all pending ones run through one runutil.run_jobs call (a
+    process pool when workers > 1). Each entry is written, and the model
+    saved, as its result arrives; results merge in plan order either way.
     """
     records = manifest.eligible()
     if not records:
@@ -135,47 +144,62 @@ def run_loso_variant(
     if checkpoint_dir is not None:
         key_base = loso_key_base(records, variant, model_config, train_config, flow_dir, seed)
 
+    folds = plan_loso(records)
+    plans = list(folds)
+    if model_path is not None:
+        model_path = Path(model_path)
+        plans.append(FoldPlan(held_out_subject=None, train_keys=tuple(sample_key(r) for r in records), test_keys=()))
     results_by_subject: dict[str, np.ndarray] = {}
     pending = []
-    plans = plan_loso(records)
-    for fold in plans:
-        key = ckpt_path = None
+    for plan in plans:
+        subject, key, entry_path = plan.held_out_subject, None, None
         if checkpoint_dir is not None:
-            key = _model_key(key_base, fold.held_out_subject)
-            ckpt_path = Path(checkpoint_dir) / f"fold_{variant.value}_{fold.held_out_subject}.json"
-            counts = read_cache_entry(ckpt_path, key, _is_counts)
-            if counts is not None:
-                results_by_subject[fold.held_out_subject] = np.array(counts)
+            key = _model_key(key_base, subject)
+            if subject is None:
+                entry_path = model_path.with_suffix(".meck.json")
+                valid = lambda digest: model_path.is_file() and digest == hash_file(model_path)
+            else:
+                entry_path, valid = Path(checkpoint_dir) / f"fold_{variant.value}_{subject}.json", _is_counts
+            value = read_cache_entry(entry_path, key, valid)
+            if value is not None:
+                if subject is not None:
+                    results_by_subject[subject] = np.array(value)
                 continue
-        pending.append((fold, key, ckpt_path))
+        pending.append((plan, key, entry_path))
 
     jobs = []
     if pending:
         by_key = {s.key: s for s in load_train_samples(records, flow_dir, need_rgb=variant.needs_rgb)}
         jobs = [
             (
-                [by_key[k] for k in fold.train_keys],
-                [by_key[k] for k in fold.test_keys],
-                fold.held_out_subject,
+                [by_key[k] for k in plan.train_keys],
+                [by_key[k] for k in plan.test_keys],
+                plan.held_out_subject,
                 variant,
                 model_config,
                 train_config,
-                derive_seed(seed, "fold", variant.value, fold.held_out_subject),
+                derive_seed(seed, "full", variant.value)
+                if plan.held_out_subject is None
+                else derive_seed(seed, "fold", variant.value, plan.held_out_subject),
             )
-            for fold, _, _ in pending
+            for plan, _, _ in pending
         ]
     # the generator comes first, so it runs to its end and closes its pool
-    for (subject, counts), (_, key, ckpt_path) in zip(run_jobs(_run_one_fold, jobs, workers), pending):
-        results_by_subject[subject] = np.array(counts)
-        if ckpt_path is not None:
-            write_cache_entry(ckpt_path, key, counts)
+    for value, (plan, key, entry_path) in zip(run_jobs(_run_one_fold, jobs, workers), pending):
+        if plan.held_out_subject is None:
+            save_checkpoint(model_path, value, model_config, variant)
+            value = hash_file(model_path)
+        else:
+            results_by_subject[plan.held_out_subject] = np.array(value)
+        if key is not None:
+            write_cache_entry(entry_path, key, value)
 
     fold_results = [
         FoldResult(
             held_out_subject=fold.held_out_subject,
             confusion=ConfusionMatrix(EMOTION_CLASSES, results_by_subject[fold.held_out_subject]),
         )
-        for fold in plans
+        for fold in folds
     ]
     per_class_f1, average_mf1 = aggregate_folds(fold_results)
     row = VariantRow(
@@ -187,32 +211,3 @@ def run_loso_variant(
         epochs=train_config.epochs,
     )
     return row, fold_results
-
-
-def fit_full_model(
-    manifest: Manifest, variant: Variant, model_config: ModelConfig, train_config: TrainConfig, flow_dir, seed: int,
-    model_path: Path, resume: bool,
-) -> None:
-    """Train one variant on every eligible record and save it to model_path.
-
-    Its runutil cache entry (`.meck.json` beside it) is keyed as the LOSO
-    folds are, with no subject held out, and holds the hash of the .meck it
-    describes. With resume, a hit whose .meck still has that hash loads no
-    samples and trains nothing; without it, as for the folds, no entry is
-    read or written.
-    """
-    records = manifest.eligible()
-    entry_path, key = model_path.with_suffix(".meck.json"), None
-    if resume:
-        key = _model_key(loso_key_base(records, variant, model_config, train_config, flow_dir, seed), None)
-    if key is not None and read_cache_entry(
-        entry_path, key, lambda digest: model_path.is_file() and digest == hash_file(model_path)
-    ) is not None:
-        return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        samples = load_train_samples(records, flow_dir, need_rgb=variant.needs_rgb)
-        params, _ = train_fold(samples, model_config, variant, train_config, derive_seed(seed, "full", variant.value))
-    save_checkpoint(model_path, params, model_config, variant)
-    if key is not None:
-        write_cache_entry(entry_path, key, hash_file(model_path))

@@ -16,7 +16,7 @@ from ..pipeline import sample_key
 
 @dataclass(frozen=True)
 class FoldPlan:
-    held_out_subject: str
+    held_out_subject: str | None  # None: the full-data model, trained on every sample
     train_keys: tuple[str, ...]
     test_keys: tuple[str, ...]
 

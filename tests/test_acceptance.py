@@ -64,9 +64,6 @@ from mebench.protocol import (
     sample_prima_facie,
 )
 
-DESK_TRAIN = TrainConfig(epochs=15, batch_size=2)  # batch size is a desk-run configuration choice
-
-
 @pytest.fixture(scope="session")
 def separable_corpus(tmp_path_factory):
     """shift 0: emotion-conditional displacement statistics identical across groups."""
@@ -295,7 +292,7 @@ def test_c08_end_to_end_learning(separable_corpus):
 
     start = time.perf_counter()
     row_a, folds_a = run_loso_variant(
-        manifest, Variant.DUAL_MOTION, config, DESK_TRAIN, flow_dir, seed=0
+        manifest, Variant.DUAL_MOTION, config, TrainConfig(), flow_dir, seed=0
     )
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0, f"LOSO run took {elapsed:.0f}s"
@@ -303,7 +300,7 @@ def test_c08_end_to_end_learning(separable_corpus):
     assert row_a.epochs == 15
 
     row_b, folds_b = run_loso_variant(
-        manifest, Variant.DUAL_MOTION, config, DESK_TRAIN, flow_dir, seed=0
+        manifest, Variant.DUAL_MOTION, config, TrainConfig(), flow_dir, seed=0
     )
     report_a = json.dumps(
         {"row": row_a.to_dict(), "folds": [(f.held_out_subject, f.confusion.counts.tolist()) for f in folds_a]},
@@ -361,7 +358,7 @@ def test_c10_gradcam_locality(separable_corpus):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        params, _ = train_fold(samples, config, Variant.DUAL_MOTION, DESK_TRAIN, seed=0)
+        params, _ = train_fold(samples, config, Variant.DUAL_MOTION, TrainConfig(), seed=0)
 
     class_angle = {"happiness": 0.0, "disgust": 180.0, "surprise": -90.0}
     class_index = {"happiness": 1, "disgust": 0, "surprise": 2}

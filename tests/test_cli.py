@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import mebench
-from mebench import cli
+from mebench import cli, pipeline, runutil
 from mebench.cli import _workers, main
 from mebench.corpus import MappedEmotion, SynthSpec, build_manifest, load_manifest, save_manifest
 from mebench.flowcore import FlowParams, OpticalFlowImage, read_flow_image, write_flow_image
@@ -742,8 +743,9 @@ def _damaged(intact: bytes, damage) -> bytes:
          "fold-counts-3x2", "fold-counts-negative", "fold-counts-float", "fold-counts-bool", "fold-counts-string",
          "model-entry-garbage", "model-entry-other-hash", "model-bytes-altered", "model-deleted"],
 )
-def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, entry, damage):
-    """A damaged entry, or a model file that no longer matches its entry, is recomputed; damage None deletes."""
+def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, monkeypatch, entry, damage):
+    """A damaged entry, or a model file that no longer matches its entry, is recomputed, and nothing else
+    is retrained: a fold only its own model, a full-data model only itself; damage None deletes."""
     _, corpus, flows = synth_run
     flow_dir = tmp_path / "flows"
     shutil.copytree(flows, flow_dir)
@@ -764,8 +766,39 @@ def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, entry,
         target.unlink()
     else:
         target.write_bytes(_damaged(intact, damage))
+    sizes = _count_train_fold(monkeypatch)
     assert main(argv) == 0
     assert target.read_bytes() == intact
+    eligible = load_manifest(corpus / "manifest.jsonl").eligible()
+    if entry == "sidecar":
+        assert sizes == []
+    elif entry == "fold":
+        subject = target.stem.removeprefix("fold_dual_motion_")
+        assert sizes == [sum(r.subject_id != subject for r in eligible)]
+    else:
+        assert sizes == [len(eligible)]
+
+
+def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, monkeypatch):
+    # the folds and the full-data model share one key base and one sample load
+    _, corpus, flows = synth_run
+    reads, hashes = Counter(), Counter()
+    read, hash_ = pipeline.read_flow_image, runutil.hash_file
+
+    def counting_read(path):
+        reads[Path(path).name] += 1
+        return read(path)
+
+    def counting_hash(path):
+        if Path(path).suffix == ".ofi":
+            hashes[Path(path).name] += 1
+        return hash_(path)
+
+    monkeypatch.setattr(pipeline, "read_flow_image", counting_read)
+    monkeypatch.setattr(runutil, "hash_file", counting_hash)
+    assert main(_loso_argv(corpus, flows, tmp_path / "loso")) == 0
+    once = {flow_image_path(flows, r).name: 1 for r in load_manifest(corpus / "manifest.jsonl").eligible()}
+    assert reads == hashes == once
 
 
 @pytest.mark.parametrize(

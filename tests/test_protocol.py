@@ -625,9 +625,13 @@ class TestRunLosoVariant:
         assert len(reads) == len(manifest.eligible())
         assert set(reads.values()) == {1}
 
-    def test_worker_count_does_not_change_results(self, tiny_loso):
+    def test_worker_count_does_not_change_results(self, tiny_loso, tmp_path):
         manifest, flow_dir = tiny_loso
-        assert run_tiny_loso(manifest, flow_dir, workers=1) == run_tiny_loso(manifest, flow_dir, workers=2)
+        models = {workers: tmp_path / f"model_w{workers}.meck" for workers in (1, 2)}
+        folds = {workers: run_tiny_loso(manifest, flow_dir, workers=workers, model_path=models[workers])
+                 for workers in (1, 2)}
+        assert folds[1] == folds[2]
+        assert models[1].read_bytes() == models[2].read_bytes()
 
     @pytest.mark.parametrize(
         "workers",
