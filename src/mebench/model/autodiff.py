@@ -9,12 +9,30 @@ its parents does, and an output that needs none keeps no closure, no
 parents and no saved arrays. Only the operations the fusion model needs
 are implemented, each with an exact analytic adjoint (the test suite
 checks every one against central finite differences).
+
+conv2d is the im2col lowering (Chellapilla et al., 2006): a gather of
+the input into columns, one batched matmul each way, and a scatter-add
+of the column gradient back onto the input. Both index moves run
+through one read-only plan per sample shape (_conv_plan), the flat
+source index of every column entry with padding taps pointing at one
+extra zero slot, so the plan does not grow with the batch. The gather
+copies each sample, then that zero, into one row of a buffer and
+applies the plan to every row with one np.take; the scatter is one
+np.bincount per sample. bincount adds its weights in input order,
+starting from 0.0, and the plan's order is (c, i, j, oy, ox), so every
+input element receives its kernel taps in (i, j) order from +0.0:
+exactly the sums of a per-tap strided += into a zeroed array, -0.0
+included. ReLU takes fmax(x, 0.0), which maps NaN to 0 as a mask does,
+then adds +0.0 to turn -0.0 into +0.0, matching where(x > 0, x, 0.0)
+bit for bit without its branches.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Tensor:
@@ -138,7 +156,7 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    inverse = np.argsort(axes)
+    inverse = tuple(axes.index(i) for i in range(len(axes)))
     return Tensor(a.data.transpose(axes), (a,), lambda g: _accum(a, g.transpose(inverse)))
 
 
@@ -158,16 +176,20 @@ def concat(parts, axis=-1) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
-    return Tensor(np.where(mask, a.data, 0.0), (a,), lambda g: _accum(a, g * mask))
+    out = np.fmax(a.data, 0.0)  # NaN -> 0.0, as the mask drops it
+    out += 0.0  # -0.0 -> +0.0
+    return Tensor(out, (a,), lambda g: _accum(a, g * mask))
 
 
 def mean(a, axes=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    count = a.data.size if axes is None else np.prod([a.data.shape[ax] for ax in np.atleast_1d(axes)])
+    if isinstance(axes, int):
+        axes = (axes,)
+    count = a.data.size if axes is None else math.prod(a.data.shape[ax] for ax in axes)
 
     def push(g):
         if not keepdims and axes is not None:
-            g = np.expand_dims(g, tuple(np.atleast_1d(axes)))
+            g = np.expand_dims(g, axes)
         _accum(a, np.broadcast_to(g, a.shape) / count)
 
     return Tensor(a.data.mean(axis=axes, keepdims=keepdims), (a,), push)
@@ -213,27 +235,41 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
     return Tensor(gamma.data * x_hat + beta.data, (x, gamma, beta), push)
 
 
+@functools.lru_cache(maxsize=64)
+def _conv_plan(chans: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int):
+    """Read-only im2col plan of one (chans, h, w) sample: the flat source index of
+    every column entry, shape (chans * kh * kw, out_h * out_w), rows in (C, kh, kw)
+    order as in w.reshape(F, -1). Taps that fall in the padding point at index
+    chans * h * w, one zero slot past the end of the flattened sample."""
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
+    rows = np.arange(kh)[:, None, None, None] + stride * np.arange(out_h)[None, None, :, None] - pad
+    cols = np.arange(kw)[None, :, None, None] + stride * np.arange(out_w)[None, None, None, :] - pad
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)  # (kh, kw, out_h, out_w)
+    source = np.arange(chans)[:, None, None, None, None] * (h * w) + rows * w + cols
+    plan = np.where(inside, source, chans * h * w).reshape(chans * kh * kw, out_h * out_w)
+    plan.flags.writeable = False
+    return plan, out_h, out_w
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     batch, chans, h, w = x.shape
-    if pad:
-        padded = np.zeros((batch, chans, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        padded[:, :, pad:-pad, pad:-pad] = x
-        x = padded
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out_h, out_w = windows.shape[2:4]
-    # (B, C, out_h, out_w, kh, kw) -> rows in (C, kh, kw) order, as in w.reshape(F, -1)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, chans * kh * kw, out_h * out_w)
-    return cols, out_h, out_w
+    plan, out_h, out_w = _conv_plan(chans, h, w, kh, kw, stride, pad)
+    n = chans * h * w
+    buf = np.empty((batch, n + 1), dtype=x.dtype)
+    buf[:, :n] = x.reshape(batch, n)
+    buf[:, n] = 0.0
+    return np.take(buf, plan, axis=1), out_h, out_w
 
 
-def _col2im(dcols: np.ndarray, x_shape, kh, kw, stride, pad, out_h, out_w):
+def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int):
     batch, chans, h, w = x_shape
-    dx = np.zeros((batch, chans, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-    d = dcols.reshape(batch, chans, kh, kw, out_h, out_w)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += d[:, :, i, j]
-    return dx[:, :, pad : pad + h, pad : pad + w]
+    plan = _conv_plan(chans, h, w, kh, kw, stride, pad)[0].ravel()
+    n = chans * h * w
+    dx = np.empty((batch, n), dtype=dcols.dtype)
+    for k in range(batch):
+        dx[k] = np.bincount(plan, weights=dcols[k].ravel(), minlength=n + 1)[:n]
+    return dx.reshape(x_shape)
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
@@ -242,7 +278,8 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     filters, _, kh, kw = w.shape
     cols, out_h, out_w = _im2col(x.data, kh, kw, stride, pad)
     w_mat = w.data.reshape(filters, -1)
-    out_data = (w_mat @ cols) + b.data[:, None]
+    out_data = w_mat @ cols
+    out_data += b.data[:, None]
     batch = x.data.shape[0]
 
     def push(g):
@@ -253,7 +290,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
             _accum(w, (g_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
         if x.requires_grad:
             dcols = w_mat.T @ g_mat
-            _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, pad, out_h, out_w))
+            _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, pad))
 
     return Tensor(out_data.reshape(batch, filters, out_h, out_w), (x, w, b), push)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import FD_REL_TOL, FD_SEEDS, fd_check_variant, make_toy_batch
 from mebench.errors import ConfigError, DataError
@@ -441,13 +442,8 @@ def _einsum_conv2d(x, w, b, g, stride, pad):
     out = ((w_mat @ cols) + b[:, None]).reshape(batch, filters, out_h, out_w)
     g_mat = g.reshape(batch, filters, out_h * out_w)
     dw = np.einsum("bfl,bcl->fc", g_mat, cols).reshape(w.shape)
-    d = np.einsum("fc,bfl->bcl", w_mat, g_mat).reshape(batch, x.shape[1], kh, kw, out_h, out_w)
-    dx = np.zeros((batch, x.shape[1], x.shape[2] + 2 * pad, x.shape[3] + 2 * pad))
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += d[:, :, i, j]
-    if pad:
-        dx = dx[:, :, pad:-pad, pad:-pad]
+    dcols = np.einsum("fc,bfl->bcl", w_mat, g_mat)
+    dx = _loop_col2im(dcols, x.shape, kh, kw, stride, pad, out_h, out_w)
     return cols, out, dx, dw, g_mat.sum(axis=(0, 2))
 
 
@@ -460,12 +456,44 @@ _CONV_CASES = [
     for pad in (0, 1)
 ] + [(2, 8, 16, 32, 1, 1, 0), (2, 3, 8, 32, 5, 2, 2)]
 
+# every conv case plus the three loso-desk encoder stages at batch 3, the size of
+# the held-out batch that evaluate_predictions sees in a LOSO fold
+_PLAN_CASES = _CONV_CASES + [(3, chans, filters, size, 3, 2, 1) for chans, filters, size in
+                             ((3, 8, 64), (8, 16, 32), (16, 32, 16))]
+
+
+def _sliding_window_im2col(x, kh, kw, stride, pad):
+    """im2col as autodiff computed it before the gather plan, frozen as the bitwise
+    reference: zero padding, sliding_window_view and one strided copy."""
+    batch, chans, h, w = x.shape
+    if pad:
+        padded = np.zeros((batch, chans, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:-pad, pad:-pad] = x
+        x = padded
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2:4]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(batch, chans * kh * kw, out_h * out_w)
+    return cols, out_h, out_w
+
+
+def _loop_col2im(dcols, x_shape, kh, kw, stride, pad, out_h, out_w):
+    """col2im as autodiff computed it before the scatter plan, frozen as the bitwise
+    reference: one strided += per kernel tap, in (kh, kw) order from zero."""
+    batch, chans, h, w = x_shape
+    dx = np.zeros((batch, chans, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
+    d = dcols.reshape(batch, chans, kh, kw, out_h, out_w)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += d[:, :, i, j]
+    return dx[:, :, pad : pad + h, pad : pad + w]
+
 
 def _always_push_conv2d(x, w, b, stride=1, pad=0):
-    """conv2d as it was before requires_grad, kept as the bitwise reference:
-    its push computes and accumulates the gradient of every parent."""
+    """conv2d as it was before requires_grad and the gather/scatter plans, kept as
+    the bitwise reference: its push computes and accumulates the gradient of every
+    parent through the frozen im2col and col2im above."""
     filters, _, kh, kw = w.shape
-    cols, out_h, out_w = ad._im2col(x.data, kh, kw, stride, pad)
+    cols, out_h, out_w = _sliding_window_im2col(x.data, kh, kw, stride, pad)
     w_mat = w.data.reshape(filters, -1)
     out_data = (w_mat @ cols) + b.data[:, None]
     batch = x.data.shape[0]
@@ -476,7 +504,7 @@ def _always_push_conv2d(x, w, b, stride=1, pad=0):
         ad._accum(b, g_mat.sum(axis=(0, 2)))
         ad._accum(w, (g_mat @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape))
         dcols = w_mat.T @ g_mat
-        ad._accum(x, ad._col2im(dcols, x.data.shape, kh, kw, stride, pad, out_h, out_w))
+        ad._accum(x, _loop_col2im(dcols, x.data.shape, kh, kw, stride, pad, out_h, out_w))
 
     out._push = push
     return out
@@ -523,11 +551,56 @@ class TestConv2dKernel:
         assert_bits_equal(wt.grad, ref_w.grad)
         assert_bits_equal(bt.grad, ref_b.grad)
 
+    @pytest.mark.parametrize("batch,chans,filters,size,k,stride,pad", _PLAN_CASES)
+    def test_plan_kernels_match_frozen_references_bitwise(self, batch, chans, filters, size, k, stride, pad):
+        x = _conv_case(batch, chans, filters, size, k, stride, pad)[0]
+        x.ravel()[::7] = -0.0
+        cols, out_h, out_w = _sliding_window_im2col(x, k, k, stride, pad)
+        assert_bits_equal(ad._im2col(x, k, k, stride, pad)[0], cols)
+        # signed zeros, and magnitudes over 24 decades, so that summing the taps
+        # of an input element in any order but (i, j) changes the rounding
+        rng = np.random.default_rng(batch * 100 + size)
+        dcols = rng.normal(size=cols.shape) * 10.0 ** rng.integers(-12, 12, size=cols.shape)
+        dcols.ravel()[::5] = -0.0
+        dcols.ravel()[1::5] = 0.0
+        assert_bits_equal(ad._col2im(dcols, x.shape, k, k, stride, pad),
+                          _loop_col2im(dcols, x.shape, k, k, stride, pad, out_h, out_w))
+
+    def test_plan_is_cached_and_read_only(self):
+        plan, out_h, out_w = ad._conv_plan(3, 8, 8, 3, 3, 2, 1)
+        assert ad._conv_plan(3, 8, 8, 3, 3, 2, 1)[0] is plan
+        assert plan.shape == (27, out_h * out_w) == (27, 16)
+        assert not plan.flags.writeable
+
     def test_no_grad_parents_record_nothing(self):
         rng = np.random.default_rng(0)
         out = ad.conv2d(rng.normal(size=(1, 3, 8, 8)), rng.normal(size=(4, 3, 3, 3)), np.zeros(4), pad=1)
         assert not out.requires_grad
         assert out._push is None and out._parents == ()
+
+
+# ---------------------------------------------------------------- relu
+
+_RELU_SPECIALS = (-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324)
+
+
+class TestRelu:
+    @pytest.mark.parametrize("value", _RELU_SPECIALS, ids=repr)
+    @pytest.mark.parametrize("length", (1, 15, 17, 31, 33, 63, 129))
+    def test_special_values_match_mask_form_bitwise(self, value, length):
+        """Each special value at every offset mod 16, so both the SIMD lanes and the
+        scalar tail see it, in fresh arrays and in views shifted by one element."""
+        rng = np.random.default_rng(length)
+        for offset in range(min(length, 16)):
+            buf = rng.normal(size=length + 1)
+            for x in (buf[:length].copy(), buf[1:]):
+                x[offset::16] = value
+                a = ad.Tensor(x, requires_grad=True)
+                out = ad.relu(a)
+                assert_bits_equal(out.data, np.where(x > 0, x, 0.0))
+                g = rng.normal(size=length)
+                out._push(g)
+                assert_bits_equal(a.grad, g * (x > 0))
 
 
 # ---------------------------------------------------------------- optimizer
@@ -677,6 +750,24 @@ class TestTrainFold:
         path = tmp_path / "fold.meck"
         save_checkpoint(path, params, config, variant)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self._TRAINED_CHECKPOINT_SHA256[variant]
+
+    # The same pin at the loso-desk shapes: 64 px inputs through ModelConfig.small
+    # at the shipped batch size 2, with an odd sample count so the last batch of
+    # each epoch holds one sample. Computed with the sliding-window im2col and the
+    # per-tap col2im loop that the tests keep as references.
+    _BENCH_SHAPE_CHECKPOINT_SHA256 = {
+        Variant.DUAL_MOTION: "8a0442cc218cd055cd559f385d4ca89a3523c54ccee69acf1ce653353c93330b",
+        Variant.MOTION_RGB_PATCH: "97be07ee2aa637f6f0dca17ec2001c8cbdc21749158c7daa24885a5d3dfd9a89",
+    }
+
+    @pytest.mark.parametrize("variant", list(_BENCH_SHAPE_CHECKPOINT_SHA256), ids=lambda v: v.value)
+    def test_trained_checkpoint_bytes_are_pinned_at_benchmark_shapes(self, variant, tmp_path):
+        config = ModelConfig.small(64)
+        samples = self.small_samples(n=5, size=64, seed=1)
+        params, _ = train_fold(samples, config, variant, TrainConfig(epochs=2, batch_size=2), seed=7)
+        path = tmp_path / "fold.meck"
+        save_checkpoint(path, params, config, variant)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self._BENCH_SHAPE_CHECKPOINT_SHA256[variant]
 
     def test_loss_decreases_on_separable_toy(self):
         rng = np.random.default_rng(3)
