@@ -24,7 +24,30 @@ input element receives its kernel taps in (i, j) order from +0.0:
 exactly the sums of a per-tap strided += into a zeroed array, -0.0
 included. ReLU takes fmax(x, 0.0), which maps NaN to 0 as a mask does,
 then adds +0.0 to turn -0.0 into +0.0, matching where(x > 0, x, 0.0)
-bit for bit without its branches.
+bit for bit without its branches; its push builds the x > 0 mask, so an
+inference pass never does.
+
+softmax takes the attention's 1/sqrt(d) as `scale` and computes
+softmax(scale * a) in one fresh array: the product, then in place the
+max subtracted, exp and the division by the sum, each step on the same
+values as a separate scale op followed by an out-of-place softmax. Its
+push keeps that softmax's expression y * (g - sum(g * y)), whose product
+numpy writes into the g - sum temporary once it reaches 256 KB (as the
+(B, H, N, N) attention arrays do), and then scales that one array in
+place where a scale op made a copy. The same expression keeps the same
+result layout at every size.
+
+mean, layer_norm and cross_entropy_mean divide a sum by the count where
+they called np.mean: numpy's mean is that same sum followed by a true
+divide, so the bits are the same without its Python wrapper. mean
+divides in place as numpy does, so even its length-1 axes keep their
+strides.
+
+An in-place rewrite must keep its result's memory layout, not only its
+values: numpy lays a fresh result out like its operands, later
+reductions sum in layout order, and the incoming gradient of a
+transposed tensor is a transposed view. layer_norm's push, for one,
+stays out of place for that reason.
 """
 
 from __future__ import annotations
@@ -41,9 +64,14 @@ class Tensor:
     def __init__(self, data, parents=(), push=None, name=None, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = tuple(parents) if self.requires_grad else ()
-        self._push = push if self.requires_grad else None
+        if not requires_grad:
+            for parent in parents:
+                if parent.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
+        self._parents = tuple(parents) if requires_grad else ()
+        self._push = push if requires_grad else None
         self.name = name
 
     @property
@@ -72,12 +100,12 @@ class Tensor:
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
+                if parent.requires_grad and parent not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data) if grad is None else grad
         for node in reversed(order):
@@ -175,10 +203,9 @@ def concat(parts, axis=-1) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.data > 0
     out = np.fmax(a.data, 0.0)  # NaN -> 0.0, as the mask drops it
     out += 0.0  # -0.0 -> +0.0
-    return Tensor(out, (a,), lambda g: _accum(a, g * mask))
+    return Tensor(out, (a,), lambda g: _accum(a, g * (a.data > 0)))
 
 
 def mean(a, axes=None, keepdims=False) -> Tensor:
@@ -192,18 +219,24 @@ def mean(a, axes=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axes)
         _accum(a, np.broadcast_to(g, a.shape) / count)
 
-    return Tensor(a.data.mean(axis=axes, keepdims=keepdims), (a,), push)
+    out = a.data.sum(axis=axes, keepdims=keepdims)
+    out /= count  # in place, as np.mean divides, so length-1 axes keep their strides
+    return Tensor(out, (a,), push)
 
 
-def softmax(a, axis=-1) -> Tensor:
+def softmax(a, axis=-1, scale=1.0) -> Tensor:
+    """softmax(scale * a) along `axis`, computed in one fresh array."""
     a = as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = a.data * scale
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def push(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - inner))
+        gx = y * (g - inner)
+        gx *= scale
+        _accum(a, gx)
 
     return Tensor(y, (a,), push)
 
@@ -211,9 +244,10 @@ def softmax(a, axis=-1) -> Tensor:
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
     """Normalize over the last axis with a learned affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    n = x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = (centered**2).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = centered * inv_std
 
@@ -227,8 +261,8 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
             g_hat = g * gamma.data
             gx = inv_std * (
                 g_hat
-                - g_hat.mean(axis=-1, keepdims=True)
-                - x_hat * (g_hat * x_hat).mean(axis=-1, keepdims=True)
+                - g_hat.sum(axis=-1, keepdims=True) / n
+                - x_hat * ((g_hat * x_hat).sum(axis=-1, keepdims=True) / n)
             )
             _accum(x, gx)
 
@@ -302,14 +336,16 @@ def linear(x, w, b) -> Tensor:
     def push(g):
         if x.requires_grad:
             _accum(x, g @ w.data)
-        lead = int(np.prod(g.shape[:-1])) if g.ndim > 1 else 1
+        lead = math.prod(g.shape[:-1])
         g2 = g.reshape(lead, g.shape[-1])
         if w.requires_grad:
             _accum(w, g2.T @ x.data.reshape(lead, x.data.shape[-1]))
         if b.requires_grad:
             _accum(b, g2.sum(axis=0))
 
-    return Tensor(x.data @ w.data.T + b.data, (x, w, b), push)
+    out = x.data @ w.data.T
+    out += b.data
+    return Tensor(out, (x, w, b), push)
 
 
 def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -329,4 +365,4 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
         probs[np.arange(batch), targets] -= 1.0
         _accum(logits, g * probs / batch)
 
-    return Tensor(np.mean(lse - picked), (logits,), push)
+    return Tensor((lse - picked).sum() / batch, (logits,), push)

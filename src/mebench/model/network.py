@@ -86,8 +86,8 @@ def _attention_block(x: Tensor, leaves: dict, prefix: str, cfg: PatchEncoderConf
     k = split_heads(ad.linear(normed, leaves[f"{prefix}.attn.k.w"], leaves[f"{prefix}.attn.k.b"]))
     v = split_heads(ad.linear(normed, leaves[f"{prefix}.attn.v.w"], leaves[f"{prefix}.attn.v.b"]))
 
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
-    probs = ad.softmax(scores, axis=-1)
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+    probs = ad.softmax(scores, axis=-1, scale=1.0 / np.sqrt(head_dim))
     mixed = ad.matmul(probs, v)  # (B, H, N, dh)
     mixed = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (batch, n, d))
     attn_out = ad.linear(mixed, leaves[f"{prefix}.attn.o.w"], leaves[f"{prefix}.attn.o.b"])

@@ -76,8 +76,8 @@ def spy_attention(monkeypatch) -> list:
     probs = []
     real_softmax = ad.softmax
 
-    def spy(a, axis=-1):
-        out = real_softmax(a, axis)
+    def spy(a, axis=-1, scale=1.0):
+        out = real_softmax(a, axis, scale=scale)
         probs.append(out.data)
         return out
 
@@ -601,6 +601,204 @@ class TestRelu:
                 g = rng.normal(size=length)
                 out._push(g)
                 assert_bits_equal(a.grad, g * (x > 0))
+
+
+# ---------------------------------------------------------------- softmax, layer_norm, mean, linear, cross-entropy
+
+
+def _three_array_softmax(a, axis=-1):
+    """softmax as autodiff computed it before its scale keyword, frozen as the
+    bitwise reference: three fresh arrays forward and three in the push."""
+    z = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def push(g):
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        ad._accum(a, y * (g - inner))
+
+    return Tensor(y, (a,), push)
+
+
+def _scale_node_softmax(a, k, axis=-1):
+    """The attention's former ad.scale node followed by the frozen softmax."""
+    scaled = Tensor(a.data * k, (a,), lambda g: ad._accum(a, g * k))
+    return _three_array_softmax(scaled, axis)
+
+
+def _np_mean_layer_norm(x, gamma, beta, eps=1e-6):
+    """layer_norm as autodiff computed it through ndarray.mean, frozen as the bitwise reference."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = centered * inv_std
+
+    def push(g):
+        reduce_axes = tuple(range(g.ndim - 1))
+        ad._accum(gamma, (g * x_hat).sum(axis=reduce_axes))
+        ad._accum(beta, g.sum(axis=reduce_axes))
+        g_hat = g * gamma.data
+        ad._accum(x, inv_std * (
+            g_hat - g_hat.mean(axis=-1, keepdims=True) - x_hat * (g_hat * x_hat).mean(axis=-1, keepdims=True)
+        ))
+
+    return Tensor(gamma.data * x_hat + beta.data, (x, gamma, beta), push)
+
+
+def _np_mean_mean(a, axes=None, keepdims=False):
+    """mean as autodiff computed it through ndarray.mean, frozen as the bitwise reference."""
+    if isinstance(axes, int):
+        axes = (axes,)
+    count = a.data.size if axes is None else math.prod(a.data.shape[ax] for ax in axes)
+
+    def push(g):
+        if not keepdims and axes is not None:
+            g = np.expand_dims(g, axes)
+        ad._accum(a, np.broadcast_to(g, a.shape) / count)
+
+    return Tensor(a.data.mean(axis=axes, keepdims=keepdims), (a,), push)
+
+
+def _np_mean_cross_entropy(logits, targets):
+    """cross_entropy_mean as autodiff computed it through np.mean, frozen as the bitwise reference."""
+    batch = logits.data.shape[0]
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    lse = np.log(e.sum(axis=1))
+    picked = z[np.arange(batch), targets]
+
+    def push(g):
+        probs = e / e.sum(axis=1, keepdims=True)
+        probs[np.arange(batch), targets] -= 1.0
+        ad._accum(logits, g * probs / batch)
+
+    return Tensor(np.mean(lse - picked), (logits,), push)
+
+
+def _fresh_bias_linear(x, w, b):
+    """linear as autodiff computed it with a fresh bias sum and np.prod, frozen as the bitwise reference."""
+
+    def push(g):
+        ad._accum(x, g @ w.data)
+        lead = int(np.prod(g.shape[:-1])) if g.ndim > 1 else 1
+        g2 = g.reshape(lead, g.shape[-1])
+        ad._accum(w, g2.T @ x.data.reshape(lead, x.data.shape[-1]))
+        ad._accum(b, g2.sum(axis=0))
+
+    return Tensor(x.data @ w.data.T + b.data, (x, w, b), push)
+
+
+def _decades(rng, shape, layout="C", decades=(-12, 12)):
+    """Normal draws scaled by powers of ten in `decades`, every seventh entry -0.0,
+    either C-contiguous ("C") or a view with the last two axes swapped ("T")."""
+    stored = tuple(shape) if layout == "C" else tuple(shape[:-2]) + tuple(shape[:-3:-1])
+    a = np.asarray(rng.normal(size=stored) * 10.0 ** rng.integers(*decades, size=stored))
+    a.ravel()[::7] = -0.0
+    return a if layout == "C" else np.swapaxes(a, -1, -2)
+
+
+def _leaves(*arrays):
+    return [Tensor(a, requires_grad=True) for a in arrays]
+
+
+def assert_same_array(got, ref):
+    """Same bits and the same memory layout, which later reductions sum in."""
+    assert np.asarray(got).strides == np.asarray(ref).strides
+    assert_bits_equal(got, ref)
+
+
+_LAYOUTS = ("C", "T")
+
+
+class TestReductionKernels:
+    """Each rewritten op against its frozen former self, on C-contiguous and transposed
+    inputs and upstream gradients, so a layout change fails here and not only in a pin."""
+
+    # the loso-desk attention scores (B, H, N, N), then odd sizes and a length-1 axis
+    @pytest.mark.parametrize("shape", ((2, 4, 64, 64), (3, 5, 7), (2, 3, 1, 9)), ids=str)
+    @pytest.mark.parametrize("axis", (-1, 1))
+    @pytest.mark.parametrize("k", (None, 1.0 / np.sqrt(8), 0.3), ids=("unscaled", "head8", "k0.3"))
+    @pytest.mark.parametrize("x_layout", _LAYOUTS)
+    @pytest.mark.parametrize("g_layout", _LAYOUTS)
+    def test_softmax_matches_scale_node_chain(self, shape, axis, k, x_layout, g_layout):
+        rng = np.random.default_rng(sum(shape) + 7 * axis)
+        x = _decades(rng, shape, x_layout, decades=(-8, 3))
+        g = _decades(rng, shape, g_layout)
+        (a,), (ref_a,) = _leaves(x), _leaves(x)
+        if k is None:
+            out, ref = ad.softmax(a, axis=axis), _three_array_softmax(ref_a, axis)
+        else:
+            out, ref = ad.softmax(a, axis=axis, scale=k), _scale_node_softmax(ref_a, k, axis)
+        assert_same_array(out.data, ref.data)
+        out.backward(g)
+        ref.backward(g)
+        assert_same_array(a.grad, ref_a.grad)
+
+    @pytest.mark.parametrize("shape", ((2, 64, 32), (3, 5, 7), (4, 1)), ids=str)
+    @pytest.mark.parametrize("x_layout", _LAYOUTS)
+    @pytest.mark.parametrize("g_layout", _LAYOUTS)
+    def test_layer_norm_matches_np_mean_form(self, shape, x_layout, g_layout):
+        rng = np.random.default_rng(sum(shape))
+        x = _decades(rng, shape, x_layout)
+        gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        g = _decades(rng, shape, g_layout)
+        new, ref = _leaves(x, gamma, beta), _leaves(x, gamma, beta)
+        out, ref_out = ad.layer_norm(*new), _np_mean_layer_norm(*ref)
+        assert_same_array(out.data, ref_out.data)
+        out.backward(g)
+        ref_out.backward(g)
+        for got, want in zip(new, ref):
+            assert_same_array(got.grad, want.grad)
+
+    @pytest.mark.parametrize("axes", (None, 1, (2, 3), (0, 2)), ids=str)
+    @pytest.mark.parametrize("keepdims", (False, True))
+    @pytest.mark.parametrize("x_layout", _LAYOUTS)
+    @pytest.mark.parametrize("g_layout", _LAYOUTS)
+    def test_mean_matches_np_mean_form(self, axes, keepdims, x_layout, g_layout):
+        rng = np.random.default_rng(3)
+        x = _decades(rng, (2, 32, 8, 8), x_layout)
+        (a,), (ref_a,) = _leaves(x), _leaves(x)
+        out, ref = ad.mean(a, axes=axes, keepdims=keepdims), _np_mean_mean(ref_a, axes=axes, keepdims=keepdims)
+        assert_same_array(out.data, ref.data)
+        g = _decades(rng, ref.shape, g_layout if ref.ndim >= 2 else "C")
+        out.backward(g)
+        ref.backward(g)
+        assert_same_array(a.grad, ref_a.grad)
+
+    @pytest.mark.parametrize("batch,classes", ((2, 3), (7, 2), (64, 7)))
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_cross_entropy_mean_matches_np_mean_form(self, batch, classes, layout):
+        rng = np.random.default_rng(batch * classes)
+        logits = _decades(rng, (batch, classes), layout, decades=(-8, 4))
+        targets = rng.integers(0, classes, size=batch)
+        (a,), (ref_a,) = _leaves(logits), _leaves(logits)
+        out, ref = ad.cross_entropy_mean(a, targets), _np_mean_cross_entropy(ref_a, targets)
+        assert_same_array(out.data, ref.data)
+        g = np.asarray(rng.normal())
+        out.backward(g)
+        ref.backward(g)
+        assert_same_array(a.grad, ref_a.grad)
+
+    @pytest.mark.parametrize("shape,x_layout,g_layout", [
+        (shape, x_layout, g_layout)
+        for shape in ((2, 64, 48), (3, 32), (5,))
+        for x_layout in _LAYOUTS
+        for g_layout in _LAYOUTS
+        if len(shape) > 1 or x_layout == g_layout == "C"  # a vector has no axes to swap
+    ], ids=str)
+    def test_linear_matches_fresh_bias_form(self, shape, x_layout, g_layout):
+        rng = np.random.default_rng(sum(shape))
+        x = _decades(rng, shape, x_layout)
+        w, b = rng.normal(size=(16, shape[-1])), rng.normal(size=16)
+        g = _decades(rng, shape[:-1] + (16,), g_layout)
+        new, ref = _leaves(x, w, b), _leaves(x, w, b)
+        out, ref_out = ad.linear(*new), _fresh_bias_linear(*ref)
+        assert_same_array(out.data, ref_out.data)
+        out.backward(g)
+        ref_out.backward(g)
+        for got, want in zip(new, ref):
+            assert_same_array(got.grad, want.grad)
 
 
 # ---------------------------------------------------------------- optimizer
