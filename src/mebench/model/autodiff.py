@@ -32,10 +32,10 @@ softmax(scale * a) in one fresh array: the product, then in place the
 max subtracted, exp and the division by the sum, each step on the same
 values as a separate scale op followed by an out-of-place softmax. Its
 push keeps that softmax's expression y * (g - sum(g * y)), whose product
-numpy writes into the g - sum temporary once it reaches 256 KB (as the
-(B, H, N, N) attention arrays do), and then scales that one array in
-place where a scale op made a copy. The same expression keeps the same
-result layout at every size.
+numpy's temporary elision writes into the g - sum array once it reaches
+256 KB (as the (B, H, N, N) attention arrays do), and then scales that
+one array in place where a scale op made a copy. The same expression
+keeps the same result layout at every size.
 
 mean, layer_norm and cross_entropy_mean divide a sum by the count where
 they called np.mean: numpy's mean is that same sum followed by a true
