@@ -152,6 +152,8 @@ def read_flow_image(path) -> OpticalFlowImage:
     expected = 12 + 3 * plane_bytes + 24
     if len(data) < expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes, found {len(data)}")
+    if len(data) > expected:
+        raise DataError(f"{path}: {len(data)} bytes, the header declares {expected}")
     planes = []
     for i in range(3):
         start = 12 + i * plane_bytes

@@ -5,8 +5,14 @@ smoothness objective) solved with Jacobi iterations inside a
 coarse-to-fine pyramid with inter-level warping. Each Jacobi step takes
 the weighted 8-neighbour average of the increment, `nearest`-mode at the
 border, summed tap by tap in `scipy.ndimage.correlate`'s order, so it is
-bit-identical to `correlate(d, _AVG_KERNEL, mode="nearest")`. The flow
-convention is
+bit-identical to `correlate(d, _AVG_KERNEL, mode="nearest")`. Coarse
+levels are bound by numpy call overhead, so each level binds every view
+its steps touch once, and a step makes 17 numpy calls: the two weights go
+in one broadcast multiply, and the taps are summed from `first_tap + 0.0`,
+which has the bits of correlate's `0.0 + first_tap` for every value (IEEE
+addition is commutative: -0.0 still becomes +0.0, a NaN keeps its payload).
+
+The flow convention is
 
     onset(x, y) ~= apex(x + u(x, y), y + v(x, y))
 
@@ -57,8 +63,8 @@ class FlowParams:
     zero_init: bool = True
 
     def __post_init__(self):
-        if self.smoothness_alpha <= 0:
-            raise ConfigError("smoothness_alpha must be > 0")
+        if not (np.isfinite(self.smoothness_alpha) and self.smoothness_alpha > 0):
+            raise ConfigError(f"smoothness_alpha must be finite and > 0, got {self.smoothness_alpha}")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if self.pyramid_levels < 1:
@@ -122,30 +128,35 @@ def _derivatives(im1: np.ndarray, im2: np.ndarray):
     return cx[0] + cx[1], cy[0] + cy[1], ct[1] - ct[0]
 
 
-def _neighbour_average(padded: np.ndarray, out: np.ndarray, scaled: np.ndarray) -> None:
-    """Write `correlate(x, _AVG_KERNEL, mode="nearest")` of each plane x into `out`, bit for bit.
+def _neighbour_average(padded: np.ndarray, out: np.ndarray, scaled: np.ndarray):
+    """Prepare a step that writes `correlate(x, _AVG_KERNEL, mode="nearest")` of each plane x into `out`.
 
-    `padded` (n, H+2, W+2) holds the planes in its interior; its 1 px border
-    is refilled here by edge replication. Only the interior of `out` (same
-    shape) is the result. `scaled[k]` receives _AVG_WEIGHTS[k] * padded, so
-    on the flattened grid each tap's product is one contiguous shifted slice;
-    the taps are summed from +0.0 in correlate's order.
+    `padded` (n, H+2, W+2) holds the planes in its interior; each step
+    refills its 1 px border by edge replication. Only the interior of `out`
+    (same shape) is the result. `scaled[k]` receives _AVG_WEIGHTS[k] * padded,
+    so on the flattened grid each tap's product is one contiguous shifted
+    slice. All views are bound here, once; each step reads the current interior.
     """
-    padded[:, 0, 1:-1] = padded[:, 1, 1:-1]
-    padded[:, -1, 1:-1] = padded[:, -2, 1:-1]
-    padded[:, :, 0] = padded[:, :, 1]
-    padded[:, :, -1] = padded[:, :, -2]
-    for weight, plane in zip(_AVG_WEIGHTS, scaled):
-        np.multiply(padded, weight, out=plane)
+    h, w = padded.shape[1:]
+    # edge rows, then edge columns (so corners come from the refilled rows), as stepped slices: sides >= 4
+    edge_rows, inner_rows = padded[:, 0:h:h - 1, 1:-1], padded[:, 1:h - 1:h - 3, 1:-1]
+    edge_cols, inner_cols = padded[:, :, 0:w:w - 1], padded[:, :, 1:w - 1:w - 3]
+    weights = _AVG_WEIGHTS[:, None, None, None]
     # all but the first and last row + 1 cells; border cells get don't-care sums
-    row = padded.shape[-1]
-    lo, hi = row + 1, padded.size - row - 1
+    lo, hi = w + 1, padded.size - w - 1
     flat_out = out.reshape(-1)[lo:hi]
     flat_scaled = scaled.reshape(len(scaled), -1)
-    flat_out.fill(0.0)
-    for k, di, dj in _AVG_TAPS:
-        shift = di * row + dj
-        flat_out += flat_scaled[k, lo + shift : hi + shift]
+    first, *rest = (flat_scaled[k, lo + di * w + dj : hi + di * w + dj] for k, di, dj in _AVG_TAPS)
+
+    def step():
+        edge_rows[...] = inner_rows
+        edge_cols[...] = inner_cols
+        np.multiply(padded, weights, out=scaled)
+        np.add(first, 0.0, out=flat_out)
+        for tap in rest:
+            np.add(flat_out, tap, out=flat_out)
+
+    return step
 
 
 def _solve_level(im1, im2, u, v, alpha, iterations):
@@ -164,12 +175,14 @@ def _solve_level(im1, im2, u, v, alpha, iterations):
     padded = np.zeros_like(grad)
     bar = np.zeros_like(grad)
     prod = np.empty_like(grad)
+    prod_u, prod_v = prod
     scaled = np.empty((len(_AVG_WEIGHTS), *grad.shape))
     shared = np.empty_like(ft)
+    neighbour_average = _neighbour_average(padded, bar, scaled)
     for _ in range(iterations):
-        _neighbour_average(padded, bar, scaled)
+        neighbour_average()
         np.multiply(grad, bar, out=prod)
-        np.add(prod[0], prod[1], out=shared)
+        np.add(prod_u, prod_v, out=shared)
         shared += ft
         shared /= denom
         np.multiply(grad, shared, out=prod)

@@ -814,22 +814,26 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("prima-facie", ["--seeds", "0"], 2, "needs at least one seed"),
         ("loso", ["--image-size", "64"], 3, "for image_size 64"),
         ("loso", ["--image-size", "64", "--variants", "motion_plus_rgb_patch"], 3, "for image_size 64"),
+        ("flow", ["--alpha", "inf"], 2, "smoothness_alpha must be finite and > 0"),
+        ("flow", ["--alpha", "nan"], 2, "smoothness_alpha must be finite and > 0"),
     ],
     ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "budget-0", "budget-negative", "seeds-0",
-         "image-size-dual", "image-size-patch"],
+         "image-size-dual", "image-size-patch", "alpha-inf", "alpha-nan"],
 )
 def test_out_of_range_argument_is_not_internal_error(synth_run, tmp_path, capsys, command, extra, code, message):
     _, corpus, flows = synth_run
     out = tmp_path / "out"
     if command == "loso":
         argv = _loso_argv(corpus, flows, out)
+    elif command == "flow":
+        argv = ["flow", "--manifest", str(corpus / "manifest.jsonl"), "--out", str(out)]
     else:
         argv = ["prima-facie", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows),
                 "--out", str(out), "--seeds", "1", "--trees", "2"]
     capsys.readouterr()
     assert main(argv + extra) == code
     assert message in capsys.readouterr().err
-    assert not list(out.glob("*.meck")) and not list(out.glob("prima_facie.*"))
+    assert not list(out.glob("*.meck")) and not list(out.glob("prima_facie.*")) and not list(out.glob("*.ofi"))
     assert not (out / "provenance.json").exists()
 
 

@@ -160,6 +160,10 @@ class TestEstimateFlow:
     def test_bad_params(self):
         with pytest.raises(ConfigError):
             FlowParams(smoothness_alpha=0.0)
+        with pytest.raises(ConfigError, match="finite"):
+            FlowParams(smoothness_alpha=np.inf)
+        with pytest.raises(ConfigError, match="finite"):
+            FlowParams(smoothness_alpha=np.nan)
         with pytest.raises(ConfigError):
             FlowParams(iterations=0)
         with pytest.raises(ConfigError):
@@ -180,13 +184,13 @@ def bits(a):
 
 
 def stencil(planes):
-    """_neighbour_average of (n, H, W) planes through a padded buffer whose border starts as NaN."""
+    """One call of a prepared _neighbour_average step on (n, H, W) planes in a NaN-bordered padded buffer."""
     n, h, w = planes.shape
     padded = np.full((n, h + 2, w + 2), np.nan)
     padded[:, 1:-1, 1:-1] = planes
     out = np.full_like(padded, np.nan)
     scaled = np.empty((len(_AVG_WEIGHTS), *padded.shape))
-    _neighbour_average(padded, out, scaled)
+    _neighbour_average(padded, out, scaled)()
     return out[:, 1:-1, 1:-1]
 
 
@@ -228,6 +232,19 @@ class TestNeighbourAverage:
         with np.errstate(invalid="ignore"):
             got = stencil(planes)
         assert np.array_equal(bits(got), bits(correlate_planes(planes)))
+
+    def test_prepared_step_reused_on_new_interior(self):
+        # one prepared step, run twice on the same buffers: the second run starts from the first run's
+        # border and sums, so stale views or a stale border would show
+        rng = np.random.Generator(np.random.PCG64(8))
+        first, second = rng.normal(scale=3.0, size=(2, 2, 9, 13))
+        padded = np.full((2, 11, 15), np.nan)
+        out = np.full_like(padded, np.nan)
+        step = _neighbour_average(padded, out, np.empty((len(_AVG_WEIGHTS), *padded.shape)))
+        for planes in (first, second):
+            padded[:, 1:-1, 1:-1] = planes
+            step()
+            assert np.array_equal(bits(out[:, 1:-1, 1:-1]), bits(correlate_planes(planes)))
 
     def test_opposite_infinities_and_nan_match_correlate(self):
         planes = np.full((2, 8, 8), 1.5)
@@ -297,6 +314,13 @@ class TestSolverMatchesReference:
         onset, apex = GrayFrame(rng.random((h, w))), GrayFrame(rng.random((h, w)))
         params = FlowParams(iterations=iterations, pyramid_levels=levels, zero_init=zero_init)
         assert_same_flow(estimate_flow(onset, apex, params), reference_flow(onset, apex, params))
+
+    @pytest.mark.parametrize("side", [64, 128])
+    def test_benchmark_shapes_default_params(self, side):
+        # the flow-128 and set-up shapes: three 200-step levels (side, side/2, side/4) under the defaults
+        tex = smooth_texture(side, side, side)
+        onset, apex = GrayFrame(tex), GrayFrame(translate_frame(tex, 0.8, -0.5))
+        assert_same_flow(estimate_flow(onset, apex), reference_flow(onset, apex, FlowParams()))
 
     def test_flow_image_bytes_pinned(self, tmp_path):
         # sha256 of this pair's OFI file as written by the two-correlate solver
@@ -440,6 +464,14 @@ class TestFlowImage:
         path = tmp_path / "trunc.ofi"
         path.write_bytes(b"OFI1" + np.array([4, 4], dtype="<u4").tobytes() + bytes(10))
         with pytest.raises(TruncatedFileError):
+            read_flow_image(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        flow = flat_flow(32, 32, u_val=0.5)
+        path = tmp_path / "twice.ofi"
+        write_flow_image(assemble_flow_image(flow, compute_strain(flow)), path)
+        path.write_bytes(path.read_bytes() * 2)
+        with pytest.raises(DataError, match="24648 bytes, the header declares 12324"):
             read_flow_image(path)
 
     @settings(max_examples=20, deadline=None)
