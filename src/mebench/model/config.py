@@ -9,6 +9,7 @@ texture). Branches never share weights.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
@@ -60,12 +61,10 @@ class EncoderConfig:
     def __post_init__(self):
         if self.feature_dim < 2:
             raise ConfigError("feature_dim must be >= 2")
-        if len(self.stage_widths) < 1:
-            raise ConfigError("need at least one stage")
-        if self.kernel_size % 2 != 1:
-            raise ConfigError("kernel_size must be odd")
-        if self.downsample < 1:
-            raise ConfigError("downsample must be >= 1")
+        if not self.stage_widths or min(self.input_channels, self.downsample, *self.stage_widths) < 1:
+            raise ConfigError("need at least one stage; input_channels, downsample and stage widths must be >= 1")
+        if self.kernel_size < 1 or self.kernel_size % 2 != 1:
+            raise ConfigError("kernel_size must be odd and >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,12 +81,14 @@ class PatchEncoderConfig:
     pooling: str = "mean"
 
     def __post_init__(self):
+        if min(self.patch_size, self.embed_dim, self.n_heads, self.n_blocks) < 1:
+            raise ConfigError("patch_size, embed_dim, n_heads and n_blocks must be >= 1")
         if self.embed_dim % self.n_heads != 0:
             raise ConfigError("embed_dim must be divisible by n_heads")
+        if not (math.isfinite(self.mlp_ratio) and round(self.mlp_ratio * self.embed_dim) >= 1):
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} gives no MLP width for embed_dim {self.embed_dim}")
         if self.pooling != "mean":
             raise ConfigError("only mean pooling is supported")
-        if self.n_blocks < 1:
-            raise ConfigError("need at least one block")
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,8 @@ class ModelConfig:
     texture: PatchEncoderConfig = field(default_factory=PatchEncoderConfig)
 
     def __post_init__(self):
+        if self.image_size < 1:
+            raise ConfigError(f"image_size must be >= 1, got {self.image_size}")
         for name, enc_dim in (
             ("motion", self.motion.feature_dim),
             ("ethnic_conv", self.ethnic_conv.feature_dim),

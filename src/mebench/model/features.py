@@ -14,11 +14,11 @@ from collections import OrderedDict
 import numpy as np
 
 from ..errors import ConfigError
-from ..runutil import derived_rng, from_json_dict, to_json_dict
+from ..runutil import derived_rng, to_json_dict
 from .autodiff import Tensor
 from .config import EncoderConfig
 from .network import INPUT_CENTER, encode_conv
-from .params import ParamSet, _conv_stack, check_layout, read_meck, write_meck
+from .params import ParamSet, _conv_stack, check_layout, read_config, read_meck, write_meck
 
 _KIND = "frozen_encoder"  # the MECK1 header "kind" of a frozen-encoder file
 
@@ -41,7 +41,7 @@ class FrozenEncoder:
         def decode(header):
             if header.get("kind") != _KIND:
                 raise ConfigError(f"{path}: not a frozen-encoder checkpoint")
-            return from_json_dict(EncoderConfig, header["config"])
+            return read_config(path, EncoderConfig, header["config"])
 
         config, params = read_meck(path, decode, lambda config: _frozen_param_set(config, seed=0))
         return cls(config, params, origin=f"file:{path}")

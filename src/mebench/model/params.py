@@ -201,6 +201,14 @@ def read_meck(path, decode, reference):
     return decoded, ParamSet._wrap(np.frombuffer(data, dtype="<f8", offset=off).astype(np.float64), layout)
 
 
+def read_config(path, cls, value):
+    """from_json_dict(cls, value); a config failing its own checks is a malformed file, a DataError."""
+    try:
+        return from_json_dict(cls, value)
+    except ConfigError as exc:
+        raise DataError(f"{path}: invalid config in checkpoint header: {exc}") from exc
+
+
 def save_checkpoint(path, params: ParamSet, config: ModelConfig, variant: Variant) -> None:
     write_meck(path, {"config": to_json_dict(config), "variant": variant.value}, params)
 
@@ -209,7 +217,7 @@ def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant]:
     def decode(header):
         if "kind" in header:
             raise ConfigError(f"{path}: a {header['kind']!r} file, not a model checkpoint")
-        return from_json_dict(ModelConfig, header["config"]), Variant(header["variant"])
+        return read_config(path, ModelConfig, header["config"]), Variant(header["variant"])
 
     (config, variant), params = read_meck(path, decode, lambda decoded: init_params(*decoded, seed=0))
     return params, config, variant

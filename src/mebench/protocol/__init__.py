@@ -1,6 +1,6 @@
 from .folds import FoldPlan, plan_loso
 from .metrics import ConfusionMatrix, FoldResult, aggregate_folds, macro_f1, render_table
-from .forest import ForestConfig, ForestModel, forest_predict, forest_predict_batch, forest_train
+from .forest import ForestConfig, ForestModel, forest_predict_batch, forest_train
 from .primafacie import (
     PRIMA_FACIE_COLUMNS,
     PrimaFacieReport,
@@ -25,7 +25,6 @@ __all__ = [
     "render_table",
     "ForestConfig",
     "ForestModel",
-    "forest_predict",
     "forest_predict_batch",
     "forest_train",
     "PRIMA_FACIE_COLUMNS",

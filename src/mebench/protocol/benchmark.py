@@ -15,8 +15,6 @@ import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..corpus import Manifest
 from ..errors import DataError
 from ..model import ModelConfig, TrainConfig, Variant, evaluate_predictions, save_checkpoint, train_fold
@@ -84,9 +82,7 @@ def _run_one_fold(job: tuple):
     if held_out is None:
         return params
     predictions = evaluate_predictions(params, test_samples, model_config, variant)
-    counts = np.zeros((len(EMOTION_CLASSES), len(EMOTION_CLASSES)), dtype=np.int64)
-    np.add.at(counts, ([s.emotion for s in test_samples], predictions), 1)
-    return counts.tolist()
+    return ConfusionMatrix.of(EMOTION_CLASSES, [s.emotion for s in test_samples], predictions).counts.tolist()
 
 
 def loso_key_base(
@@ -148,8 +144,8 @@ def run_loso_variant(
     plans = list(folds)
     if model_path is not None:
         model_path = Path(model_path)
-        plans.append(FoldPlan(held_out_subject=None, train_keys=tuple(sample_key(r) for r in records), test_keys=()))
-    results_by_subject: dict[str, np.ndarray] = {}
+        plans.append(FoldPlan(None, tuple(range(len(records))), ()))
+    results_by_subject: dict[str, list] = {}  # held-out subject -> confusion counts
     pending = []
     for plan in plans:
         subject, key, entry_path = plan.held_out_subject, None, None
@@ -163,17 +159,17 @@ def run_loso_variant(
             value = read_cache_entry(entry_path, key, valid)
             if value is not None:
                 if subject is not None:
-                    results_by_subject[subject] = np.array(value)
+                    results_by_subject[subject] = value
                 continue
         pending.append((plan, key, entry_path))
 
     jobs = []
     if pending:
-        by_key = {s.key: s for s in load_train_samples(records, flow_dir, need_rgb=variant.needs_rgb)}
+        samples = load_train_samples(records, flow_dir, need_rgb=variant.needs_rgb)
         jobs = [
             (
-                [by_key[k] for k in plan.train_keys],
-                [by_key[k] for k in plan.test_keys],
+                [samples[i] for i in plan.train],
+                [samples[i] for i in plan.test],
                 plan.held_out_subject,
                 variant,
                 model_config,
@@ -190,7 +186,7 @@ def run_loso_variant(
             save_checkpoint(model_path, value, model_config, variant)
             value = hash_file(model_path)
         else:
-            results_by_subject[plan.held_out_subject] = np.array(value)
+            results_by_subject[plan.held_out_subject] = value
         if key is not None:
             write_cache_entry(entry_path, key, value)
 

@@ -9,28 +9,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..corpus import SampleRecord
 from ..errors import DataError
-from ..pipeline import sample_key
 
 
 @dataclass(frozen=True)
 class FoldPlan:
     held_out_subject: str | None  # None: the full-data model, trained on every sample
-    train_keys: tuple[str, ...]
-    test_keys: tuple[str, ...]
+    train: tuple[int, ...]  # indices into the planned records, in record order
+    test: tuple[int, ...]
 
 
 def plan_loso(records: list[SampleRecord]) -> list[FoldPlan]:
-    """One fold per subject, ordered by subject_id; folds partition the samples."""
+    """One fold per subject, ordered by subject_id; folds partition the records."""
     if not records:
         raise DataError("no eligible records to plan folds over")
-    subjects = sorted({r.subject_id for r in records})
-    if len(subjects) < 2:
-        raise DataError(f"LOSO needs at least 2 subjects, found {len(subjects)}")
-    plans = []
-    for subject in subjects:
-        test = tuple(sample_key(r) for r in records if r.subject_id == subject)
-        train = tuple(sample_key(r) for r in records if r.subject_id != subject)
-        plans.append(FoldPlan(held_out_subject=subject, train_keys=train, test_keys=test))
-    return plans
+    test_of: dict[str, list[int]] = {}
+    for i, record in enumerate(records):
+        test_of.setdefault(record.subject_id, []).append(i)
+    if len(test_of) < 2:
+        raise DataError(f"LOSO needs at least 2 subjects, found {len(test_of)}")
+    everything = np.arange(len(records))
+    return [
+        FoldPlan(subject, tuple(np.delete(everything, test_of[subject]).tolist()), tuple(test_of[subject]))
+        for subject in sorted(test_of)
+    ]

@@ -65,10 +65,6 @@ def _gini(class_counts: np.ndarray) -> float:
     return 1.0 - float((p * p).sum())
 
 
-def _majority(class_counts: np.ndarray) -> int:
-    return int(np.argmax(class_counts))  # argmax takes the lowest index on ties
-
-
 def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, n_classes: int):
     """Scan candidate midpoints; returns (impurity, feature, threshold) or None.
 
@@ -120,7 +116,7 @@ def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, n_classes
 
 def _grow(x, y, n_classes, config: ForestConfig, rng, depth: int) -> _Node:
     counts = np.bincount(y, minlength=n_classes)
-    node = _Node(prediction=_majority(counts))
+    node = _Node(prediction=int(np.argmax(counts)))  # argmax takes the lowest index on ties
     if depth >= config.max_depth or y.size < 2 * config.min_leaf or _gini(counts) == 0.0:
         return node
     n_features = x.shape[1]
@@ -176,13 +172,10 @@ def _predict_tree(node: _Node, row: np.ndarray) -> int:
     return node.prediction
 
 
-def forest_predict(model: ForestModel, feature: np.ndarray) -> int:
-    row = np.asarray(feature, dtype=np.float64)
-    votes = np.zeros(model.n_classes, dtype=np.int64)
-    for tree in model.trees:
-        votes[_predict_tree(tree, row)] += 1
-    return int(np.argmax(votes))
-
-
 def forest_predict_batch(model: ForestModel, features: np.ndarray) -> np.ndarray:
-    return np.array([forest_predict(model, row) for row in np.asarray(features, dtype=np.float64)])
+    """Majority class of each row; a tied vote goes to the lowest class index."""
+    rows = np.asarray(features, dtype=np.float64)
+    votes = np.zeros((len(rows), model.n_classes), dtype=np.int64)
+    for tree in model.trees:
+        votes[np.arange(len(rows)), [_predict_tree(tree, row) for row in rows]] += 1
+    return votes.argmax(axis=1)

@@ -22,25 +22,24 @@ from ..errors import DataError
 @dataclass
 class ConfusionMatrix:
     classes: tuple[str, ...]
-    counts: np.ndarray = None  # [actual][predicted]
+    counts: np.ndarray  # [actual][predicted]
 
     def __post_init__(self):
         if not self.classes:
             raise DataError("empty class list")
         k = len(self.classes)
-        if self.counts is None:
-            self.counts = np.zeros((k, k), dtype=np.int64)
-        else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
-            if self.counts.shape != (k, k):
-                raise DataError(f"counts shape {self.counts.shape} != ({k}, {k})")
-            if (self.counts < 0).any():
-                raise DataError("negative confusion counts")
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if self.counts.shape != (k, k):
+            raise DataError(f"counts shape {self.counts.shape} != ({k}, {k})")
+        if (self.counts < 0).any():
+            raise DataError("negative confusion counts")
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.classes != other.classes:
-            raise DataError(f"class sets differ: {self.classes} vs {other.classes}")
-        return ConfusionMatrix(self.classes, self.counts + other.counts)
+    @classmethod
+    def of(cls, classes: tuple[str, ...], actual, predicted) -> "ConfusionMatrix":
+        """Counts of each (actual, predicted) pair of class indices."""
+        counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
+        np.add.at(counts, (np.asarray(actual, dtype=np.intp), np.asarray(predicted, dtype=np.intp)), 1)
+        return cls(classes, counts)
 
 
 def macro_f1(confusion: ConfusionMatrix) -> tuple[dict, float]:
@@ -48,17 +47,13 @@ def macro_f1(confusion: ConfusionMatrix) -> tuple[dict, float]:
     counts = confusion.counts
     if counts.sum() == 0:
         raise DataError("empty confusion matrix")
-    per_class = {}
-    for i, name in enumerate(confusion.classes):
-        tp = counts[i, i]
-        fp = counts[:, i].sum() - tp
-        fn = counts[i, :].sum() - tp
-        precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
-        recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-        per_class[name] = float(f1)
-    macro = float(np.mean([per_class[c] for c in confusion.classes]))
-    return per_class, macro
+    tp = np.diagonal(counts)
+    predicted, actual = counts.sum(axis=0), counts.sum(axis=1)  # TP + FP, TP + FN
+    precision = np.divide(tp, predicted, out=np.zeros(tp.size), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros(tp.size), where=actual > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(tp.size), where=both > 0)
+    return dict(zip(confusion.classes, f1.tolist())), float(np.mean(f1))
 
 
 @dataclass(frozen=True)
@@ -71,10 +66,11 @@ def aggregate_folds(fold_results: list[FoldResult]) -> tuple[dict, float]:
     """Pool confusions across folds, then score once: macro_f1 of the pooled matrix."""
     if not fold_results:
         raise DataError("no fold results to aggregate")
-    pooled = ConfusionMatrix(fold_results[0].confusion.classes)
+    classes = fold_results[0].confusion.classes
     for result in fold_results:
-        pooled = pooled + result.confusion
-    return macro_f1(pooled)
+        if result.confusion.classes != classes:
+            raise DataError(f"class sets differ: {classes} vs {result.confusion.classes}")
+    return macro_f1(ConfusionMatrix(classes, np.sum([r.confusion.counts for r in fold_results], axis=0)))
 
 
 def render_table(rows: list[dict], columns: tuple) -> tuple[str, str]:

@@ -44,6 +44,8 @@ class PrimaFacieScenario:
     def __post_init__(self):
         if self.subject_budget < 2:
             raise ConfigError(f"subject budget must be >= 2, got {self.subject_budget}")
+        if self.kind is ScenarioKind.MIXED and self.subject_budget % 2:
+            raise ConfigError(f"scenario Mixed needs an even subject budget, got {self.subject_budget}")
 
 
 def _subjects_by_group(records: list[SampleRecord]) -> dict:
@@ -169,25 +171,20 @@ def run_scenario(
 ) -> ScenarioResult:
     """One scenario at one sampling seed: sample -> binarize -> LOSO forest."""
     records = sample_prima_facie(manifest, scenario)
-    labels = binarize_emotions(records)
-    by_key = {sample_key(r): i for i, r in enumerate(records)}
-    feats = np.stack([features[k] for k in by_key])
-    label_arr = np.array(labels)
+    feats = np.stack([features[sample_key(r)] for r in records])
+    labels = np.array(binarize_emotions(records))
 
     fold_results = []
     for fold in plan_loso(records):
-        train_idx = [by_key[k] for k in fold.train_keys]
-        test_idx = [by_key[k] for k in fold.test_keys]
+        train, test = list(fold.train), list(fold.test)
         model = forest_train(
-            feats[train_idx],
-            label_arr[train_idx],
+            feats[train],
+            labels[train],
             forest_config,
             seed=derive_seed(scenario.seed, "forest", scenario.kind.value, fold.held_out_subject),
         )
-        predictions = forest_predict_batch(model, feats[test_idx])
-        counts = np.zeros((len(BINARY_CLASSES), len(BINARY_CLASSES)), dtype=np.int64)
-        np.add.at(counts, (label_arr[test_idx], predictions), 1)
-        fold_results.append(FoldResult(fold.held_out_subject, ConfusionMatrix(BINARY_CLASSES, counts)))
+        confusion = ConfusionMatrix.of(BINARY_CLASSES, labels[test], forest_predict_batch(model, feats[test]))
+        fold_results.append(FoldResult(fold.held_out_subject, confusion))
 
     per_class_f1, _ = aggregate_folds(fold_results)
     return ScenarioResult(
@@ -216,9 +213,7 @@ def run_prima_facie(
         raise ConfigError("prima facie needs at least one seed")
     forest_config = forest_config or ForestConfig()
     kinds = scenario_kinds or list(ScenarioKind)
-    report = PrimaFacieReport(encoder_origin=encoder_origin)
-    for seed in seeds:
-        for kind in kinds:
-            scenario = PrimaFacieScenario(kind=kind, subject_budget=subject_budget, seed=seed)
-            report.per_seed.append(run_scenario(manifest, scenario, features, forest_config))
-    return report
+    # every scenario is checked before the first forest is fit
+    scenarios = [PrimaFacieScenario(kind, subject_budget, seed) for seed in seeds for kind in kinds]
+    per_seed = [run_scenario(manifest, scenario, features, forest_config) for scenario in scenarios]
+    return PrimaFacieReport(per_seed=per_seed, encoder_origin=encoder_origin)

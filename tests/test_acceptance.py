@@ -209,19 +209,22 @@ def test_c06_protocol_invariants():
     records = finalize_mappings(records)
     manifest = build_manifest(records, {"seed": 0})
 
-    plans = plan_loso(manifest.eligible())
+    eligible = manifest.eligible()
+    plans = plan_loso(eligible)
     assert len(plans) == 54
-    all_keys = {f"{r.dataset.value}:{r.subject_id}:{r.clip_id}" for r in manifest.eligible()}
+    assert [p.held_out_subject for p in plans] == sorted({r.subject_id for r in eligible})
+    all_indices = set(range(len(eligible)))
     seen_test = []
     for plan in plans:
-        train_set, test_set = set(plan.train_keys), set(plan.test_keys)
+        train_set, test_set = set(plan.train), set(plan.test)
         assert train_set & test_set == set(), "subject leakage between train and test"
-        assert train_set | test_set == all_keys
-        test_subjects = {k.split(":")[1] for k in test_set}
+        assert train_set | test_set == all_indices
+        test_subjects = {eligible[i].subject_id for i in test_set}
         assert test_subjects == {plan.held_out_subject}
-        assert plan.held_out_subject not in {k.split(":")[1] for k in train_set}
-        seen_test.extend(plan.test_keys)
-    assert sorted(seen_test) == sorted(all_keys), "folds must partition the samples"
+        assert plan.held_out_subject not in {eligible[i].subject_id for i in train_set}
+        assert list(plan.train) == sorted(train_set) and list(plan.test) == sorted(test_set), "record order"
+        seen_test.extend(plan.test)
+    assert sorted(seen_test) == sorted(all_indices), "folds must partition the samples"
 
     sampled = sample_prima_facie(manifest, PrimaFacieScenario(ScenarioKind.MIXED, seed=1))
     subjects = {r.subject_id for r in sampled}

@@ -812,13 +812,17 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("prima-facie", ["--budget", "0"], 2, "subject budget must be >= 2"),
         ("prima-facie", ["--budget", "-2"], 2, "subject budget must be >= 2"),
         ("prima-facie", ["--seeds", "0"], 2, "needs at least one seed"),
+        ("prima-facie", ["--budget", "3"], 2, "Mixed needs an even subject budget, got 3"),
         ("loso", ["--image-size", "64"], 3, "for image_size 64"),
         ("loso", ["--image-size", "64", "--variants", "motion_plus_rgb_patch"], 3, "for image_size 64"),
+        ("loso", ["--image-size", "0"], 2, "image_size must be >= 1, got 0"),
+        ("loso", ["--image-size", "-8"], 2, "image_size must be >= 1, got -8"),
         ("flow", ["--alpha", "inf"], 2, "smoothness_alpha must be finite and > 0"),
         ("flow", ["--alpha", "nan"], 2, "smoothness_alpha must be finite and > 0"),
     ],
     ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "budget-0", "budget-negative", "seeds-0",
-         "image-size-dual", "image-size-patch", "alpha-inf", "alpha-nan"],
+         "budget-odd", "image-size-dual", "image-size-patch", "image-size-0", "image-size-negative", "alpha-inf",
+         "alpha-nan"],
 )
 def test_out_of_range_argument_is_not_internal_error(synth_run, tmp_path, capsys, command, extra, code, message):
     _, corpus, flows = synth_run

@@ -1172,11 +1172,20 @@ class TestCheckpoint:
             lambda h: h["config"]["motion"].update(stage_widths=[2, "3"]),
             lambda h: h["config"].update(image_size="16"),
             lambda h: h["config"]["texture"].update(mlp_ratio="2"),
+            lambda h: h["config"]["texture"].update(pooling="max"),
+            lambda h: h["config"]["motion"].update(kernel_size=2),
+            lambda h: h["config"].update(feature_dim=6),
+            lambda h: h["config"].update(image_size=0),
+            lambda h: h["config"]["texture"].update(n_heads=0),
+            lambda h: h["config"]["texture"].update(mlp_ratio=0.0),
+            lambda h: h["config"]["motion"].update(stage_widths=[2, -3]),
+            lambda h: h["config"]["motion"].update(kernel_size=-3),
         ],
         ids=[
             "no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "no-pooling", "unknown-variant",
             "negative-dim", "wrong-shape", "missing-tensor", "stage-widths-string", "stage-width-string",
-            "image-size-string", "mlp-ratio-string",
+            "image-size-string", "mlp-ratio-string", "pooling-max", "kernel-size-even", "feature-dim-mismatch",
+            "image-size-0", "n-heads-0", "mlp-ratio-0", "stage-width-negative", "kernel-size-negative",
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, corrupt):
@@ -1195,8 +1204,12 @@ class TestCheckpoint:
             lambda h: h.update(config=[4, 8]),
             lambda h: h["tensors"][0].update(shape=[-1, 2]),
             lambda h: h["tensors"][0].update(shape=[1, 2]),
+            lambda h: h["config"].update(kernel_size=2),
+            lambda h: h["config"].update(feature_dim=1),
+            lambda h: h["config"].update(stage_widths=[2, -3]),
         ],
-        ids=["no-config", "no-stage-widths", "config-not-object", "negative-dim", "wrong-shape"],
+        ids=["no-config", "no-stage-widths", "config-not-object", "negative-dim", "wrong-shape", "kernel-size-even",
+             "feature-dim-1", "stage-width-negative"],
     )
     def test_malformed_frozen_encoder_header_is_data_error(self, tmp_path, corrupt):
         path = tmp_path / "enc.meck"

@@ -21,7 +21,7 @@ from mebench.corpus import (
     finalize_mappings,
     synthesize_desk_corpus,
 )
-from mebench.errors import DataError
+from mebench.errors import ConfigError, DataError
 from mebench.flowcore import FlowParams
 from mebench.model import ModelConfig, TrainConfig, Variant
 from mebench.pipeline import (
@@ -47,16 +47,16 @@ from mebench.protocol import (
     VariantRow,
     aggregate_folds,
     binarize_emotions,
-    forest_predict,
     forest_predict_batch,
     forest_train,
     macro_f1,
     plan_loso,
     render_table,
     run_loso_variant,
+    run_prima_facie,
     sample_prima_facie,
 )
-from mebench.protocol import benchmark, forest
+from mebench.protocol import benchmark, forest, primafacie
 from mebench.protocol.forest import _best_split, _gini
 from mebench.runutil import cache_key
 
@@ -111,19 +111,28 @@ class TestPlanLoso:
         plans = plan_loso(records)
         assert len(plans) == 3
         for plan in plans:
-            assert all(k.split(":")[1] == plan.held_out_subject for k in plan.test_keys)
-            assert all(k.split(":")[1] != plan.held_out_subject for k in plan.train_keys)
+            assert all(records[i].subject_id == plan.held_out_subject for i in plan.test)
+            assert all(records[i].subject_id != plan.held_out_subject for i in plan.train)
 
     def test_partition_property(self):
         records = records_for([f"S{i}" for i in range(6)], clips_per=3)
         plans = plan_loso(records)
-        all_keys = {f"{r.dataset.value}:{r.subject_id}:{r.clip_id}" for r in records}
+        all_indices = set(range(len(records)))
         seen = []
         for plan in plans:
-            seen.extend(plan.test_keys)
-            assert set(plan.train_keys) | set(plan.test_keys) == all_keys
-            assert set(plan.train_keys) & set(plan.test_keys) == set()
-        assert sorted(seen) == sorted(all_keys)
+            seen.extend(plan.test)
+            assert set(plan.train) | set(plan.test) == all_indices
+            assert set(plan.train) & set(plan.test) == set()
+        assert sorted(seen) == sorted(all_indices)
+
+    def test_indices_follow_record_order(self):
+        records = records_for(["S2", "S1"], clips_per=2)
+        records = [records[0], records[2], records[1], records[3]]  # S2, S1, S2, S1
+        plans = plan_loso(records)
+        assert [(p.held_out_subject, p.train, p.test) for p in plans] == [
+            ("S1", (0, 2), (1, 3)),
+            ("S2", (1, 3), (0, 2)),
+        ]
 
     def test_54_subjects(self):
         records = records_for([f"S{i:02d}" for i in range(54)])
@@ -190,6 +199,52 @@ class TestMacroF1:
         assert abs(np.mean([0.8142, 0.5225, 0.5263]) - 0.6210) < 1e-4
         assert round(float(np.mean([0.8142, 0.5225, 0.5263])), 4) == 0.6210
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.lists(st.integers(0, 4), min_size=k * k, max_size=k * k)))
+    def test_whole_array_f1_matches_the_per_class_formula_bit_for_bit(self, cells):
+        """Empty rows and columns included: small counts with many zeros reach the 0/0 convention."""
+        k = int(round(len(cells) ** 0.5))
+        counts = np.array(cells, dtype=np.int64).reshape(k, k)
+        if counts.sum() == 0:
+            counts[-1, 0] = 1
+        classes = tuple(f"c{i}" for i in range(k))
+        reference = {}
+        for i, name in enumerate(classes):  # the per-class formula, one class at a time
+            tp = counts[i, i]
+            fp = counts[:, i].sum() - tp
+            fn = counts[i, :].sum() - tp
+            precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
+            recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
+            reference[name] = float(f1)
+        per_class, macro = macro_f1(ConfusionMatrix(classes, counts))
+        assert [np.float64(v).tobytes() for v in per_class.values()] == [
+            np.float64(reference[c]).tobytes() for c in classes
+        ]
+        assert list(per_class) == list(classes)
+        assert np.float64(macro).tobytes() == np.float64(np.mean([reference[c] for c in classes])).tobytes()
+
+
+class TestConfusionOf:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=30).map(lambda p: (k, p))
+    ))
+    def test_matches_an_add_at_reference(self, k_pairs):
+        k, pairs = k_pairs
+        actual, predicted = [a for a, _ in pairs], [p for _, p in pairs]
+        reference = np.zeros((k, k), dtype=np.int64)
+        np.add.at(reference, (np.array(actual, dtype=np.intp), np.array(predicted, dtype=np.intp)), 1)
+        classes = tuple(f"c{i}" for i in range(k))
+        confusion = ConfusionMatrix.of(classes, actual, predicted)
+        assert confusion.classes == classes
+        assert confusion.counts.dtype == np.int64
+        assert np.array_equal(confusion.counts, reference)
+
+    def test_counts_rows_as_actual_and_columns_as_predicted(self):
+        confusion = ConfusionMatrix.of(BINARY_CLASSES, np.array([0, 0, 1]), np.array([1, 1, 0]))
+        assert confusion.counts.tolist() == [[0, 2], [1, 0]]
+
 
 class TestAggregateFolds:
     def test_single_fold_identity(self):
@@ -249,6 +304,16 @@ class TestSamplePrimaFacie:
         with pytest.raises(QuotaError):
             sample_prima_facie(manifest, PrimaFacieScenario(ScenarioKind.NON_ASIAN_ONLY, seed=0))
 
+    def test_odd_budget_with_mixed_is_refused_before_any_forest(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no forest may be fit before every scenario is checked")
+
+        monkeypatch.setattr(primafacie, "forest_train", forbidden)
+        with pytest.raises(ConfigError, match="Mixed needs an even subject budget, got 3"):
+            run_prima_facie(mixed_manifest(), {}, seeds=[0], subject_budget=3)
+        for kind in (ScenarioKind.ASIAN_ONLY, ScenarioKind.NON_ASIAN_ONLY):  # one group: any budget >= 2 splits
+            assert PrimaFacieScenario(kind, subject_budget=3).subject_budget == 3
+
     def test_only_allowed_ethnicities(self):
         manifest = mixed_manifest()
         records = sample_prima_facie(manifest, PrimaFacieScenario(ScenarioKind.ASIAN_ONLY, seed=1))
@@ -277,7 +342,13 @@ class TestForest:
         x = np.random.default_rng(0).normal(size=(10, 3))
         y = np.full(10, 2)
         model = forest_train(x, y, ForestConfig(n_trees=5), seed=0)
-        assert forest_predict(model, x[0]) == 2
+        assert forest_predict_batch(model, x[:1])[0] == 2
+
+    @pytest.mark.parametrize("predictions", [(1, 0), (0, 1), (2, 1), (1, 2)])
+    def test_a_tied_vote_goes_to_the_lower_class(self, predictions):
+        trees = [forest._Node(prediction=p) for p in predictions]
+        model = forest.ForestModel(trees=trees, n_classes=3, config=ForestConfig(n_trees=2))
+        assert forest_predict_batch(model, np.zeros((4, 2))).tolist() == [min(predictions)] * 4
 
     def test_depth1_split_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
