@@ -63,6 +63,7 @@ from .protocol import (
     ForestConfig,
     PrimaFacieScenario,
     ScenarioKind,
+    plan_scenarios,
     render_table,
     run_loso_variant,
     run_prima_facie,
@@ -249,7 +250,6 @@ def _flow_params(args) -> FlowParams:
         iterations=args.iterations,
         pyramid_levels=args.levels,
         pyramid_scale=args.scale,
-        zero_init=not args.coarse_init,
     )
 
 
@@ -330,6 +330,13 @@ def cmd_loso(args) -> int:
 
 
 def cmd_prima_facie(args) -> int:
+    try:
+        kinds = [ScenarioKind(k.strip()) for k in args.scenarios.split(",")] if args.scenarios else list(ScenarioKind)
+    except ValueError as exc:
+        raise ConfigError(f"unknown scenario: {exc}") from exc
+    forest_config = ForestConfig(n_trees=args.trees, max_depth=args.depth)
+    seeds = [derive_seed(args.seed, "prima-facie", i) for i in range(args.seeds)]
+    plan_scenarios(seeds, kinds, args.budget)  # refuse a bad argument before any file is read
     manifest = load_manifest(args.manifest)
     flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
     out_dir = Path(args.out)
@@ -345,13 +352,6 @@ def cmd_prima_facie(args) -> int:
         sample.key: extract_frozen_features(sample.flow, encoder)
         for sample in load_train_samples(manifest.eligible(), args.flow_dir)
     }
-
-    try:
-        kinds = [ScenarioKind(k.strip()) for k in args.scenarios.split(",")] if args.scenarios else list(ScenarioKind)
-    except ValueError as exc:
-        raise ConfigError(f"unknown scenario: {exc}") from exc
-    forest_config = ForestConfig(n_trees=args.trees, max_depth=args.depth)
-    seeds = [derive_seed(args.seed, "prima-facie", i) for i in range(args.seeds)]
     report = run_prima_facie(
         manifest,
         features,
@@ -522,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=FlowParams.iterations)
     p.add_argument("--levels", type=int, default=FlowParams.pyramid_levels)
     p.add_argument("--scale", type=float, default=FlowParams.pyramid_scale)
-    p.add_argument("--coarse-init", action="store_true", help="integer-shift init instead of zero init")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("loso", help="LOSO benchmark over model variants")
@@ -583,7 +582,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MebenchError as exc:

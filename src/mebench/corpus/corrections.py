@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import ConfigError
-from ..runutil import atomic_write_text, to_json_dict
 from .records import Dataset, Gender, RawEthnicity, SampleRecord
 
 _ATTRIBUTES = ("raw_ethnicity", "gender", "age")
@@ -143,8 +142,3 @@ def load_ledger(path) -> list[CorrectionRule]:
         except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
             raise ConfigError(f"{path}:{line_no}: malformed correction rule") from exc
     return rules
-
-
-def save_ledger(path, rules: list[CorrectionRule]) -> None:
-    lines = [json.dumps(to_json_dict(r), sort_keys=True) for r in rules]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -99,9 +99,11 @@ class Manifest:
 
 
 def build_manifest(records: Iterable[SampleRecord], provenance: dict) -> Manifest:
+    """Check that keys are unique and that each subject has one dataset and one ethnicity."""
     records = list(records)
     seen: dict[tuple[str, str], SampleRecord] = {}
     subject_datasets: dict[str, str] = {}
+    subject_ethnicities: dict[str, tuple] = {}
     for rec in records:
         if rec.key in seen:
             raise DuplicateKeyError(f"duplicate (subject_id, clip_id) = {rec.key}")
@@ -112,6 +114,9 @@ def build_manifest(records: Iterable[SampleRecord], provenance: dict) -> Manifes
                 f"subject_id {rec.subject_id!r} appears in both {prev} and {rec.dataset.value}; "
                 "disambiguate subject ids in the dataset indices"
             )
+        ethnicity = (rec.raw_ethnicity, rec.mapped_ethnicity)
+        if subject_ethnicities.setdefault(rec.subject_id, ethnicity) != ethnicity:
+            raise DataError(f"subject {rec.subject_id!r} has inconsistent ethnicity annotations")
     return Manifest(records=tuple(records), provenance=dict(provenance))
 
 
@@ -202,17 +207,13 @@ def map_to_group(raw_name: str) -> str:
 
 def summarize_distribution(source: Manifest | Iterable[SampleRecord]) -> DistributionReport:
     """Per-label counts by subject and by video, raw and mapped."""
-    records = list(source.records) if isinstance(source, Manifest) else list(source)
+    records = (source if isinstance(source, Manifest) else build_manifest(source, {})).records
     if not records:
         raise DataError("no records to summarize")
-
-    subject_eth: dict[str, RawEthnicity] = {}
     for rec in records:
         if rec.raw_ethnicity is None or rec.mapped_emotion is None:
             raise DataError(f"record {rec.key} not fully annotated/mapped")
-        prev = subject_eth.setdefault(rec.subject_id, rec.raw_ethnicity)
-        if prev != rec.raw_ethnicity:
-            raise DataError(f"subject {rec.subject_id!r} has inconsistent ethnicity annotations")
+    subject_eth = {rec.subject_id: rec.raw_ethnicity for rec in records}
 
     subj_raw = Counter(eth.value for eth in subject_eth.values())
     subj_mapped = Counter(map_to_group(eth.value) for eth in subject_eth.values())

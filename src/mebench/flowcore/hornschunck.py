@@ -2,7 +2,8 @@
 
 Variational smoothness-regularized flow (the classical quadratic data +
 smoothness objective) solved with Jacobi iterations inside a
-coarse-to-fine pyramid with inter-level warping. Each Jacobi step takes
+coarse-to-fine pyramid with inter-level warping, starting from zero flow
+at the coarsest level (Horn & Schunck 1981). Each Jacobi step takes
 the weighted 8-neighbour average of the increment, `nearest`-mode at the
 border, summed tap by tap in `scipy.ndimage.correlate`'s order, so it is
 bit-identical to `correlate(d, _AVG_KERNEL, mode="nearest")`. Coarse
@@ -60,7 +61,6 @@ class FlowParams:
     iterations: int = 200
     pyramid_levels: int = 3
     pyramid_scale: float = 0.5
-    zero_init: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.smoothness_alpha) and self.smoothness_alpha > 0):
@@ -206,23 +206,6 @@ def _pyramid(values: np.ndarray, levels: int, scale: float) -> list[np.ndarray]:
     return out
 
 
-def _coarse_shift_init(im1: np.ndarray, im2: np.ndarray, max_shift: int = 2):
-    """Best integer global shift by exhaustive SSD over [-max_shift, max_shift]^2."""
-    best = (0, 0)
-    best_cost = np.inf
-    h, w = im1.shape
-    m = max_shift
-    for dy in range(-m, m + 1):
-        for dx in range(-m, m + 1):
-            a = im1[max(0, -dy) : h - max(0, dy), max(0, -dx) : w - max(0, dx)]
-            b = im2[max(0, dy) : h - max(0, -dy), max(0, dx) : w - max(0, -dx)]
-            cost = np.mean((a - b) ** 2)
-            if cost < best_cost - 1e-15:
-                best_cost = cost
-                best = (dx, dy)
-    return best
-
-
 def estimate_flow(onset: GrayFrame, apex: GrayFrame, params: FlowParams | None = None) -> FlowField:
     """Estimate the dense displacement field carrying onset pixels to apex."""
     params = params or FlowParams()
@@ -239,14 +222,8 @@ def estimate_flow(onset: GrayFrame, apex: GrayFrame, params: FlowParams | None =
     pyr1 = _pyramid(onset.values * 255.0, params.pyramid_levels, params.pyramid_scale)
     pyr2 = _pyramid(apex.values * 255.0, params.pyramid_levels, params.pyramid_scale)
 
-    coarse = pyr1[-1]
-    if params.zero_init:
-        u = np.zeros_like(coarse)
-        v = np.zeros_like(coarse)
-    else:
-        dx, dy = _coarse_shift_init(coarse, pyr2[-1])
-        u = np.full_like(coarse, float(dx))
-        v = np.full_like(coarse, float(dy))
+    u = np.zeros_like(pyr1[-1])
+    v = np.zeros_like(pyr1[-1])
 
     for level in range(len(pyr1) - 1, -1, -1):
         im1, im2 = pyr1[level], pyr2[level]

@@ -7,7 +7,7 @@ from .network import (
     forward,
     predict_emotion,
 )
-from .losses import LossBreakdown, cce
+from .losses import LossBreakdown
 from .training import (
     AdamState,
     NonFiniteGradientError,
@@ -39,7 +39,6 @@ __all__ = [
     "forward",
     "predict_emotion",
     "LossBreakdown",
-    "cce",
     "AdamState",
     "NonFiniteGradientError",
     "TrainConfig",

@@ -18,7 +18,7 @@ from ..runutil import derived_rng, to_json_dict
 from .autodiff import Tensor
 from .config import EncoderConfig
 from .network import INPUT_CENTER, encode_conv
-from .params import ParamSet, _conv_stack, check_layout, read_config, read_meck, write_meck
+from .params import ParamSet, _conv_stack, read_config, read_meck, write_meck
 
 _KIND = "frozen_encoder"  # the MECK1 header "kind" of a frozen-encoder file
 
@@ -27,7 +27,6 @@ class FrozenEncoder:
     """Fixed-weight conv encoder; no gradient state."""
 
     def __init__(self, config: EncoderConfig, params: ParamSet, origin: str):
-        check_layout(params.layout, _frozen_param_set(config, seed=0).layout)
         self.config = config
         self.params = params
         self.origin = origin

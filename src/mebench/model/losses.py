@@ -10,22 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..errors import ConfigError, DataError
-from . import autodiff as ad
-
-
-def cce(logits: np.ndarray, target: int) -> float:
-    """-log softmax(logits)[target], with max-subtraction stabilization."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ConfigError(f"cce expects a logit vector, got shape {logits.shape}")
-    if not np.isfinite(logits).all():
-        raise DataError("non-finite logits")
-    if not (0 <= target < logits.shape[0]):
-        raise ConfigError(f"target {target} out of range for {logits.shape[0]} classes")
-    return float(ad.cross_entropy_mean(logits[None], [target]).data)
+from ..errors import DataError
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ per-epoch shuffle come from labeled PCG64 streams.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,7 +17,7 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from ..runutil import derived_rng
 from . import autodiff as ad
-from .config import ModelConfig, N_EMOTIONS, Variant
+from .config import ModelConfig, Variant
 from .losses import LossBreakdown
 from .network import ModelInputs, forward, predict_emotion
 from .params import ParamSet, check_layout, init_params
@@ -174,13 +173,6 @@ def train_fold(
     """Train on one fold's training split; deterministic given the seed."""
     if not samples:
         raise DataError("empty training split")
-    present = {s.emotion for s in samples}
-    if len(present) < N_EMOTIONS:
-        warnings.warn(
-            f"training split covers only emotion classes {sorted(present)}; "
-            "LOSO folds can lack a class",
-            stacklevel=2,
-        )
     params = init_params(config, variant, seed)
     state = AdamState.init(params)
     shuffle_rng = derived_rng(seed, "shuffle", variant.value)

@@ -9,6 +9,7 @@ from .primafacie import (
     ScenarioKind,
     ScenarioResult,
     binarize_emotions,
+    plan_scenarios,
     run_prima_facie,
     run_scenario,
     sample_prima_facie,
@@ -34,6 +35,7 @@ __all__ = [
     "ScenarioKind",
     "ScenarioResult",
     "binarize_emotions",
+    "plan_scenarios",
     "run_prima_facie",
     "run_scenario",
     "sample_prima_facie",

@@ -11,7 +11,6 @@ interrupted many-fold runs resume instead of restarting.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -76,9 +75,7 @@ def _run_one_fold(job: tuple):
     returns the confusion counts; the full-data job (held_out None) returns
     the trained ParamSet."""
     train_samples, test_samples, held_out, variant, model_config, train_config, seed = job
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # LOSO folds may lack a class
-        params, _history = train_fold(train_samples, model_config, variant, train_config, seed)
+    params, _history = train_fold(train_samples, model_config, variant, train_config, seed)
     if held_out is None:
         return params
     predictions = evaluate_predictions(params, test_samples, model_config, variant)

@@ -22,19 +22,17 @@ from ..errors import ConfigError, DataError
 from ..runutil import derived_rng
 
 
+MIN_LEAF = 2  # a split leaves at least this many training rows on each side
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
     max_depth: int = 8
-    min_leaf: int = 2
-    feature_subsample: str = "sqrt"  # "sqrt" or "all"
-    bootstrap: bool = True
 
     def __post_init__(self):
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise ConfigError("n_trees, max_depth, min_leaf must all be >= 1")
-        if self.feature_subsample not in ("sqrt", "all"):
-            raise ConfigError("feature_subsample must be 'sqrt' or 'all'")
+        if self.n_trees < 1 or self.max_depth < 1:
+            raise ConfigError("n_trees and max_depth must both be >= 1")
 
 
 @dataclass
@@ -114,28 +112,25 @@ def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, n_classes
     return flat[pos], int(feature_ids[column]), float(threshold)
 
 
-def _grow(x, y, n_classes, config: ForestConfig, rng, depth: int) -> _Node:
+def _grow(x, y, n_classes, max_depth: int, rng, depth: int) -> _Node:
+    """One CART tree; each node scans a fresh draw of floor(sqrt(d)) features."""
     counts = np.bincount(y, minlength=n_classes)
     node = _Node(prediction=int(np.argmax(counts)))  # argmax takes the lowest index on ties
-    if depth >= config.max_depth or y.size < 2 * config.min_leaf or _gini(counts) == 0.0:
+    if depth >= max_depth or y.size < 2 * MIN_LEAF or _gini(counts) == 0.0:
         return node
     n_features = x.shape[1]
-    if config.feature_subsample == "sqrt":
-        k = max(1, int(np.sqrt(n_features)))
-        feature_ids = np.sort(rng.choice(n_features, size=k, replace=False))
-    else:
-        feature_ids = np.arange(n_features)
-    best = _best_split(x, y, feature_ids, n_classes)
+    k = max(1, int(np.sqrt(n_features)))
+    best = _best_split(x, y, np.sort(rng.choice(n_features, size=k, replace=False)), n_classes)
     if best is None:
         return node
     _, feature, threshold = best
     mask = x[:, feature] < threshold
-    if mask.sum() < config.min_leaf or (~mask).sum() < config.min_leaf:
+    if mask.sum() < MIN_LEAF or (~mask).sum() < MIN_LEAF:
         return node
     node.feature = feature
     node.threshold = threshold
-    node.left = _grow(x[mask], y[mask], n_classes, config, rng, depth + 1)
-    node.right = _grow(x[~mask], y[~mask], n_classes, config, rng, depth + 1)
+    node.left = _grow(x[mask], y[mask], n_classes, max_depth, rng, depth + 1)
+    node.right = _grow(x[~mask], y[~mask], n_classes, max_depth, rng, depth + 1)
     return node
 
 
@@ -158,11 +153,8 @@ def forest_train(features: np.ndarray, labels: np.ndarray, config: ForestConfig,
     n = x.shape[0]
     for tree_index in range(config.n_trees):
         rng = derived_rng(seed, "tree", tree_index)
-        if config.bootstrap:
-            idx = rng.integers(0, n, size=n)
-            trees.append(_grow(x[idx], y[idx], n_classes, config, rng, 0))
-        else:
-            trees.append(_grow(x, y, n_classes, config, rng, 0))
+        idx = rng.integers(0, n, size=n)  # the tree's bootstrap sample
+        trees.append(_grow(x[idx], y[idx], n_classes, config.max_depth, rng, 0))
     return ForestModel(trees=trees, n_classes=n_classes, config=config)
 
 

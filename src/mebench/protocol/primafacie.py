@@ -195,6 +195,13 @@ def run_scenario(
     )
 
 
+def plan_scenarios(seeds: list[int], kinds: list[ScenarioKind], subject_budget: int) -> list[PrimaFacieScenario]:
+    """Every scenario of a study, seed-major, each checked as it is built."""
+    if not seeds:
+        raise ConfigError("prima facie needs at least one seed")
+    return [PrimaFacieScenario(kind, subject_budget, seed) for seed in seeds for kind in kinds]
+
+
 def run_prima_facie(
     manifest: Manifest,
     features: dict,
@@ -209,11 +216,8 @@ def run_prima_facie(
     `features` maps sample keys (dataset:subject:clip) to fixed-length
     frozen feature vectors.
     """
-    if not seeds:
-        raise ConfigError("prima facie needs at least one seed")
     forest_config = forest_config or ForestConfig()
-    kinds = scenario_kinds or list(ScenarioKind)
     # every scenario is checked before the first forest is fit
-    scenarios = [PrimaFacieScenario(kind, subject_budget, seed) for seed in seeds for kind in kinds]
+    scenarios = plan_scenarios(seeds, scenario_kinds or list(ScenarioKind), subject_budget)
     per_seed = [run_scenario(manifest, scenario, features, forest_config) for scenario in scenarios]
     return PrimaFacieReport(per_seed=per_seed, encoder_origin=encoder_origin)

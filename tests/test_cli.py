@@ -813,6 +813,7 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("prima-facie", ["--budget", "-2"], 2, "subject budget must be >= 2"),
         ("prima-facie", ["--seeds", "0"], 2, "needs at least one seed"),
         ("prima-facie", ["--budget", "3"], 2, "Mixed needs an even subject budget, got 3"),
+        ("prima-facie", ["--scenarios", "NoSuch"], 2, "unknown scenario"),
         ("loso", ["--image-size", "64"], 3, "for image_size 64"),
         ("loso", ["--image-size", "64", "--variants", "motion_plus_rgb_patch"], 3, "for image_size 64"),
         ("loso", ["--image-size", "0"], 2, "image_size must be >= 1, got 0"),
@@ -821,12 +822,19 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("flow", ["--alpha", "nan"], 2, "smoothness_alpha must be finite and > 0"),
     ],
     ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "budget-0", "budget-negative", "seeds-0",
-         "budget-odd", "image-size-dual", "image-size-patch", "image-size-0", "image-size-negative", "alpha-inf",
+         "budget-odd", "scenarios-unknown", "image-size-dual", "image-size-patch", "image-size-0", "image-size-negative", "alpha-inf",
          "alpha-nan"],
 )
-def test_out_of_range_argument_is_not_internal_error(synth_run, tmp_path, capsys, command, extra, code, message):
+def test_out_of_range_argument_is_not_internal_error(
+    synth_run, tmp_path, capsys, monkeypatch, command, extra, code, message
+):
     _, corpus, flows = synth_run
     out = tmp_path / "out"
+
+    def no_extraction(flow_image, encoder):
+        raise AssertionError("features extracted before the arguments were checked")
+
+    monkeypatch.setattr(cli, "extract_frozen_features", no_extraction)
     if command == "loso":
         argv = _loso_argv(corpus, flows, out)
     elif command == "flow":
@@ -838,6 +846,31 @@ def test_out_of_range_argument_is_not_internal_error(synth_run, tmp_path, capsys
     assert main(argv + extra) == code
     assert message in capsys.readouterr().err
     assert not list(out.glob("*.meck")) and not list(out.glob("prima_facie.*")) and not list(out.glob("*.ofi"))
+    assert not (out / "provenance.json").exists()
+
+
+@pytest.mark.parametrize("command", ["flow", "gradcam", "prima-facie"])
+def test_path_naming_a_directory_is_data_error(synth_run, loso_run, tmp_path, capsys, command):
+    _, corpus, flows = synth_run
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    out = tmp_path / "out"
+    if command == "flow":
+        manifest = load_manifest(corpus / "manifest.jsonl")
+        first, *rest = manifest.records
+        manifest_path = tmp_path / "manifest.jsonl"
+        save_manifest(build_manifest([replace(first, apex_path=str(directory)), *rest], manifest.provenance),
+                      manifest_path)
+        argv = ["flow", "--manifest", str(manifest_path), "--out", str(out)]
+    elif command == "gradcam":
+        argv = _flow_reader_argv("gradcam", corpus, flows, out, loso_run)
+        argv[argv.index("--checkpoint") + 1] = str(directory)
+    else:
+        argv = [*_flow_reader_argv("prima-facie", corpus, flows, out), "--encoder-file", str(directory)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(directory) in err
     assert not (out / "provenance.json").exists()
 
 

@@ -27,7 +27,6 @@ from mebench.corpus import (
     load_manifest,
     map_emotion,
     map_ethnicity,
-    save_ledger,
     save_manifest,
     summarize_distribution,
     synthesize_desk_corpus,
@@ -258,7 +257,7 @@ class TestCorrections:
             CorrectionRule(attribute="age", replacement="30", dataset="SAMM"),
         ]
         path = tmp_path / "rules.jsonl"
-        save_ledger(path, rules)
+        path.write_text("".join(json.dumps(to_json_dict(r)) + "\n" for r in rules), encoding="utf-8")
         assert load_ledger(path) == rules
 
 
@@ -288,6 +287,28 @@ class TestManifest:
         records = [make_record("s1", "c1", dataset=Dataset.CASME2), make_record("s1", "c2", dataset=Dataset.SAMM)]
         with pytest.raises(DataError, match="disambiguate"):
             build_manifest(records, {})
+
+    def test_subject_across_ethnic_groups_rejected(self):
+        records = finalize_mappings(
+            [make_record("s1", "c1"), make_record("s1", "c2", ethnicity=RawEthnicity.CAUCASIAN)]
+        )
+        with pytest.raises(DataError, match="inconsistent ethnicity"):
+            build_manifest(records, {})
+        with pytest.raises(DataError, match="inconsistent ethnicity"):
+            summarize_distribution(records)
+
+    def test_loading_a_subject_split_across_ethnic_groups_is_data_error(self, tmp_path):
+        records = finalize_mappings([make_record("s1", "c1"), make_record("s1", "c2"), make_record("s2", "c1")])
+        path = tmp_path / "m.jsonl"
+        save_manifest(build_manifest(records, {}), path)
+        head, *lines = path.read_text(encoding="utf-8").splitlines()
+        relabelled = json.loads(lines[1])
+        assert (relabelled["subject_id"], relabelled["clip_id"]) == ("s1", "c2")
+        relabelled.update(raw_ethnicity="Caucasian", mapped_ethnicity="NonAsian")
+        lines[1] = json.dumps(relabelled)
+        path.write_text("\n".join([head, *lines]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="'s1' has inconsistent ethnicity"):
+            load_manifest(path)
 
     def test_provenance_round_trip(self, tmp_path):
         records = finalize_mappings([make_record()])

@@ -121,7 +121,7 @@ class TestLoadFrame:
 class TestEstimateFlow:
     def test_identical_frames_exact_zero(self):
         frame = GrayFrame(smooth_texture(32, 32, 5))
-        flow = estimate_flow(frame, frame, FlowParams(zero_init=True))
+        flow = estimate_flow(frame, frame, FlowParams())
         assert np.all(flow.u == 0.0)
         assert np.all(flow.v == 0.0)
 
@@ -149,13 +149,6 @@ class TestEstimateFlow:
         f1 = estimate_flow(GrayFrame(tex), GrayFrame(apex))
         f2 = estimate_flow(GrayFrame(tex), GrayFrame(apex))
         assert np.array_equal(f1.u, f2.u) and np.array_equal(f1.v, f2.v)
-
-    def test_coarse_init_variant(self):
-        tex = smooth_texture(64, 64, 9)
-        apex = translate_frame(tex, 2.0, 0.0)
-        flow = estimate_flow(GrayFrame(tex), GrayFrame(apex), FlowParams(zero_init=False))
-        interior = (slice(5, -5), slice(5, -5))
-        assert abs(flow.u[interior].mean() - 2.0) < 0.15
 
     def test_bad_params(self):
         with pytest.raises(ConfigError):
@@ -292,12 +285,11 @@ def assert_same_flow(a, b):
 
 class TestSolverMatchesReference:
     @pytest.mark.parametrize("iterations", [1, 7, 200])
-    @pytest.mark.parametrize("zero_init", [True, False])
     @pytest.mark.parametrize("levels", [1, 3])
-    def test_translated_pair(self, levels, zero_init, iterations):
+    def test_translated_pair(self, levels, iterations):
         tex = smooth_texture(40, 52, 13)
         onset, apex = GrayFrame(tex), GrayFrame(translate_frame(tex, 1.3, -0.6))
-        params = FlowParams(iterations=iterations, pyramid_levels=levels, zero_init=zero_init)
+        params = FlowParams(iterations=iterations, pyramid_levels=levels)
         assert_same_flow(estimate_flow(onset, apex, params), reference_flow(onset, apex, params))
 
     @settings(max_examples=20, deadline=None)
@@ -307,12 +299,11 @@ class TestSolverMatchesReference:
         st.integers(8, 40),
         st.integers(1, 30),
         st.integers(1, 3),
-        st.booleans(),
     )
-    def test_random_frames(self, seed, h, w, iterations, levels, zero_init):
+    def test_random_frames(self, seed, h, w, iterations, levels):
         rng = np.random.Generator(np.random.PCG64(seed))
         onset, apex = GrayFrame(rng.random((h, w))), GrayFrame(rng.random((h, w)))
-        params = FlowParams(iterations=iterations, pyramid_levels=levels, zero_init=zero_init)
+        params = FlowParams(iterations=iterations, pyramid_levels=levels)
         assert_same_flow(estimate_flow(onset, apex, params), reference_flow(onset, apex, params))
 
     @pytest.mark.parametrize("side", [64, 128])

@@ -1,9 +1,13 @@
-"""Hostile-input fuzzing of the binary readers: damaged OFI1 and MECK1 files.
+"""Hostile-input fuzzing of the file readers: damaged OFI1 flow images,
+MECK1 model and frozen-encoder files, PNM frames, manifests and
+correction ledgers.
 
 Each valid file is truncated, has bytes changed, or is spliced with
 another valid file. Whatever comes back, the reader either returns or
-raises a DataError; any other exception would reach the CLI as an
-internal error (exit 4) instead of a data error (exit 3).
+raises a MebenchError: a DataError for the flow-image and model readers,
+whose every refusal is a malformed file, and a ConfigError or DataError
+for the others. Any other exception would reach the CLI as an internal
+error (exit 4) instead of a configuration or data error (exit 2 or 3).
 
 Changes come in two kinds: an XOR of any byte, and an edit of the bytes
 around a number in a MECK1 header's config (a digit, or the space
@@ -12,6 +16,7 @@ never hit the few bytes that hold a config value, so the second kind
 aims there.
 """
 
+import json
 import struct
 
 import numpy as np
@@ -19,9 +24,37 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mebench.errors import DataError
-from mebench.flowcore import FlowField, assemble_flow_image, compute_strain, read_flow_image, write_flow_image
-from mebench.model import ModelConfig, Variant, init_params, load_checkpoint, save_checkpoint
+from mebench.corpus import (
+    CorrectionRule,
+    Dataset,
+    RawEthnicity,
+    SampleRecord,
+    build_manifest,
+    finalize_mappings,
+    load_ledger,
+    load_manifest,
+    save_manifest,
+)
+from mebench.errors import DataError, MebenchError
+from mebench.flowcore import (
+    FlowField,
+    assemble_flow_image,
+    compute_strain,
+    load_frame,
+    load_rgb_frame,
+    read_flow_image,
+    write_flow_image,
+)
+from mebench.model import (
+    EncoderConfig,
+    FrozenEncoder,
+    ModelConfig,
+    Variant,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+from mebench.runutil import to_json_dict
 
 FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -56,11 +89,11 @@ def _damaged(data: bytes, sources: list, *edits) -> st.SearchStrategy:
     return st.one_of(truncated, *changed, spliced)
 
 
-def _only_data_errors(read, path, payload: bytes) -> None:
+def _only_errors(error, read, path, payload: bytes) -> None:
     path.write_bytes(payload)
     try:
         read(path)
-    except DataError:
+    except error:
         pass
 
 
@@ -92,7 +125,7 @@ def checkpoints(tmp_path_factory) -> list:
 def test_damaged_flow_image_raises_only_data_error(flow_images, tmp_path, data):
     base = data.draw(st.sampled_from(flow_images))
     payload = data.draw(_damaged(base, flow_images, _xor(base)))
-    _only_data_errors(read_flow_image, tmp_path / "damaged.ofi", payload)
+    _only_errors(DataError, read_flow_image, tmp_path / "damaged.ofi", payload)
 
 
 @FUZZ
@@ -100,4 +133,90 @@ def test_damaged_flow_image_raises_only_data_error(flow_images, tmp_path, data):
 def test_damaged_checkpoint_raises_only_data_error(checkpoints, tmp_path, data):
     base = data.draw(st.sampled_from(checkpoints))
     payload = data.draw(_damaged(base, checkpoints, _xor(base), _number_edit(base)))
-    _only_data_errors(load_checkpoint, tmp_path / "damaged.meck", payload)
+    _only_errors(DataError, load_checkpoint, tmp_path / "damaged.meck", payload)
+
+
+@pytest.fixture(scope="module")
+def frames() -> list:
+    rng = np.random.default_rng(0)
+    gray = rng.integers(0, 256, (3, 4), dtype=np.uint8)
+    rgb = rng.integers(0, 65536, (2, 3, 3)).astype(">u2")
+    return [
+        b"P5\n4 3\n255\n" + gray.tobytes(),
+        b"P6 3 2 65535\n" + rgb.tobytes(),
+        b"P2\n# a comment\n3 2\n15\n0 7 15\n1 2 3\n",
+        b"P3\n2 1\n255\n255 0 0 0 128 255\n",
+    ]
+
+
+@pytest.fixture(scope="module")
+def encoder_files(tmp_path_factory) -> list:
+    out = []
+    for seed, config in enumerate([EncoderConfig(stage_widths=(2, 3), feature_dim=4), EncoderConfig(feature_dim=8)]):
+        path = tmp_path_factory.mktemp("encoder") / "valid.meck"
+        FrozenEncoder.random_fallback(config, seed=seed).save(path)
+        out.append(path.read_bytes())
+    return out
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory) -> list:
+    out = []
+    for i, ethnicity in enumerate((RawEthnicity.ASIAN, RawEthnicity.CAUCASIAN)):
+        records = [
+            SampleRecord(
+                dataset=Dataset.SYNTH, subject_id=f"s{i}{j}", clip_id="c1", onset_path=f"f/on{j}.pgm",
+                apex_path=f"f/ap{j}.pgm", raw_emotion=emotion, raw_ethnicity=ethnicity, age=20 + j,
+            )
+            for j, emotion in enumerate(("happiness", "fear", "others"))
+        ]
+        path = tmp_path_factory.mktemp("manifest") / "manifest.jsonl"
+        save_manifest(build_manifest(finalize_mappings(records), {"seed": i}), path)
+        out.append(path.read_bytes())
+    return out
+
+
+@pytest.fixture(scope="module")
+def ledgers() -> list:
+    rules = [
+        [CorrectionRule("raw_ethnicity", "Asian", note="screened", subject_id="s01", expect="Others")],
+        [CorrectionRule("age", "30", dataset="SAMM"), CorrectionRule("gender", "female")],
+    ]
+    return [b"# screened rules\n" + b"".join(json.dumps(to_json_dict(r)).encode() + b"\n" for r in ls) for ls in rules]
+
+
+def _read_both_frame_forms(path):
+    load_frame(path)
+    load_rgb_frame(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_frame_raises_only_mebench_error(frames, tmp_path, data):
+    base = data.draw(st.sampled_from(frames))
+    payload = data.draw(_damaged(base, frames, _xor(base)))
+    _only_errors(MebenchError, _read_both_frame_forms, tmp_path / "damaged.pgm", payload)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_frozen_encoder_raises_only_mebench_error(encoder_files, tmp_path, data):
+    base = data.draw(st.sampled_from(encoder_files))
+    payload = data.draw(_damaged(base, encoder_files, _xor(base), _number_edit(base)))
+    _only_errors(MebenchError, FrozenEncoder.from_file, tmp_path / "damaged.meck", payload)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_manifest_raises_only_mebench_error(manifests, tmp_path, data):
+    base = data.draw(st.sampled_from(manifests))
+    payload = data.draw(_damaged(base, manifests, _xor(base)))
+    _only_errors(MebenchError, load_manifest, tmp_path / "manifest.jsonl", payload)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_ledger_raises_only_mebench_error(ledgers, tmp_path, data):
+    base = data.draw(st.sampled_from(ledgers))
+    payload = data.draw(_damaged(base, ledgers, _xor(base)))
+    _only_errors(MebenchError, load_ledger, tmp_path / "rules.jsonl", payload)

@@ -354,9 +354,7 @@ class TestForest:
         rng = np.random.default_rng(4)
         x = np.concatenate([rng.uniform(0, 0.4, 12), rng.uniform(0.6, 1.0, 12)])[:, None]
         y = np.array([0] * 12 + [1] * 12)
-        config = ForestConfig(n_trees=1, max_depth=1, min_leaf=1, feature_subsample="all", bootstrap=False)
-        model = forest_train(x, y, config, seed=0)
-        root = model.trees[0]
+        root = forest._grow(x, y, 2, 1, np.random.default_rng(0), 0)  # one feature, so every node scans it
         assert not root.is_leaf
 
         # exhaustive oracle: weighted Gini over every midpoint threshold
@@ -376,14 +374,14 @@ class TestForest:
                 best = (gini, thr)
         assert best[0] == 0.0
         assert abs(root.threshold - best[1]) < 1e-12
-        preds = forest_predict_batch(model, x)
-        assert np.array_equal(preds, y)
+        model = forest.ForestModel(trees=[root], n_classes=2, config=ForestConfig(n_trees=1, max_depth=1))
+        assert np.array_equal(forest_predict_batch(model, x), y)
 
     def test_xor_quadrants(self):
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, size=(200, 2))
         y = ((x[:, 0] > 0) ^ (x[:, 1] > 0)).astype(int)
-        model = forest_train(x, y, ForestConfig(n_trees=50, max_depth=4, min_leaf=1), seed=1)
+        model = forest_train(x, y, ForestConfig(n_trees=50, max_depth=4), seed=1)
         accuracy = (forest_predict_batch(model, x) == y).mean()
         assert accuracy >= 0.9
 
@@ -396,20 +394,22 @@ class TestForest:
         probe = rng.normal(size=(20, 4))
         assert np.array_equal(forest_predict_batch(m1, probe), forest_predict_batch(m2, probe))
 
-    def test_duplicate_invariance_single_tree(self):
+    def test_duplicate_invariance_single_tree(self, monkeypatch):
+        # each split is invariant at any MIN_LEAF, but at 2 a one-row side that the original tree
+        # refuses has two rows once duplicated; only MIN_LEAF 1 makes the whole tree invariant
+        monkeypatch.setattr(forest, "MIN_LEAF", 1)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(25, 3))
         y = rng.integers(0, 2, 25)
-        config = ForestConfig(n_trees=1, max_depth=4, min_leaf=1, feature_subsample="all", bootstrap=False)
-        m1 = forest_train(x, y, config, seed=0)
-        m2 = forest_train(np.repeat(x, 2, axis=0), np.repeat(y, 2), config, seed=0)
+        t1 = forest._grow(x, y, 2, 4, np.random.default_rng(0), 0)
+        t2 = forest._grow(np.repeat(x, 2, axis=0), np.repeat(y, 2), 2, 4, np.random.default_rng(0), 0)
 
         def describe(node):
             if node.is_leaf:
                 return ("leaf", node.prediction)
             return ("split", node.feature, round(node.threshold, 12), describe(node.left), describe(node.right))
 
-        assert describe(m1.trees[0]) == describe(m2.trees[0])
+        assert describe(t1) == describe(t2)
 
     def test_empty_training_set(self):
         with pytest.raises(DataError):
@@ -523,17 +523,12 @@ class TestBestSplitKernel:
         x = rng.integers(0, 4, size=(n, d)).astype(float) if integer_valued else rng.normal(size=(n, d))
         self.check(x, rng.integers(0, n_classes, n), n_classes)
 
-    @pytest.mark.parametrize("bootstrap", [True, False])
-    @pytest.mark.parametrize("subsample", ["sqrt", "all"])
-    @pytest.mark.parametrize("min_leaf", [1, 2])
     @pytest.mark.parametrize("max_depth", [1, 8])
-    def test_forest_matches_scalar_scan(self, monkeypatch, bootstrap, subsample, min_leaf, max_depth):
+    def test_forest_matches_scalar_scan(self, monkeypatch, max_depth):
         rng = np.random.default_rng(21)
         x = np.round(rng.normal(size=(60, 9)), 1)  # rounding leaves ties
         y = (x[:, 0] + x[:, 3] + rng.normal(scale=0.5, size=60) > 0).astype(int) + (x[:, 5] > 1)
-        config = ForestConfig(
-            n_trees=4, max_depth=max_depth, min_leaf=min_leaf, feature_subsample=subsample, bootstrap=bootstrap
-        )
+        config = ForestConfig(n_trees=4, max_depth=max_depth)
         vectorised = forest_train(x, y, config, seed=3)
         monkeypatch.setattr(forest, "_best_split", _scalar_best_split)
         scalar = forest_train(x, y, config, seed=3)
@@ -639,7 +634,7 @@ def test_changed_frame_recomputes_only_its_flow(tmp_path):
 
 # Cache keys of fixed inputs, written by earlier versions; a change here silently invalidates every
 # stored cache entry.
-_DEFAULT_FLOW_KEY = "91a33678406aaee9f47bd7acbf3a54bb4196b36e8536e078e9947c62743204c8"  # default FlowParams, fixed frames
+_DEFAULT_FLOW_KEY = "f0a587ee5a66032831420b30425315db98aa33d841a946ff7d11c91919017519"  # default FlowParams, fixed frames
 _TINY_LOSO_FOLD_KEYS = {  # run_tiny_loso's fold keys on fixed_loso_inputs
     "sa01": "9f2174ca189c5ee648bac6644328ad977db4d634b306b6e9d8a9a8ba89bb9c99",
     "sn01": "24bae96a78e5ee9c3d0a923dced67e89c0fd0bd59892f3f89d17ac2e3d2d3a4b",
