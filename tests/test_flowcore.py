@@ -125,7 +125,7 @@ class TestEstimateFlow:
         assert np.all(flow.u == 0.0)
         assert np.all(flow.v == 0.0)
 
-    @pytest.mark.parametrize("shift", [(1.0, 0.0), (0.0, 0.5)])
+    @pytest.mark.parametrize("shift", [(1.0, 0.0), (0.0, 0.5), (2.0, 0.0)])
     def test_translation_recovery(self, shift):
         dx, dy = shift
         tex = smooth_texture(96, 96, 11)
@@ -285,11 +285,12 @@ def assert_same_flow(a, b):
 
 class TestSolverMatchesReference:
     @pytest.mark.parametrize("iterations", [1, 7, 200])
+    @pytest.mark.parametrize("alpha", [15.0, 0.5])  # the default, and a weak smoothness term
     @pytest.mark.parametrize("levels", [1, 3])
-    def test_translated_pair(self, levels, iterations):
+    def test_translated_pair(self, levels, alpha, iterations):
         tex = smooth_texture(40, 52, 13)
         onset, apex = GrayFrame(tex), GrayFrame(translate_frame(tex, 1.3, -0.6))
-        params = FlowParams(iterations=iterations, pyramid_levels=levels)
+        params = FlowParams(smoothness_alpha=alpha, iterations=iterations, pyramid_levels=levels)
         assert_same_flow(estimate_flow(onset, apex, params), reference_flow(onset, apex, params))
 
     @settings(max_examples=20, deadline=None)

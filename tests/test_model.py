@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import struct
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -927,6 +928,14 @@ class TestTrainFold:
     def test_empty_split(self):
         with pytest.raises(DataError):
             train_fold([], ModelConfig.toy(16), Variant.MOTION_ONLY, TrainConfig(), seed=0)
+
+    def test_absent_class_trains_without_warning(self):
+        # a LOSO training split may lack an emotion class; the fold still trains, silently
+        samples = [s for s in self.small_samples() if s.emotion != 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, history = train_fold(samples, ModelConfig.toy(16), Variant.MOTION_ONLY, TrainConfig(epochs=2), seed=0)
+        assert len(history) == 2 and all(np.isfinite(h.total) for h in history)
 
     # sha256 of the save_checkpoint bytes after train_fold, computed with the
     # per-parameter Adam loop and the always-push conv2d that the tests keep as

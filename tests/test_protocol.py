@@ -523,11 +523,15 @@ class TestBestSplitKernel:
         x = rng.integers(0, 4, size=(n, d)).astype(float) if integer_valued else rng.normal(size=(n, d))
         self.check(x, rng.integers(0, n_classes, n), n_classes)
 
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    @pytest.mark.parametrize("n_features", [1, 9])  # every node scans the one column, or 3 of 9
     @pytest.mark.parametrize("max_depth", [1, 8])
-    def test_forest_matches_scalar_scan(self, monkeypatch, max_depth):
+    def test_forest_matches_scalar_scan(self, monkeypatch, max_depth, n_features, min_leaf):
+        monkeypatch.setattr(forest, "MIN_LEAF", min_leaf)
         rng = np.random.default_rng(21)
         x = np.round(rng.normal(size=(60, 9)), 1)  # rounding leaves ties
         y = (x[:, 0] + x[:, 3] + rng.normal(scale=0.5, size=60) > 0).astype(int) + (x[:, 5] > 1)
+        x = x[:, [0, 3, 5, 1, 2, 4, 6, 7, 8][:n_features]]
         config = ForestConfig(n_trees=4, max_depth=max_depth)
         vectorised = forest_train(x, y, config, seed=3)
         monkeypatch.setattr(forest, "_best_split", _scalar_best_split)
