@@ -4,6 +4,8 @@ Subcommands: manifest, flow, loso, prima-facie, gradcam, report. Every
 run writes a provenance sidecar sufficient to replay it; all randomness
 derives from one root seed fanned out by labeled derivation. Exit
 codes: 0 success, 2 configuration error, 3 data error, 4 internal.
+No command makes its --out directory up front: each file write makes
+its parents, so a run refused before its first write leaves no --out.
 """
 
 from __future__ import annotations
@@ -165,8 +167,6 @@ def _load_predictor(args):
 
 def cmd_manifest(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.synth:
         spec = SynthSpec(
             subjects_per_group=args.subjects_per_group,
@@ -179,13 +179,21 @@ def cmd_manifest(args) -> int:
     else:
         if not (args.casme2 or args.samm):
             raise ConfigError("give --synth, or at least one of --casme2 / --samm")
+        predictor = _load_predictor(args)
+        ledger = []
+        ledger_hash = ""
+        if args.ledger:
+            if Path(args.ledger).exists():
+                ledger = load_ledger(args.ledger)
+                ledger_hash = hash_file(args.ledger)
+            else:
+                warnings.warn(f"ledger {args.ledger} not found; continuing with an empty ledger", stacklevel=2)
         records = []
         if args.casme2:
             records += ingest_dataset_index(args.casme2, Dataset.CASME2)
         if args.samm:
             records += ingest_dataset_index(args.samm, Dataset.SAMM)
 
-        predictor = _load_predictor(args)
         annotated = []
         by_subject = {}
         for rec in records:
@@ -201,14 +209,6 @@ def cmd_manifest(args) -> int:
                 fields = {"raw_ethnicity": RawEthnicity.OTHERS, "gender": Gender.UNKNOWN, "age": 0}
             annotated += [replace(rec, **fields) for rec in recs]
 
-        ledger = []
-        ledger_hash = ""
-        if args.ledger:
-            if Path(args.ledger).exists():
-                ledger = load_ledger(args.ledger)
-                ledger_hash = hash_file(args.ledger)
-            else:
-                warnings.warn(f"ledger {args.ledger} not found; continuing with an empty ledger", stacklevel=2)
         corrected, audit = apply_heuristic_corrections(annotated, ledger)
         if audit:
             audit_lines = [json.dumps(to_json_dict(entry), sort_keys=True) for entry in audit]
@@ -285,18 +285,19 @@ def _model_config(args) -> ModelConfig:
 
 
 def cmd_loso(args) -> int:
-    manifest = load_manifest(args.manifest)
-    flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         variants = [Variant(v.strip()) for v in args.variants.split(",")]
     except ValueError as exc:
         raise ConfigError(f"unknown variant: {exc}") from exc
     model_config = _model_config(args)
+    for variant in variants:
+        model_config.validate_for(variant)
     train_config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr, lr_gamma=args.lr_gamma
     )
+    manifest = load_manifest(args.manifest)
+    flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
+    out_dir = Path(args.out)
     checkpoint_dir = None if args.no_resume else out_dir / "folds"
 
     workers = _workers()
@@ -340,8 +341,6 @@ def cmd_prima_facie(args) -> int:
     manifest = load_manifest(args.manifest)
     flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.encoder_file:
         encoder = FrozenEncoder.from_file(args.encoder_file)
     else:
@@ -389,15 +388,14 @@ def cmd_prima_facie(args) -> int:
 
 
 def cmd_gradcam(args) -> int:
-    manifest = load_manifest(args.manifest)
-    flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    params, model_config, variant = load_checkpoint(args.checkpoint)
     class_filter = [c.strip() for c in args.classes.split(",")]
     for name in class_filter:
         if name not in EMOTION_CLASSES:
             raise ConfigError(f"unknown class {name!r}; choose from {EMOTION_CLASSES}")
+    params, model_config, variant = load_checkpoint(args.checkpoint)
+    manifest = load_manifest(args.manifest)
+    flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
+    out_dir = Path(args.out)
 
     records = [r for r in manifest.eligible() if r.mapped_emotion.value in class_filter]
     samples = load_train_samples(records, args.flow_dir, need_rgb=variant.needs_rgb)

@@ -38,10 +38,10 @@ class DanglingPathError(DataError):
 def ingest_dataset_index(index_path, dataset_kind: Dataset) -> list[SampleRecord]:
     """Read a delimited index table into raw records (mappings unset).
 
-    Expected columns: subject, clip, onset, apex, emotion. Comma and tab
-    delimiters are both accepted; frame paths are resolved relative to
-    the index file's directory. Raw emotion strings are stored verbatim
-    but case-folded.
+    Expected columns: subject, clip, onset, apex, emotion, none of them
+    empty in any row. Comma and tab delimiters are both accepted; frame
+    paths are resolved relative to the index file's directory and must
+    name files. Raw emotion strings are stored verbatim but case-folded.
     """
     index_path = Path(index_path)
     if not index_path.exists():
@@ -54,7 +54,11 @@ def ingest_dataset_index(index_path, dataset_kind: Dataset) -> list[SampleRecord
         raise DataError(f"{index_path}: empty index")
     delimiter = "\t" if "\t" in lines[0] else ","
     reader = csv.DictReader(lines, delimiter=delimiter)
-    header = [h.strip().casefold() for h in (reader.fieldnames or [])]
+    try:
+        header = [h.strip().casefold() for h in (reader.fieldnames or [])]
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:  # e.g. a cell over the csv field size limit
+        raise DataError(f"{index_path}: malformed index: {exc}") from exc
     missing = [c for c in _INDEX_COLUMNS if c not in header]
     if missing:
         raise MissingColumnError(f"{index_path}: missing columns {missing}; found {header}")
@@ -62,8 +66,11 @@ def ingest_dataset_index(index_path, dataset_kind: Dataset) -> list[SampleRecord
     records: list[SampleRecord] = []
     seen: set[tuple[str, str]] = set()
     base = index_path.parent
-    for row in reader:
+    for line, row in rows:
         row = {k.strip().casefold(): (v or "").strip() for k, v in row.items() if k is not None}
+        empty = [c for c in _INDEX_COLUMNS if not row[c]]
+        if empty:
+            raise DataError(f"{index_path}: line {line}: empty {', '.join(empty)} cell(s)")
         key = (row["subject"], row["clip"])
         if key in seen:
             raise DuplicateKeyError(f"{index_path}: duplicate (subject, clip) = {key}")
@@ -71,8 +78,12 @@ def ingest_dataset_index(index_path, dataset_kind: Dataset) -> list[SampleRecord
         onset = base / row["onset"]
         apex = base / row["apex"]
         for p in (onset, apex):
-            if not p.exists():
-                raise DanglingPathError(f"{index_path}: frame path does not exist: {p}")
+            try:
+                is_file = p.is_file()
+            except OSError:  # e.g. a name over the file system's length limit
+                is_file = False
+            if not is_file:
+                raise DanglingPathError(f"{index_path}: line {line}: frame path is not a file: {p}")
         records.append(
             SampleRecord(
                 dataset=dataset_kind,

@@ -9,8 +9,6 @@ machines). Extraction is a pure function of the input.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from ..errors import ConfigError
@@ -18,7 +16,7 @@ from ..runutil import derived_rng, to_json_dict
 from .autodiff import Tensor
 from .config import EncoderConfig
 from .network import INPUT_CENTER, encode_conv
-from .params import ParamSet, _conv_stack, read_config, read_meck, write_meck
+from .params import ParamSet, _conv_stack, draw_params, read_config, read_meck, write_meck
 
 _KIND = "frozen_encoder"  # the MECK1 header "kind" of a frozen-encoder file
 
@@ -33,27 +31,22 @@ class FrozenEncoder:
 
     @classmethod
     def random_fallback(cls, config: EncoderConfig, seed: int) -> "FrozenEncoder":
-        return cls(config, _frozen_param_set(config, seed), origin=f"random-fallback(seed={seed})")
+        params = draw_params(_conv_stack("motion", config), derived_rng(seed, "frozen-encoder"))
+        return cls(config, params, origin=f"random-fallback(seed={seed})")
 
     @classmethod
     def from_file(cls, path) -> "FrozenEncoder":
         def decode(header):
             if header.get("kind") != _KIND:
                 raise ConfigError(f"{path}: not a frozen-encoder checkpoint")
-            return read_config(path, EncoderConfig, header["config"])
+            config = read_config(path, EncoderConfig, header["config"])
+            return config, _conv_stack("motion", config)
 
-        config, params = read_meck(path, decode, lambda config: _frozen_param_set(config, seed=0))
+        config, params = read_meck(path, decode)
         return cls(config, params, origin=f"file:{path}")
 
     def save(self, path) -> None:
         write_meck(path, {"kind": _KIND, "config": to_json_dict(self.config)}, self.params)
-
-
-def _frozen_param_set(config: EncoderConfig, seed: int) -> ParamSet:
-    rng = derived_rng(seed, "frozen-encoder")
-    out: OrderedDict[str, np.ndarray] = OrderedDict()
-    _conv_stack(out, rng, "motion", config)
-    return ParamSet(out)
 
 
 def extract_frozen_features(flow_image: np.ndarray, encoder: FrozenEncoder) -> np.ndarray:

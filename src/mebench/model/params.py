@@ -1,5 +1,9 @@
 """Named-tensor parameter sets, initialization, and the checkpoint container.
 
+A parameter layout is a pure function of a config: its tensor table of
+(name, shape, init) rows, which initialization and both checkpoint readers
+read. So a file's layout is a function of its header's config.
+
 Checkpoint layout (MECK1, little-endian):
 
     magic "MECK1\\n"
@@ -18,10 +22,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import OrderedDict
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 from types import MappingProxyType
 
@@ -94,72 +97,77 @@ def check_layout(layout: tuple, reference: tuple) -> None:
         raise ConfigError(f"parameter layout mismatch: got {got}, expected {expected}")
 
 
-def _kaiming(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+def _kaiming(fan_in: int):
+    std = np.sqrt(2.0 / fan_in)
+    return lambda rng, shape: rng.normal(0.0, std, size=shape)
 
 
-def _trunc_normal(rng: np.random.Generator, shape: tuple, std: float = 0.02) -> np.ndarray:
+def _trunc_normal(std: float = 0.02):
     # clipped at 2 std, the usual cheap truncation for transformer embeddings
-    return np.clip(rng.normal(0.0, std, size=shape), -2 * std, 2 * std)
+    return lambda rng, shape: np.clip(rng.normal(0.0, std, size=shape), -2 * std, 2 * std)
 
 
-def _conv_stack(out: OrderedDict, rng, prefix: str, cfg) -> None:
-    in_ch = cfg.input_channels
-    k = cfg.kernel_size
+def _linear(name: str, n_out: int, n_in: int, bias: float = 0.0):
+    yield f"{name}.w", (n_out, n_in), _kaiming(n_in)
+    yield f"{name}.b", (n_out,), bias
+
+
+def _conv_stack(prefix: str, cfg):
+    in_ch, k = cfg.input_channels, cfg.kernel_size
     for i, width in enumerate(cfg.stage_widths):
-        out[f"{prefix}.stage{i}.w"] = _kaiming(rng, (width, in_ch, k, k), in_ch * k * k)
+        yield f"{prefix}.stage{i}.w", (width, in_ch, k, k), _kaiming(in_ch * k * k)
         # small positive bias keeps stage pre-activations off the ReLU kink
-        out[f"{prefix}.stage{i}.b"] = np.full(width, 0.01)
+        yield f"{prefix}.stage{i}.b", (width,), 0.01
         in_ch = width
-    out[f"{prefix}.proj.w"] = _kaiming(rng, (cfg.feature_dim, in_ch), in_ch)
-    out[f"{prefix}.proj.b"] = np.zeros(cfg.feature_dim)
+    yield from _linear(f"{prefix}.proj", cfg.feature_dim, in_ch)
 
 
-def _patch_stack(out: OrderedDict, rng, prefix: str, cfg, n_patches: int) -> None:
-    patch_dim = 3 * cfg.patch_size * cfg.patch_size
-    d = cfg.embed_dim
-    out[f"{prefix}.embed.w"] = _trunc_normal(rng, (d, patch_dim), std=np.sqrt(1.0 / patch_dim))
-    out[f"{prefix}.embed.b"] = np.zeros(d)
-    out[f"{prefix}.pos"] = _trunc_normal(rng, (n_patches, d))
+def _patch_stack(prefix: str, cfg, n_patches: int):
+    patch_dim, d = 3 * cfg.patch_size * cfg.patch_size, cfg.embed_dim
+    yield f"{prefix}.embed.w", (d, patch_dim), _trunc_normal(std=np.sqrt(1.0 / patch_dim))
+    yield f"{prefix}.embed.b", (d,), 0.0
+    yield f"{prefix}.pos", (n_patches, d), _trunc_normal()
     hidden = int(round(cfg.mlp_ratio * d))
     for blk in range(cfg.n_blocks):
         p = f"{prefix}.block{blk}"
-        out[f"{p}.ln1.gamma"] = np.ones(d)
-        out[f"{p}.ln1.beta"] = np.zeros(d)
+        yield f"{p}.ln1.gamma", (d,), 1.0
+        yield f"{p}.ln1.beta", (d,), 0.0
         for head_part in ("q", "k", "v", "o"):
-            out[f"{p}.attn.{head_part}.w"] = _kaiming(rng, (d, d), d)
-            out[f"{p}.attn.{head_part}.b"] = np.zeros(d)
-        out[f"{p}.ln2.gamma"] = np.ones(d)
-        out[f"{p}.ln2.beta"] = np.zeros(d)
-        out[f"{p}.mlp.fc1.w"] = _kaiming(rng, (hidden, d), d)
-        out[f"{p}.mlp.fc1.b"] = np.full(hidden, 0.01)
-        out[f"{p}.mlp.fc2.w"] = _kaiming(rng, (d, hidden), hidden)
-        out[f"{p}.mlp.fc2.b"] = np.zeros(d)
-    out[f"{prefix}.norm.gamma"] = np.ones(d)
-    out[f"{prefix}.norm.beta"] = np.zeros(d)
-    out[f"{prefix}.proj.w"] = _kaiming(rng, (cfg.feature_dim, d), d)
-    out[f"{prefix}.proj.b"] = np.zeros(cfg.feature_dim)
+            yield from _linear(f"{p}.attn.{head_part}", d, d)
+        yield f"{p}.ln2.gamma", (d,), 1.0
+        yield f"{p}.ln2.beta", (d,), 0.0
+        yield from _linear(f"{p}.mlp.fc1", hidden, d, bias=0.01)
+        yield from _linear(f"{p}.mlp.fc2", d, hidden)
+    yield f"{prefix}.norm.gamma", (d,), 1.0
+    yield f"{prefix}.norm.beta", (d,), 0.0
+    yield from _linear(f"{prefix}.proj", cfg.feature_dim, d)
+
+
+def model_tensors(config: ModelConfig, variant: Variant):
+    """The variant's tensor table: (name, shape, init) rows in layout order, init a constant
+    fill or a draw init(rng, shape). Allocates no tensor; a config the variant cannot use
+    raises ConfigError once the table is read."""
+    config.validate_for(variant)
+    yield from _conv_stack("motion", config.motion)
+    if variant == Variant.DUAL_MOTION or variant == Variant.MOTION_RGB_CONV:
+        yield from _conv_stack("ethnic", config.ethnic_conv)
+    elif variant == Variant.MOTION_RGB_PATCH:
+        yield from _patch_stack("texture", config.texture, config.n_patches)
+    e = config.feature_dim
+    yield from _linear("head.emotion", N_EMOTIONS, e)
+    if variant.has_ethnic_branch:
+        yield from _linear("head.ethnicity", N_ETHNICITIES, e)
+        yield from _linear("head.fusion", N_EMOTIONS, 2 * e)
+
+
+def draw_params(table, rng: np.random.Generator) -> ParamSet:
+    """The table's tensors, each filled with its constant or drawn from rng, in row order."""
+    return ParamSet({name: init(rng, shape) if callable(init) else np.full(shape, init) for name, shape, init in table})
 
 
 def init_params(config: ModelConfig, variant: Variant, seed: int) -> ParamSet:
     """Deterministic initialization from the labeled PRNG stream (PCG64)."""
-    config.validate_for(variant)
-    rng = derived_rng(seed, "init", variant.value)
-    out: OrderedDict[str, np.ndarray] = OrderedDict()
-    _conv_stack(out, rng, "motion", config.motion)
-    if variant == Variant.DUAL_MOTION or variant == Variant.MOTION_RGB_CONV:
-        _conv_stack(out, rng, "ethnic", config.ethnic_conv)
-    elif variant == Variant.MOTION_RGB_PATCH:
-        _patch_stack(out, rng, "texture", config.texture, config.n_patches)
-    e = config.feature_dim
-    out["head.emotion.w"] = _kaiming(rng, (N_EMOTIONS, e), e)
-    out["head.emotion.b"] = np.zeros(N_EMOTIONS)
-    if variant.has_ethnic_branch:
-        out["head.ethnicity.w"] = _kaiming(rng, (N_ETHNICITIES, e), e)
-        out["head.ethnicity.b"] = np.zeros(N_ETHNICITIES)
-        out["head.fusion.w"] = _kaiming(rng, (N_EMOTIONS, 2 * e), 2 * e)
-        out["head.fusion.b"] = np.zeros(N_EMOTIONS)
-    return ParamSet(out)
+    return draw_params(model_tensors(config, variant), derived_rng(seed, "init", variant.value))
 
 
 def write_meck(path, header: dict, params: ParamSet) -> None:
@@ -170,12 +178,14 @@ def write_meck(path, header: dict, params: ParamSet) -> None:
     atomic_write_bytes(path, b"".join([_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, data]))
 
 
-def read_meck(path, decode, reference):
+def read_meck(path, decode):
     """Check a MECK1 file's magic, header, layout and length; return
-    (decode(header), params). The "tensors" list is read first, so decode
-    always sees an object; a KeyError, TypeError or ValueError in parsing
-    or in decode, or a layout other than that of reference(decoded), is a
-    DataError."""
+    (decoded, params), where decode(header) gives (decoded, table) and table
+    is the (name, shape, init) rows the file must hold. The "tensors" list is
+    read first, so decode always sees an object; a KeyError, TypeError or
+    ValueError in parsing or in decode, or a layout other than the table's,
+    is a DataError. The table is read no further than the header's length,
+    and no tensor is allocated before the file is seen to hold it."""
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -187,11 +197,11 @@ def read_meck(path, decode, reference):
     try:
         header = json.loads(data[off : off + header_len].decode("utf-8"))
         layout = tuple((entry["name"], tuple(int(n) for n in entry["shape"])) for entry in header["tensors"])
-        decoded = decode(header)
+        decoded, table = decode(header)
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise DataError(f"{path}: malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
     try:
-        check_layout(layout, reference(decoded).layout)
+        check_layout(layout, tuple((name, shape) for name, shape, _ in islice(table, len(layout) + 1)))
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from exc
     off += header_len
@@ -217,7 +227,8 @@ def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant]:
     def decode(header):
         if "kind" in header:
             raise ConfigError(f"{path}: a {header['kind']!r} file, not a model checkpoint")
-        return read_config(path, ModelConfig, header["config"]), Variant(header["variant"])
+        config, variant = read_config(path, ModelConfig, header["config"]), Variant(header["variant"])
+        return (config, variant), model_tensors(config, variant)
 
-    (config, variant), params = read_meck(path, decode, lambda decoded: init_params(*decoded, seed=0))
+    (config, variant), params = read_meck(path, decode)
     return params, config, variant

@@ -22,6 +22,8 @@ from .losses import LossBreakdown
 from .network import ModelInputs, forward, predict_emotion
 from .params import ParamSet, check_layout, init_params
 
+_EVAL_BATCH = 32  # samples per inference forward in evaluate_predictions
+
 
 class NonFiniteGradientError(DataError):
     pass
@@ -198,12 +200,11 @@ def evaluate_predictions(
     samples: list[TrainSample],
     config: ModelConfig,
     variant: Variant,
-    batch_size: int = 32,
 ) -> np.ndarray:
     """Predicted emotion class per sample (fused head when present)."""
     preds = []
-    for start in range(0, len(samples), batch_size):
-        batch = samples[start : start + batch_size]
+    for start in range(0, len(samples), _EVAL_BATCH):
+        batch = samples[start : start + _EVAL_BATCH]
         outputs = forward(_batch_inputs(batch, variant), params, config, variant, requires_grad=False)
         preds.append(predict_emotion(outputs))
     return np.concatenate(preds) if preds else np.array([], dtype=int)

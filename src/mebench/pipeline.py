@@ -105,7 +105,6 @@ def materialize_flow_images(
     results are identical regardless of worker count.
     """
     flow_dir = Path(flow_dir)
-    flow_dir.mkdir(parents=True, exist_ok=True)
     fractions = {}
     jobs = []
     for record in manifest.records:

@@ -181,6 +181,22 @@ class TestManifestCommand:
         attrs = {r.subject_id: (r.raw_ethnicity.value, r.gender.value, r.age) for r in records}
         assert attrs == {"01": ("Asian", "male", 30), "02": ("Others", "unknown", 0)}
 
+    def test_bad_ledger_is_refused_before_any_frame_is_annotated(self, tmp_path):
+        from mebench.flowcore import write_pgm
+
+        write_pgm(tmp_path / "f.pgm", np.zeros((32, 32)))
+        index = tmp_path / "index.csv"
+        index.write_text("subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,fear\n")
+        ledger = tmp_path / "rules.jsonl"
+        ledger.write_text("[1, 2]\n")
+        marker = tmp_path / "predictor-ran"
+        script = tmp_path / "predictor.py"
+        script.write_text(f"open({str(marker)!r}, 'w').close()\nprint('Asian')\n")
+        argv = ["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index), "--ledger", str(ledger),
+                "--predictor-cmd", f"{sys.executable} {script}"]
+        assert main(argv) == 2
+        assert not marker.exists() and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source", ["synth", "index"])
     def test_relative_paths_round_trip(self, tmp_path, monkeypatch, source):
         # frame paths relative to the working directory are stored relative to the manifest
@@ -241,6 +257,9 @@ def _manifest_bytes(record):
         ("--manifest", _manifest_bytes({**_RECORD, "age": "x"}), 3),
         ("--manifest", _manifest_bytes({**_RECORD, "corrected": "yes"}), 3),
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,\xff\xfe\n", 3),
+        ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm," + b"x" * 200_000 + b"\n", 3),
+        ("--casme2", b"subject,clip,onset,apex,emotion\n01,a\n", 3),
+        ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,.,f.pgm,fear\n", 3),
         ("--ledger", b"\xff\xfe\n", 2),
         ("--ledger", b"[1, 2]\n", 2),
         ("--predictor-table", b"{not json", 2),
@@ -251,6 +270,7 @@ def _manifest_bytes(record):
     ],
     ids=["manifest-not-utf8", "manifest-bad-json", "manifest-list-head", "manifest-no-onset", "manifest-bad-dataset",
          "manifest-no-gender", "manifest-age-string", "manifest-corrected-string", "index-not-utf8",
+         "index-cell-over-200kb", "index-short-row", "index-onset-directory",
          "ledger-not-utf8", "ledger-list-rule", "table-bad-json", "table-unknown-ethnicity", "table-short-entry",
          "table-object-entry", "table-not-object"],
 )
@@ -270,6 +290,7 @@ def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, cod
     else:
         argv = ["manifest", "--out", out, "--casme2", str(index), flag, str(bad)]
     assert main(argv) == code
+    assert not Path(out).exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "0", ""])
@@ -442,6 +463,7 @@ class TestLosoCommand:
             ]
         )
         assert code == 2
+        assert not (root / "bad").exists()
 
 
 class TestPrimaFacieCommand:
@@ -548,6 +570,7 @@ class TestGradcamCommand:
             ]
         )
         assert code == 2
+        assert not (root / "cams_bad").exists()
 
     @pytest.mark.parametrize(
         "damage",
@@ -816,13 +839,15 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("prima-facie", ["--scenarios", "NoSuch"], 2, "unknown scenario"),
         ("loso", ["--image-size", "64"], 3, "for image_size 64"),
         ("loso", ["--image-size", "64", "--variants", "motion_plus_rgb_patch"], 3, "for image_size 64"),
+        ("loso", ["--image-size", "36", "--variants", "motion_plus_rgb_patch"], 2, "not divisible by patch size 8"),
         ("loso", ["--image-size", "0"], 2, "image_size must be >= 1, got 0"),
         ("loso", ["--image-size", "-8"], 2, "image_size must be >= 1, got -8"),
         ("flow", ["--alpha", "inf"], 2, "smoothness_alpha must be finite and > 0"),
         ("flow", ["--alpha", "nan"], 2, "smoothness_alpha must be finite and > 0"),
     ],
     ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "budget-0", "budget-negative", "seeds-0",
-         "budget-odd", "scenarios-unknown", "image-size-dual", "image-size-patch", "image-size-0", "image-size-negative", "alpha-inf",
+         "budget-odd", "scenarios-unknown", "image-size-dual", "image-size-patch", "image-size-patch-indivisible",
+         "image-size-0", "image-size-negative", "alpha-inf",
          "alpha-nan"],
 )
 def test_out_of_range_argument_is_not_internal_error(
@@ -845,8 +870,7 @@ def test_out_of_range_argument_is_not_internal_error(
     capsys.readouterr()
     assert main(argv + extra) == code
     assert message in capsys.readouterr().err
-    assert not list(out.glob("*.meck")) and not list(out.glob("prima_facie.*")) and not list(out.glob("*.ofi"))
-    assert not (out / "provenance.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["flow", "gradcam", "prima-facie"])
@@ -871,7 +895,7 @@ def test_path_naming_a_directory_is_data_error(synth_run, loso_run, tmp_path, ca
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(directory) in err
-    assert not (out / "provenance.json").exists()
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_process_pool():

@@ -1,6 +1,6 @@
 """Hostile-input fuzzing of the file readers: damaged OFI1 flow images,
-MECK1 model and frozen-encoder files, PNM frames, manifests and
-correction ledgers.
+MECK1 model and frozen-encoder files, PNM frames, manifests, correction
+ledgers and dataset index tables (beside real frame files).
 
 Each valid file is truncated, has bytes changed, or is spliced with
 another valid file. Whatever comes back, the reader either returns or
@@ -14,10 +14,15 @@ around a number in a MECK1 header's config (a digit, or the space
 before it, replaced by a digit or a minus sign). Random XORs almost
 never hit the few bytes that hold a config value, so the second kind
 aims there.
+
+A MECK1 header that names a huge config is refused before any tensor of
+that size is allocated, and so are index rows that are over-long, short,
+or that name a directory as a frame.
 """
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,10 +36,12 @@ from mebench.corpus import (
     SampleRecord,
     build_manifest,
     finalize_mappings,
+    ingest_dataset_index,
     load_ledger,
     load_manifest,
     save_manifest,
 )
+from mebench.corpus.manifest import DanglingPathError
 from mebench.errors import DataError, MebenchError
 from mebench.flowcore import (
     FlowField,
@@ -44,6 +51,7 @@ from mebench.flowcore import (
     load_rgb_frame,
     read_flow_image,
     write_flow_image,
+    write_pgm,
 )
 from mebench.model import (
     EncoderConfig,
@@ -54,6 +62,7 @@ from mebench.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from mebench.model.params import model_tensors
 from mebench.runutil import to_json_dict
 
 FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -220,3 +229,106 @@ def test_damaged_ledger_raises_only_mebench_error(ledgers, tmp_path, data):
     base = data.draw(st.sampled_from(ledgers))
     payload = data.draw(_damaged(base, ledgers, _xor(base)))
     _only_errors(MebenchError, load_ledger, tmp_path / "rules.jsonl", payload)
+
+
+@pytest.fixture(scope="module")
+def index_dir(tmp_path_factory):
+    """A directory holding the frame files that the valid index tables name."""
+    root = tmp_path_factory.mktemp("index")
+    for name in ("on1", "ap1", "on2", "ap2"):
+        write_pgm(root / "fr" / f"{name}.pgm", np.zeros((4, 4)))
+    return root
+
+
+@pytest.fixture(scope="module")
+def indexes() -> list:
+    return [
+        b"subject,clip,onset,apex,emotion\n01,a,fr/on1.pgm,fr/ap1.pgm,fear\n02,b,fr/on2.pgm,fr/ap2.pgm,happiness\n",
+        b"Subject\tClip\tOnset\tApex\tEmotion\n01\ta\tfr/on1.pgm\tfr/ap2.pgm\tSurprise\n",
+    ]
+
+
+def _read_index(path):
+    ingest_dataset_index(path, Dataset.CASME2)
+
+
+def test_valid_indexes_are_read(index_dir, indexes):
+    for payload in indexes:
+        (index_dir / "index.csv").write_bytes(payload)
+        assert ingest_dataset_index(index_dir / "index.csv", Dataset.CASME2)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_dataset_index_raises_only_mebench_error(index_dir, indexes, data):
+    base = data.draw(st.sampled_from(indexes))
+    payload = data.draw(_damaged(base, indexes, _xor(base)))
+    _only_errors(MebenchError, _read_index, index_dir / "index.csv", payload)
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        (b"01,a,fr/on1.pgm,fr/ap1.pgm," + b"x" * 200_000, DataError, "hostile.csv: malformed index: field larger"),
+        (b"01,a", DataError, "line 2: empty onset, apex, emotion"),
+        (b"01,a,.,fr/ap1.pgm,fear", DanglingPathError, "line 2: frame path is not a file"),
+        (b"01,a,fr/on1.pgm,fr,fear", DanglingPathError, "line 2: frame path is not a file"),
+        (b"01,a," + b"a" * 300 + b",fr/ap1.pgm,fear", DanglingPathError, "line 2: frame path is not a file"),
+    ],
+    ids=["cell-over-200kb", "short-row", "onset-dot", "apex-directory", "name-too-long"],
+)
+def test_hostile_index_row_is_refused(index_dir, row, error, message):
+    path = index_dir / "hostile.csv"
+    path.write_bytes(b"subject,clip,onset,apex,emotion\n" + row + b"\n")
+    with pytest.raises(error, match=message):
+        ingest_dataset_index(path, Dataset.CASME2)
+
+
+def _header_only(path, header: dict) -> None:
+    """A MECK1 file holding header and no tensor data."""
+    payload = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(b"MECK1\n" + struct.pack("<I", len(payload)) + payload)
+
+
+_HUGE_PATCH = ModelConfig.small(4096)  # 262,144 patches: a 64 MB position table
+
+
+@pytest.mark.parametrize(
+    "read, header, message",
+    [
+        (
+            FrozenEncoder.from_file,
+            {"kind": "frozen_encoder", "config": to_json_dict(EncoderConfig(feature_dim=10**6)), "tensors": []},
+            "layout mismatch",
+        ),
+        (
+            load_checkpoint,
+            {"config": to_json_dict(_HUGE_PATCH), "variant": "motion_plus_rgb_patch", "tensors": []},
+            "layout mismatch",
+        ),
+        (
+            load_checkpoint,
+            {
+                "config": to_json_dict(_HUGE_PATCH),
+                "variant": "motion_plus_rgb_patch",
+                "tensors": [
+                    {"name": name, "shape": list(shape)}
+                    for name, shape, _ in model_tensors(_HUGE_PATCH, Variant.MOTION_RGB_PATCH)
+                ],
+            },
+            "bytes of tensor data",
+        ),
+    ],
+    ids=["encoder-feature-dim-1e6", "patch-image-size-4096", "patch-image-size-4096-declared"],
+)
+def test_huge_config_header_is_refused_before_allocating(tmp_path, read, header, message):
+    path = tmp_path / "huge.meck"
+    _header_only(path, header)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match=message):
+            read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"

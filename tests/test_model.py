@@ -45,6 +45,7 @@ from mebench.model import network, training
 from mebench.model.autodiff import Tensor
 from mebench.model.losses import LossBreakdown
 from mebench.model.network import INPUT_CENTER, encode_conv, encode_patches, fuse_features
+from mebench.model.params import model_tensors
 from mebench.model.training import batch_loss_graph
 from mebench.runutil import from_json_dict, to_json_dict
 
@@ -1097,6 +1098,35 @@ class TestParamSet:
         assert_bits_equal(copied.flat, params.flat)
         assert copied.names() == params.names()
         assert not np.shares_memory(copied.flat, params.flat)
+
+
+
+def _weights_digest(params: ParamSet) -> str:
+    return hashlib.sha256(params.flat.astype("<f8").tobytes()).hexdigest()[:16]
+
+
+class TestTensorTable:
+    @pytest.mark.parametrize("config", [ModelConfig.toy(16), ModelConfig.small(64)], ids=["toy16", "small64"])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_table_is_the_layout_of_init_params(self, config, variant):
+        table = tuple((name, shape) for name, shape, _ in model_tensors(config, variant))
+        assert table == init_params(config, variant, seed=0).layout
+
+    @pytest.mark.parametrize(
+        "variant, digest",
+        [
+            (Variant.MOTION_ONLY, "b508a0a817f60c45"),
+            (Variant.DUAL_MOTION, "6a133c334ba5959c"),
+            (Variant.MOTION_RGB_CONV, "cef70c553be3755d"),
+            (Variant.MOTION_RGB_PATCH, "a05d29e038075ec0"),
+        ],
+        ids=lambda v: getattr(v, "value", v),
+    )
+    def test_init_weights_are_pinned(self, variant, digest):
+        assert _weights_digest(init_params(ModelConfig.small(64), variant, 0)) == digest
+
+    def test_frozen_encoder_weights_are_pinned(self):
+        assert _weights_digest(FrozenEncoder.random_fallback(EncoderConfig(), seed=0).params) == "473e64594e17f878"
 
 
 # ---------------------------------------------------------------- checkpoints
