@@ -42,6 +42,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataError, MebenchError
 from .flowcore import FlowParams, load_frame, write_pgm
+from .flowcore.flowimage import read_flow_image_shape
 from .model import (
     EncoderConfig,
     FrozenEncoder,
@@ -55,7 +56,7 @@ from .model import (
 from .model.training import _batch_inputs
 from .pipeline import (
     EMOTION_CLASSES,
-    flow_image_path,
+    existing_flow_image_path,
     load_train_samples,
     materialize_flow_images,
 )
@@ -210,20 +211,12 @@ def cmd_manifest(args) -> int:
             annotated += [replace(rec, **fields) for rec in recs]
 
         corrected, audit = apply_heuristic_corrections(annotated, ledger)
+        provenance = {"seed": args.seed, "predictor": getattr(predictor, "name", "unknown"), "ledger_hash": ledger_hash}
+        manifest = build_manifest(finalize_mappings(corrected), provenance)  # checked before the first write
         if audit:
             audit_lines = [json.dumps(to_json_dict(entry), sort_keys=True) for entry in audit]
             atomic_write_text(out_dir / "correction_audit.jsonl", "\n".join(audit_lines) + "\n")
             print(f"applied {len(audit)} corrections (audit log written)")
-
-        final_records = finalize_mappings(corrected)
-        manifest = build_manifest(
-            final_records,
-            provenance={
-                "seed": args.seed,
-                "predictor": getattr(predictor, "name", "unknown"),
-                "ledger_hash": ledger_hash,
-            },
-        )
         save_manifest(manifest, out_dir / "manifest.jsonl")
 
     report = summarize_distribution(manifest)
@@ -280,32 +273,32 @@ def cmd_flow(args) -> int:
 # ------------------------------------------------------------------ loso
 
 
-def _model_config(args) -> ModelConfig:
-    return ModelConfig.small(image_size=args.image_size, feature_dim=args.feature_dim)
-
-
 def cmd_loso(args) -> int:
     try:
         variants = [Variant(v.strip()) for v in args.variants.split(",")]
     except ValueError as exc:
         raise ConfigError(f"unknown variant: {exc}") from exc
-    model_config = _model_config(args)
-    for variant in variants:
-        model_config.validate_for(variant)
-    train_config = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr, lr_gamma=args.lr_gamma
-    )
+    if len(set(variants)) < len(variants):
+        raise ConfigError(f"a variant is given twice: {args.variants}")
+    model_config = ModelConfig.small(feature_dim=args.feature_dim)  # checked now; its image size comes from the flows
+    train_config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr, lr_gamma=args.lr_gamma)
     manifest = load_manifest(args.manifest)
     flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
+    records = manifest.eligible()
+    if not records:
+        raise DataError("manifest has no eligible records")
+    side, _ = read_flow_image_shape(existing_flow_image_path(args.flow_dir, records[0]))
+    model_config = replace(model_config, image_size=side)  # the model's input side is the flow images'
+    for variant in variants:
+        model_config.validate_for(variant)
     out_dir = Path(args.out)
-    checkpoint_dir = None if args.no_resume else out_dir / "folds"
 
     workers = _workers()
     # the LOSO folds and a full-data checkpoint per variant, for activation-map analysis
     rows = [
         run_loso_variant(
-            manifest, variant, model_config, train_config, args.flow_dir, args.seed, checkpoint_dir, workers,
-            model_path=out_dir / f"model_{variant.value}.meck",
+            manifest, variant, model_config, train_config, args.flow_dir, args.seed, out_dir / "folds", workers,
+            model_path=out_dir / f"model_{variant.value}.meck", force=args.no_resume,
         )[0].to_dict()
         for variant in variants
     ]
@@ -404,12 +397,11 @@ def cmd_gradcam(args) -> int:
         target = sample.ethnicity if args.branch == "ethnicity" else sample.emotion
         amap = gradcam(params, model_config, variant, _batch_inputs([sample], variant), target, branch=args.branch)
         emotion_name = record.mapped_emotion.value
-        stem = flow_image_path(args.flow_dir, record).stem
-        write_pgm(out_dir / record.mapped_ethnicity.value / emotion_name / f"{stem}.pgm", amap.overlay)
+        write_pgm(out_dir / record.mapped_ethnicity.value / emotion_name / f"{record.stem}.pgm", amap.overlay)
         map_lines.append(
             json.dumps(
                 {
-                    "sample": stem,
+                    "sample": record.stem,
                     "subject": record.subject_id,
                     "clip": record.clip_id,
                     "ethnicity": record.mapped_ethnicity.value,
@@ -536,9 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.base_lr)
     p.add_argument("--lr-gamma", type=float, default=TrainConfig.lr_gamma)
-    p.add_argument("--image-size", type=int, default=ModelConfig.image_size)
     p.add_argument("--feature-dim", type=int, default=ModelConfig.feature_dim)
-    p.add_argument("--no-resume", action="store_true", help="ignore fold checkpoints")
+    p.add_argument("--no-resume", action="store_true", help="retrain every model and rewrite its cache entry")
     p.set_defaults(func=cmd_loso)
 
     p = sub.add_parser("prima-facie", help="mono- vs mixed-ethnicity frozen-feature study")

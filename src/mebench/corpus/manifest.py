@@ -110,15 +110,19 @@ class Manifest:
 
 
 def build_manifest(records: Iterable[SampleRecord], provenance: dict) -> Manifest:
-    """Check that keys are unique and that each subject has one dataset and one ethnicity."""
+    """Check that each id is one path-safe file name (no '/' or '\\', not
+    empty, '.' or '..'), that no two records share a key or a flow file
+    stem, and that each subject has one dataset and one ethnicity."""
     records = list(records)
-    seen: dict[tuple[str, str], SampleRecord] = {}
+    stems: dict[str, SampleRecord] = {}
     subject_datasets: dict[str, str] = {}
     subject_ethnicities: dict[str, tuple] = {}
     for rec in records:
-        if rec.key in seen:
-            raise DuplicateKeyError(f"duplicate (subject_id, clip_id) = {rec.key}")
-        seen[rec.key] = rec
+        if any(name in ("", ".", "..") or "/" in name or "\\" in name for name in rec.key):
+            raise DataError(f"record {rec.key}: a subject or clip id must be one path-safe file name")
+        other = stems.setdefault(rec.stem, rec)
+        if other is not rec:
+            raise DuplicateKeyError(f"records {other.key} and {rec.key} share the flow file stem {rec.stem!r}")
         prev = subject_datasets.setdefault(rec.subject_id, rec.dataset.value)
         if prev != rec.dataset.value:
             raise DataError(

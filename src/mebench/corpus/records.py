@@ -124,6 +124,10 @@ class SampleRecord:
         return (self.subject_id, self.clip_id)
 
     @property
+    def stem(self) -> str:  # of the clip's flow image and Grad-CAM maps
+        return f"{self.dataset.value}_{self.subject_id}_{self.clip_id}"
+
+    @property
     def eligible(self) -> bool:
         return self.mapped_emotion is not None and self.mapped_emotion != MappedEmotion.EXCLUDED
 

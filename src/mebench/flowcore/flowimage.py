@@ -138,9 +138,11 @@ def write_flow_image(img: OpticalFlowImage, path) -> None:
     atomic_write_bytes(path, b"".join(parts))
 
 
-def read_flow_image(path) -> OpticalFlowImage:
-    path = Path(path)
-    data = path.read_bytes()
+def read_flow_image_shape(path, data: bytes | None = None) -> tuple[int, int]:
+    """(height, width) from an OFI file's header; data, when given, is the file's bytes."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read(12)
     if len(data) < 4 or data[:4] != _MAGIC:
         raise BadMagicError(f"{path}: bad magic {data[:4]!r}, expected {_MAGIC!r}")
     if len(data) < 12:
@@ -148,6 +150,13 @@ def read_flow_image(path) -> OpticalFlowImage:
     h, w = struct.unpack("<II", data[4:12])
     if h == 0 or w == 0:
         raise DataError(f"{path}: zero-sized image")
+    return h, w
+
+
+def read_flow_image(path) -> OpticalFlowImage:
+    path = Path(path)
+    data = path.read_bytes()
+    h, w = read_flow_image_shape(path, data)
     plane_bytes = h * w * 4
     expected = 12 + 3 * plane_bytes + 24
     if len(data) < expected:

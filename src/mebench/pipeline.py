@@ -52,7 +52,7 @@ def sample_key(record: SampleRecord) -> str:
 
 
 def flow_image_path(flow_dir, record: SampleRecord) -> Path:
-    return Path(flow_dir) / f"{record.dataset.value}_{record.subject_id}_{record.clip_id}.ofi"
+    return Path(flow_dir) / f"{record.stem}.ofi"
 
 
 def existing_flow_image_path(flow_dir, record: SampleRecord) -> Path:
@@ -70,11 +70,10 @@ class FlowStats:
     clip_fractions: dict  # sample key -> (fx, fy, strain) boundary fractions
 
 
-def _is_fraction_triple(value) -> bool:
-    """Three floats in [0, 1] (NaN fails the range test), as a sidecar stores them."""
-    return isinstance(value, list) and len(value) == 3 and all(
-        isinstance(x, float) and 0.0 <= x <= 1.0 for x in value
-    )
+def _read_fraction_triple(value) -> tuple | None:
+    """Three floats in [0, 1] (NaN fails the range test), as a sidecar stores them, or None."""
+    valid = isinstance(value, list) and len(value) == 3 and all(isinstance(x, float) and 0.0 <= x <= 1.0 for x in value)
+    return tuple(value) if valid else None
 
 
 def _compute_one_flow(job: tuple) -> tuple:
@@ -112,9 +111,9 @@ def materialize_flow_images(
         sidecar = out_path.with_suffix(".ofi.json")
         key = cache_key(asdict(flow_params), (record.onset_path, record.apex_path))
         if not force and out_path.exists():
-            fraction = read_cache_entry(sidecar, key, _is_fraction_triple)
+            fraction = read_cache_entry(sidecar, key, _read_fraction_triple)
             if fraction is not None:
-                fractions[sample_key(record)] = tuple(fraction)
+                fractions[sample_key(record)] = fraction
                 continue
         jobs.append((record, out_path, sidecar, flow_params, key))
     fractions.update(run_jobs(_compute_one_flow, jobs, workers))  # (sample key, fraction triple) pairs

@@ -4,18 +4,19 @@ Each variant row reports per-class F1 for Negative/Positive/Surprise
 and their mean, plus whether ethnic context is present and which input
 representation feeds it. A variant's jobs are its LOSO folds plus,
 when asked for, the full-data model saved for activation-map analysis:
-one job list, one sample load and one run_jobs call. Each job's result
-is checkpointed as a runutil cache entry, keyed from loso_key_base, so
+one job list, one sample load and one run_jobs call. Each job writes its
+own runutil cache entry, keyed from loso_key_base: a fold's holds its
+FoldResult record, the full-data model's the hash of its .meck. So
 interrupted many-fold runs resume instead of restarting.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..corpus import Manifest
-from ..errors import DataError
 from ..model import ModelConfig, TrainConfig, Variant, evaluate_predictions, save_checkpoint, train_fold
 from ..pipeline import (
     EMOTION_CLASSES,
@@ -25,7 +26,7 @@ from ..pipeline import (
     load_train_samples,
     sample_key,
 )
-from ..runutil import cache_key, derive_seed, hash_file, read_cache_entry, run_jobs, write_cache_entry
+from ..runutil import cache_key, derive_seed, from_json_dict, hash_file, read_cache_entry, run_jobs, write_cache_entry
 from .folds import FoldPlan, plan_loso
 from .metrics import ConfusionMatrix, FoldResult, aggregate_folds
 
@@ -62,24 +63,28 @@ class VariantRow:
         }
 
 
-def _is_counts(value) -> bool:
-    """A k x k list of non-negative ints over the k emotion classes, as a fold checkpoint stores it."""
-    k = len(EMOTION_CLASSES)
-    return isinstance(value, list) and len(value) == k and all(
-        isinstance(row, list) and len(row) == k and all(type(c) is int and c >= 0 for c in row) for row in value
-    )
-
-
-def _run_one_fold(job: tuple):
-    """Worker: train one LOSO job. A fold job scores its held-out subject and
-    returns the confusion counts; the full-data job (held_out None) returns
-    the trained ParamSet."""
-    train_samples, test_samples, held_out, variant, model_config, train_config, seed = job
-    params, _history = train_fold(train_samples, model_config, variant, train_config, seed)
+def _run_one_fold(variant: Variant, model_config: ModelConfig, train_config: TrainConfig, seed: int, model_path, job):
+    """Worker: train one LOSO job, store what it yields and return (held_out, value). A fold job
+    scores its held-out subject into a FoldResult; the full-data job (held_out None) saves its model
+    to model_path, and its value is the .meck's hash. With a key, the job writes its cache entry."""
+    train, test, held_out, entry_path, key = job
+    labels = ("full", variant.value) if held_out is None else ("fold", variant.value, held_out)
+    params, _history = train_fold(train, model_config, variant, train_config, derive_seed(seed, *labels))
     if held_out is None:
-        return params
-    predictions = evaluate_predictions(params, test_samples, model_config, variant)
-    return ConfusionMatrix.of(EMOTION_CLASSES, [s.emotion for s in test_samples], predictions).counts.tolist()
+        save_checkpoint(model_path, params, model_config, variant)
+        value = hash_file(model_path)
+    else:
+        predictions = evaluate_predictions(params, test, model_config, variant)
+        value = FoldResult(held_out, ConfusionMatrix.of(EMOTION_CLASSES, [s.emotion for s in test], predictions))
+    if key is not None:
+        write_cache_entry(entry_path, key, value)
+    return held_out, value
+
+
+def _read_fold(subject: str, value) -> FoldResult | None:
+    """The FoldResult a fold entry stores, when it holds out subject over EMOTION_CLASSES."""
+    fold = from_json_dict(FoldResult, value)
+    return fold if (fold.held_out_subject, fold.confusion.classes) == (subject, EMOTION_CLASSES) else None
 
 
 def loso_key_base(
@@ -116,6 +121,7 @@ def run_loso_variant(
     checkpoint_dir=None,
     workers: int = 1,
     model_path=None,
+    force: bool = False,
 ) -> tuple[VariantRow, list[FoldResult]]:
     """Train/evaluate one variant across all LOSO folds and, with model_path
     set, train its full-data model on every eligible record and save it there.
@@ -123,77 +129,47 @@ def run_loso_variant(
     Each model is one job: a fold per held-out subject, then the full-data
     model (held_out None). With checkpoint_dir set, each job has a runutil
     cache entry keyed by all its inputs (see loso_key_base): a fold's, in
-    checkpoint_dir, holds its confusion counts; the full-data model's,
-    `.meck.json` beside model_path, the hash of that .meck. A valid hit is
-    reused. Only if some job is pending are the samples loaded from
+    checkpoint_dir, holds its FoldResult; the full-data model's,
+    `.meck.json` beside model_path, the hash of that .meck. Unless force is
+    set, a valid hit is reused; checkpoint_dir None reads and writes no
+    entry. Only if some job is pending are the samples loaded from
     flow_dir, once. The jobs are independent (each has its own derived
     seed), so all pending ones run through one runutil.run_jobs call (a
-    process pool when workers > 1). Each entry is written, and the model
-    saved, as its result arrives; results merge in plan order either way.
+    process pool when workers > 1), each job writing its own model and
+    entry; results are identical regardless of worker count.
     """
     records = manifest.eligible()
-    if not records:
-        raise DataError("manifest has no eligible records")
+    folds = plan_loso(records)
+    full = [] if model_path is None else [FoldPlan(None, tuple(range(len(records))), ())]
     if checkpoint_dir is not None:
         key_base = loso_key_base(records, variant, model_config, train_config, flow_dir, seed)
-
-    folds = plan_loso(records)
-    plans = list(folds)
-    if model_path is not None:
-        model_path = Path(model_path)
-        plans.append(FoldPlan(None, tuple(range(len(records))), ()))
-    results_by_subject: dict[str, list] = {}  # held-out subject -> confusion counts
+    done = {}  # held-out subject -> FoldResult (None -> the full-data model's hash)
     pending = []
-    for plan in plans:
+    for plan in folds + full:
         subject, key, entry_path = plan.held_out_subject, None, None
         if checkpoint_dir is not None:
             key = _model_key(key_base, subject)
             if subject is None:
-                entry_path = model_path.with_suffix(".meck.json")
-                valid = lambda digest: model_path.is_file() and digest == hash_file(model_path)
+                entry_path = Path(model_path).with_suffix(".meck.json")
+                read = lambda digest: digest if Path(model_path).is_file() and digest == hash_file(model_path) else None
             else:
-                entry_path, valid = Path(checkpoint_dir) / f"fold_{variant.value}_{subject}.json", _is_counts
-            value = read_cache_entry(entry_path, key, valid)
+                entry_path = Path(checkpoint_dir) / f"fold_{variant.value}_{subject}.json"
+                read = functools.partial(_read_fold, subject)
+            value = None if force else read_cache_entry(entry_path, key, read)
             if value is not None:
-                if subject is not None:
-                    results_by_subject[subject] = value
+                done[subject] = value
                 continue
-        pending.append((plan, key, entry_path))
+        pending.append((plan, entry_path, key))
 
     jobs = []
     if pending:
         samples = load_train_samples(records, flow_dir, need_rgb=variant.needs_rgb)
-        jobs = [
-            (
-                [samples[i] for i in plan.train],
-                [samples[i] for i in plan.test],
-                plan.held_out_subject,
-                variant,
-                model_config,
-                train_config,
-                derive_seed(seed, "full", variant.value)
-                if plan.held_out_subject is None
-                else derive_seed(seed, "fold", variant.value, plan.held_out_subject),
-            )
-            for plan, _, _ in pending
-        ]
-    # the generator comes first, so it runs to its end and closes its pool
-    for value, (plan, key, entry_path) in zip(run_jobs(_run_one_fold, jobs, workers), pending):
-        if plan.held_out_subject is None:
-            save_checkpoint(model_path, value, model_config, variant)
-            value = hash_file(model_path)
-        else:
-            results_by_subject[plan.held_out_subject] = value
-        if key is not None:
-            write_cache_entry(entry_path, key, value)
+        jobs = [([samples[i] for i in plan.train], [samples[i] for i in plan.test], plan.held_out_subject, path, key)
+                for plan, path, key in pending]
+    run = functools.partial(_run_one_fold, variant, model_config, train_config, seed, model_path)
+    done.update(run_jobs(run, jobs, workers))  # (held-out subject, value) pairs
 
-    fold_results = [
-        FoldResult(
-            held_out_subject=fold.held_out_subject,
-            confusion=ConfusionMatrix(EMOTION_CLASSES, results_by_subject[fold.held_out_subject]),
-        )
-        for fold in folds
-    ]
+    fold_results = [done[fold.held_out_subject] for fold in folds]
     per_class_f1, average_mf1 = aggregate_folds(fold_results)
     row = VariantRow(
         variant=variant.value,

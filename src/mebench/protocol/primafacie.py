@@ -199,6 +199,8 @@ def plan_scenarios(seeds: list[int], kinds: list[ScenarioKind], subject_budget: 
     """Every scenario of a study, seed-major, each checked as it is built."""
     if not seeds:
         raise ConfigError("prima facie needs at least one seed")
+    if len(set(seeds)) < len(seeds) or len(set(kinds)) < len(kinds):
+        raise ConfigError(f"a seed or scenario is given twice: seeds {seeds}, scenarios {[k.value for k in kinds]}")
     return [PrimaFacieScenario(kind, subject_budget, seed) for seed in seeds for kind in kinds]
 
 

@@ -1,6 +1,6 @@
 """Seed derivation, canonical hashing, atomic file writes, the JSON form
 of every persisted dataclass, and the cache key, cache entry and job
-fan-out shared by the OFI sidecars, the LOSO fold checkpoints and the
+fan-out shared by the OFI sidecars, the LOSO fold entries and the
 full-data models.
 
 All randomness in a run flows from one root seed, fanned out by labeled
@@ -23,6 +23,8 @@ import typing
 from pathlib import Path
 
 import numpy as np
+
+from .errors import DataError
 
 
 def derive_seed(root: int, *labels) -> int:
@@ -66,10 +68,9 @@ def read_json_object(path) -> dict | None:
 
 
 def to_json_dict(obj) -> dict:
-    """`dataclasses.asdict` of a dataclass, with each enum member written as its value."""
-    return dataclasses.asdict(
-        obj, dict_factory=lambda items: {k: v.value if isinstance(v, enum.Enum) else v for k, v in items}
-    )
+    """`dataclasses.asdict` of a dataclass, with each enum member written as its value, each ndarray as lists."""
+    json_value = lambda v: v.value if isinstance(v, enum.Enum) else v.tolist() if isinstance(v, np.ndarray) else v
+    return dataclasses.asdict(obj, dict_factory=lambda items: {k: json_value(v) for k, v in items})
 
 
 def from_json_dict(cls, d: dict):
@@ -80,7 +81,8 @@ def from_json_dict(cls, d: dict):
     raises KeyError, a bad enum value ValueError, and a non-object or a
     value of the wrong type TypeError. int, str and bool fields take only
     their own type (a bool is not an int); a float field also takes an
-    int, stored as a float."""
+    int, stored as a float. An np.ndarray field is a count matrix: lists
+    of int lists, read as int64 (ragged rows raise ValueError)."""
     return cls(**{name: read(d[name]) for name, read in _field_readers(cls)})
 
 
@@ -104,6 +106,9 @@ def _reader(tp):
         return lambda value: float(_checked(value, (int, float)))
     if tp in (int, str, bool):
         return functools.partial(_checked, expected=tp)
+    if tp is np.ndarray:  # a count matrix
+        rows = _reader(tuple[tuple[int, ...], ...])
+        return lambda value: np.array(rows(value), dtype=np.int64)
     if dataclasses.is_dataclass(tp):
         return functools.partial(from_json_dict, tp)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
@@ -145,15 +150,20 @@ def cache_key(inputs: dict, files=()) -> str:
     return stable_hash({**inputs, "files": [hash_file(p) for p in files]})
 
 
-def read_cache_entry(path, key: str, valid):
-    """The entry's value on a hit (its stored key equals key and valid(value)
-    holds), else None; a missing or damaged file is a miss."""
+def read_cache_entry(path, key: str, read):
+    """read(value) of the entry at path when its stored key equals key, else
+    None. A missing or damaged file is a miss, and so is a value that read
+    refuses: by returning None, or by raising an error of from_json_dict
+    or of a dataclass check."""
     entry = read_json_object(path) or {}
-    value = entry.get("value")
-    return value if entry.get("key") == key and valid(value) else None
+    try:
+        return read(entry["value"]) if entry.get("key") == key else None
+    except (KeyError, TypeError, ValueError, OverflowError, DataError):
+        return None
 
 
 def write_cache_entry(path, key: str, value) -> None:
+    value = to_json_dict(value) if dataclasses.is_dataclass(value) else value
     atomic_write_text(path, json.dumps({"key": key, "value": value}, sort_keys=True) + "\n")
 
 

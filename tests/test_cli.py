@@ -57,6 +57,17 @@ def synth_run(tmp_path_factory):
     return root, corpus, flows
 
 
+@pytest.fixture(scope="module")
+def synth_run_36px(tmp_path_factory):
+    """A two-clip corpus of 36 px frames and its flow images: a side the patch size 8 does not divide."""
+    root = tmp_path_factory.mktemp("cli_run_36px")
+    corpus, flows = root / "corpus", root / "flows"
+    argv = ["--synth", "--subjects-per-group", "1", "--clips-per-subject", "1", "--image-size", "36"]
+    assert main(["manifest", "--out", str(corpus), *argv]) == 0
+    assert main(["flow", "--manifest", str(corpus / "manifest.jsonl"), "--out", str(flows)]) == 0
+    return root, corpus, flows
+
+
 def _count_train_fold(monkeypatch, stub=False) -> list:
     """Record the training-set size of each train_fold call, for the LOSO folds and the full-data
     models alike; with stub, each call returns initial parameters instead of training."""
@@ -84,7 +95,7 @@ def loso_run(synth_run):
 def _loso_argv(corpus, flows, out):
     return [
         "loso", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows), "--out", str(out),
-        "--variants", "dual_motion", "--image-size", "32", "--batch-size", "2", "--seed", "7",
+        "--variants", "dual_motion", "--batch-size", "2", "--seed", "7",
     ]
 
 
@@ -245,6 +256,74 @@ def _manifest_bytes(record):
     return f"{_PROVENANCE}\n{json.dumps(record)}\n".encode()
 
 
+def _write_index(tmp_path, keys) -> Path:
+    """A CASME2 index with one fear clip per (subject, clip) key, every clip on the same 32 px frame."""
+    from mebench.flowcore import write_pgm
+
+    write_pgm(tmp_path / "f.pgm", np.zeros((32, 32)))
+    index = tmp_path / "index.csv"
+    index.write_text("subject,clip,onset,apex,emotion\n" + "".join(f"{s},{c},f.pgm,f.pgm,fear\n" for s, c in keys))
+    return index
+
+
+def test_id_escaping_out_is_refused_and_writes_nothing(tmp_path, capsys):
+    # unchecked, the subject "/../../escaped" would make `flow --out flows/deep` write flows/escaped_c.ofi
+    index = _write_index(tmp_path, [("01", "a"), ("/../../escaped", "c")])
+    assert main(["manifest", "--casme2", str(index), "--out", str(tmp_path / "corpus")]) == 3
+    assert "('/../../escaped', 'c')" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+    # a manifest edited to carry the same id is refused on load, before any flow is computed
+    safe = _write_index(tmp_path, [("01", "a"), ("escaped", "c")])
+    assert main(["manifest", "--casme2", str(safe), "--out", str(tmp_path / "corpus")]) == 0
+    manifest_path = tmp_path / "corpus" / "manifest.jsonl"
+    text = manifest_path.read_text()
+    manifest_path.write_text(text.replace('"subject_id": "escaped"', '"subject_id": "/../../escaped"'))
+    assert main(["flow", "--manifest", str(manifest_path), "--out", str(tmp_path / "flows" / "deep")]) == 3
+    assert not (tmp_path / "flows").exists()
+    assert not list(tmp_path.rglob("*.ofi"))
+
+
+def test_records_sharing_a_flow_file_are_refused(tmp_path, capsys):
+    # unchecked, (a_b, c) and (a, b_c) would share CASME2_a_b_c.ofi, and every reader would see one flow for both
+    index = _write_index(tmp_path, [("a_b", "c"), ("a", "b_c")])
+    assert main(["manifest", "--casme2", str(index), "--out", str(tmp_path / "corpus")]) == 3
+    err = capsys.readouterr().err
+    assert "('a_b', 'c')" in err and "('a', 'b_c')" in err and "CASME2_a_b_c" in err
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_refused_corpus_leaves_no_audit_log(tmp_path):
+    # the records are checked before the first write, so a ledger that changed them leaves no --out
+    index = _write_index(tmp_path, [("01", "a"), ("a_b", "c"), ("a", "b_c")])
+    ledger = tmp_path / "rules.jsonl"
+    ledger.write_text(json.dumps({"attribute": "age", "replacement": "30"}) + "\n")
+    argv = ["manifest", "--casme2", str(index), "--ledger", str(ledger), "--out", str(tmp_path / "corpus")]
+    assert main(argv) == 3
+    assert not (tmp_path / "corpus").exists()
+    index.write_text(index.read_text().replace("a_b,c", "a_b,d"))
+    assert main(argv) == 0
+    assert (tmp_path / "corpus" / "correction_audit.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("prima-facie", ["--scenarios", "Mixed,Mixed", "--seeds", "1"], "a seed or scenario is given twice"),
+        ("loso", ["--variants", "motion_only,dual_motion,motion_only"],
+         "a variant is given twice: motion_only,dual_motion,motion_only"),
+    ],
+    ids=["prima-facie-scenarios", "loso-variants"],
+)
+def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsys, command, extra, message):
+    # the manifest and flow directory do not exist, so a refusal after reading either would exit 3
+    missing = tmp_path / "missing"
+    argv = [command, "--manifest", str(missing / "manifest.jsonl"), "--flow-dir", str(missing), "--out",
+            str(tmp_path / "out"), *extra]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "flag, content, code",
     [
@@ -321,7 +400,7 @@ def test_bare_commands_build_the_dataclass_defaults():
     assert spec == SynthSpec()
     assert cli._flow_params(parse(["flow", "--manifest", "m", "--out", "o"])) == FlowParams()
     args = parse(["loso", "--manifest", "m", "--flow-dir", "f", "--out", "o"])
-    assert cli._model_config(args) == ModelConfig()
+    assert ModelConfig.small(feature_dim=args.feature_dim) == ModelConfig()
     train = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr, lr_gamma=args.lr_gamma)
     assert train == TrainConfig()
     args = parse(["prima-facie", "--manifest", "m", "--flow-dir", "f", "--out", "o"])
@@ -388,7 +467,6 @@ class TestLosoCommand:
                 "--flow-dir", str(flows),
                 "--out", str(out),
                 "--variants", "dual_motion",
-                "--image-size", "32",
                 "--batch-size", "2",
                 "--seed", "7",
                 *extra,
@@ -442,11 +520,31 @@ class TestLosoCommand:
         assert len(sizes) == len({r.subject_id for r in eligible}) + 1
         assert sizes.count(len(eligible)) == 1
 
+    def test_no_resume_retrains_every_model_and_rewrites_its_entry(self, synth_run, loso_run, tmp_path, monkeypatch):
+        # an entry standing in for an old result must not outlive --no-resume into the next plain run
+        _, corpus, flows = synth_run
+        out = tmp_path / "loso"
+        shutil.copytree(loso_run, out)
+        stale = sorted((out / "folds").glob("fold_dual_motion_*.json"))[0]
+        intact = stale.read_bytes()
+        entry = json.loads(intact)
+        entry["value"]["confusion"]["counts"] = [[9, 0, 0], [0, 0, 0], [0, 0, 0]]
+        stale.write_text(json.dumps(entry))
+        sizes = _count_train_fold(monkeypatch)
+        assert main([*_loso_argv(corpus, flows, out), "--no-resume"]) == 0
+        eligible = load_manifest(corpus / "manifest.jsonl").eligible()
+        assert len(sizes) == len({r.subject_id for r in eligible}) + 1
+        assert stale.read_bytes() == intact
+        sizes.clear()
+        assert main(_loso_argv(corpus, flows, out)) == 0
+        assert sizes == []
+        assert json.loads((out / "benchmark.json").read_text()) == json.loads((loso_run / "benchmark.json").read_text())
+
     def test_deterministic_replay(self, synth_run):
         code_a, out_a = self.run_loso(synth_run, "loso_a", extra=("--no-resume",))
         code_b, out_b = self.run_loso(synth_run, "loso_b", extra=("--no-resume",))
         assert code_a == code_b == 0
-        assert not (out_a / "folds").exists() and not (out_a / "model_dual_motion.meck.json").exists()
+        assert len(list((out_a / "folds").glob("*.json"))) == 6 and (out_a / "model_dual_motion.meck.json").exists()
         ra = json.loads((out_a / "benchmark.json").read_text())
         rb = json.loads((out_b / "benchmark.json").read_text())
         assert ra["rows"] == rb["rows"]
@@ -734,6 +832,21 @@ def _damaged(intact: bytes, damage) -> bytes:
     return json.dumps(obj).encode()
 
 
+def _in_record(path: tuple, value):
+    """damage that sets the field or cell at path (keys and indices) of a fold entry's FoldResult record."""
+
+    def damage(intact: bytes) -> bytes:
+        obj = json.loads(intact)
+        *parents, last = ("value", *path)
+        node = obj
+        for step in parents:
+            node = node[step]
+        node[last] = value
+        return json.dumps(obj).encode()
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "entry, damage",
     [
@@ -755,6 +868,11 @@ def _damaged(intact: bytes, damage) -> bytes:
         ("fold", {"value": [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]}),
         ("fold", {"value": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}),
         ("fold", {"value": "x"}),
+        ("fold", _in_record(("confusion", "counts", 0, 0), True)),
+        ("fold", _in_record(("confusion", "counts", 0, 0), 1.5)),
+        ("fold", _in_record(("confusion", "counts", 0, 0), 2**70)),
+        ("fold", _in_record(("held_out_subject",), "sa02")),
+        ("fold", _in_record(("confusion", "classes"), ["Positive", "Negative", "Surprise"])),
         ("model-entry", b"garbage"),
         ("model-entry", {"value": "0" * 64}),
         ("model", lambda intact: intact[:-1] + bytes([intact[-1] ^ 1])),
@@ -764,6 +882,8 @@ def _damaged(intact: bytes, damage) -> bytes:
          "sidecar-no-fraction", "sidecar-fraction-short", "sidecar-fraction-above-1", "sidecar-fraction-nan",
          "sidecar-fraction-ints", "fold-truncated", "fold-list", "fold-no-counts", "fold-counts-2x3",
          "fold-counts-3x2", "fold-counts-negative", "fold-counts-float", "fold-counts-bool", "fold-counts-string",
+         "fold-record-count-bool", "fold-record-count-float", "fold-record-count-overflow",
+         "fold-record-other-subject", "fold-record-other-classes",
          "model-entry-garbage", "model-entry-other-hash", "model-bytes-altered", "model-deleted"],
 )
 def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, monkeypatch, entry, damage):
@@ -837,23 +957,18 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("prima-facie", ["--seeds", "0"], 2, "needs at least one seed"),
         ("prima-facie", ["--budget", "3"], 2, "Mixed needs an even subject budget, got 3"),
         ("prima-facie", ["--scenarios", "NoSuch"], 2, "unknown scenario"),
-        ("loso", ["--image-size", "64"], 3, "for image_size 64"),
-        ("loso", ["--image-size", "64", "--variants", "motion_plus_rgb_patch"], 3, "for image_size 64"),
-        ("loso", ["--image-size", "36", "--variants", "motion_plus_rgb_patch"], 2, "not divisible by patch size 8"),
-        ("loso", ["--image-size", "0"], 2, "image_size must be >= 1, got 0"),
-        ("loso", ["--image-size", "-8"], 2, "image_size must be >= 1, got -8"),
+        ("loso-36px", ["--variants", "motion_plus_rgb_patch"], 2, "image side 36 not divisible by patch size 8"),
         ("flow", ["--alpha", "inf"], 2, "smoothness_alpha must be finite and > 0"),
         ("flow", ["--alpha", "nan"], 2, "smoothness_alpha must be finite and > 0"),
     ],
     ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "budget-0", "budget-negative", "seeds-0",
-         "budget-odd", "scenarios-unknown", "image-size-dual", "image-size-patch", "image-size-patch-indivisible",
-         "image-size-0", "image-size-negative", "alpha-inf",
-         "alpha-nan"],
+         "budget-odd", "scenarios-unknown", "image-size-patch-indivisible", "alpha-inf", "alpha-nan"],
 )
 def test_out_of_range_argument_is_not_internal_error(
-    synth_run, tmp_path, capsys, monkeypatch, command, extra, code, message
+    synth_run, request, tmp_path, capsys, monkeypatch, command, extra, code, message
 ):
-    _, corpus, flows = synth_run
+    _, corpus, flows = request.getfixturevalue("synth_run_36px") if command == "loso-36px" else synth_run
+    command = command.removesuffix("-36px")
     out = tmp_path / "out"
 
     def no_extraction(flow_image, encoder):

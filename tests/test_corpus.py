@@ -283,6 +283,20 @@ class TestManifest:
         with pytest.raises(DuplicateKeyError):
             build_manifest(records, {})
 
+    @pytest.mark.parametrize("subject, clip", [("/../../escaped", "c"), ("s1", "a\\b"), ("", "c"), ("s1", "."),
+                                               ("..", "c")])
+    def test_id_that_is_not_one_path_safe_name_is_refused(self, subject, clip):
+        records = [make_record("s0", "c0"), make_record(subject, clip)]
+        with pytest.raises(DataError, match="path-safe") as info:
+            build_manifest(records, {})
+        assert repr((subject, clip)) in str(info.value)
+
+    def test_records_sharing_a_flow_file_stem_are_refused(self):
+        records = [make_record("a_b", "c"), make_record("a", "b_c")]
+        with pytest.raises(DataError, match="share the flow file stem 'SYNTH_a_b_c'") as info:
+            build_manifest(records, {})
+        assert "('a_b', 'c')" in str(info.value) and "('a', 'b_c')" in str(info.value)
+
     def test_subject_across_datasets_rejected(self):
         records = [make_record("s1", "c1", dataset=Dataset.CASME2), make_record("s1", "c2", dataset=Dataset.SAMM)]
         with pytest.raises(DataError, match="disambiguate"):

@@ -51,6 +51,7 @@ from mebench.protocol import (
     forest_train,
     macro_f1,
     plan_loso,
+    plan_scenarios,
     render_table,
     run_loso_variant,
     run_prima_facie,
@@ -303,6 +304,18 @@ class TestSamplePrimaFacie:
         manifest = mixed_manifest(n_asian=20, n_nonasian=10)
         with pytest.raises(QuotaError):
             sample_prima_facie(manifest, PrimaFacieScenario(ScenarioKind.NON_ASIAN_ONLY, seed=0))
+
+    @pytest.mark.parametrize(
+        "seeds, kinds, message",
+        [([1, 2, 1], [ScenarioKind.MIXED], r"given twice: seeds \[1, 2, 1\]"),
+         ([1], [ScenarioKind.MIXED, ScenarioKind.ASIAN_ONLY, ScenarioKind.MIXED],
+          r"scenarios \['Mixed', 'AsianOnly', 'Mixed'\]")],
+        ids=["seed", "kind"],
+    )
+    def test_a_seed_or_kind_given_twice_is_refused(self, seeds, kinds, message):
+        # a repeated seed would count as a second seed in the mean and its spread
+        with pytest.raises(ConfigError, match=message):
+            plan_scenarios(seeds, kinds, 4)
 
     def test_odd_budget_with_mixed_is_refused_before_any_forest(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -675,7 +688,8 @@ def test_stored_fold_checkpoint_is_a_cache_hit(tmp_path):
     manifest = fixed_loso_inputs(tmp_path / "flows")
     counts = {"sa01": [[1, 0, 0], [0, 1, 0], [0, 0, 0]], "sn01": [[0, 0, 0], [1, 0, 0], [0, 0, 1]]}
     for subject, key in _TINY_LOSO_FOLD_KEYS.items():
-        (tmp_path / f"fold_dual_motion_{subject}.json").write_text(json.dumps({"key": key, "value": counts[subject]}))
+        record = {"held_out_subject": subject, "confusion": {"classes": EMOTION_CLASSES, "counts": counts[subject]}}
+        (tmp_path / f"fold_dual_motion_{subject}.json").write_text(json.dumps({"key": key, "value": record}))
     # a pending fold would fail to parse its fixed-bytes OFI files
     assert run_tiny_loso(manifest, tmp_path / "flows", checkpoint_dir=tmp_path) == sorted(counts.items())
 
@@ -737,7 +751,8 @@ class TestRunLosoVariant:
             flow_dir, 0,
         )
         for subject, counts in first:
-            entry = {"key": cache_key({"loso": base, "held_out": subject}), "value": counts}
+            record = {"held_out_subject": subject, "confusion": {"classes": EMOTION_CLASSES, "counts": counts}}
+            entry = {"key": cache_key({"loso": base, "held_out": subject}), "value": record}
             text = (tmp_path / f"fold_dual_motion_{subject}.json").read_text()
             assert text == json.dumps(entry, sort_keys=True) + "\n"
 
