@@ -91,6 +91,19 @@ def _workers() -> int:
     return workers
 
 
+def _parse_list(text: str, choices, what: str) -> list:
+    """A comma list's stripped entries, each looked up in choices (enum
+    members, by value, or names); an unknown or repeated entry is a ConfigError."""
+    by_name = {getattr(choice, "value", choice): choice for choice in choices}
+    names = [name.strip() for name in text.split(",")]
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown[0]!r}; choose from {','.join(by_name)}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"a {what} is given twice: {text}")
+    return [by_name[name] for name in names]
+
+
 def _write_provenance(out_dir: Path, command: str, payload: dict, manifest_path=None) -> None:
     """provenance.json: payload, command and version, plus the input manifest and its hash when given."""
     payload = {"command": command, "package_version": __version__, **payload}
@@ -194,6 +207,7 @@ def cmd_manifest(args) -> int:
             records += ingest_dataset_index(args.casme2, Dataset.CASME2)
         if args.samm:
             records += ingest_dataset_index(args.samm, Dataset.SAMM)
+        build_manifest(records, {})  # refuse bad ids, shared stems and two-dataset subjects before any frame is read
 
         annotated = []
         by_subject = {}
@@ -274,12 +288,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_loso(args) -> int:
-    try:
-        variants = [Variant(v.strip()) for v in args.variants.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"unknown variant: {exc}") from exc
-    if len(set(variants)) < len(variants):
-        raise ConfigError(f"a variant is given twice: {args.variants}")
+    variants = _parse_list(args.variants, Variant, "variant")
     model_config = ModelConfig.small(feature_dim=args.feature_dim)  # checked now; its image size comes from the flows
     train_config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr, lr_gamma=args.lr_gamma)
     manifest = load_manifest(args.manifest)
@@ -324,10 +333,7 @@ def cmd_loso(args) -> int:
 
 
 def cmd_prima_facie(args) -> int:
-    try:
-        kinds = [ScenarioKind(k.strip()) for k in args.scenarios.split(",")] if args.scenarios else list(ScenarioKind)
-    except ValueError as exc:
-        raise ConfigError(f"unknown scenario: {exc}") from exc
+    kinds = _parse_list(args.scenarios, ScenarioKind, "scenario") if args.scenarios else list(ScenarioKind)
     forest_config = ForestConfig(n_trees=args.trees, max_depth=args.depth)
     seeds = [derive_seed(args.seed, "prima-facie", i) for i in range(args.seeds)]
     plan_scenarios(seeds, kinds, args.budget)  # refuse a bad argument before any file is read
@@ -381,10 +387,7 @@ def cmd_prima_facie(args) -> int:
 
 
 def cmd_gradcam(args) -> int:
-    class_filter = [c.strip() for c in args.classes.split(",")]
-    for name in class_filter:
-        if name not in EMOTION_CLASSES:
-            raise ConfigError(f"unknown class {name!r}; choose from {EMOTION_CLASSES}")
+    class_filter = _parse_list(args.classes, EMOTION_CLASSES, "class")
     params, model_config, variant = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     flow_provenance_hash = _flow_provenance_hash(args.flow_dir)
@@ -543,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", type=int, default=ForestConfig.n_trees)
     p.add_argument("--depth", type=int, default=ForestConfig.max_depth)
     p.add_argument("--feature-dim", type=int, default=EncoderConfig.feature_dim)
-    p.add_argument("--encoder-file", help="frozen-encoder checkpoint instead of the random fallback")
+    p.add_argument("--encoder-file", help="model checkpoint whose motion stack replaces the random fallback")
     p.set_defaults(func=cmd_prima_facie)
 
     p = sub.add_parser("gradcam", help="activation maps grouped by ethnicity")

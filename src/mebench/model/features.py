@@ -1,10 +1,11 @@
 """Frozen feature extraction for the prima facie study.
 
-A frozen encoder is a staged conv encoder with fixed weights: either
-loaded from a checkpoint file (for users holding pretrained weights) or
-drawn once from a seeded PCG64 stream (the deterministic random-feature
-fallback; PCG64 is platform-stable, so features match across runs and
-machines). Extraction is a pure function of the input.
+A frozen encoder is a staged conv encoder with fixed weights: either the
+motion stack of a model checkpoint (of any variant, e.g. a full-data
+model trained on another corpus) or drawn once from a seeded PCG64
+stream (the deterministic random-feature fallback; PCG64 is
+platform-stable, so features match across runs and machines).
+Extraction is a pure function of the input.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ..runutil import derived_rng, to_json_dict
+from ..runutil import derived_rng
 from .autodiff import Tensor
 from .config import EncoderConfig
 from .network import INPUT_CENTER, encode_conv
-from .params import ParamSet, _conv_stack, draw_params, read_config, read_meck, write_meck
-
-_KIND = "frozen_encoder"  # the MECK1 header "kind" of a frozen-encoder file
+from .params import ParamSet, _conv_stack, draw_params, load_checkpoint
 
 
 class FrozenEncoder:
@@ -36,17 +35,10 @@ class FrozenEncoder:
 
     @classmethod
     def from_file(cls, path) -> "FrozenEncoder":
-        def decode(header):
-            if header.get("kind") != _KIND:
-                raise ConfigError(f"{path}: not a frozen-encoder checkpoint")
-            config = read_config(path, EncoderConfig, header["config"])
-            return config, _conv_stack("motion", config)
-
-        config, params = read_meck(path, decode)
-        return cls(config, params, origin=f"file:{path}")
-
-    def save(self, path) -> None:
-        write_meck(path, {"kind": _KIND, "config": to_json_dict(self.config)}, self.params)
+        """The motion stack of the model checkpoint at path."""
+        params, config, _ = load_checkpoint(path)
+        motion = ParamSet({name: v for name, v in params.tensors.items() if name.startswith("motion.")})
+        return cls(config.motion, motion, origin=f"file:{path}")
 
 
 def extract_frozen_features(flow_image: np.ndarray, encoder: FrozenEncoder) -> np.ndarray:

@@ -1,17 +1,15 @@
 """Named-tensor parameter sets, initialization, and the checkpoint container.
 
 A parameter layout is a pure function of a config: its tensor table of
-(name, shape, init) rows, which initialization and both checkpoint readers
+(name, shape, init) rows, which initialization and the checkpoint reader
 read. So a file's layout is a function of its header's config.
 
 Checkpoint layout (MECK1, little-endian):
 
     magic "MECK1\\n"
     u32 header length
-    header JSON, one of
-        model checkpoint: {"config": <ModelConfig>, "variant": ..., "tensors": [...]}
-        frozen encoder:   {"kind": "frozen_encoder", "config": <EncoderConfig>, "tensors": [...]}
-    where each config is its runutil.to_json_dict form and "tensors" lists
+    header JSON {"config": <ModelConfig>, "variant": ..., "tensors": [...]},
+    where the config is its runutil.to_json_dict form and "tensors" lists
     {"name", "shape"} per tensor
     concatenated row-major float64 tensor data, in header order, and
     nothing after it; this is ParamSet.flat as written
@@ -170,22 +168,24 @@ def init_params(config: ModelConfig, variant: Variant, seed: int) -> ParamSet:
     return draw_params(model_tensors(config, variant), derived_rng(seed, "init", variant.value))
 
 
-def write_meck(path, header: dict, params: ParamSet) -> None:
-    """Write params under `header` plus the "tensors" list, in MECK1 layout."""
-    header = {**header, "tensors": [{"name": name, "shape": list(shape)} for name, shape in params.layout]}
+def save_checkpoint(path, params: ParamSet, config: ModelConfig, variant: Variant) -> None:
+    header = {
+        "config": to_json_dict(config),
+        "variant": variant.value,
+        "tensors": [{"name": name, "shape": list(shape)} for name, shape in params.layout],
+    }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     data = params.flat.astype("<f8", copy=False).tobytes()
     atomic_write_bytes(path, b"".join([_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, data]))
 
 
-def read_meck(path, decode):
-    """Check a MECK1 file's magic, header, layout and length; return
-    (decoded, params), where decode(header) gives (decoded, table) and table
-    is the (name, shape, init) rows the file must hold. The "tensors" list is
-    read first, so decode always sees an object; a KeyError, TypeError or
-    ValueError in parsing or in decode, or a layout other than the table's,
-    is a DataError. The table is read no further than the header's length,
-    and no tensor is allocated before the file is seen to hold it."""
+def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant]:
+    """Check a MECK1 file's magic, header, layout and length. A header with a
+    "kind" (the frozen-encoder files of earlier versions) is a ConfigError.
+    A KeyError, TypeError or ValueError in parsing, a config failing its own
+    checks, or a layout other than the config's tensor table is a DataError.
+    The table is read no further than the header's length, and no tensor is
+    allocated before the file is seen to hold it."""
     data = Path(path).read_bytes()
     if not data.startswith(_MAGIC):
         raise DataError(f"{path}: not a checkpoint (bad magic)")
@@ -196,39 +196,19 @@ def read_meck(path, decode):
     off += 4
     try:
         header = json.loads(data[off : off + header_len].decode("utf-8"))
-        layout = tuple((entry["name"], tuple(int(n) for n in entry["shape"])) for entry in header["tensors"])
-        decoded, table = decode(header)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
+    except ValueError as exc:  # bad UTF-8 or JSON
         raise DataError(f"{path}: malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
+    if isinstance(header, dict) and "kind" in header:
+        raise ConfigError(f"{path}: a {header['kind']!r} file, not a model checkpoint")
     try:
-        check_layout(layout, tuple((name, shape) for name, shape, _ in islice(table, len(layout) + 1)))
-    except ConfigError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        layout = tuple((entry["name"], tuple(int(n) for n in entry["shape"])) for entry in header["tensors"])
+        config, variant = from_json_dict(ModelConfig, header["config"]), Variant(header["variant"])
+        table = islice(model_tensors(config, variant), len(layout) + 1)
+        check_layout(layout, tuple((name, shape) for name, shape, _ in table))
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:  # ConfigError: a bad config or layout
+        raise DataError(f"{path}: malformed checkpoint header: {type(exc).__name__}: {exc}") from exc
     off += header_len
     nbytes = 8 * sum(math.prod(shape) for _, shape in layout)
     if len(data) - off != nbytes:
         raise DataError(f"{path}: {len(data) - off} bytes of tensor data, the header declares {nbytes}")
-    return decoded, ParamSet._wrap(np.frombuffer(data, dtype="<f8", offset=off).astype(np.float64), layout)
-
-
-def read_config(path, cls, value):
-    """from_json_dict(cls, value); a config failing its own checks is a malformed file, a DataError."""
-    try:
-        return from_json_dict(cls, value)
-    except ConfigError as exc:
-        raise DataError(f"{path}: invalid config in checkpoint header: {exc}") from exc
-
-
-def save_checkpoint(path, params: ParamSet, config: ModelConfig, variant: Variant) -> None:
-    write_meck(path, {"config": to_json_dict(config), "variant": variant.value}, params)
-
-
-def load_checkpoint(path) -> tuple[ParamSet, ModelConfig, Variant]:
-    def decode(header):
-        if "kind" in header:
-            raise ConfigError(f"{path}: a {header['kind']!r} file, not a model checkpoint")
-        config, variant = read_config(path, ModelConfig, header["config"]), Variant(header["variant"])
-        return (config, variant), model_tensors(config, variant)
-
-    (config, variant), params = read_meck(path, decode)
-    return params, config, variant
+    return ParamSet._wrap(np.frombuffer(data, dtype="<f8", offset=off).astype(np.float64), layout), config, variant

@@ -1,12 +1,17 @@
 """Shared test helpers: the finite-difference gradient oracle, toy batches,
-and a terminal summary that prints one PASS/FAIL line per acceptance criterion."""
+a file of the retired frozen-encoder header kind, and a terminal summary
+that prints one PASS/FAIL line per acceptance criterion."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from mebench.model import ModelConfig, TrainSample, Variant, init_params
+from mebench.model import EncoderConfig, FrozenEncoder, ModelConfig, TrainSample, Variant, init_params
 from mebench.model import autodiff as ad
 from mebench.model.training import backward, batch_loss_graph
+from mebench.runutil import to_json_dict
 
 # Seeds chosen so every ReLU pre-activation stays > 1e-3 from the kink for the
 # 16x16 toy config; the central-difference oracle (step 1e-5) is only valid
@@ -34,6 +39,16 @@ def make_toy_batch(seed, size=16, n=2):
         )
         for _ in range(n)
     ]
+
+
+def write_frozen_encoder_file(path):
+    """A file of the frozen-encoder header kind that earlier versions wrote beside model checkpoints:
+    {"kind": "frozen_encoder", "config": <EncoderConfig>, "tensors": [...]} over a conv stack."""
+    encoder = FrozenEncoder.random_fallback(EncoderConfig(stage_widths=(2, 3), feature_dim=4), seed=0)
+    tensors = [{"name": name, "shape": list(shape)} for name, shape in encoder.params.layout]
+    header = {"kind": "frozen_encoder", "config": to_json_dict(encoder.config), "tensors": tensors}
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(b"MECK1\n" + struct.pack("<I", len(header_bytes)) + header_bytes + encoder.params.flat.tobytes())
 
 
 def relu_kink_margin(variant, seed, size=16):

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import mebench
+from conftest import write_frozen_encoder_file
 from mebench import cli, pipeline, runutil
 from mebench.cli import _workers, main
 from mebench.corpus import MappedEmotion, SynthSpec, build_manifest, load_manifest, save_manifest
 from mebench.flowcore import FlowParams, OpticalFlowImage, read_flow_image, write_flow_image
 from mebench.model import (
     EncoderConfig,
-    FrozenEncoder,
     ModelConfig,
     ParamSet,
     TrainConfig,
@@ -200,12 +200,17 @@ class TestManifestCommand:
         index.write_text("subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,fear\n")
         ledger = tmp_path / "rules.jsonl"
         ledger.write_text("[1, 2]\n")
-        marker = tmp_path / "predictor-ran"
-        script = tmp_path / "predictor.py"
-        script.write_text(f"open({str(marker)!r}, 'w').close()\nprint('Asian')\n")
+        marker, predictor = _marker_predictor(tmp_path)
         argv = ["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index), "--ledger", str(ledger),
-                "--predictor-cmd", f"{sys.executable} {script}"]
+                "--predictor-cmd", predictor]
         assert main(argv) == 2
+        assert not marker.exists() and not (tmp_path / "out").exists()
+
+    def test_bad_id_is_refused_before_any_frame_is_annotated(self, tmp_path):
+        index = _write_index(tmp_path, [("01", "a"), ("/../x", "c")])
+        marker, predictor = _marker_predictor(tmp_path)
+        argv = ["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index), "--predictor-cmd", predictor]
+        assert main(argv) == 3
         assert not marker.exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["synth", "index"])
@@ -233,6 +238,14 @@ class TestManifestCommand:
         index = tmp_path / "index.csv"
         index.write_text("")
         assert main(["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index)]) == 3
+
+
+def _marker_predictor(tmp_path):
+    """(marker, --predictor-cmd): a predictor that creates the marker file when it runs."""
+    marker = tmp_path / "predictor-ran"
+    script = tmp_path / "predictor.py"
+    script.write_text(f"open({str(marker)!r}, 'w').close()\nprint('Asian')\n")
+    return marker, f"{sys.executable} {script}"
 
 
 _PROVENANCE = json.dumps({"type": "provenance"})
@@ -308,17 +321,20 @@ def test_refused_corpus_leaves_no_audit_log(tmp_path):
 @pytest.mark.parametrize(
     "command, extra, message",
     [
-        ("prima-facie", ["--scenarios", "Mixed,Mixed", "--seeds", "1"], "a seed or scenario is given twice"),
+        ("prima-facie", ["--scenarios", "Mixed,Mixed", "--seeds", "1"], "a scenario is given twice: Mixed,Mixed"),
         ("loso", ["--variants", "motion_only,dual_motion,motion_only"],
          "a variant is given twice: motion_only,dual_motion,motion_only"),
+        ("gradcam", ["--classes", "Positive,Positive"], "a class is given twice: Positive,Positive"),
     ],
-    ids=["prima-facie-scenarios", "loso-variants"],
+    ids=["prima-facie-scenarios", "loso-variants", "gradcam-classes"],
 )
 def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsys, command, extra, message):
-    # the manifest and flow directory do not exist, so a refusal after reading either would exit 3
+    # the manifest, flow directory and checkpoint do not exist, so a refusal after reading any would exit 3
     missing = tmp_path / "missing"
     argv = [command, "--manifest", str(missing / "manifest.jsonl"), "--flow-dir", str(missing), "--out",
             str(tmp_path / "out"), *extra]
+    if command == "gradcam":
+        argv += ["--checkpoint", str(missing / "model.meck")]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -598,10 +614,11 @@ class TestPrimaFacieCommand:
 
     def test_provenance_records_the_encoder_file(self, synth_run, tmp_path):
         _, corpus, flows = synth_run
-        encoder_file = tmp_path / "enc.meck"
+        encoder_file = tmp_path / "model.meck"
+        config = ModelConfig.small(32)
         hashes = []
-        for seed in (1, 2):  # two encoders saved in turn to the same path
-            FrozenEncoder.random_fallback(EncoderConfig(), seed=seed).save(encoder_file)
+        for seed in (1, 2):  # two model checkpoints saved in turn to the same path
+            save_checkpoint(encoder_file, init_params(config, Variant.MOTION_ONLY, seed), config, Variant.MOTION_ONLY)
             out = tmp_path / f"pf{seed}"
             argv = [*_flow_reader_argv("prima-facie", corpus, flows, out), "--encoder-file", str(encoder_file)]
             assert main(argv) == 0
@@ -609,6 +626,16 @@ class TestPrimaFacieCommand:
             assert payload["encoder_hash"] == hash_file(encoder_file)
             hashes.append(payload["provenance_hash"])
         assert hashes[0] != hashes[1]
+
+    def test_frozen_encoder_file_is_config_error(self, synth_run, tmp_path, capsys):
+        _, corpus, flows = synth_run
+        encoder_file = tmp_path / "enc.meck"
+        write_frozen_encoder_file(encoder_file)
+        out = tmp_path / "pf"
+        capsys.readouterr()
+        assert main([*_flow_reader_argv("prima-facie", corpus, flows, out), "--encoder-file", str(encoder_file)]) == 2
+        assert "'frozen_encoder' file, not a model checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_quota_refusal(self, synth_run):
         root, corpus, flows = synth_run

@@ -1,13 +1,15 @@
 """Hostile-input fuzzing of the file readers: damaged OFI1 flow images,
-MECK1 model and frozen-encoder files, PNM frames, manifests, correction
-ledgers and dataset index tables (beside real frame files).
+MECK1 model checkpoints (read as models and as frozen encoders), PNM
+frames, manifests, correction ledgers and dataset index tables (beside
+real frame files).
 
 Each valid file is truncated, has bytes changed, or is spliced with
 another valid file. Whatever comes back, the reader either returns or
-raises a MebenchError: a DataError for the flow-image and model readers,
-whose every refusal is a malformed file, and a ConfigError or DataError
-for the others. Any other exception would reach the CLI as an internal
-error (exit 4) instead of a configuration or data error (exit 2 or 3).
+raises a MebenchError: a DataError for the flow-image and checkpoint
+readers, whose every refusal is a malformed file, and a ConfigError or
+DataError for the others. Any other exception would reach the CLI as an
+internal error (exit 4) instead of a configuration or data error (exit 2
+or 3).
 
 Changes come in two kinds: an XOR of any byte, and an edit of the bytes
 around a number in a MECK1 header's config (a digit, or the space
@@ -54,7 +56,6 @@ from mebench.flowcore import (
     write_pgm,
 )
 from mebench.model import (
-    EncoderConfig,
     FrozenEncoder,
     ModelConfig,
     Variant,
@@ -160,10 +161,12 @@ def frames() -> list:
 
 @pytest.fixture(scope="module")
 def encoder_files(tmp_path_factory) -> list:
+    """Checkpoints of the two variants that the checkpoints fixture leaves out, to be read as frozen encoders."""
     out = []
-    for seed, config in enumerate([EncoderConfig(stage_widths=(2, 3), feature_dim=4), EncoderConfig(feature_dim=8)]):
+    config = ModelConfig.toy(16)
+    for variant in (Variant.MOTION_ONLY, Variant.MOTION_RGB_CONV):
         path = tmp_path_factory.mktemp("encoder") / "valid.meck"
-        FrozenEncoder.random_fallback(config, seed=seed).save(path)
+        save_checkpoint(path, init_params(config, variant, seed=1), config, variant)
         out.append(path.read_bytes())
     return out
 
@@ -209,10 +212,10 @@ def test_damaged_frame_raises_only_mebench_error(frames, tmp_path, data):
 
 @FUZZ
 @given(data=st.data())
-def test_damaged_frozen_encoder_raises_only_mebench_error(encoder_files, tmp_path, data):
+def test_damaged_encoder_checkpoint_raises_only_data_error(encoder_files, tmp_path, data):
     base = data.draw(st.sampled_from(encoder_files))
     payload = data.draw(_damaged(base, encoder_files, _xor(base), _number_edit(base)))
-    _only_errors(MebenchError, FrozenEncoder.from_file, tmp_path / "damaged.meck", payload)
+    _only_errors(DataError, FrozenEncoder.from_file, tmp_path / "damaged.meck", payload)
 
 
 @FUZZ
@@ -291,6 +294,7 @@ def _header_only(path, header: dict) -> None:
 
 
 _HUGE_PATCH = ModelConfig.small(4096)  # 262,144 patches: a 64 MB position table
+_HUGE_FEATURES = ModelConfig.small(feature_dim=10**6)  # a 256 MB motion projection
 
 
 @pytest.mark.parametrize(
@@ -298,7 +302,7 @@ _HUGE_PATCH = ModelConfig.small(4096)  # 262,144 patches: a 64 MB position table
     [
         (
             FrozenEncoder.from_file,
-            {"kind": "frozen_encoder", "config": to_json_dict(EncoderConfig(feature_dim=10**6)), "tensors": []},
+            {"config": to_json_dict(_HUGE_FEATURES), "variant": "motion_only", "tensors": []},
             "layout mismatch",
         ),
         (
@@ -319,7 +323,7 @@ _HUGE_PATCH = ModelConfig.small(4096)  # 262,144 patches: a 64 MB position table
             "bytes of tensor data",
         ),
     ],
-    ids=["encoder-feature-dim-1e6", "patch-image-size-4096", "patch-image-size-4096-declared"],
+    ids=["model-feature-dim-1e6", "patch-image-size-4096", "patch-image-size-4096-declared"],
 )
 def test_huge_config_header_is_refused_before_allocating(tmp_path, read, header, message):
     path = tmp_path / "huge.meck"

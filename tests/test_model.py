@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from conftest import FD_REL_TOL, FD_SEEDS, fd_check_variant, make_toy_batch
+from conftest import FD_REL_TOL, FD_SEEDS, fd_check_variant, make_toy_batch, write_frozen_encoder_file
 from mebench.errors import ConfigError, DataError
 from mebench.model import (
     AdamState,
@@ -1054,19 +1054,19 @@ class TestFrozenFeatures:
         x = np.zeros((3, 64, 64))
         assert extract_frozen_features(x, enc).shape == (32,)
 
-    def test_save_load_identical_features(self, tmp_path):
-        enc_cfg = EncoderConfig(feature_dim=16, stage_widths=(4, 8))
-        enc = FrozenEncoder.random_fallback(enc_cfg, seed=2)
-        path = tmp_path / "enc.meck"
-        enc.save(path)
-        loaded = FrozenEncoder.from_file(path)
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_encoder_file_is_the_checkpoint_motion_stack(self, tmp_path, variant):
+        config = ModelConfig.small(32, feature_dim=16)
+        path = tmp_path / "model.meck"
+        save_checkpoint(path, init_params(config, variant, seed=2), config, variant)
+        encoder = FrozenEncoder.from_file(path)
+        params, _, _ = load_checkpoint(path)
+        motion = {name: Tensor(params[name]) for name in params if name.startswith("motion.")}
+        assert encoder.config == config.motion and encoder.origin == f"file:{path}"
+        assert encoder.params.layout == tuple((name, motion[name].shape) for name in motion)
         x = np.random.default_rng(1).uniform(0, 1, (3, 32, 32))
-        np.testing.assert_array_equal(extract_frozen_features(x, enc), extract_frozen_features(x, loaded))
-        # re-save and reload: still identical
-        path2 = tmp_path / "enc2.meck"
-        loaded.save(path2)
-        again = FrozenEncoder.from_file(path2)
-        np.testing.assert_array_equal(extract_frozen_features(x, enc), extract_frozen_features(x, again))
+        expected, _ = encode_conv(Tensor(x[None] - INPUT_CENTER), motion, "motion", config.motion)
+        assert_bits_equal(extract_frozen_features(x, encoder), expected.data[0])
 
 
 # ---------------------------------------------------------------- parameter sets
@@ -1143,10 +1143,6 @@ def _rewrite_header(path, corrupt):
     path.write_bytes(magic + struct.pack("<I", len(header_bytes)) + header_bytes + body[header_len:])
 
 
-def _save_toy_encoder(path):
-    FrozenEncoder.random_fallback(EncoderConfig(stage_widths=(2, 3), feature_dim=4), seed=0).save(path)
-
-
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = ModelConfig.toy(16)
@@ -1174,17 +1170,6 @@ class TestCheckpoint:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "79e05f1f3164b37c31aa5cef54864b5b1f02bc576226fe27e950cb444ff22c83"
         )
-
-    def test_frozen_encoder_header(self, tmp_path):
-        path = tmp_path / "enc.meck"
-        _save_toy_encoder(path)
-        (header_len,) = struct.unpack_from("<I", path.read_bytes(), 6)
-        header = json.loads(path.read_bytes()[10 : 10 + header_len])
-        assert sorted(header) == ["config", "kind", "tensors"]
-        assert header["kind"] == "frozen_encoder"
-        assert header["config"] == {
-            "input_channels": 3, "stage_widths": [2, 3], "kernel_size": 3, "downsample": 2, "feature_dim": 4,
-        }
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.meck"
@@ -1237,42 +1222,32 @@ class TestCheckpoint:
         "corrupt",
         [
             lambda h: h.pop("config"),
-            lambda h: h["config"].pop("stage_widths"),
-            lambda h: h.update(config=[4, 8]),
+            lambda h: h["config"]["motion"].pop("stage_widths"),
+            lambda h: h["config"].update(motion=[4, 8]),
             lambda h: h["tensors"][0].update(shape=[-1, 2]),
             lambda h: h["tensors"][0].update(shape=[1, 2]),
-            lambda h: h["config"].update(kernel_size=2),
-            lambda h: h["config"].update(feature_dim=1),
-            lambda h: h["config"].update(stage_widths=[2, -3]),
+            lambda h: h["config"]["motion"].update(kernel_size=2),
+            lambda h: h["config"]["motion"].update(feature_dim=1),
+            lambda h: h["config"]["motion"].update(stage_widths=[2, -3]),
         ],
         ids=["no-config", "no-stage-widths", "config-not-object", "negative-dim", "wrong-shape", "kernel-size-even",
              "feature-dim-1", "stage-width-negative"],
     )
     def test_malformed_frozen_encoder_header_is_data_error(self, tmp_path, corrupt):
-        path = tmp_path / "enc.meck"
-        _save_toy_encoder(path)
+        # damage to the motion config and tensors, the part of a checkpoint that a frozen encoder keeps
+        path = tmp_path / "model.meck"
+        config = ModelConfig.toy(16)
+        save_checkpoint(path, init_params(config, Variant.DUAL_MOTION, seed=0), config, Variant.DUAL_MOTION)
         _rewrite_header(path, corrupt)
         with pytest.raises(DataError):
             FrozenEncoder.from_file(path)
 
     def test_frozen_encoder_file_is_not_a_model_checkpoint(self, tmp_path):
         path = tmp_path / "enc.meck"
-        _save_toy_encoder(path)
-        with pytest.raises(ConfigError, match="frozen_encoder"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [lambda h: None, lambda h: h.update(kind="model")],
-        ids=["model-checkpoint", "unknown-kind"],
-    )
-    def test_wrong_kind_is_not_a_frozen_encoder(self, tmp_path, corrupt):
-        path = tmp_path / "model.meck"
-        config = ModelConfig.toy(16)
-        save_checkpoint(path, init_params(config, Variant.MOTION_ONLY, seed=0), config, Variant.MOTION_ONLY)
-        _rewrite_header(path, corrupt)
-        with pytest.raises(ConfigError, match="not a frozen-encoder checkpoint"):
-            FrozenEncoder.from_file(path)
+        write_frozen_encoder_file(path)
+        for read in (load_checkpoint, FrozenEncoder.from_file):
+            with pytest.raises(ConfigError, match="'frozen_encoder' file, not a model checkpoint"):
+                read(path)
 
     def test_truncated_header_length_is_data_error(self, tmp_path):
         path = tmp_path / "short.meck"
