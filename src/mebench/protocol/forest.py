@@ -4,12 +4,39 @@ Split candidates are midpoints between consecutive distinct sorted
 feature values; the split minimizing the weighted Gini impurity wins,
 scanning features in ascending index order and thresholds in ascending
 order with strict improvement, so the choice is deterministic and
-invariant under duplicating every training sample. Each node scores all
-of its candidates at once: one stable sort of the sampled columns, one
-prefix count of the one-hot labels (the CART criterion scan of Breiman
-2001), and the weighted Gini of every cut as whole-array expressions.
-Prediction is a majority vote over trees (ties resolve to the lowest
-class index).
+invariant under duplicating every training sample. Prediction is a
+majority vote over trees (ties resolve to the lowest class index).
+
+All trees of a forest grow together, in rounds. Each tree owns a random
+generator, which first draws the tree's bootstrap sample, and a stack of
+its nodes that may still split (below the depth limit, at least
+2 * MIN_LEAF rows, not pure); a split pushes its right child before its
+left one, so the stack pops in preorder. In a round, every tree with a
+non-empty stack pops one node and draws that node's floor(sqrt(d))
+features from its own generator. A recursive, depth-first grower draws
+for exactly these nodes (a node that cannot split draws nothing), in the
+same preorder, and no tree's draws depend on another tree's, so each tree
+is the one that grower makes, bit for bit.
+
+One `_best_splits` call then scores every node of the round (the CART
+criterion scan of Breiman 2001). The nodes are padded to the round's
+largest: padded values are +inf, which a stable sort puts last, and
+padded labels are a zero one-hot row. One sort, one prefix count and one
+whole-array Gini expression give every cut of every node. A cut past a
+node's last row or between equal values scores +inf, and every real cut
+keeps the expression and operands of a per-threshold loop, so its
+impurity is the float that loop would produce.
+
+A node's winner is the first candidate, features ascending then
+thresholds ascending, strictly below the best so far minus 1e-15. Each
+candidate this rule accepts lies below every earlier candidate: those
+since the last acceptance sat at or above the bound, the bound is at or
+below the last accepted value, and by induction that value lies below all
+candidates before it. So the rule accepts only strict prefix-minimum
+records, which one `np.minimum.accumulate` finds, and the walk visits
+only those. An argmin would instead take the global minimum, which can be
+a later candidate only a few ULPs below an earlier one that this rule
+keeps, and so grow a different tree.
 """
 
 from __future__ import annotations
@@ -52,93 +79,128 @@ class _Node:
 class ForestModel:
     trees: list
     n_classes: int
+    n_features: int  # the width of the matrix the forest was trained on
     config: ForestConfig
 
 
-def _gini(class_counts: np.ndarray) -> float:
-    total = class_counts.sum()
-    if total == 0:
-        return 0.0
-    p = class_counts / total
-    return 1.0 - float((p * p).sum())
+def _gini(class_counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each non-empty count vector along the last axis."""
+    p = class_counts / class_counts.sum(axis=-1, keepdims=True)
+    return 1.0 - (p * p).sum(axis=-1)
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, n_classes: int):
-    """Scan candidate midpoints; returns (impurity, feature, threshold) or None.
+def _best_splits(x, y, rows, sizes, feature_ids, n_classes) -> list:
+    """Scan each node's candidate midpoints; one (impurity, feature, threshold) or None per node.
 
-    The columns `feature_ids` are sorted together, and a prefix sum of the
-    one-hot labels gives the left class counts after every sorted position,
-    shape (n-1, k, C). Every candidate's weighted Gini is computed with the
-    same expression, in the same order, as `_gini` on one count vector, so
-    each impurity is the exact float a per-threshold loop would produce;
-    positions between equal values are not cuts and score +inf.
-
-    The winner is the first candidate, features ascending then thresholds
-    ascending, that is strictly below the current best minus 1e-15, walked
-    as a chain of first-below-bound searches. An argmin would instead take
-    the global minimum, which can be a later candidate only a few ULPs
-    below an earlier one that this rule keeps, and so grow a different tree.
+    Node b holds the rows rows[b, :sizes[b]] of (x, y) and scans the columns
+    feature_ids[b]; every node scans the same number of columns, and the rest
+    of its row of `rows` is padding. The padded columns are sorted together,
+    and a prefix sum of the one-hot labels gives the left class counts after
+    every sorted position, shape (nodes, width - 1, k, C).
     """
-    n = y.size
-    cols = x[:, feature_ids]
-    order = np.argsort(cols, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(cols, order, axis=0)
-    prefix = np.cumsum(np.eye(n_classes, dtype=np.int64)[y[order]], axis=0)
-    left = prefix[:-1]
-    right = prefix[-1] - left
-    n_left = np.arange(1, n, dtype=np.int64)[:, None]
+    n_nodes, width = rows.shape
+    real = np.arange(width) < sizes[:, None]
+    cols = np.where(real[:, :, None], x[rows[:, :, None], feature_ids[:, None, :]], np.inf)
+    order = np.argsort(cols, axis=1, kind="stable")
+    node = np.arange(n_nodes)[:, None, None]
+    sorted_vals = cols[node, order, np.arange(feature_ids.shape[1])]
+    labels = np.where(real, y[rows], n_classes)  # padding takes the zero row of the one-hot table
+    prefix = np.cumsum(np.eye(n_classes + 1, n_classes, dtype=np.int64)[labels[node, order]], axis=1)
+    left = prefix[:, :-1]
+    right = prefix[:, -1:] - left
+    n_left = np.arange(1, width, dtype=np.int64)[:, None]
+    n = sizes[:, None, None]
     n_right = n - n_left
+    with np.errstate(divide="ignore", invalid="ignore"):  # an empty right side is no cut
+        impurity = (n_left * _gini(left) + n_right * _gini(right)) / n
+    impurity[(sorted_vals[:, :-1] == sorted_vals[:, 1:]) | (n_right < 1)] = np.inf
+    flat = impurity.transpose(0, 2, 1).reshape(n_nodes, -1)  # per node: feature-major, thresholds ascending
 
-    def gini(counts, n_side):
-        p = counts / n_side[..., None]
-        return 1.0 - (p * p).sum(axis=-1)
+    # the strict-improvement walk, over each node's strict prefix-minimum records only
+    running = np.minimum.accumulate(flat, axis=1)
+    record = flat < np.hstack([np.full((n_nodes, 1), np.inf), running[:, :-1]])
+    winner, bound = [-1] * n_nodes, [np.inf] * n_nodes
+    record_node, record_pos = np.nonzero(record)
+    for b, pos, value in zip(record_node.tolist(), record_pos.tolist(), flat[record_node, record_pos].tolist()):
+        if value < bound[b]:
+            winner[b], bound[b] = pos, value - 1e-15
 
-    impurity = (n_left * gini(left, n_left) + n_right * gini(right, n_right)) / n
-    impurity[sorted_vals[:-1] == sorted_vals[1:]] = np.inf
-    flat = impurity.T.ravel()  # feature-major, thresholds ascending within a feature
-
-    pos, bound = -1, np.inf
-    while pos + 1 < flat.size:
-        below = flat[pos + 1 :] < bound
-        step = int(below.argmax())
-        if not below[step]:
-            break
-        pos += 1 + step
-        bound = flat[pos] - 1e-15
-    if pos < 0:
-        return None
-    column, i = divmod(pos, n - 1)
-    threshold = 0.5 * (sorted_vals[i, column] + sorted_vals[i + 1, column])
-    return flat[pos], int(feature_ids[column]), float(threshold)
+    splits = []
+    for b, pos in enumerate(winner):
+        if pos < 0:
+            splits.append(None)
+            continue
+        column, i = divmod(pos, width - 1)
+        threshold = 0.5 * (sorted_vals[b, i, column] + sorted_vals[b, i + 1, column])
+        splits.append((flat[b, pos], int(feature_ids[b, column]), float(threshold)))
+    return splits
 
 
-def _grow(x, y, n_classes, max_depth: int, rng, depth: int) -> _Node:
-    """One CART tree; each node scans a fresh draw of floor(sqrt(d)) features."""
-    counts = np.bincount(y, minlength=n_classes)
-    node = _Node(prediction=int(np.argmax(counts)))  # argmax takes the lowest index on ties
-    if depth >= max_depth or y.size < 2 * MIN_LEAF or _gini(counts) == 0.0:
-        return node
+def _grow_trees(x, y, samples, rngs, n_classes: int, max_depth: int) -> list:
+    """One CART tree per bootstrap row sample and generator, grown in lockstep rounds.
+
+    Each node scans a fresh draw of floor(sqrt(d)) features from its tree's generator.
+    """
     n_features = x.shape[1]
     k = max(1, int(np.sqrt(n_features)))
-    best = _best_split(x, y, np.sort(rng.choice(n_features, size=k, replace=False)), n_classes)
-    if best is None:
-        return node
-    _, feature, threshold = best
-    mask = x[:, feature] < threshold
-    if mask.sum() < MIN_LEAF or (~mask).sum() < MIN_LEAF:
-        return node
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _grow(x[mask], y[mask], n_classes, max_depth, rng, depth + 1)
-    node.right = _grow(x[~mask], y[~mask], n_classes, max_depth, rng, depth + 1)
-    return node
+    onehot = np.eye(n_classes, dtype=np.int64)
+
+    def new_nodes(counts, sizes, depths):
+        # one node per class-count row, and whether it may still split
+        nodes = [_Node(prediction=p) for p in counts.argmax(axis=1).tolist()]  # argmax takes the lowest index on ties
+        may_split = (depths < max_depth) & (sizes >= 2 * MIN_LEAF) & (_gini(counts) != 0.0)
+        return nodes, may_split.tolist()
+
+    samples = np.asarray(samples)
+    roots, may_split = new_nodes(onehot[y[samples]].sum(axis=1), np.full(len(samples), samples.shape[1]), 0)
+    stacks = [[(root, rows, 0)] if ok else [] for root, rows, ok in zip(roots, samples, may_split)]
+    while True:
+        batch = [(tree, *stack.pop()) for tree, stack in enumerate(stacks) if stack]  # (tree, node, rows, depth)
+        if not batch:
+            return roots
+        feature_ids = np.array([np.sort(rngs[tree].choice(n_features, size=k, replace=False)) for tree, *_ in batch])
+        sizes = np.array([node_rows.size for _, _, node_rows, _ in batch])
+        rows = np.zeros((len(batch), sizes.max()), dtype=np.int64)
+        for b, (_, _, node_rows, _) in enumerate(batch):
+            rows[b, : node_rows.size] = node_rows
+        splits = _best_splits(x, y, rows, sizes, feature_ids, n_classes)
+
+        # a node splits only if its cut leaves MIN_LEAF rows on each side
+        found = [b for b, split in enumerate(splits) if split is not None]
+        features = np.array([splits[b][1] for b in found], dtype=np.int64)
+        thresholds = np.array([splits[b][2] for b in found])
+        real = np.arange(rows.shape[1]) < sizes[found, None]
+        goes_left = (x[rows[found], features[:, None]] < thresholds[:, None]) & real
+        n_left = goes_left.sum(axis=1)
+        n_right = sizes[found] - n_left
+        kept = (n_left >= MIN_LEAF) & (n_right >= MIN_LEAF)
+        split = [b for b, keep in zip(found, kept.tolist()) if keep]
+        goes_left = goes_left[kept]
+        labels = onehot[y[rows[split]]] * real[kept][:, :, None]
+        left_counts = (labels * goes_left[:, :, None]).sum(axis=1)
+        depths = np.array([batch[b][3] + 1 for b in split] * 2)
+        children, may_split = new_nodes(
+            np.concatenate([left_counts, labels.sum(axis=1) - left_counts]),
+            np.concatenate([n_left[kept], n_right[kept]]),
+            depths,
+        )
+        n_split = len(split)
+        for i, b in enumerate(split):
+            tree, node, node_rows, depth = batch[b]
+            _, node.feature, node.threshold = splits[b]
+            node.left, node.right = children[i], children[n_split + i]
+            mask = goes_left[i, : node_rows.size]
+            if may_split[n_split + i]:  # the right child is pushed first, so the left one pops first
+                stacks[tree].append((node.right, node_rows[~mask], depth + 1))
+            if may_split[i]:
+                stacks[tree].append((node.left, node_rows[mask], depth + 1))
 
 
 def forest_train(features: np.ndarray, labels: np.ndarray, config: ForestConfig, seed: int) -> ForestModel:
     x = np.asarray(features, dtype=np.float64)
     raw = np.asarray(labels)
     y = raw.astype(np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
         raise DataError(f"features must be a non-empty (n, d) matrix, got shape {x.shape}")
     if y.shape != (x.shape[0],):
         raise DataError(f"labels shape {y.shape} inconsistent with {x.shape[0]} samples")
@@ -149,13 +211,11 @@ def forest_train(features: np.ndarray, labels: np.ndarray, config: ForestConfig,
     if y.min() < 0:
         raise DataError(f"labels must be >= 0, got {y.min()}")
     n_classes = int(y.max()) + 1
-    trees = []
     n = x.shape[0]
-    for tree_index in range(config.n_trees):
-        rng = derived_rng(seed, "tree", tree_index)
-        idx = rng.integers(0, n, size=n)  # the tree's bootstrap sample
-        trees.append(_grow(x[idx], y[idx], n_classes, config.max_depth, rng, 0))
-    return ForestModel(trees=trees, n_classes=n_classes, config=config)
+    rngs = [derived_rng(seed, "tree", tree_index) for tree_index in range(config.n_trees)]
+    samples = [rng.integers(0, n, size=n) for rng in rngs]  # each tree's bootstrap sample, its first draw
+    trees = _grow_trees(x, y, samples, rngs, n_classes, config.max_depth)
+    return ForestModel(trees=trees, n_classes=n_classes, n_features=x.shape[1], config=config)
 
 
 def _predict_tree(node: _Node, row: np.ndarray) -> int:
@@ -167,6 +227,10 @@ def _predict_tree(node: _Node, row: np.ndarray) -> int:
 def forest_predict_batch(model: ForestModel, features: np.ndarray) -> np.ndarray:
     """Majority class of each row; a tied vote goes to the lowest class index."""
     rows = np.asarray(features, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != model.n_features:
+        raise DataError(f"features must be an (n, {model.n_features}) matrix, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise DataError("features must all be finite")
     votes = np.zeros((len(rows), model.n_classes), dtype=np.int64)
     for tree in model.trees:
         votes[np.arange(len(rows)), [_predict_tree(tree, row) for row in rows]] += 1

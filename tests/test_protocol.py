@@ -1,5 +1,7 @@
+import hashlib
 import json
 import multiprocessing
+import struct
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -58,8 +60,8 @@ from mebench.protocol import (
     sample_prima_facie,
 )
 from mebench.protocol import benchmark, forest, primafacie
-from mebench.protocol.forest import _best_split, _gini
-from mebench.runutil import cache_key
+from mebench.protocol.forest import _best_splits, _gini
+from mebench.runutil import cache_key, derived_rng
 
 
 def records_for(subjects, clips_per=2, emotions=("happiness", "disgust"), ethnicity=RawEthnicity.ASIAN):
@@ -360,14 +362,15 @@ class TestForest:
     @pytest.mark.parametrize("predictions", [(1, 0), (0, 1), (2, 1), (1, 2)])
     def test_a_tied_vote_goes_to_the_lower_class(self, predictions):
         trees = [forest._Node(prediction=p) for p in predictions]
-        model = forest.ForestModel(trees=trees, n_classes=3, config=ForestConfig(n_trees=2))
+        model = forest.ForestModel(trees=trees, n_classes=3, n_features=2, config=ForestConfig(n_trees=2))
         assert forest_predict_batch(model, np.zeros((4, 2))).tolist() == [min(predictions)] * 4
 
     def test_depth1_split_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
         x = np.concatenate([rng.uniform(0, 0.4, 12), rng.uniform(0.6, 1.0, 12)])[:, None]
         y = np.array([0] * 12 + [1] * 12)
-        root = forest._grow(x, y, 2, 1, np.random.default_rng(0), 0)  # one feature, so every node scans it
+        # one tree on every row; one feature, so every node scans it
+        (root,) = forest._grow_trees(x, y, [np.arange(24)], [np.random.default_rng(0)], 2, 1)
         assert not root.is_leaf
 
         # exhaustive oracle: weighted Gini over every midpoint threshold
@@ -387,7 +390,9 @@ class TestForest:
                 best = (gini, thr)
         assert best[0] == 0.0
         assert abs(root.threshold - best[1]) < 1e-12
-        model = forest.ForestModel(trees=[root], n_classes=2, config=ForestConfig(n_trees=1, max_depth=1))
+        model = forest.ForestModel(
+            trees=[root], n_classes=2, n_features=1, config=ForestConfig(n_trees=1, max_depth=1)
+        )
         assert np.array_equal(forest_predict_batch(model, x), y)
 
     def test_xor_quadrants(self):
@@ -414,8 +419,10 @@ class TestForest:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(25, 3))
         y = rng.integers(0, 2, 25)
-        t1 = forest._grow(x, y, 2, 4, np.random.default_rng(0), 0)
-        t2 = forest._grow(np.repeat(x, 2, axis=0), np.repeat(y, 2), 2, 4, np.random.default_rng(0), 0)
+        (t1,) = forest._grow_trees(x, y, [np.arange(25)], [np.random.default_rng(0)], 2, 4)
+        (t2,) = forest._grow_trees(
+            np.repeat(x, 2, axis=0), np.repeat(y, 2), [np.arange(50)], [np.random.default_rng(0)], 2, 4
+        )
 
         def describe(node):
             if node.is_leaf:
@@ -427,6 +434,28 @@ class TestForest:
     def test_empty_training_set(self):
         with pytest.raises(DataError):
             forest_train(np.zeros((0, 3)), np.zeros(0), ForestConfig(), seed=0)
+
+    def test_no_feature_columns_is_data_error(self):
+        with pytest.raises(DataError, match="non-empty"):
+            forest_train(np.zeros((6, 0)), [0, 1, 0, 1, 0, 1], ForestConfig(n_trees=2), seed=0)
+
+    @pytest.mark.parametrize("probe", [np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(3), np.zeros((1, 1, 3))])
+    def test_predict_refuses_a_matrix_of_another_shape(self, probe):
+        x = np.random.default_rng(0).normal(size=(8, 3))
+        model = forest_train(x, np.arange(8) % 2, ForestConfig(n_trees=3), seed=0)
+        assert model.n_features == 3
+        with pytest.raises(DataError, match=r"\(n, 3\)"):
+            forest_predict_batch(model, probe)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_predict_refuses_non_finite_features(self, bad):
+        x = np.random.default_rng(0).normal(size=(8, 3))
+        model = forest_train(x, np.arange(8) % 2, ForestConfig(n_trees=3), seed=0)
+        probe = x[:2].copy()
+        probe[1, 2] = bad
+        with pytest.raises(DataError, match="finite"):
+            forest_predict_batch(model, probe)
+        assert forest_predict_batch(model, np.zeros((0, 3))).shape == (0,)
 
     def test_inconsistent_feature_lengths(self):
         with pytest.raises(DataError):
@@ -450,8 +479,17 @@ class TestForest:
         forest_train(x, np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]), ForestConfig(n_trees=3), seed=0)  # whole floats pass
 
 
+def _reference_gini(class_counts: np.ndarray) -> float:
+    """Frozen copy of the one-vector Gini impurity the recursive grower used."""
+    total = class_counts.sum()
+    if total == 0:
+        return 0.0
+    p = class_counts / total
+    return 1.0 - float((p * p).sum())
+
+
 def _scalar_best_split(x, y, feature_ids, n_classes):
-    """Reference split scan: one `_gini` pair per feature and distinct threshold."""
+    """Reference split scan: one `_reference_gini` pair per feature and distinct threshold."""
     n = y.size
     best = None
     for feature in feature_ids:
@@ -468,11 +506,44 @@ def _scalar_best_split(x, y, feature_ids, n_classes):
             right = prefix[-1] - left
             n_left = i + 1
             n_right = n - n_left
-            impurity = (n_left * _gini(left) + n_right * _gini(right)) / n
+            impurity = (n_left * _reference_gini(left) + n_right * _reference_gini(right)) / n
             threshold = 0.5 * (sorted_vals[i] + sorted_vals[i + 1])
             if best is None or impurity < best[0] - 1e-15:
                 best = (impurity, int(feature), float(threshold))
     return best
+
+
+def _reference_grow(x, y, n_classes, max_depth, rng, depth):
+    """Frozen copy of the recursive, depth-first grower, scanning with `_scalar_best_split`."""
+    counts = np.bincount(y, minlength=n_classes)
+    node = forest._Node(prediction=int(np.argmax(counts)))
+    if depth >= max_depth or y.size < 2 * forest.MIN_LEAF or _reference_gini(counts) == 0.0:
+        return node
+    n_features = x.shape[1]
+    k = max(1, int(np.sqrt(n_features)))
+    best = _scalar_best_split(x, y, np.sort(rng.choice(n_features, size=k, replace=False)), n_classes)
+    if best is None:
+        return node
+    _, feature, threshold = best
+    mask = x[:, feature] < threshold
+    if mask.sum() < forest.MIN_LEAF or (~mask).sum() < forest.MIN_LEAF:
+        return node
+    node.feature = feature
+    node.threshold = threshold
+    node.left = _reference_grow(x[mask], y[mask], n_classes, max_depth, rng, depth + 1)
+    node.right = _reference_grow(x[~mask], y[~mask], n_classes, max_depth, rng, depth + 1)
+    return node
+
+
+def _reference_trees(x, y, config, seed):
+    """Frozen copy of the tree-by-tree bootstrap loop, growing each tree with `_reference_grow`."""
+    trees = []
+    n, n_classes = x.shape[0], int(y.max()) + 1
+    for tree_index in range(config.n_trees):
+        rng = derived_rng(seed, "tree", tree_index)
+        idx = rng.integers(0, n, size=n)
+        trees.append(_reference_grow(x[idx], y[idx], n_classes, config.max_depth, rng, 0))
+    return trees
 
 
 def _describe_tree(node):
@@ -481,11 +552,31 @@ def _describe_tree(node):
     return ("split", node.feature, node.threshold, _describe_tree(node.left), _describe_tree(node.right))
 
 
+def _batch_splits(nodes, n_classes):
+    """`_best_splits` of nodes given as (x, y, feature_ids), stacked into one padded batch."""
+    sizes = np.array([y.size for _, y, _ in nodes])
+    x = np.concatenate([x for x, _, _ in nodes])
+    y = np.concatenate([y for _, y, _ in nodes])
+    rows = np.full((len(nodes), sizes.max()), y.size - 1)  # padding points at a real row, which must not count
+    for b, (start, size) in enumerate(zip(np.cumsum(sizes) - sizes, sizes)):
+        rows[b, :size] = np.arange(start, start + size)
+    return _best_splits(x, y, rows, sizes, np.array([ids for _, _, ids in nodes]), n_classes)
+
+
 class TestBestSplitKernel:
     def check(self, x, y, n_classes, feature_ids=None):
+        """The node's split, alone and between a smaller and a larger node, matches the scalar scan."""
         feature_ids = np.arange(x.shape[1]) if feature_ids is None else feature_ids
         expected = _scalar_best_split(x, y, feature_ids, n_classes)
-        assert _best_split(x, y, feature_ids, n_classes) == expected
+        assert _batch_splits([(x, y, feature_ids)], n_classes) == [expected]
+        rng = np.random.default_rng(y.size)
+        nodes = [
+            (rng.integers(0, 3, size=(n, x.shape[1])).astype(float), rng.integers(0, n_classes, n),
+             np.sort(rng.choice(x.shape[1], size=feature_ids.size, replace=False)))
+            for n in (2, y.size + 7)
+        ]
+        nodes.insert(1, (x, y, feature_ids))
+        assert _batch_splits(nodes, n_classes) == [_scalar_best_split(*node, n_classes) for node in nodes]
         return expected
 
     def test_two_samples(self):
@@ -523,6 +614,13 @@ class TestBestSplitKernel:
             y = rng.integers(0, n_classes, x.shape[0])
             self.check(x, y, n_classes, np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False)))
 
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 9, 10])
+    def test_gini_rows_match_the_one_vector_form(self, n_classes):
+        # node purity reads `_gini` of whole count matrices; each row must be the one-vector float
+        counts = np.random.default_rng(n_classes).integers(0, 5, size=(200, n_classes))
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        assert _gini(counts).tolist() == [_reference_gini(row) for row in counts]
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 25),
@@ -536,6 +634,26 @@ class TestBestSplitKernel:
         x = rng.integers(0, 4, size=(n, d)).astype(float) if integer_valued else rng.normal(size=(n, d))
         self.check(x, rng.integers(0, n_classes, n), n_classes)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(2, 25), st.booleans()), min_size=1, max_size=8),
+        st.integers(1, 9),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_batches(self, shapes, d, n_classes, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, d + 1))
+        nodes = [
+            (
+                rng.integers(0, 4, size=(n, d)).astype(float) if integer_valued else rng.normal(size=(n, d)),
+                rng.integers(0, n_classes, n),
+                np.sort(rng.choice(d, size=k, replace=False)),
+            )
+            for n, integer_valued in shapes
+        ]
+        assert _batch_splits(nodes, n_classes) == [_scalar_best_split(*node, n_classes) for node in nodes]
+
     @pytest.mark.parametrize("min_leaf", [1, 2])
     @pytest.mark.parametrize("n_features", [1, 9])  # every node scans the one column, or 3 of 9
     @pytest.mark.parametrize("max_depth", [1, 8])
@@ -546,10 +664,47 @@ class TestBestSplitKernel:
         y = (x[:, 0] + x[:, 3] + rng.normal(scale=0.5, size=60) > 0).astype(int) + (x[:, 5] > 1)
         x = x[:, [0, 3, 5, 1, 2, 4, 6, 7, 8][:n_features]]
         config = ForestConfig(n_trees=4, max_depth=max_depth)
-        vectorised = forest_train(x, y, config, seed=3)
-        monkeypatch.setattr(forest, "_best_split", _scalar_best_split)
-        scalar = forest_train(x, y, config, seed=3)
-        assert [_describe_tree(t) for t in vectorised.trees] == [_describe_tree(t) for t in scalar.trees]
+        lockstep = forest_train(x, y, config, seed=3)
+        reference = _reference_trees(x, y, config, 3)
+        assert [_describe_tree(t) for t in lockstep.trees] == [_describe_tree(t) for t in reference]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 59),
+        st.integers(1, 39),
+        st.integers(1, 3),
+        st.integers(1, 11),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_forests_match_the_recursive_reference(self, n, d, n_classes, n_trees, max_depth, seed):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(n, d)), 1)  # rounding leaves ties
+        y = rng.integers(0, n_classes, n)
+        config = ForestConfig(n_trees=n_trees, max_depth=max_depth)
+        lockstep = forest_train(x, y, config, seed=seed)
+        reference = _reference_trees(x, y, config, seed)
+        assert [_describe_tree(t) for t in lockstep.trees] == [_describe_tree(t) for t in reference]
+
+    def test_primafacie_sized_trees_are_pinned(self):
+        # the shape of one primafacie-16 fit: 45 rows, 32 features, 20 trees of depth 8. The digest hashes
+        # every node of every tree in preorder (feature, threshold float64 bits, prediction); it was taken
+        # with the recursive tree-by-tree grower, so lockstep growth keeps each tree bit for bit
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(45, 32))
+        x[:, ::4] = np.round(x[:, ::4], 1)  # rounded columns leave ties
+        y = (x[:, 0] + x[:, 5] - x[:, 9] + rng.normal(scale=1.0, size=45) > 0).astype(int)
+        model = forest_train(x, y, ForestConfig(n_trees=20, max_depth=8), seed=7)
+        digest, n_nodes = hashlib.sha256(), 0
+        for root in model.trees:
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                n_nodes += 1
+                digest.update(struct.pack("<qdq", node.feature, node.threshold, node.prediction))
+                if not node.is_leaf:
+                    stack += [node.right, node.left]
+        assert (digest.hexdigest()[:16], n_nodes) == ("8fb96a0bbd717d71", 232)
 
 
 # ---------------------------------------------------------------- prima facie report
