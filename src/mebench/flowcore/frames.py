@@ -24,14 +24,14 @@ class RasterFormatError(DataError):
 
 @dataclass(frozen=True)
 class GrayFrame:
-    """Single grayscale frame; values are row-major luminance in [0, 1]."""
+    """Grayscale frame (H, W), or a stack (N, H, W) of same-size frames; values are row-major luminance in [0, 1]."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.size == 0:
-            raise DataError(f"frame must be a non-empty 2-D array, got shape {v.shape}")
+        if v.ndim not in (2, 3) or v.size == 0:
+            raise DataError(f"frame must be a non-empty (H, W) or (N, H, W) array, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise DataError("frame contains non-finite values")
         if v.min() < 0.0 or v.max() > 1.0:
@@ -41,11 +41,11 @@ class GrayFrame:
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
 
 def _tokenize_pnm_header(data: bytes, n_tokens: int):

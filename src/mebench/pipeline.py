@@ -14,10 +14,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import Manifest, SampleRecord
 from .errors import DataError
 from .flowcore import (
+    FlowField,
     FlowParams,
+    GrayFrame,
     assemble_flow_image,
     compute_strain,
     estimate_flow,
@@ -31,6 +35,7 @@ from .model.config import EMOTION_CLASSES, ETHNICITY_CLASSES
 from .runutil import cache_key, read_cache_entry, run_jobs, write_cache_entry
 
 BINARY_CLASSES = ("Negative", "NonNegative")
+_RUN_PIXELS = 2**15  # onset pixels per estimate_flow stack: each clip in a run costs ~1.2 MB at 128 px
 
 
 def emotion_index(record: SampleRecord) -> int:
@@ -76,15 +81,53 @@ def _read_fraction_triple(value) -> tuple | None:
     return tuple(value) if valid else None
 
 
-def _compute_one_flow(job: tuple) -> tuple:
-    """Worker for one record: compute and write its OFI file and sidecar."""
-    record, out_path, sidecar, flow_params, key = job
-    flow = estimate_flow(load_frame(record.onset_path), load_frame(record.apex_path), flow_params)
-    image = assemble_flow_image(flow, compute_strain(flow))
-    write_flow_image(image, out_path)
-    fraction = image.normalization.clip_fraction
-    write_cache_entry(sidecar, key, list(fraction))
-    return sample_key(record), fraction
+def _stack(frames: list) -> GrayFrame:
+    """One GrayFrame stack of the listed (H, W) arrays; empties the list, so the stack is their only copy."""
+    stack = np.stack(frames)
+    frames.clear()
+    return GrayFrame(stack)
+
+
+def _flow_runs(items: list):
+    """Load the items' frames in order and yield (items, onset stack, apex stack) per run of
+    consecutive pairs that share their frame shapes, at most _RUN_PIXELS onset pixels each."""
+    run, onsets, apexes = [], [], []
+    for item in items:
+        onset, apex = load_frame(item[0].onset_path).values, load_frame(item[0].apex_path).values
+        if run and (
+            (onset.shape, apex.shape) != (onsets[0].shape, apexes[0].shape)
+            or (len(run) + 1) * onset.size > _RUN_PIXELS
+        ):
+            yield run, _stack(onsets), _stack(apexes)
+            run = []
+        run.append(item)
+        onsets.append(onset)
+        apexes.append(apex)
+    del onset, apex  # the last run's frames live on only in its stacks
+    yield run, _stack(onsets), _stack(apexes)
+
+
+def _compute_flows(job: tuple) -> list:
+    """Worker for a non-empty slice of records: solve each run in one estimate_flow call, then
+    write its clips (the run's flow is freed before the next run is solved)."""
+    items, flow_params = job
+    done = []
+    for run, onsets, apexes in _flow_runs(items):
+        done += _write_flows(run, estimate_flow(onsets, apexes, flow_params))
+    return done
+
+
+def _write_flows(run: list, flow: FlowField) -> list:
+    """Write each clip's OFI file and sidecar from the run's flow stack; return (sample key, fraction triple) pairs."""
+    done = []
+    for (record, out_path, sidecar, key), u, v in zip(run, flow.u, flow.v):
+        clip = FlowField(u=u, v=v)
+        image = assemble_flow_image(clip, compute_strain(clip))
+        write_flow_image(image, out_path)
+        fraction = image.normalization.clip_fraction
+        write_cache_entry(sidecar, key, list(fraction))
+        done.append((sample_key(record), fraction))
+    return done
 
 
 def materialize_flow_images(
@@ -99,13 +142,17 @@ def materialize_flow_images(
     Beside each OFI file, a runutil cache entry (`.ofi.json`) keyed by the
     flow parameters and the bytes of the record's onset and apex frames
     holds the clip fractions. Unless force is set, a record whose OFI file
-    exists and whose entry is a hit is skipped. The rest go through
-    runutil.run_jobs, each worker writing its own OFI file and entry;
-    results are identical regardless of worker count.
+    exists and whose entry is a hit is skipped. The rest are cut into
+    contiguous slices, one when workers is 1 and `workers` otherwise, which
+    go through runutil.run_jobs. A job solves each run of consecutive
+    same-shape pairs (at most _RUN_PIXELS pixels, so 8 clips at 64 px and
+    2 at 128 px) as one estimate_flow stack, then writes each clip's OFI
+    file and entry. A clip's flow does not depend on its run, so results
+    are identical regardless of worker count.
     """
     flow_dir = Path(flow_dir)
     fractions = {}
-    jobs = []
+    pending = []
     for record in manifest.records:
         out_path = flow_image_path(flow_dir, record)
         sidecar = out_path.with_suffix(".ofi.json")
@@ -115,9 +162,12 @@ def materialize_flow_images(
             if fraction is not None:
                 fractions[sample_key(record)] = fraction
                 continue
-        jobs.append((record, out_path, sidecar, flow_params, key))
-    fractions.update(run_jobs(_compute_one_flow, jobs, workers))  # (sample key, fraction triple) pairs
-    return FlowStats(computed=len(jobs), cached=len(manifest.records) - len(jobs), clip_fractions=fractions)
+        pending.append((record, out_path, sidecar, key))
+    n, parts = len(pending), min(max(workers, 1), len(pending))
+    jobs = [(pending[i * n // parts : (i + 1) * n // parts], flow_params) for i in range(parts)]
+    for done in run_jobs(_compute_flows, jobs, workers):
+        fractions.update(done)  # (sample key, fraction triple) pairs
+    return FlowStats(computed=n, cached=len(manifest.records) - n, clip_fractions=fractions)
 
 
 def load_train_samples(

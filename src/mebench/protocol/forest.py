@@ -199,6 +199,8 @@ def _grow_trees(x, y, samples, rngs, n_classes: int, max_depth: int) -> list:
 def forest_train(features: np.ndarray, labels: np.ndarray, config: ForestConfig, seed: int) -> ForestModel:
     x = np.asarray(features, dtype=np.float64)
     raw = np.asarray(labels)
+    if raw.dtype.kind not in "biuf":  # strings, None and other objects have no integer value to check
+        raise DataError(f"labels must be integer class indices, got dtype {raw.dtype}")
     y = raw.astype(np.int64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
         raise DataError(f"features must be a non-empty (n, d) matrix, got shape {x.shape}")

@@ -1,5 +1,4 @@
 import hashlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from mebench.flowcore import (
     FlowParams,
     GrayFrame,
     assemble_flow_image,
+    bilinear_resize,
     compute_strain,
     estimate_flow,
     load_frame,
@@ -26,7 +26,7 @@ from mebench.flowcore import (
 )
 from mebench.flowcore.flowimage import BadMagicError, TruncatedFileError
 from mebench.flowcore import hornschunck
-from mebench.flowcore.hornschunck import _AVG_KERNEL, _AVG_WEIGHTS, _neighbour_average
+from mebench.flowcore.hornschunck import _AVG_KERNEL, _AVG_WEIGHTS, _neighbour_average, _pyramid
 
 
 def smooth_texture(h, w, seed, sigma=3.0):
@@ -275,8 +275,20 @@ def _reference_solve_level(im1, im2, u, v, alpha, iterations):
 
 
 def reference_flow(onset, apex, params):
-    with mock.patch.object(hornschunck, "_solve_level", _reference_solve_level):
-        return estimate_flow(onset, apex, params)
+    """The one-pair pyramid loop, frozen: each level refined by _reference_solve_level."""
+    pyr1 = _pyramid(onset.values * 255.0, params.pyramid_levels, params.pyramid_scale)
+    pyr2 = _pyramid(apex.values * 255.0, params.pyramid_levels, params.pyramid_scale)
+    u = np.zeros_like(pyr1[-1])
+    v = np.zeros_like(pyr1[-1])
+    for level in range(len(pyr1) - 1, -1, -1):
+        im1, im2 = pyr1[level], pyr2[level]
+        if u.shape != im1.shape:
+            scale_x = im1.shape[1] / u.shape[1]
+            scale_y = im1.shape[0] / u.shape[0]
+            u = bilinear_resize(u, *im1.shape) * scale_x
+            v = bilinear_resize(v, *im1.shape) * scale_y
+        u, v = _reference_solve_level(im1, im2, u, v, params.smoothness_alpha, params.iterations)
+    return FlowField(u=u, v=v)
 
 
 def assert_same_flow(a, b):
@@ -322,6 +334,74 @@ class TestSolverMatchesReference:
         write_flow_image(assemble_flow_image(flow, compute_strain(flow)), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "c6ef368c85a14ecbad235ec9e22229e2d6e5f028ab2558716b6078800177437c"
+
+
+def textured_pairs(n, side, seed=0):
+    """n onset/apex stacks (n, side, side): textures moved by sub-pixel shifts that vary per clip."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    onsets = np.stack([smooth_texture(side, side, seed * 1000 + i) for i in range(n)])
+    apexes = np.stack([translate_frame(t, *rng.uniform(-1.5, 1.5, size=2)) for t in onsets])
+    return onsets, apexes
+
+
+def assert_stack_matches_pairs(onsets, apexes, params=None):
+    flow = estimate_flow(GrayFrame(onsets), GrayFrame(apexes), params)
+    assert flow.shape == onsets.shape
+    for i, (onset, apex) in enumerate(zip(onsets, apexes)):
+        assert_same_flow(FlowField(u=flow.u[i], v=flow.v[i]), estimate_flow(GrayFrame(onset), GrayFrame(apex), params))
+
+
+class TestFlowStacks:
+    def test_26_clips_cross_the_16px_chunk(self):
+        # the coarsest level of a 64 px pair is 16 px: 2 planes of 18 x 18 padded cells per clip
+        assert hornschunck._CHUNK_CELLS // (2 * 18 * 18) == 25
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 26])
+    def test_each_clip_matches_its_pair_at_64px(self, n):
+        assert_stack_matches_pairs(*textured_pairs(n, 64, seed=n))
+
+    def test_each_clip_matches_its_pair_at_128px(self):
+        assert_stack_matches_pairs(*textured_pairs(3, 128, seed=5))
+
+    def test_zero_motion_pair_beside_a_textured_one(self):
+        tex = smooth_texture(40, 40, 2)
+        onsets = np.stack([tex, smooth_texture(40, 40, 3)])
+        apexes = np.stack([tex, translate_frame(onsets[1], 0.9, -0.4)])
+        assert_stack_matches_pairs(onsets, apexes, FlowParams(iterations=30))
+        flow = estimate_flow(GrayFrame(onsets), GrayFrame(apexes), FlowParams(iterations=30))
+        assert np.all(flow.u[0] == 0.0) and np.all(flow.v[0] == 0.0)
+
+    def test_stack_sizes_must_agree(self):
+        onsets, apexes = textured_pairs(3, 16)
+        with pytest.raises(DataError, match="frame dims differ"):
+            estimate_flow(GrayFrame(onsets), GrayFrame(apexes[:2]))
+        with pytest.raises(DataError, match="frame dims differ"):
+            estimate_flow(GrayFrame(onsets[0]), GrayFrame(apexes[:1]))
+
+    @pytest.mark.parametrize("shape", [(16,), (1, 2, 16, 16), (0, 16), (0, 16, 16), (2, 0, 16)])
+    def test_gray_frame_refuses_other_ranks_and_empty_arrays(self, shape):
+        with pytest.raises(DataError, match="non-empty"):
+            GrayFrame(np.zeros(shape))
+
+    def test_gray_frame_stack_dims(self):
+        frame = GrayFrame(np.zeros((3, 9, 11)))
+        assert (frame.height, frame.width) == (9, 11)
+
+    def test_flow_field_stack(self):
+        assert FlowField(u=np.zeros((2, 8, 9)), v=np.zeros((2, 8, 9))).shape == (2, 8, 9)
+        with pytest.raises(DataError):
+            FlowField(u=np.zeros((2, 8, 9)), v=np.zeros((3, 8, 9)))
+        with pytest.raises(DataError):
+            FlowField(u=np.zeros((1, 2, 8, 9)), v=np.zeros((1, 2, 8, 9)))
+
+    def test_strain_of_a_stack_is_each_clips_strain(self):
+        onsets, apexes = textured_pairs(2, 24)
+        flow = estimate_flow(GrayFrame(onsets), GrayFrame(apexes), FlowParams(iterations=10))
+        strain = compute_strain(flow)
+        for i in range(2):
+            alone = compute_strain(FlowField(u=flow.u[i], v=flow.v[i]))
+            assert np.array_equal(bits(strain.magnitude[i]), bits(alone.magnitude))
+            assert np.array_equal(bits(strain.exy[i]), bits(alone.exy))
 
 
 # ---------------------------------------------------------------- strain

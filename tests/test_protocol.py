@@ -24,7 +24,14 @@ from mebench.corpus import (
     synthesize_desk_corpus,
 )
 from mebench.errors import ConfigError, DataError
-from mebench.flowcore import FlowParams
+from mebench.flowcore import (
+    FlowParams,
+    assemble_flow_image,
+    compute_strain,
+    estimate_flow,
+    load_frame,
+    write_flow_image,
+)
 from mebench.model import ModelConfig, TrainConfig, Variant
 from mebench.pipeline import (
     BINARY_CLASSES,
@@ -61,7 +68,7 @@ from mebench.protocol import (
 )
 from mebench.protocol import benchmark, forest, primafacie
 from mebench.protocol.forest import _best_splits, _gini
-from mebench.runutil import cache_key, derived_rng
+from mebench.runutil import cache_key, derived_rng, write_cache_entry
 
 
 def records_for(subjects, clips_per=2, emotions=("happiness", "disgust"), ethnicity=RawEthnicity.ASIAN):
@@ -439,6 +446,22 @@ class TestForest:
         with pytest.raises(DataError, match="non-empty"):
             forest_train(np.zeros((6, 0)), [0, 1, 0, 1, 0, 1], ForestConfig(n_trees=2), seed=0)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [["a", "b", "a", "b"], [None, None, None, None], np.array([0, 1, 0, 1], dtype=object), [b"0", b"1", b"0", b"1"]],
+        ids=["str", "none", "object", "bytes"],
+    )
+    def test_non_numeric_labels_are_data_errors(self, labels):
+        with pytest.raises(DataError, match="integer class indices"):
+            forest_train(np.arange(8.0).reshape(4, 2), labels, ForestConfig(n_trees=1), 0)
+
+    def test_integral_float_and_bool_labels_still_fit(self):
+        x = np.arange(8.0).reshape(4, 2)
+        ints = forest_train(x, [0, 1, 0, 1], ForestConfig(n_trees=2), 0)
+        for labels in ([0.0, 1.0, 0.0, 1.0], [False, True, False, True]):
+            model = forest_train(x, labels, ForestConfig(n_trees=2), 0)
+            assert forest_predict_batch(model, x).tolist() == forest_predict_batch(ints, x).tolist()
+
     @pytest.mark.parametrize("probe", [np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(3), np.zeros((1, 1, 3))])
     def test_predict_refuses_a_matrix_of_another_shape(self, probe):
         x = np.random.default_rng(0).normal(size=(8, 3))
@@ -788,6 +811,90 @@ def test_flows_identical_across_worker_counts(tiny_loso, tmp_path):
         entry = {"key": key, "value": list(stats[1].clip_fractions[sample_key(record)])}
         sidecar = pipeline.flow_image_path(tmp_path / "w1", record).with_suffix(".ofi.json")
         assert sidecar.read_text() == json.dumps(entry, sort_keys=True) + "\n"
+
+
+_MIXED_PARAMS = FlowParams(iterations=5)
+
+
+@pytest.fixture(scope="module")
+def mixed_sizes(tmp_path_factory):
+    """A manifest that alternates between a 32 px and a 48 px synthetic corpus in runs of 2, 1, 1, 2, 3
+    and 3 same-size clips, and each clip's OFI file and sidecar from a one-pair solve."""
+    root = tmp_path_factory.mktemp("mixed_sizes")
+    small, _ = synthesize_desk_corpus(SynthSpec(1, 3, 32), seed=3, out_dir=root / "c32")
+    large, _ = synthesize_desk_corpus(SynthSpec(1, 3, 48), seed=4, out_dir=root / "c48")
+    s, l = small.records, [replace(r, clip_id=f"{r.clip_id}w") for r in large.records]
+    manifest = build_manifest([s[0], s[1], l[0], s[2], l[1], l[2], s[3], s[4], s[5], l[3], l[4], l[5]], provenance={})
+    expected = {}
+    for record in manifest.records:
+        flow = estimate_flow(load_frame(record.onset_path), load_frame(record.apex_path), _MIXED_PARAMS)
+        path = pipeline.flow_image_path(root / "expected", record)
+        path.parent.mkdir(exist_ok=True)
+        image = assemble_flow_image(flow, compute_strain(flow))
+        write_flow_image(image, path)
+        key = cache_key(asdict(_MIXED_PARAMS), (record.onset_path, record.apex_path))
+        write_cache_entry(path.with_suffix(".ofi.json"), key, list(image.normalization.clip_fraction))
+        expected[path.name] = path.read_bytes()
+        expected[path.name + ".json"] = path.with_suffix(".ofi.json").read_bytes()
+    return manifest, expected
+
+
+def solved_runs(monkeypatch):
+    """Record the (N, H, W) shape of each stack that materialize_flow_images solves in this process."""
+    shapes = []
+
+    def traced(onset, apex, params):
+        shapes.append(onset.values.shape)
+        return estimate_flow(onset, apex, params)
+
+    monkeypatch.setattr(pipeline, "estimate_flow", traced)
+    return shapes
+
+
+def flow_files(flow_dir):
+    return {p.name: p.read_bytes() for p in Path(flow_dir).iterdir()}
+
+
+@pytest.mark.parametrize(
+    "run_pixels, runs",
+    [
+        (pipeline._RUN_PIXELS, [(2, 32), (1, 48), (1, 32), (2, 48), (3, 32), (3, 48)]),
+        # at most two 32 px clips, and one 48 px clip, per stack
+        (2 * 32 * 32, [(2, 32), (1, 48), (1, 32), (1, 48), (1, 48), (2, 32), (1, 32), (1, 48), (1, 48), (1, 48)]),
+    ],
+)
+def test_mixed_size_runs_match_one_pair_solves(mixed_sizes, tmp_path, monkeypatch, run_pixels, runs):
+    manifest, expected = mixed_sizes
+    monkeypatch.setattr(pipeline, "_RUN_PIXELS", run_pixels)
+    shapes = solved_runs(monkeypatch)
+    stats = materialize_flow_images(manifest, _MIXED_PARAMS, tmp_path / "w1")
+    assert shapes == [(n, side, side) for n, side in runs]
+    assert (stats.computed, stats.cached) == (12, 0)
+    assert flow_files(tmp_path / "w1") == expected
+    monkeypatch.undo()
+    two = materialize_flow_images(manifest, _MIXED_PARAMS, tmp_path / "w2", workers=2)
+    assert (two.computed, two.cached) == (12, 0)
+    assert two.clip_fractions == stats.clip_fractions
+    assert flow_files(tmp_path / "w2") == expected
+
+
+def test_a_cache_hit_inside_a_run_is_skipped(mixed_sizes, tmp_path, monkeypatch):
+    manifest, expected = mixed_sizes
+    flow_dir = tmp_path / "flows"
+    materialize_flow_images(manifest, _MIXED_PARAMS, flow_dir)
+    s3, s4, s5 = manifest.records[6:9]  # one run of three 32 px clips
+    for record in (s3, s5):
+        pipeline.flow_image_path(flow_dir, record).unlink()
+    kept = pipeline.flow_image_path(flow_dir, s4)
+    kept.write_bytes(b"stale bytes a hit never reads")
+    shapes = solved_runs(monkeypatch)
+    stats = materialize_flow_images(manifest, _MIXED_PARAMS, flow_dir)
+    assert shapes == [(2, 32, 32)]  # s3 and s5, the pending records either side of the hit
+    assert (stats.computed, stats.cached) == (2, 10)
+    assert kept.read_bytes() == b"stale bytes a hit never reads"
+    assert {name: data for name, data in flow_files(flow_dir).items() if name != kept.name} == {
+        name: data for name, data in expected.items() if name != kept.name
+    }
 
 
 def test_changed_frame_recomputes_only_its_flow(tmp_path):
