@@ -1,5 +1,5 @@
-from .frames import GrayFrame, load_frame, load_rgb_frame, write_pgm
-from .hornschunck import FlowField, FlowParams, NonFiniteFlowError, estimate_flow, bilinear_resize, warp_bilinear
+from .frames import GrayFrame, frame_shape, load_frame, load_rgb_frame, write_pgm
+from .hornschunck import FlowField, FlowParams, NonFiniteFlowError, estimate_flow, stack_size, bilinear_resize, warp_bilinear
 from .strain import StrainMap, compute_strain
 from .flowimage import (
     OpticalFlowImage,
@@ -13,6 +13,7 @@ from .flowimage import (
 
 __all__ = [
     "GrayFrame",
+    "frame_shape",
     "load_frame",
     "load_rgb_frame",
     "write_pgm",
@@ -20,6 +21,7 @@ __all__ = [
     "FlowParams",
     "NonFiniteFlowError",
     "estimate_flow",
+    "stack_size",
     "bilinear_resize",
     "warp_bilinear",
     "StrainMap",

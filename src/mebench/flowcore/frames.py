@@ -73,16 +73,13 @@ def _tokenize_pnm_header(data: bytes, n_tokens: int):
     return tokens, i
 
 
-def _read_pnm(path) -> tuple[np.ndarray, int]:
-    """Read a P2/P3/P5/P6 file; return (pixels as (H,W) or (H,W,3) float in [0,1], channels)."""
-    path = Path(path)
-    data = path.read_bytes()
+def _pnm_header(path: Path, data: bytes) -> tuple[bytes, int, int, int, int]:
+    """(magic, width, height, maxval, header length after the magic) of a P2/P3/P5/P6 file's bytes."""
     if len(data) < 2:
         raise RasterFormatError(f"{path}: not a portable graymap/pixmap")
     magic = data[:2]
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise RasterFormatError(f"{path}: unsupported format magic {magic!r}")
-    channels = 3 if magic in (b"P3", b"P6") else 1
     tokens, offset = _tokenize_pnm_header(data[2:], 3)
     try:
         width, height, maxval = (int(t) for t in tokens)
@@ -92,6 +89,15 @@ def _read_pnm(path) -> tuple[np.ndarray, int]:
         raise RasterFormatError(f"{path}: zero-sized image ({width}x{height})")
     if maxval <= 0 or maxval > 65535:
         raise RasterFormatError(f"{path}: invalid maxval {maxval}")
+    return magic, width, height, maxval, offset
+
+
+def _read_pnm(path) -> tuple[np.ndarray, int]:
+    """Read a P2/P3/P5/P6 file; return (pixels as (H,W) or (H,W,3) float in [0,1], channels)."""
+    path = Path(path)
+    data = path.read_bytes()
+    magic, width, height, maxval, offset = _pnm_header(path, data)
+    channels = 3 if magic in (b"P3", b"P6") else 1
     count = width * height * channels
     if magic in (b"P5", b"P6"):
         payload = data[2 + offset :]
@@ -126,6 +132,15 @@ def load_frame(path) -> GrayFrame:
         r, g, b = pixels[..., 0], pixels[..., 1], pixels[..., 2]
         pixels = LUMA_WEIGHTS[0] * r + LUMA_WEIGHTS[1] * g + LUMA_WEIGHTS[2] * b
     return GrayFrame(values=pixels)
+
+
+def frame_shape(path) -> tuple[int, int]:
+    """The (H, W) of the frame load_frame would load, read from the file's header alone."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"frame file not found: {path}")
+    _, width, height, _, _ = _pnm_header(path, path.read_bytes())
+    return height, width
 
 
 def load_rgb_frame(path) -> np.ndarray:

@@ -21,6 +21,8 @@ clip's bits are those of its one-pair solve. Stacking pays only while a
 step is call-bound: a chunk holds at most _CHUNK_CELLS padded cells, so
 25 clips share a step at 16 px and 7 at 32 px, while each 64 px and
 128 px clip runs alone (at 128 px, two clips per step were slower than one).
+`stack_size` is how many pairs a caller should stack: those that fill
+one chunk of a shared level, within a memory cap.
 
 The flow convention is
 
@@ -58,6 +60,8 @@ _AVG_TAPS = tuple(
 _MIN_SIDE = 8  # coarsest pyramid level is never smaller than this
 # Padded cells (both planes) per Jacobi chunk: 25 clips at 16 px, 7 at 32 px, 1 at 64 px and up.
 _CHUNK_CELLS = 2**14
+# Onset pixels per stack_size stack: each clip's pyramids and flow cost ~1.2 MB at 128 px.
+_STACK_PIXELS = 2**15
 
 
 class NonFiniteFlowError(DataError):
@@ -210,28 +214,53 @@ def _solve_chunk(im1, im2, u, v, alpha, iterations):
     v += padded[:, 1, 1:-1, 1:-1]
 
 
+def _chunk_clips(h: int, w: int) -> int:
+    """How many (h, w) clips one Jacobi chunk takes: as many as fit _CHUNK_CELLS padded cells, at least one."""
+    return max(1, _CHUNK_CELLS // (2 * (h + 2) * (w + 2)))
+
+
 def _solve_level(im1, im2, u, v, alpha, iterations):
-    """Refine the (n, H, W) flow stacks u, v in place on one pyramid level, one chunk of at most
-    _CHUNK_CELLS padded cells at a time; `im1`, `im2` are sequences of each clip's (H, W) frames."""
+    """Refine the (n, H, W) flow stacks u, v in place on one pyramid level, one chunk of
+    _chunk_clips clips at a time; `im1`, `im2` are sequences of each clip's (H, W) frames."""
     n, h, w = u.shape
-    chunk = max(1, _CHUNK_CELLS // (2 * (h + 2) * (w + 2)))
+    chunk = _chunk_clips(h, w)
     for part in (slice(start, start + chunk) for start in range(0, n, chunk)):
         _solve_chunk(im1[part], im2[part], u[part], v[part], alpha, iterations)
 
 
+def _level_shapes(h: int, w: int, levels: int, scale: float) -> list[tuple[int, int]]:
+    """The (H, W) of each pyramid level, finest first; stops early when a side would drop below 8 px."""
+    shapes = [(h, w)]
+    for _ in range(1, levels):
+        new = (int(round(shapes[-1][0] * scale)), int(round(shapes[-1][1] * scale)))
+        if min(new) < _MIN_SIDE or new == shapes[-1]:
+            break
+        shapes.append(new)
+    return shapes
+
+
 def _pyramid(values: np.ndarray, levels: int, scale: float) -> list[np.ndarray]:
-    """Image pyramid, finest first; stops early when a side would drop below 8 px."""
+    """Image pyramid of _level_shapes, finest first."""
     out = [values]
     sigma = 0.5 * np.sqrt(max(1.0 / (scale * scale) - 1.0, 0.0))
-    for _ in range(1, levels):
-        prev = out[-1]
-        new_h = int(round(prev.shape[0] * scale))
-        new_w = int(round(prev.shape[1] * scale))
-        if new_h < _MIN_SIDE or new_w < _MIN_SIDE or (new_h, new_w) == prev.shape:
-            break
-        smoothed = gaussian_filter(prev, sigma=sigma, mode="nearest") if sigma > 0 else prev
+    for new_h, new_w in _level_shapes(*values.shape, levels, scale)[1:]:
+        smoothed = gaussian_filter(out[-1], sigma=sigma, mode="nearest") if sigma > 0 else out[-1]
         out.append(bilinear_resize(smoothed, new_h, new_w))
     return out
+
+
+def stack_size(height: int, width: int, params: FlowParams | None = None) -> int:
+    """How many (height, width) pairs one estimate_flow stack should hold.
+
+    Enough to fill one chunk of the pyramid level whose chunk takes the
+    fewest clips above one (7 at 32 px), so that level runs no part-filled
+    chunk, and at most _STACK_PIXELS onset pixels: 7 pairs at 64 px and
+    32 px, 2 at 128 px, 25 at 16 px.
+    """
+    params = params or FlowParams()
+    shapes = _level_shapes(height, width, params.pyramid_levels, params.pyramid_scale)
+    shared = [c for c in (_chunk_clips(h, w) for h, w in shapes) if c > 1]
+    return max(1, min(min(shared, default=1), _STACK_PIXELS // (height * width)))
 
 
 def _upsample(flow: np.ndarray, h: int, w: int, scale: float) -> np.ndarray:

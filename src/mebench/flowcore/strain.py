@@ -44,15 +44,15 @@ class StrainMap:
             object.__setattr__(self, name, a)
 
     @property
-    def shape(self) -> tuple[int, ...]:
+    def shape(self) -> tuple[int, int]:
         return self.exx.shape
 
 
 def compute_strain(flow: FlowField) -> StrainMap:
-    """Symmetric flow gradient of a flow, or of each clip of a stack; non-finite input propagates into the output."""
-    # np.gradient: axis -2 is y (rows), axis -1 is x (columns)
-    dudy, dudx = np.gradient(flow.u, axis=(-2, -1))
-    dvdy, dvdx = np.gradient(flow.v, axis=(-2, -1))
+    """Symmetric flow gradient; non-finite input propagates into the output."""
+    # np.gradient: axis 0 is y (rows), axis 1 is x (columns)
+    dudy, dudx = np.gradient(flow.u)
+    dvdy, dvdx = np.gradient(flow.v)
     exx = dudx
     eyy = dvdy
     exy = 0.5 * (dudy + dvdx)

@@ -25,9 +25,11 @@ from .flowcore import (
     assemble_flow_image,
     compute_strain,
     estimate_flow,
+    frame_shape,
     load_frame,
     load_rgb_frame,
     read_flow_image,
+    stack_size,
     write_flow_image,
 )
 from .model import TrainSample
@@ -35,7 +37,6 @@ from .model.config import EMOTION_CLASSES, ETHNICITY_CLASSES
 from .runutil import cache_key, read_cache_entry, run_jobs, write_cache_entry
 
 BINARY_CLASSES = ("Negative", "NonNegative")
-_RUN_PIXELS = 2**15  # onset pixels per estimate_flow stack: each clip in a run costs ~1.2 MB at 128 px
 
 
 def emotion_index(record: SampleRecord) -> int:
@@ -81,44 +82,31 @@ def _read_fraction_triple(value) -> tuple | None:
     return tuple(value) if valid else None
 
 
-def _stack(frames: list) -> GrayFrame:
-    """One GrayFrame stack of the listed (H, W) arrays; empties the list, so the stack is their only copy."""
-    stack = np.stack(frames)
-    frames.clear()
-    return GrayFrame(stack)
+def _load_stack(paths) -> GrayFrame:
+    """One GrayFrame stack of the frames at paths; the loaded frames are dropped once stacked."""
+    return GrayFrame(np.stack([load_frame(path).values for path in paths]))
 
 
-def _flow_runs(items: list):
-    """Load the items' frames in order and yield (items, onset stack, apex stack) per run of
-    consecutive pairs that share their frame shapes, at most _RUN_PIXELS onset pixels each."""
-    run, onsets, apexes = [], [], []
-    for item in items:
-        onset, apex = load_frame(item[0].onset_path).values, load_frame(item[0].apex_path).values
-        if run and (
-            (onset.shape, apex.shape) != (onsets[0].shape, apexes[0].shape)
-            or (len(run) + 1) * onset.size > _RUN_PIXELS
-        ):
-            yield run, _stack(onsets), _stack(apexes)
-            run = []
-        run.append(item)
-        onsets.append(onset)
-        apexes.append(apex)
-    del onset, apex  # the last run's frames live on only in its stacks
-    yield run, _stack(onsets), _stack(apexes)
+def _flow_runs(pending: list, flow_params: FlowParams) -> list:
+    """Cut the pending records, in order, into runs of consecutive pairs that share their onset and
+    apex shapes (read from the frame headers), each at most stack_size pairs long."""
+    runs, last = [], None
+    for item in pending:
+        shapes = (frame_shape(item[0].onset_path), frame_shape(item[0].apex_path))
+        if shapes != last or len(runs[-1]) == stack_size(*shapes[0], flow_params):
+            runs.append([])
+            last = shapes
+        runs[-1].append(item)
+    return runs
 
 
 def _compute_flows(job: tuple) -> list:
-    """Worker for a non-empty slice of records: solve each run in one estimate_flow call, then
-    write its clips (the run's flow is freed before the next run is solved)."""
-    items, flow_params = job
-    done = []
-    for run, onsets, apexes in _flow_runs(items):
-        done += _write_flows(run, estimate_flow(onsets, apexes, flow_params))
-    return done
-
-
-def _write_flows(run: list, flow: FlowField) -> list:
-    """Write each clip's OFI file and sidecar from the run's flow stack; return (sample key, fraction triple) pairs."""
+    """Worker for one run: solve its pairs as one estimate_flow stack, then write each clip's OFI
+    file and sidecar; return (sample key, fraction triple) pairs."""
+    run, flow_params = job
+    onsets = _load_stack(item[0].onset_path for item in run)
+    apexes = _load_stack(item[0].apex_path for item in run)
+    flow = estimate_flow(onsets, apexes, flow_params)
     done = []
     for (record, out_path, sidecar, key), u, v in zip(run, flow.u, flow.v):
         clip = FlowField(u=u, v=v)
@@ -142,11 +130,10 @@ def materialize_flow_images(
     Beside each OFI file, a runutil cache entry (`.ofi.json`) keyed by the
     flow parameters and the bytes of the record's onset and apex frames
     holds the clip fractions. Unless force is set, a record whose OFI file
-    exists and whose entry is a hit is skipped. The rest are cut into
-    contiguous slices, one when workers is 1 and `workers` otherwise, which
-    go through runutil.run_jobs. A job solves each run of consecutive
-    same-shape pairs (at most _RUN_PIXELS pixels, so 8 clips at 64 px and
-    2 at 128 px) as one estimate_flow stack, then writes each clip's OFI
+    exists and whose entry is a hit is skipped. The rest are cut into runs
+    of consecutive same-shape pairs, each at most hornschunck.stack_size
+    long (7 clips at 64 px, 2 at 128 px), and each run is one
+    runutil.run_jobs job: one estimate_flow stack, then each clip's OFI
     file and entry. A clip's flow does not depend on its run, so results
     are identical regardless of worker count.
     """
@@ -163,11 +150,10 @@ def materialize_flow_images(
                 fractions[sample_key(record)] = fraction
                 continue
         pending.append((record, out_path, sidecar, key))
-    n, parts = len(pending), min(max(workers, 1), len(pending))
-    jobs = [(pending[i * n // parts : (i + 1) * n // parts], flow_params) for i in range(parts)]
+    jobs = [(run, flow_params) for run in _flow_runs(pending, flow_params)]
     for done in run_jobs(_compute_flows, jobs, workers):
         fractions.update(done)  # (sample key, fraction triple) pairs
-    return FlowStats(computed=n, cached=len(manifest.records) - n, clip_fractions=fractions)
+    return FlowStats(computed=len(pending), cached=len(manifest.records) - len(pending), clip_fractions=fractions)
 
 
 def load_train_samples(

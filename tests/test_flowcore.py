@@ -17,9 +17,11 @@ from mebench.flowcore import (
     bilinear_resize,
     compute_strain,
     estimate_flow,
+    frame_shape,
     load_frame,
     load_rgb_frame,
     read_flow_image,
+    stack_size,
     warp_bilinear,
     write_flow_image,
     write_pgm,
@@ -109,6 +111,31 @@ class TestLoadFrame:
         p.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
         with pytest.raises(DataError):
             load_frame(p)
+
+    @pytest.mark.parametrize(
+        "data, shape, loads",
+        [
+            (b"P5\n3 2\n255\n" + bytes(6), (2, 3), True),
+            (b"P6\n# w h\n1 4\n255\n" + bytes(12), (4, 1), True),
+            (b"P2\n2 3\n7\n0 1 2 3 4 5\n", (3, 2), True),
+            (b"P5\n4 4\n255\n" + bytes(3), (4, 4), False),  # truncated pixels: only the header is read
+        ],
+    )
+    def test_frame_shape_reads_the_header(self, tmp_path, data, shape, loads):
+        p = tmp_path / "f.pnm"
+        p.write_bytes(data)
+        assert frame_shape(p) == shape
+        if loads:
+            assert load_frame(p).values.shape == shape
+
+    @pytest.mark.parametrize("data", [b"XY\n2 2\n255\n", b"P5\n0 2\n255\n", b"P5\n2 2\n", b"P5\n2 x\n255\n"])
+    def test_frame_shape_refuses_a_bad_header(self, tmp_path, data):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(data)
+        with pytest.raises(DataError):
+            frame_shape(p)
+        with pytest.raises(FileNotFoundError):
+            frame_shape(tmp_path / "nope.pgm")
 
     def test_values_out_of_range_rejected(self):
         with pytest.raises(DataError):
@@ -354,7 +381,28 @@ def assert_stack_matches_pairs(onsets, apexes, params=None):
 class TestFlowStacks:
     def test_26_clips_cross_the_16px_chunk(self):
         # the coarsest level of a 64 px pair is 16 px: 2 planes of 18 x 18 padded cells per clip
-        assert hornschunck._CHUNK_CELLS // (2 * 18 * 18) == 25
+        assert hornschunck._chunk_clips(16, 16) == hornschunck._CHUNK_CELLS // (2 * 18 * 18) == 25
+
+    @pytest.mark.parametrize(
+        "side, params, size",
+        [
+            (64, None, 7),  # fills one 32 px chunk
+            (32, None, 7),
+            (16, None, 25),
+            (48, None, 3),
+            (128, None, 2),  # the memory cap
+            (256, None, 1),
+            (64, FlowParams(pyramid_levels=1), 1),  # no level shares a chunk
+            (64, FlowParams(pyramid_levels=4), 7),
+        ],
+    )
+    def test_stack_size(self, side, params, size):
+        assert stack_size(side, side, params) == size
+
+    def test_a_64px_stack_fills_its_32px_chunk(self):
+        assert stack_size(64, 64) == hornschunck._chunk_clips(32, 32)
+        assert hornschunck._level_shapes(64, 64, 3, 0.5) == [(64, 64), (32, 32), (16, 16)]
+        assert [level.shape for level in _pyramid(np.zeros((37, 64)), 5, 0.5)] == hornschunck._level_shapes(37, 64, 5, 0.5)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 26])
     def test_each_clip_matches_its_pair_at_64px(self, n):
@@ -393,16 +441,6 @@ class TestFlowStacks:
             FlowField(u=np.zeros((2, 8, 9)), v=np.zeros((3, 8, 9)))
         with pytest.raises(DataError):
             FlowField(u=np.zeros((1, 2, 8, 9)), v=np.zeros((1, 2, 8, 9)))
-
-    def test_strain_of_a_stack_is_each_clips_strain(self):
-        onsets, apexes = textured_pairs(2, 24)
-        flow = estimate_flow(GrayFrame(onsets), GrayFrame(apexes), FlowParams(iterations=10))
-        strain = compute_strain(flow)
-        for i in range(2):
-            alone = compute_strain(FlowField(u=flow.u[i], v=flow.v[i]))
-            assert np.array_equal(bits(strain.magnitude[i]), bits(alone.magnitude))
-            assert np.array_equal(bits(strain.exy[i]), bits(alone.exy))
-
 
 # ---------------------------------------------------------------- strain
 

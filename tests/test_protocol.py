@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mebench import pipeline
+from mebench.flowcore import hornschunck
 from mebench.corpus import (
     Dataset,
     MappedEmotion,
@@ -856,16 +857,16 @@ def flow_files(flow_dir):
 
 
 @pytest.mark.parametrize(
-    "run_pixels, runs",
+    "stack_pixels, runs",
     [
-        (pipeline._RUN_PIXELS, [(2, 32), (1, 48), (1, 32), (2, 48), (3, 32), (3, 48)]),
+        (hornschunck._STACK_PIXELS, [(2, 32), (1, 48), (1, 32), (2, 48), (3, 32), (3, 48)]),
         # at most two 32 px clips, and one 48 px clip, per stack
         (2 * 32 * 32, [(2, 32), (1, 48), (1, 32), (1, 48), (1, 48), (2, 32), (1, 32), (1, 48), (1, 48), (1, 48)]),
     ],
 )
-def test_mixed_size_runs_match_one_pair_solves(mixed_sizes, tmp_path, monkeypatch, run_pixels, runs):
+def test_mixed_size_runs_match_one_pair_solves(mixed_sizes, tmp_path, monkeypatch, stack_pixels, runs):
     manifest, expected = mixed_sizes
-    monkeypatch.setattr(pipeline, "_RUN_PIXELS", run_pixels)
+    monkeypatch.setattr(hornschunck, "_STACK_PIXELS", stack_pixels)
     shapes = solved_runs(monkeypatch)
     stats = materialize_flow_images(manifest, _MIXED_PARAMS, tmp_path / "w1")
     assert shapes == [(n, side, side) for n, side in runs]
@@ -895,6 +896,20 @@ def test_a_cache_hit_inside_a_run_is_skipped(mixed_sizes, tmp_path, monkeypatch)
     assert {name: data for name, data in flow_files(flow_dir).items() if name != kept.name} == {
         name: data for name, data in expected.items() if name != kept.name
     }
+
+
+@pytest.mark.parametrize("workers, written", [(1, [0, 1, 2, 3]), (2, [0, 1, 2, 3, 6, 7, 8, 9, 10, 11])])
+def test_a_bad_frame_costs_only_its_run(mixed_sizes, tmp_path, workers, written):
+    manifest, expected = mixed_sizes
+    records = list(manifest.records)
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(Path(records[5].apex_path).read_bytes()[:-1])  # header intact, one pixel short
+    records[5] = replace(records[5], apex_path=str(bad))  # the second of a run of two 48 px clips
+    with pytest.raises(DataError, match="truncated pixel data"):
+        materialize_flow_images(build_manifest(records, provenance={}), _MIXED_PARAMS, tmp_path / "flows", workers=workers)
+    # one worker stops at the bad run; a pool still solves every other run
+    names = [pipeline.flow_image_path(tmp_path / "flows", records[i]).name for i in written]
+    assert flow_files(tmp_path / "flows") == {n: expected[n] for name in names for n in (name, name + ".json")}
 
 
 def test_changed_frame_recomputes_only_its_flow(tmp_path):
