@@ -29,10 +29,10 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates
 
 from ..errors import ConfigError
 from ..flowcore import write_pgm
+from ..flowcore.hornschunck import gaussian_smooth, sample_bilinear
 from ..runutil import atomic_write_text, derived_rng, to_json_dict
 from .manifest import Manifest, build_manifest, save_manifest
 from .records import Dataset, Gender, RawEthnicity, SampleRecord, finalize_mappings
@@ -105,7 +105,7 @@ def _shifted_profile(emotion: str, shift: float) -> tuple[tuple[float, float], f
 
 def make_base_texture(size: int, rng: np.random.Generator, smooth_sigma: float) -> np.ndarray:
     """Band-limited noise texture in [0.2, 0.8]; sigma sets the frequency band."""
-    t = gaussian_filter(rng.random((size, size)), sigma=smooth_sigma, mode="nearest")
+    t = gaussian_smooth(rng.random((size, size)), smooth_sigma)
     t = (t - t.min()) / max(t.max() - t.min(), 1e-12)
     return 0.2 + 0.6 * t
 
@@ -129,7 +129,7 @@ def render_clip(
     theta = math.radians(angle_deg)
     dx = amplitude * math.cos(theta) * envelope
     dy = amplitude * math.sin(theta) * envelope
-    apex = map_coordinates(base, [ys - dy, xs - dx], order=1, mode="nearest")
+    apex = sample_bilinear(base, ys - dy, xs - dx)
     return base, np.clip(apex, 0.0, 1.0)
 
 

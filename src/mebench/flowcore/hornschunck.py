@@ -24,6 +24,13 @@ step is call-bound: a chunk holds at most _CHUNK_CELLS padded cells, so
 `stack_size` is how many pairs a caller should stack: those that fill
 one chunk of a shared level, within a memory cap.
 
+The module needs numpy only. The stencil and the ports of the other
+`scipy.ndimage` filters the solver was built on (`sample_bilinear` for
+order-1 `map_coordinates`, `gaussian_smooth` for `gaussian_filter` and
+the 2x2 stencils of `_derivatives` for `correlate`, all in `nearest`
+mode) repeat scipy's float64 operations in its order, and tests pin each
+to scipy, bit for bit.
+
 The flow convention is
 
     onset(x, y) ~= apex(x + u(x, y), y + v(x, y))
@@ -37,10 +44,10 @@ order, no data-dependent stopping.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate, gaussian_filter, map_coordinates
 
 from ..errors import ConfigError, DataError
 from .frames import GrayFrame
@@ -110,6 +117,102 @@ class FlowField:
         return self.u.shape
 
 
+def _edge_pad(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """x (..., H, W) in a new array, with `rows` copies of its edge rows above and below
+    and `cols` copies of its edge columns at each side."""
+    h, w = x.shape[-2:]
+    out = np.empty((*x.shape[:-2], h + 2 * rows, w + 2 * cols))
+    out[..., rows:rows + h, cols:cols + w] = x
+    out[..., :rows, cols:cols + w] = x[..., :1, :]
+    out[..., rows + h:, cols:cols + w] = x[..., -1:, :]
+    out[..., :cols] = out[..., cols:cols + 1]
+    out[..., cols + w:] = out[..., cols + w - 1:cols + w]
+    return out
+
+
+def _corner_weights(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Along one axis of length n: the lower corner's weight 1 - (c - floor(c)), from the unclamped
+    coordinate, and floor(c) clamped to [-1, n - 1], each in a new array."""
+    lower = np.floor(coords)
+    w0 = np.subtract(coords, lower)
+    np.subtract(1.0, w0, out=w0)
+    np.clip(lower, -1.0, n - 1.0, out=lower)
+    return w0, lower
+
+
+def sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """img (H, W) sampled at the 2-D coordinates (ys, xs), which broadcast together, bilinear and edge-clamped.
+
+    Bit-identical to `scipy.ndimage.map_coordinates(img, [ys, xs], order=1, mode="nearest")`:
+    along each axis the upper weight is 1 - w0, and the corner indices floor(c) and
+    floor(c) + 1 are clamped to the frame (here: read from a 1 px edge-padded copy),
+    while the weights keep the unclamped coordinate; the products (value * wy) * wx
+    are summed from 0.0 in row-major corner order. A row and a column of coordinates
+    give a separable grid, whose weights are computed once per row and per column.
+    Coordinates must be finite: a NaN has no index.
+    """
+    h, w = img.shape
+    padded = _edge_pad(img, 1, 1).reshape(-1)
+    wy0, row = _corner_weights(ys, h)
+    wx0, col = _corner_weights(xs, w)
+    # flat index of each sample's upper-left corner in the padded copy; the other three follow it
+    row *= w + 2
+    row += w + 3
+    base = np.empty(np.broadcast_shapes(row.shape, col.shape), dtype=np.intp)
+    np.add(row, col, out=base, casting="unsafe")
+    wy1 = np.subtract(1.0, wy0, out=row)
+    wx1 = np.subtract(1.0, wx0, out=col)
+    # the indices are in range by construction; mode "clip" (unlike "raise") lets take fill `term` unbuffered
+    out = np.take(padded, base, mode="clip")
+    out *= wy0
+    out *= wx0
+    out += 0.0
+    term = np.empty_like(out)
+    for offset, wy, wx in ((1, wy0, wx1), (w + 2, wy1, wx0), (w + 3, wy1, wx1)):
+        np.take(padded[offset:], base, out=term, mode="clip")
+        term *= wy
+        term *= wx
+        out += term
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """The centre and right half of `gaussian_filter`'s kernel, read-only:
+    exp(-x^2 / 2 sigma^2) / sum over |x| <= int(4 sigma + 0.5)."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    weights = (phi / phi.sum())[radius:]
+    weights.flags.writeable = False
+    return weights
+
+
+def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of img (H, W), bit-identical to `scipy.ndimage.gaussian_filter(img, sigma, mode="nearest")`
+    for sigma > 1e-15.
+
+    Like scipy's symmetric `correlate1d`, each pass (axis 0, then axis 1) starts from
+    centre * w0 and adds (x[-k] + x[+k]) * w_k for k from the radius down to 1. The
+    edge columns padded for the second pass are smoothed by the first, which gives
+    them the values that the second pass's edge extension would.
+    """
+    weights = _gaussian_weights(sigma)
+    r = len(weights) - 1
+    out = _edge_pad(img, r, r)
+    for axis in (0, 1):
+        padded = out.swapaxes(0, axis)
+        n = len(padded) - 2 * r
+        acc = padded[r:r + n] * weights[0]
+        pair = np.empty_like(acc)
+        for k in range(r, 0, -1):
+            np.add(padded[r - k:r - k + n], padded[r + k:r + k + n], out=pair)
+            pair *= weights[k]
+            acc += pair
+        out = acc.swapaxes(0, axis)
+    return out
+
+
 def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     """Deterministic bilinear resize with corner-aligned sample coordinates."""
     h, w = img.shape
@@ -117,8 +220,7 @@ def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
         return img.copy()
     ys = np.linspace(0.0, h - 1.0, new_h) if new_h > 1 else np.zeros(1)
     xs = np.linspace(0.0, w - 1.0, new_w) if new_w > 1 else np.zeros(1)
-    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    return map_coordinates(img, [grid_y, grid_x], order=1, mode="nearest")
+    return sample_bilinear(img, ys[:, None], xs[None, :])
 
 
 def warp_bilinear(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -127,19 +229,23 @@ def warp_bilinear(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     Exact at zero displacement: integer coordinates reproduce img bit-for-bit.
     """
     h, w = img.shape
-    grid_y, grid_x = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    return map_coordinates(img, [grid_y + v, grid_x + u], order=1, mode="nearest")
+    return sample_bilinear(img, v + np.arange(h, dtype=np.float64)[:, None], u + np.arange(w, dtype=np.float64))
 
 
 def _derivatives(im1: np.ndarray, im2: np.ndarray):
-    """Spatial/temporal derivative estimates averaged over the frame pair (2x2 stencils)."""
-    kx = np.array([[[-1, 1], [-1, 1]]], dtype=np.float64) * 0.25
-    ky = np.array([[[-1, -1], [1, 1]]], dtype=np.float64) * 0.25
-    kt = np.ones((1, 2, 2), dtype=np.float64) * 0.25
-    pair = np.stack([im1, im2])
-    cx = correlate(pair, kx, mode="nearest")
-    cy = correlate(pair, ky, mode="nearest")
-    ct = correlate(pair, kt, mode="nearest")
+    """Spatial/temporal derivative estimates averaged over the frame pair (2x2 stencils).
+
+    Each frame's stencil sum has the bits of `correlate(frame, k, mode="nearest")` for
+    its 2x2 kernel k of +-0.25: the taps at row and column offsets (-1, 0) of the
+    edge-replicated frame, summed in row-major order from 0.0. A tap's product is
+    `value * 0.25`, negated for a -0.25 weight, which IEEE arithmetic gives exactly.
+    """
+    q = _edge_pad(np.stack([im1, im2]), 1, 1)
+    q *= 0.25
+    a, b, c, d = q[:, :-2, :-2], q[:, :-2, 1:-1], q[:, 1:-1, :-2], q[:, 1:-1, 1:-1]
+    cx = 0.0 - a + b - c + d
+    cy = 0.0 - a - b + c + d
+    ct = 0.0 + a + b + c + d
     return cx[0] + cx[1], cy[0] + cy[1], ct[1] - ct[0]
 
 
@@ -244,7 +350,7 @@ def _pyramid(values: np.ndarray, levels: int, scale: float) -> list[np.ndarray]:
     out = [values]
     sigma = 0.5 * np.sqrt(max(1.0 / (scale * scale) - 1.0, 0.0))
     for new_h, new_w in _level_shapes(*values.shape, levels, scale)[1:]:
-        smoothed = gaussian_filter(out[-1], sigma=sigma, mode="nearest") if sigma > 0 else out[-1]
+        smoothed = gaussian_smooth(out[-1], sigma) if sigma > 0 else out[-1]
         out.append(bilinear_resize(smoothed, new_h, new_w))
     return out
 
@@ -301,7 +407,7 @@ def estimate_flow(onset: GrayFrame, apex: GrayFrame, params: FlowParams | None =
         if u.shape[1:] != (h, w):
             u, v = _upsample(u, h, w, w / u.shape[2]), _upsample(v, h, w, h / u.shape[1])
         _solve_level(im1, im2, u, v, params.smoothness_alpha, params.iterations)
-
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise NonFiniteFlowError("flow solver produced non-finite values")
+        # before the next level's warp samples at x + u, y + v
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise NonFiniteFlowError(f"flow solver produced non-finite values on the {h}x{w} pyramid level")
     return FlowField(u=u.reshape(onset.values.shape), v=v.reshape(onset.values.shape))

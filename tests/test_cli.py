@@ -1040,11 +1040,39 @@ def test_path_naming_a_directory_is_data_error(synth_run, loso_run, tmp_path, ca
     assert not out.exists()
 
 
-def test_cli_import_loads_no_process_pool():
-    # the pool is imported only when a command fans out to workers, so a serial run never pays for it
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -c code args` in a fresh interpreter that imports this checkout's mebench."""
     src = str(Path(mebench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=False)
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported only when a command fans out to workers, so a serial run never pays for it
     pool_modules = ("concurrent.futures.process", "multiprocessing")
-    code = f"import sys, mebench.cli; print([m for m in {pool_modules!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    result = _run_python(f"import sys, mebench.cli; print([m for m in {pool_modules!r} if m in sys.modules])")
+    assert (result.returncode, result.stdout.strip()) == (0, "[]")
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, mebench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = _run_python(code)
+    assert (result.returncode, result.stdout.strip()) == (0, "[]")
+
+
+# the program's own entry point, in an interpreter where any import of scipy fails
+_MAIN_WITHOUT_SCIPY = (
+    "import sys; sys.modules['scipy'] = None; from mebench.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    version = _run_python(_MAIN_WITHOUT_SCIPY, "--version")
+    assert (version.returncode, version.stdout.strip()) == (0, f"mebench {mebench.__version__}")
+    corpus, flows = tmp_path / "synth", tmp_path / "flows"
+    manifest = _run_python(_MAIN_WITHOUT_SCIPY, "manifest", "--synth", "--out", str(corpus),
+                           "--subjects-per-group", "1", "--clips-per-subject", "1", "--image-size", "32")
+    assert manifest.returncode == 0, manifest.stderr
+    flow = _run_python(_MAIN_WITHOUT_SCIPY, "flow", "--manifest", str(corpus / "manifest.jsonl"), "--out", str(flows))
+    assert flow.returncode == 0, flow.stderr
+    assert len(list(flows.glob("*.ofi"))) == 2

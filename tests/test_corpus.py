@@ -1,9 +1,12 @@
 import json
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter, map_coordinates
 
 from mebench.corpus import (
     AnnotationError,
@@ -33,6 +36,7 @@ from mebench.corpus import (
 )
 from mebench.corpus.corrections import StaleRuleWarning
 from mebench.corpus.manifest import DanglingPathError, DuplicateKeyError, MissingColumnError
+from mebench.corpus.synth import make_base_texture, render_clip
 from mebench.errors import DataError
 from mebench.flowcore import GrayFrame, write_pgm
 from mebench.runutil import from_json_dict, to_json_dict
@@ -475,6 +479,47 @@ class TestSynthCorpus:
     def test_invalid_spec(self):
         with pytest.raises(Exception):
             SynthSpec(image_size=16)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestSynthMatchesScipy:
+    """The texture and the apex render against the scipy.ndimage expressions they replaced, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([8, 13, 32, 64]), st.sampled_from([5.0, 1.5]))
+    def test_base_texture(self, seed, size, sigma):
+        # at 8 px the sigma-5 kernel's radius (20 px) is longer than the side
+        got = make_base_texture(size, np.random.Generator(np.random.PCG64(seed)), sigma)
+        noise = np.random.Generator(np.random.PCG64(seed)).random((size, size))
+        t = gaussian_filter(noise, sigma=sigma, mode="nearest")
+        t = (t - t.min()) / max(t.max() - t.min(), 1e-12)
+        assert np.array_equal(bits(got), bits(0.2 + 0.6 * t))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(8, 48),
+        st.floats(-20.0, 70.0),
+        st.floats(-20.0, 70.0),
+        st.one_of(st.sampled_from([0.0, 90.0, 180.0, -90.0]), st.floats(-180.0, 180.0)),
+        st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(50.0, 5e3)),
+        st.floats(0.5, 12.0),
+    )
+    def test_render_clip(self, seed, size, cx, cy, angle, amplitude, sigma):
+        # amplitude 0 and axis-aligned angles sample at whole pixels; large amplitudes sample far outside the frame
+        base = make_base_texture(size, np.random.Generator(np.random.PCG64(seed)), 1.5)
+        onset, apex = render_clip(base, (cx, cy), angle, amplitude, sigma)
+        ys, xs = np.meshgrid(np.arange(size, dtype=float), np.arange(size, dtype=float), indexing="ij")
+        envelope = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
+        theta = math.radians(angle)
+        dx = amplitude * math.cos(theta) * envelope
+        dy = amplitude * math.sin(theta) * envelope
+        expected = map_coordinates(base, [ys - dy, xs - dx], order=1, mode="nearest")
+        assert onset is base
+        assert np.array_equal(bits(apex), bits(np.clip(expected, 0.0, 1.0)))
 
 
 @pytest.fixture(scope="session")

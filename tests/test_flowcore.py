@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import correlate, gaussian_filter
+from scipy.ndimage import correlate, gaussian_filter, map_coordinates
 
 from mebench.errors import ConfigError, DataError
 from mebench.flowcore import (
@@ -14,6 +14,7 @@ from mebench.flowcore import (
     FlowParams,
     GrayFrame,
     assemble_flow_image,
+    NonFiniteFlowError,
     bilinear_resize,
     compute_strain,
     estimate_flow,
@@ -28,7 +29,15 @@ from mebench.flowcore import (
 )
 from mebench.flowcore.flowimage import BadMagicError, TruncatedFileError
 from mebench.flowcore import hornschunck
-from mebench.flowcore.hornschunck import _AVG_KERNEL, _AVG_WEIGHTS, _neighbour_average, _pyramid
+from mebench.flowcore.hornschunck import (
+    _AVG_KERNEL,
+    _AVG_WEIGHTS,
+    _derivatives,
+    _neighbour_average,
+    _pyramid,
+    gaussian_smooth,
+    sample_bilinear,
+)
 
 
 def smooth_texture(h, w, seed, sigma=3.0):
@@ -193,6 +202,26 @@ class TestEstimateFlow:
         a = GrayFrame(np.zeros((4, 4)))
         with pytest.raises(DataError):
             estimate_flow(a, a)
+
+    def test_non_finite_flow_is_refused_before_the_next_warp(self, monkeypatch):
+        # alpha^2 underflows to 0, so the flat patch divides 0 by 0 on the coarsest level; the NaN flow
+        # must stop there, not reach the next level's warp as a sampling coordinate
+        rng = np.random.Generator(np.random.PCG64(4))
+        tex = 0.1 + 0.8 * rng.random((64, 64))
+        tex[8:56, 8:56] = 0.5
+        apex = translate_frame(tex, 0.7, -0.4)
+        warped = []
+
+        def finite_warp(img, u, v):
+            warped.append(np.isfinite(u).all() and np.isfinite(v).all())
+            return warp_bilinear(img, u, v)
+
+        monkeypatch.setattr(hornschunck, "warp_bilinear", finite_warp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteFlowError, match="16x16 pyramid level"):
+                estimate_flow(GrayFrame(tex), GrayFrame(apex), FlowParams(smoothness_alpha=1e-200))
+        assert warped == [True]
+        assert issubclass(NonFiniteFlowError, DataError)  # exit 3 from the CLI
 
 
 # ---------------------------------------------------------------- Jacobi stencil
@@ -441,6 +470,130 @@ class TestFlowStacks:
             FlowField(u=np.zeros((2, 8, 9)), v=np.zeros((3, 8, 9)))
         with pytest.raises(DataError):
             FlowField(u=np.zeros((1, 2, 8, 9)), v=np.zeros((1, 2, 8, 9)))
+
+# ---------------------------------------------------------------- scipy.ndimage ports
+
+
+def scipy_warp(img, u, v):
+    """warp_bilinear as it was written on scipy."""
+    h, w = img.shape
+    grid_y, grid_x = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    return map_coordinates(img, [grid_y + v, grid_x + u], order=1, mode="nearest")
+
+
+def scipy_resize(img, new_h, new_w):
+    """bilinear_resize as it was written on scipy."""
+    h, w = img.shape
+    if (new_h, new_w) == (h, w):
+        return img.copy()
+    ys = np.linspace(0.0, h - 1.0, new_h) if new_h > 1 else np.zeros(1)
+    xs = np.linspace(0.0, w - 1.0, new_w) if new_w > 1 else np.zeros(1)
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    return map_coordinates(img, [grid_y, grid_x], order=1, mode="nearest")
+
+
+def scipy_pyramid(values, levels, scale):
+    """_pyramid as it was written on scipy."""
+    out = [values]
+    sigma = 0.5 * np.sqrt(max(1.0 / (scale * scale) - 1.0, 0.0))
+    for new_h, new_w in hornschunck._level_shapes(*values.shape, levels, scale)[1:]:
+        smoothed = gaussian_filter(out[-1], sigma=sigma, mode="nearest") if sigma > 0 else out[-1]
+        out.append(scipy_resize(smoothed, new_h, new_w))
+    return out
+
+
+def awkward_values(rng, shape, spread):
+    """Uniform draws in [-spread, spread] with about a fifth rounded to integers and a tenth set to -0.0."""
+    values = rng.uniform(-spread, spread, size=shape)
+    whole = rng.random(shape) < 0.2
+    values[whole] = np.round(values[whole])
+    values[rng.random(shape) < 0.1] = -0.0
+    return values
+
+
+# displacement spreads: none, sub-pixel, a few pixels, and far outside any frame
+SPREADS = st.sampled_from([0.0, 0.5, 3.0, 1e3])
+
+
+class TestScipyPorts:
+    """Each numpy port against the scipy.ndimage expression it replaced, bit for bit. reference_flow calls the
+    module's own warp_bilinear, bilinear_resize and _pyramid, so the solver pins do not guard these."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 24), st.integers(1, 24), SPREADS)
+    def test_warp_bilinear(self, seed, h, w, spread):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        img = awkward_values(rng, (h, w), 100.0)
+        u, v = awkward_values(rng, (h, w), spread), awkward_values(rng, (h, w), spread)
+        assert np.array_equal(bits(warp_bilinear(img, u, v)), bits(scipy_warp(img, u, v)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 24), st.integers(1, 24), st.integers(1, 24), st.integers(1, 24),
+           st.booleans())
+    def test_sample_bilinear_at_any_coordinates(self, seed, h, w, out_h, out_w, separable):
+        # coordinates anywhere from far outside the frame to its far side, as a full field or a row and a column
+        rng = np.random.Generator(np.random.PCG64(seed))
+        img = awkward_values(rng, (h, w), 1.0)
+        shape_y, shape_x = ((out_h, 1), (1, out_w)) if separable else ((out_h, out_w), (out_h, out_w))
+        ys = awkward_values(rng, shape_y, 2.0 * h + 5.0)
+        xs = awkward_values(rng, shape_x, 2.0 * w + 5.0)
+        expected = map_coordinates(img, np.broadcast_arrays(ys, xs), order=1, mode="nearest")
+        assert np.array_equal(bits(sample_bilinear(img, ys, xs)), bits(expected))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 40), st.integers(1, 80), st.integers(1, 80))
+    def test_bilinear_resize(self, seed, h, w, new_h, new_w):
+        img = awkward_values(np.random.Generator(np.random.PCG64(seed)), (h, w), 50.0)
+        assert np.array_equal(bits(bilinear_resize(img, new_h, new_w)), bits(scipy_resize(img, new_h, new_w)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(8, 70), st.integers(8, 70), st.integers(1, 4),
+           st.sampled_from([0.5, 0.6, 0.75, 0.9]))
+    def test_pyramid(self, seed, h, w, levels, scale):
+        values = np.random.Generator(np.random.PCG64(seed)).random((h, w)) * 255.0
+        got, expected = _pyramid(values, levels, scale), scipy_pyramid(values, levels, scale)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert np.array_equal(bits(a), bits(b))
+
+    @pytest.mark.parametrize("side", [32, 64, 128])
+    def test_pyramid_at_the_flow_shapes(self, side):
+        values = smooth_texture(side, side, side) * 255.0
+        for a, b in zip(_pyramid(values, 3, 0.5), scipy_pyramid(values, 3, 0.5)):
+            assert np.array_equal(bits(a), bits(b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 30), st.integers(1, 30))
+    def test_derivatives(self, seed, h, w):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        im1, im2 = awkward_values(rng, (h, w), 255.0), awkward_values(rng, (h, w), 255.0)
+        for a, b in zip(_derivatives(im1, im2), _reference_derivatives(im1, im2)):
+            assert np.array_equal(bits(a), bits(b))
+
+    @pytest.mark.parametrize("first", ["+0", "-0", "columns", "rows"])
+    @pytest.mark.parametrize("second", ["+0", "-0", "columns", "rows"])
+    def test_derivatives_of_signed_zero_frames(self, first, second):
+        # every tap product is a zero, so only the sum's order and its 0.0 start set the sign of each result
+        zeros = {
+            "+0": np.zeros((5, 6)),
+            "-0": np.full((5, 6), -0.0),
+            "columns": np.tile([0.0, -0.0], (5, 3)),
+            "rows": np.tile([[0.0], [-0.0]], (3, 6))[:5],
+        }
+        im1, im2 = zeros[first], zeros[second]
+        for a, b in zip(_derivatives(im1, im2), _reference_derivatives(im1, im2)):
+            assert np.array_equal(bits(a), bits(b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 40),
+           st.one_of(st.sampled_from([0.5 * np.sqrt(3.0), 1.5, 5.0]), st.floats(0.01, 8.0)))
+    def test_gaussian_smooth(self, seed, h, w, sigma):
+        # sides from 1 px, far below the radius (20 px at sigma 5), up to the radius and beyond
+        img = awkward_values(np.random.Generator(np.random.PCG64(seed)), (h, w), 10.0)
+        got = gaussian_smooth(img, sigma)
+        assert got.flags.c_contiguous
+        assert np.array_equal(bits(got), bits(gaussian_filter(img, sigma=sigma, mode="nearest")))
+
 
 # ---------------------------------------------------------------- strain
 
