@@ -143,7 +143,8 @@ def _corner_weights(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 def sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """img (H, W) sampled at the 2-D coordinates (ys, xs), which broadcast together, bilinear and edge-clamped.
 
-    Bit-identical to `scipy.ndimage.map_coordinates(img, [ys, xs], order=1, mode="nearest")`:
+    In float64; of a float64 img, bit-identical to `scipy.ndimage.map_coordinates(img, [ys, xs], order=1,
+    mode="nearest")`:
     along each axis the upper weight is 1 - w0, and the corner indices floor(c) and
     floor(c) + 1 are clamped to the frame (here: read from a 1 px edge-padded copy),
     while the weights keep the unclamped coordinate; the products (value * wy) * wx
@@ -189,8 +190,8 @@ def _gaussian_weights(sigma: float) -> np.ndarray:
 
 
 def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian blur of img (H, W), bit-identical to `scipy.ndimage.gaussian_filter(img, sigma, mode="nearest")`
-    for sigma > 1e-15.
+    """Gaussian blur of img (H, W) in float64, bit-identical to `scipy.ndimage.gaussian_filter(img, sigma,
+    mode="nearest")` of a float64 img for sigma > 1e-15.
 
     Like scipy's symmetric `correlate1d`, each pass (axis 0, then axis 1) starts from
     centre * w0 and adds (x[-k] + x[+k]) * w_k for k from the radius down to 1. The
