@@ -18,14 +18,24 @@ for exactly these nodes (a node that cannot split draws nothing), in the
 same preorder, and no tree's draws depend on another tree's, so each tree
 is the one that grower makes, bit for bit.
 
-One `_best_splits` call then scores every node of the round (the CART
-criterion scan of Breiman 2001). The nodes are padded to the round's
-largest: padded values are +inf, which a stable sort puts last, and
-padded labels are a zero one-hot row. One sort, one prefix count and one
-whole-array Gini expression give every cut of every node. A cut past a
-node's last row or between equal values scores +inf, and every real cut
-keeps the expression and operands of a per-threshold loop, so its
-impurity is the float that loop would produce.
+`_best_splits` then scores the round's nodes (the CART criterion scan
+of Breiman 2001), in chunks of at most _CHUNK_CELLS cells (nodes x width
+x k x classes), largest nodes first, each chunk padded to its largest
+node: padded values are +inf, which a stable sort puts last, and padded
+labels match no class. The class axis is sized by the largest label + 1,
+so the budget bounds a round's memory when labels are sparse; a node is
+scored on its own, so chunking changes no bit. One sort, one prefix count
+per class and one whole-array Gini expression give every cut of every
+node. A cut past a node's last row or between equal values scores +inf,
+and every real cut keeps the expression and operands of a per-threshold
+loop, so its impurity is the float that loop would produce.
+
+That expression is `1.0 - (p * p).sum(axis=-1)` over the class shares.
+numpy's add.reduce adds fewer than 8 terms in sequence,
+`((a0 + a1) + a2) + ...`, so below 8 classes `_gini` makes the same adds
+elementwise over whole class planes and pays no reduction loop per row.
+From 8 terms numpy switches to 8-accumulator pairwise blocks, which no
+elementwise form reproduces, so 8 or more classes keep the `.sum`.
 
 A node's winner is the first candidate, features ascending then
 thresholds ascending, strictly below the best so far minus 1e-15. Each
@@ -50,6 +60,10 @@ from ..runutil import derived_rng
 
 
 MIN_LEAF = 2  # a split leaves at least this many training rows on each side
+# numpy's add.reduce sums fewer than 8 terms in sequence and 8 or more in pairwise blocks
+_PAIRWISE_FROM = 8
+# cells (nodes x width x k x classes) per split scan: each int64 or float64 temporary takes up to 512 KB
+_CHUNK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -84,9 +98,25 @@ class ForestModel:
 
 
 def _gini(class_counts: np.ndarray) -> np.ndarray:
-    """Gini impurity of each non-empty count vector along the last axis."""
-    p = class_counts / class_counts.sum(axis=-1, keepdims=True)
-    return 1.0 - (p * p).sum(axis=-1)
+    """Gini impurity of each non-empty count vector along the last axis.
+
+    Bit for bit `1.0 - (p * p).sum(axis=-1)` with `p` the class shares.
+    """
+    if class_counts.shape[-1] >= _PAIRWISE_FROM:
+        # a C-ordered `p` keeps the class axis in one run, which numpy's pairwise sum needs for these bits
+        p = np.divide(class_counts, class_counts.sum(axis=-1, keepdims=True), order="C")
+        return 1.0 - (p * p).sum(axis=-1)
+    planes = class_counts.T  # class planes first; `.T` turns the result back
+    # the totals are exact integers, and the squares add in sequence, as add.reduce does below 8 terms
+    shares = planes / sum(planes[1:], planes[0])
+    squares = shares * shares
+    return (1.0 - sum(squares[1:], squares[0])).T
+
+
+def _class_counts(labels, groups, n_groups: int, n_classes: int) -> np.ndarray:
+    """(n_groups, n_classes) counts: row g counts the labels whose group is g (the two broadcast together)."""
+    cells = (groups * n_classes + labels).ravel()
+    return np.bincount(cells, minlength=n_groups * n_classes).reshape(n_groups, n_classes)
 
 
 def _best_splits(x, y, rows, sizes, feature_ids, n_classes) -> list:
@@ -95,26 +125,26 @@ def _best_splits(x, y, rows, sizes, feature_ids, n_classes) -> list:
     Node b holds the rows rows[b, :sizes[b]] of (x, y) and scans the columns
     feature_ids[b]; every node scans the same number of columns, and the rest
     of its row of `rows` is padding. The padded columns are sorted together,
-    and a prefix sum of the one-hot labels gives the left class counts after
-    every sorted position, shape (nodes, width - 1, k, C).
+    and per class a prefix sum of label matches gives the left class counts
+    after every sorted position, shape (C, nodes, k, width - 1).
     """
     n_nodes, width = rows.shape
     real = np.arange(width) < sizes[:, None]
-    cols = np.where(real[:, :, None], x[rows[:, :, None], feature_ids[:, None, :]], np.inf)
-    order = np.argsort(cols, axis=1, kind="stable")
-    node = np.arange(n_nodes)[:, None, None]
-    sorted_vals = cols[node, order, np.arange(feature_ids.shape[1])]
-    labels = np.where(real, y[rows], n_classes)  # padding takes the zero row of the one-hot table
-    prefix = np.cumsum(np.eye(n_classes + 1, n_classes, dtype=np.int64)[labels[node, order]], axis=1)
-    left = prefix[:, :-1]
-    right = prefix[:, -1:] - left
-    n_left = np.arange(1, width, dtype=np.int64)[:, None]
+    cols = np.where(real[:, None, :], x[rows[:, None, :], feature_ids[:, :, None]], np.inf)  # (nodes, k, width)
+    order = np.argsort(cols, axis=2, kind="stable")
+    sorted_vals = np.take_along_axis(cols, order, axis=2)
+    labels = np.where(real, y[rows], -1)  # padding matches no class
+    sorted_labels = labels[np.arange(n_nodes)[:, None, None], order]
+    prefix = np.cumsum(sorted_labels == np.arange(n_classes)[:, None, None, None], axis=-1)
+    left = prefix[..., :-1]
+    right = prefix[..., -1:] - left
+    n_left = np.arange(1, width)
     n = sizes[:, None, None]
     n_right = n - n_left
     with np.errstate(divide="ignore", invalid="ignore"):  # an empty right side is no cut
-        impurity = (n_left * _gini(left) + n_right * _gini(right)) / n
-    impurity[(sorted_vals[:, :-1] == sorted_vals[:, 1:]) | (n_right < 1)] = np.inf
-    flat = impurity.transpose(0, 2, 1).reshape(n_nodes, -1)  # per node: feature-major, thresholds ascending
+        impurity = (n_left * _gini(np.moveaxis(left, 0, -1)) + n_right * _gini(np.moveaxis(right, 0, -1))) / n
+    impurity[(sorted_vals[..., :-1] == sorted_vals[..., 1:]) | (n_right < 1)] = np.inf
+    flat = impurity.reshape(n_nodes, -1)  # per node: feature-major, thresholds ascending
 
     # the strict-improvement walk, over each node's strict prefix-minimum records only
     running = np.minimum.accumulate(flat, axis=1)
@@ -131,7 +161,7 @@ def _best_splits(x, y, rows, sizes, feature_ids, n_classes) -> list:
             splits.append(None)
             continue
         column, i = divmod(pos, width - 1)
-        threshold = 0.5 * (sorted_vals[b, i, column] + sorted_vals[b, i + 1, column])
+        threshold = 0.5 * (sorted_vals[b, column, i] + sorted_vals[b, column, i + 1])
         splits.append((flat[b, pos], int(feature_ids[b, column]), float(threshold)))
     return splits
 
@@ -143,7 +173,6 @@ def _grow_trees(x, y, samples, rngs, n_classes: int, max_depth: int) -> list:
     """
     n_features = x.shape[1]
     k = max(1, int(np.sqrt(n_features)))
-    onehot = np.eye(n_classes, dtype=np.int64)
 
     def new_nodes(counts, sizes, depths):
         # one node per class-count row, and whether it may still split
@@ -152,18 +181,30 @@ def _grow_trees(x, y, samples, rngs, n_classes: int, max_depth: int) -> list:
         return nodes, may_split.tolist()
 
     samples = np.asarray(samples)
-    roots, may_split = new_nodes(onehot[y[samples]].sum(axis=1), np.full(len(samples), samples.shape[1]), 0)
+    n_trees, n = samples.shape
+    root_counts = _class_counts(y[samples], np.arange(n_trees)[:, None], n_trees, n_classes)
+    roots, may_split = new_nodes(root_counts, np.full(n_trees, n), 0)
     stacks = [[(root, rows, 0)] if ok else [] for root, rows, ok in zip(roots, samples, may_split)]
     while True:
         batch = [(tree, *stack.pop()) for tree, stack in enumerate(stacks) if stack]  # (tree, node, rows, depth)
         if not batch:
             return roots
-        feature_ids = np.array([np.sort(rngs[tree].choice(n_features, size=k, replace=False)) for tree, *_ in batch])
+        feature_ids = np.sort([rngs[tree].choice(n_features, size=k, replace=False) for tree, *_ in batch], axis=1)
         sizes = np.array([node_rows.size for _, _, node_rows, _ in batch])
         rows = np.zeros((len(batch), sizes.max()), dtype=np.int64)
         for b, (_, _, node_rows, _) in enumerate(batch):
             rows[b, : node_rows.size] = node_rows
-        splits = _best_splits(x, y, rows, sizes, feature_ids, n_classes)
+
+        # scan in chunks of at most _CHUNK_CELLS cells (or one node), largest nodes first, each padded to its largest
+        splits = [None] * len(batch)
+        by_size = np.argsort(-sizes, kind="stable")
+        step = max(1, _CHUNK_CELLS // (rows.shape[1] * k * n_classes))
+        for start in range(0, len(batch), step):
+            chunk = by_size[start : start + step]
+            width = sizes[chunk[0]]
+            chunk_splits = _best_splits(x, y, rows[chunk, :width], sizes[chunk], feature_ids[chunk], n_classes)
+            for b, split in zip(chunk.tolist(), chunk_splits):
+                splits[b] = split
 
         # a node splits only if its cut leaves MIN_LEAF rows on each side
         found = [b for b, split in enumerate(splits) if split is not None]
@@ -175,16 +216,15 @@ def _grow_trees(x, y, samples, rngs, n_classes: int, max_depth: int) -> list:
         n_right = sizes[found] - n_left
         kept = (n_left >= MIN_LEAF) & (n_right >= MIN_LEAF)
         split = [b for b, keep in zip(found, kept.tolist()) if keep]
-        goes_left = goes_left[kept]
-        labels = onehot[y[rows[split]]] * real[kept][:, :, None]
-        left_counts = (labels * goes_left[:, :, None]).sum(axis=1)
+        goes_left, real = goes_left[kept], real[kept]
+        n_split = len(split)
+        child = np.where(goes_left, 0, n_split) + np.arange(n_split)[:, None]  # left children first, then right ones
         depths = np.array([batch[b][3] + 1 for b in split] * 2)
         children, may_split = new_nodes(
-            np.concatenate([left_counts, labels.sum(axis=1) - left_counts]),
+            _class_counts(y[rows[split]][real], child[real], 2 * n_split, n_classes),
             np.concatenate([n_left[kept], n_right[kept]]),
             depths,
         )
-        n_split = len(split)
         for i, b in enumerate(split):
             tree, node, node_rows, depth = batch[b]
             _, node.feature, node.threshold = splits[b]

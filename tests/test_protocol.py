@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import struct
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -628,22 +629,48 @@ class TestBestSplitKernel:
         x = np.array([[4.0, 1.0, 0.0, 1.0, 4.0, 3.0, 1.0, 4.0, 3.0, 2.0]]).T
         y = np.array([1, 0, 1, 0, 0, 1, 0, 1, 0, 0])
         assert self.check(x, y, 2) == (0.4, 0, 0.5)
+        # the same node in one batch with nodes whose records are far apart: the cuts of the first score
+        # 1/3, 0, 1/3, and the first three of the last 0.4, 0.25, 0
+        nodes = [
+            (np.arange(4.0)[:, None], np.array([0, 0, 1, 1]), np.array([0])),
+            (x, y, np.array([0])),
+            (np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]), np.array([0])),
+        ]
+        assert _batch_splits(nodes, 2) == [(0.0, 0, 1.5), (0.4, 0, 0.5), (0.0, 0, 2.5)]
+        assert _batch_splits(nodes, 2) == [_scalar_best_split(*node, 2) for node in nodes]
 
-    @pytest.mark.parametrize("n_classes", [1, 2, 3, 9, 10])
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 7, 8, 9, 10])
     def test_class_counts(self, n_classes):
-        # 9 or more classes sum p*p through numpy's pairwise (unrolled) path
+        # up to 7 classes `_gini` adds p*p planes in sequence; 8 or more sum through numpy's pairwise path
         rng = np.random.default_rng(n_classes)
         for _ in range(30):
             x = rng.normal(size=(int(rng.integers(2, 60)), 6))
             y = rng.integers(0, n_classes, x.shape[0])
             self.check(x, y, n_classes, np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False)))
 
-    @pytest.mark.parametrize("n_classes", [1, 2, 3, 9, 10])
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 7, 8, 9, 10])
     def test_gini_rows_match_the_one_vector_form(self, n_classes):
         # node purity reads `_gini` of whole count matrices; each row must be the one-vector float
         counts = np.random.default_rng(n_classes).integers(0, 5, size=(200, n_classes))
         counts[counts.sum(axis=1) == 0, 0] = 1
         assert _gini(counts).tolist() == [_reference_gini(row) for row in counts]
+
+    @pytest.mark.parametrize("layout", ["class-last", "class-first"])
+    def test_gini_is_the_sum_expression_bit_for_bit(self, layout):
+        # every class count across numpy's switch from sequential to pairwise sums at 8 terms; the
+        # split scan passes a class-last view of class-first counts, so both layouts are pinned
+        rng = np.random.default_rng(40)
+        for n_classes in range(1, 41):
+            counts = rng.integers(0, 7, size=(3, 50, n_classes))
+            counts[:, :5] = 0  # all-zero rows give NaN
+            if layout == "class-first":
+                counts = np.moveaxis(np.ascontiguousarray(np.moveaxis(counts, -1, 0)), 0, -1)
+            with np.errstate(invalid="ignore"):
+                p = np.ascontiguousarray(counts) / counts.sum(axis=-1, keepdims=True)
+                expected = 1.0 - (p * p).sum(axis=-1)
+                got = _gini(counts)
+            assert got.shape == expected.shape and np.isnan(got[:, :5]).all()
+            assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), n_classes
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -709,6 +736,23 @@ class TestBestSplitKernel:
         lockstep = forest_train(x, y, config, seed=seed)
         reference = _reference_trees(x, y, config, seed)
         assert [_describe_tree(t) for t in lockstep.trees] == [_describe_tree(t) for t in reference]
+
+    def test_sparse_labels_are_scanned_in_bounded_memory(self):
+        # labels {0, 2000} size the class axis at 2001; the split scan's cell budget bounds the memory of
+        # a round of 20 primafacie-sized nodes, which held 316 MB at once in one unchunked scan
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(45, 32))
+        y = 2000 * (x[:, 0] + x[:, 5] - x[:, 9] + rng.normal(scale=1.0, size=45) > 0)
+        config = ForestConfig(n_trees=20, max_depth=8)
+        tracemalloc.start()
+        try:
+            model = forest_train(x, y, config, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        reference = _reference_trees(x, y, config, 7)
+        assert [_describe_tree(t) for t in model.trees] == [_describe_tree(t) for t in reference]
 
     def test_primafacie_sized_trees_are_pinned(self):
         # the shape of one primafacie-16 fit: 45 rows, 32 features, 20 trees of depth 8. The digest hashes
