@@ -59,7 +59,7 @@ _AVG_KERNEL = np.array(
 )
 # The nonzero taps of _AVG_KERNEL in row-major order, the order in which
 # correlate accumulates them: (index into _AVG_WEIGHTS, row offset, column offset).
-_AVG_WEIGHTS = np.unique(_AVG_KERNEL[_AVG_KERNEL != 0])
+_AVG_WEIGHTS = np.array(sorted(set(_AVG_KERNEL[_AVG_KERNEL != 0].tolist())))  # np.unique would import numpy.ma
 _AVG_TAPS = tuple(
     (_AVG_WEIGHTS.tolist().index(_AVG_KERNEL[i, j]), i - 1, j - 1) for i, j in np.argwhere(_AVG_KERNEL).tolist()
 )

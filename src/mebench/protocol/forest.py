@@ -18,6 +18,20 @@ for exactly these nodes (a node that cannot split draws nothing), in the
 same preorder, and no tree's draws depend on another tree's, so each tree
 is the one that grower makes, bit for bit.
 
+The grower calls numpy's `integers(0, n, size=n)` and
+`np.sort(choice(d, k, replace=False))`; `_Draws` instead reads each tree's
+PCG64 stream in blocks with `bit_generator.random_raw` and decodes the same
+draws for all trees at once. numpy's 32-bit draws take each 64-bit output
+low half first, and draw below a bound b by Lemire's multiply-shift (Lemire
+2019): (word * b) >> 32, redrawn while the product's low 32 bits fall below
+2**32 % b, which happens to at most b / 2**32 of the words; from a rejected
+word on, a tree decodes word by word. A bound of 1 draws nothing. `choice`
+picks by Floyd's algorithm over the bounds d-k+1 ... d, a pick already taken
+becoming its bound - 1, then shuffles the picks with draws of bounds k ... 2,
+which use words but cannot change the sorted set. Node sets are decoded
+_NODE_BLOCK per tree at a time; a tree that scans more nodes decodes the
+next block from the same stream.
+
 `_best_splits` then scores the round's nodes (the CART criterion scan
 of Breiman 2001), in chunks of at most _CHUNK_CELLS cells (nodes x width
 x k x classes), largest nodes first, each chunk padded to its largest
@@ -64,6 +78,8 @@ MIN_LEAF = 2  # a split leaves at least this many training rows on each side
 _PAIRWISE_FROM = 8
 # cells (nodes x width x k x classes) per split scan: each int64 or float64 temporary takes up to 512 KB
 _CHUNK_CELLS = 2**16
+# node feature draws decoded per tree at once; a tree that scans more nodes decodes the next block
+_NODE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -111,6 +127,103 @@ def _gini(class_counts: np.ndarray) -> np.ndarray:
     shares = planes / sum(planes[1:], planes[0])
     squares = shares * shares
     return (1.0 - sum(squares[1:], squares[0])).T
+
+
+class _Draws:
+    """Every draw of one fit, decoded from each tree's PCG64 stream in bulk.
+
+    `rngs` are PCG64 generators, one per tree. For an (n, d) matrix and tree t, `bootstraps()` gives what
+    `rngs[t].integers(0, n, size=n)` would, and each `node_features` call what the next
+    `np.sort(rngs[t].choice(d, k, replace=False))` would.
+    """
+
+    def __init__(self, rngs, shape: tuple):
+        self._n, n_features = shape
+        self._bit_generators = [rng.bit_generator for rng in rngs]
+        self.k = max(1, int(np.sqrt(n_features)))
+        # Floyd's draws, bounds d-k+1 ... d, then the shuffle's, bounds k ... 2; a bound of 1 (d = 1) draws nothing
+        self._floyd = np.arange(n_features - self.k + 1, n_features + 1)
+        bounds = np.concatenate([self._floyd, np.arange(self.k, 1, -1)])
+        self._drawn = bounds > 1
+        self._block_bounds = np.tile(bounds[self._drawn], _NODE_BLOCK).astype(np.uint64)
+        self._sets = np.empty((len(rngs), _NODE_BLOCK, self.k), dtype=np.int64)  # each tree's decoded block
+        self._used = np.full(len(rngs), _NODE_BLOCK)  # sets used of it: none is decoded yet
+
+        # each tree's row of words holds a bootstrap and a node block; column 0 holds the high half of its
+        # last output that a generator which has drawn may keep, which its next 32-bit draw takes
+        outputs = (self._n + self._block_bounds.size + 1) // 2
+        states = [bits.state for bits in self._bit_generators]
+        self._words = np.empty((len(rngs), 1 + 2 * outputs), dtype="<u4")
+        self._words[:, 0] = [state["uinteger"] for state in states]
+        self._words[:, 1:] = self._halves([bits.random_raw(outputs) for bits in self._bit_generators])
+        self._pos = np.array([0 if state["has_uint32"] else 1 for state in states])
+        self._end = np.full(len(rngs), self._words.shape[1])
+
+    @staticmethod
+    def _halves(raw) -> np.ndarray:
+        """64-bit outputs as 32-bit words, each split low half first, the order of numpy's 32-bit draws."""
+        return np.asarray(raw).astype("<u8", copy=False).view("<u4")
+
+    def _take(self, trees: np.ndarray, count: int) -> np.ndarray:
+        """(trees, count): each listed tree's next words, refilling a row that holds too few.
+
+        A row is 2 * outputs + 1 words wide and `count` at most 2 * outputs, so a refill always has room.
+        """
+        for tree in trees[self._pos[trees] + count > self._end[trees]].tolist():
+            rest = self._words[tree, self._pos[tree] : self._end[tree]].copy()
+            words = self._halves(self._bit_generators[tree].random_raw((self._words.shape[1] - rest.size) // 2))
+            self._end[tree] = rest.size + words.size
+            self._words[tree, : rest.size], self._words[tree, rest.size : self._end[tree]] = rest, words
+            self._pos[tree] = 0
+        pos = self._pos[trees]
+        self._pos[trees] += count
+        return self._words[trees[:, None], pos[:, None] + np.arange(count)]
+
+    def _draw(self, tree: int, bound: int) -> int:
+        """numpy's draw below `bound` (> 1), word by word: Lemire's multiply-shift with its rejection."""
+        while True:
+            product = int(self._take(np.array([tree]), 1)[0, 0]) * bound
+            if product & 0xFFFFFFFF >= 2**32 % bound:
+                return product >> 32
+
+    def _bounded(self, trees: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """(trees, bounds) int64 draws below each of the uint64 `bounds` (all > 1), as `_draw` makes them."""
+        products = self._take(trees, bounds.size).astype(np.uint64) * bounds
+        values = products >> np.uint64(32)
+        # a word whose low half falls below 2**32 % bound is redrawn; from the first such word the tree goes one by one
+        rejected = (products & np.uint64(0xFFFFFFFF)) < 2**32 % bounds
+        for i in np.flatnonzero(rejected.any(axis=1)).tolist():
+            tree, first = int(trees[i]), int(rejected[i].argmax())
+            self._pos[tree] -= bounds.size - first
+            values[i, first:] = [self._draw(tree, bound) for bound in bounds[first:].tolist()]
+        return values.astype(np.int64)
+
+    def bootstraps(self) -> np.ndarray:
+        """(trees, n) bootstrap rows, each tree's first draw."""
+        if self._n == 1:  # a bound of 1 draws nothing
+            return np.zeros((len(self._bit_generators), 1), dtype=np.int64)
+        return self._bounded(np.arange(len(self._bit_generators)), np.full(self._n, self._n, dtype=np.uint64))
+
+    def node_features(self, trees: list) -> np.ndarray:
+        """(trees, k): the next sorted node feature set of each listed tree."""
+        trees = np.array(trees)
+        spent = trees[self._used[trees] == _NODE_BLOCK]
+        if spent.size:
+            self._sets[spent] = self._node_block(spent)
+            self._used[spent] = 0
+        ids = self._sets[trees, self._used[trees]]
+        self._used[trees] += 1
+        return ids
+
+    def _node_block(self, trees: np.ndarray) -> np.ndarray:
+        """(trees, _NODE_BLOCK, k) sorted sets: `choice`'s Floyd picks, whose shuffle cannot change a sorted set."""
+        draws = np.zeros((len(trees), _NODE_BLOCK, self._drawn.size), dtype=np.int64)
+        draws[..., self._drawn] = self._bounded(trees, self._block_bounds).reshape(len(trees), _NODE_BLOCK, -1)
+        picks = draws[..., : self.k]
+        for i in range(1, self.k):  # Floyd: a pick already taken is replaced by its bound - 1, never taken before
+            taken = (picks[..., :i] == picks[..., i : i + 1]).any(axis=-1)
+            picks[..., i] = np.where(taken, self._floyd[i] - 1, picks[..., i])
+        return np.sort(picks, axis=-1)
 
 
 def _class_counts(labels, groups, n_groups: int, n_classes: int) -> np.ndarray:
@@ -166,14 +279,11 @@ def _best_splits(x, y, rows, sizes, feature_ids, n_classes) -> list:
     return splits
 
 
-def _grow_trees(x, y, samples, rngs, n_classes: int, max_depth: int) -> list:
-    """One CART tree per bootstrap row sample and generator, grown in lockstep rounds.
+def _grow_trees(x, y, samples, draws: _Draws, n_classes: int, max_depth: int) -> list:
+    """One CART tree per bootstrap row sample, grown in lockstep rounds.
 
-    Each node scans a fresh draw of floor(sqrt(d)) features from its tree's generator.
+    Each node scans the next floor(sqrt(d)) features its tree draws from `draws`.
     """
-    n_features = x.shape[1]
-    k = max(1, int(np.sqrt(n_features)))
-
     def new_nodes(counts, sizes, depths):
         # one node per class-count row, and whether it may still split
         nodes = [_Node(prediction=p) for p in counts.argmax(axis=1).tolist()]  # argmax takes the lowest index on ties
@@ -189,7 +299,7 @@ def _grow_trees(x, y, samples, rngs, n_classes: int, max_depth: int) -> list:
         batch = [(tree, *stack.pop()) for tree, stack in enumerate(stacks) if stack]  # (tree, node, rows, depth)
         if not batch:
             return roots
-        feature_ids = np.sort([rngs[tree].choice(n_features, size=k, replace=False) for tree, *_ in batch], axis=1)
+        feature_ids = draws.node_features([tree for tree, *_ in batch])
         sizes = np.array([node_rows.size for _, _, node_rows, _ in batch])
         rows = np.zeros((len(batch), sizes.max()), dtype=np.int64)
         for b, (_, _, node_rows, _) in enumerate(batch):
@@ -198,7 +308,7 @@ def _grow_trees(x, y, samples, rngs, n_classes: int, max_depth: int) -> list:
         # scan in chunks of at most _CHUNK_CELLS cells (or one node), largest nodes first, each padded to its largest
         splits = [None] * len(batch)
         by_size = np.argsort(-sizes, kind="stable")
-        step = max(1, _CHUNK_CELLS // (rows.shape[1] * k * n_classes))
+        step = max(1, _CHUNK_CELLS // (rows.shape[1] * draws.k * n_classes))
         for start in range(0, len(batch), step):
             chunk = by_size[start : start + step]
             width = sizes[chunk[0]]
@@ -253,10 +363,8 @@ def forest_train(features: np.ndarray, labels: np.ndarray, config: ForestConfig,
     if y.min() < 0:
         raise DataError(f"labels must be >= 0, got {y.min()}")
     n_classes = int(y.max()) + 1
-    n = x.shape[0]
-    rngs = [derived_rng(seed, "tree", tree_index) for tree_index in range(config.n_trees)]
-    samples = [rng.integers(0, n, size=n) for rng in rngs]  # each tree's bootstrap sample, its first draw
-    trees = _grow_trees(x, y, samples, rngs, n_classes, config.max_depth)
+    draws = _Draws([derived_rng(seed, "tree", tree_index) for tree_index in range(config.n_trees)], x.shape)
+    trees = _grow_trees(x, y, draws.bootstraps(), draws, n_classes, config.max_depth)
     return ForestModel(trees=trees, n_classes=n_classes, n_features=x.shape[1], config=config)
 
 
@@ -273,7 +381,7 @@ def forest_predict_batch(model: ForestModel, features: np.ndarray) -> np.ndarray
         raise DataError(f"features must be an (n, {model.n_features}) matrix, got shape {rows.shape}")
     if not np.isfinite(rows).all():
         raise DataError("features must all be finite")
-    votes = np.zeros((len(rows), model.n_classes), dtype=np.int64)
-    for tree in model.trees:
-        votes[np.arange(len(rows)), [_predict_tree(tree, row) for row in rows]] += 1
-    return votes.argmax(axis=1)
+    predictions = [[_predict_tree(tree, row) for tree in model.trees] for row in rows]  # (row, tree)
+    predictions = np.array(predictions, dtype=np.int64).reshape(len(rows), len(model.trees))  # also for no rows
+    votes = _class_counts(predictions, np.arange(len(rows))[:, None], len(rows), model.n_classes)
+    return votes.argmax(axis=1)  # argmax takes the lowest index on ties

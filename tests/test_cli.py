@@ -1060,6 +1060,12 @@ def test_cli_import_loads_no_scipy():
     assert (result.returncode, result.stdout.strip()) == (0, "[]")
 
 
+def test_cli_import_loads_no_numpy_ma():
+    code = "import sys, mebench.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    result = _run_python(code)
+    assert (result.returncode, result.stdout.strip()) == (0, "[]")
+
+
 # the program's own entry point, in an interpreter where any import of scipy fails
 _MAIN_WITHOUT_SCIPY = (
     "import sys; sys.modules['scipy'] = None; from mebench.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -379,7 +379,7 @@ class TestForest:
         x = np.concatenate([rng.uniform(0, 0.4, 12), rng.uniform(0.6, 1.0, 12)])[:, None]
         y = np.array([0] * 12 + [1] * 12)
         # one tree on every row; one feature, so every node scans it
-        (root,) = forest._grow_trees(x, y, [np.arange(24)], [np.random.default_rng(0)], 2, 1)
+        (root,) = forest._grow_trees(x, y, [np.arange(24)], forest._Draws([np.random.default_rng(0)], x.shape), 2, 1)
         assert not root.is_leaf
 
         # exhaustive oracle: weighted Gini over every midpoint threshold
@@ -428,9 +428,10 @@ class TestForest:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(25, 3))
         y = rng.integers(0, 2, 25)
-        (t1,) = forest._grow_trees(x, y, [np.arange(25)], [np.random.default_rng(0)], 2, 4)
+        (t1,) = forest._grow_trees(x, y, [np.arange(25)], forest._Draws([np.random.default_rng(0)], x.shape), 2, 4)
         (t2,) = forest._grow_trees(
-            np.repeat(x, 2, axis=0), np.repeat(y, 2), [np.arange(50)], [np.random.default_rng(0)], 2, 4
+            np.repeat(x, 2, axis=0), np.repeat(y, 2), [np.arange(50)],
+            forest._Draws([np.random.default_rng(0)], (50, 3)), 2, 4,
         )
 
         def describe(node):
@@ -773,6 +774,86 @@ class TestBestSplitKernel:
                 if not node.is_leaf:
                     stack += [node.right, node.left]
         assert (digest.hexdigest()[:16], n_nodes) == ("8fb96a0bbd717d71", 232)
+
+
+def _numpy_node_sets(rng, d, n_nodes):
+    """A tree's next sorted node feature sets, drawn by numpy's own `choice`."""
+    k = max(1, int(np.sqrt(d)))
+    return [np.sort(rng.choice(d, size=k, replace=False)).tolist() for _ in range(n_nodes)]
+
+
+class TestDraws:
+    def test_raw_outputs_split_low_half_first(self):
+        words = forest._Draws._halves(np.random.default_rng(5).bit_generator.random_raw(50))
+        assert words.tolist() == np.random.default_rng(5).integers(0, 2**32, size=100, dtype=np.uint32).tolist()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 9, 32, 100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 45, 200])
+    def test_bootstraps_and_node_sets_match_numpy(self, n, d):
+        # 60 trees draw in rounds of a random subset, as a forest's trees do, so each reads several node blocks
+        schedule = np.random.default_rng(n * 1000 + d)
+        rngs = [np.random.default_rng(seed) for seed in range(60)]
+        draws = forest._Draws(rngs, (n, d))
+        bootstraps, node_sets = draws.bootstraps(), [[] for _ in rngs]
+        for _ in range(70):
+            trees = np.flatnonzero(schedule.random(len(rngs)) < 0.7).tolist()
+            for tree, ids in zip(trees, draws.node_features(trees).tolist()):
+                node_sets[tree].append(ids)
+        assert min(map(len, node_sets)) >= 30
+        for seed, (bootstrap, sets) in enumerate(zip(bootstraps.tolist(), node_sets)):
+            rng = np.random.default_rng(seed)
+            assert bootstrap == rng.integers(0, n, size=n).tolist()
+            assert sets == _numpy_node_sets(rng, d, len(sets))
+
+    # Lemire's multiply-shift rejects a word whose low half falls below 2**32 % bound: about half of them
+    # below 2**31 + 1 and a quarter below 3 * 2**30, but only 5 in 2**32 below 2**32 - 5, the widest bound
+    @pytest.mark.parametrize("bound, least", [(2**31 + 1, 1000), (3 * 2**30, 1000), (2**32 - 5, 0)])
+    def test_rejected_words_are_redrawn_as_numpy_does(self, bound, least):
+        # the helper redraws a rejected word one by one; the draw after shows each stream stands where numpy's does
+        draws = forest._Draws([np.random.default_rng(seed) for seed in range(200)], (50, 1))  # rows of 50 words
+        trees, bounds = np.arange(200), np.full(50, bound, dtype=np.uint64)
+        got = np.hstack([draws._bounded(trees, bounds), draws._bounded(trees, bounds[:1])])
+        assert got.tolist() == [np.random.default_rng(seed).integers(0, bound, size=51).tolist() for seed in range(200)]
+        rejections = 0
+        for seed in range(200):
+            words = iter(forest._Draws._halves(np.random.default_rng(seed).bit_generator.random_raw(500)).tolist())
+            for _ in range(51):
+                while (next(words) * bound) & 0xFFFFFFFF < 2**32 % bound:
+                    rejections += 1
+        assert rejections >= least
+
+    def test_a_generator_that_has_drawn_gives_its_pending_half_first(self):
+        # 45 bootstrap words leave the high half of a 64-bit output pending in every generator
+        rngs = [np.random.default_rng(seed) for seed in range(300)]
+        for rng in rngs:
+            rng.integers(0, 45, size=45)
+        assert sum(rng.bit_generator.state["has_uint32"] for rng in rngs) > 100
+        got = forest._Draws(rngs, (45, 32)).node_features(list(range(300))).tolist()
+        expected = []
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 45, size=45)
+            expected += _numpy_node_sets(rng, 32, 1)
+        assert got == expected
+
+    def test_decoded_draws_are_pinned(self):
+        # numpy may change what Generator methods draw between releases (NEP 19), but not PCG64's raw
+        # stream; this hash of a primafacie-sized fit's draws keeps the forest's bits if the methods change
+        draws = forest._Draws([derived_rng(7, "tree", t) for t in range(20)], (45, 32))
+        decoded = [draws.bootstraps()] + [draws.node_features(list(range(20))) for _ in range(40)]
+        assert hashlib.sha256(np.hstack(decoded).astype("<i8").tobytes()).hexdigest()[:16] == "0bd11b61ecc71afb"
+
+    def test_a_deep_forest_reads_several_node_blocks_per_tree(self):
+        rng = np.random.default_rng(29)
+        x = np.round(rng.normal(size=(200, 9)), 1)
+        y = (x[:, 0] + x[:, 4] + rng.normal(scale=1.0, size=200) > 0).astype(int)
+        config = ForestConfig(n_trees=60, max_depth=8)
+        model = forest_train(x, y, config, seed=29)
+        # every split node drew its features, so most trees read a second block of node draws
+        splits = [str(_describe_tree(tree)).count("'split'") for tree in model.trees]
+        assert sum(count > forest._NODE_BLOCK for count in splits) > 40
+        reference = _reference_trees(x, y, config, 29)
+        assert [_describe_tree(t) for t in model.trees] == [_describe_tree(t) for t in reference]
 
 
 # ---------------------------------------------------------------- prima facie report
