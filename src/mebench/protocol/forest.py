@@ -189,9 +189,9 @@ class _Draws:
     def _bounded(self, trees: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         """(trees, bounds) int64 draws below each of the uint64 `bounds` (all > 1), as `_draw` makes them."""
         products = self._take(trees, bounds.size).astype(np.uint64) * bounds
-        values = products >> np.uint64(32)
+        values = products >> 32
         # a word whose low half falls below 2**32 % bound is redrawn; from the first such word the tree goes one by one
-        rejected = (products & np.uint64(0xFFFFFFFF)) < 2**32 % bounds
+        rejected = (products & 0xFFFFFFFF) < 2**32 % bounds
         for i in np.flatnonzero(rejected.any(axis=1)).tolist():
             tree, first = int(trees[i]), int(rejected[i].argmax())
             self._pos[tree] -= bounds.size - first
