@@ -469,8 +469,10 @@ def cmd_report(args) -> int:
         for artifact in ("benchmark.md", "prima_facie.md"):
             artifact_path = sidecar.parent / artifact
             if artifact_path.exists():
-                lines.append(artifact_path.read_text(encoding="utf-8").rstrip())
-                lines.append("")
+                try:
+                    lines += [artifact_path.read_text(encoding="utf-8").rstrip(), ""]
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{artifact_path}: table is not UTF-8 text") from exc
     text = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, text)

@@ -7,13 +7,13 @@ order with strict improvement, so the choice is deterministic and
 invariant under duplicating every training sample. Prediction is a
 majority vote over trees (ties resolve to the lowest class index).
 
-All trees of a forest grow together, in rounds. Each tree owns a random
-generator, which first draws the tree's bootstrap sample, and a stack of
+All trees of a forest grow together, in rounds. Each tree owns a PCG64
+stream, which first draws the tree's bootstrap sample, and a stack of
 its nodes that may still split (below the depth limit, at least
 2 * MIN_LEAF rows, not pure); a split pushes its right child before its
 left one, so the stack pops in preorder. In a round, every tree with a
 non-empty stack pops one node and draws that node's floor(sqrt(d))
-features from its own generator. A recursive, depth-first grower draws
+features from its own stream. A recursive, depth-first grower draws
 for exactly these nodes (a node that cannot split draws nothing), in the
 same preorder, and no tree's draws depend on another tree's, so each tree
 is the one that grower makes, bit for bit.
@@ -36,20 +36,19 @@ next block from the same stream.
 of Breiman 2001), in chunks of at most _CHUNK_CELLS cells (nodes x width
 x k x classes), largest nodes first, each chunk padded to its largest
 node: padded values are +inf, which a stable sort puts last, and padded
-labels match no class. The class axis is sized by the largest label + 1,
-so the budget bounds a round's memory when labels are sparse; a node is
-scored on its own, so chunking changes no bit. One sort, one prefix count
-per class and one whole-array Gini expression give every cut of every
-node. A cut past a node's last row or between equal values scores +inf,
-and every real cut keeps the expression and operands of a per-threshold
-loop, so its impurity is the float that loop would produce.
+labels match no class. The chunks bound the memory of a round of many
+large nodes; a node is scored on its own, so chunking changes no bit.
+One sort, one prefix count per class and one whole-array Gini expression
+give every cut of every node. A cut past a node's last row or between
+equal values scores +inf, and every real cut keeps the expression and
+operands of a per-threshold loop, so its impurity is the float that loop
+would produce.
 
-That expression is `1.0 - (p * p).sum(axis=-1)` over the class shares.
-numpy's add.reduce adds fewer than 8 terms in sequence,
-`((a0 + a1) + a2) + ...`, so below 8 classes `_gini` makes the same adds
-elementwise over whole class planes and pays no reduction loop per row.
-From 8 terms numpy switches to 8-accumulator pairwise blocks, which no
-elementwise form reproduces, so 8 or more classes keep the `.sum`.
+That expression is `1.0 - (p * p).sum()` over the class shares. numpy's
+add.reduce adds fewer than 8 terms in sequence, `((a0 + a1) + a2) + ...`,
+and labels are class indices below MAX_CLASSES = 7, so `_gini` makes the
+same adds elementwise over whole class planes and pays no reduction loop
+per row.
 
 A node's winner is the first candidate, features ascending then
 thresholds ascending, strictly below the best so far minus 1e-15. Each
@@ -70,12 +69,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..runutil import derived_rng
+from ..runutil import derive_seed
 
 
 MIN_LEAF = 2  # a split leaves at least this many training rows on each side
-# numpy's add.reduce sums fewer than 8 terms in sequence and 8 or more in pairwise blocks
-_PAIRWISE_FROM = 8
+# labels are class indices below this: numpy's add.reduce adds fewer than 8 terms in sequence, as `_gini` does
+MAX_CLASSES = 7
 # cells (nodes x width x k x classes) per split scan: each int64 or float64 temporary takes up to 512 KB
 _CHUNK_CELLS = 2**16
 # node feature draws decoded per tree at once; a tree that scans more nodes decodes the next block
@@ -114,50 +113,42 @@ class ForestModel:
 
 
 def _gini(class_counts: np.ndarray) -> np.ndarray:
-    """Gini impurity of each non-empty count vector along the last axis.
+    """Gini impurity of each non-empty count vector along the first axis, of at most MAX_CLASSES classes.
 
-    Bit for bit `1.0 - (p * p).sum(axis=-1)` with `p` the class shares.
+    Bit for bit `1.0 - (p * p).sum()` of each vector's class shares `p`: the totals are exact integers, and the
+    squares of whole class planes add in sequence, as add.reduce does below 8 terms.
     """
-    if class_counts.shape[-1] >= _PAIRWISE_FROM:
-        # a C-ordered `p` keeps the class axis in one run, which numpy's pairwise sum needs for these bits
-        p = np.divide(class_counts, class_counts.sum(axis=-1, keepdims=True), order="C")
-        return 1.0 - (p * p).sum(axis=-1)
-    planes = class_counts.T  # class planes first; `.T` turns the result back
-    # the totals are exact integers, and the squares add in sequence, as add.reduce does below 8 terms
-    shares = planes / sum(planes[1:], planes[0])
+    shares = class_counts / sum(class_counts[1:], class_counts[0])
     squares = shares * shares
-    return (1.0 - sum(squares[1:], squares[0])).T
+    return 1.0 - sum(squares[1:], squares[0])
 
 
 class _Draws:
     """Every draw of one fit, decoded from each tree's PCG64 stream in bulk.
 
-    `rngs` are PCG64 generators, one per tree. For an (n, d) matrix and tree t, `bootstraps()` gives what
-    `rngs[t].integers(0, n, size=n)` would, and each `node_features` call what the next
-    `np.sort(rngs[t].choice(d, k, replace=False))` would.
+    Tree t reads `np.random.PCG64(seeds[t])`. For an (n, d) matrix, `bootstraps()` gives what that generator's
+    `integers(0, n, size=n)` would, and each `node_features` call what its next
+    `np.sort(choice(d, k, replace=False))` would.
     """
 
-    def __init__(self, rngs, shape: tuple):
+    def __init__(self, seeds, shape: tuple):
         self._n, n_features = shape
-        self._bit_generators = [rng.bit_generator for rng in rngs]
+        self._bit_generators = [np.random.PCG64(seed) for seed in seeds]
         self.k = max(1, int(np.sqrt(n_features)))
         # Floyd's draws, bounds d-k+1 ... d, then the shuffle's, bounds k ... 2; a bound of 1 (d = 1) draws nothing
         self._floyd = np.arange(n_features - self.k + 1, n_features + 1)
         bounds = np.concatenate([self._floyd, np.arange(self.k, 1, -1)])
         self._drawn = bounds > 1
         self._block_bounds = np.tile(bounds[self._drawn], _NODE_BLOCK).astype(np.uint64)
-        self._sets = np.empty((len(rngs), _NODE_BLOCK, self.k), dtype=np.int64)  # each tree's decoded block
-        self._used = np.full(len(rngs), _NODE_BLOCK)  # sets used of it: none is decoded yet
+        self._sets = np.empty((len(seeds), _NODE_BLOCK, self.k), dtype=np.int64)  # each tree's decoded block
+        self._used = np.full(len(seeds), _NODE_BLOCK)  # sets used of it: none is decoded yet
 
-        # each tree's row of words holds a bootstrap and a node block; column 0 holds the high half of its
-        # last output that a generator which has drawn may keep, which its next 32-bit draw takes
-        outputs = (self._n + self._block_bounds.size + 1) // 2
-        states = [bits.state for bits in self._bit_generators]
-        self._words = np.empty((len(rngs), 1 + 2 * outputs), dtype="<u4")
-        self._words[:, 0] = [state["uinteger"] for state in states]
-        self._words[:, 1:] = self._halves([bits.random_raw(outputs) for bits in self._bit_generators])
-        self._pos = np.array([0 if state["has_uint32"] else 1 for state in states])
-        self._end = np.full(len(rngs), self._words.shape[1])
+        # each tree's row of words holds a bootstrap, a node block and a word more, so every `_take` count is
+        # below the row width
+        outputs = (self._n + self._block_bounds.size) // 2 + 1
+        self._words = self._halves([bits.random_raw(outputs) for bits in self._bit_generators])
+        self._pos = np.zeros(len(seeds), dtype=np.int64)
+        self._end = np.full(len(seeds), self._words.shape[1])
 
     @staticmethod
     def _halves(raw) -> np.ndarray:
@@ -167,14 +158,15 @@ class _Draws:
     def _take(self, trees: np.ndarray, count: int) -> np.ndarray:
         """(trees, count): each listed tree's next words, refilling a row that holds too few.
 
-        A row is 2 * outputs + 1 words wide and `count` at most 2 * outputs, so a refill always has room.
+        A refill keeps the fewer than `count` words left and tops the row up with whole outputs, which has room
+        because a `count` is at most the row width minus one.
         """
         for tree in trees[self._pos[trees] + count > self._end[trees]].tolist():
-            rest = self._words[tree, self._pos[tree] : self._end[tree]].copy()
-            words = self._halves(self._bit_generators[tree].random_raw((self._words.shape[1] - rest.size) // 2))
-            self._end[tree] = rest.size + words.size
-            self._words[tree, : rest.size], self._words[tree, rest.size : self._end[tree]] = rest, words
-            self._pos[tree] = 0
+            rest = self._words[tree, self._pos[tree] : self._end[tree]]
+            outputs = self._bit_generators[tree].random_raw((self._words.shape[1] - rest.size) // 2)
+            words = np.concatenate([rest, self._halves(outputs)])
+            self._words[tree, : words.size] = words
+            self._pos[tree], self._end[tree] = 0, words.size
         pos = self._pos[trees]
         self._pos[trees] += count
         return self._words[trees[:, None], pos[:, None] + np.arange(count)]
@@ -255,7 +247,7 @@ def _best_splits(x, y, rows, sizes, feature_ids, n_classes) -> list:
     n = sizes[:, None, None]
     n_right = n - n_left
     with np.errstate(divide="ignore", invalid="ignore"):  # an empty right side is no cut
-        impurity = (n_left * _gini(np.moveaxis(left, 0, -1)) + n_right * _gini(np.moveaxis(right, 0, -1))) / n
+        impurity = (n_left * _gini(left) + n_right * _gini(right)) / n
     impurity[(sorted_vals[..., :-1] == sorted_vals[..., 1:]) | (n_right < 1)] = np.inf
     flat = impurity.reshape(n_nodes, -1)  # per node: feature-major, thresholds ascending
 
@@ -287,7 +279,7 @@ def _grow_trees(x, y, samples, draws: _Draws, n_classes: int, max_depth: int) ->
     def new_nodes(counts, sizes, depths):
         # one node per class-count row, and whether it may still split
         nodes = [_Node(prediction=p) for p in counts.argmax(axis=1).tolist()]  # argmax takes the lowest index on ties
-        may_split = (depths < max_depth) & (sizes >= 2 * MIN_LEAF) & (_gini(counts) != 0.0)
+        may_split = (depths < max_depth) & (sizes >= 2 * MIN_LEAF) & (_gini(counts.T) != 0.0)
         return nodes, may_split.tolist()
 
     samples = np.asarray(samples)
@@ -347,6 +339,13 @@ def _grow_trees(x, y, samples, draws: _Draws, n_classes: int, max_depth: int) ->
 
 
 def forest_train(features: np.ndarray, labels: np.ndarray, config: ForestConfig, seed: int) -> ForestModel:
+    """`config.n_trees` bagged CART trees fitted to an (n, d) feature matrix and its n labels.
+
+    Labels are integer class indices 0 ... MAX_CLASSES - 1 (6); whole floats and bools pass. Tree t draws its
+    bootstrap and its node features from `np.random.PCG64(derive_seed(seed, "tree", t))`. A `DataError` refuses,
+    before any tree grows, a matrix that is empty or not 2-D, a non-finite feature, a label count other than n,
+    and a label that is not numeric, not whole, negative, or MAX_CLASSES or more.
+    """
     x = np.asarray(features, dtype=np.float64)
     raw = np.asarray(labels)
     if raw.dtype.kind not in "biuf":  # strings, None and other objects have no integer value to check
@@ -360,10 +359,10 @@ def forest_train(features: np.ndarray, labels: np.ndarray, config: ForestConfig,
         raise DataError("features must all be finite")
     if not np.array_equal(y, raw):
         raise DataError("labels must be integer class indices")
-    if y.min() < 0:
-        raise DataError(f"labels must be >= 0, got {y.min()}")
+    if y.min() < 0 or y.max() >= MAX_CLASSES:
+        raise DataError(f"labels must be >= 0 and below {MAX_CLASSES}, got {y.min()} to {y.max()}")
     n_classes = int(y.max()) + 1
-    draws = _Draws([derived_rng(seed, "tree", tree_index) for tree_index in range(config.n_trees)], x.shape)
+    draws = _Draws([derive_seed(seed, "tree", tree_index) for tree_index in range(config.n_trees)], x.shape)
     trees = _grow_trees(x, y, draws.bootstraps(), draws, n_classes, config.max_depth)
     return ForestModel(trees=trees, n_classes=n_classes, n_features=x.shape[1], config=config)
 

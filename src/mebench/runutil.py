@@ -81,9 +81,13 @@ def from_json_dict(cls, d: dict):
     raises KeyError, a bad enum value ValueError, and a non-object or a
     value of the wrong type TypeError. int, str and bool fields take only
     their own type (a bool is not an int); a float field also takes an
-    int, stored as a float. An np.ndarray field is a count matrix: lists
-    of int lists, read as int64 (ragged rows raise ValueError)."""
-    return cls(**{name: read(d[name]) for name, read in _field_readers(cls)})
+    int, stored as a float (one too large for a float raises ValueError).
+    An np.ndarray field is a count matrix: lists of int lists, read as
+    int64 (ragged rows raise ValueError)."""
+    try:
+        return cls(**{name: read(d[name]) for name, read in _field_readers(cls)})
+    except OverflowError as exc:  # an int too large for a float field
+        raise ValueError(f"{cls.__name__}: {exc}") from exc
 
 
 @functools.cache

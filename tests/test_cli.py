@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,7 +166,7 @@ class TestManifestCommand:
         index = tmp_path / "index.csv"
         index.write_text("subject,clip,onset,apex,emotion\n01,a,fr/f.pgm,fr/f.pgm,fear\n")
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="ledger"):
+        with pytest.warns(UserWarning, match="ledger"), pytest.warns(UserWarning, match="no predictor"):
             code = main(
                 ["manifest", "--out", str(out), "--casme2", str(index), "--ledger", str(tmp_path / "nope.jsonl")]
             )
@@ -237,7 +238,8 @@ class TestManifestCommand:
     def test_empty_index_is_data_error(self, tmp_path):
         index = tmp_path / "index.csv"
         index.write_text("")
-        assert main(["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index)]) == 3
+        with pytest.warns(UserWarning, match="no predictor"):
+            assert main(["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index)]) == 3
 
 
 def _marker_predictor(tmp_path):
@@ -282,12 +284,14 @@ def _write_index(tmp_path, keys) -> Path:
 def test_id_escaping_out_is_refused_and_writes_nothing(tmp_path, capsys):
     # unchecked, the subject "/../../escaped" would make `flow --out flows/deep` write flows/escaped_c.ofi
     index = _write_index(tmp_path, [("01", "a"), ("/../../escaped", "c")])
-    assert main(["manifest", "--casme2", str(index), "--out", str(tmp_path / "corpus")]) == 3
+    with pytest.warns(UserWarning, match="no predictor"):
+        assert main(["manifest", "--casme2", str(index), "--out", str(tmp_path / "corpus")]) == 3
     assert "('/../../escaped', 'c')" in capsys.readouterr().err
     assert not (tmp_path / "corpus").exists()
     # a manifest edited to carry the same id is refused on load, before any flow is computed
     safe = _write_index(tmp_path, [("01", "a"), ("escaped", "c")])
-    assert main(["manifest", "--casme2", str(safe), "--out", str(tmp_path / "corpus")]) == 0
+    with pytest.warns(UserWarning, match="no predictor"):
+        assert main(["manifest", "--casme2", str(safe), "--out", str(tmp_path / "corpus")]) == 0
     manifest_path = tmp_path / "corpus" / "manifest.jsonl"
     text = manifest_path.read_text()
     manifest_path.write_text(text.replace('"subject_id": "escaped"', '"subject_id": "/../../escaped"'))
@@ -299,7 +303,8 @@ def test_id_escaping_out_is_refused_and_writes_nothing(tmp_path, capsys):
 def test_records_sharing_a_flow_file_are_refused(tmp_path, capsys):
     # unchecked, (a_b, c) and (a, b_c) would share CASME2_a_b_c.ofi, and every reader would see one flow for both
     index = _write_index(tmp_path, [("a_b", "c"), ("a", "b_c")])
-    assert main(["manifest", "--casme2", str(index), "--out", str(tmp_path / "corpus")]) == 3
+    with pytest.warns(UserWarning, match="no predictor"):
+        assert main(["manifest", "--casme2", str(index), "--out", str(tmp_path / "corpus")]) == 3
     err = capsys.readouterr().err
     assert "('a_b', 'c')" in err and "('a', 'b_c')" in err and "CASME2_a_b_c" in err
     assert not (tmp_path / "corpus").exists()
@@ -311,10 +316,12 @@ def test_refused_corpus_leaves_no_audit_log(tmp_path):
     ledger = tmp_path / "rules.jsonl"
     ledger.write_text(json.dumps({"attribute": "age", "replacement": "30"}) + "\n")
     argv = ["manifest", "--casme2", str(index), "--ledger", str(ledger), "--out", str(tmp_path / "corpus")]
-    assert main(argv) == 3
+    with pytest.warns(UserWarning, match="no predictor"):
+        assert main(argv) == 3
     assert not (tmp_path / "corpus").exists()
     index.write_text(index.read_text().replace("a_b,c", "a_b,d"))
-    assert main(argv) == 0
+    with pytest.warns(UserWarning, match="no predictor"):
+        assert main(argv) == 0
     assert (tmp_path / "corpus" / "correction_audit.jsonl").exists()
 
 
@@ -384,7 +391,9 @@ def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, cod
         argv = ["manifest", "--out", out, "--casme2", str(bad)]
     else:
         argv = ["manifest", "--out", out, "--casme2", str(index), flag, str(bad)]
-    assert main(argv) == code
+    # the manifest command warns when no predictor table or command is given
+    with pytest.warns(UserWarning, match="no predictor") if flag in ("--casme2", "--ledger") else nullcontext():
+        assert main(argv) == code
     assert not Path(out).exists()
 
 
@@ -786,6 +795,15 @@ class TestReportCommand:
         sidecar.write_bytes(content)
         assert main(["report", "--run-dir", str(tmp_path / "run")]) == 3
         assert str(sidecar) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", ["benchmark.md", "prima_facie.md"])
+    def test_table_that_is_not_utf8_is_data_error(self, tmp_path, capsys, table):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "provenance.json").write_text(json.dumps({"command": "loso"}))
+        (run / table).write_bytes(b"\xff\xfe| class | F1 |\n")
+        assert main(["report", "--run-dir", str(run)]) == 3
+        assert f"{run / table}: table is not UTF-8 text" in capsys.readouterr().err
 
 
 def _flow_reader_argv(command, corpus, flows, out, loso_run=None) -> list:

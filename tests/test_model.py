@@ -1200,6 +1200,7 @@ class TestCheckpoint:
             lambda h: h["config"].update(image_size=0),
             lambda h: h["config"]["texture"].update(n_heads=0),
             lambda h: h["config"]["texture"].update(mlp_ratio=0.0),
+            lambda h: h["config"]["texture"].update(mlp_ratio=10**400),
             lambda h: h["config"]["motion"].update(stage_widths=[2, -3]),
             lambda h: h["config"]["motion"].update(kernel_size=-3),
         ],
@@ -1207,7 +1208,8 @@ class TestCheckpoint:
             "no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "no-pooling", "unknown-variant",
             "negative-dim", "wrong-shape", "missing-tensor", "stage-widths-string", "stage-width-string",
             "image-size-string", "mlp-ratio-string", "pooling-max", "kernel-size-even", "feature-dim-mismatch",
-            "image-size-0", "n-heads-0", "mlp-ratio-0", "stage-width-negative", "kernel-size-negative",
+            "image-size-0", "n-heads-0", "mlp-ratio-0", "mlp-ratio-overflow", "stage-width-negative",
+            "kernel-size-negative",
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, corrupt):

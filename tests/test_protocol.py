@@ -70,7 +70,7 @@ from mebench.protocol import (
 )
 from mebench.protocol import benchmark, forest, primafacie
 from mebench.protocol.forest import _best_splits, _gini
-from mebench.runutil import cache_key, derived_rng, write_cache_entry
+from mebench.runutil import cache_key, derive_seed, derived_rng, write_cache_entry
 
 
 def records_for(subjects, clips_per=2, emotions=("happiness", "disgust"), ethnicity=RawEthnicity.ASIAN):
@@ -379,7 +379,7 @@ class TestForest:
         x = np.concatenate([rng.uniform(0, 0.4, 12), rng.uniform(0.6, 1.0, 12)])[:, None]
         y = np.array([0] * 12 + [1] * 12)
         # one tree on every row; one feature, so every node scans it
-        (root,) = forest._grow_trees(x, y, [np.arange(24)], forest._Draws([np.random.default_rng(0)], x.shape), 2, 1)
+        (root,) = forest._grow_trees(x, y, [np.arange(24)], forest._Draws([0], x.shape), 2, 1)
         assert not root.is_leaf
 
         # exhaustive oracle: weighted Gini over every midpoint threshold
@@ -428,10 +428,10 @@ class TestForest:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(25, 3))
         y = rng.integers(0, 2, 25)
-        (t1,) = forest._grow_trees(x, y, [np.arange(25)], forest._Draws([np.random.default_rng(0)], x.shape), 2, 4)
+        (t1,) = forest._grow_trees(x, y, [np.arange(25)], forest._Draws([0], x.shape), 2, 4)
         (t2,) = forest._grow_trees(
             np.repeat(x, 2, axis=0), np.repeat(y, 2), [np.arange(50)],
-            forest._Draws([np.random.default_rng(0)], (50, 3)), 2, 4,
+            forest._Draws([0], (50, 3)), 2, 4,
         )
 
         def describe(node):
@@ -640,34 +640,32 @@ class TestBestSplitKernel:
         assert _batch_splits(nodes, 2) == [(0.0, 0, 1.5), (0.4, 0, 0.5), (0.0, 0, 2.5)]
         assert _batch_splits(nodes, 2) == [_scalar_best_split(*node, 2) for node in nodes]
 
-    @pytest.mark.parametrize("n_classes", [1, 2, 3, 7, 8, 9, 10])
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 7])
     def test_class_counts(self, n_classes):
-        # up to 7 classes `_gini` adds p*p planes in sequence; 8 or more sum through numpy's pairwise path
+        # `_gini` adds p*p planes in sequence, up to the 7 classes `forest_train` takes
         rng = np.random.default_rng(n_classes)
         for _ in range(30):
             x = rng.normal(size=(int(rng.integers(2, 60)), 6))
             y = rng.integers(0, n_classes, x.shape[0])
             self.check(x, y, n_classes, np.sort(rng.choice(6, size=int(rng.integers(1, 7)), replace=False)))
 
-    @pytest.mark.parametrize("n_classes", [1, 2, 3, 7, 8, 9, 10])
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 7])
     def test_gini_rows_match_the_one_vector_form(self, n_classes):
         # node purity reads `_gini` of whole count matrices; each row must be the one-vector float
         counts = np.random.default_rng(n_classes).integers(0, 5, size=(200, n_classes))
         counts[counts.sum(axis=1) == 0, 0] = 1
-        assert _gini(counts).tolist() == [_reference_gini(row) for row in counts]
+        assert _gini(counts.T).tolist() == [_reference_gini(row) for row in counts]
 
-    @pytest.mark.parametrize("layout", ["class-last", "class-first"])
-    def test_gini_is_the_sum_expression_bit_for_bit(self, layout):
-        # every class count across numpy's switch from sequential to pairwise sums at 8 terms; the
-        # split scan passes a class-last view of class-first counts, so both layouts are pinned
+    def test_gini_is_the_sum_expression_bit_for_bit(self):
+        # `_gini` takes class-first planes, as the split scan builds them; each count vector keeps the bits of
+        # the class-last sum expression, at every class count `forest_train` takes
         rng = np.random.default_rng(40)
-        for n_classes in range(1, 41):
-            counts = rng.integers(0, 7, size=(3, 50, n_classes))
-            counts[:, :5] = 0  # all-zero rows give NaN
-            if layout == "class-first":
-                counts = np.moveaxis(np.ascontiguousarray(np.moveaxis(counts, -1, 0)), 0, -1)
+        for n_classes in range(1, forest.MAX_CLASSES + 1):
+            counts = rng.integers(0, 7, size=(n_classes, 3, 50))
+            counts[..., :5] = 0  # all-zero vectors give NaN
+            class_last = np.ascontiguousarray(np.moveaxis(counts, 0, -1))
             with np.errstate(invalid="ignore"):
-                p = np.ascontiguousarray(counts) / counts.sum(axis=-1, keepdims=True)
+                p = class_last / class_last.sum(axis=-1, keepdims=True)
                 expected = 1.0 - (p * p).sum(axis=-1)
                 got = _gini(counts)
             assert got.shape == expected.shape and np.isnan(got[:, :5]).all()
@@ -738,20 +736,24 @@ class TestBestSplitKernel:
         reference = _reference_trees(x, y, config, seed)
         assert [_describe_tree(t) for t in lockstep.trees] == [_describe_tree(t) for t in reference]
 
-    def test_sparse_labels_are_scanned_in_bounded_memory(self):
-        # labels {0, 2000} size the class axis at 2001; the split scan's cell budget bounds the memory of
-        # a round of 20 primafacie-sized nodes, which held 316 MB at once in one unchunked scan
+    def test_sparse_labels_are_refused_in_bounded_memory(self):
+        # a label of 7 or more is refused before a tree grows; labels {0, 20000} on this shape once sized a
+        # 20001-class split scan, which peaked at 145 MB and took 10 s
         rng = np.random.default_rng(16)
         x = rng.normal(size=(45, 32))
-        y = 2000 * (x[:, 0] + x[:, 5] - x[:, 9] + rng.normal(scale=1.0, size=45) > 0)
+        positive = x[:, 0] + x[:, 5] - x[:, 9] + rng.normal(scale=1.0, size=45) > 0
         config = ForestConfig(n_trees=20, max_depth=8)
         tracemalloc.start()
         try:
-            model = forest_train(x, y, config, seed=7)
+            for features, labels in [(x, 2000 * positive), (x, 20000 * positive), (x[:8], np.arange(8))]:
+                with pytest.raises(DataError, match="below 7"):
+                    forest_train(features, labels, config, seed=7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
+        y = 6 * positive  # the largest label that trains
+        model = forest_train(x, y, config, seed=7)
         reference = _reference_trees(x, y, config, 7)
         assert [_describe_tree(t) for t in model.trees] == [_describe_tree(t) for t in reference]
 
@@ -792,11 +794,10 @@ class TestDraws:
     def test_bootstraps_and_node_sets_match_numpy(self, n, d):
         # 60 trees draw in rounds of a random subset, as a forest's trees do, so each reads several node blocks
         schedule = np.random.default_rng(n * 1000 + d)
-        rngs = [np.random.default_rng(seed) for seed in range(60)]
-        draws = forest._Draws(rngs, (n, d))
-        bootstraps, node_sets = draws.bootstraps(), [[] for _ in rngs]
+        draws = forest._Draws(range(60), (n, d))
+        bootstraps, node_sets = draws.bootstraps(), [[] for _ in range(60)]
         for _ in range(70):
-            trees = np.flatnonzero(schedule.random(len(rngs)) < 0.7).tolist()
+            trees = np.flatnonzero(schedule.random(60) < 0.7).tolist()
             for tree, ids in zip(trees, draws.node_features(trees).tolist()):
                 node_sets[tree].append(ids)
         assert min(map(len, node_sets)) >= 30
@@ -810,7 +811,7 @@ class TestDraws:
     @pytest.mark.parametrize("bound, least", [(2**31 + 1, 1000), (3 * 2**30, 1000), (2**32 - 5, 0)])
     def test_rejected_words_are_redrawn_as_numpy_does(self, bound, least):
         # the helper redraws a rejected word one by one; the draw after shows each stream stands where numpy's does
-        draws = forest._Draws([np.random.default_rng(seed) for seed in range(200)], (50, 1))  # rows of 50 words
+        draws = forest._Draws(range(200), (50, 1))  # rows of 52 words
         trees, bounds = np.arange(200), np.full(50, bound, dtype=np.uint64)
         got = np.hstack([draws._bounded(trees, bounds), draws._bounded(trees, bounds[:1])])
         assert got.tolist() == [np.random.default_rng(seed).integers(0, bound, size=51).tolist() for seed in range(200)]
@@ -822,24 +823,10 @@ class TestDraws:
                     rejections += 1
         assert rejections >= least
 
-    def test_a_generator_that_has_drawn_gives_its_pending_half_first(self):
-        # 45 bootstrap words leave the high half of a 64-bit output pending in every generator
-        rngs = [np.random.default_rng(seed) for seed in range(300)]
-        for rng in rngs:
-            rng.integers(0, 45, size=45)
-        assert sum(rng.bit_generator.state["has_uint32"] for rng in rngs) > 100
-        got = forest._Draws(rngs, (45, 32)).node_features(list(range(300))).tolist()
-        expected = []
-        for seed in range(300):
-            rng = np.random.default_rng(seed)
-            rng.integers(0, 45, size=45)
-            expected += _numpy_node_sets(rng, 32, 1)
-        assert got == expected
-
     def test_decoded_draws_are_pinned(self):
         # numpy may change what Generator methods draw between releases (NEP 19), but not PCG64's raw
         # stream; this hash of a primafacie-sized fit's draws keeps the forest's bits if the methods change
-        draws = forest._Draws([derived_rng(7, "tree", t) for t in range(20)], (45, 32))
+        draws = forest._Draws([derive_seed(7, "tree", t) for t in range(20)], (45, 32))
         decoded = [draws.bootstraps()] + [draws.node_features(list(range(20))) for _ in range(40)]
         assert hashlib.sha256(np.hstack(decoded).astype("<i8").tobytes()).hexdigest()[:16] == "0bd11b61ecc71afb"
 
