@@ -656,20 +656,19 @@ class TestBestSplitKernel:
         counts[counts.sum(axis=1) == 0, 0] = 1
         assert _gini(counts.T).tolist() == [_reference_gini(row) for row in counts]
 
-    def test_gini_is_the_sum_expression_bit_for_bit(self):
+    @pytest.mark.parametrize("n_classes", range(1, forest.MAX_CLASSES + 1))
+    def test_gini_is_the_sum_expression_bit_for_bit(self, n_classes):
         # `_gini` takes class-first planes, as the split scan builds them; each count vector keeps the bits of
         # the class-last sum expression, at every class count `forest_train` takes
-        rng = np.random.default_rng(40)
-        for n_classes in range(1, forest.MAX_CLASSES + 1):
-            counts = rng.integers(0, 7, size=(n_classes, 3, 50))
-            counts[..., :5] = 0  # all-zero vectors give NaN
-            class_last = np.ascontiguousarray(np.moveaxis(counts, 0, -1))
-            with np.errstate(invalid="ignore"):
-                p = class_last / class_last.sum(axis=-1, keepdims=True)
-                expected = 1.0 - (p * p).sum(axis=-1)
-                got = _gini(counts)
-            assert got.shape == expected.shape and np.isnan(got[:, :5]).all()
-            assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), n_classes
+        counts = np.random.default_rng(40 + n_classes).integers(0, 7, size=(n_classes, 3, 50))
+        counts[..., :5] = 0  # all-zero vectors give NaN
+        class_last = np.ascontiguousarray(np.moveaxis(counts, 0, -1))
+        with np.errstate(invalid="ignore"):
+            p = class_last / class_last.sum(axis=-1, keepdims=True)
+            expected = 1.0 - (p * p).sum(axis=-1)
+            got = _gini(counts)
+        assert got.shape == expected.shape and np.isnan(got[:, :5]).all()
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -736,23 +735,33 @@ class TestBestSplitKernel:
         reference = _reference_trees(x, y, config, seed)
         assert [_describe_tree(t) for t in lockstep.trees] == [_describe_tree(t) for t in reference]
 
-    def test_sparse_labels_are_refused_in_bounded_memory(self):
-        # a label of 7 or more is refused before a tree grows; labels {0, 20000} on this shape once sized a
-        # 20001-class split scan, which peaked at 145 MB and took 10 s
+    @staticmethod
+    def _sparse_label_fit():
         rng = np.random.default_rng(16)
         x = rng.normal(size=(45, 32))
         positive = x[:, 0] + x[:, 5] - x[:, 9] + rng.normal(scale=1.0, size=45) > 0
-        config = ForestConfig(n_trees=20, max_depth=8)
+        return x, positive, ForestConfig(n_trees=20, max_depth=8)
+
+    @pytest.mark.parametrize("labels", ["0-2000", "0-20000", "0-to-7"])
+    def test_sparse_labels_are_refused_in_bounded_memory(self, labels):
+        # a label of 7 or more is refused before a tree grows; labels {0, 20000} on this shape once sized a
+        # 20001-class split scan, which peaked at 145 MB and took 10 s
+        x, positive, config = self._sparse_label_fit()
+        features, y = {
+            "0-2000": (x, 2000 * positive), "0-20000": (x, 20000 * positive), "0-to-7": (x[:8], np.arange(8)),
+        }[labels]
         tracemalloc.start()
         try:
-            for features, labels in [(x, 2000 * positive), (x, 20000 * positive), (x[:8], np.arange(8))]:
-                with pytest.raises(DataError, match="below 7"):
-                    forest_train(features, labels, config, seed=7)
+            with pytest.raises(DataError, match="below 7"):
+                forest_train(features, y, config, seed=7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
-        y = 6 * positive  # the largest label that trains
+
+    def test_the_largest_label_trains_as_the_reference(self):
+        x, positive, config = self._sparse_label_fit()
+        y = 6 * positive  # labels {0, 6}: the largest label `forest_train` takes
         model = forest_train(x, y, config, seed=7)
         reference = _reference_trees(x, y, config, 7)
         assert [_describe_tree(t) for t in model.trees] == [_describe_tree(t) for t in reference]
