@@ -3,7 +3,9 @@
 Subcommands: manifest, flow, loso, prima-facie, gradcam, report. Every
 run writes a provenance sidecar sufficient to replay it; all randomness
 derives from one root seed fanned out by labeled derivation. Exit
-codes: 0 success, 2 configuration error, 3 data error, 4 internal.
+codes: 0 success, 2 configuration error, 3 data error (a DataError, an
+OSError, or a MemoryError, reported as "not enough memory": a size
+argument too large for this machine), 4 internal.
 No command makes its --out directory up front: each file write makes
 its parents, so a run refused before its first write leaves no --out.
 """
@@ -578,6 +580,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"data error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MebenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

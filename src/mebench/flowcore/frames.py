@@ -2,7 +2,10 @@
 
 Supported raster formats are the portable graymap/pixmap family:
 P5/P2 (gray) and P6/P3 (RGB). RGB input is reduced to luminance with
-Y = 0.299 R + 0.587 G + 0.114 B. Loaded values are scaled to [0, 1].
+Y = 0.299 R + 0.587 G + 0.114 B. Loaded values are scaled to [0, 1]:
+load_frame divides each sample by the file's maxval in float64.
+load_rgb_frame keeps the integer samples and returns the maxval
+beside them, and the model's batch builder makes that same division.
 """
 
 from __future__ import annotations
@@ -93,42 +96,42 @@ def _pnm_header(path: Path, data: bytes) -> tuple[bytes, int, int, int, int]:
 
 
 def _read_pnm(path) -> tuple[np.ndarray, int]:
-    """Read a P2/P3/P5/P6 file; return (pixels as (H,W) or (H,W,3) float in [0,1], channels)."""
+    """Read a P2/P3/P5/P6 file; return (samples, maxval). The samples are the file's integers, shaped
+    (H, W) for gray or (H, W, 3) for RGB, as uint8 up to maxval 255 and uint16 above; a sample outside
+    [0, maxval] is refused."""
     path = Path(path)
     data = path.read_bytes()
     magic, width, height, maxval, offset = _pnm_header(path, data)
     channels = 3 if magic in (b"P3", b"P6") else 1
     count = width * height * channels
+    dtype = np.dtype(np.uint8) if maxval <= 255 else np.dtype(np.uint16)
     if magic in (b"P5", b"P6"):
-        payload = data[2 + offset :]
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        need = count * dtype.itemsize
-        if len(payload) < need:
+        stored = np.dtype(">u2") if maxval > 255 else dtype
+        if len(data) - (2 + offset) < count * stored.itemsize:
             raise RasterFormatError(f"{path}: truncated pixel data")
-        raw = np.frombuffer(payload[:need], dtype=dtype).astype(np.float64)
+        raw = np.frombuffer(data, dtype=stored, count=count, offset=2 + offset)
     else:
         try:
             fields = data[2 + offset - 1 :].split()
-            raw = np.array([int(t) for t in fields[:count]], dtype=np.float64)
-        except ValueError as exc:
+            raw = np.array([int(t) for t in fields[:count]], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
             raise RasterFormatError(f"{path}: bad ASCII pixel data") from exc
         if raw.size < count:
             raise RasterFormatError(f"{path}: truncated pixel data")
-    if raw.max(initial=0.0) > maxval:
-        raise RasterFormatError(f"{path}: pixel value exceeds maxval")
-    pixels = raw / float(maxval)
-    if channels == 3:
-        return pixels.reshape(height, width, 3), 3
-    return pixels.reshape(height, width), 1
+    if raw.min(initial=0) < 0 or raw.max(initial=0) > maxval:
+        raise RasterFormatError(f"{path}: pixel value outside [0, maxval {maxval}]")
+    shape = (height, width, 3) if channels == 3 else (height, width)
+    return raw.astype(dtype, copy=False).reshape(shape), maxval
 
 
 def load_frame(path) -> GrayFrame:
-    """Load a frame as grayscale, converting RGB input to luminance."""
+    """Load a frame as grayscale in [0, 1] (samples divided by maxval), converting RGB input to luminance."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"frame file not found: {path}")
-    pixels, channels = _read_pnm(path)
-    if channels == 3:
+    raw, maxval = _read_pnm(path)
+    pixels = np.divide(raw, float(maxval), dtype=np.float64)
+    if pixels.ndim == 3:
         r, g, b = pixels[..., 0], pixels[..., 1], pixels[..., 2]
         pixels = LUMA_WEIGHTS[0] * r + LUMA_WEIGHTS[1] * g + LUMA_WEIGHTS[2] * b
     return GrayFrame(values=pixels)
@@ -143,15 +146,17 @@ def frame_shape(path) -> tuple[int, int]:
     return height, width
 
 
-def load_rgb_frame(path) -> np.ndarray:
-    """Load a frame as a (3, H, W) array in [0, 1]; gray input is replicated."""
+def load_rgb_frame(path) -> tuple[np.ndarray, int]:
+    """Load a frame at file precision: (pixels, maxval), pixels the integer samples (uint8 up to maxval
+    255, uint16 above) shaped (3, H, W), gray input replicated. pixels / float(maxval) in float64 is the
+    frame in [0, 1], bit for bit what load_frame divides."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"frame file not found: {path}")
-    pixels, channels = _read_pnm(path)
-    if channels == 3:
-        return np.ascontiguousarray(pixels.transpose(2, 0, 1))
-    return np.repeat(pixels[None, :, :], 3, axis=0)
+    raw, maxval = _read_pnm(path)
+    if raw.ndim == 3:
+        return raw.transpose(2, 0, 1).copy(), maxval
+    return np.repeat(raw[None, :, :], 3, axis=0), maxval
 
 
 def write_pgm(path, values: np.ndarray) -> None:

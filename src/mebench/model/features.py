@@ -42,10 +42,12 @@ class FrozenEncoder:
 
 
 def extract_frozen_features(flow_image: np.ndarray, encoder: FrozenEncoder) -> np.ndarray:
-    """Length-E feature vector; pure function of (input, encoder weights)."""
-    x = np.asarray(flow_image, dtype=np.float64)
+    """Length-E feature vector; pure function of (input, encoder weights). A float32 flow image is
+    widened to float64 as it is centered, so its features are those of its float64 widening."""
+    x = np.asarray(flow_image)
     if x.ndim != 3:
         raise ConfigError(f"expected a (3, H, W) flow image, got shape {x.shape}")
     leaves = encoder.params.leaves(requires_grad=False)
-    feat, _ = encode_conv(Tensor(x[None] - INPUT_CENTER), leaves, "motion", encoder.config)
+    centered = np.subtract(x[None], INPUT_CENTER, dtype=np.float64)
+    feat, _ = encode_conv(Tensor(centered), leaves, "motion", encoder.config)
     return feat.data[0]

@@ -34,7 +34,8 @@ INPUT_CENTER = 0.5
 
 @dataclass
 class ModelInputs:
-    """Batched inputs: flow (B, 3, H, W); rgb (B, 3, H, W) for RGB variants."""
+    """Batched inputs in [0, 1]: flow (B, 3, H, W), float32 as the OFI files store it or float64;
+    rgb (B, 3, H, W) float64 for RGB variants. forward widens flow to float64 as it centers it."""
 
     flow: np.ndarray
     rgb: Optional[np.ndarray] = None
@@ -137,13 +138,13 @@ def forward(
     """Run one batch; motion_only emits emotion logits only. With requires_grad=False
     the parameter leaves need no gradient, so the pass records no graph."""
     config.validate_for(variant)
-    flow = np.asarray(inputs.flow, dtype=np.float64)
+    flow = np.asarray(inputs.flow)
     side = config.image_size
     if flow.ndim != 4 or flow.shape[1:] != (3, side, side):
         raise DataError(f"flow input must be (B, 3, {side}, {side}) for image_size {side}, got {flow.shape}")
     leaves = params.leaves(requires_grad)
 
-    flow = flow - INPUT_CENTER
+    flow = np.subtract(flow, INPUT_CENTER, dtype=np.float64)
     f_emotion, motion_grid = encode_conv(Tensor(flow), leaves, "motion", config.motion)
     emotion_logits = ad.linear(f_emotion, leaves["head.emotion.w"], leaves["head.emotion.b"])
 

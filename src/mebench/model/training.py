@@ -31,22 +31,32 @@ class NonFiniteGradientError(DataError):
 
 @dataclass
 class TrainSample:
-    """Materialized model input for one clip."""
+    """Materialized model input for one clip, held at file precision.
 
-    flow: np.ndarray                  # (3, H, W), normalized
+    flow is the OFI file's (3, H, W) float32 planes in [0, 1] (float64 is taken too); forward widens it
+    to float64, which is exact. rgb, required for RGB variants, is the apex frame's (3, H, W) samples
+    and rgb_maxval its file's maxval: _batch_inputs divides them in float64, so an integer frame
+    reaches the model as load_frame's division makes it, and RGB already in [0, 1] keeps the default
+    maxval 1 and its bits.
+    """
+
+    flow: np.ndarray
     emotion: int
     ethnicity: int
-    rgb: Optional[np.ndarray] = None  # (3, H, W), required for RGB variants
+    rgb: Optional[np.ndarray] = None
     key: str = ""
+    rgb_maxval: int = 1
 
 
 def _batch_inputs(batch: list[TrainSample], variant: Variant) -> ModelInputs:
+    """The batch's stacked flow, as stored, and its RGB divided by each sample's maxval in float64."""
     flow = np.stack([s.flow for s in batch])
     rgb = None
     if variant.needs_rgb:
         if any(s.rgb is None for s in batch):
             raise DataError(f"variant {variant.value} requires apex RGB frames")
-        rgb = np.stack([s.rgb for s in batch])
+        maxvals = np.array([s.rgb_maxval for s in batch])
+        rgb = np.divide(np.stack([s.rgb for s in batch]), maxvals[:, None, None, None], dtype=np.float64)
     return ModelInputs(flow=flow, rgb=rgb)
 
 

@@ -2,7 +2,9 @@
 
 Materializes OFI files for manifest records (cached through runutil's
 cache entries, keyed by the flow parameters and both frames' bytes) and
-loads them back as model inputs, with class indices in the canonical
+loads them back as model inputs at file precision (float32 flow planes,
+integer apex RGB samples with their maxval; the model widens both to
+float64 per batch, bit for bit), with class indices in the canonical
 orders of model.config:
 
     emotions:    Negative, Positive, Surprise
@@ -159,17 +161,20 @@ def materialize_flow_images(
 def load_train_samples(
     records: list[SampleRecord], flow_dir, need_rgb: bool = False
 ) -> list[TrainSample]:
-    """Materialized model inputs for eligible records, in the given order."""
+    """Model inputs for eligible records, in the given order, at file precision: each clip's OFI
+    float32 planes and, with need_rgb, its apex frame's integer samples and maxval (see TrainSample)."""
     samples = []
     for record in records:
         image = read_flow_image(existing_flow_image_path(flow_dir, record))
+        rgb, maxval = load_rgb_frame(record.apex_path) if need_rgb else (None, 1)
         samples.append(
             TrainSample(
-                flow=image.as_array(),
+                flow=np.stack(image.planes()),
                 emotion=emotion_index(record),
                 ethnicity=ethnicity_index(record),
-                rgb=load_rgb_frame(record.apex_path) if need_rgb else None,
+                rgb=rgb,
                 key=sample_key(record),
+                rgb_maxval=maxval,
             )
         )
     return samples

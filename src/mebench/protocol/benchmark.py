@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..corpus import Manifest
+from ..errors import DataError
 from ..model import ModelConfig, TrainConfig, Variant, evaluate_predictions, save_checkpoint, train_fold
 from ..pipeline import (
     EMOTION_CLASSES,
@@ -111,6 +112,18 @@ def _model_key(base: str, held_out: str | None) -> str:
     return cache_key({"loso": base, "held_out": held_out})
 
 
+def _check_one_size(samples: list) -> None:
+    """Refuse samples whose flow or RGB shape differs from the first sample's: a batch stacks them."""
+    for sample in samples:
+        for name in ("flow", "rgb"):
+            first, own = getattr(samples[0], name), getattr(sample, name)
+            if own is not None and own.shape != first.shape:
+                raise DataError(
+                    f"clip {sample.key} has {name} shape {own.shape}, but clip {samples[0].key} has {first.shape}:"
+                    " a LOSO run needs every clip at one size"
+                )
+
+
 def run_loso_variant(
     manifest: Manifest,
     variant: Variant,
@@ -133,10 +146,12 @@ def run_loso_variant(
     `.meck.json` beside model_path, the hash of that .meck. Unless force is
     set, a valid hit is reused; checkpoint_dir None reads and writes no
     entry. Only if some job is pending are the samples loaded from
-    flow_dir, once. The jobs are independent (each has its own derived
-    seed), so all pending ones run through one runutil.run_jobs call (a
-    process pool when workers > 1), each job writing its own model and
-    entry; results are identical regardless of worker count.
+    flow_dir, once; unless every clip's flow and RGB have the first
+    clip's shape, they are refused (DataError) before any job runs. The
+    jobs are independent (each has its own derived seed), so all pending
+    ones run through one runutil.run_jobs call (a process pool when
+    workers > 1), each job writing its own model and entry; results are
+    identical regardless of worker count.
     """
     records = manifest.eligible()
     folds = plan_loso(records)
@@ -164,6 +179,7 @@ def run_loso_variant(
     jobs = []
     if pending:
         samples = load_train_samples(records, flow_dir, need_rgb=variant.needs_rgb)
+        _check_one_size(samples)
         jobs = [([samples[i] for i in plan.train], [samples[i] for i in plan.test], plan.held_out_subject, path, key)
                 for plan, path, key in pending]
     run = functools.partial(_run_one_fold, variant, model_config, train_config, seed, model_path)

@@ -1033,6 +1033,71 @@ def test_out_of_range_argument_is_not_internal_error(
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def mixed_size_run(tmp_path_factory):
+    """An indexed corpus whose subject 01 has 32 px frames and subject 02 64 px frames, and its flows."""
+    from mebench.flowcore import write_pgm
+
+    root = tmp_path_factory.mktemp("mixed_size")
+    rng = np.random.default_rng(0)
+    lines = ["subject,clip,onset,apex,emotion"]
+    for subject, side in (("01", 32), ("02", 64)):
+        for clip, emotion in (("a", "happiness"), ("b", "fear")):
+            for tag in ("on", "ap"):
+                write_pgm(root / f"{subject}_{clip}_{tag}.pgm", rng.uniform(0, 1, (side, side)))
+            lines.append(f"{subject},{clip},{subject}_{clip}_on.pgm,{subject}_{clip}_ap.pgm,{emotion}")
+    (root / "index.csv").write_text("\n".join(lines) + "\n")
+    (root / "attrs.json").write_text(json.dumps({"01": "Asian", "02": "Caucasian"}))
+    corpus, flows = root / "corpus", root / "flows"
+    argv = ["manifest", "--casme2", str(root / "index.csv"), "--predictor-table", str(root / "attrs.json")]
+    assert main([*argv, "--out", str(corpus)]) == 0
+    assert main(["flow", "--manifest", str(corpus / "manifest.jsonl"), "--out", str(flows)]) == 0
+    return root, corpus, flows
+
+
+@pytest.mark.parametrize("variants", [None, "motion_plus_rgb_patch"], ids=["default-variants", "patch"])
+def test_loso_on_clips_of_two_sizes_is_data_error(mixed_size_run, tmp_path, capsys, variants):
+    _, corpus, flows = mixed_size_run
+    out = tmp_path / "out"
+    argv = ["loso", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows), "--out", str(out),
+            "--epochs", "1"]
+    capsys.readouterr()
+    assert main(argv + (["--variants", variants] if variants else [])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: clip CASME2:02:a has flow shape (3, 64, 64), but clip CASME2:01:a has (3, 32, 32)")
+    assert not out.exists()
+
+
+def test_prima_facie_on_clips_of_two_sizes_runs(mixed_size_run, tmp_path):
+    # its features are pooled, so clips of two sizes give vectors of one length
+    _, corpus, flows = mixed_size_run
+    argv = ["prima-facie", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows),
+            "--out", str(tmp_path / "pf"), "--scenarios", "Mixed", "--budget", "2", "--seeds", "1", "--trees", "5"]
+    assert main(argv) == 0
+    assert (tmp_path / "pf" / "prima_facie.json").exists()
+
+
+@pytest.mark.parametrize("command", ["manifest", "loso"])
+def test_memory_error_is_data_error(synth_run, tmp_path, capsys, monkeypatch, command):
+    # the MemoryError an oversized size argument raises, stubbed where the allocation would happen: a real
+    # request of that size can succeed under overcommit and be killed later
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    _, corpus, flows = synth_run
+    out = tmp_path / "out"
+    if command == "manifest":
+        monkeypatch.setattr(cli, "synthesize_desk_corpus", out_of_memory)
+        argv = ["manifest", "--synth", "--image-size", "100000", "--out", str(out)]
+    else:
+        monkeypatch.setattr(benchmark, "train_fold", out_of_memory)
+        argv = [*_loso_argv(corpus, flows, out), "--feature-dim", "100000000"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "data error: not enough memory: Unable to allocate 74.5 GiB for an array\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["flow", "gradcam", "prima-facie"])
 def test_path_naming_a_directory_is_data_error(synth_run, loso_run, tmp_path, capsys, command):
     _, corpus, flows = synth_run

@@ -28,6 +28,7 @@ from mebench.flowcore import (
     write_pgm,
 )
 from mebench.flowcore.flowimage import BadMagicError, TruncatedFileError
+from mebench.flowcore.frames import RasterFormatError
 from mebench.flowcore import hornschunck
 from mebench.flowcore.hornschunck import (
     _AVG_KERNEL,
@@ -105,9 +106,19 @@ class TestLoadFrame:
     def test_rgb_frame_channels(self, tmp_path):
         p = tmp_path / "c.ppm"
         p.write_bytes(b"P6\n2 1\n255\n" + bytes([255, 0, 0, 0, 255, 0]))
-        rgb = load_rgb_frame(p)
-        assert rgb.shape == (3, 1, 2)
-        assert rgb[0, 0, 0] == 1.0 and rgb[1, 0, 1] == 1.0
+        rgb, maxval = load_rgb_frame(p)
+        assert rgb.shape == (3, 1, 2) and rgb.dtype == np.uint8 and maxval == 255
+        assert rgb[0, 0, 0] == 255 and rgb[1, 0, 1] == 255
+
+    @pytest.mark.parametrize(
+        "data", [b"P2\n2 1\n255\n-5 10\n", b"P3\n1 1\n255\n-5 10 20\n"], ids=["P2", "P3"]
+    )
+    def test_negative_ascii_sample_is_refused(self, tmp_path, data):
+        p = tmp_path / "negative.pnm"
+        p.write_bytes(data)
+        for loader in (load_frame, load_rgb_frame):
+            with pytest.raises(RasterFormatError, match=r"outside \[0, maxval 255\]"):
+                loader(p)
 
     def test_ascii_pgm(self, tmp_path):
         p = tmp_path / "a.pgm"

@@ -1048,6 +1048,11 @@ class TestFrozenFeatures:
         x = np.random.default_rng(0).uniform(0, 1, (3, 64, 64))
         np.testing.assert_array_equal(extract_frozen_features(x, e1), extract_frozen_features(x, e2))
 
+    def test_float32_flow_gives_the_features_of_its_float64_widening(self):
+        encoder = FrozenEncoder.random_fallback(EncoderConfig(feature_dim=32), seed=3)
+        x = np.random.default_rng(2).uniform(0, 1, (3, 64, 64)).astype(np.float32)
+        assert_bits_equal(extract_frozen_features(x, encoder), extract_frozen_features(x.astype(np.float64), encoder))
+
     def test_feature_length(self):
         enc_cfg = EncoderConfig(feature_dim=32)
         enc = FrozenEncoder.random_fallback(enc_cfg, seed=1)

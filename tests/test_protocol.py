@@ -32,9 +32,12 @@ from mebench.flowcore import (
     compute_strain,
     estimate_flow,
     load_frame,
+    load_rgb_frame,
+    read_flow_image,
     write_flow_image,
 )
-from mebench.model import ModelConfig, TrainConfig, Variant
+from mebench.model import ModelConfig, ModelInputs, TrainConfig, TrainSample, Variant, forward, init_params
+from mebench.model.training import _batch_inputs
 from mebench.pipeline import (
     BINARY_CLASSES,
     EMOTION_CLASSES,
@@ -1160,3 +1163,91 @@ class TestRunLosoVariant:
         monkeypatch.setattr(benchmark, "load_train_samples", forbidden)
         monkeypatch.setattr(benchmark, "train_fold", forbidden)
         assert run_tiny_loso(manifest, flow_dir, checkpoint_dir=tmp_path) == first
+
+    @pytest.mark.parametrize("name", ["flow", "rgb"])
+    def test_clips_of_two_sizes_are_refused_before_any_job_runs(self, tiny_loso, monkeypatch, name):
+        manifest, flow_dir = tiny_loso
+        samples = pipeline.load_train_samples(manifest.eligible(), flow_dir, need_rgb=True)
+        last = samples[-1]
+        setattr(last, name, np.zeros((3, 16, 16), getattr(last, name).dtype))
+        monkeypatch.setattr(benchmark, "load_train_samples", lambda *args, **kwargs: samples)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a job ran on clips of two sizes")
+
+        monkeypatch.setattr(benchmark, "train_fold", forbidden)
+        message = rf"clip {last.key} has {name} shape \(3, 16, 16\), but clip {samples[0].key} has \(3, 32, 32\)"
+        with pytest.raises(DataError, match=message):
+            run_loso_variant(manifest, Variant.MOTION_RGB_CONV, ModelConfig.toy(32), TrainConfig(epochs=1), flow_dir, 0)
+
+
+# ---------------------------------------------------------------- samples at file precision
+
+
+def _pnm_bytes(magic: bytes, raw: np.ndarray, maxval: int) -> bytes:
+    """A P2/P3/P5/P6 file holding the integer samples raw, (H, W) gray or (H, W, 3) RGB."""
+    header = b"%s\n%d %d\n%d\n" % (magic, raw.shape[1], raw.shape[0], maxval)
+    if magic in (b"P2", b"P3"):
+        return header + " ".join(str(v) for v in raw.ravel().tolist()).encode() + b"\n"
+    return header + raw.astype(">u2" if maxval > 255 else "u1").tobytes()
+
+
+@pytest.fixture(scope="module")
+def corpus_64px(tmp_path_factory):
+    """Two subjects, two clips each, 64 px, with cheap flows."""
+    root = tmp_path_factory.mktemp("corpus_64px")
+    manifest, _ = synthesize_desk_corpus(SynthSpec(1, 2, 64), seed=3, out_dir=root / "corpus")
+    materialize_flow_images(manifest, FlowParams(iterations=5), root / "flows")
+    return manifest, root / "flows"
+
+
+class TestSamplesAtFilePrecision:
+    def test_batch_rgb_is_the_float64_division_of_the_samples_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(11)
+        cases = [(b"P5", 255), (b"P5", 65535), (b"P6", 255), (b"P6", 65535), (b"P2", 255), (b"P3", 1000)]
+        batch, expected = [], []
+        for i, (magic, maxval) in enumerate(cases):
+            raw = rng.integers(0, maxval + 1, (4, 5, 3) if magic in (b"P3", b"P6") else (4, 5))
+            raw.flat[:2] = (0, maxval)
+            path = tmp_path / f"frame{i}.pnm"
+            path.write_bytes(_pnm_bytes(magic, raw, maxval))
+            pixels, file_maxval = load_rgb_frame(path)
+            assert file_maxval == maxval and pixels.dtype == (np.uint8 if maxval <= 255 else np.uint16)
+            planes = raw.transpose(2, 0, 1) if raw.ndim == 3 else np.repeat(raw[None], 3, axis=0)  # gray: replicated
+            expected.append(planes.astype(np.float64) / float(maxval))
+            if raw.ndim == 2:  # a gray frame's planes are what load_frame loads
+                assert np.array_equal(expected[-1][0].view(np.uint64), load_frame(path).values.view(np.uint64))
+            flow = np.zeros((3, 4, 5), np.float32)
+            batch.append(TrainSample(flow=flow, emotion=0, ethnicity=0, rgb=pixels, rgb_maxval=maxval))
+        rgb = _batch_inputs(batch, Variant.MOTION_RGB_PATCH).rgb
+        assert rgb.dtype == np.float64
+        np.testing.assert_array_equal(rgb.view(np.uint64), np.stack(expected).view(np.uint64))
+
+    def test_model_inputs_are_the_float64_widening_bit_for_bit(self, corpus_64px):
+        manifest, flow_dir = corpus_64px
+        records = manifest.eligible()
+        samples = pipeline.load_train_samples(records, flow_dir, need_rgb=True)
+        wide = np.stack([read_flow_image(pipeline.flow_image_path(flow_dir, r)).as_array() for r in records])
+        assert all(s.flow.dtype == np.float32 and s.rgb.dtype == np.uint8 and s.rgb_maxval == 255 for s in samples)
+        np.testing.assert_array_equal(np.stack([s.flow for s in samples]).astype(np.float64).view(np.uint64),
+                                      wide.view(np.uint64))
+        config = ModelConfig.toy(64)
+        for variant in (Variant.DUAL_MOTION, Variant.MOTION_RGB_CONV):
+            params = init_params(config, variant, 0)
+            inputs = _batch_inputs(samples, variant)
+            compact = forward(inputs, params, config, variant, requires_grad=False)
+            widened = forward(ModelInputs(flow=wide, rgb=inputs.rgb), params, config, variant, requires_grad=False)
+            for head in ("emotion_logits", "ethnicity_logits", "fused_logits"):
+                got, ref = getattr(compact, head).data, getattr(widened, head).data
+                np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_samples_hold_at_most_64_kb_per_64_px_clip(self, corpus_64px):
+        manifest, flow_dir = corpus_64px
+        records = manifest.eligible()
+        tracemalloc.start()
+        try:
+            samples = pipeline.load_train_samples(records, flow_dir, need_rgb=True)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / len(samples) <= 64 * 1024
