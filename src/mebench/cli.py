@@ -170,7 +170,7 @@ def _load_predictor(args):
                     table[subject] = RawEthnicity(entry)
                 else:
                     table[subject] = (Gender(entry[0]), int(entry[1]), RawEthnicity(entry[2]))
-        except (IndexError, KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8 and JSON
+        except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:  # bad UTF-8 and JSON, age 1e400
             raise ConfigError(f"{args.predictor_table}: malformed predictor table: {exc}") from exc
         return TablePredictor(table)
     warnings.warn(

@@ -43,6 +43,9 @@ class CorrectionRule:
     def __post_init__(self):
         if self.attribute not in _ATTRIBUTES:
             raise ConfigError(f"correctable attributes are {_ATTRIBUTES}, got {self.attribute!r}")
+        _coerce(self.attribute, self.replacement)  # a ValueError here, not once frames are read
+        if self.dataset is not None:
+            Dataset(self.dataset)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CorrectionRule":

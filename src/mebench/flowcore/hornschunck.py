@@ -13,14 +13,15 @@ in one broadcast multiply, and the taps are summed from `first_tap + 0.0`,
 which has the bits of correlate's `0.0 + first_tap` for every value (IEEE
 addition is commutative: -0.0 still becomes +0.0, a NaN keeps its payload).
 
-`estimate_flow` also takes a stack (N, H, W) of same-size pairs. Each
-clip keeps its own pyramid, warp and derivatives, but on each level the
-Jacobi steps run once per chunk of clips, the stencil seeing the chunk's
-increments as 2 planes per clip. Every update op is elementwise, so a
-clip's bits are those of its one-pair solve. Stacking pays only while a
-step is call-bound: a chunk holds at most _CHUNK_CELLS padded cells, so
-25 clips share a step at 16 px and 7 at 32 px, while each 64 px and
-128 px clip runs alone (at 128 px, two clips per step were slower than one).
+`estimate_flow` also takes a stack (N, H, W) of same-size pairs. The
+pyramid and upsampling run on the whole stack; on each level the warp,
+derivatives and Jacobi steps run once per chunk of clips, the stencil
+seeing the chunk's increments as 2 planes per clip. Every op is
+elementwise per clip, so a clip's bits are those of its one-pair solve.
+Stacking pays only while a step is call-bound: a chunk holds at most
+_CHUNK_CELLS padded cells, so 25 clips share a step at 16 px and 7 at
+32 px, while each 64 px and 128 px clip runs alone (at 128 px, two clips
+per step were slower than one).
 `stack_size` is how many pairs a caller should stack: those that fill
 one chunk of a shared level, within a memory cap.
 
@@ -141,26 +142,27 @@ def _corner_weights(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """img (H, W) sampled at the 2-D coordinates (ys, xs), which broadcast together, bilinear and edge-clamped.
+    """Each frame of img (..., H, W) sampled at the 2-D coordinates (ys, xs), bilinear and edge-clamped.
 
-    In float64; of a float64 img, bit-identical to `scipy.ndimage.map_coordinates(img, [ys, xs], order=1,
-    mode="nearest")`:
-    along each axis the upper weight is 1 - w0, and the corner indices floor(c) and
-    floor(c) + 1 are clamped to the frame (here: read from a 1 px edge-padded copy),
-    while the weights keep the unclamped coordinate; the products (value * wy) * wx
-    are summed from 0.0 in row-major corner order. A row and a column of coordinates
-    give a separable grid, whose weights are computed once per row and per column.
+    The result has the shape of img's leading axes, ys and xs broadcast. In float64; of a float64 frame,
+    bit-identical to `scipy.ndimage.map_coordinates(frame, [ys, xs], order=1, mode="nearest")`: along each
+    axis the upper weight is 1 - w0, and the corner indices floor(c) and floor(c) + 1 are clamped to the
+    frame (here: read from a 1 px edge-padded copy), while the weights keep the unclamped coordinate; the
+    products (value * wy) * wx are summed from 0.0 in row-major corner order. A row and a column of
+    coordinates give a separable grid, whose weights are computed once per row and per column.
     Coordinates must be finite: a NaN has no index.
     """
-    h, w = img.shape
+    *lead, h, w = img.shape
     padded = _edge_pad(img, 1, 1).reshape(-1)
+    starts = np.arange(0, padded.size, (h + 2) * (w + 2)).reshape(*lead, 1, 1)  # where each frame starts in `padded`
     wy0, row = _corner_weights(ys, h)
     wx0, col = _corner_weights(xs, w)
     # flat index of each sample's upper-left corner in the padded copy; the other three follow it
     row *= w + 2
     row += w + 3
-    base = np.empty(np.broadcast_shapes(row.shape, col.shape), dtype=np.intp)
+    base = np.empty(np.broadcast_shapes(row.shape, col.shape, starts.shape), dtype=np.intp)
     np.add(row, col, out=base, casting="unsafe")
+    base += starts
     wy1 = np.subtract(1.0, wy0, out=row)
     wx1 = np.subtract(1.0, wx0, out=col)
     # the indices are in range by construction; mode "clip" (unlike "raise") lets take fill `term` unbuffered
@@ -190,10 +192,10 @@ def _gaussian_weights(sigma: float) -> np.ndarray:
 
 
 def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian blur of img (H, W) in float64, bit-identical to `scipy.ndimage.gaussian_filter(img, sigma,
-    mode="nearest")` of a float64 img for sigma > 1e-15.
+    """Gaussian blur of each frame of img (..., H, W) in float64, bit-identical to
+    `scipy.ndimage.gaussian_filter(frame, sigma, mode="nearest")` of a float64 frame for sigma > 1e-15.
 
-    Like scipy's symmetric `correlate1d`, each pass (axis 0, then axis 1) starts from
+    Like scipy's symmetric `correlate1d`, each pass (rows, then columns) starts from
     centre * w0 and adds (x[-k] + x[+k]) * w_k for k from the radius down to 1. The
     edge columns padded for the second pass are smoothed by the first, which gives
     them the values that the second pass's edge extension would.
@@ -201,8 +203,8 @@ def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
     weights = _gaussian_weights(sigma)
     r = len(weights) - 1
     out = _edge_pad(img, r, r)
-    for axis in (0, 1):
-        padded = out.swapaxes(0, axis)
+    for axis in (-2, -1):
+        padded = np.moveaxis(out, axis, 0)
         n = len(padded) - 2 * r
         acc = padded[r:r + n] * weights[0]
         pair = np.empty_like(acc)
@@ -210,13 +212,13 @@ def gaussian_smooth(img: np.ndarray, sigma: float) -> np.ndarray:
             np.add(padded[r - k:r - k + n], padded[r + k:r + k + n], out=pair)
             pair *= weights[k]
             acc += pair
-        out = acc.swapaxes(0, axis)
+        out = np.moveaxis(acc, 0, axis)
     return out
 
 
 def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    """Deterministic bilinear resize with corner-aligned sample coordinates."""
-    h, w = img.shape
+    """Deterministic bilinear resize of each frame of img (..., H, W) with corner-aligned sample coordinates."""
+    h, w = img.shape[-2:]
     if (new_h, new_w) == (h, w):
         return img.copy()
     ys = np.linspace(0.0, h - 1.0, new_h) if new_h > 1 else np.zeros(1)
@@ -225,16 +227,16 @@ def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
 
 
 def warp_bilinear(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sample img at (x + u, y + v) with bilinear interpolation, edge-clamped.
+    """Sample each frame of img (..., H, W) at (x + u, y + v) with bilinear interpolation, edge-clamped.
 
     Exact at zero displacement: integer coordinates reproduce img bit-for-bit.
     """
-    h, w = img.shape
+    h, w = img.shape[-2:]
     return sample_bilinear(img, v + np.arange(h, dtype=np.float64)[:, None], u + np.arange(w, dtype=np.float64))
 
 
 def _derivatives(im1: np.ndarray, im2: np.ndarray):
-    """Spatial/temporal derivative estimates averaged over the frame pair (2x2 stencils).
+    """Spatial/temporal derivative estimates averaged over each frame pair of im1, im2 (..., H, W) (2x2 stencils).
 
     Each frame's stencil sum has the bits of `correlate(frame, k, mode="nearest")` for
     its 2x2 kernel k of +-0.25: the taps at row and column offsets (-1, 0) of the
@@ -243,7 +245,7 @@ def _derivatives(im1: np.ndarray, im2: np.ndarray):
     """
     q = _edge_pad(np.stack([im1, im2]), 1, 1)
     q *= 0.25
-    a, b, c, d = q[:, :-2, :-2], q[:, :-2, 1:-1], q[:, 1:-1, :-2], q[:, 1:-1, 1:-1]
+    a, b, c, d = q[..., :-2, :-2], q[..., :-2, 1:-1], q[..., 1:-1, :-2], q[..., 1:-1, 1:-1]
     cx = 0.0 - a + b - c + d
     cy = 0.0 - a - b + c + d
     ct = 0.0 + a + b + c + d
@@ -284,21 +286,18 @@ def _neighbour_average(padded: np.ndarray, out: np.ndarray, scaled: np.ndarray):
 def _solve_chunk(im1, im2, u, v, alpha, iterations):
     """Refine the (c, H, W) flow stacks u, v of a chunk of clips in place: warp, then Jacobi-iterate the increments.
 
-    Each clip is warped and differentiated on its own (`im1`, `im2` hold its
-    (H, W) frames). Every per-step array lives on the 1 px padded grid and is
+    The chunk's (c, H, W) frames `im1`, `im2` are warped and differentiated in
+    one call each. Every per-step array lives on the 1 px padded grid and is
     updated in place; `grad` is (c, 2, H+2, W+2). The increments (du, dv)
     are the interior of `padded`; each stencil refills its border, so the
     don't-care values the update leaves there are never read. The stencil
-    sees the chunk as 2c planes and every other op is elementwise, so a
-    clip's bits do not depend on the other clips in its chunk.
+    sees the chunk as 2c planes and every other op is elementwise per clip,
+    so a clip's bits do not depend on the other clips in its chunk.
     """
     c, h, w = u.shape
     grad = np.zeros((c, 2, h + 2, w + 2))
     ft = np.zeros((c, h + 2, w + 2))
-    for i in range(c):
-        fx, fy, ft_i = _derivatives(im1[i], warp_bilinear(im2[i], u[i], v[i]))
-        grad[i, :, 1:-1, 1:-1] = fx, fy
-        ft[i, 1:-1, 1:-1] = ft_i
+    grad[:, 0, 1:-1, 1:-1], grad[:, 1, 1:-1, 1:-1], ft[:, 1:-1, 1:-1] = _derivatives(im1, warp_bilinear(im2, u, v))
     denom = alpha * alpha + grad[:, 0] * grad[:, 0] + grad[:, 1] * grad[:, 1]
     padded = np.zeros_like(grad)
     bar = np.zeros_like(grad)
@@ -328,7 +327,7 @@ def _chunk_clips(h: int, w: int) -> int:
 
 def _solve_level(im1, im2, u, v, alpha, iterations):
     """Refine the (n, H, W) flow stacks u, v in place on one pyramid level, one chunk of
-    _chunk_clips clips at a time; `im1`, `im2` are sequences of each clip's (H, W) frames."""
+    _chunk_clips clips at a time; `im1`, `im2` are the level's (n, H, W) frame stacks."""
     n, h, w = u.shape
     chunk = _chunk_clips(h, w)
     for part in (slice(start, start + chunk) for start in range(0, n, chunk)):
@@ -347,10 +346,11 @@ def _level_shapes(h: int, w: int, levels: int, scale: float) -> list[tuple[int, 
 
 
 def _pyramid(values: np.ndarray, levels: int, scale: float) -> list[np.ndarray]:
-    """Image pyramid of _level_shapes, finest first."""
+    """Image pyramid of _level_shapes of each frame of values (..., H, W), finest first."""
     out = [values]
-    sigma = 0.5 * np.sqrt(max(1.0 / (scale * scale) - 1.0, 0.0))
-    for new_h, new_w in _level_shapes(*values.shape, levels, scale)[1:]:
+    for new_h, new_w in _level_shapes(*values.shape[-2:], levels, scale)[1:]:
+        # computed only when a coarser level exists: a scale whose square underflows to 0.0 makes none
+        sigma = 0.5 * np.sqrt(max(1.0 / (scale * scale) - 1.0, 0.0))
         smoothed = gaussian_smooth(out[-1], sigma) if sigma > 0 else out[-1]
         out.append(bilinear_resize(smoothed, new_h, new_w))
     return out
@@ -370,15 +370,6 @@ def stack_size(height: int, width: int, params: FlowParams | None = None) -> int
     return max(1, min(min(shared, default=1), _STACK_PIXELS // (height * width)))
 
 
-def _upsample(flow: np.ndarray, h: int, w: int, scale: float) -> np.ndarray:
-    """Each clip of a flow component stack resized to (h, w), its displacements times scale, in one new array."""
-    out = np.empty((len(flow), h, w))
-    for clip, resized in zip(flow, out):
-        resized[...] = bilinear_resize(clip, h, w)
-    out *= scale
-    return out
-
-
 def estimate_flow(onset: GrayFrame, apex: GrayFrame, params: FlowParams | None = None) -> FlowField:
     """Estimate the dense displacement field carrying onset pixels to apex.
 
@@ -393,20 +384,23 @@ def estimate_flow(onset: GrayFrame, apex: GrayFrame, params: FlowParams | None =
     # The conventional smoothness weight (default 15) is calibrated against
     # 8-bit luminance gradients, so the solver works on a 0..255 scale
     # internally; displacements are in pixels either way.
-    # pyr1[level][i] is clip i's onset frame at that level, finest level first.
+    # pyr1[level] is the (N, h, w) stack of onset frames at that level, finest level first.
     clips = (-1, onset.height, onset.width)
     pyr1, pyr2 = (
-        list(zip(*(_pyramid(clip, params.pyramid_levels, params.pyramid_scale) for clip in stack * 255.0)))
-        for stack in (onset.values.reshape(clips), apex.values.reshape(clips))
+        _pyramid(frame.values.reshape(clips) * 255.0, params.pyramid_levels, params.pyramid_scale)
+        for frame in (onset, apex)
     )
 
-    u = np.zeros((len(pyr1[-1]), *pyr1[-1][0].shape))
+    u = np.zeros_like(pyr1[-1])
     v = np.zeros_like(u)
 
     for im1, im2 in zip(reversed(pyr1), reversed(pyr2)):
-        h, w = im1[0].shape
+        h, w = im1.shape[1:]
         if u.shape[1:] != (h, w):
-            u, v = _upsample(u, h, w, w / u.shape[2]), _upsample(v, h, w, h / u.shape[1])
+            scale_x, scale_y = w / u.shape[2], h / u.shape[1]
+            u, v = bilinear_resize(u, h, w), bilinear_resize(v, h, w)
+            u *= scale_x
+            v *= scale_y
         _solve_level(im1, im2, u, v, params.smoothness_alpha, params.iterations)
         # before the next level's warp samples at x + u, y + v
         if not (np.isfinite(u).all() and np.isfinite(v).all()):

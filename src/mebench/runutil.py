@@ -172,12 +172,12 @@ def write_cache_entry(path, key: str, value) -> None:
 
 
 def run_jobs(fn, jobs: list, workers: int = 1):
-    """Yield fn(job) for each job, in order, as each finishes. With workers > 1
-    and two or more jobs they run in a process pool, imported only then."""
+    """Yield fn(job) for each job, in order, as each finishes. With workers > 1 and two or more jobs they run
+    in a process pool, imported only then, of at most one worker per job (a forking pool starts all at once)."""
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             yield from pool.map(fn, jobs)
     else:
         yield from map(fn, jobs)

@@ -364,17 +364,23 @@ def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsy
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,.,f.pgm,fear\n", 3),
         ("--ledger", b"\xff\xfe\n", 2),
         ("--ledger", b"[1, 2]\n", 2),
+        ("--ledger", b'{"attribute": "age", "replacement": "abc"}\n', 2),
+        ("--ledger", b'{"attribute": "raw_ethnicity", "replacement": "Martian"}\n', 2),
+        ("--ledger", b'{"attribute": "gender", "replacement": "x"}\n', 2),
+        ("--ledger", b'{"attribute": "age", "replacement": "12", "dataset": "NOPE"}\n', 2),
         ("--predictor-table", b"{not json", 2),
         ("--predictor-table", b'{"01": "Martian"}', 2),
         ("--predictor-table", b'{"01": ["male"]}', 2),
         ("--predictor-table", b'{"01": {"gender": "male"}}', 2),
         ("--predictor-table", b'["01", "Asian"]', 2),
+        ("--predictor-table", b'{"01": ["male", 1e400, "Asian"]}', 2),
     ],
     ids=["manifest-not-utf8", "manifest-bad-json", "manifest-list-head", "manifest-no-onset", "manifest-bad-dataset",
          "manifest-no-gender", "manifest-age-string", "manifest-corrected-string", "index-not-utf8",
          "index-cell-over-200kb", "index-short-row", "index-onset-directory",
-         "ledger-not-utf8", "ledger-list-rule", "table-bad-json", "table-unknown-ethnicity", "table-short-entry",
-         "table-object-entry", "table-not-object"],
+         "ledger-not-utf8", "ledger-list-rule", "ledger-age-not-integer", "ledger-unknown-ethnicity",
+         "ledger-unknown-gender", "ledger-unknown-dataset", "table-bad-json", "table-unknown-ethnicity",
+         "table-short-entry", "table-object-entry", "table-not-object", "table-age-overflow"],
 )
 def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, code):
     from mebench.flowcore import write_pgm
@@ -411,6 +417,31 @@ def test_thread_count_defaults_to_one(monkeypatch):
     assert _workers() == 1
     monkeypatch.setenv("MEBENCH_THREADS", "2")
     assert _workers() == 2
+
+
+def test_job_pool_starts_at_most_one_worker_per_job(monkeypatch):
+    # a fork-started pool starts every one of max_workers at its first submit; this fake starts none
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert list(runutil.run_jobs(abs, [-1, -2], workers=64)) == [1, 2]
+    assert list(runutil.run_jobs(abs, [-1, -2, -3], workers=2)) == [1, 2, 3]
+    assert started == [2, 2]
 
 
 def test_bare_commands_build_the_dataclass_defaults():
@@ -1031,6 +1062,18 @@ def test_out_of_range_argument_is_not_internal_error(
     assert main(argv + extra) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_scale_too_small_for_a_coarser_level_flows_as_one_level(synth_run, tmp_path):
+    # 1e-200 squared underflows to 0.0, so no pyramid sigma can be computed; none is needed, as no level is coarser
+    _, corpus, _ = synth_run
+    argv = ["flow", "--manifest", str(corpus / "manifest.jsonl")]
+    assert main([*argv, "--scale", "1e-200", "--out", str(tmp_path / "tiny")]) == 0
+    assert main([*argv, "--levels", "1", "--out", str(tmp_path / "one")]) == 0
+    names = sorted(path.name for path in (tmp_path / "one").glob("*.ofi"))
+    assert names and names == sorted(path.name for path in (tmp_path / "tiny").glob("*.ofi"))
+    for name in names:
+        assert (tmp_path / "tiny" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -209,6 +209,15 @@ class TestEstimateFlow:
         with pytest.raises(ConfigError):
             FlowParams(pyramid_scale=1.0)
 
+    def test_a_scale_too_small_for_a_coarser_level_solves_one_level(self):
+        # 1e-200 squared underflows to 0.0: no pyramid sigma may be computed when no level is coarser
+        tex = smooth_texture(24, 24, 4)
+        onset, apex = GrayFrame(tex), GrayFrame(translate_frame(tex, 0.7, -0.3))
+        assert_same_flow(
+            estimate_flow(onset, apex, FlowParams(pyramid_scale=1e-200)),
+            estimate_flow(onset, apex, FlowParams(pyramid_levels=1)),
+        )
+
     def test_too_small_frames(self):
         a = GrayFrame(np.zeros((4, 4)))
         with pytest.raises(DataError):
@@ -525,18 +534,30 @@ def awkward_values(rng, shape, spread):
 # displacement spreads: none, sub-pixel, a few pixels, and far outside any frame
 SPREADS = st.sampled_from([0.0, 0.5, 3.0, 1e3])
 
+# the leading axes of a port's input: one (H, W) frame, or a stack of three
+LEADS = pytest.mark.parametrize("lead", [(), (3,)], ids=["frame", "stack"])
+
+
+def frames(x):
+    """The (H, W) frames of an (..., H, W) array, in order."""
+    return x.reshape(-1, *x.shape[-2:])
+
 
 class TestScipyPorts:
     """Each numpy port against the scipy.ndimage expression it replaced, bit for bit. reference_flow calls the
     module's own warp_bilinear, bilinear_resize and _pyramid, so the solver pins do not guard these."""
 
+    @LEADS
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 24), st.integers(1, 24), SPREADS)
-    def test_warp_bilinear(self, seed, h, w, spread):
+    def test_warp_bilinear(self, lead, seed, h, w, spread):
         rng = np.random.Generator(np.random.PCG64(seed))
-        img = awkward_values(rng, (h, w), 100.0)
-        u, v = awkward_values(rng, (h, w), spread), awkward_values(rng, (h, w), spread)
-        assert np.array_equal(bits(warp_bilinear(img, u, v)), bits(scipy_warp(img, u, v)))
+        img = awkward_values(rng, (*lead, h, w), 100.0)
+        u, v = awkward_values(rng, img.shape, spread), awkward_values(rng, img.shape, spread)
+        got = warp_bilinear(img, u, v)
+        assert got.shape == img.shape
+        for frame, *pair in zip(frames(got), frames(img), frames(u), frames(v)):
+            assert np.array_equal(bits(frame), bits(scipy_warp(*pair)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 24), st.integers(1, 24), st.integers(1, 24), st.integers(1, 24),
@@ -551,21 +572,28 @@ class TestScipyPorts:
         expected = map_coordinates(img, np.broadcast_arrays(ys, xs), order=1, mode="nearest")
         assert np.array_equal(bits(sample_bilinear(img, ys, xs)), bits(expected))
 
+    @LEADS
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 40), st.integers(1, 80), st.integers(1, 80))
-    def test_bilinear_resize(self, seed, h, w, new_h, new_w):
-        img = awkward_values(np.random.Generator(np.random.PCG64(seed)), (h, w), 50.0)
-        assert np.array_equal(bits(bilinear_resize(img, new_h, new_w)), bits(scipy_resize(img, new_h, new_w)))
+    def test_bilinear_resize(self, lead, seed, h, w, new_h, new_w):
+        img = awkward_values(np.random.Generator(np.random.PCG64(seed)), (*lead, h, w), 50.0)
+        got = bilinear_resize(img, new_h, new_w)
+        assert got.shape == (*lead, new_h, new_w)
+        for frame, source in zip(frames(got), frames(img)):
+            assert np.array_equal(bits(frame), bits(scipy_resize(source, new_h, new_w)))
 
+    @LEADS
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(8, 70), st.integers(8, 70), st.integers(1, 4),
            st.sampled_from([0.5, 0.6, 0.75, 0.9]))
-    def test_pyramid(self, seed, h, w, levels, scale):
-        values = np.random.Generator(np.random.PCG64(seed)).random((h, w)) * 255.0
-        got, expected = _pyramid(values, levels, scale), scipy_pyramid(values, levels, scale)
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert np.array_equal(bits(a), bits(b))
+    def test_pyramid(self, lead, seed, h, w, levels, scale):
+        values = np.random.Generator(np.random.PCG64(seed)).random((*lead, h, w)) * 255.0
+        got = _pyramid(values, levels, scale)
+        for source, frame in zip(frames(values), zip(*(frames(level) for level in got))):
+            expected = scipy_pyramid(source, levels, scale)
+            assert len(frame) == len(expected)
+            for a, b in zip(frame, expected):
+                assert np.array_equal(bits(a), bits(b))
 
     @pytest.mark.parametrize("side", [32, 64, 128])
     def test_pyramid_at_the_flow_shapes(self, side):
@@ -573,13 +601,17 @@ class TestScipyPorts:
         for a, b in zip(_pyramid(values, 3, 0.5), scipy_pyramid(values, 3, 0.5)):
             assert np.array_equal(bits(a), bits(b))
 
+    @LEADS
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 30), st.integers(1, 30))
-    def test_derivatives(self, seed, h, w):
+    def test_derivatives(self, lead, seed, h, w):
         rng = np.random.Generator(np.random.PCG64(seed))
-        im1, im2 = awkward_values(rng, (h, w), 255.0), awkward_values(rng, (h, w), 255.0)
-        for a, b in zip(_derivatives(im1, im2), _reference_derivatives(im1, im2)):
-            assert np.array_equal(bits(a), bits(b))
+        im1, im2 = awkward_values(rng, (*lead, h, w), 255.0), awkward_values(rng, (*lead, h, w), 255.0)
+        got = [frames(d) for d in _derivatives(im1, im2)]
+        assert all(d.shape == frames(im1).shape for d in got)
+        for i, pair in enumerate(zip(frames(im1), frames(im2))):
+            for a, b in zip(got, _reference_derivatives(*pair)):
+                assert np.array_equal(bits(a[i]), bits(b))
 
     @pytest.mark.parametrize("first", ["+0", "-0", "columns", "rows"])
     @pytest.mark.parametrize("second", ["+0", "-0", "columns", "rows"])
@@ -595,15 +627,17 @@ class TestScipyPorts:
         for a, b in zip(_derivatives(im1, im2), _reference_derivatives(im1, im2)):
             assert np.array_equal(bits(a), bits(b))
 
+    @LEADS
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 40),
            st.one_of(st.sampled_from([0.5 * np.sqrt(3.0), 1.5, 5.0]), st.floats(0.01, 8.0)))
-    def test_gaussian_smooth(self, seed, h, w, sigma):
+    def test_gaussian_smooth(self, lead, seed, h, w, sigma):
         # sides from 1 px, far below the radius (20 px at sigma 5), up to the radius and beyond
-        img = awkward_values(np.random.Generator(np.random.PCG64(seed)), (h, w), 10.0)
+        img = awkward_values(np.random.Generator(np.random.PCG64(seed)), (*lead, h, w), 10.0)
         got = gaussian_smooth(img, sigma)
-        assert got.flags.c_contiguous
-        assert np.array_equal(bits(got), bits(gaussian_filter(img, sigma=sigma, mode="nearest")))
+        assert got.flags.c_contiguous and got.shape == img.shape
+        for frame, source in zip(frames(got), frames(img)):
+            assert np.array_equal(bits(frame), bits(gaussian_filter(source, sigma=sigma, mode="nearest")))
 
 
 # ---------------------------------------------------------------- strain
