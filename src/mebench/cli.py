@@ -42,6 +42,7 @@ from .corpus import (
     summarize_distribution,
     synthesize_desk_corpus,
 )
+from .corpus.records import parse_age
 from .errors import ConfigError, DataError, MebenchError
 from .flowcore import FlowParams, load_frame, write_pgm
 from .flowcore.flowimage import read_flow_image_shape
@@ -169,7 +170,7 @@ def _load_predictor(args):
                 if isinstance(entry, str):
                     table[subject] = RawEthnicity(entry)
                 else:
-                    table[subject] = (Gender(entry[0]), int(entry[1]), RawEthnicity(entry[2]))
+                    table[subject] = (Gender(entry[0]), parse_age(entry[1]), RawEthnicity(entry[2]))
         except (IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:  # bad UTF-8 and JSON, age 1e400
             raise ConfigError(f"{args.predictor_table}: malformed predictor table: {exc}") from exc
         return TablePredictor(table)

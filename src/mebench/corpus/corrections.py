@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import ConfigError
-from .records import Dataset, Gender, RawEthnicity, SampleRecord
+from .records import Dataset, Gender, RawEthnicity, SampleRecord, parse_age
 
 _ATTRIBUTES = ("raw_ethnicity", "gender", "age")
 
@@ -78,7 +78,7 @@ def _coerce(attribute: str, replacement: str):
         return RawEthnicity(replacement)
     if attribute == "gender":
         return Gender(replacement)
-    return int(replacement)
+    return parse_age(replacement)
 
 
 def _matches(rule: CorrectionRule, record: SampleRecord) -> bool:

@@ -17,7 +17,7 @@ from typing import Protocol
 
 from ..errors import DataError
 from ..flowcore import GrayFrame, write_pgm
-from .records import Gender, RawAttributeRecord, RawEthnicity
+from .records import Gender, RawAttributeRecord, RawEthnicity, parse_age
 
 
 class AnnotationError(DataError):
@@ -78,6 +78,7 @@ def annotate_attributes(frame: GrayFrame, predictor: AttributePredictor, subject
     """Run the predictor on one apex frame; failures carry the sample id."""
     try:
         gender, age, ethnicity = predictor.predict(frame, subject_id)
+        age = parse_age(age)
     except Exception as exc:
         raise AnnotationError(f"attribute prediction failed for subject {subject_id!r}: {exc}") from exc
     return RawAttributeRecord(subject_id=subject_id, gender=gender, age=age, raw_ethnicity=ethnicity)

@@ -92,6 +92,14 @@ def map_emotion(raw: str) -> MappedEmotion:
         raise UnknownLabelError(f"unrecognized emotion string: {raw!r}") from exc
 
 
+def parse_age(value) -> int:
+    """An age in whole years; a negative one is a ValueError."""
+    age = int(value)
+    if age < 0:
+        raise ValueError(f"age must be >= 0, got {age}")
+    return age
+
+
 @dataclass(frozen=True)
 class RawAttributeRecord:
     """Predictor output for one subject's apex frame."""
@@ -118,6 +126,10 @@ class SampleRecord:
     gender: Gender = Gender.UNKNOWN
     age: Optional[int] = None
     corrected: bool = False
+
+    def __post_init__(self):
+        if self.age is not None and self.age < 0:
+            raise DataError(f"record {self.key}: age must be >= 0, got {self.age}")
 
     @property
     def key(self) -> tuple[str, str]:

@@ -1,8 +1,9 @@
 """The 3-channel optical flow image fed to the model, and its OFI1 container.
 
 Channels are (u, v, strain magnitude), each clipped and mapped affinely
-to [0, 1]: flow channels clip to +/-3 px, strain to [0, 0.5]. Planes are
-stored as float32 so that the serialized form round-trips bit-exactly.
+to [0, 1]: flow channels clip to +/-3 px, strain to [0, 0.5]. In memory
+the image is the file's own float32 block, one read-only (3, H, W) array,
+so it round-trips bit-exactly: read without a copy, written in one tobytes().
 
 OFI1 layout (little-endian):
 
@@ -27,6 +28,9 @@ from .strain import StrainMap
 # both clips are exact in float32, so a record matches its serialized form exactly
 FLOW_CLIP = (-3.0, 3.0)
 STRAIN_CLIP = (0.0, 0.5)
+
+# per-channel clip bounds, broadcast over a (3, H, W) stack
+_LO, _HI = np.array([FLOW_CLIP, FLOW_CLIP, STRAIN_CLIP]).T.reshape(2, 3, 1, 1)
 
 _MAGIC = b"OFI1"
 _MAX_DIM = 2**32 - 1
@@ -54,62 +58,48 @@ class NormalizationRecord:
     strain_clip: tuple[float, float] = STRAIN_CLIP
     clip_fraction: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def clips(self) -> tuple[tuple[float, float], ...]:
-        return (self.fx_clip, self.fy_clip, self.strain_clip)
-
 
 @dataclass(frozen=True, eq=False)
 class OpticalFlowImage:
-    """Normalized (fx, fy, strain) planes; all values in [0, 1], float32."""
+    """Normalized (fx, fy, strain) planes as one read-only (3, H, W) float32 array, all values in [0, 1]."""
 
-    channel_fx: np.ndarray
-    channel_fy: np.ndarray
-    channel_strain: np.ndarray
+    data: np.ndarray
     normalization: NormalizationRecord
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OpticalFlowImage):
             return NotImplemented
-        return self.normalization == other.normalization and all(
-            np.array_equal(a, b) for a, b in zip(self.planes(), other.planes())
-        )
+        return self.normalization == other.normalization and np.array_equal(self.data, other.data)
 
     def __post_init__(self):
-        shape = None
-        for name in ("channel_fx", "channel_fy", "channel_strain"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
-            if a.ndim != 2:
-                raise DataError(f"{name} must be 2-D")
-            if shape is None:
-                shape = a.shape
-            elif a.shape != shape:
-                raise DataError(f"{name} has shape {a.shape}, expected {shape}")
-            if not np.isfinite(a).all():
-                raise DataError(f"{name} contains non-finite values")
-            if a.min(initial=0.0) < 0.0 or a.max(initial=0.0) > 1.0:
-                raise DataError(f"{name} not normalized to [0, 1]")
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        a = np.ascontiguousarray(self.data, dtype=np.float32)
+        if a.ndim != 3 or a.shape[0] != 3:
+            raise DataError(f"flow image must be (3, H, W), got shape {a.shape}")
+        finite = np.isfinite(a).all(axis=(1, 2))
+        valid = finite & (a.min(axis=(1, 2), initial=0.0) >= 0.0) & (a.max(axis=(1, 2), initial=0.0) <= 1.0)
+        if not valid.all():
+            bad = int(np.argmin(valid))  # the first bad channel
+            problem = "not normalized to [0, 1]" if finite[bad] else "contains non-finite values"
+            raise DataError(f"channel_{('fx', 'fy', 'strain')[bad]} {problem}")
+        a.flags.writeable = False
+        object.__setattr__(self, "data", a)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.channel_fx.shape
+    shape = property(lambda self: self.data.shape[1:])  # (H, W)
+    channel_fx = property(lambda self: self.data[0])
+    channel_fy = property(lambda self: self.data[1])
+    channel_strain = property(lambda self: self.data[2])
 
     def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.channel_fx, self.channel_fy, self.channel_strain)
+        return tuple(self.data)
 
     def as_array(self) -> np.ndarray:
-        """Stacked (3, H, W) float64 view for model input."""
-        return np.stack([p.astype(np.float64) for p in self.planes()])
+        """The (3, H, W) planes widened to float64 for model input."""
+        return self.data.astype(np.float64)
 
 
-def _normalize(plane: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    clipped = np.clip(plane, lo, hi)
-    return ((clipped - lo) / (hi - lo)).astype(np.float32)
-
-
-def _boundary_fraction(plane: np.ndarray) -> float:
-    return float(np.mean((plane == 0.0) | (plane == 1.0)))
+def _boundary_fractions(data: np.ndarray) -> tuple[float, float, float]:
+    """Per channel, the fraction of values sitting exactly at a clip boundary (0.0 or 1.0)."""
+    return tuple(np.mean((data == 0.0) | (data == 1.0), axis=(1, 2)).tolist())
 
 
 def assemble_flow_image(flow: FlowField, strain: StrainMap) -> OpticalFlowImage:
@@ -117,25 +107,18 @@ def assemble_flow_image(flow: FlowField, strain: StrainMap) -> OpticalFlowImage:
     by FLOW_CLIP and STRAIN_CLIP."""
     if flow.shape != strain.shape:
         raise DataError(f"flow shape {flow.shape} != strain shape {strain.shape}")
-    fx = _normalize(flow.u, *FLOW_CLIP)
-    fy = _normalize(flow.v, *FLOW_CLIP)
-    st = _normalize(strain.magnitude, *STRAIN_CLIP)
-    record = NormalizationRecord(
-        clip_fraction=(_boundary_fraction(fx), _boundary_fraction(fy), _boundary_fraction(st))
-    )
-    return OpticalFlowImage(channel_fx=fx, channel_fy=fy, channel_strain=st, normalization=record)
+    stacked = np.clip(np.stack((flow.u, flow.v, strain.magnitude)), _LO, _HI)
+    data = ((stacked - _LO) / (_HI - _LO)).astype(np.float32)
+    return OpticalFlowImage(data, NormalizationRecord(clip_fraction=_boundary_fractions(data)))
 
 
 def write_flow_image(img: OpticalFlowImage, path) -> None:
     h, w = img.shape
     if h > _MAX_DIM or w > _MAX_DIM:
         raise DataError(f"dimension overflow: {h}x{w} does not fit in u32")
-    parts = [_MAGIC, struct.pack("<II", h, w)]
-    for plane in img.planes():
-        parts.append(plane.astype("<f4").tobytes())
-    flat_clips = [c for pair in img.normalization.clips() for c in pair]
-    parts.append(struct.pack("<6f", *flat_clips))
-    atomic_write_bytes(path, b"".join(parts))
+    record = img.normalization
+    clips = struct.pack("<6f", *record.fx_clip, *record.fy_clip, *record.strain_clip)
+    atomic_write_bytes(path, _MAGIC + struct.pack("<II", h, w) + img.data.astype("<f4", copy=False).tobytes() + clips)
 
 
 def read_flow_image_shape(path, data: bytes | None = None) -> tuple[int, int]:
@@ -157,23 +140,12 @@ def read_flow_image(path) -> OpticalFlowImage:
     path = Path(path)
     data = path.read_bytes()
     h, w = read_flow_image_shape(path, data)
-    plane_bytes = h * w * 4
-    expected = 12 + 3 * plane_bytes + 24
+    expected = 12 + 12 * h * w + 24
     if len(data) < expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes, found {len(data)}")
     if len(data) > expected:
         raise DataError(f"{path}: {len(data)} bytes, the header declares {expected}")
-    planes = []
-    for i in range(3):
-        start = 12 + i * plane_bytes
-        planes.append(np.frombuffer(data[start : start + plane_bytes], dtype="<f4").reshape(h, w))
-    clips = struct.unpack("<6f", data[12 + 3 * plane_bytes : expected])
-    record = NormalizationRecord(
-        fx_clip=(clips[0], clips[1]),
-        fy_clip=(clips[2], clips[3]),
-        strain_clip=(clips[4], clips[5]),
-        clip_fraction=tuple(_boundary_fraction(p) for p in planes),
-    )
-    return OpticalFlowImage(
-        channel_fx=planes[0], channel_fy=planes[1], channel_strain=planes[2], normalization=record
-    )
+    planes = np.frombuffer(data, "<f4", count=3 * h * w, offset=12).reshape(3, h, w)
+    clips = struct.unpack("<6f", data[-24:])
+    record = NormalizationRecord(clips[0:2], clips[2:4], clips[4:6], _boundary_fractions(planes))
+    return OpticalFlowImage(planes, record)

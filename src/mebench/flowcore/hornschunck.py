@@ -46,6 +46,7 @@ order, no data-dependent stopping.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,12 @@ class FlowParams:
     pyramid_scale: float = 0.5
 
     def __post_init__(self):
-        if not (np.isfinite(self.smoothness_alpha) and self.smoothness_alpha > 0):
+        alpha = float(self.smoothness_alpha)
+        if not (np.isfinite(alpha) and alpha > 0):
             raise ConfigError(f"smoothness_alpha must be finite and > 0, got {self.smoothness_alpha}")
+        if not sys.float_info.min <= alpha * alpha <= sys.float_info.max:  # alpha^2 floors the Jacobi denominator
+            raise ConfigError(f"smoothness_alpha squared must be a normal float (alpha about 1.5e-154 to 1.3e154), "
+                              f"got {alpha}")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if self.pyramid_levels < 1:

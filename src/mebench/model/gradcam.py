@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from ..flowcore.hornschunck import bilinear_resize
 from .config import ModelConfig, Variant
-from .network import ModelInputs, forward
+from .network import ModelInputs, finite_logits, forward
 from .params import ParamSet
 
 BRANCHES = ("emotion", "ethnicity", "fusion")
@@ -61,7 +61,7 @@ def gradcam(
             raise ConfigError(f"variant {variant.value} has no ethnic branch")
         logits, grid = outputs.ethnicity_logits, outputs.ethnic_grid
 
-    n_classes = logits.shape[-1]
+    n_classes = finite_logits(logits).shape[-1]
     if not (0 <= target_class < n_classes):
         raise ConfigError(f"target class {target_class} out of range for {n_classes} classes")
 

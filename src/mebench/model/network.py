@@ -169,7 +169,14 @@ def forward(
     return ModelOutputs(emotion_logits, ethnicity_logits, fused_logits, motion_grid, ethnic_grid, leaves)
 
 
+def finite_logits(logits: Tensor) -> np.ndarray:
+    """The logits' values; a non-finite one, the mark of a model whose training diverged, is a DataError."""
+    if not np.isfinite(logits.data).all():
+        raise DataError("the model's logits are not finite: its training diverged")
+    return logits.data
+
+
 def predict_emotion(outputs: ModelOutputs) -> np.ndarray:
     """Per-sample predicted emotion class: fused head when present, else emotion head."""
     head = outputs.fused_logits if outputs.fused_logits is not None else outputs.emotion_logits
-    return np.argmax(head.data, axis=1)
+    return np.argmax(finite_logits(head), axis=1)

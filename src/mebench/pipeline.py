@@ -169,7 +169,7 @@ def load_train_samples(
         rgb, maxval = load_rgb_frame(record.apex_path) if need_rgb else (None, 1)
         samples.append(
             TrainSample(
-                flow=np.stack(image.planes()),
+                flow=image.data,
                 emotion=emotion_index(record),
                 ethnicity=ethnicity_index(record),
                 rgb=rgb,

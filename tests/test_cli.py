@@ -193,6 +193,23 @@ class TestManifestCommand:
         attrs = {r.subject_id: (r.raw_ethnicity.value, r.gender.value, r.age) for r in records}
         assert attrs == {"01": ("Asian", "male", 30), "02": ("Others", "unknown", 0)}
 
+    def test_a_negative_age_from_the_predictor_is_an_annotation_error(self, tmp_path, capsys):
+        from mebench.flowcore import write_pgm
+
+        write_pgm(tmp_path / "f.pgm", np.zeros((32, 32)))
+        index = tmp_path / "index.csv"
+        index.write_text("subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,happiness\n")
+        script = tmp_path / "predictor.py"
+        script.write_text("print('{\"gender\": \"male\", \"age\": -1, \"ethnicity\": \"Asian\"}')\n")
+        argv = ["manifest", "--casme2", str(index), "--predictor-cmd", f"{sys.executable} {script}"]
+        assert main(argv + ["--out", str(tmp_path / "fail")]) == 3
+        assert "age must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "fail").exists()
+
+        assert main(argv + ["--out", str(tmp_path / "skip"), "--on-annotation-error", "skip"]) == 0
+        (record,) = load_manifest(tmp_path / "skip" / "manifest.jsonl").records
+        assert (record.raw_ethnicity.value, record.gender.value, record.age) == ("Others", "unknown", 0)
+
     def test_bad_ledger_is_refused_before_any_frame_is_annotated(self, tmp_path):
         from mebench.flowcore import write_pgm
 
@@ -357,6 +374,7 @@ def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsy
         ("--manifest", _manifest_bytes({**_RECORD, "dataset": "NOPE"}), 3),
         ("--manifest", _manifest_bytes({k: v for k, v in _RECORD.items() if k != "gender"}), 3),
         ("--manifest", _manifest_bytes({**_RECORD, "age": "x"}), 3),
+        ("--manifest", _manifest_bytes({**_RECORD, "age": -7}), 3),
         ("--manifest", _manifest_bytes({**_RECORD, "corrected": "yes"}), 3),
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,\xff\xfe\n", 3),
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm," + b"x" * 200_000 + b"\n", 3),
@@ -365,6 +383,7 @@ def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsy
         ("--ledger", b"\xff\xfe\n", 2),
         ("--ledger", b"[1, 2]\n", 2),
         ("--ledger", b'{"attribute": "age", "replacement": "abc"}\n', 2),
+        ("--ledger", b'{"attribute": "age", "replacement": "-40"}\n', 2),
         ("--ledger", b'{"attribute": "raw_ethnicity", "replacement": "Martian"}\n', 2),
         ("--ledger", b'{"attribute": "gender", "replacement": "x"}\n', 2),
         ("--ledger", b'{"attribute": "age", "replacement": "12", "dataset": "NOPE"}\n', 2),
@@ -374,13 +393,15 @@ def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsy
         ("--predictor-table", b'{"01": {"gender": "male"}}', 2),
         ("--predictor-table", b'["01", "Asian"]', 2),
         ("--predictor-table", b'{"01": ["male", 1e400, "Asian"]}', 2),
+        ("--predictor-table", b'{"01": ["male", -5, "Asian"]}', 2),
     ],
     ids=["manifest-not-utf8", "manifest-bad-json", "manifest-list-head", "manifest-no-onset", "manifest-bad-dataset",
-         "manifest-no-gender", "manifest-age-string", "manifest-corrected-string", "index-not-utf8",
-         "index-cell-over-200kb", "index-short-row", "index-onset-directory",
-         "ledger-not-utf8", "ledger-list-rule", "ledger-age-not-integer", "ledger-unknown-ethnicity",
-         "ledger-unknown-gender", "ledger-unknown-dataset", "table-bad-json", "table-unknown-ethnicity",
-         "table-short-entry", "table-object-entry", "table-not-object", "table-age-overflow"],
+         "manifest-no-gender", "manifest-age-string", "manifest-age-negative", "manifest-corrected-string",
+         "index-not-utf8", "index-cell-over-200kb", "index-short-row", "index-onset-directory",
+         "ledger-not-utf8", "ledger-list-rule", "ledger-age-not-integer", "ledger-age-negative",
+         "ledger-unknown-ethnicity", "ledger-unknown-gender", "ledger-unknown-dataset", "table-bad-json",
+         "table-unknown-ethnicity", "table-short-entry", "table-object-entry", "table-not-object",
+         "table-age-overflow", "table-age-negative"],
 )
 def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, code):
     from mebench.flowcore import write_pgm
@@ -561,7 +582,7 @@ class TestLosoCommand:
         if change == "flow":  # swap one clip's flow planes
             path = flow_image_path(flow_dir, manifest.records[0])
             image = read_flow_image(path)
-            swapped = OpticalFlowImage(image.channel_fy, image.channel_fx, image.channel_strain, image.normalization)
+            swapped = OpticalFlowImage(image.data[[1, 0, 2]], image.normalization)
             write_flow_image(swapped, path)
         else:  # relabel one clip as Surprise
             index = next(i for i, r in enumerate(manifest.records) if r.mapped_emotion == MappedEmotion.POSITIVE)
@@ -759,6 +780,21 @@ class TestGradcamCommand:
             ]
         )
         assert code == 3
+
+    def test_a_diverged_model_is_data_error(self, synth_run, tmp_path, capsys):
+        # finite weights of magnitude 1e308 overflow the forward pass into NaN logits
+        _, corpus, flows = synth_run
+        config = ModelConfig.toy(32)
+        params = init_params(config, Variant.DUAL_MOTION, seed=0)
+        ckpt = tmp_path / "model.meck"
+        save_checkpoint(ckpt, params.like(np.copysign(1e308, params.flat)), config, Variant.DUAL_MOTION)
+        argv = ["gradcam", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows),
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "cams")]
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 3
+        assert "logits are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "cams").exists()
 
     @pytest.mark.parametrize("branch", ["emotion", "fusion", "ethnicity"])
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -1036,9 +1072,12 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("loso-36px", ["--variants", "motion_plus_rgb_patch"], 2, "image side 36 not divisible by patch size 8"),
         ("flow", ["--alpha", "inf"], 2, "smoothness_alpha must be finite and > 0"),
         ("flow", ["--alpha", "nan"], 2, "smoothness_alpha must be finite and > 0"),
+        ("flow", ["--alpha", "1e-200"], 2, "smoothness_alpha squared must be a normal float"),
+        ("flow", ["--alpha", "1e-170", "--iterations", "3"], 2, "smoothness_alpha squared must be a normal float"),
     ],
     ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "budget-0", "budget-negative", "seeds-0",
-         "budget-odd", "scenarios-unknown", "image-size-patch-indivisible", "alpha-inf", "alpha-nan"],
+         "budget-odd", "scenarios-unknown", "image-size-patch-indivisible", "alpha-inf", "alpha-nan",
+         "alpha-square-underflows", "alpha-square-underflows-few-iterations"],
 )
 def test_out_of_range_argument_is_not_internal_error(
     synth_run, request, tmp_path, capsys, monkeypatch, command, extra, code, message
@@ -1062,6 +1101,19 @@ def test_out_of_range_argument_is_not_internal_error(
     assert main(argv + extra) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_diverged_loso_run_is_data_error(synth_run_36px, tmp_path, capsys):
+    # a learning rate of 1e308 leaves finite weights whose logits are NaN: no fold may be scored from them
+    _, corpus, flows = synth_run_36px
+    out = tmp_path / "loso"
+    argv = ["loso", "--manifest", str(corpus / "manifest.jsonl"), "--flow-dir", str(flows), "--out", str(out),
+            "--lr", "1e308", "--epochs", "1", "--variants", "motion_only"]
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 3
+    assert "logits are not finite" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("benchmark.*"))
 
 
 def test_a_scale_too_small_for_a_coarser_level_flows_as_one_level(synth_run, tmp_path):

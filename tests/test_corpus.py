@@ -1,6 +1,7 @@
 import json
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from mebench.corpus import (
 from mebench.corpus.corrections import StaleRuleWarning
 from mebench.corpus.manifest import DanglingPathError, DuplicateKeyError, MissingColumnError
 from mebench.corpus.synth import make_base_texture, render_clip
-from mebench.errors import DataError
+from mebench.errors import ConfigError, DataError
 from mebench.flowcore import GrayFrame, write_pgm
 from mebench.runutil import from_json_dict, to_json_dict
 
@@ -207,6 +208,11 @@ class TestPredictor:
         assert a == b
         assert a.age == 31
 
+    def test_a_negative_age_is_an_annotation_error(self):
+        predictor = TablePredictor({"S01": (Gender.FEMALE, -1, RawEthnicity.INDIAN)})
+        with pytest.raises(AnnotationError, match="S01.*age must be >= 0, got -1"):
+            annotate_attributes(GrayFrame(np.zeros((8, 8))), predictor, "S01")
+
 
 # ---------------------------------------------------------------- corrections
 
@@ -263,6 +269,14 @@ class TestCorrections:
         path = tmp_path / "rules.jsonl"
         path.write_text("".join(json.dumps(to_json_dict(r)) + "\n" for r in rules), encoding="utf-8")
         assert load_ledger(path) == rules
+
+    def test_a_negative_age_replacement_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="age must be >= 0, got -40"):
+            CorrectionRule(attribute="age", replacement="-40")
+        path = tmp_path / "rules.jsonl"
+        path.write_text('{"attribute": "age", "replacement": "-40"}\n', encoding="utf-8")
+        with pytest.raises(ConfigError, match="rules.jsonl:1"):
+            load_ledger(path)
 
 
 # ---------------------------------------------------------------- manifest
@@ -327,6 +341,17 @@ class TestManifest:
         path.write_text("\n".join([head, *lines]) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="'s1' has inconsistent ethnicity"):
             load_manifest(path)
+
+    def test_loading_a_negative_age_is_data_error(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        save_manifest(build_manifest(finalize_mappings([replace(make_record("s1", "c1"), age=30)]), {}), path)
+        text = path.read_text(encoding="utf-8")
+        assert text.count('"age": 30') == 1
+        path.write_text(text.replace('"age": 30', '"age": -7'), encoding="utf-8")
+        with pytest.raises(DataError, match=r"\('s1', 'c1'\): age must be >= 0, got -7"):
+            load_manifest(path)
+        with pytest.raises(DataError, match="age must be >= 0"):
+            replace(make_record(), age=-1)
 
     def test_provenance_round_trip(self, tmp_path):
         records = finalize_mappings([make_record()])

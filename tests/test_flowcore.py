@@ -27,7 +27,7 @@ from mebench.flowcore import (
     write_flow_image,
     write_pgm,
 )
-from mebench.flowcore.flowimage import BadMagicError, TruncatedFileError
+from mebench.flowcore.flowimage import BadMagicError, NormalizationRecord, OpticalFlowImage, TruncatedFileError
 from mebench.flowcore.frames import RasterFormatError
 from mebench.flowcore import hornschunck
 from mebench.flowcore.hornschunck import (
@@ -204,6 +204,13 @@ class TestEstimateFlow:
             FlowParams(smoothness_alpha=np.inf)
         with pytest.raises(ConfigError, match="finite"):
             FlowParams(smoothness_alpha=np.nan)
+        with pytest.raises(ConfigError, match="squared must be a normal float"):
+            FlowParams(smoothness_alpha=1e-160)  # its square is subnormal
+        with pytest.raises(ConfigError, match="squared must be a normal float"):
+            FlowParams(smoothness_alpha=1e-200)  # its square underflows to 0
+        with pytest.raises(ConfigError, match="squared must be a normal float"):
+            FlowParams(smoothness_alpha=1e160)  # its square overflows
+        assert FlowParams(smoothness_alpha=1e-150).smoothness_alpha == 1e-150
         with pytest.raises(ConfigError):
             FlowParams(iterations=0)
         with pytest.raises(ConfigError):
@@ -225,7 +232,10 @@ class TestEstimateFlow:
 
     def test_non_finite_flow_is_refused_before_the_next_warp(self, monkeypatch):
         # alpha^2 underflows to 0, so the flat patch divides 0 by 0 on the coarsest level; the NaN flow
-        # must stop there, not reach the next level's warp as a sampling coordinate
+        # must stop there, not reach the next level's warp as a sampling coordinate. FlowParams refuses
+        # such an alpha, so it is set past that check to reach the solver's own backstop
+        params = FlowParams()
+        object.__setattr__(params, "smoothness_alpha", 1e-200)
         rng = np.random.Generator(np.random.PCG64(4))
         tex = 0.1 + 0.8 * rng.random((64, 64))
         tex[8:56, 8:56] = 0.5
@@ -239,7 +249,7 @@ class TestEstimateFlow:
         monkeypatch.setattr(hornschunck, "warp_bilinear", finite_warp)
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteFlowError, match="16x16 pyramid level"):
-                estimate_flow(GrayFrame(tex), GrayFrame(apex), FlowParams(smoothness_alpha=1e-200))
+                estimate_flow(GrayFrame(tex), GrayFrame(apex), params)
         assert warped == [True]
         assert issubclass(NonFiniteFlowError, DataError)  # exit 3 from the CLI
 
@@ -761,6 +771,42 @@ class TestFlowImage:
         write_flow_image(img, path)
         back = read_flow_image(path)
         assert back == img
+
+    def test_read_image_is_the_files_block(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(5))
+        flow = FlowField(u=rng.normal(scale=2, size=(7, 11)), v=rng.normal(scale=2, size=(7, 11)))
+        path = tmp_path / "block.ofi"
+        write_flow_image(assemble_flow_image(flow, compute_strain(flow)), path)
+        img = read_flow_image(path)
+        assert img.data.shape == (3, 7, 11) and img.data.dtype == np.float32
+        assert not img.data.flags.writeable
+        # the planes are views of that one array, laid out as the file stores them
+        assert img.data.tobytes() == path.read_bytes()[12:-24]
+        for plane in (img.channel_fx, img.channel_fy, img.channel_strain, *img.planes()):
+            assert np.shares_memory(plane, img.data) and not plane.flags.writeable
+        assert [p.shape for p in img.planes()] == [(7, 11)] * 3
+        assert img.shape == (7, 11)
+        assert np.array_equal(img.as_array(), img.data.astype(np.float64))
+
+    def test_image_must_be_three_planes(self):
+        with pytest.raises(DataError, match=r"must be \(3, H, W\), got shape \(2, 4, 4\)"):
+            OpticalFlowImage(np.full((2, 4, 4), 0.5, dtype=np.float32), NormalizationRecord())
+        with pytest.raises(DataError, match=r"got shape \(4, 4\)"):
+            OpticalFlowImage(np.full((4, 4), 0.5, dtype=np.float32), NormalizationRecord())
+
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "value, problem",
+        [(np.nan, "contains non-finite values"), (-np.inf, "contains non-finite values"),
+         (1.5, r"not normalized to \[0, 1\]"), (-0.25, r"not normalized to \[0, 1\]")],
+    )
+    def test_image_names_its_first_bad_channel(self, channel, value, problem):
+        data = np.full((3, 4, 4), 0.5, dtype=np.float32)
+        data[channel, 1, 2] = value
+        data[channel + 1 :, 3, 3] = np.nan  # a later bad channel does not mask this one
+        name = ("channel_fx", "channel_fy", "channel_strain")[channel]
+        with pytest.raises(DataError, match=f"^{name} {problem}$"):
+            OpticalFlowImage(data, NormalizationRecord())
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ofi"

@@ -1031,6 +1031,17 @@ class TestInferenceRecordsNoGraph:
         for out in outputs:
             assert out._push is None and out._parents == () and not out.requires_grad
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_evaluate_predictions_refuses_a_diverged_model(self, variant):
+        # finite weights of magnitude 1e308 overflow the forward pass into NaN logits
+        config = ModelConfig.toy(16)
+        params = init_params(config, variant, seed=1)
+        diverged = params.like(np.copysign(1e308, params.flat))
+        assert np.isfinite(diverged.flat).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="logits are not finite"):
+                evaluate_predictions(diverged, make_toy_batch(1, n=3), config, variant)
+
     def test_training_forward_records_the_parameter_graph(self):
         config, params, _, outputs = toy_forward(Variant.DUAL_MOTION)
         assert all(leaf.requires_grad for leaf in outputs.leaves.values())
@@ -1312,6 +1323,17 @@ class TestGradCam:
         amap = gradcam(params, config, Variant.DUAL_MOTION, ModelInputs(flow=lower_left[None]), 0)
         x, y = amap.argmax_xy
         assert x < 32 and y >= 32, f"argmax at ({x}, {y})"
+
+    @pytest.mark.parametrize("branch", ["emotion", "ethnicity"])
+    def test_a_diverged_model_is_refused(self, branch):
+        # finite weights of magnitude 1e308 overflow the forward pass into NaN logits
+        config = ModelConfig.toy(16)
+        params = init_params(config, Variant.DUAL_MOTION, seed=0)
+        diverged = params.like(np.copysign(1e308, params.flat))
+        inputs = ModelInputs(flow=np.random.default_rng(0).uniform(0, 1, (1, 3, 16, 16)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="logits are not finite"):
+                gradcam(diverged, config, Variant.DUAL_MOTION, inputs, 0, branch=branch)
 
     def test_class_out_of_range(self):
         config = ModelConfig.toy(16)
