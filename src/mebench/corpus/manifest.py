@@ -39,15 +39,17 @@ def ingest_dataset_index(index_path, dataset_kind: Dataset) -> list[SampleRecord
     """Read a delimited index table into raw records (mappings unset).
 
     Expected columns: subject, clip, onset, apex, emotion, none of them
-    empty in any row. Comma and tab delimiters are both accepted; frame
-    paths are resolved relative to the index file's directory and must
-    name files. Raw emotion strings are stored verbatim but case-folded.
+    empty in any row. No column may be named twice and no row may hold
+    more cells than the header. A UTF-8 byte order mark is skipped.
+    Comma and tab delimiters are both accepted; frame paths are resolved
+    relative to the index file's directory and must name files. Raw
+    emotion strings are stored verbatim but case-folded.
     """
     index_path = Path(index_path)
     if not index_path.exists():
         raise FileNotFoundError(f"index not found: {index_path}")
     try:
-        lines = index_path.read_text(encoding="utf-8").splitlines()
+        lines = index_path.read_text(encoding="utf-8-sig").splitlines()  # -sig: as Excel saves "CSV UTF-8"
     except UnicodeDecodeError as exc:
         raise DataError(f"{index_path}: index is not UTF-8 text: {exc}") from exc
     if not any(line.strip() for line in lines):
@@ -56,17 +58,23 @@ def ingest_dataset_index(index_path, dataset_kind: Dataset) -> list[SampleRecord
     reader = csv.DictReader(lines, delimiter=delimiter)
     try:
         header = [h.strip().casefold() for h in (reader.fieldnames or [])]
+        header_line = reader.line_num
         rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:  # e.g. a cell over the csv field size limit
         raise DataError(f"{index_path}: malformed index: {exc}") from exc
     missing = [c for c in _INDEX_COLUMNS if c not in header]
     if missing:
         raise MissingColumnError(f"{index_path}: missing columns {missing}; found {header}")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise DataError(f"{index_path}: line {header_line}: repeated columns {repeated}")
 
     records: list[SampleRecord] = []
     seen: set[tuple[str, str]] = set()
     base = index_path.parent
     for line, row in rows:
+        if None in row:  # DictReader's key for the cells past the header's
+            raise DataError(f"{index_path}: line {line}: {len(row[None])} more cells than the header's {len(header)}")
         row = {k.strip().casefold(): (v or "").strip() for k, v in row.items() if k is not None}
         empty = [c for c in _INDEX_COLUMNS if not row[c]]
         if empty:

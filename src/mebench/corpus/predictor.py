@@ -45,7 +45,7 @@ class TablePredictor:
         if isinstance(entry, RawEthnicity):
             return (Gender.UNKNOWN, 0, entry)
         gender, age, ethnicity = entry
-        return (Gender(gender), int(age), RawEthnicity(ethnicity))
+        return (Gender(gender), age, RawEthnicity(ethnicity))
 
 
 class CommandPredictor:
@@ -71,7 +71,7 @@ class CommandPredictor:
         if proc.returncode != 0:
             raise RuntimeError(f"predictor command failed (exit {proc.returncode}): {proc.stderr.strip()}")
         reply = json.loads(proc.stdout)
-        return (Gender(reply["gender"]), int(reply["age"]), RawEthnicity(reply["ethnicity"]))
+        return (Gender(reply["gender"]), reply["age"], RawEthnicity(reply["ethnicity"]))
 
 
 def annotate_attributes(frame: GrayFrame, predictor: AttributePredictor, subject_id: str) -> RawAttributeRecord:

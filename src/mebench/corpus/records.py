@@ -10,6 +10,7 @@ the ambiguous "others" class excluded from training and evaluation.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -93,11 +94,14 @@ def map_emotion(raw: str) -> MappedEmotion:
 
 
 def parse_age(value) -> int:
-    """An age in whole years; a negative one is a ValueError."""
-    age = int(value)
-    if age < 0:
-        raise ValueError(f"age must be >= 0, got {age}")
-    return age
+    """An age in whole years from an int (not a bool) or a digit string; else, or if negative, a ValueError."""
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"age must be a whole number of years, got {value!r}")
+    if value < 0:
+        raise ValueError(f"age must be >= 0, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

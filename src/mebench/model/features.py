@@ -38,7 +38,7 @@ class FrozenEncoder:
         """The motion stack of the model checkpoint at path."""
         params, config, _ = load_checkpoint(path)
         motion = ParamSet({name: v for name, v in params.tensors.items() if name.startswith("motion.")})
-        return cls(config.motion, motion, origin=f"file:{path}")
+        return cls(config.conv, motion, origin=f"file:{path}")
 
 
 def extract_frozen_features(flow_image: np.ndarray, encoder: FrozenEncoder) -> np.ndarray:

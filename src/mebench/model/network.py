@@ -1,12 +1,9 @@
-"""Forward pass of the dual-branch fusion network.
+"""Forward pass of the dual-branch fusion network that model/config.py lays out.
 
-The motion branch is a staged conv encoder over the 3-channel flow
-image. The ethnic branch, when present, is either another conv encoder
-(over the flow image or the apex RGB frame) or a patch transformer over
-the apex RGB frame. Every encoder returns (features, final grid): a conv
-map, or the final tokens laid out on the patch grid, so Grad-CAM treats
-all branches alike. Branch features go through per-task affine heads;
-the fused head sees the concatenation (emotion first, then ethnicity).
+Every encoder returns (features, final grid): a conv map, or the final
+tokens laid out on the patch grid, so Grad-CAM treats all branches
+alike. Branch features go through per-task affine heads; the fused head
+sees the concatenation (emotion first, then ethnicity).
 """
 
 from __future__ import annotations
@@ -19,7 +16,9 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import EncoderConfig, ModelConfig, PatchEncoderConfig, Variant
+from .config import (
+    CONV_KERNEL, CONV_STRIDE, ETHNIC_BRANCHES, IN_CHANNELS, EncoderConfig, ModelConfig, PatchEncoderConfig, Variant
+)
 from .params import ParamSet
 
 
@@ -53,21 +52,13 @@ class ModelOutputs:
 
 def encode_conv(x: Tensor, leaves: dict, prefix: str, cfg: EncoderConfig) -> tuple[Tensor, Tensor]:
     """Staged conv encoder; returns (features (B, E), final grid (B, F, h, w))."""
-    if x.shape[1] != cfg.input_channels:
-        raise ConfigError(f"{prefix}: expected {cfg.input_channels} input channels, got {x.shape[1]}")
-    pad = cfg.kernel_size // 2
-    h = x
+    if x.shape[1] != IN_CHANNELS:
+        raise ConfigError(f"{prefix}: expected {IN_CHANNELS} input channels, got {x.shape[1]}")
+    grid = x
     for i in range(len(cfg.stage_widths)):
-        h = ad.conv2d(
-            h,
-            leaves[f"{prefix}.stage{i}.w"],
-            leaves[f"{prefix}.stage{i}.b"],
-            stride=cfg.downsample,
-            pad=pad,
-        )
-        h = ad.relu(h)
-    grid = h
-    pooled = ad.mean(h, axes=(2, 3))  # global average over the final feature grid
+        w, b = leaves[f"{prefix}.stage{i}.w"], leaves[f"{prefix}.stage{i}.b"]
+        grid = ad.relu(ad.conv2d(grid, w, b, stride=CONV_STRIDE, pad=CONV_KERNEL // 2))
+    pooled = ad.mean(grid, axes=(2, 3))  # global average over the final feature grid
     feat = ad.linear(pooled, leaves[f"{prefix}.proj.w"], leaves[f"{prefix}.proj.b"])
     return feat, grid
 
@@ -105,9 +96,7 @@ def encode_patches(x: Tensor, leaves: dict, prefix: str, cfg: PatchEncoderConfig
     returns (features (B, E), final token grid (B, D, gh, gw))."""
     batch, chans, h, w = x.shape
     p = cfg.patch_size
-    if h % p != 0 or w % p != 0:
-        raise ConfigError(f"image {h}x{w} not divisible by patch size {p}")
-    gh, gw = h // p, w // p
+    gh, gw = h // p, w // p  # forward checked that p divides the side
     n = gh * gw
     patches = ad.reshape(x, (batch, chans, gh, p, gw, p))
     patches = ad.transpose(patches, (0, 2, 4, 1, 3, 5))
@@ -126,8 +115,6 @@ def encode_patches(x: Tensor, leaves: dict, prefix: str, cfg: PatchEncoderConfig
 
 def fuse_features(f_emotion: Tensor, f_ethnic: Tensor, leaves: dict) -> Tensor:
     """Concatenate (emotion, ethnicity) and apply the fused affine head."""
-    if f_emotion.shape[-1] != f_ethnic.shape[-1]:
-        raise ConfigError(f"feature length mismatch: {f_emotion.shape[-1]} vs {f_ethnic.shape[-1]}")
     merged = ad.concat([f_emotion, f_ethnic], axis=-1)
     return ad.linear(merged, leaves["head.fusion.w"], leaves["head.fusion.b"])
 
@@ -145,24 +132,24 @@ def forward(
     leaves = params.leaves(requires_grad)
 
     flow = np.subtract(flow, INPUT_CENTER, dtype=np.float64)
-    f_emotion, motion_grid = encode_conv(Tensor(flow), leaves, "motion", config.motion)
+    f_emotion, motion_grid = encode_conv(Tensor(flow), leaves, "motion", config.conv)
     emotion_logits = ad.linear(f_emotion, leaves["head.emotion.w"], leaves["head.emotion.b"])
 
-    if not variant.has_ethnic_branch:
+    branch = ETHNIC_BRANCHES[variant]
+    if branch is None:
         return ModelOutputs(emotion_logits, None, None, motion_grid, None, leaves)
 
-    if variant == Variant.DUAL_MOTION:
-        f_ethnic, ethnic_grid = encode_conv(Tensor(flow), leaves, "ethnic", config.ethnic_conv)
-    else:
+    x = flow
+    if branch.input == "rgb":
         if inputs.rgb is None:
             raise VariantInputError(f"variant {variant.value} requires an apex RGB frame")
-        rgb = np.asarray(inputs.rgb, dtype=np.float64) - INPUT_CENTER
-        if rgb.shape != flow.shape:
-            raise DataError(f"rgb shape {rgb.shape} != flow shape {flow.shape}")
-        if variant == Variant.MOTION_RGB_CONV:
-            f_ethnic, ethnic_grid = encode_conv(Tensor(rgb), leaves, "ethnic", config.ethnic_conv)
-        else:
-            f_ethnic, ethnic_grid = encode_patches(Tensor(rgb), leaves, "texture", config.texture)
+        x = np.asarray(inputs.rgb, dtype=np.float64) - INPUT_CENTER
+        if x.shape != flow.shape:
+            raise DataError(f"rgb shape {x.shape} != flow shape {flow.shape}")
+    if branch.encoder == "conv":
+        f_ethnic, ethnic_grid = encode_conv(Tensor(x), leaves, "ethnic", config.conv)
+    else:
+        f_ethnic, ethnic_grid = encode_patches(Tensor(x), leaves, "texture", config.texture)
 
     ethnicity_logits = ad.linear(f_ethnic, leaves["head.ethnicity.w"], leaves["head.ethnicity.b"])
     fused_logits = fuse_features(f_emotion, f_ethnic, leaves)

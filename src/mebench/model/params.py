@@ -31,7 +31,8 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from ..runutil import atomic_write_bytes, derived_rng, from_json_dict, to_json_dict
 from .autodiff import Tensor
-from .config import ModelConfig, N_EMOTIONS, N_ETHNICITIES, Variant
+from .config import CONV_KERNEL, ETHNIC_BRANCHES, IN_CHANNELS, MLP_RATIO, N_EMOTIONS, N_ETHNICITIES
+from .config import ModelConfig, Variant
 
 _MAGIC = b"MECK1\n"
 
@@ -70,17 +71,11 @@ class ParamSet:
     def __iter__(self):
         return (name for name, _ in self.layout)
 
-    def names(self) -> list[str]:
-        return list(self)
-
     def like(self, flat: np.ndarray) -> "ParamSet":
         """`flat`, a float64 vector of this set's size, in this set's layout."""
         if flat.dtype != np.float64 or flat.shape != self.flat.shape:
             raise ConfigError(f"a {flat.dtype} vector of shape {flat.shape} does not fit layout size {self.flat.size}")
         return ParamSet._wrap(flat, self.layout)
-
-    def copy(self) -> "ParamSet":
-        return ParamSet._wrap(self.flat.copy(), self.layout)
 
     def leaves(self, requires_grad: bool = True) -> dict:
         """One fresh autodiff leaf per parameter, keyed by name; inference passes
@@ -111,7 +106,7 @@ def _linear(name: str, n_out: int, n_in: int, bias: float = 0.0):
 
 
 def _conv_stack(prefix: str, cfg):
-    in_ch, k = cfg.input_channels, cfg.kernel_size
+    in_ch, k = IN_CHANNELS, CONV_KERNEL
     for i, width in enumerate(cfg.stage_widths):
         yield f"{prefix}.stage{i}.w", (width, in_ch, k, k), _kaiming(in_ch * k * k)
         # small positive bias keeps stage pre-activations off the ReLU kink
@@ -120,12 +115,12 @@ def _conv_stack(prefix: str, cfg):
     yield from _linear(f"{prefix}.proj", cfg.feature_dim, in_ch)
 
 
-def _patch_stack(prefix: str, cfg, n_patches: int):
-    patch_dim, d = 3 * cfg.patch_size * cfg.patch_size, cfg.embed_dim
+def _patch_stack(prefix: str, cfg, image_size: int, feature_dim: int):
+    patch_dim, d = IN_CHANNELS * cfg.patch_size * cfg.patch_size, cfg.embed_dim
     yield f"{prefix}.embed.w", (d, patch_dim), _trunc_normal(std=np.sqrt(1.0 / patch_dim))
     yield f"{prefix}.embed.b", (d,), 0.0
-    yield f"{prefix}.pos", (n_patches, d), _trunc_normal()
-    hidden = int(round(cfg.mlp_ratio * d))
+    yield f"{prefix}.pos", ((image_size // cfg.patch_size) ** 2, d), _trunc_normal()
+    hidden = MLP_RATIO * d
     for blk in range(cfg.n_blocks):
         p = f"{prefix}.block{blk}"
         yield f"{p}.ln1.gamma", (d,), 1.0
@@ -138,7 +133,7 @@ def _patch_stack(prefix: str, cfg, n_patches: int):
         yield from _linear(f"{p}.mlp.fc2", d, hidden)
     yield f"{prefix}.norm.gamma", (d,), 1.0
     yield f"{prefix}.norm.beta", (d,), 0.0
-    yield from _linear(f"{prefix}.proj", cfg.feature_dim, d)
+    yield from _linear(f"{prefix}.proj", feature_dim, d)
 
 
 def model_tensors(config: ModelConfig, variant: Variant):
@@ -146,14 +141,14 @@ def model_tensors(config: ModelConfig, variant: Variant):
     fill or a draw init(rng, shape). Allocates no tensor; a config the variant cannot use
     raises ConfigError once the table is read."""
     config.validate_for(variant)
-    yield from _conv_stack("motion", config.motion)
-    if variant == Variant.DUAL_MOTION or variant == Variant.MOTION_RGB_CONV:
-        yield from _conv_stack("ethnic", config.ethnic_conv)
-    elif variant == Variant.MOTION_RGB_PATCH:
-        yield from _patch_stack("texture", config.texture, config.n_patches)
-    e = config.feature_dim
+    e, branch = config.feature_dim, ETHNIC_BRANCHES[variant]
+    yield from _conv_stack("motion", config.conv)
+    if branch is not None and branch.encoder == "conv":
+        yield from _conv_stack("ethnic", config.conv)
+    elif branch is not None:
+        yield from _patch_stack("texture", config.texture, config.image_size, e)
     yield from _linear("head.emotion", N_EMOTIONS, e)
-    if variant.has_ethnic_branch:
+    if branch is not None:
         yield from _linear("head.ethnicity", N_ETHNICITIES, e)
         yield from _linear("head.fusion", N_EMOTIONS, 2 * e)
 

@@ -173,6 +173,13 @@ class TrainConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if self.lr_gamma > 1:  # a growing rate peaks in the last epoch
+            try:
+                finite = math.isfinite(lr_schedule(self.epochs - 1, self.base_lr, self.lr_gamma))
+            except OverflowError:  # of lr_gamma ** epoch
+                finite = False
+            if not finite:
+                raise ConfigError(f"the learning rate overflows by the last epoch, epoch {self.epochs - 1}")
 
 
 def train_fold(

@@ -84,10 +84,10 @@ def fd_check_variant(variant, seed, step=FD_STEP, floor=FD_DENOM_FLOOR, size=16)
 
     worst = 0.0
     n_scalars = 0
-    for name in params.names():
+    for name in params:
         analytic = grads[name].ravel()
         for i in range(params[name].size):
-            probe = params.copy()
+            probe = params.like(params.flat.copy())
             flat = probe.tensors[name].ravel()
             orig = flat[i]
             flat[i] = orig + step

@@ -210,6 +210,23 @@ class TestManifestCommand:
         (record,) = load_manifest(tmp_path / "skip" / "manifest.jsonl").records
         assert (record.raw_ethnicity.value, record.gender.value, record.age) == ("Others", "unknown", 0)
 
+    def test_a_fractional_age_from_the_predictor_is_an_annotation_error(self, tmp_path, capsys):
+        from mebench.flowcore import write_pgm
+
+        write_pgm(tmp_path / "f.pgm", np.zeros((32, 32)))
+        index = tmp_path / "index.csv"
+        index.write_text("subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,happiness\n")
+        script = tmp_path / "predictor.py"
+        script.write_text("print('{\"gender\": \"male\", \"age\": 20.7, \"ethnicity\": \"Asian\"}')\n")
+        argv = ["manifest", "--casme2", str(index), "--predictor-cmd", f"{sys.executable} {script}"]
+        assert main(argv + ["--out", str(tmp_path / "fail")]) == 3
+        assert "age must be a whole number of years, got 20.7" in capsys.readouterr().err
+        assert not (tmp_path / "fail").exists()
+
+        assert main(argv + ["--out", str(tmp_path / "skip"), "--on-annotation-error", "skip"]) == 0
+        (record,) = load_manifest(tmp_path / "skip" / "manifest.jsonl").records
+        assert (record.raw_ethnicity.value, record.gender.value, record.age) == ("Others", "unknown", 0)
+
     def test_bad_ledger_is_refused_before_any_frame_is_annotated(self, tmp_path):
         from mebench.flowcore import write_pgm
 
@@ -380,6 +397,8 @@ def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsy
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm," + b"x" * 200_000 + b"\n", 3),
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a\n", 3),
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,.,f.pgm,fear\n", 3),
+        ("--casme2", b"subject,clip,onset,apex,emotion,emotion\n01,a,f.pgm,f.pgm,happiness,fear\n", 3),
+        ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,fear,x,y\n", 3),
         ("--ledger", b"\xff\xfe\n", 2),
         ("--ledger", b"[1, 2]\n", 2),
         ("--ledger", b'{"attribute": "age", "replacement": "abc"}\n', 2),
@@ -394,14 +413,17 @@ def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsy
         ("--predictor-table", b'["01", "Asian"]', 2),
         ("--predictor-table", b'{"01": ["male", 1e400, "Asian"]}', 2),
         ("--predictor-table", b'{"01": ["male", -5, "Asian"]}', 2),
+        ("--predictor-table", b'{"01": ["male", 20.7, "Asian"]}', 2),
+        ("--predictor-table", b'{"01": ["female", true, "Asian"]}', 2),
     ],
     ids=["manifest-not-utf8", "manifest-bad-json", "manifest-list-head", "manifest-no-onset", "manifest-bad-dataset",
          "manifest-no-gender", "manifest-age-string", "manifest-age-negative", "manifest-corrected-string",
          "index-not-utf8", "index-cell-over-200kb", "index-short-row", "index-onset-directory",
+         "index-repeated-column", "index-long-row",
          "ledger-not-utf8", "ledger-list-rule", "ledger-age-not-integer", "ledger-age-negative",
          "ledger-unknown-ethnicity", "ledger-unknown-gender", "ledger-unknown-dataset", "table-bad-json",
          "table-unknown-ethnicity", "table-short-entry", "table-object-entry", "table-not-object",
-         "table-age-overflow", "table-age-negative"],
+         "table-age-overflow", "table-age-negative", "table-age-fraction", "table-age-bool"],
 )
 def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, code):
     from mebench.flowcore import write_pgm
@@ -1064,6 +1086,8 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("loso", ["--lr", "-1"], 2, "base_lr must be finite and > 0"),
         ("loso", ["--lr", "0"], 2, "base_lr must be finite and > 0"),
         ("loso", ["--lr-gamma", "0"], 2, "lr_gamma must be finite and > 0"),
+        ("loso", ["--epochs", "3", "--lr", "1e-300", "--lr-gamma", "1e200"], 2,
+         "the learning rate overflows by the last epoch"),
         ("prima-facie", ["--budget", "0"], 2, "subject budget must be >= 2"),
         ("prima-facie", ["--budget", "-2"], 2, "subject budget must be >= 2"),
         ("prima-facie", ["--seeds", "0"], 2, "needs at least one seed"),
@@ -1075,8 +1099,8 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("flow", ["--alpha", "1e-200"], 2, "smoothness_alpha squared must be a normal float"),
         ("flow", ["--alpha", "1e-170", "--iterations", "3"], 2, "smoothness_alpha squared must be a normal float"),
     ],
-    ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "budget-0", "budget-negative", "seeds-0",
-         "budget-odd", "scenarios-unknown", "image-size-patch-indivisible", "alpha-inf", "alpha-nan",
+    ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "lr-overflows", "budget-0", "budget-negative",
+         "seeds-0", "budget-odd", "scenarios-unknown", "image-size-patch-indivisible", "alpha-inf", "alpha-nan",
          "alpha-square-underflows", "alpha-square-underflows-few-iterations"],
 )
 def test_out_of_range_argument_is_not_internal_error(

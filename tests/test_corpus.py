@@ -183,6 +183,30 @@ class TestIngest:
         records = ingest_dataset_index(index, Dataset.SAMM)
         assert records[0].raw_emotion == "fear"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with EF BB BF
+        index = write_index(tmp_path, [("s01", "c01", "happiness"), ("s02", "c01", "fear")])
+        plain = ingest_dataset_index(index, Dataset.CASME2)
+        index.write_bytes(b"\xef\xbb\xbf" + index.read_bytes())
+        assert ingest_dataset_index(index, Dataset.CASME2) == plain
+
+    @pytest.mark.parametrize(
+        "header, row, message",
+        [
+            ("subject,clip,onset,apex,emotion,Emotion ", "happiness,fear", r"line 1: repeated columns \['emotion'\]"),
+            ("subject,clip,onset,apex,emotion", "happiness,x,y", "line 2: 2 more cells than the header.s 5"),
+        ],
+        ids=["repeated-column", "long-row"],
+    )
+    def test_a_row_that_does_not_fit_its_header_is_refused(self, tmp_path, header, row, message):
+        frames = tmp_path / "fr"
+        frames.mkdir()
+        write_pgm(frames / "a.pgm", np.zeros((8, 8)))
+        index = tmp_path / "index.csv"
+        index.write_text(f"{header}\ns01,c01,fr/a.pgm,fr/a.pgm,{row}\n")
+        with pytest.raises(DataError, match=message):
+            ingest_dataset_index(index, Dataset.CASME2)
+
 
 # ---------------------------------------------------------------- predictor
 
@@ -212,6 +236,20 @@ class TestPredictor:
         predictor = TablePredictor({"S01": (Gender.FEMALE, -1, RawEthnicity.INDIAN)})
         with pytest.raises(AnnotationError, match="S01.*age must be >= 0, got -1"):
             annotate_attributes(GrayFrame(np.zeros((8, 8))), predictor, "S01")
+
+    @pytest.mark.parametrize(
+        "age", [20.7, 20.0, True, "20.7", " 20", "", None],
+        ids=["fraction", "whole-float", "bool", "fraction-string", "padded-string", "empty-string", "none"],
+    )
+    def test_an_age_that_is_not_a_whole_number_is_an_annotation_error(self, age):
+        predictor = TablePredictor({"S01": (Gender.FEMALE, age, RawEthnicity.INDIAN)})
+        with pytest.raises(AnnotationError, match="S01.*age must be a whole number of years"):
+            annotate_attributes(GrayFrame(np.zeros((8, 8))), predictor, "S01")
+
+    @pytest.mark.parametrize("age", [20, "20", 0, "0"])
+    def test_an_int_or_a_digit_string_is_an_age(self, age):
+        predictor = TablePredictor({"S01": (Gender.FEMALE, age, RawEthnicity.INDIAN)})
+        assert annotate_attributes(GrayFrame(np.zeros((8, 8))), predictor, "S01").age == int(age)
 
 
 # ---------------------------------------------------------------- corrections

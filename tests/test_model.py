@@ -45,6 +45,7 @@ from mebench.model import network, training
 from mebench.model.autodiff import Tensor
 from mebench.model.losses import LossBreakdown
 from mebench.model.network import INPUT_CENTER, encode_conv, encode_patches, fuse_features
+from mebench.model.config import ETHNIC_BRANCHES
 from mebench.model.params import model_tensors
 from mebench.model.training import batch_loss_graph
 from mebench.runutil import from_json_dict, to_json_dict
@@ -95,23 +96,23 @@ class TestEncodeConv:
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.MOTION_ONLY, seed=0)
         x = np.random.default_rng(0).uniform(0, 1, (1, 3, 16, 16))
-        feat, _ = encode_conv(Tensor(x), params.leaves(), "motion", config.motion)
+        feat, _ = encode_conv(Tensor(x), params.leaves(), "motion", config.conv)
         assert feat.shape == (1, 4)
 
     def test_deterministic(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.MOTION_ONLY, seed=0)
         x = np.random.default_rng(1).uniform(0, 1, (1, 3, 16, 16))
-        a, _ = encode_conv(Tensor(x), params.leaves(), "motion", config.motion)
-        b, _ = encode_conv(Tensor(x), params.leaves(), "motion", config.motion)
+        a, _ = encode_conv(Tensor(x), params.leaves(), "motion", config.conv)
+        b, _ = encode_conv(Tensor(x), params.leaves(), "motion", config.conv)
         assert np.array_equal(a.data, b.data)
 
     def test_zero_weights_zero_embedding(self):
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.MOTION_ONLY, seed=0)
-        for name in params.names():
+        for name in params:
             params[name][...] = np.zeros_like(params[name])
-        feat, _ = encode_conv(Tensor(np.zeros((1, 3, 16, 16))), params.leaves(), "motion", config.motion)
+        feat, _ = encode_conv(Tensor(np.zeros((1, 3, 16, 16))), params.leaves(), "motion", config.conv)
         assert np.array_equal(feat.data, np.zeros((1, 4)))
 
 
@@ -180,11 +181,7 @@ class TestEncodePatches:
     def test_divisibility_enforced(self):
         ModelConfig.toy(16).validate_for(Variant.MOTION_RGB_PATCH)  # 16 % 8 == 0, fine
         bad = ModelConfig(
-            image_size=20,
-            feature_dim=4,
-            motion=EncoderConfig(stage_widths=(2,), feature_dim=4),
-            ethnic_conv=EncoderConfig(stage_widths=(2,), feature_dim=4),
-            texture=ModelConfig.toy().texture,
+            image_size=20, conv=EncoderConfig(stage_widths=(2,), feature_dim=4), texture=ModelConfig.toy().texture
         )
         with pytest.raises(ConfigError):
             bad.validate_for(Variant.MOTION_RGB_PATCH)
@@ -217,7 +214,7 @@ class TestFuseFeatures:
         f_emotion, f_ethnic = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         baseline = fuse(f_emotion, f_ethnic, params)
 
-        permuted = params.copy()
+        permuted = params.like(params.flat.copy())
         w = params["head.fusion.w"]
         permuted["head.fusion.w"][...] = np.concatenate([w[:, 4:], w[:, :4]], axis=1)
         swapped = fuse(f_ethnic, f_emotion, permuted)
@@ -253,7 +250,7 @@ class TestForward:
         config = ModelConfig.toy(16)
         dual = init_params(config, Variant.DUAL_MOTION, seed=6)
         mo = init_params(config, Variant.MOTION_ONLY, seed=7)
-        for name in mo.names():
+        for name in mo:
             mo[name][...] = dual[name].copy()
         batch = make_toy_batch(8)
         inputs = ModelInputs(flow=np.stack([s.flow for s in batch]))
@@ -354,7 +351,7 @@ class TestBackward:
         config = ModelConfig.toy(16)
         params = init_params(config, Variant.DUAL_MOTION, seed=9)
         grads, _ = backward(params, make_toy_batch(9), config, Variant.MOTION_ONLY)
-        for name in params.names():
+        for name in params:
             if name.startswith(("ethnic.", "head.ethnicity", "head.fusion")):
                 assert np.all(grads[name] == 0.0), name
             elif name.startswith(("motion.", "head.emotion")):
@@ -393,8 +390,8 @@ class TestBackward:
         ref_grads, ref_breakdown = backward(params, batch, config, variant)
         assert data_leaves and all(leaf.grad is not None for leaf in data_leaves)
         assert breakdown == ref_breakdown
-        assert list(grads) == list(ref_grads) == params.names()
-        for name in params.names():
+        assert list(grads) == list(ref_grads) == list(params)
+        for name in params:
             assert_bits_equal(grads[name], ref_grads[name])
 
     @pytest.mark.parametrize(
@@ -814,7 +811,7 @@ def _per_parameter_adam(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e
     for the concatenated-vector update."""
     new_params, new_m, new_v = OrderedDict(), OrderedDict(), OrderedDict()
     t = state.step + 1
-    for name in params.names():
+    for name in params:
         g = grads[name]
         m = beta1 * state.m[name] + (1 - beta1) * g
         v = beta2 * state.v[name] + (1 - beta2) * g * g
@@ -838,12 +835,12 @@ class TestOptimizer:
             # magnitudes over 15 decades, plus 0.0, -0.0 and a near-underflow value
             grads = ParamSet({name: rng.normal(size=t.shape) * 10.0 ** rng.integers(-12, 3, size=t.shape)
                               for name, t in params.tensors.items()})
-            grads[params.names()[0]].ravel()[:3] = (0.0, -0.0, 1e-300)
+            grads[list(params)[0]].ravel()[:3] = (0.0, -0.0, 1e-300)
             params, state = optimizer_step(params, grads, state, lr)
             ref_params, ref_state = _per_parameter_adam(ref_params, grads, ref_state, lr)
             assert state.step == ref_state.step == step + 1
-            assert params.names() == ref_params.names()
-            for name in ref_params.names():
+            assert list(params) == list(ref_params)
+            for name in ref_params:
                 assert_bits_equal(params[name], ref_params[name])
                 assert_bits_equal(state.m[name], ref_state.m[name])
                 assert_bits_equal(state.v[name], ref_state.v[name])
@@ -857,6 +854,14 @@ class TestOptimizer:
         assert lr_schedule(0) == 0.001
         assert abs(lr_schedule(1) - 0.0009) < 1e-15
         assert abs(lr_schedule(5) - 0.001 * 0.9**5) < 1e-15
+
+    def test_a_schedule_that_overflows_by_the_last_epoch_is_refused(self):
+        # 1e200 ** 2 overflows a float; the rate of epoch 1 is 1e-100
+        with pytest.raises(ConfigError, match="the learning rate overflows by the last epoch"):
+            TrainConfig(epochs=3, base_lr=1e-300, lr_gamma=1e200)
+        with pytest.raises(ConfigError, match="the learning rate overflows by the last epoch"):
+            TrainConfig(epochs=2, base_lr=1e10, lr_gamma=1e300)  # finite power, infinite product
+        TrainConfig(epochs=2, base_lr=1e-300, lr_gamma=1e200)  # accepted: the last epoch's rate is 1e-100
 
     def test_first_adam_step_magnitude(self):
         # hand evaluation: m_hat = v_hat = 1 after the first step with g = 1,
@@ -885,14 +890,14 @@ class TestOptimizer:
         rng = np.random.default_rng(2)
         grads = ParamSet({name: rng.normal(size=t.shape) for name, t in params.tensors.items()})
         params, state = optimizer_step(params, grads, AdamState.init(params), 0.01)
-        params_before, state_before = params.copy(), copy.deepcopy(state)
+        params_before, state_before = params.like(params.flat.copy()), copy.deepcopy(state)
         new_params, _ = optimizer_step(params, grads, state, 0.01)
         assert params.layout == params_before.layout and np.array_equal(params.flat, params_before.flat)
         assert state.step == state_before.step
-        for name in params.names():
+        for name in params:
             np.testing.assert_array_equal(state.m[name], state_before.m[name])
             np.testing.assert_array_equal(state.v[name], state_before.v[name])
-        assert new_params.names() == params.names()
+        assert list(new_params) == list(params)
 
 
 # ---------------------------------------------------------------- training
@@ -943,16 +948,25 @@ class TestTrainFold:
     # references. The matmul bits come from the BLAS build, so another BLAS
     # may give other weights.
     _TRAINED_CHECKPOINT_SHA256 = {
-        Variant.DUAL_MOTION: "d65ab8cf17f9bf248d5c2a3cb45d1e12ebb046cff791105089b606671a843e03",
-        Variant.MOTION_RGB_PATCH: "4511d4d56d1bb797a683fe380a6fe93cd39728c005584b9b898b0154685f7b71",
-        Variant.MOTION_ONLY: "38b6a9f81c94bc09f7d3b8e7637825c7f17200db6f3ca02d2a4d62957f8e8fab",
-        Variant.MOTION_RGB_CONV: "72d2a9e9d0ff260c879b88a408cec4cd26a8c552d478702fbc18c9a381500b41",
+        Variant.DUAL_MOTION: "4829ec74a5b71191462c2ed0d3201f4c7ee4b275a963eeee90e9a54c1d20510b",
+        Variant.MOTION_RGB_PATCH: "ee8ab95d4852ca4b0c60843bfa1616464e1cc734d2a3ab8c7e522c7100d3c5ab",
+        Variant.MOTION_ONLY: "4afa841fbc2352a0773706db73a51d95e60a0e33a74c81062138ca40926c3da3",
+        Variant.MOTION_RGB_CONV: "652380f5b8b80d08213fabe1b83988c6fdcf60da21f557482ece1d0e6214e8fe",
+    }
+
+    # sha256 of the trained weights alone, params.flat as <f8 bytes: the file pin above less its header
+    _TRAINED_WEIGHTS_SHA256 = {
+        Variant.DUAL_MOTION: "d337a3d21b3c32e3bf9f192dfbab7aaa6fd491e63ab905c3ddd90bf646a48e6a",
+        Variant.MOTION_RGB_PATCH: "eab98fff9a14ad0e8f7aced546e63d9c6a9137e28f8de96b982912f69e94a0b5",
+        Variant.MOTION_ONLY: "a2c11b636eaa41771e7f8250f2ad33553083819c939a029994dd8ac8b33ddad3",
+        Variant.MOTION_RGB_CONV: "07fc320a409d7401df84246182d9370984c7b652311ddd040dd1c103460dc308",
     }
 
     @pytest.mark.parametrize("variant", list(_TRAINED_CHECKPOINT_SHA256), ids=lambda v: v.value)
     def test_trained_checkpoint_bytes_are_pinned(self, variant, tmp_path):
         config = ModelConfig.toy(16)
         params, _ = train_fold(self.small_samples(), config, variant, TrainConfig(epochs=2, batch_size=4), seed=7)
+        assert hashlib.sha256(params.flat.astype("<f8").tobytes()).hexdigest() == self._TRAINED_WEIGHTS_SHA256[variant]
         path = tmp_path / "fold.meck"
         save_checkpoint(path, params, config, variant)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self._TRAINED_CHECKPOINT_SHA256[variant]
@@ -962,8 +976,13 @@ class TestTrainFold:
     # each epoch holds one sample. Computed with the sliding-window im2col and the
     # per-tap col2im loop that the tests keep as references.
     _BENCH_SHAPE_CHECKPOINT_SHA256 = {
-        Variant.DUAL_MOTION: "8a0442cc218cd055cd559f385d4ca89a3523c54ccee69acf1ce653353c93330b",
-        Variant.MOTION_RGB_PATCH: "97be07ee2aa637f6f0dca17ec2001c8cbdc21749158c7daa24885a5d3dfd9a89",
+        Variant.DUAL_MOTION: "11f2e9aa4e4bdf72fccceebfe6cc2ec36b90ab0fb96cc236e80679d7556b9875",
+        Variant.MOTION_RGB_PATCH: "693374747d9c684695c47ab793c73db92c2bdffd59931d8f2a9ce40d181b40d8",
+    }
+
+    _BENCH_SHAPE_WEIGHTS_SHA256 = {
+        Variant.DUAL_MOTION: "7be2352ade497883087be4771d86784cc57d5877ac9600cc18ca6bec3cb8635a",
+        Variant.MOTION_RGB_PATCH: "c480f7c153823778f6fdcce9d83198fef74c4269997ad223a1b9468ef3c6bae2",
     }
 
     @pytest.mark.parametrize("variant", list(_BENCH_SHAPE_CHECKPOINT_SHA256), ids=lambda v: v.value)
@@ -971,6 +990,8 @@ class TestTrainFold:
         config = ModelConfig.small(64)
         samples = self.small_samples(n=5, size=64, seed=1)
         params, _ = train_fold(samples, config, variant, TrainConfig(epochs=2, batch_size=2), seed=7)
+        weights = hashlib.sha256(params.flat.astype("<f8").tobytes()).hexdigest()
+        assert weights == self._BENCH_SHAPE_WEIGHTS_SHA256[variant]
         path = tmp_path / "fold.meck"
         save_checkpoint(path, params, config, variant)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self._BENCH_SHAPE_CHECKPOINT_SHA256[variant]
@@ -1078,10 +1099,10 @@ class TestFrozenFeatures:
         encoder = FrozenEncoder.from_file(path)
         params, _, _ = load_checkpoint(path)
         motion = {name: Tensor(params[name]) for name in params if name.startswith("motion.")}
-        assert encoder.config == config.motion and encoder.origin == f"file:{path}"
+        assert encoder.config == config.conv and encoder.origin == f"file:{path}"
         assert encoder.params.layout == tuple((name, motion[name].shape) for name in motion)
         x = np.random.default_rng(1).uniform(0, 1, (3, 32, 32))
-        expected, _ = encode_conv(Tensor(x[None] - INPUT_CENTER), motion, "motion", config.motion)
+        expected, _ = encode_conv(Tensor(x[None] - INPUT_CENTER), motion, "motion", config.conv)
         assert_bits_equal(extract_frozen_features(x, encoder), expected.data[0])
 
 
@@ -1112,7 +1133,7 @@ class TestParamSet:
         copied = round_trip(params)
         assert copied.layout == params.layout
         assert_bits_equal(copied.flat, params.flat)
-        assert copied.names() == params.names()
+        assert list(copied) == list(params)
         assert not np.shares_memory(copied.flat, params.flat)
 
 
@@ -1141,6 +1162,34 @@ class TestTensorTable:
     def test_init_weights_are_pinned(self, variant, digest):
         assert _weights_digest(init_params(ModelConfig.small(64), variant, 0)) == digest
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_tensors_and_forward_follow_the_variant_table(self, variant):
+        branch = ETHNIC_BRANCHES[variant]
+        config = ModelConfig.toy(16)
+        names = [name for name, _, _ in model_tensors(config, variant)]
+        stacks = {"conv": ["ethnic"], "patch": ["texture"]}[branch.encoder] if branch else []
+        heads = ["emotion", "ethnicity", "fusion"] if branch else ["emotion"]
+        assert list(dict.fromkeys(name.split(".")[0] for name in names)) == ["motion", *stacks, "head"]
+        assert list(dict.fromkeys(name.split(".")[1] for name in names if name.startswith("head."))) == heads
+        assert variant.has_ethnic_branch == (branch is not None)
+        assert variant.needs_rgb == (branch is not None and branch.input == "rgb")
+
+        params = init_params(config, variant, seed=0)
+        rng = np.random.default_rng(0)
+        flow, rgb, other_rgb = rng.uniform(0, 1, (3, 2, 3, 16, 16))
+        outputs = forward(ModelInputs(flow=flow, rgb=rgb), params, config, variant)
+        if branch is None:
+            assert outputs.ethnic_grid is None and outputs.ethnicity_logits is None and outputs.fused_logits is None
+            return
+        width = config.conv.stage_widths[-1] if branch.encoder == "conv" else config.texture.embed_dim
+        assert outputs.ethnic_grid.shape[:2] == (2, width)
+        # the ethnic logits read the table's input and no other
+        moved = forward(ModelInputs(flow=flow, rgb=other_rgb), params, config, variant).ethnicity_logits.data
+        assert np.array_equal(moved, outputs.ethnicity_logits.data) == (branch.input == "flow")
+        if branch.input == "rgb":
+            with pytest.raises(VariantInputError):
+                forward(ModelInputs(flow=flow), params, config, variant)
+
     def test_frozen_encoder_weights_are_pinned(self):
         assert _weights_digest(FrozenEncoder.random_fallback(EncoderConfig(), seed=0).params) == "473e64594e17f878"
 
@@ -1157,6 +1206,17 @@ def _rewrite_header(path, corrupt):
     corrupt(header)
     header_bytes = json.dumps(header).encode("utf-8")
     path.write_bytes(magic + struct.pack("<I", len(header_bytes)) + header_bytes + body[header_len:])
+
+
+# The config of ModelConfig.toy(16) as checkpoints wrote it before one conv config built both conv stacks
+_TOY16_CONFIG_WITH_TWO_CONV_CONFIGS = {
+    "image_size": 16,
+    "feature_dim": 4,
+    "motion": {"input_channels": 3, "stage_widths": [2, 3], "kernel_size": 3, "downsample": 2, "feature_dim": 4},
+    "ethnic_conv": {"input_channels": 3, "stage_widths": [2, 3], "kernel_size": 3, "downsample": 2, "feature_dim": 4},
+    "texture": {"patch_size": 8, "embed_dim": 6, "n_blocks": 2, "n_heads": 2, "mlp_ratio": 2.0, "feature_dim": 4,
+                "pooling": "mean"},
+}
 
 
 class TestCheckpoint:
@@ -1184,7 +1244,7 @@ class TestCheckpoint:
         path = tmp_path / "model.meck"
         save_checkpoint(path, params, ModelConfig.toy(16), Variant.DUAL_MOTION)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "79e05f1f3164b37c31aa5cef54864b5b1f02bc576226fe27e950cb444ff22c83"
+            "925896dd1510f3a62d41ad9a21ed5fe9161c65d843628cac72a0cbd260adfb1e"
         )
 
     def test_bad_magic(self, tmp_path):
@@ -1201,31 +1261,24 @@ class TestCheckpoint:
             lambda h: h.pop("variant"),
             lambda h: h["tensors"][0].pop("shape"),
             lambda h: h["config"].pop("image_size"),
-            lambda h: h["config"]["texture"].pop("pooling"),
             lambda h: h.update(variant="no_such_variant"),
             lambda h: h["tensors"][0].update(shape=[-1, 2]),
             lambda h: h["tensors"][0].update(shape=[1, 2]),
             lambda h: h["tensors"].pop(),
-            lambda h: h["config"]["motion"].update(stage_widths="ab"),
-            lambda h: h["config"]["motion"].update(stage_widths=[2, "3"]),
+            lambda h: h["config"]["conv"].update(stage_widths="ab"),
+            lambda h: h["config"]["conv"].update(stage_widths=[2, "3"]),
             lambda h: h["config"].update(image_size="16"),
-            lambda h: h["config"]["texture"].update(mlp_ratio="2"),
-            lambda h: h["config"]["texture"].update(pooling="max"),
-            lambda h: h["config"]["motion"].update(kernel_size=2),
-            lambda h: h["config"].update(feature_dim=6),
             lambda h: h["config"].update(image_size=0),
             lambda h: h["config"]["texture"].update(n_heads=0),
-            lambda h: h["config"]["texture"].update(mlp_ratio=0.0),
-            lambda h: h["config"]["texture"].update(mlp_ratio=10**400),
-            lambda h: h["config"]["motion"].update(stage_widths=[2, -3]),
-            lambda h: h["config"]["motion"].update(kernel_size=-3),
+            lambda h: h["config"]["conv"].update(stage_widths=[2, -3]),
+            lambda h: h["config"]["conv"].pop("stage_widths"),
+            lambda h: h.update(config=_TOY16_CONFIG_WITH_TWO_CONV_CONFIGS),
         ],
         ids=[
-            "no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "no-pooling", "unknown-variant",
+            "no-tensors", "no-config", "no-variant", "no-shape", "no-image-size", "unknown-variant",
             "negative-dim", "wrong-shape", "missing-tensor", "stage-widths-string", "stage-width-string",
-            "image-size-string", "mlp-ratio-string", "pooling-max", "kernel-size-even", "feature-dim-mismatch",
-            "image-size-0", "n-heads-0", "mlp-ratio-0", "mlp-ratio-overflow", "stage-width-negative",
-            "kernel-size-negative",
+            "image-size-string", "image-size-0", "n-heads-0", "stage-width-negative", "no-stage-widths",
+            "two-conv-configs",
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, corrupt):
@@ -1240,16 +1293,15 @@ class TestCheckpoint:
         "corrupt",
         [
             lambda h: h.pop("config"),
-            lambda h: h["config"]["motion"].pop("stage_widths"),
-            lambda h: h["config"].update(motion=[4, 8]),
+            lambda h: h["config"]["conv"].pop("stage_widths"),
+            lambda h: h["config"].update(conv=[4, 8]),
             lambda h: h["tensors"][0].update(shape=[-1, 2]),
             lambda h: h["tensors"][0].update(shape=[1, 2]),
-            lambda h: h["config"]["motion"].update(kernel_size=2),
-            lambda h: h["config"]["motion"].update(feature_dim=1),
-            lambda h: h["config"]["motion"].update(stage_widths=[2, -3]),
+            lambda h: h["config"]["conv"].update(feature_dim=1),
+            lambda h: h["config"]["conv"].update(stage_widths=[2, -3]),
         ],
-        ids=["no-config", "no-stage-widths", "config-not-object", "negative-dim", "wrong-shape", "kernel-size-even",
-             "feature-dim-1", "stage-width-negative"],
+        ids=["no-config", "no-stage-widths", "config-not-object", "negative-dim", "wrong-shape", "feature-dim-1",
+             "stage-width-negative"],
     )
     def test_malformed_frozen_encoder_header_is_data_error(self, tmp_path, corrupt):
         # damage to the motion config and tensors, the part of a checkpoint that a frozen encoder keeps

@@ -1054,6 +1054,11 @@ def test_changed_frame_recomputes_only_its_flow(tmp_path):
 # stored cache entry.
 _DEFAULT_FLOW_KEY = "f0a587ee5a66032831420b30425315db98aa33d841a946ff7d11c91919017519"  # default FlowParams, fixed frames
 _TINY_LOSO_FOLD_KEYS = {  # run_tiny_loso's fold keys on fixed_loso_inputs
+    "sa01": "5a4788b1fd3d967c6c4200c11a15c93a5b72304f17d10ff674d88e81d1251e6b",
+    "sn01": "346952dba1d4e91c2d126d849fb45743e60ee74ccd642e7a13beab4c59d6c4ff",
+}
+# The same keys while the model config held a motion and an ethnic_conv encoder config
+_TWO_CONV_CONFIG_FOLD_KEYS = {
     "sa01": "9f2174ca189c5ee648bac6644328ad977db4d634b306b6e9d8a9a8ba89bb9c99",
     "sn01": "24bae96a78e5ee9c3d0a923dced67e89c0fd0bd59892f3f89d17ac2e3d2d3a4b",
 }
@@ -1085,14 +1090,27 @@ def test_stored_flow_sidecar_is_a_cache_hit(tmp_path):
     assert set(stats.clip_fractions.values()) == {(0.25, 0.5, 0.0)}
 
 
-def test_stored_fold_checkpoint_is_a_cache_hit(tmp_path):
-    manifest = fixed_loso_inputs(tmp_path / "flows")
+def _store_tiny_folds(tmp_path, keys) -> dict:
     counts = {"sa01": [[1, 0, 0], [0, 1, 0], [0, 0, 0]], "sn01": [[0, 0, 0], [1, 0, 0], [0, 0, 1]]}
-    for subject, key in _TINY_LOSO_FOLD_KEYS.items():
+    for subject, key in keys.items():
         record = {"held_out_subject": subject, "confusion": {"classes": EMOTION_CLASSES, "counts": counts[subject]}}
         (tmp_path / f"fold_dual_motion_{subject}.json").write_text(json.dumps({"key": key, "value": record}))
+    return counts
+
+
+def test_stored_fold_checkpoint_is_a_cache_hit(tmp_path):
+    manifest = fixed_loso_inputs(tmp_path / "flows")
+    counts = _store_tiny_folds(tmp_path, _TINY_LOSO_FOLD_KEYS)
     # a pending fold would fail to parse its fixed-bytes OFI files
     assert run_tiny_loso(manifest, tmp_path / "flows", checkpoint_dir=tmp_path) == sorted(counts.items())
+
+
+def test_a_fold_stored_under_the_two_conv_config_key_is_a_miss(tmp_path):
+    manifest = fixed_loso_inputs(tmp_path / "flows")
+    _store_tiny_folds(tmp_path, _TWO_CONV_CONFIG_FOLD_KEYS)
+    # the fold is pending, so it reads its fixed-bytes OFI files, which are no flow images
+    with pytest.raises(DataError, match="bad magic"):
+        run_tiny_loso(manifest, tmp_path / "flows", checkpoint_dir=tmp_path)
 
 
 class TestRunLosoVariant:
