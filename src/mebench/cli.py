@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -159,7 +160,13 @@ def _deviations(flow_params: FlowParams | None = None, train: TrainConfig | None
 
 def _load_predictor(args):
     if args.predictor_cmd:
-        return CommandPredictor(args.predictor_cmd.split())
+        try:
+            command = shlex.split(args.predictor_cmd)
+        except ValueError as exc:  # an unbalanced quote or a trailing backslash
+            raise ConfigError(f"--predictor-cmd {args.predictor_cmd!r}: {exc}") from exc
+        if not command:
+            raise ConfigError("--predictor-cmd names no command")
+        return CommandPredictor(command)
     table = {}
     if args.predictor_table:
         try:
@@ -502,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samm", help="SAMM index table (csv/tsv)")
     p.add_argument("--ledger", help="correction-ledger file (one JSON rule per line)")
     p.add_argument("--predictor-table", help="JSON file: subject -> ethnicity or [gender, age, ethnicity]")
-    p.add_argument("--predictor-cmd", help="external predictor command (PGM path appended)")
+    p.add_argument("--predictor-cmd", help="external predictor command, split as a shell would (PGM path appended)")
     p.add_argument("--on-annotation-error", choices=("fail", "skip"), default="fail")
     p.add_argument("--synth", action="store_true", help="generate the synthetic desk corpus instead")
     p.add_argument("--subjects-per-group", type=int, default=SynthSpec.subjects_per_group)
@@ -536,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.base_lr)
     p.add_argument("--lr-gamma", type=float, default=TrainConfig.lr_gamma)
-    p.add_argument("--feature-dim", type=int, default=ModelConfig.feature_dim)
+    p.add_argument("--feature-dim", type=int, default=EncoderConfig.feature_dim)
     p.add_argument("--no-resume", action="store_true", help="retrain every model and rewrite its cache entry")
     p.set_defaults(func=cmd_loso)
 

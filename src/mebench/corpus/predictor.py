@@ -10,6 +10,7 @@ file and a JSON response with a subprocess.
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import tempfile
 from pathlib import Path
@@ -56,7 +57,7 @@ class CommandPredictor:
     def __init__(self, command: list[str], timeout: float = 60.0):
         self.command = list(command)
         self.timeout = timeout
-        self.name = f"command:{' '.join(command)}"
+        self.name = f"command:{shlex.join(command)}"
 
     def predict(self, frame: GrayFrame, subject_id: str) -> tuple[Gender, int, RawEthnicity]:
         with tempfile.TemporaryDirectory() as tmp:

@@ -96,13 +96,6 @@ class PatchEncoderConfig:
             raise ConfigError("embed_dim must be divisible by n_heads")
 
 
-class _FeatureDim:
-    """ModelConfig.feature_dim: its conv config's; read on the class, the default width."""
-
-    def __get__(self, config, owner):
-        return (EncoderConfig if config is None else config.conv).feature_dim
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """One conv config builds the motion stack and a conv ethnic stack; its
@@ -112,11 +105,13 @@ class ModelConfig:
     conv: EncoderConfig = field(default_factory=EncoderConfig)
     texture: PatchEncoderConfig = field(default_factory=PatchEncoderConfig)
 
-    feature_dim = _FeatureDim()
-
     def __post_init__(self):
         if self.image_size < 1:
             raise ConfigError(f"image_size must be >= 1, got {self.image_size}")
+
+    @property
+    def feature_dim(self) -> int:
+        return self.conv.feature_dim
 
     def validate_for(self, variant: Variant) -> None:
         patches = variant.has_ethnic_branch and ETHNIC_BRANCHES[variant].encoder == "patch"

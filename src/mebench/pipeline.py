@@ -36,7 +36,7 @@ from .flowcore import (
 )
 from .model import TrainSample
 from .model.config import EMOTION_CLASSES, ETHNICITY_CLASSES
-from .runutil import cache_key, read_cache_entry, run_jobs, write_cache_entry
+from .runutil import cache_key, hash_file, read_cache_entry, run_jobs, write_cache_entry
 
 BINARY_CLASSES = ("Negative", "NonNegative")
 
@@ -78,10 +78,11 @@ class FlowStats:
     clip_fractions: dict  # sample key -> (fx, fy, strain) boundary fractions
 
 
-def _read_fraction_triple(value) -> tuple | None:
-    """Three floats in [0, 1] (NaN fails the range test), as a sidecar stores them, or None."""
-    valid = isinstance(value, list) and len(value) == 3 and all(isinstance(x, float) and 0.0 <= x <= 1.0 for x in value)
-    return tuple(value) if valid else None
+def _read_sidecar(out_path: Path, value) -> tuple | None:
+    """A sidecar's clip fractions, three floats in [0, 1] (NaN fails the range test), if out_path has its sha256."""
+    triple = value["clip_fraction"]
+    valid = isinstance(triple, list) and len(triple) == 3 and all(isinstance(x, float) and 0 <= x <= 1 for x in triple)
+    return tuple(triple) if valid and value["sha256"] == hash_file(out_path) else None
 
 
 def _load_stack(paths) -> GrayFrame:
@@ -115,7 +116,7 @@ def _compute_flows(job: tuple) -> list:
         image = assemble_flow_image(clip, compute_strain(clip))
         write_flow_image(image, out_path)
         fraction = image.normalization.clip_fraction
-        write_cache_entry(sidecar, key, list(fraction))
+        write_cache_entry(sidecar, key, {"clip_fraction": list(fraction), "sha256": hash_file(out_path)})
         done.append((sample_key(record), fraction))
     return done
 
@@ -131,8 +132,9 @@ def materialize_flow_images(
 
     Beside each OFI file, a runutil cache entry (`.ofi.json`) keyed by the
     flow parameters and the bytes of the record's onset and apex frames
-    holds the clip fractions. Unless force is set, a record whose OFI file
-    exists and whose entry is a hit is skipped. The rest are cut into runs
+    holds the clip fractions and the OFI file's sha256. Unless force is set,
+    a record whose entry is a hit and whose OFI file has that hash is
+    skipped. The rest are cut into runs
     of consecutive same-shape pairs, each at most hornschunck.stack_size
     long (7 clips at 64 px, 2 at 128 px), and each run is one
     runutil.run_jobs job: one estimate_flow stack, then each clip's OFI
@@ -147,7 +149,7 @@ def materialize_flow_images(
         sidecar = out_path.with_suffix(".ofi.json")
         key = cache_key(asdict(flow_params), (record.onset_path, record.apex_path))
         if not force and out_path.exists():
-            fraction = read_cache_entry(sidecar, key, _read_fraction_triple)
+            fraction = read_cache_entry(sidecar, key, lambda value: _read_sidecar(out_path, value))
             if fraction is not None:
                 fractions[sample_key(record)] = fraction
                 continue

@@ -6,8 +6,8 @@ representation feeds it. A variant's jobs are its LOSO folds plus,
 when asked for, the full-data model saved for activation-map analysis:
 one job list, one sample load and one run_jobs call. Each job writes its
 own runutil cache entry, keyed from loso_key_base: a fold's holds its
-FoldResult record, the full-data model's the hash of its .meck. So
-interrupted many-fold runs resume instead of restarting.
+held-out clips' predicted class indices, the full-data model's the hash
+of its .meck. So interrupted many-fold runs resume instead of restarting.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from ..pipeline import (
     load_train_samples,
     sample_key,
 )
-from ..runutil import cache_key, derive_seed, from_json_dict, hash_file, read_cache_entry, run_jobs, write_cache_entry
+from ..runutil import cache_key, derive_seed, hash_file, read_cache_entry, run_jobs, write_cache_entry
 from .folds import FoldPlan, plan_loso
-from .metrics import ConfusionMatrix, FoldResult, aggregate_folds
+from .metrics import FoldResult, aggregate_folds
 
 
 # (row key, markdown title, tsv title) of each benchmark table column; see metrics.render_table
@@ -65,8 +65,8 @@ class VariantRow:
 
 
 def _run_one_fold(variant: Variant, model_config: ModelConfig, train_config: TrainConfig, seed: int, model_path, job):
-    """Worker: train one LOSO job, store what it yields and return (held_out, value). A fold job
-    scores its held-out subject into a FoldResult; the full-data job (held_out None) saves its model
+    """Worker: train one LOSO job, store what it yields and return (held_out, value). A fold job's value
+    lists its held-out clips' predicted class indices; the full-data job (held_out None) saves its model
     to model_path, and its value is the .meck's hash. With a key, the job writes its cache entry."""
     train, test, held_out, entry_path, key = job
     labels = ("full", variant.value) if held_out is None else ("fold", variant.value, held_out)
@@ -75,17 +75,16 @@ def _run_one_fold(variant: Variant, model_config: ModelConfig, train_config: Tra
         save_checkpoint(model_path, params, model_config, variant)
         value = hash_file(model_path)
     else:
-        predictions = evaluate_predictions(params, test, model_config, variant)
-        value = FoldResult(held_out, ConfusionMatrix.of(EMOTION_CLASSES, [s.emotion for s in test], predictions))
+        value = evaluate_predictions(params, test, model_config, variant).tolist()
     if key is not None:
         write_cache_entry(entry_path, key, value)
     return held_out, value
 
 
-def _read_fold(subject: str, value) -> FoldResult | None:
-    """The FoldResult a fold entry stores, when it holds out subject over EMOTION_CLASSES."""
-    fold = from_json_dict(FoldResult, value)
-    return fold if (fold.held_out_subject, fold.confusion.classes) == (subject, EMOTION_CLASSES) else None
+def _read_fold(n_clips: int, value) -> list | None:
+    """A fold entry's n_clips predicted class indices (ints, not bools); its key pins the subject and labels."""
+    valid = isinstance(value, list) and len(value) == n_clips
+    return value if valid and all(type(i) is int and 0 <= i < len(EMOTION_CLASSES) for i in value) else None
 
 
 def loso_key_base(
@@ -142,10 +141,10 @@ def run_loso_variant(
     Each model is one job: a fold per held-out subject, then the full-data
     model (held_out None). With checkpoint_dir set, each job has a runutil
     cache entry keyed by all its inputs (see loso_key_base): a fold's, in
-    checkpoint_dir, holds its FoldResult; the full-data model's,
-    `.meck.json` beside model_path, the hash of that .meck. Unless force is
-    set, a valid hit is reused; checkpoint_dir None reads and writes no
-    entry. Only if some job is pending are the samples loaded from
+    checkpoint_dir, holds its held-out clips' predictions; the full-data
+    model's, `.meck.json` beside model_path, the hash of that .meck. Unless
+    force is set, a valid hit is reused; checkpoint_dir None reads and
+    writes no entry. Only if some job is pending are the samples loaded from
     flow_dir, once; unless every clip's flow and RGB have the first
     clip's shape, they are refused (DataError) before any job runs. The
     jobs are independent (each has its own derived seed), so all pending
@@ -158,7 +157,7 @@ def run_loso_variant(
     full = [] if model_path is None else [FoldPlan(None, tuple(range(len(records))), ())]
     if checkpoint_dir is not None:
         key_base = loso_key_base(records, variant, model_config, train_config, flow_dir, seed)
-    done = {}  # held-out subject -> FoldResult (None -> the full-data model's hash)
+    done = {}  # held-out subject -> predicted class indices (None -> the full-data model's hash)
     pending = []
     for plan in folds + full:
         subject, key, entry_path = plan.held_out_subject, None, None
@@ -169,7 +168,7 @@ def run_loso_variant(
                 read = lambda digest: digest if Path(model_path).is_file() and digest == hash_file(model_path) else None
             else:
                 entry_path = Path(checkpoint_dir) / f"fold_{variant.value}_{subject}.json"
-                read = functools.partial(_read_fold, subject)
+                read = functools.partial(_read_fold, len(plan.test))
             value = None if force else read_cache_entry(entry_path, key, read)
             if value is not None:
                 done[subject] = value
@@ -185,7 +184,8 @@ def run_loso_variant(
     run = functools.partial(_run_one_fold, variant, model_config, train_config, seed, model_path)
     done.update(run_jobs(run, jobs, workers))  # (held-out subject, value) pairs
 
-    fold_results = [done[fold.held_out_subject] for fold in folds]
+    fold_results = [FoldResult(p.held_out_subject, EMOTION_CLASSES, tuple(emotion_index(records[i]) for i in p.test),
+                               tuple(done[p.held_out_subject])) for p in folds]
     per_class_f1, average_mf1 = aggregate_folds(fold_results)
     row = VariantRow(
         variant=variant.value,

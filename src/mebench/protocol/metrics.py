@@ -5,9 +5,10 @@ harmonic mean, with 0/0 defined as 0. Macro-F1 is the unweighted mean
 over the declared class list (classes with no support still count,
 per the 0/0 convention).
 
-Fold aggregation pools the confusion matrices and computes macro-F1
-once on the pooled matrix: per-fold averaging is undefined whenever a
-fold lacks a class, which LOSO routinely produces.
+Fold aggregation pools every fold's held-out clips, counts them once
+(ConfusionMatrix.of) and computes macro-F1 on that matrix: per-fold
+averaging is undefined whenever a fold lacks a class, which LOSO
+routinely produces.
 """
 
 from __future__ import annotations
@@ -23,16 +24,6 @@ from ..errors import DataError
 class ConfusionMatrix:
     classes: tuple[str, ...]
     counts: np.ndarray  # [actual][predicted]
-
-    def __post_init__(self):
-        if not self.classes:
-            raise DataError("empty class list")
-        k = len(self.classes)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (k, k):
-            raise DataError(f"counts shape {self.counts.shape} != ({k}, {k})")
-        if (self.counts < 0).any():
-            raise DataError("negative confusion counts")
 
     @classmethod
     def of(cls, classes: tuple[str, ...], actual, predicted) -> "ConfusionMatrix":
@@ -59,18 +50,26 @@ def macro_f1(confusion: ConfusionMatrix) -> tuple[dict, float]:
 @dataclass(frozen=True)
 class FoldResult:
     held_out_subject: str
-    confusion: ConfusionMatrix
+    classes: tuple[str, ...]
+    actual: tuple[int, ...]  # the class index of each held-out clip, in plan order
+    predicted: tuple[int, ...]  # the one predicted for it
+
+    @property
+    def confusion(self) -> ConfusionMatrix:
+        return ConfusionMatrix.of(self.classes, self.actual, self.predicted)
 
 
 def aggregate_folds(fold_results: list[FoldResult]) -> tuple[dict, float]:
-    """Pool confusions across folds, then score once: macro_f1 of the pooled matrix."""
+    """Pool every fold's clips, then score once: macro_f1 of their confusion matrix."""
     if not fold_results:
         raise DataError("no fold results to aggregate")
-    classes = fold_results[0].confusion.classes
+    classes = fold_results[0].classes
     for result in fold_results:
-        if result.confusion.classes != classes:
-            raise DataError(f"class sets differ: {classes} vs {result.confusion.classes}")
-    return macro_f1(ConfusionMatrix(classes, np.sum([r.confusion.counts for r in fold_results], axis=0)))
+        if result.classes != classes:
+            raise DataError(f"class sets differ: {classes} vs {result.classes}")
+    actual = [i for result in fold_results for i in result.actual]
+    predicted = [i for result in fold_results for i in result.predicted]
+    return macro_f1(ConfusionMatrix.of(classes, actual, predicted))
 
 
 def render_table(rows: list[dict], columns: tuple) -> tuple[str, str]:

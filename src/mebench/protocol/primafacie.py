@@ -22,7 +22,7 @@ from ..pipeline import BINARY_CLASSES, sample_key
 from ..runutil import derive_seed, derived_rng
 from .folds import plan_loso
 from .forest import ForestConfig, forest_predict_batch, forest_train
-from .metrics import ConfusionMatrix, FoldResult, aggregate_folds
+from .metrics import FoldResult, aggregate_folds
 
 
 class QuotaError(DataError):
@@ -183,8 +183,8 @@ def run_scenario(
             forest_config,
             seed=derive_seed(scenario.seed, "forest", scenario.kind.value, fold.held_out_subject),
         )
-        confusion = ConfusionMatrix.of(BINARY_CLASSES, labels[test], forest_predict_batch(model, feats[test]))
-        fold_results.append(FoldResult(fold.held_out_subject, confusion))
+        predicted = tuple(forest_predict_batch(model, feats[test]).tolist())
+        fold_results.append(FoldResult(fold.held_out_subject, BINARY_CLASSES, tuple(labels[test].tolist()), predicted))
 
     per_class_f1, _ = aggregate_folds(fold_results)
     return ScenarioResult(

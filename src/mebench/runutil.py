@@ -24,8 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
-
 
 def derive_seed(root: int, *labels) -> int:
     """64-bit seed derived from a root seed and a label path."""
@@ -68,8 +66,8 @@ def read_json_object(path) -> dict | None:
 
 
 def to_json_dict(obj) -> dict:
-    """`dataclasses.asdict` of a dataclass, with each enum member written as its value, each ndarray as lists."""
-    json_value = lambda v: v.value if isinstance(v, enum.Enum) else v.tolist() if isinstance(v, np.ndarray) else v
+    """`dataclasses.asdict` of a dataclass, with each enum member written as its value."""
+    json_value = lambda v: v.value if isinstance(v, enum.Enum) else v
     return dataclasses.asdict(obj, dict_factory=lambda items: {k: json_value(v) for k, v in items})
 
 
@@ -81,9 +79,7 @@ def from_json_dict(cls, d: dict):
     raises KeyError, a bad enum value ValueError, and a non-object or a
     value of the wrong type TypeError. int, str and bool fields take only
     their own type (a bool is not an int); a float field also takes an
-    int, stored as a float (one too large for a float raises ValueError).
-    An np.ndarray field is a count matrix: lists of int lists, read as
-    int64 (ragged rows raise ValueError)."""
+    int, stored as a float (one too large for a float raises ValueError)."""
     try:
         return cls(**{name: read(d[name]) for name, read in _field_readers(cls)})
     except OverflowError as exc:  # an int too large for a float field
@@ -110,9 +106,6 @@ def _reader(tp):
         return lambda value: float(_checked(value, (int, float)))
     if tp in (int, str, bool):
         return functools.partial(_checked, expected=tp)
-    if tp is np.ndarray:  # a count matrix
-        rows = _reader(tuple[tuple[int, ...], ...])
-        return lambda value: np.array(rows(value), dtype=np.int64)
     if dataclasses.is_dataclass(tp):
         return functools.partial(from_json_dict, tp)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
@@ -157,17 +150,15 @@ def cache_key(inputs: dict, files=()) -> str:
 def read_cache_entry(path, key: str, read):
     """read(value) of the entry at path when its stored key equals key, else
     None. A missing or damaged file is a miss, and so is a value that read
-    refuses: by returning None, or by raising an error of from_json_dict
-    or of a dataclass check."""
+    refuses: by returning None, or by raising KeyError or TypeError."""
     entry = read_json_object(path) or {}
     try:
         return read(entry["value"]) if entry.get("key") == key else None
-    except (KeyError, TypeError, ValueError, OverflowError, DataError):
+    except (KeyError, TypeError):
         return None
 
 
 def write_cache_entry(path, key: str, value) -> None:
-    value = to_json_dict(value) if dataclasses.is_dataclass(value) else value
     atomic_write_text(path, json.dumps({"key": key, "value": value}, sort_keys=True) + "\n")
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -240,6 +241,30 @@ class TestManifestCommand:
                 "--predictor-cmd", predictor]
         assert main(argv) == 2
         assert not marker.exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("quote", ["single", "backslash"])
+    def test_a_quoted_predictor_path_with_spaces_is_one_word(self, tmp_path, quote):
+        index = _write_index(tmp_path, [("01", "a")])
+        script = tmp_path / "dir with space" / "pred.py"
+        script.parent.mkdir()
+        script.write_text("print('{\"gender\": \"female\", \"age\": 41, \"ethnicity\": \"Caucasian\"}')\n")
+        quoted = f"'{script}'" if quote == "single" else str(script).replace(" ", "\\ ")
+        argv = ["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index),
+                "--predictor-cmd", f"{sys.executable} {quoted}"]
+        assert main(argv) == 0
+        manifest = load_manifest(tmp_path / "out" / "manifest.jsonl")
+        (record,) = manifest.records
+        assert (record.raw_ethnicity.value, record.gender.value, record.age) == ("Caucasian", "female", 41)
+        # the provenance records the command as words a shell splits back the same way
+        assert shlex.split(manifest.provenance["predictor"].removeprefix("command:")) == [sys.executable, str(script)]
+
+    @pytest.mark.parametrize("command", ["'unbalanced", "   "])
+    def test_an_unsplittable_predictor_command_is_a_config_error(self, tmp_path, capsys, command):
+        index = _write_index(tmp_path, [("01", "a")])
+        argv = ["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index), "--predictor-cmd", command]
+        assert main(argv) == 2
+        assert "--predictor-cmd" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_id_is_refused_before_any_frame_is_annotated(self, tmp_path):
         index = _write_index(tmp_path, [("01", "a"), ("/../x", "c")])
@@ -627,7 +652,7 @@ class TestLosoCommand:
         stale = sorted((out / "folds").glob("fold_dual_motion_*.json"))[0]
         intact = stale.read_bytes()
         entry = json.loads(intact)
-        entry["value"]["confusion"]["counts"] = [[9, 0, 0], [0, 0, 0], [0, 0, 0]]
+        entry["value"] = [(index + 1) % 3 for index in entry["value"]]  # a valid entry, every clip predicted otherwise
         stale.write_text(json.dumps(entry))
         sizes = _count_train_fold(monkeypatch)
         assert main([*_loso_argv(corpus, flows, out), "--no-resume"]) == 0
@@ -966,19 +991,23 @@ def _damaged(intact: bytes, damage) -> bytes:
     return json.dumps(obj).encode()
 
 
-def _in_record(path: tuple, value):
-    """damage that sets the field or cell at path (keys and indices) of a fold entry's FoldResult record."""
+def _in_value(change):
+    """damage that replaces an entry's value v with change(v)."""
 
     def damage(intact: bytes) -> bytes:
         obj = json.loads(intact)
-        *parents, last = ("value", *path)
-        node = obj
-        for step in parents:
-            node = node[step]
-        node[last] = value
+        obj["value"] = change(obj["value"])
         return json.dumps(obj).encode()
 
     return damage
+
+
+def _with_fraction(fraction):
+    return _in_value(lambda value: {**value, "clip_fraction": fraction})
+
+
+def _flip_last_bit(intact: bytes) -> bytes:
+    return intact[:-1] + bytes([intact[-1] ^ 1])
 
 
 @pytest.mark.parametrize(
@@ -986,49 +1015,52 @@ def _in_record(path: tuple, value):
     [
         ("sidecar", b"[1, 2]\n"),
         ("sidecar", b"\xff\xfe{}\n"),
-        ("sidecar", {"value": 5}),
-        ("sidecar", {"value": ["a", "b", "c"]}),
+        ("sidecar", {"value": [0.25, 0.5, 0.0]}),
+        ("sidecar", _with_fraction(5)),
+        ("sidecar", _with_fraction(["a", "b", "c"])),
         ("sidecar", {"value": _DROP}),
-        ("sidecar", {"value": [0.1, 0.2]}),
-        ("sidecar", {"value": [0.1, 0.2, 1.5]}),
-        ("sidecar", {"value": [0.1, float("nan"), 0.2]}),
-        ("sidecar", {"value": [0, 0, 1]}),
+        ("sidecar", _with_fraction([0.1, 0.2])),
+        ("sidecar", _with_fraction([0.1, 0.2, 1.5])),
+        ("sidecar", _with_fraction([0.1, float("nan"), 0.2])),
+        ("sidecar", _with_fraction([0, 0, 1])),
+        ("sidecar", _in_value(lambda value: {"clip_fraction": value["clip_fraction"]})),
+        ("sidecar", _in_value(lambda value: {**value, "sha256": "0" * 64})),
+        ("ofi", "replaced"),
+        ("ofi", _flip_last_bit),
         ("fold", b'{"key": '),
         ("fold", b"[]\n"),
         ("fold", {"value": _DROP}),
-        ("fold", {"value": [[1, 0, 0], [0, 1, 0]]}),
-        ("fold", {"value": [[1, 0], [0, 1], [0, 0]]}),
-        ("fold", {"value": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}),
-        ("fold", {"value": [[1.0, 0, 0], [0, 1, 0], [0, 0, 1]]}),
-        ("fold", {"value": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}),
         ("fold", {"value": "x"}),
-        ("fold", _in_record(("confusion", "counts", 0, 0), True)),
-        ("fold", _in_record(("confusion", "counts", 0, 0), 1.5)),
-        ("fold", _in_record(("confusion", "counts", 0, 0), 2**70)),
-        ("fold", _in_record(("held_out_subject",), "sa02")),
-        ("fold", _in_record(("confusion", "classes"), ["Positive", "Negative", "Surprise"])),
+        ("fold", _in_value(lambda value: value + [0])),
+        ("fold", _in_value(lambda value: value[:-1])),
+        ("fold", _in_value(lambda value: [True] + value[1:])),
+        ("fold", _in_value(lambda value: [1.0] + value[1:])),
+        ("fold", _in_value(lambda value: [-1] + value[1:])),
+        ("fold", _in_value(lambda value: [3] + value[1:])),
+        ("fold", _in_value(lambda value: ["1"] + value[1:])),
         ("model-entry", b"garbage"),
         ("model-entry", {"value": "0" * 64}),
-        ("model", lambda intact: intact[:-1] + bytes([intact[-1] ^ 1])),
+        ("model", _flip_last_bit),
         ("model", None),
     ],
-    ids=["sidecar-list", "sidecar-not-utf8", "sidecar-fraction-int", "sidecar-fraction-strings",
-         "sidecar-no-fraction", "sidecar-fraction-short", "sidecar-fraction-above-1", "sidecar-fraction-nan",
-         "sidecar-fraction-ints", "fold-truncated", "fold-list", "fold-no-counts", "fold-counts-2x3",
-         "fold-counts-3x2", "fold-counts-negative", "fold-counts-float", "fold-counts-bool", "fold-counts-string",
-         "fold-record-count-bool", "fold-record-count-float", "fold-record-count-overflow",
-         "fold-record-other-subject", "fold-record-other-classes",
+    ids=["sidecar-list", "sidecar-not-utf8", "sidecar-fraction-only", "sidecar-fraction-int",
+         "sidecar-fraction-strings", "sidecar-no-value", "sidecar-fraction-short", "sidecar-fraction-above-1",
+         "sidecar-fraction-nan", "sidecar-fraction-ints", "sidecar-no-hash", "sidecar-other-hash",
+         "ofi-replaced", "ofi-bit-flipped", "fold-truncated", "fold-list", "fold-no-value", "fold-string",
+         "fold-predictions-long", "fold-predictions-short", "fold-prediction-bool", "fold-prediction-float",
+         "fold-prediction-negative", "fold-prediction-past-last-class", "fold-prediction-string",
          "model-entry-garbage", "model-entry-other-hash", "model-bytes-altered", "model-deleted"],
 )
-def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, monkeypatch, entry, damage):
-    """A damaged entry, or a model file that no longer matches its entry, is recomputed, and nothing else
-    is retrained: a fold only its own model, a full-data model only itself; damage None deletes."""
+def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, monkeypatch, capsys, entry, damage):
+    """A damaged entry, or a file that no longer matches its entry, is recomputed, and nothing else is:
+    a flow only its own clip, a fold only its own model, a full-data model only itself; damage None
+    deletes, and "replaced" copies another clip's OFI file over the target."""
     _, corpus, flows = synth_run
     flow_dir = tmp_path / "flows"
     shutil.copytree(flows, flow_dir)
-    if entry == "sidecar":
+    if entry in ("sidecar", "ofi"):
         argv = ["flow", "--manifest", str(corpus / "manifest.jsonl"), "--out", str(flow_dir)]
-        target = sorted(flow_dir.glob("*.ofi.json"))[0]
+        target = sorted(flow_dir.glob({"sidecar": "*.ofi.json", "ofi": "*.ofi"}[entry]))[0]
     else:
         out = tmp_path / "loso"
         argv = _loso_argv(corpus, flow_dir, out)
@@ -1041,19 +1073,44 @@ def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, monkey
     intact = target.read_bytes()
     if damage is None:
         target.unlink()
+    elif damage == "replaced":
+        shutil.copyfile(sorted(flow_dir.glob("*.ofi"))[1], target)
     else:
         target.write_bytes(_damaged(intact, damage))
     sizes = _count_train_fold(monkeypatch)
+    capsys.readouterr()
     assert main(argv) == 0
     assert target.read_bytes() == intact
-    eligible = load_manifest(corpus / "manifest.jsonl").eligible()
-    if entry == "sidecar":
+    manifest = load_manifest(corpus / "manifest.jsonl")
+    eligible = manifest.eligible()
+    if entry in ("sidecar", "ofi"):
         assert sizes == []
+        assert f"flow images: 1 computed, {len(manifest.records) - 1} cached" in capsys.readouterr().out
     elif entry == "fold":
         subject = target.stem.removeprefix("fold_dual_motion_")
         assert sizes == [sum(r.subject_id != subject for r in eligible)]
     else:
         assert sizes == [len(eligible)]
+
+
+def test_a_fold_entry_in_the_old_record_form_is_retrained(synth_run, loso_run, tmp_path, monkeypatch):
+    # an entry that stored the fold's confusion counts, here inflated to a perfect score, is a miss
+    _, corpus, flows = synth_run
+    out = tmp_path / "loso"
+    shutil.copytree(loso_run, out)
+    stale = sorted((out / "folds").glob("fold_dual_motion_*.json"))[0]
+    intact = stale.read_bytes()
+    entry = json.loads(intact)
+    subject = stale.stem.removeprefix("fold_dual_motion_")
+    confusion = {"classes": ["Negative", "Positive", "Surprise"], "counts": [[9, 0, 0], [0, 9, 0], [0, 0, 9]]}
+    entry["value"] = {"held_out_subject": subject, "confusion": confusion}
+    stale.write_text(json.dumps(entry))
+    sizes = _count_train_fold(monkeypatch)
+    assert main(_loso_argv(corpus, flows, out)) == 0
+    eligible = load_manifest(corpus / "manifest.jsonl").eligible()
+    assert sizes == [sum(r.subject_id != subject for r in eligible)]
+    assert stale.read_bytes() == intact
+    assert json.loads((out / "benchmark.json").read_text()) == json.loads((loso_run / "benchmark.json").read_text())
 
 
 def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, monkeypatch):

@@ -73,7 +73,7 @@ from mebench.protocol import (
 )
 from mebench.protocol import benchmark, forest, primafacie
 from mebench.protocol.forest import _best_splits, _gini
-from mebench.runutil import cache_key, derive_seed, derived_rng, write_cache_entry
+from mebench.runutil import cache_key, derive_seed, derived_rng, hash_file, write_cache_entry
 
 
 def records_for(subjects, clips_per=2, emotions=("happiness", "disgust"), ethnicity=RawEthnicity.ASIAN):
@@ -261,30 +261,58 @@ class TestConfusionOf:
         assert confusion.counts.tolist() == [[0, 2], [1, 0]]
 
 
+def fold_of(subject, counts, classes=BINARY_CLASSES) -> FoldResult:
+    """A FoldResult of counts[a][p] clips of actual class a predicted as p, for each (a, p)."""
+    pairs = [(a, p) for a, row in enumerate(counts) for p, n in enumerate(row) for _ in range(n)]
+    return FoldResult(subject, classes, tuple(a for a, _ in pairs), tuple(p for _, p in pairs))
+
+
 class TestAggregateFolds:
     def test_single_fold_identity(self):
-        result = FoldResult("S1", hand_binary_confusion())
+        result = fold_of("S1", [[3, 1], [2, 2]])
         per_class_f1, macro_pooled = aggregate_folds([result])
         per_class, macro = macro_f1(hand_binary_confusion())
         assert per_class_f1 == per_class
         assert macro_pooled == macro
 
     def test_two_folds_pool_to_hand_example(self):
-        half_a = ConfusionMatrix(BINARY_CLASSES, np.array([[2, 0], [1, 1]]))
-        half_b = ConfusionMatrix(BINARY_CLASSES, np.array([[1, 1], [1, 1]]))
-        _, macro = aggregate_folds([FoldResult("S1", half_a), FoldResult("S2", half_b)])
+        _, macro = aggregate_folds([fold_of("S1", [[2, 0], [1, 1]]), fold_of("S2", [[1, 1], [1, 1]])])
         assert abs(macro - (2 / 3 + 4 / 7) / 2) < 1e-9
 
     def test_fold_order_irrelevant(self):
-        a = FoldResult("S1", ConfusionMatrix(BINARY_CLASSES, np.array([[2, 0], [1, 1]])))
-        b = FoldResult("S2", ConfusionMatrix(BINARY_CLASSES, np.array([[1, 1], [1, 1]])))
+        a = fold_of("S1", [[2, 0], [1, 1]])
+        b = fold_of("S2", [[1, 1], [1, 1]])
         assert aggregate_folds([a, b])[1] == aggregate_folds([b, a])[1]
 
     def test_class_mismatch(self):
-        a = FoldResult("S1", ConfusionMatrix(("x", "y"), np.array([[1, 0], [0, 0]])))
-        b = FoldResult("S2", ConfusionMatrix(("x", "z"), np.array([[1, 0], [0, 0]])))
+        a = fold_of("S1", [[1, 0], [0, 0]], classes=("x", "y"))
+        b = fold_of("S2", [[1, 0], [0, 0]], classes=("x", "z"))
         with pytest.raises(DataError):
             aggregate_folds([a, b])
+
+    def test_a_fold_confusion_counts_its_clips(self):
+        fold = FoldResult("S1", EMOTION_CLASSES, (0, 1, 2, 1), (0, 2, 2, 1))
+        expected = ConfusionMatrix.of(EMOTION_CLASSES, (0, 1, 2, 1), (0, 2, 2, 1))
+        assert fold.confusion.classes == expected.classes
+        assert fold.confusion.counts.tolist() == expected.counts.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+        st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1, max_size=6),
+        min_size=1, max_size=8,
+    ))))
+    def test_pooling_clips_equals_summing_fold_matrices(self, k_folds):
+        k, folds = k_folds
+        classes = tuple(f"c{i}" for i in range(k))
+        results = [FoldResult(f"S{n}", classes, tuple(a for a, _ in clips), tuple(p for _, p in clips))
+                   for n, clips in enumerate(folds)]
+        summed = ConfusionMatrix(classes, np.sum([r.confusion.counts for r in results], axis=0))
+        per_class, macro = aggregate_folds(results)
+        reference_per_class, reference_macro = macro_f1(summed)
+        assert [np.float64(v).tobytes() for v in per_class.values()] == [
+            np.float64(v).tobytes() for v in reference_per_class.values()
+        ]
+        assert np.float64(macro).tobytes() == np.float64(reference_macro).tobytes()
 
 
 # ---------------------------------------------------------------- prima facie sampling
@@ -910,12 +938,16 @@ def tiny_loso(tmp_path_factory):
     return manifest, root / "flows"
 
 
-def run_tiny_loso(manifest, flow_dir, **kwargs):
+def tiny_loso_folds(manifest, flow_dir, **kwargs):
     _, folds = run_loso_variant(
         manifest, Variant.DUAL_MOTION, ModelConfig.toy(32), TrainConfig(epochs=2, batch_size=2), flow_dir, 0,
         **kwargs,
     )
-    return [(f.held_out_subject, f.confusion.counts.tolist()) for f in folds]
+    return folds
+
+
+def run_tiny_loso(manifest, flow_dir, **kwargs):
+    return [(f.held_out_subject, f.confusion.counts.tolist()) for f in tiny_loso_folds(manifest, flow_dir, **kwargs)]
 
 
 def test_flows_identical_across_worker_counts(tiny_loso, tmp_path):
@@ -933,9 +965,10 @@ def test_flows_identical_across_worker_counts(tiny_loso, tmp_path):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
     for record in manifest.records:
         key = cache_key(asdict(FlowParams(iterations=5)), (record.onset_path, record.apex_path))
-        entry = {"key": key, "value": list(stats[1].clip_fractions[sample_key(record)])}
-        sidecar = pipeline.flow_image_path(tmp_path / "w1", record).with_suffix(".ofi.json")
-        assert sidecar.read_text() == json.dumps(entry, sort_keys=True) + "\n"
+        path = pipeline.flow_image_path(tmp_path / "w1", record)
+        value = {"clip_fraction": list(stats[1].clip_fractions[sample_key(record)]), "sha256": hash_file(path)}
+        entry = {"key": key, "value": value}
+        assert path.with_suffix(".ofi.json").read_text() == json.dumps(entry, sort_keys=True) + "\n"
 
 
 _MIXED_PARAMS = FlowParams(iterations=5)
@@ -958,7 +991,8 @@ def mixed_sizes(tmp_path_factory):
         image = assemble_flow_image(flow, compute_strain(flow))
         write_flow_image(image, path)
         key = cache_key(asdict(_MIXED_PARAMS), (record.onset_path, record.apex_path))
-        write_cache_entry(path.with_suffix(".ofi.json"), key, list(image.normalization.clip_fraction))
+        value = {"clip_fraction": list(image.normalization.clip_fraction), "sha256": hash_file(path)}
+        write_cache_entry(path.with_suffix(".ofi.json"), key, value)
         expected[path.name] = path.read_bytes()
         expected[path.name + ".json"] = path.with_suffix(".ofi.json").read_bytes()
     return manifest, expected
@@ -1011,15 +1045,13 @@ def test_a_cache_hit_inside_a_run_is_skipped(mixed_sizes, tmp_path, monkeypatch)
     for record in (s3, s5):
         pipeline.flow_image_path(flow_dir, record).unlink()
     kept = pipeline.flow_image_path(flow_dir, s4)
-    kept.write_bytes(b"stale bytes a hit never reads")
+    kept_stamp = kept.stat().st_mtime_ns
     shapes = solved_runs(monkeypatch)
     stats = materialize_flow_images(manifest, _MIXED_PARAMS, flow_dir)
     assert shapes == [(2, 32, 32)]  # s3 and s5, the pending records either side of the hit
     assert (stats.computed, stats.cached) == (2, 10)
-    assert kept.read_bytes() == b"stale bytes a hit never reads"
-    assert {name: data for name, data in flow_files(flow_dir).items() if name != kept.name} == {
-        name: data for name, data in expected.items() if name != kept.name
-    }
+    assert kept.stat().st_mtime_ns == kept_stamp  # the hit is not rewritten
+    assert flow_files(flow_dir) == expected
 
 
 @pytest.mark.parametrize("workers, written", [(1, [0, 1, 2, 3]), (2, [0, 1, 2, 3, 6, 7, 8, 9, 10, 11])])
@@ -1083,26 +1115,31 @@ def test_stored_flow_sidecar_is_a_cache_hit(tmp_path):
     manifest = build_manifest(records, provenance={})
     for record in manifest.records:
         path = pipeline.flow_image_path(tmp_path, record)
-        path.write_bytes(b"")  # only the sidecar is read on a hit
-        path.with_suffix(".ofi.json").write_text(json.dumps({"key": _DEFAULT_FLOW_KEY, "value": [0.25, 0.5, 0.0]}))
+        path.write_bytes(b"")  # a hit only hashes the OFI file: these bytes are never parsed
+        value = {"clip_fraction": [0.25, 0.5, 0.0], "sha256": hashlib.sha256(b"").hexdigest()}
+        path.with_suffix(".ofi.json").write_text(json.dumps({"key": _DEFAULT_FLOW_KEY, "value": value}))
     stats = materialize_flow_images(manifest, FlowParams(), tmp_path)
     assert (stats.computed, stats.cached) == (0, len(manifest.records))
     assert set(stats.clip_fractions.values()) == {(0.25, 0.5, 0.0)}
 
 
-def _store_tiny_folds(tmp_path, keys) -> dict:
-    counts = {"sa01": [[1, 0, 0], [0, 1, 0], [0, 0, 0]], "sn01": [[0, 0, 0], [1, 0, 0], [0, 0, 1]]}
+def _store_tiny_folds(tmp_path, keys) -> None:
+    """Each subject's two clips are Positive then Negative; sa01's are predicted right, sn01's as Negative
+    and Surprise."""
+    predictions = {"sa01": [1, 0], "sn01": [0, 2]}
     for subject, key in keys.items():
-        record = {"held_out_subject": subject, "confusion": {"classes": EMOTION_CLASSES, "counts": counts[subject]}}
-        (tmp_path / f"fold_dual_motion_{subject}.json").write_text(json.dumps({"key": key, "value": record}))
-    return counts
+        entry = {"key": key, "value": predictions[subject]}
+        (tmp_path / f"fold_dual_motion_{subject}.json").write_text(json.dumps(entry))
 
 
 def test_stored_fold_checkpoint_is_a_cache_hit(tmp_path):
     manifest = fixed_loso_inputs(tmp_path / "flows")
-    counts = _store_tiny_folds(tmp_path, _TINY_LOSO_FOLD_KEYS)
+    _store_tiny_folds(tmp_path, _TINY_LOSO_FOLD_KEYS)
     # a pending fold would fail to parse its fixed-bytes OFI files
-    assert run_tiny_loso(manifest, tmp_path / "flows", checkpoint_dir=tmp_path) == sorted(counts.items())
+    assert run_tiny_loso(manifest, tmp_path / "flows", checkpoint_dir=tmp_path) == [
+        ("sa01", [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+        ("sn01", [[0, 0, 1], [1, 0, 0], [0, 0, 0]]),
+    ]
 
 
 def test_a_fold_stored_under_the_two_conv_config_key_is_a_miss(tmp_path):
@@ -1164,14 +1201,15 @@ class TestRunLosoVariant:
 
     def test_cached_resume_loads_and_trains_nothing(self, tiny_loso, tmp_path, monkeypatch):
         manifest, flow_dir = tiny_loso
-        first = run_tiny_loso(manifest, flow_dir, checkpoint_dir=tmp_path)
+        first = tiny_loso_folds(manifest, flow_dir, checkpoint_dir=tmp_path)
         base = benchmark.loso_key_base(
             manifest.eligible(), Variant.DUAL_MOTION, ModelConfig.toy(32), TrainConfig(epochs=2, batch_size=2),
             flow_dir, 0,
         )
-        for subject, counts in first:
-            record = {"held_out_subject": subject, "confusion": {"classes": EMOTION_CLASSES, "counts": counts}}
-            entry = {"key": cache_key({"loso": base, "held_out": subject}), "value": record}
+        for fold in first:
+            subject = fold.held_out_subject
+            assert fold.actual == tuple(emotion_index(r) for r in manifest.eligible() if r.subject_id == subject)
+            entry = {"key": cache_key({"loso": base, "held_out": subject}), "value": list(fold.predicted)}
             text = (tmp_path / f"fold_dual_motion_{subject}.json").read_text()
             assert text == json.dumps(entry, sort_keys=True) + "\n"
 
@@ -1180,7 +1218,7 @@ class TestRunLosoVariant:
 
         monkeypatch.setattr(benchmark, "load_train_samples", forbidden)
         monkeypatch.setattr(benchmark, "train_fold", forbidden)
-        assert run_tiny_loso(manifest, flow_dir, checkpoint_dir=tmp_path) == first
+        assert tiny_loso_folds(manifest, flow_dir, checkpoint_dir=tmp_path) == first
 
     @pytest.mark.parametrize("name", ["flow", "rgb"])
     def test_clips_of_two_sizes_are_refused_before_any_job_runs(self, tiny_loso, monkeypatch, name):
