@@ -1,5 +1,6 @@
 from .frames import GrayFrame, frame_shape, load_frame, load_rgb_frame, write_pgm
-from .hornschunck import FlowField, FlowParams, NonFiniteFlowError, estimate_flow, stack_size, bilinear_resize, warp_bilinear
+from .hornschunck import FlowField, FlowParams, NonFiniteFlowError, check_frame_shapes, estimate_flow, stack_size
+from .hornschunck import bilinear_resize, warp_bilinear
 from .strain import StrainMap, compute_strain
 from .flowimage import (
     OpticalFlowImage,
@@ -20,6 +21,7 @@ __all__ = [
     "FlowField",
     "FlowParams",
     "NonFiniteFlowError",
+    "check_frame_shapes",
     "estimate_flow",
     "stack_size",
     "bilinear_resize",

@@ -52,12 +52,11 @@ class GrayFrame:
 
 
 def _tokenize_pnm_header(data: bytes, n_tokens: int):
-    """Yield header tokens, skipping whitespace and # comments; return (tokens, offset)."""
+    """Read up to n_tokens header tokens, skipping whitespace and # comments; return (tokens, offset).
+    Fewer tokens come back when the data ends first."""
     tokens = []
     i = 0
-    while len(tokens) < n_tokens:
-        if i >= len(data):
-            raise RasterFormatError("truncated raster header")
+    while len(tokens) < n_tokens and i < len(data):
         c = data[i : i + 1]
         if c.isspace():
             i += 1
@@ -84,6 +83,8 @@ def _pnm_header(path: Path, data: bytes) -> tuple[bytes, int, int, int, int]:
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise RasterFormatError(f"{path}: unsupported format magic {magic!r}")
     tokens, offset = _tokenize_pnm_header(data[2:], 3)
+    if len(tokens) < 3:
+        raise RasterFormatError(f"{path}: truncated raster header")
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:

@@ -25,6 +25,13 @@ per step were slower than one).
 `stack_size` is how many pairs a caller should stack: those that fill
 one chunk of a shared level, within a memory cap.
 
+A solve holds only what its current level reads. `estimate_flow` drops
+its frames once their pyramids exist (freed when the caller passed them
+unbound) and pops each level, coarsest first, as it solves it. A chunk
+warps and differentiates its frames before it allocates its padded
+arrays, and its Jacobi update keeps its scratch in the stencil's
+`scaled`, so a chunk holds 12 padded planes per clip: 1.6 MB at 128 px.
+
 The module needs numpy only. The stencil and the ports of the other
 `scipy.ndimage` filters the solver was built on (`sample_bilinear` for
 order-1 `map_coordinates`, `gaussian_smooth` for `gaussian_filter` and
@@ -69,7 +76,8 @@ _AVG_TAPS = tuple(
 _MIN_SIDE = 8  # coarsest pyramid level is never smaller than this
 # Padded cells (both planes) per Jacobi chunk: 25 clips at 16 px, 7 at 32 px, 1 at 64 px and up.
 _CHUNK_CELLS = 2**14
-# Onset pixels per stack_size stack: each clip's pyramids and flow cost ~1.2 MB at 128 px.
+# Onset pixels per stack_size stack: a 128 px clip holds ~0.6 MB, its frames until its pyramids exist,
+# then its current level and flow.
 _STACK_PIXELS = 2**15
 
 
@@ -292,25 +300,31 @@ def _solve_chunk(im1, im2, u, v, alpha, iterations):
     """Refine the (c, H, W) flow stacks u, v of a chunk of clips in place: warp, then Jacobi-iterate the increments.
 
     The chunk's (c, H, W) frames `im1`, `im2` are warped and differentiated in
-    one call each. Every per-step array lives on the 1 px padded grid and is
-    updated in place; `grad` is (c, 2, H+2, W+2). The increments (du, dv)
+    one call each, before any padded array exists. Every per-step array lives
+    on the 1 px padded grid and is updated in place: `grad`, `padded` and
+    `bar` (c, 2, H+2, W+2), `ft` and `denom` (c, H+2, W+2), and the stencil's
+    `scaled` (2, 2c, H+2, W+2), 12 planes per clip. The update's products and
+    their sum are written into `scaled`, whose values are dead from the
+    stencil's last tap add to the next step's multiply. The increments (du, dv)
     are the interior of `padded`; each stencil refills its border, so the
     don't-care values the update leaves there are never read. The stencil
     sees the chunk as 2c planes and every other op is elementwise per clip,
     so a clip's bits do not depend on the other clips in its chunk.
     """
     c, h, w = u.shape
+    derivatives = _derivatives(im1, warp_bilinear(im2, u, v))
     grad = np.zeros((c, 2, h + 2, w + 2))
     ft = np.zeros((c, h + 2, w + 2))
-    grad[:, 0, 1:-1, 1:-1], grad[:, 1, 1:-1, 1:-1], ft[:, 1:-1, 1:-1] = _derivatives(im1, warp_bilinear(im2, u, v))
+    grad[:, 0, 1:-1, 1:-1], grad[:, 1, 1:-1, 1:-1], ft[:, 1:-1, 1:-1] = derivatives
+    del derivatives
     denom = alpha * alpha + grad[:, 0] * grad[:, 0] + grad[:, 1] * grad[:, 1]
     padded = np.zeros_like(grad)
     bar = np.zeros_like(grad)
-    prod = np.empty_like(grad)
-    prod_u, prod_v = prod[:, 0], prod[:, 1]
     planes = (2 * c, h + 2, w + 2)
     scaled = np.empty((len(_AVG_WEIGHTS), *planes))
-    shared = np.empty_like(ft)
+    prod = scaled[0].reshape(grad.shape)
+    prod_u, prod_v = prod[:, 0], prod[:, 1]
+    shared = scaled[1, :c]
     shared_planes = shared[:, None]
     neighbour_average = _neighbour_average(padded.reshape(planes), bar.reshape(planes), scaled)
     for _ in range(iterations):
@@ -375,31 +389,38 @@ def stack_size(height: int, width: int, params: FlowParams | None = None) -> int
     return max(1, min(min(shared, default=1), _STACK_PIXELS // (height * width)))
 
 
+def check_frame_shapes(onset_shape: tuple, apex_shape: tuple) -> None:
+    """Refuse (DataError) onset and apex frames, or stacks, that differ in shape or have a side below 8 px."""
+    if onset_shape != apex_shape:
+        raise DataError(f"frame dims differ: onset {onset_shape} vs apex {apex_shape}")
+    if min(onset_shape[-2:]) < _MIN_SIDE:
+        raise DataError(f"frames must be at least {_MIN_SIDE}px per side for flow estimation")
+
+
 def estimate_flow(onset: GrayFrame, apex: GrayFrame, params: FlowParams | None = None) -> FlowField:
     """Estimate the dense displacement field carrying onset pixels to apex.
 
     Frames are (H, W) or (N, H, W) stacks of N pairs; the flow has their shape.
     """
     params = params or FlowParams()
-    if onset.values.shape != apex.values.shape:
-        raise DataError(f"frame dims differ: onset {onset.values.shape} vs apex {apex.values.shape}")
-    if min(onset.height, onset.width) < _MIN_SIDE:
-        raise DataError(f"frames must be at least {_MIN_SIDE}px per side for flow estimation")
+    check_frame_shapes(onset.values.shape, apex.values.shape)
 
     # The conventional smoothness weight (default 15) is calibrated against
     # 8-bit luminance gradients, so the solver works on a 0..255 scale
     # internally; displacements are in pixels either way.
     # pyr1[level] is the (N, h, w) stack of onset frames at that level, finest level first.
-    clips = (-1, onset.height, onset.width)
+    shape, clips = onset.values.shape, (-1, onset.height, onset.width)
     pyr1, pyr2 = (
         _pyramid(frame.values.reshape(clips) * 255.0, params.pyramid_levels, params.pyramid_scale)
         for frame in (onset, apex)
     )
+    del onset, apex  # a caller that passed the frames unbound has them freed here
 
     u = np.zeros_like(pyr1[-1])
     v = np.zeros_like(u)
 
-    for im1, im2 in zip(reversed(pyr1), reversed(pyr2)):
+    while pyr1:  # coarsest first; each level is freed once solved
+        im1, im2 = pyr1.pop(), pyr2.pop()
         h, w = im1.shape[1:]
         if u.shape[1:] != (h, w):
             scale_x, scale_y = w / u.shape[2], h / u.shape[1]
@@ -410,4 +431,4 @@ def estimate_flow(onset: GrayFrame, apex: GrayFrame, params: FlowParams | None =
         # before the next level's warp samples at x + u, y + v
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise NonFiniteFlowError(f"flow solver produced non-finite values on the {h}x{w} pyramid level")
-    return FlowField(u=u.reshape(onset.values.shape), v=v.reshape(onset.values.shape))
+    return FlowField(u=u.reshape(shape), v=v.reshape(shape))

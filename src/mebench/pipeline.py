@@ -25,6 +25,7 @@ from .flowcore import (
     FlowParams,
     GrayFrame,
     assemble_flow_image,
+    check_frame_shapes,
     compute_strain,
     estimate_flow,
     frame_shape,
@@ -91,14 +92,20 @@ def _load_stack(paths) -> GrayFrame:
 
 
 def _flow_runs(pending: list, flow_params: FlowParams) -> list:
-    """Cut the pending records, in order, into runs of consecutive pairs that share their onset and
-    apex shapes (read from the frame headers), each at most stack_size pairs long."""
+    """Cut the pending records, in order, into runs of consecutive pairs that share their frame
+    shape (read from the frame headers), each at most stack_size pairs long. A pair that
+    estimate_flow would refuse is refused here, before any flow is solved, naming its clip."""
     runs, last = [], None
     for item in pending:
-        shapes = (frame_shape(item[0].onset_path), frame_shape(item[0].apex_path))
-        if shapes != last or len(runs[-1]) == stack_size(*shapes[0], flow_params):
+        record = item[0]
+        shape = frame_shape(record.onset_path)
+        try:
+            check_frame_shapes(shape, frame_shape(record.apex_path))
+        except DataError as exc:
+            raise DataError(f"record {sample_key(record)} ({record.onset_path}, {record.apex_path}): {exc}") from None
+        if shape != last or len(runs[-1]) == stack_size(*shape, flow_params):
             runs.append([])
-            last = shapes
+            last = shape
         runs[-1].append(item)
     return runs
 
@@ -107,9 +114,10 @@ def _compute_flows(job: tuple) -> list:
     """Worker for one run: solve its pairs as one estimate_flow stack, then write each clip's OFI
     file and sidecar; return (sample key, fraction triple) pairs."""
     run, flow_params = job
-    onsets = _load_stack(item[0].onset_path for item in run)
-    apexes = _load_stack(item[0].apex_path for item in run)
-    flow = estimate_flow(onsets, apexes, flow_params)
+    # passed unbound, so that estimate_flow frees the frame stacks once it has their pyramids
+    flow = estimate_flow(
+        _load_stack(item[0].onset_path for item in run), _load_stack(item[0].apex_path for item in run), flow_params
+    )
     done = []
     for (record, out_path, sidecar, key), u, v in zip(run, flow.u, flow.v):
         clip = FlowField(u=u, v=v)

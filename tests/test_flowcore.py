@@ -1,4 +1,6 @@
 import hashlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +158,14 @@ class TestLoadFrame:
             frame_shape(p)
         with pytest.raises(FileNotFoundError):
             frame_shape(tmp_path / "nope.pgm")
+
+    @pytest.mark.parametrize("data", [b"P5", b"P5\n", b"P5\n2 # width\n", b"P6 2 2 ", b"P2\n2 2\n# no maxval"])
+    def test_a_header_ending_before_its_maxval_names_the_file(self, tmp_path, data):
+        p = tmp_path / "short.pgm"
+        p.write_bytes(data)
+        for read in (frame_shape, load_frame, load_rgb_frame):
+            with pytest.raises(RasterFormatError, match=f"^{re.escape(str(p))}: truncated raster header$"):
+                read(p)
 
     def test_values_out_of_range_rejected(self):
         with pytest.raises(DataError):
@@ -500,6 +510,27 @@ class TestFlowStacks:
             FlowField(u=np.zeros((2, 8, 9)), v=np.zeros((3, 8, 9)))
         with pytest.raises(DataError):
             FlowField(u=np.zeros((1, 2, 8, 9)), v=np.zeros((1, 2, 8, 9)))
+
+
+class TestFlowMemory:
+    def test_a_128px_stack_holds_only_what_its_level_reads(self):
+        """The traced peak of one 2-clip 128 px solve, frames passed unbound as the flow step passes them.
+
+        On the finest level the solve holds that level's frames and the flow (4 stacks of 0.25 MiB) and
+        one chunk's 12 padded planes (1.55 MiB): 2.62 MiB in all. The 2.7 MiB bound leaves no room for
+        any one of: the input frames (0.5 MiB), the coarse levels (0.16 MiB), the update's sum in a
+        plane of its own (0.13 MiB), or the warp and derivatives run beside the padded arrays.
+        """
+        params = FlowParams(iterations=2)
+        onsets, apexes = textured_pairs(2, 128)
+        estimate_flow(GrayFrame(onsets), GrayFrame(apexes), params)  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            estimate_flow(GrayFrame(onsets.copy()), GrayFrame(apexes.copy()), params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.7 * 2**20, f"peak {peak / 2**20:.3f} MiB"
 
 # ---------------------------------------------------------------- scipy.ndimage ports
 

@@ -19,10 +19,13 @@ aims there.
 
 A MECK1 header that names a huge config is refused before any tensor of
 that size is allocated, and so are index rows that are over-long, short,
-or that name a directory as a frame.
+or that name a directory as a frame. A manifest clip whose frames the
+flow solver cannot take (sizes that differ, a side below 8 px) is refused
+from the frame headers, naming the clip, before any flow is solved.
 """
 
 import json
+import re
 import struct
 import tracemalloc
 
@@ -43,6 +46,7 @@ from mebench.corpus import (
     load_manifest,
     save_manifest,
 )
+from mebench.cli import main
 from mebench.corpus.manifest import DanglingPathError
 from mebench.errors import DataError, MebenchError
 from mebench.flowcore import (
@@ -64,6 +68,7 @@ from mebench.model import (
     save_checkpoint,
 )
 from mebench.model.params import model_tensors
+from mebench.pipeline import sample_key
 from mebench.runutil import to_json_dict
 
 FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -336,3 +341,38 @@ def test_huge_config_header_is_refused_before_allocating(tmp_path, read, header,
     finally:
         tracemalloc.stop()
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "onset_shape, apex_shape, message",
+    [
+        ((32, 32), (16, 16), r"frame dims differ: onset \(32, 32\) vs apex \(16, 16\)"),
+        ((32, 32), (32, 31), r"frame dims differ: onset \(32, 32\) vs apex \(32, 31\)"),
+        ((6, 6), (6, 6), "frames must be at least 8px per side"),
+        ((32, 7), (32, 7), "frames must be at least 8px per side"),
+    ],
+    ids=["apex-16px-onset-32px", "apex-one-column-short", "both-6px", "both-7px-wide"],
+)
+def test_flow_refuses_a_pair_the_solver_cannot_take(tmp_path, capsys, onset_shape, apex_shape, message):
+    """The clip that the solver would refuse comes after a good one: nothing is solved or written."""
+    rng = np.random.default_rng(0)
+    shapes = {"good": ((32, 32), (32, 32)), "bad": (onset_shape, apex_shape)}
+    records = []
+    for clip, (onset, apex) in shapes.items():
+        write_pgm(tmp_path / "fr" / f"{clip}_on.pgm", rng.random(onset))
+        write_pgm(tmp_path / "fr" / f"{clip}_ap.pgm", rng.random(apex))
+        records.append(
+            SampleRecord(
+                dataset=Dataset.SYNTH, subject_id="s1", clip_id=clip, onset_path=str(tmp_path / "fr" / f"{clip}_on.pgm"),
+                apex_path=str(tmp_path / "fr" / f"{clip}_ap.pgm"), raw_emotion="happiness",
+                raw_ethnicity=RawEthnicity.ASIAN, age=20,
+            )
+        )
+    save_manifest(build_manifest(finalize_mappings(records), {"seed": 0}), tmp_path / "manifest.jsonl")
+    bad = load_manifest(tmp_path / "manifest.jsonl").records[1]
+    capsys.readouterr()
+    assert main(["flow", "--manifest", str(tmp_path / "manifest.jsonl"), "--out", str(tmp_path / "flows")]) == 3
+    err = capsys.readouterr().err
+    assert f"record {sample_key(bad)} ({bad.onset_path}, {bad.apex_path})" in err
+    assert re.search(message, err)
+    assert not list(tmp_path.rglob("*.ofi"))
