@@ -35,7 +35,6 @@ from .corpus import (
     annotate_attributes,
     apply_heuristic_corrections,
     build_manifest,
-    finalize_mappings,
     ingest_dataset_index,
     load_ledger,
     load_manifest,
@@ -43,6 +42,7 @@ from .corpus import (
     summarize_distribution,
     synthesize_desk_corpus,
 )
+from .corpus.predictor import UNANNOTATED, attribute_fields
 from .corpus.records import parse_age
 from .errors import ConfigError, DataError, MebenchError
 from .flowcore import FlowParams, load_frame, write_pgm
@@ -186,7 +186,7 @@ def _load_predictor(args):
         "(supply --predictor-table, --predictor-cmd, or correction rules)",
         stacklevel=2,
     )
-    return TablePredictor({}, default=(Gender.UNKNOWN, 0, RawEthnicity.OTHERS))
+    return TablePredictor({}, default=UNANNOTATED)
 
 
 def cmd_manifest(args) -> int:
@@ -225,18 +225,17 @@ def cmd_manifest(args) -> int:
             by_subject.setdefault(rec.subject_id, []).append(rec)
         for subject, recs in sorted(by_subject.items()):
             try:
-                attrs = annotate_attributes(load_frame(recs[0].apex_path), predictor, subject)
-                fields = {"raw_ethnicity": attrs.raw_ethnicity, "gender": attrs.gender, "age": attrs.age}
+                fields = annotate_attributes(load_frame(recs[0].apex_path), predictor, subject)
             except DataError as exc:
                 if args.on_annotation_error == "fail":
                     raise
                 print(f"warning: {exc}; subject left unannotated", file=sys.stderr)
-                fields = {"raw_ethnicity": RawEthnicity.OTHERS, "gender": Gender.UNKNOWN, "age": 0}
+                fields = attribute_fields(*UNANNOTATED)
             annotated += [replace(rec, **fields) for rec in recs]
 
         corrected, audit = apply_heuristic_corrections(annotated, ledger)
         provenance = {"seed": args.seed, "predictor": getattr(predictor, "name", "unknown"), "ledger_hash": ledger_hash}
-        manifest = build_manifest(finalize_mappings(corrected), provenance)  # checked before the first write
+        manifest = build_manifest(corrected, provenance)  # checked before the first write
         if audit:
             audit_lines = [json.dumps(to_json_dict(entry), sort_keys=True) for entry in audit]
             atomic_write_text(out_dir / "correction_audit.jsonl", "\n".join(audit_lines) + "\n")

@@ -2,8 +2,11 @@
 
 The manifest file is line-delimited UTF-8 JSON: the first line is a
 tagged provenance object, each following line is one sample record.
-Records with an Excluded emotion stay in the file (totals remain
-reconcilable) but never appear in the eligible() view.
+A record line holds the raw labels only; the ethnic group and emotion
+class are derived from them when the line is read, and the
+mapped_emotion / mapped_ethnicity keys that older manifests carry are
+ignored. Records with an Excluded emotion stay in the file (totals
+remain reconcilable) but never appear in the eligible() view.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable
 
 from ..errors import DataError
 from ..runutil import atomic_write_text, from_json_dict, to_json_dict
-from .records import Dataset, MappedEmotion, RawEthnicity, SampleRecord, map_ethnicity
+from .records import Dataset, RawEthnicity, SampleRecord, UnknownLabelError, map_ethnicity
 
 _INDEX_COLUMNS = ("subject", "clip", "onset", "apex", "emotion")
 
@@ -36,14 +39,15 @@ class DanglingPathError(DataError):
 
 
 def ingest_dataset_index(index_path, dataset_kind: Dataset) -> list[SampleRecord]:
-    """Read a delimited index table into raw records (mappings unset).
+    """Read a delimited index table into raw records (ethnicity unannotated).
 
     Expected columns: subject, clip, onset, apex, emotion, none of them
     empty in any row. No column may be named twice and no row may hold
     more cells than the header. A UTF-8 byte order mark is skipped.
     Comma and tab delimiters are both accepted; frame paths are resolved
     relative to the index file's directory and must name files. Raw
-    emotion strings are stored verbatim but case-folded.
+    emotion strings are stored verbatim but case-folded; one outside the
+    emotion map is an UnknownLabelError naming the file and line.
     """
     index_path = Path(index_path)
     if not index_path.exists():
@@ -92,16 +96,19 @@ def ingest_dataset_index(index_path, dataset_kind: Dataset) -> list[SampleRecord
                 is_file = False
             if not is_file:
                 raise DanglingPathError(f"{index_path}: line {line}: frame path is not a file: {p}")
-        records.append(
-            SampleRecord(
-                dataset=dataset_kind,
-                subject_id=row["subject"],
-                clip_id=row["clip"],
-                onset_path=str(onset),
-                apex_path=str(apex),
-                raw_emotion=row["emotion"].casefold(),
+        try:
+            records.append(
+                SampleRecord(
+                    dataset=dataset_kind,
+                    subject_id=row["subject"],
+                    clip_id=row["clip"],
+                    onset_path=str(onset),
+                    apex_path=str(apex),
+                    raw_emotion=row["emotion"].casefold(),
+                )
             )
-        )
+        except UnknownLabelError as exc:
+            raise UnknownLabelError(f"{index_path}: line {line}: {exc}") from None
     return records
 
 
@@ -124,7 +131,7 @@ def build_manifest(records: Iterable[SampleRecord], provenance: dict) -> Manifes
     records = list(records)
     stems: dict[str, SampleRecord] = {}
     subject_datasets: dict[str, str] = {}
-    subject_ethnicities: dict[str, tuple] = {}
+    subject_ethnicities: dict[str, RawEthnicity | None] = {}
     for rec in records:
         if any(name in ("", ".", "..") or "/" in name or "\\" in name for name in rec.key):
             raise DataError(f"record {rec.key}: a subject or clip id must be one path-safe file name")
@@ -137,8 +144,7 @@ def build_manifest(records: Iterable[SampleRecord], provenance: dict) -> Manifes
                 f"subject_id {rec.subject_id!r} appears in both {prev} and {rec.dataset.value}; "
                 "disambiguate subject ids in the dataset indices"
             )
-        ethnicity = (rec.raw_ethnicity, rec.mapped_ethnicity)
-        if subject_ethnicities.setdefault(rec.subject_id, ethnicity) != ethnicity:
+        if subject_ethnicities.setdefault(rec.subject_id, rec.raw_ethnicity) != rec.raw_ethnicity:
             raise DataError(f"subject {rec.subject_id!r} has inconsistent ethnicity annotations")
     return Manifest(records=tuple(records), provenance=dict(provenance))
 
@@ -178,7 +184,7 @@ def load_manifest(path) -> Manifest:
                 if not p.is_absolute():
                     d[field_name] = str(base / p)
             records.append(from_json_dict(SampleRecord, d))
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad UTF-8, JSON and enum values
+    except (KeyError, TypeError, ValueError, UnknownLabelError) as exc:  # ValueError: bad UTF-8, JSON, enum values
         raise DataError(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
     return build_manifest(records, head)
 
@@ -204,13 +210,13 @@ class DistributionReport:
     def to_lines(self) -> list[str]:
         out = ["# Subjects per ethnicity"]
         for raw, n in sorted(self.subjects_by_raw_ethnicity.items()):
-            out.append(f"  {raw:<10} -> {map_to_group(raw):<9} {n}")
+            out.append(f"  {raw:<10} -> {map_ethnicity(raw).value:<9} {n}")
         out.append(f"  total subjects: {self.total_subjects} "
                    f"(Asian {self.subjects_by_mapped_ethnicity.get('Asian', 0)}, "
                    f"NonAsian {self.subjects_by_mapped_ethnicity.get('NonAsian', 0)})")
         out.append("# Videos per ethnicity")
         for raw, n in sorted(self.videos_by_raw_ethnicity.items()):
-            out.append(f"  {raw:<10} -> {map_to_group(raw):<9} {n}")
+            out.append(f"  {raw:<10} -> {map_ethnicity(raw).value:<9} {n}")
         out.append(f"  total videos: {self.total_videos} "
                    f"(Asian {self.videos_by_mapped_ethnicity.get('Asian', 0)}, "
                    f"NonAsian {self.videos_by_mapped_ethnicity.get('NonAsian', 0)})")
@@ -224,37 +230,24 @@ class DistributionReport:
         return out
 
 
-def map_to_group(raw_name: str) -> str:
-    return map_ethnicity(RawEthnicity(raw_name)).value
-
-
 def summarize_distribution(source: Manifest | Iterable[SampleRecord]) -> DistributionReport:
     """Per-label counts by subject and by video, raw and mapped."""
     records = (source if isinstance(source, Manifest) else build_manifest(source, {})).records
     if not records:
         raise DataError("no records to summarize")
     for rec in records:
-        if rec.raw_ethnicity is None or rec.mapped_emotion is None:
-            raise DataError(f"record {rec.key} not fully annotated/mapped")
-    subject_eth = {rec.subject_id: rec.raw_ethnicity for rec in records}
-
-    subj_raw = Counter(eth.value for eth in subject_eth.values())
-    subj_mapped = Counter(map_to_group(eth.value) for eth in subject_eth.values())
-    vid_raw = Counter(rec.raw_ethnicity.value for rec in records)
-    vid_mapped = Counter(rec.mapped_ethnicity.value for rec in records if rec.mapped_ethnicity)
-    emo_raw = Counter(rec.raw_emotion for rec in records)
-    emo_mapped = Counter(
-        rec.mapped_emotion.value for rec in records if rec.mapped_emotion != MappedEmotion.EXCLUDED
-    )
-    eligible = sum(1 for rec in records if rec.eligible)
+        if rec.raw_ethnicity is None:
+            raise DataError(f"record {rec.key} not annotated")
+    subjects = {rec.subject_id: rec for rec in records}.values()  # build_manifest: one ethnicity per subject
+    eligible = [rec for rec in records if rec.eligible]
     return DistributionReport(
-        subjects_by_raw_ethnicity=dict(subj_raw),
-        subjects_by_mapped_ethnicity=dict(subj_mapped),
-        videos_by_raw_ethnicity=dict(vid_raw),
-        videos_by_mapped_ethnicity=dict(vid_mapped),
-        videos_by_raw_emotion=dict(emo_raw),
-        videos_by_mapped_emotion=dict(emo_mapped),
-        total_subjects=len(subject_eth),
+        subjects_by_raw_ethnicity=dict(Counter(rec.raw_ethnicity.value for rec in subjects)),
+        subjects_by_mapped_ethnicity=dict(Counter(rec.mapped_ethnicity.value for rec in subjects)),
+        videos_by_raw_ethnicity=dict(Counter(rec.raw_ethnicity.value for rec in records)),
+        videos_by_mapped_ethnicity=dict(Counter(rec.mapped_ethnicity.value for rec in records)),
+        videos_by_raw_emotion=dict(Counter(rec.raw_emotion for rec in records)),
+        videos_by_mapped_emotion=dict(Counter(rec.mapped_emotion.value for rec in eligible)),
+        total_subjects=len(subjects),
         total_videos=len(records),
-        eligible_videos=eligible,
+        eligible_videos=len(eligible),
     )

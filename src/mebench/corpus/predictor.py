@@ -1,10 +1,11 @@
 """Pluggable facial-attribute predictor interface.
 
 A predictor takes an apex frame (plus the subject id for table-backed
-stubs) and returns (gender, age, ethnicity). The heavyweight model the
-annotations originally come from is out of scope; licensed users can
-wire an external model through CommandPredictor, which exchanges a PGM
-file and a JSON response with a subprocess.
+stubs) and returns (gender, age, ethnicity); annotate_attributes turns
+that answer into the sample record fields it sets. The heavyweight
+model the annotations originally come from is out of scope; licensed
+users can wire an external model through CommandPredictor, which
+exchanges a PGM file and a JSON response with a subprocess.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from typing import Protocol
 
 from ..errors import DataError
 from ..flowcore import GrayFrame, write_pgm
-from .records import Gender, RawAttributeRecord, RawEthnicity, parse_age
+from .records import Gender, RawEthnicity, parse_age
+
+UNANNOTATED = (Gender.UNKNOWN, 0, RawEthnicity.OTHERS)  # (gender, age, ethnicity) of a subject left unannotated
 
 
 class AnnotationError(DataError):
@@ -75,11 +78,17 @@ class CommandPredictor:
         return (Gender(reply["gender"]), reply["age"], RawEthnicity(reply["ethnicity"]))
 
 
-def annotate_attributes(frame: GrayFrame, predictor: AttributePredictor, subject_id: str) -> RawAttributeRecord:
-    """Run the predictor on one apex frame; failures carry the sample id."""
+def attribute_fields(gender: Gender, age: int, ethnicity: RawEthnicity) -> dict:
+    """A predictor's answer as the SampleRecord fields it sets."""
+    return {"raw_ethnicity": ethnicity, "gender": gender, "age": age}
+
+
+def annotate_attributes(frame: GrayFrame, predictor: AttributePredictor, subject_id: str) -> dict:
+    """Run the predictor on one apex frame and return the record fields
+    raw_ethnicity, gender and age; failures carry the sample id."""
     try:
         gender, age, ethnicity = predictor.predict(frame, subject_id)
         age = parse_age(age)
     except Exception as exc:
         raise AnnotationError(f"attribute prediction failed for subject {subject_id!r}: {exc}") from exc
-    return RawAttributeRecord(subject_id=subject_id, gender=gender, age=age, raw_ethnicity=ethnicity)
+    return attribute_fields(gender, age, ethnicity)

@@ -5,13 +5,16 @@ groups for distribution balancing: Asian and Indian (plus the manually
 screened Others) map to Asian; Caucasian and African map to NonAsian.
 Raw emotions are consolidated into Positive / Negative / Surprise, with
 the ambiguous "others" class excluded from training and evaluation.
+
+A record stores only the raw labels; its group and emotion class are
+derived from them each time they are read, so the two cannot disagree.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import DataError
@@ -105,16 +108,6 @@ def parse_age(value) -> int:
 
 
 @dataclass(frozen=True)
-class RawAttributeRecord:
-    """Predictor output for one subject's apex frame."""
-
-    subject_id: str
-    gender: Gender
-    age: int
-    raw_ethnicity: RawEthnicity
-
-
-@dataclass(frozen=True)
 class SampleRecord:
     """One micro-expression clip of the joint corpus."""
 
@@ -124,14 +117,16 @@ class SampleRecord:
     onset_path: str
     apex_path: str
     raw_emotion: str
-    mapped_emotion: Optional[MappedEmotion] = None
-    raw_ethnicity: Optional[RawEthnicity] = None
-    mapped_ethnicity: Optional[MappedEthnicity] = None
+    raw_ethnicity: Optional[RawEthnicity] = None  # None until annotated
     gender: Gender = Gender.UNKNOWN
     age: Optional[int] = None
     corrected: bool = False
 
     def __post_init__(self):
+        try:
+            map_emotion(self.raw_emotion)
+        except UnknownLabelError as exc:
+            raise UnknownLabelError(f"record {self.key}: {exc}") from None
         if self.age is not None and self.age < 0:
             raise DataError(f"record {self.key}: age must be >= 0, got {self.age}")
 
@@ -144,21 +139,13 @@ class SampleRecord:
         return f"{self.dataset.value}_{self.subject_id}_{self.clip_id}"
 
     @property
+    def mapped_emotion(self) -> MappedEmotion:
+        return map_emotion(self.raw_emotion)
+
+    @property
+    def mapped_ethnicity(self) -> Optional[MappedEthnicity]:
+        return None if self.raw_ethnicity is None else map_ethnicity(self.raw_ethnicity)
+
+    @property
     def eligible(self) -> bool:
-        return self.mapped_emotion is not None and self.mapped_emotion != MappedEmotion.EXCLUDED
-
-
-def finalize_mappings(records: list[SampleRecord]) -> list[SampleRecord]:
-    """Fill mapped_emotion / mapped_ethnicity from the raw labels."""
-    out = []
-    for rec in records:
-        if rec.raw_ethnicity is None:
-            raise DataError(f"record {rec.key}: raw_ethnicity not annotated yet")
-        out.append(
-            replace(
-                rec,
-                mapped_emotion=map_emotion(rec.raw_emotion),
-                mapped_ethnicity=map_ethnicity(rec.raw_ethnicity),
-            )
-        )
-    return out
+        return self.mapped_emotion != MappedEmotion.EXCLUDED

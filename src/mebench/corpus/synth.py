@@ -35,7 +35,7 @@ from ..flowcore import write_pgm
 from ..flowcore.hornschunck import gaussian_smooth, sample_bilinear
 from ..runutil import atomic_write_text, derived_rng, to_json_dict
 from .manifest import Manifest, build_manifest, save_manifest
-from .records import Dataset, Gender, RawEthnicity, SampleRecord, finalize_mappings
+from .records import Dataset, Gender, RawEthnicity, SampleRecord
 
 _EMOTION_CYCLE = ("happiness", "disgust", "surprise")
 
@@ -192,7 +192,6 @@ def synthesize_desk_corpus(spec: SynthSpec, seed: int, out_dir) -> tuple[Manifes
                     )
                 )
 
-    records = finalize_mappings(records)
     manifest = build_manifest(
         records,
         provenance={"generator": "synthetic-desk-corpus", "spec": asdict(spec), "seed": int(seed)},

@@ -45,7 +45,7 @@ BINARY_CLASSES = ("Negative", "NonNegative")
 def emotion_index(record: SampleRecord) -> int:
     try:
         return EMOTION_CLASSES.index(record.mapped_emotion.value)
-    except (AttributeError, ValueError):  # unlabelled (None) or Excluded
+    except ValueError:  # Excluded
         raise DataError(f"record {record.key} has no eligible emotion label") from None
 
 

@@ -19,7 +19,6 @@ from mebench.corpus import (
     SampleRecord,
     SynthSpec,
     build_manifest,
-    finalize_mappings,
     summarize_distribution,
     synthesize_desk_corpus,
 )
@@ -209,7 +208,6 @@ def test_c06_protocol_invariants():
                     raw_ethnicity=eth,
                 )
             )
-    records = finalize_mappings(records)
     manifest = build_manifest(records, {"seed": 0})
 
     eligible = manifest.eligible()
@@ -281,7 +279,7 @@ def test_c07_label_maps_reproduce_published_aggregates():
                 )
                 cursor += 1
     assert cursor == 291
-    report = summarize_distribution(finalize_mappings(records))
+    report = summarize_distribution(records)
     assert report.subjects_by_mapped_ethnicity == {"Asian": 37, "NonAsian": 17}
     assert report.total_subjects == 54
     assert report.videos_by_mapped_ethnicity == {"Asian": 199, "NonAsian": 92}

@@ -273,6 +273,25 @@ class TestManifestCommand:
         assert main(argv) == 3
         assert not marker.exists() and not (tmp_path / "out").exists()
 
+    def test_unknown_emotion_is_refused_before_the_predictor_runs(self, tmp_path, capsys):
+        from mebench.flowcore import write_pgm
+
+        write_pgm(tmp_path / "f.pgm", np.zeros((32, 32)))
+        index = tmp_path / "index.csv"
+        emotions = ["fear", "happiness", "surprise", "disgust", "joy"]
+        index.write_text("subject,clip,onset,apex,emotion\n" + "".join(
+            f"0{i},a,f.pgm,f.pgm,{emotion}\n" for i, emotion in enumerate(emotions, 1)))
+        calls = tmp_path / "calls"
+        script = tmp_path / "predictor.py"
+        script.write_text(f"open({str(calls)!r}, 'a').write('x')\n"
+                          "print('{\"gender\": \"male\", \"age\": 30, \"ethnicity\": \"Asian\"}')\n")
+        argv = ["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index),
+                "--predictor-cmd", f"{sys.executable} {script}"]
+        assert main(argv) == 3
+        assert f"{index}: line 6: record ('05', 'a'): unrecognized emotion string: 'joy'" in capsys.readouterr().err
+        assert not calls.exists()  # 0 predictor calls
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source", ["synth", "index"])
     def test_relative_paths_round_trip(self, tmp_path, monkeypatch, source):
         # frame paths relative to the working directory are stored relative to the manifest
@@ -418,6 +437,7 @@ def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsy
         ("--manifest", _manifest_bytes({**_RECORD, "age": "x"}), 3),
         ("--manifest", _manifest_bytes({**_RECORD, "age": -7}), 3),
         ("--manifest", _manifest_bytes({**_RECORD, "corrected": "yes"}), 3),
+        ("--manifest", _manifest_bytes({**_RECORD, "raw_emotion": "joy"}), 3),
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm,\xff\xfe\n", 3),
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a,f.pgm,f.pgm," + b"x" * 200_000 + b"\n", 3),
         ("--casme2", b"subject,clip,onset,apex,emotion\n01,a\n", 3),
@@ -443,6 +463,7 @@ def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsy
     ],
     ids=["manifest-not-utf8", "manifest-bad-json", "manifest-list-head", "manifest-no-onset", "manifest-bad-dataset",
          "manifest-no-gender", "manifest-age-string", "manifest-age-negative", "manifest-corrected-string",
+         "manifest-unknown-emotion",
          "index-not-utf8", "index-cell-over-200kb", "index-short-row", "index-onset-directory",
          "index-repeated-column", "index-long-row",
          "ledger-not-utf8", "ledger-list-rule", "ledger-age-not-integer", "ledger-age-negative",
@@ -634,7 +655,8 @@ class TestLosoCommand:
         else:  # relabel one clip as Surprise
             index = next(i for i, r in enumerate(manifest.records) if r.mapped_emotion == MappedEmotion.POSITIVE)
             records = list(manifest.records)
-            records[index] = replace(records[index], mapped_emotion=MappedEmotion.SURPRISE)
+            records[index] = replace(records[index], raw_emotion="surprise")
+            assert records[index].mapped_emotion == MappedEmotion.SURPRISE
             manifest_path = tmp_path / "manifest.jsonl"
             save_manifest(build_manifest(records, manifest.provenance), manifest_path)
         sizes = _count_train_fold(monkeypatch, stub=True)

@@ -25,7 +25,6 @@ from mebench.corpus import (
     annotate_attributes,
     apply_heuristic_corrections,
     build_manifest,
-    finalize_mappings,
     ingest_dataset_index,
     load_ledger,
     load_manifest,
@@ -37,6 +36,7 @@ from mebench.corpus import (
 )
 from mebench.corpus.corrections import StaleRuleWarning
 from mebench.corpus.manifest import DanglingPathError, DuplicateKeyError, MissingColumnError
+from mebench.corpus.records import _EMOTION_MAP
 from mebench.corpus.synth import make_base_texture, render_clip
 from mebench.errors import ConfigError, DataError
 from mebench.flowcore import GrayFrame, write_pgm
@@ -125,9 +125,8 @@ class TestLabelMaps:
             + [make_record(f"t{i}", "c1", "disgust", RawEthnicity.CAUCASIAN) for i in range(2)]
             + [make_record("u0", "c1", "others")]
         )
-        mapped = finalize_mappings(records)
         counts = {}
-        for rec in mapped:
+        for rec in records:
             counts[rec.mapped_emotion] = counts.get(rec.mapped_emotion, 0) + 1
         assert sum(counts.values()) == len(records)
         assert counts[MappedEmotion.EXCLUDED] == 1
@@ -143,7 +142,16 @@ class TestIngest:
         assert len(records) == 3
         assert records[0].subject_id == "s01"
         assert records[0].raw_emotion == "happiness"
-        assert records[0].mapped_emotion is None
+        assert records[0].mapped_emotion == MappedEmotion.POSITIVE
+        assert [r.mapped_emotion for r in records[1:]] == [MappedEmotion.NEGATIVE, MappedEmotion.SURPRISE]
+        # not annotated yet
+        assert {r.raw_ethnicity for r in records} == {r.mapped_ethnicity for r in records} == {None}
+
+    def test_unknown_emotion_names_the_file_and_line(self, tmp_path):
+        index = write_index(tmp_path, [("s01", "c01", "happiness"), ("s02", "c01", "fear"), ("s03", "c01", "Joy")])
+        message = r"index.csv: line 4: record \('s03', 'c01'\): unrecognized emotion string: 'joy'"
+        with pytest.raises(UnknownLabelError, match=message):
+            ingest_dataset_index(index, Dataset.CASME2)
 
     def test_duplicate_clip(self, tmp_path):
         index = write_index(tmp_path, [("s01", "c01", "happiness"), ("s01", "c01", "disgust")])
@@ -215,8 +223,8 @@ class TestPredictor:
     def test_table_stub_passthrough(self):
         frame = GrayFrame(np.zeros((8, 8)))
         predictor = TablePredictor({"S01": RawEthnicity.ASIAN})
-        record = annotate_attributes(frame, predictor, "S01")
-        assert record.raw_ethnicity == RawEthnicity.ASIAN
+        fields = annotate_attributes(frame, predictor, "S01")
+        assert fields == {"raw_ethnicity": RawEthnicity.ASIAN, "gender": Gender.UNKNOWN, "age": 0}
 
     def test_predictor_failure_names_sample(self):
         frame = GrayFrame(np.zeros((8, 8)))
@@ -230,7 +238,7 @@ class TestPredictor:
         a = annotate_attributes(frame, predictor, "S01")
         b = annotate_attributes(frame, predictor, "S01")
         assert a == b
-        assert a.age == 31
+        assert a == {"raw_ethnicity": RawEthnicity.INDIAN, "gender": Gender.FEMALE, "age": 31}
 
     def test_a_negative_age_is_an_annotation_error(self):
         predictor = TablePredictor({"S01": (Gender.FEMALE, -1, RawEthnicity.INDIAN)})
@@ -249,7 +257,7 @@ class TestPredictor:
     @pytest.mark.parametrize("age", [20, "20", 0, "0"])
     def test_an_int_or_a_digit_string_is_an_age(self, age):
         predictor = TablePredictor({"S01": (Gender.FEMALE, age, RawEthnicity.INDIAN)})
-        assert annotate_attributes(GrayFrame(np.zeros((8, 8))), predictor, "S01").age == int(age)
+        assert annotate_attributes(GrayFrame(np.zeros((8, 8))), predictor, "S01")["age"] == int(age)
 
 
 # ---------------------------------------------------------------- corrections
@@ -322,14 +330,12 @@ class TestCorrections:
 
 class TestManifest:
     def test_build_counts(self):
-        records = finalize_mappings(
-            [make_record("s1", "c1"), make_record("s1", "c2"), make_record("s2", "c1")]
-        )
+        records = [make_record("s1", "c1"), make_record("s1", "c2"), make_record("s2", "c1")]
         manifest = build_manifest(records, {"seed": 1})
         assert len(manifest.records) == 3
 
     def test_excluded_flagged_not_dropped(self):
-        records = finalize_mappings([make_record("s1", "c1", "others"), make_record("s1", "c2", "fear")])
+        records = [make_record("s1", "c1", "others"), make_record("s1", "c2", "fear")]
         manifest = build_manifest(records, {})
         assert len(manifest.records) == 2
         assert len(manifest.eligible()) == 1
@@ -359,22 +365,20 @@ class TestManifest:
             build_manifest(records, {})
 
     def test_subject_across_ethnic_groups_rejected(self):
-        records = finalize_mappings(
-            [make_record("s1", "c1"), make_record("s1", "c2", ethnicity=RawEthnicity.CAUCASIAN)]
-        )
+        records = [make_record("s1", "c1"), make_record("s1", "c2", ethnicity=RawEthnicity.CAUCASIAN)]
         with pytest.raises(DataError, match="inconsistent ethnicity"):
             build_manifest(records, {})
         with pytest.raises(DataError, match="inconsistent ethnicity"):
             summarize_distribution(records)
 
     def test_loading_a_subject_split_across_ethnic_groups_is_data_error(self, tmp_path):
-        records = finalize_mappings([make_record("s1", "c1"), make_record("s1", "c2"), make_record("s2", "c1")])
+        records = [make_record("s1", "c1"), make_record("s1", "c2"), make_record("s2", "c1")]
         path = tmp_path / "m.jsonl"
         save_manifest(build_manifest(records, {}), path)
         head, *lines = path.read_text(encoding="utf-8").splitlines()
         relabelled = json.loads(lines[1])
         assert (relabelled["subject_id"], relabelled["clip_id"]) == ("s1", "c2")
-        relabelled.update(raw_ethnicity="Caucasian", mapped_ethnicity="NonAsian")
+        relabelled.update(raw_ethnicity="Caucasian")
         lines[1] = json.dumps(relabelled)
         path.write_text("\n".join([head, *lines]) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="'s1' has inconsistent ethnicity"):
@@ -382,7 +386,7 @@ class TestManifest:
 
     def test_loading_a_negative_age_is_data_error(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        save_manifest(build_manifest(finalize_mappings([replace(make_record("s1", "c1"), age=30)]), {}), path)
+        save_manifest(build_manifest([replace(make_record("s1", "c1"), age=30)], {}), path)
         text = path.read_text(encoding="utf-8")
         assert text.count('"age": 30') == 1
         path.write_text(text.replace('"age": 30', '"age": -7'), encoding="utf-8")
@@ -391,8 +395,40 @@ class TestManifest:
         with pytest.raises(DataError, match="age must be >= 0"):
             replace(make_record(), age=-1)
 
+    def test_loading_an_unknown_emotion_is_data_error_naming_the_manifest(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        save_manifest(build_manifest([make_record("s1", "c1"), make_record("s2", "c1", "fear")], {}), path)
+        text = path.read_text(encoding="utf-8")
+        assert text.count('"raw_emotion": "fear"') == 1
+        path.write_text(text.replace('"raw_emotion": "fear"', '"raw_emotion": "joy"'), encoding="utf-8")
+        message = r"m.jsonl: malformed manifest: .*\('s2', 'c1'\): unrecognized emotion string: 'joy'"
+        with pytest.raises(DataError, match=message):
+            load_manifest(path)
+
+    def test_a_manifest_with_stored_mapped_labels_loads_to_the_same_records(self, tmp_path):
+        # manifests written before the labels were derived also hold mapped_emotion and mapped_ethnicity
+        records = [make_record("s1", "c1"), make_record("s2", "c1", "others", RawEthnicity.AFRICAN)]
+        new = tmp_path / "new.jsonl"
+        save_manifest(build_manifest(records, {"seed": 3}), new)
+        head, *lines = new.read_text(encoding="utf-8").splitlines()
+        assert not any("mapped" in line for line in lines)
+        old_lines = []
+        for line, rec in zip(lines, records):
+            d = json.loads(line)
+            d.update(mapped_emotion=rec.mapped_emotion.value, mapped_ethnicity=rec.mapped_ethnicity.value)
+            old_lines.append(json.dumps(d, sort_keys=True))
+        old = tmp_path / "old.jsonl"
+        old.write_text("\n".join([head, *old_lines]) + "\n", encoding="utf-8")
+        assert load_manifest(old) == load_manifest(new)
+        # a stored label that disagrees with the raw one is not trusted: the raw label decides
+        stale = json.loads(old_lines[0])
+        stale.update(mapped_emotion="Surprise", mapped_ethnicity="NonAsian")
+        old.write_text("\n".join([head, json.dumps(stale), old_lines[1]]) + "\n", encoding="utf-8")
+        first = load_manifest(old).records[0]
+        assert (first.mapped_emotion, first.mapped_ethnicity) == (MappedEmotion.POSITIVE, MappedEthnicity.ASIAN)
+
     def test_provenance_round_trip(self, tmp_path):
-        records = finalize_mappings([make_record()])
+        records = [make_record()]
         provenance = {"seed": 7, "flow_params": {"smoothness_alpha": 15.0}, "ledger_hash": "abc"}
         manifest = build_manifest(records, provenance)
         path = tmp_path / "m.jsonl"
@@ -417,21 +453,26 @@ class TestManifest:
             clip_id=st.text(),
             onset_path=st.text(),
             apex_path=st.text(),
-            raw_emotion=st.text(),
-            mapped_emotion=st.none() | st.sampled_from(list(MappedEmotion)),
+            raw_emotion=st.sampled_from(list(_EMOTION_MAP)),
             raw_ethnicity=st.none() | st.sampled_from(list(RawEthnicity)),
-            mapped_ethnicity=st.none() | st.sampled_from(list(MappedEthnicity)),
             gender=st.sampled_from(list(Gender)),
             age=st.none() | st.integers(0, 120),
             corrected=st.booleans(),
         )
     )
     def test_record_json_round_trip(self, record):
-        assert from_json_dict(SampleRecord, json.loads(json.dumps(to_json_dict(record)))) == record
+        back = from_json_dict(SampleRecord, json.loads(json.dumps(to_json_dict(record))))
+        assert back == record
+        assert (back.mapped_emotion, back.mapped_ethnicity) == (
+            _EMOTION_MAP[record.raw_emotion],
+            None if record.raw_ethnicity is None else map_ethnicity(record.raw_ethnicity),
+        )
 
     def test_record_json_form_is_strict(self):
-        d = to_json_dict(finalize_mappings([make_record()])[0])
-        assert d["mapped_emotion"] == "Positive" and d["gender"] == "unknown" and d["age"] is None
+        d = to_json_dict(make_record())
+        assert d["raw_emotion"] == "happiness" and d["gender"] == "unknown" and d["age"] is None
+        assert "mapped_emotion" not in d and "mapped_ethnicity" not in d
+        assert from_json_dict(SampleRecord, d).mapped_emotion == MappedEmotion.POSITIVE
         with pytest.raises(KeyError):
             from_json_dict(SampleRecord, {k: v for k, v in d.items() if k != "gender"})
         for bad in (list(d), {**d, "age": "x"}, {**d, "age": True}, {**d, "corrected": "yes"}, {**d, "clip_id": 1}):
@@ -439,6 +480,8 @@ class TestManifest:
                 from_json_dict(SampleRecord, bad)
         with pytest.raises(ValueError):
             from_json_dict(SampleRecord, {**d, "raw_ethnicity": "Martian"})
+        with pytest.raises(UnknownLabelError):
+            from_json_dict(SampleRecord, {**d, "raw_emotion": "joy"})
 
 
 # ---------------------------------------------------------------- distribution
@@ -469,7 +512,7 @@ class TestDistribution:
                     records.append(make_record(f"g{gi}s{si}", f"c{ci}", emotions[e], eth))
                     e += 1
         assert e == 291
-        return finalize_mappings(records)
+        return records
 
     def test_paper_table_aggregates(self):
         records = self.make_paper_shaped_records()
@@ -483,7 +526,7 @@ class TestDistribution:
         assert report.excluded_videos == 1
 
     def test_summary_lines_render(self):
-        records = finalize_mappings([make_record("s1", "c1"), make_record("s2", "c1", "fear")])
+        records = [make_record("s1", "c1"), make_record("s2", "c1", "fear")]
         lines = summarize_distribution(records).to_lines()
         assert any("total subjects: 2" in ln for ln in lines)
 

@@ -40,7 +40,6 @@ from mebench.corpus import (
     RawEthnicity,
     SampleRecord,
     build_manifest,
-    finalize_mappings,
     ingest_dataset_index,
     load_ledger,
     load_manifest,
@@ -188,7 +187,7 @@ def manifests(tmp_path_factory) -> list:
             for j, emotion in enumerate(("happiness", "fear", "others"))
         ]
         path = tmp_path_factory.mktemp("manifest") / "manifest.jsonl"
-        save_manifest(build_manifest(finalize_mappings(records), {"seed": i}), path)
+        save_manifest(build_manifest(records, {"seed": i}), path)
         out.append(path.read_bytes())
     return out
 
@@ -368,7 +367,7 @@ def test_flow_refuses_a_pair_the_solver_cannot_take(tmp_path, capsys, onset_shap
                 raw_ethnicity=RawEthnicity.ASIAN, age=20,
             )
         )
-    save_manifest(build_manifest(finalize_mappings(records), {"seed": 0}), tmp_path / "manifest.jsonl")
+    save_manifest(build_manifest(records, {"seed": 0}), tmp_path / "manifest.jsonl")
     bad = load_manifest(tmp_path / "manifest.jsonl").records[1]
     capsys.readouterr()
     assert main(["flow", "--manifest", str(tmp_path / "manifest.jsonl"), "--out", str(tmp_path / "flows")]) == 3

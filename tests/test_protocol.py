@@ -22,9 +22,9 @@ from mebench.corpus import (
     SampleRecord,
     SynthSpec,
     build_manifest,
-    finalize_mappings,
     synthesize_desk_corpus,
 )
+from mebench.corpus.records import _EMOTION_MAP, _ETHNICITY_MAP, UnknownLabelError
 from mebench.errors import ConfigError, DataError
 from mebench.flowcore import (
     FlowParams,
@@ -91,28 +91,32 @@ def records_for(subjects, clips_per=2, emotions=("happiness", "disgust"), ethnic
                     raw_ethnicity=ethnicity,
                 )
             )
-    return finalize_mappings(records)
+    return records
 
 
 # ---------------------------------------------------------------- class orders
 
 
 def test_every_mapped_label_indexes_its_class_or_is_refused():
-    def record(emotion=None, ethnicity=None):
-        return SampleRecord(Dataset.SYNTH, "S1", "c0", "x", "y", "", mapped_emotion=emotion, mapped_ethnicity=ethnicity)
+    def record(emotion="happiness", ethnicity=None):
+        return SampleRecord(Dataset.SYNTH, "S1", "c0", "x", "y", emotion, ethnicity)
 
-    for emotion in MappedEmotion:
+    # a record's labels are derived from its raw ones, and every mapped label is some raw label's
+    assert set(_EMOTION_MAP.values()) == set(MappedEmotion)
+    assert set(_ETHNICITY_MAP.values()) == set(MappedEthnicity)
+    for raw, emotion in _EMOTION_MAP.items():
         if emotion is MappedEmotion.EXCLUDED:
             with pytest.raises(DataError, match="no eligible emotion label"):
-                emotion_index(record(emotion=emotion))
+                emotion_index(record(raw))
         else:
-            assert EMOTION_CLASSES[emotion_index(record(emotion=emotion))] == emotion.value
-    for ethnicity in MappedEthnicity:
-        assert ETHNICITY_CLASSES[ethnicity_index(record(ethnicity=ethnicity))] == ethnicity.value
-    assert [emotion_index(record(emotion=MappedEmotion(c))) for c in EMOTION_CLASSES] == [0, 1, 2]
-    assert [ethnicity_index(record(ethnicity=MappedEthnicity(c))) for c in ETHNICITY_CLASSES] == [0, 1]
-    with pytest.raises(DataError, match="no eligible emotion label"):
-        emotion_index(record())
+            assert EMOTION_CLASSES[emotion_index(record(raw))] == emotion.value
+    for raw, ethnicity in _ETHNICITY_MAP.items():
+        assert ETHNICITY_CLASSES[ethnicity_index(record(ethnicity=raw))] == ethnicity.value
+    assert [emotion_index(record(raw)) for raw in ("fear", "happiness", "surprise")] == [0, 1, 2]
+    assert [ethnicity_index(record(ethnicity=raw)) for raw in (RawEthnicity.INDIAN, RawEthnicity.AFRICAN)] == [0, 1]
+    # no record holds an emotion outside the map, so none lacks an emotion label
+    with pytest.raises(UnknownLabelError, match=r"record \('S1', 'c0'\): unrecognized emotion string: 'joy'"):
+        record("joy")
     with pytest.raises(DataError, match="no ethnicity label"):
         ethnicity_index(record())
 
