@@ -45,7 +45,7 @@ from .corpus import (
 from .corpus.predictor import UNANNOTATED, attribute_fields
 from .corpus.records import parse_age
 from .errors import ConfigError, DataError, MebenchError
-from .flowcore import FlowParams, load_frame, write_pgm
+from .flowcore import FlowParams, load_frame, read_flow_image, write_pgm
 from .flowcore.flowimage import read_flow_image_shape
 from .model import (
     EncoderConfig,
@@ -61,6 +61,7 @@ from .model.training import _batch_inputs
 from .pipeline import (
     EMOTION_CLASSES,
     existing_flow_image_path,
+    flow_image_path,
     load_train_samples,
     materialize_flow_images,
 )
@@ -274,7 +275,8 @@ def cmd_flow(args) -> int:
     out_dir = Path(args.out)
     params = _flow_params(args)
     stats = materialize_flow_images(manifest, params, out_dir, force=args.force, workers=_workers())
-    fractions = np.array(list(stats.clip_fractions.values())) if stats.clip_fractions else np.zeros((1, 3))
+    images = (read_flow_image(flow_image_path(out_dir, record)) for record in manifest.records)
+    fractions = np.array([image.clip_fraction for image in images]) if manifest.records else np.zeros((1, 3))
     print(
         f"flow images: {stats.computed} computed, {stats.cached} cached "
         f"(clip fraction mean fx={fractions[:, 0].mean():.4f} fy={fractions[:, 1].mean():.4f} "

@@ -168,16 +168,18 @@ def save_manifest(manifest: Manifest, path) -> None:
 def load_manifest(path) -> Manifest:
     path = Path(path)
     base = path.resolve().parent
+    line_no = None  # the line being parsed, counted from 1 with blank lines; None until the text is read
     try:
-        lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+        lines = [(n, ln) for n, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if ln.strip()]
         if not lines:
             raise DataError(f"{path}: empty manifest")
-        head = json.loads(lines[0])
+        (line_no, first), *rest = lines
+        head = json.loads(first)
         if not isinstance(head, dict) or head.get("type") != "provenance":
             raise DataError(f"{path}: first line must be the provenance object")
         head.pop("type")
         records = []
-        for ln in lines[1:]:
+        for line_no, ln in rest:
             d = json.loads(ln)
             for field_name in ("onset_path", "apex_path"):
                 p = Path(d[field_name])
@@ -185,7 +187,8 @@ def load_manifest(path) -> Manifest:
                     d[field_name] = str(base / p)
             records.append(from_json_dict(SampleRecord, d))
     except (KeyError, TypeError, ValueError, UnknownLabelError) as exc:  # ValueError: bad UTF-8, JSON, enum values
-        raise DataError(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
+        where = "" if line_no is None else f"line {line_no}: "
+        raise DataError(f"{path}: malformed manifest: {where}{type(exc).__name__}: {exc}") from exc
     return build_manifest(records, head)
 
 

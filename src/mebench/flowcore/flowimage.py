@@ -4,6 +4,8 @@ Channels are (u, v, strain magnitude), each clipped and mapped affinely
 to [0, 1]: flow channels clip to +/-3 px, strain to [0, 0.5]. In memory
 the image is the file's own float32 block, one read-only (3, H, W) array,
 so it round-trips bit-exactly: read without a copy, written in one tobytes().
+The share of each channel's values held at a clip bound, clip_fraction, is
+derived from the planes when asked for; no record stores it.
 
 OFI1 layout (little-endian):
 
@@ -46,17 +48,11 @@ class TruncatedFileError(DataError):
 
 @dataclass(frozen=True)
 class NormalizationRecord:
-    """Affine clip/scale applied per channel, plus saturation diagnostics.
-
-    clip_fraction is the fraction of stored plane values sitting exactly at
-    a clip boundary (0.0 or 1.0 after mapping); it is recomputed from the
-    planes so it survives serialization exactly.
-    """
+    """Affine clip/scale applied per channel: the (lo, hi) range mapped to [0, 1]."""
 
     fx_clip: tuple[float, float] = FLOW_CLIP
     fy_clip: tuple[float, float] = FLOW_CLIP
     strain_clip: tuple[float, float] = STRAIN_CLIP
-    clip_fraction: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +85,11 @@ class OpticalFlowImage:
     channel_fy = property(lambda self: self.data[1])
     channel_strain = property(lambda self: self.data[2])
 
+    @property
+    def clip_fraction(self) -> tuple[float, float, float]:
+        """Per channel, the fraction of values sitting exactly at a clip boundary (0.0 or 1.0)."""
+        return tuple(np.mean((self.data == 0.0) | (self.data == 1.0), axis=(1, 2)).tolist())
+
     def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(self.data)
 
@@ -97,19 +98,13 @@ class OpticalFlowImage:
         return self.data.astype(np.float64)
 
 
-def _boundary_fractions(data: np.ndarray) -> tuple[float, float, float]:
-    """Per channel, the fraction of values sitting exactly at a clip boundary (0.0 or 1.0)."""
-    return tuple(np.mean((data == 0.0) | (data == 1.0), axis=(1, 2)).tolist())
-
-
 def assemble_flow_image(flow: FlowField, strain: StrainMap) -> OpticalFlowImage:
     """Stack (u, v, strain magnitude) and normalize each channel to [0, 1]
     by FLOW_CLIP and STRAIN_CLIP."""
     if flow.shape != strain.shape:
         raise DataError(f"flow shape {flow.shape} != strain shape {strain.shape}")
     stacked = np.clip(np.stack((flow.u, flow.v, strain.magnitude)), _LO, _HI)
-    data = ((stacked - _LO) / (_HI - _LO)).astype(np.float32)
-    return OpticalFlowImage(data, NormalizationRecord(clip_fraction=_boundary_fractions(data)))
+    return OpticalFlowImage(((stacked - _LO) / (_HI - _LO)).astype(np.float32), NormalizationRecord())
 
 
 def write_flow_image(img: OpticalFlowImage, path) -> None:
@@ -147,5 +142,4 @@ def read_flow_image(path) -> OpticalFlowImage:
         raise DataError(f"{path}: {len(data)} bytes, the header declares {expected}")
     planes = np.frombuffer(data, "<f4", count=3 * h * w, offset=12).reshape(3, h, w)
     clips = struct.unpack("<6f", data[-24:])
-    record = NormalizationRecord(clips[0:2], clips[2:4], clips[4:6], _boundary_fractions(planes))
-    return OpticalFlowImage(planes, record)
+    return OpticalFlowImage(planes, NormalizationRecord(clips[0:2], clips[2:4], clips[4:6]))

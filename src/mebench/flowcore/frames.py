@@ -19,6 +19,7 @@ from ..errors import DataError
 from ..runutil import atomic_write_bytes
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
+_HEADER_BLOCK = 256  # frame_shape's first read; a header without long comments fits in it
 
 
 class RasterFormatError(DataError):
@@ -139,11 +140,20 @@ def load_frame(path) -> GrayFrame:
 
 
 def frame_shape(path) -> tuple[int, int]:
-    """The (H, W) of the frame load_frame would load, read from the file's header alone."""
+    """The (H, W) of the frame load_frame would load, read from the file's header alone: blocks are
+    read until the header's three tokens and the byte after them are in hand, or the file ends."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"frame file not found: {path}")
-    _, width, height, _, _ = _pnm_header(path, path.read_bytes())
+    data = b""
+    with open(path, "rb") as fh:
+        # each read doubles what is held, so a long comment is rescanned a few times, not once per block
+        while block := fh.read(max(len(data), _HEADER_BLOCK)):
+            data += block
+            tokens, offset = _tokenize_pnm_header(data[2:], 3)
+            if len(tokens) == 3 and 2 + offset < len(data):
+                break
+    _, width, height, _, _ = _pnm_header(path, data)
     return height, width
 
 

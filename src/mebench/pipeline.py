@@ -76,14 +76,6 @@ def existing_flow_image_path(flow_dir, record: SampleRecord) -> Path:
 class FlowStats:
     computed: int
     cached: int
-    clip_fractions: dict  # sample key -> (fx, fy, strain) boundary fractions
-
-
-def _read_sidecar(out_path: Path, value) -> tuple | None:
-    """A sidecar's clip fractions, three floats in [0, 1] (NaN fails the range test), if out_path has its sha256."""
-    triple = value["clip_fraction"]
-    valid = isinstance(triple, list) and len(triple) == 3 and all(isinstance(x, float) and 0 <= x <= 1 for x in triple)
-    return tuple(triple) if valid and value["sha256"] == hash_file(out_path) else None
 
 
 def _load_stack(paths) -> GrayFrame:
@@ -110,23 +102,18 @@ def _flow_runs(pending: list, flow_params: FlowParams) -> list:
     return runs
 
 
-def _compute_flows(job: tuple) -> list:
+def _compute_flows(job: tuple) -> None:
     """Worker for one run: solve its pairs as one estimate_flow stack, then write each clip's OFI
-    file and sidecar; return (sample key, fraction triple) pairs."""
+    file and sidecar."""
     run, flow_params = job
     # passed unbound, so that estimate_flow frees the frame stacks once it has their pyramids
     flow = estimate_flow(
         _load_stack(item[0].onset_path for item in run), _load_stack(item[0].apex_path for item in run), flow_params
     )
-    done = []
-    for (record, out_path, sidecar, key), u, v in zip(run, flow.u, flow.v):
+    for (_, out_path, sidecar, key), u, v in zip(run, flow.u, flow.v):
         clip = FlowField(u=u, v=v)
-        image = assemble_flow_image(clip, compute_strain(clip))
-        write_flow_image(image, out_path)
-        fraction = image.normalization.clip_fraction
-        write_cache_entry(sidecar, key, {"clip_fraction": list(fraction), "sha256": hash_file(out_path)})
-        done.append((sample_key(record), fraction))
-    return done
+        write_flow_image(assemble_flow_image(clip, compute_strain(clip)), out_path)
+        write_cache_entry(sidecar, key, {"sha256": hash_file(out_path)})
 
 
 def materialize_flow_images(
@@ -140,9 +127,10 @@ def materialize_flow_images(
 
     Beside each OFI file, a runutil cache entry (`.ofi.json`) keyed by the
     flow parameters and the bytes of the record's onset and apex frames
-    holds the clip fractions and the OFI file's sha256. Unless force is set,
-    a record whose entry is a hit and whose OFI file has that hash is
-    skipped. The rest are cut into runs
+    holds the OFI file's sha256 (an entry written before the clip fractions
+    were derived also holds them; they are ignored). Unless force is set, a
+    record whose entry is a hit and whose OFI file has that hash is skipped.
+    The rest are cut into runs
     of consecutive same-shape pairs, each at most hornschunck.stack_size
     long (7 clips at 64 px, 2 at 128 px), and each run is one
     runutil.run_jobs job: one estimate_flow stack, then each clip's OFI
@@ -150,22 +138,19 @@ def materialize_flow_images(
     are identical regardless of worker count.
     """
     flow_dir = Path(flow_dir)
-    fractions = {}
     pending = []
     for record in manifest.records:
         out_path = flow_image_path(flow_dir, record)
         sidecar = out_path.with_suffix(".ofi.json")
         key = cache_key(asdict(flow_params), (record.onset_path, record.apex_path))
-        if not force and out_path.exists():
-            fraction = read_cache_entry(sidecar, key, lambda value: _read_sidecar(out_path, value))
-            if fraction is not None:
-                fractions[sample_key(record)] = fraction
-                continue
-        pending.append((record, out_path, sidecar, key))
+        hit = not force and out_path.exists() and read_cache_entry(
+            sidecar, key, lambda value: value["sha256"] == hash_file(out_path)
+        )
+        if not hit:
+            pending.append((record, out_path, sidecar, key))
     jobs = [(run, flow_params) for run in _flow_runs(pending, flow_params)]
-    for done in run_jobs(_compute_flows, jobs, workers):
-        fractions.update(done)  # (sample key, fraction triple) pairs
-    return FlowStats(computed=len(pending), cached=len(manifest.records) - len(pending), clip_fractions=fractions)
+    list(run_jobs(_compute_flows, jobs, workers))  # each job writes its own files
+    return FlowStats(computed=len(pending), cached=len(manifest.records) - len(pending))
 
 
 def load_train_samples(

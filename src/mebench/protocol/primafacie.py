@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..corpus import Manifest, MappedEmotion, MappedEthnicity, SampleRecord
+from ..corpus import Manifest, MappedEmotion, SampleRecord
 from ..errors import ConfigError, DataError
+from ..model.config import ETHNICITY_CLASSES
 from ..pipeline import BINARY_CLASSES, sample_key
 from ..runutil import derive_seed, derived_rng
 from .folds import plan_loso
@@ -49,7 +50,7 @@ class PrimaFacieScenario:
 
 
 def _subjects_by_group(records: list[SampleRecord]) -> dict:
-    groups: dict[str, set] = {"Asian": set(), "NonAsian": set()}
+    groups: dict[str, set] = {group: set() for group in ETHNICITY_CLASSES}
     for record in records:
         groups[record.mapped_ethnicity.value].add(record.subject_id)
     return {k: sorted(v) for k, v in groups.items()}
@@ -61,12 +62,13 @@ def sample_prima_facie(manifest: Manifest, scenario: PrimaFacieScenario) -> list
     groups = _subjects_by_group(eligible)
     rng = derived_rng(scenario.seed, "prima-facie", scenario.kind.value)
 
+    asian, non_asian = ETHNICITY_CLASSES
     if scenario.kind == ScenarioKind.MIXED:
-        quotas = {"Asian": scenario.subject_budget // 2, "NonAsian": scenario.subject_budget // 2}
+        quotas = dict.fromkeys(ETHNICITY_CLASSES, scenario.subject_budget // 2)
     elif scenario.kind == ScenarioKind.ASIAN_ONLY:
-        quotas = {"Asian": scenario.subject_budget}
+        quotas = {asian: scenario.subject_budget}
     else:
-        quotas = {"NonAsian": scenario.subject_budget}
+        quotas = {non_asian: scenario.subject_budget}
 
     chosen: list[str] = []
     for group, quota in quotas.items():

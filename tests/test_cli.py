@@ -492,6 +492,22 @@ def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, cod
     assert not Path(out).exists()
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (f"{_PROVENANCE}\n{json.dumps(_RECORD)}\n{{not json\n", "line 3: JSONDecodeError: "),
+        (f"{_PROVENANCE}\n\n{json.dumps({k: v for k, v in _RECORD.items() if k != 'onset_path'})}\n",
+         "line 3: KeyError: 'onset_path'"),
+    ],
+    ids=["bad-json", "no-onset-after-a-blank-line"],
+)
+def test_a_malformed_manifest_record_names_its_line(tmp_path, capsys, content, message):
+    bad = tmp_path / "manifest.jsonl"
+    bad.write_text(content)
+    assert main(["flow", "--manifest", str(bad), "--out", str(tmp_path / "out")]) == 3
+    assert f"{bad}: malformed manifest: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "0", ""])
 def test_invalid_thread_count_is_config_error(synth_run, tmp_path, monkeypatch, capsys, value):
     _, corpus, _ = synth_run
@@ -1024,10 +1040,6 @@ def _in_value(change):
     return damage
 
 
-def _with_fraction(fraction):
-    return _in_value(lambda value: {**value, "clip_fraction": fraction})
-
-
 def _flip_last_bit(intact: bytes) -> bytes:
     return intact[:-1] + bytes([intact[-1] ^ 1])
 
@@ -1038,14 +1050,8 @@ def _flip_last_bit(intact: bytes) -> bytes:
         ("sidecar", b"[1, 2]\n"),
         ("sidecar", b"\xff\xfe{}\n"),
         ("sidecar", {"value": [0.25, 0.5, 0.0]}),
-        ("sidecar", _with_fraction(5)),
-        ("sidecar", _with_fraction(["a", "b", "c"])),
         ("sidecar", {"value": _DROP}),
-        ("sidecar", _with_fraction([0.1, 0.2])),
-        ("sidecar", _with_fraction([0.1, 0.2, 1.5])),
-        ("sidecar", _with_fraction([0.1, float("nan"), 0.2])),
-        ("sidecar", _with_fraction([0, 0, 1])),
-        ("sidecar", _in_value(lambda value: {"clip_fraction": value["clip_fraction"]})),
+        ("sidecar", _in_value(lambda value: {k: v for k, v in value.items() if k != "sha256"})),
         ("sidecar", _in_value(lambda value: {**value, "sha256": "0" * 64})),
         ("ofi", "replaced"),
         ("ofi", _flip_last_bit),
@@ -1065,9 +1071,8 @@ def _flip_last_bit(intact: bytes) -> bytes:
         ("model", _flip_last_bit),
         ("model", None),
     ],
-    ids=["sidecar-list", "sidecar-not-utf8", "sidecar-fraction-only", "sidecar-fraction-int",
-         "sidecar-fraction-strings", "sidecar-no-value", "sidecar-fraction-short", "sidecar-fraction-above-1",
-         "sidecar-fraction-nan", "sidecar-fraction-ints", "sidecar-no-hash", "sidecar-other-hash",
+    ids=["sidecar-list", "sidecar-not-utf8", "sidecar-fraction-only", "sidecar-no-value", "sidecar-no-hash",
+         "sidecar-other-hash",
          "ofi-replaced", "ofi-bit-flipped", "fold-truncated", "fold-list", "fold-no-value", "fold-string",
          "fold-predictions-long", "fold-predictions-short", "fold-prediction-bool", "fold-prediction-float",
          "fold-prediction-negative", "fold-prediction-past-last-class", "fold-prediction-string",
@@ -1113,6 +1118,29 @@ def test_damaged_cache_entry_is_recomputed(synth_run, loso_run, tmp_path, monkey
         assert sizes == [sum(r.subject_id != subject for r in eligible)]
     else:
         assert sizes == [len(eligible)]
+
+
+def test_a_stored_clip_fraction_is_not_reported(synth_run, tmp_path, capsys):
+    # an entry written before the fractions were derived from the OFI files also holds them: a hit that
+    # keeps its stored value, while the summary reads every clip's fractions from its OFI file
+    _, corpus, flows = synth_run
+    flow_dir = tmp_path / "flows"
+    shutil.copytree(flows, flow_dir)
+    argv = ["flow", "--manifest", str(corpus / "manifest.jsonl"), "--out", str(flow_dir)]
+    capsys.readouterr()
+    assert main(argv + ["--force"]) == 0
+    cold = capsys.readouterr().out
+    n = len(load_manifest(corpus / "manifest.jsonl").records)
+    assert cold.startswith(f"flow images: {n} computed, 0 cached (clip fraction mean")
+    assert not cold.endswith("max=0.0000)\n")  # some clip has a value at a clip bound
+    sidecar = sorted(flow_dir.glob("*.ofi.json"))[0]
+    entry = json.loads(sidecar.read_text())
+    entry["value"]["clip_fraction"] = [0.9, 0.9, 0.9]
+    sidecar.write_text(json.dumps(entry))
+    stale = sidecar.read_bytes()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold.replace(f"{n} computed, 0 cached", f"0 computed, {n} cached")
+    assert sidecar.read_bytes() == stale
 
 
 def test_a_fold_entry_in_the_old_record_form_is_retrained(synth_run, loso_run, tmp_path, monkeypatch):

@@ -30,6 +30,7 @@ from mebench.flowcore import (
     write_pgm,
 )
 from mebench.flowcore.flowimage import BadMagicError, NormalizationRecord, OpticalFlowImage, TruncatedFileError
+from mebench.flowcore import frames
 from mebench.flowcore.frames import RasterFormatError
 from mebench.flowcore import hornschunck
 from mebench.flowcore.hornschunck import (
@@ -141,6 +142,7 @@ class TestLoadFrame:
             (b"P6\n# w h\n1 4\n255\n" + bytes(12), (4, 1), True),
             (b"P2\n2 3\n7\n0 1 2 3 4 5\n", (3, 2), True),
             (b"P5\n4 4\n255\n" + bytes(3), (4, 4), False),  # truncated pixels: only the header is read
+            (b"P5\n# " + b"x" * 600 + b"\n3 2\n255\n" + bytes(6), (2, 3), True),  # a comment over two reads
         ],
     )
     def test_frame_shape_reads_the_header(self, tmp_path, data, shape, loads):
@@ -149,6 +151,17 @@ class TestLoadFrame:
         assert frame_shape(p) == shape
         if loads:
             assert load_frame(p).values.shape == shape
+
+    @pytest.mark.parametrize("end", range(frames._HEADER_BLOCK - 2, frames._HEADER_BLOCK + 6))
+    def test_frame_shape_of_a_header_ending_at_the_first_read(self, tmp_path, end):
+        # the header, separator included, is end bytes long, so the first read ends before, inside or
+        # after its maxval 0255, which would read as an invalid 0 if cut after its first digit
+        header = b"P5\n#" + b"x" * (end - 14) + b"\n3 2\n0255\n"
+        assert len(header) == end
+        p = tmp_path / "f.pgm"
+        p.write_bytes(header + bytes(6))
+        assert frame_shape(p) == (2, 3)
+        assert load_frame(p).values.shape == (2, 3)
 
     @pytest.mark.parametrize("data", [b"XY\n2 2\n255\n", b"P5\n0 2\n255\n", b"P5\n2 2\n", b"P5\n2 x\n255\n"])
     def test_frame_shape_refuses_a_bad_header(self, tmp_path, data):
@@ -772,8 +785,21 @@ class TestFlowImage:
         flow = flat_flow(8, 8, u_val=10.0)
         img = assemble_flow_image(flow, compute_strain(flow))
         assert np.all(img.channel_fx == 1.0)
-        assert img.normalization.clip_fraction[0] == 1.0
+        assert img.clip_fraction[0] == 1.0
         assert img.normalization.fx_clip == FLOW_CLIP
+
+    def test_clip_fraction_is_derived_from_the_planes(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(6))
+        flow = FlowField(u=rng.normal(scale=3, size=(12, 10)), v=rng.normal(scale=1, size=(12, 10)))
+        img = assemble_flow_image(flow, compute_strain(flow))
+        path = tmp_path / "fraction.ofi"
+        write_flow_image(img, path)
+        back = read_flow_image(path)
+        for image in (img, back):
+            planes = image.as_array()
+            expected = tuple(float(np.mean((plane == 0.0) | (plane == 1.0))) for plane in planes)
+            assert image.clip_fraction == expected
+        assert 0.0 < img.clip_fraction[0] < 1.0  # the draw reaches both flow clips on some pixels only
 
     def test_dims_mismatch(self):
         flow = flat_flow(8, 8)

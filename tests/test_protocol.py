@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import multiprocessing
 import struct
@@ -961,7 +963,6 @@ def test_flows_identical_across_worker_counts(tiny_loso, tmp_path):
         for workers in (1, 2)
     }
     assert stats[1].computed == stats[2].computed == len(manifest.records)
-    assert stats[1].clip_fractions == stats[2].clip_fractions
     names = sorted(p.name for p in (tmp_path / "w1").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
     assert len(names) == 2 * len(manifest.records)  # one OFI file and one sidecar per clip
@@ -970,8 +971,7 @@ def test_flows_identical_across_worker_counts(tiny_loso, tmp_path):
     for record in manifest.records:
         key = cache_key(asdict(FlowParams(iterations=5)), (record.onset_path, record.apex_path))
         path = pipeline.flow_image_path(tmp_path / "w1", record)
-        value = {"clip_fraction": list(stats[1].clip_fractions[sample_key(record)]), "sha256": hash_file(path)}
-        entry = {"key": key, "value": value}
+        entry = {"key": key, "value": {"sha256": hash_file(path)}}
         assert path.with_suffix(".ofi.json").read_text() == json.dumps(entry, sort_keys=True) + "\n"
 
 
@@ -995,8 +995,7 @@ def mixed_sizes(tmp_path_factory):
         image = assemble_flow_image(flow, compute_strain(flow))
         write_flow_image(image, path)
         key = cache_key(asdict(_MIXED_PARAMS), (record.onset_path, record.apex_path))
-        value = {"clip_fraction": list(image.normalization.clip_fraction), "sha256": hash_file(path)}
-        write_cache_entry(path.with_suffix(".ofi.json"), key, value)
+        write_cache_entry(path.with_suffix(".ofi.json"), key, {"sha256": hash_file(path)})
         expected[path.name] = path.read_bytes()
         expected[path.name + ".json"] = path.with_suffix(".ofi.json").read_bytes()
     return manifest, expected
@@ -1037,7 +1036,6 @@ def test_mixed_size_runs_match_one_pair_solves(mixed_sizes, tmp_path, monkeypatc
     monkeypatch.undo()
     two = materialize_flow_images(manifest, _MIXED_PARAMS, tmp_path / "w2", workers=2)
     assert (two.computed, two.cached) == (12, 0)
-    assert two.clip_fractions == stats.clip_fractions
     assert flow_files(tmp_path / "w2") == expected
 
 
@@ -1086,6 +1084,47 @@ def test_changed_frame_recomputes_only_its_flow(tmp_path):
     assert [apex for apex, sidecar in sidecars.items() if sidecar.read_bytes() != before[apex]] == [changed]
 
 
+class _CountedFile:
+    """A file object that adds the length of each read to counts[name]."""
+
+    def __init__(self, fh, counts, name):
+        self._fh, self._counts, self._name = fh, counts, name
+
+    def read(self, *args):
+        data = self._fh.read(*args)
+        self._counts[self._name] += len(data)
+        return data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def __getattr__(self, attr):
+        return getattr(self._fh, attr)
+
+
+def test_a_cold_run_reads_each_frame_twice(tiny_loso, tmp_path, monkeypatch):
+    # once to hash it into the cache key and once to load it; the shape check reads only the header
+    manifest, _ = tiny_loso
+    uses = Counter(str(path) for record in manifest.records for path in (record.onset_path, record.apex_path))
+    counts = Counter()
+    real_open = io.open
+
+    def counted_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return _CountedFile(fh, counts, str(file)) if str(file) in uses else fh
+
+    monkeypatch.setattr(io, "open", counted_open)  # Path.read_bytes opens through io.open
+    monkeypatch.setattr(builtins, "open", counted_open)
+    stats = materialize_flow_images(manifest, FlowParams(iterations=5), tmp_path)
+    monkeypatch.undo()
+    assert stats.computed == len(manifest.records)
+    whole_reads = {path: n // Path(path).stat().st_size for path, n in counts.items()}
+    assert whole_reads == {path: 2 * n for path, n in uses.items()}
+
+
 # Cache keys of fixed inputs, written by earlier versions; a change here silently invalidates every
 # stored cache entry.
 _DEFAULT_FLOW_KEY = "f0a587ee5a66032831420b30425315db98aa33d841a946ff7d11c91919017519"  # default FlowParams, fixed frames
@@ -1110,6 +1149,7 @@ def fixed_loso_inputs(flow_dir: Path):
 
 
 def test_stored_flow_sidecar_is_a_cache_hit(tmp_path):
+    # written before the clip fractions were derived from the OFI file: the stored ones are ignored
     (tmp_path / "onset.pgm").write_bytes(b"onset frame")
     (tmp_path / "apex.pgm").write_bytes(b"apex frame")
     records = [
@@ -1124,7 +1164,6 @@ def test_stored_flow_sidecar_is_a_cache_hit(tmp_path):
         path.with_suffix(".ofi.json").write_text(json.dumps({"key": _DEFAULT_FLOW_KEY, "value": value}))
     stats = materialize_flow_images(manifest, FlowParams(), tmp_path)
     assert (stats.computed, stats.cached) == (0, len(manifest.records))
-    assert set(stats.clip_fractions.values()) == {(0.25, 0.5, 0.0)}
 
 
 def _store_tiny_folds(tmp_path, keys) -> None:
