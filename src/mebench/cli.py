@@ -205,14 +205,7 @@ def cmd_manifest(args) -> int:
         if not (args.casme2 or args.samm):
             raise ConfigError("give --synth, or at least one of --casme2 / --samm")
         predictor = _load_predictor(args)
-        ledger = []
-        ledger_hash = ""
-        if args.ledger:
-            if Path(args.ledger).exists():
-                ledger = load_ledger(args.ledger)
-                ledger_hash = hash_file(args.ledger)
-            else:
-                warnings.warn(f"ledger {args.ledger} not found; continuing with an empty ledger", stacklevel=2)
+        ledger, ledger_hash = (load_ledger(args.ledger), hash_file(args.ledger)) if args.ledger else ([], "")
         records = []
         if args.casme2:
             records += ingest_dataset_index(args.casme2, Dataset.CASME2)
@@ -266,7 +259,6 @@ def _flow_params(args) -> FlowParams:
         smoothness_alpha=args.alpha,
         iterations=args.iterations,
         pyramid_levels=args.levels,
-        pyramid_scale=args.scale,
     )
 
 
@@ -307,7 +299,10 @@ def cmd_loso(args) -> int:
     records = manifest.eligible()
     if not records:
         raise DataError("manifest has no eligible records")
-    side, _ = read_flow_image_shape(existing_flow_image_path(args.flow_dir, records[0]))
+    first = existing_flow_image_path(args.flow_dir, records[0])
+    side, width = read_flow_image_shape(first)
+    if side != width:
+        raise DataError(f"{first}: the model takes square flow images, got {side}x{width}")
     model_config = replace(model_config, image_size=side)  # the model's input side is the flow images'
     for variant in variants:
         model_config.validate_for(variant)
@@ -527,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=FlowParams.smoothness_alpha)
     p.add_argument("--iterations", type=int, default=FlowParams.iterations)
     p.add_argument("--levels", type=int, default=FlowParams.pyramid_levels)
-    p.add_argument("--scale", type=float, default=FlowParams.pyramid_scale)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("loso", help="LOSO benchmark over model variants")

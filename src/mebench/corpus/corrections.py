@@ -46,11 +46,16 @@ class CorrectionRule:
         _coerce(self.attribute, self.replacement)  # a ValueError here, not once frames are read
         if self.dataset is not None:
             Dataset(self.dataset)
+        if not isinstance(self.subject_id, (str, type(None))):  # it would match no record
+            raise TypeError(f"subject_id must be a string, got {self.subject_id!r}")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CorrectionRule":
-        """Read a ledger rule; fields other than attribute and replacement are optional."""
+        """Read a ledger rule; fields other than attribute and replacement are optional.
+        replacement and expect are read in their string form, which is what a rule compares."""
         optional = {k: d[k] for k in ("note", "dataset", "subject_id", "expect") if k in d}
+        if optional.get("expect") is not None:
+            optional["expect"] = str(optional["expect"])
         return cls(attribute=d["attribute"], replacement=str(d["replacement"]), **optional)
 
 
@@ -143,5 +148,5 @@ def load_ledger(path) -> list[CorrectionRule]:
         try:
             rules.append(CorrectionRule.from_json_dict(json.loads(line)))
         except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
-            raise ConfigError(f"{path}:{line_no}: malformed correction rule") from exc
+            raise ConfigError(f"{path}:{line_no}: malformed correction rule: {exc}") from exc
     return rules

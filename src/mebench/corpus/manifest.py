@@ -172,11 +172,11 @@ def load_manifest(path) -> Manifest:
     try:
         lines = [(n, ln) for n, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if ln.strip()]
         if not lines:
-            raise DataError(f"{path}: empty manifest")
+            raise ValueError("empty manifest")
         (line_no, first), *rest = lines
         head = json.loads(first)
         if not isinstance(head, dict) or head.get("type") != "provenance":
-            raise DataError(f"{path}: first line must be the provenance object")
+            raise ValueError("the first line must be the provenance object")
         head.pop("type")
         records = []
         for line_no, ln in rest:
@@ -186,7 +186,7 @@ def load_manifest(path) -> Manifest:
                 if not p.is_absolute():
                     d[field_name] = str(base / p)
             records.append(from_json_dict(SampleRecord, d))
-    except (KeyError, TypeError, ValueError, UnknownLabelError) as exc:  # ValueError: bad UTF-8, JSON, enum values
+    except (KeyError, TypeError, ValueError, DataError) as exc:  # ValueError: bad UTF-8, JSON, enum values
         where = "" if line_no is None else f"line {line_no}: "
         raise DataError(f"{path}: malformed manifest: {where}{type(exc).__name__}: {exc}") from exc
     return build_manifest(records, head)

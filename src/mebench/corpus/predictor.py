@@ -22,6 +22,7 @@ from ..flowcore import GrayFrame, write_pgm
 from .records import Gender, RawEthnicity, parse_age
 
 UNANNOTATED = (Gender.UNKNOWN, 0, RawEthnicity.OTHERS)  # (gender, age, ethnicity) of a subject left unannotated
+COMMAND_TIMEOUT_S = 60.0  # a CommandPredictor run that takes longer fails its subject
 
 
 class AnnotationError(DataError):
@@ -57,9 +58,8 @@ class CommandPredictor:
     the file path appended, and parses a JSON object
     {"gender": ..., "age": ..., "ethnicity": ...} from stdout."""
 
-    def __init__(self, command: list[str], timeout: float = 60.0):
+    def __init__(self, command: list[str]):
         self.command = list(command)
-        self.timeout = timeout
         self.name = f"command:{shlex.join(command)}"
 
     def predict(self, frame: GrayFrame, subject_id: str) -> tuple[Gender, int, RawEthnicity]:
@@ -69,7 +69,7 @@ class CommandPredictor:
             proc = subprocess.run(
                 self.command + [str(frame_path)],
                 capture_output=True,
-                timeout=self.timeout,
+                timeout=COMMAND_TIMEOUT_S,
                 text=True,
             )
         if proc.returncode != 0:

@@ -5,7 +5,9 @@ to [0, 1]: flow channels clip to +/-3 px, strain to [0, 0.5]. In memory
 the image is the file's own float32 block, one read-only (3, H, W) array,
 so it round-trips bit-exactly: read without a copy, written in one tobytes().
 The share of each channel's values held at a clip bound, clip_fraction, is
-derived from the planes when asked for; no record stores it.
+derived from the planes when asked for; no record stores it. The clip
+ranges are a format constant: every file ends in the same 24 bytes, and a
+file whose trailer differs is refused.
 
 OFI1 layout (little-endian):
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,6 +38,7 @@ STRAIN_CLIP = (0.0, 0.5)
 _LO, _HI = np.array([FLOW_CLIP, FLOW_CLIP, STRAIN_CLIP]).T.reshape(2, 3, 1, 1)
 
 _MAGIC = b"OFI1"
+_TRAILER = struct.pack("<6f", *FLOW_CLIP, *FLOW_CLIP, *STRAIN_CLIP)  # every file's clip ranges
 _MAX_DIM = 2**32 - 1
 
 
@@ -60,12 +64,12 @@ class OpticalFlowImage:
     """Normalized (fx, fy, strain) planes as one read-only (3, H, W) float32 array, all values in [0, 1]."""
 
     data: np.ndarray
-    normalization: NormalizationRecord
+    normalization: ClassVar[NormalizationRecord] = NormalizationRecord()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OpticalFlowImage):
             return NotImplemented
-        return self.normalization == other.normalization and np.array_equal(self.data, other.data)
+        return np.array_equal(self.data, other.data)
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.data, dtype=np.float32)
@@ -104,16 +108,15 @@ def assemble_flow_image(flow: FlowField, strain: StrainMap) -> OpticalFlowImage:
     if flow.shape != strain.shape:
         raise DataError(f"flow shape {flow.shape} != strain shape {strain.shape}")
     stacked = np.clip(np.stack((flow.u, flow.v, strain.magnitude)), _LO, _HI)
-    return OpticalFlowImage(((stacked - _LO) / (_HI - _LO)).astype(np.float32), NormalizationRecord())
+    return OpticalFlowImage(((stacked - _LO) / (_HI - _LO)).astype(np.float32))
 
 
 def write_flow_image(img: OpticalFlowImage, path) -> None:
     h, w = img.shape
     if h > _MAX_DIM or w > _MAX_DIM:
         raise DataError(f"dimension overflow: {h}x{w} does not fit in u32")
-    record = img.normalization
-    clips = struct.pack("<6f", *record.fx_clip, *record.fy_clip, *record.strain_clip)
-    atomic_write_bytes(path, _MAGIC + struct.pack("<II", h, w) + img.data.astype("<f4", copy=False).tobytes() + clips)
+    planes = img.data.astype("<f4", copy=False).tobytes()
+    atomic_write_bytes(path, _MAGIC + struct.pack("<II", h, w) + planes + _TRAILER)
 
 
 def read_flow_image_shape(path, data: bytes | None = None) -> tuple[int, int]:
@@ -140,6 +143,7 @@ def read_flow_image(path) -> OpticalFlowImage:
         raise TruncatedFileError(f"{path}: expected {expected} bytes, found {len(data)}")
     if len(data) > expected:
         raise DataError(f"{path}: {len(data)} bytes, the header declares {expected}")
-    planes = np.frombuffer(data, "<f4", count=3 * h * w, offset=12).reshape(3, h, w)
-    clips = struct.unpack("<6f", data[-24:])
-    return OpticalFlowImage(planes, NormalizationRecord(clips[0:2], clips[2:4], clips[4:6]))
+    if data[-len(_TRAILER):] != _TRAILER:
+        raise DataError(f"{path}: clip ranges {struct.unpack('<6f', data[-len(_TRAILER):])} in the trailer, "
+                        f"expected {struct.unpack('<6f', _TRAILER)}")
+    return OpticalFlowImage(np.frombuffer(data, "<f4", count=3 * h * w, offset=12).reshape(3, h, w))

@@ -159,15 +159,15 @@ def frame_shape(path) -> tuple[int, int]:
 
 def load_rgb_frame(path) -> tuple[np.ndarray, int]:
     """Load a frame at file precision: (pixels, maxval), pixels the integer samples (uint8 up to maxval
-    255, uint16 above) shaped (3, H, W), gray input replicated. pixels / float(maxval) in float64 is the
-    frame in [0, 1], bit for bit what load_frame divides."""
+    255, uint16 above) shaped (3, H, W), gray input as a read-only view of its one plane repeated.
+    pixels / float(maxval) in float64 is the frame in [0, 1], bit for bit what load_frame divides."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"frame file not found: {path}")
     raw, maxval = _read_pnm(path)
     if raw.ndim == 3:
         return raw.transpose(2, 0, 1).copy(), maxval
-    return np.repeat(raw[None, :, :], 3, axis=0), maxval
+    return np.broadcast_to(raw, (3, *raw.shape)), maxval
 
 
 def write_pgm(path, values: np.ndarray) -> None:

@@ -2,11 +2,12 @@
 
 Variational smoothness-regularized flow (the classical quadratic data +
 smoothness objective) solved with Jacobi iterations inside a
-coarse-to-fine pyramid with inter-level warping, starting from zero flow
-at the coarsest level (Horn & Schunck 1981). Each Jacobi step takes
-the weighted 8-neighbour average of the increment, `nearest`-mode at the
-border, summed tap by tap in `scipy.ndimage.correlate`'s order, so it is
-bit-identical to `correlate(d, _AVG_KERNEL, mode="nearest")`. Coarse
+coarse-to-fine pyramid of half-size levels with inter-level warping,
+starting from zero flow at the coarsest level (Horn & Schunck 1981).
+Each Jacobi step takes the weighted 8-neighbour average of the increment,
+`nearest`-mode at the border, summed tap by tap in the order of
+`scipy.ndimage.correlate`, so it is bit-identical to
+`correlate(d, _AVG_KERNEL, mode="nearest")`. Coarse
 levels are bound by numpy call overhead, so each level binds every view
 its steps touch once, and a step makes 17 numpy calls: the two weights go
 in one broadcast multiply, and the taps are summed from `first_tap + 0.0`,
@@ -74,6 +75,9 @@ _AVG_TAPS = tuple(
 )
 
 _MIN_SIDE = 8  # coarsest pyramid level is never smaller than this
+_PYRAMID_SCALE = 0.5  # side ratio of each pyramid level to the next finer one
+# the anti-alias blur before each downsampling: 0.5 * sqrt(1 / scale^2 - 1) at scale 1/2
+_PYRAMID_SIGMA = 0.5 * np.sqrt(3.0)
 # Padded cells (both planes) per Jacobi chunk: 25 clips at 16 px, 7 at 32 px, 1 at 64 px and up.
 _CHUNK_CELLS = 2**14
 # Onset pixels per stack_size stack: a 128 px clip holds ~0.6 MB, its frames until its pyramids exist,
@@ -92,7 +96,6 @@ class FlowParams:
     smoothness_alpha: float = 15.0
     iterations: int = 200
     pyramid_levels: int = 3
-    pyramid_scale: float = 0.5
 
     def __post_init__(self):
         alpha = float(self.smoothness_alpha)
@@ -105,8 +108,6 @@ class FlowParams:
             raise ConfigError("iterations must be >= 1")
         if self.pyramid_levels < 1:
             raise ConfigError("pyramid_levels must be >= 1")
-        if not (0.0 < self.pyramid_scale < 1.0):
-            raise ConfigError("pyramid_scale must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -353,25 +354,22 @@ def _solve_level(im1, im2, u, v, alpha, iterations):
         _solve_chunk(im1[part], im2[part], u[part], v[part], alpha, iterations)
 
 
-def _level_shapes(h: int, w: int, levels: int, scale: float) -> list[tuple[int, int]]:
+def _level_shapes(h: int, w: int, levels: int) -> list[tuple[int, int]]:
     """The (H, W) of each pyramid level, finest first; stops early when a side would drop below 8 px."""
     shapes = [(h, w)]
     for _ in range(1, levels):
-        new = (int(round(shapes[-1][0] * scale)), int(round(shapes[-1][1] * scale)))
-        if min(new) < _MIN_SIDE or new == shapes[-1]:
+        new = (int(round(shapes[-1][0] * _PYRAMID_SCALE)), int(round(shapes[-1][1] * _PYRAMID_SCALE)))
+        if min(new) < _MIN_SIDE:
             break
         shapes.append(new)
     return shapes
 
 
-def _pyramid(values: np.ndarray, levels: int, scale: float) -> list[np.ndarray]:
+def _pyramid(values: np.ndarray, levels: int) -> list[np.ndarray]:
     """Image pyramid of _level_shapes of each frame of values (..., H, W), finest first."""
     out = [values]
-    for new_h, new_w in _level_shapes(*values.shape[-2:], levels, scale)[1:]:
-        # computed only when a coarser level exists: a scale whose square underflows to 0.0 makes none
-        sigma = 0.5 * np.sqrt(max(1.0 / (scale * scale) - 1.0, 0.0))
-        smoothed = gaussian_smooth(out[-1], sigma) if sigma > 0 else out[-1]
-        out.append(bilinear_resize(smoothed, new_h, new_w))
+    for new_h, new_w in _level_shapes(*values.shape[-2:], levels)[1:]:
+        out.append(bilinear_resize(gaussian_smooth(out[-1], _PYRAMID_SIGMA), new_h, new_w))
     return out
 
 
@@ -384,7 +382,7 @@ def stack_size(height: int, width: int, params: FlowParams | None = None) -> int
     32 px, 2 at 128 px, 25 at 16 px.
     """
     params = params or FlowParams()
-    shapes = _level_shapes(height, width, params.pyramid_levels, params.pyramid_scale)
+    shapes = _level_shapes(height, width, params.pyramid_levels)
     shared = [c for c in (_chunk_clips(h, w) for h, w in shapes) if c > 1]
     return max(1, min(min(shared, default=1), _STACK_PIXELS // (height * width)))
 
@@ -410,10 +408,7 @@ def estimate_flow(onset: GrayFrame, apex: GrayFrame, params: FlowParams | None =
     # internally; displacements are in pixels either way.
     # pyr1[level] is the (N, h, w) stack of onset frames at that level, finest level first.
     shape, clips = onset.values.shape, (-1, onset.height, onset.width)
-    pyr1, pyr2 = (
-        _pyramid(frame.values.reshape(clips) * 255.0, params.pyramid_levels, params.pyramid_scale)
-        for frame in (onset, apex)
-    )
+    pyr1, pyr2 = (_pyramid(frame.values.reshape(clips) * 255.0, params.pyramid_levels) for frame in (onset, apex))
     del onset, apex  # a caller that passed the frames unbound has them freed here
 
     u = np.zeros_like(pyr1[-1])

@@ -57,6 +57,8 @@ import math
 
 import numpy as np
 
+LAYER_NORM_EPS = 1e-6  # added to each row's variance in layer_norm
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_push", "name")
@@ -241,14 +243,14 @@ def softmax(a, axis=-1, scale=1.0) -> Tensor:
     return Tensor(y, (a,), push)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize over the last axis with a learned affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n = x.data.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) / n
     centered = x.data - mu
     var = (centered**2).sum(axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     x_hat = centered * inv_std
 
     def push(g):

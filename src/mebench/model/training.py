@@ -23,6 +23,7 @@ from .network import ModelInputs, forward, predict_emotion
 from .params import ParamSet, check_layout, init_params
 
 _EVAL_BATCH = 32  # samples per inference forward in evaluate_predictions
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class NonFiniteGradientError(DataError):
@@ -115,20 +116,13 @@ class AdamState:
         return cls(step=0, m=params.like(np.zeros_like(params.flat)), v=params.like(np.zeros_like(params.flat)))
 
 
-def optimizer_step(
-    params: ParamSet,
-    grads: ParamSet,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[ParamSet, AdamState]:
+def optimizer_step(params: ParamSet, grads: ParamSet, state: AdamState, lr: float) -> tuple[ParamSet, AdamState]:
     """One Adam update with bias correction; functional (new ParamSet/state).
 
     Each Adam line runs once over the flat vectors, in place on fresh
     vectors so that each step allocates only five. Every line keeps the
-    operands and the evaluation order of
+    operands and the evaluation order of (beta1, beta2, eps being
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
 
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
@@ -138,23 +132,23 @@ def optimizer_step(
     check_layout(grads.layout, params.layout)
     g = grads.flat
     t = state.step + 1
-    m = state.m.flat * beta1
-    tmp = np.multiply(g, 1 - beta1)
+    m = state.m.flat * ADAM_BETA1
+    tmp = np.multiply(g, 1 - ADAM_BETA1)
     m += tmp
-    v = state.v.flat * beta2
-    np.multiply(g, 1 - beta2, out=tmp)
+    v = state.v.flat * ADAM_BETA2
+    np.multiply(g, 1 - ADAM_BETA2, out=tmp)
     tmp *= g
     v += tmp
-    np.divide(m, 1 - beta1**t, out=tmp)  # m_hat
+    np.divide(m, 1 - ADAM_BETA1**t, out=tmp)  # m_hat
     tmp *= lr
-    denom = np.divide(v, 1 - beta2**t)   # v_hat
+    denom = np.divide(v, 1 - ADAM_BETA2**t)   # v_hat
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     tmp /= denom
     return params.like(params.flat - tmp), AdamState(step=t, m=params.like(m), v=params.like(v))
 
 
-def lr_schedule(epoch: int, base_lr: float = 1e-3, gamma: float = 0.9) -> float:
+def lr_schedule(epoch: int, base_lr: float, gamma: float) -> float:
     """Exponential per-epoch decay: lr(epoch) = base_lr * gamma**epoch."""
     return base_lr * gamma**epoch
 
@@ -173,13 +167,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        if self.lr_gamma > 1:  # a growing rate peaks in the last epoch
-            try:
-                finite = math.isfinite(lr_schedule(self.epochs - 1, self.base_lr, self.lr_gamma))
-            except OverflowError:  # of lr_gamma ** epoch
-                finite = False
-            if not finite:
-                raise ConfigError(f"the learning rate overflows by the last epoch, epoch {self.epochs - 1}")
+        if self.lr_gamma > 1:  # so no epoch's rate exceeds base_lr
+            raise ConfigError(f"lr_gamma is a per-epoch decay and must be <= 1, got {self.lr_gamma}")
 
 
 def train_fold(

@@ -78,12 +78,9 @@ def from_json_dict(cls, d: dict):
     lists, become tuples again. Every field is required: a missing one
     raises KeyError, a bad enum value ValueError, and a non-object or a
     value of the wrong type TypeError. int, str and bool fields take only
-    their own type (a bool is not an int); a float field also takes an
-    int, stored as a float (one too large for a float raises ValueError)."""
-    try:
-        return cls(**{name: read(d[name]) for name, read in _field_readers(cls)})
-    except OverflowError as exc:  # an int too large for a float field
-        raise ValueError(f"{cls.__name__}: {exc}") from exc
+    their own type (a bool is not an int). No record read back has a
+    field of another type, such as float."""
+    return cls(**{name: read(d[name]) for name, read in _field_readers(cls)})
 
 
 @functools.cache
@@ -102,15 +99,13 @@ def _reader(tp):
     if origin is tuple:  # tuple[X, ...]
         read = _reader(typing.get_args(tp)[0])
         return lambda value: tuple(read(v) for v in _checked(value, list))
-    if tp is float:
-        return lambda value: float(_checked(value, (int, float)))
     if tp in (int, str, bool):
         return functools.partial(_checked, expected=tp)
     if dataclasses.is_dataclass(tp):
         return functools.partial(from_json_dict, tp)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         return tp
-    return lambda value: value
+    raise TypeError(f"no JSON reader for a field of type {tp!r}")
 
 
 def _checked(value, expected):

@@ -158,21 +158,29 @@ class TestManifestCommand:
         assert by_subject["02"].corrected
         assert (out / "correction_audit.jsonl").exists()
 
-    def test_missing_ledger_warns_but_builds(self, tmp_path):
-        from mebench.flowcore import write_pgm
+    def test_a_missing_ledger_is_refused_before_the_predictor_runs(self, tmp_path, capsys):
+        # an empty ledger would leave ledger_hash "", which cannot be told from a run given no ledger
+        index = _write_index(tmp_path, [("01", "a"), ("02", "a")])
+        marker, predictor = _marker_predictor(tmp_path)
+        ledger = tmp_path / "no-such.jsonl"
+        argv = ["manifest", "--out", str(tmp_path / "out"), "--casme2", str(index), "--ledger", str(ledger),
+                "--predictor-cmd", predictor]
+        assert main(argv) == 3
+        assert str(ledger) in capsys.readouterr().err
+        assert not marker.exists() and not (tmp_path / "out").exists()
 
-        frames = tmp_path / "fr"
-        frames.mkdir()
-        write_pgm(frames / "f.pgm", np.zeros((32, 32)))
-        index = tmp_path / "index.csv"
-        index.write_text("subject,clip,onset,apex,emotion\n01,a,fr/f.pgm,fr/f.pgm,fear\n")
+    def test_a_ledger_rule_expecting_a_number_matches_its_string_form(self, tmp_path):
+        index = _write_index(tmp_path, [("01", "a"), ("02", "a")])
+        table = tmp_path / "attrs.json"
+        table.write_text(json.dumps({"01": ["male", 25, "Asian"], "02": ["female", 40, "Asian"]}))
+        ledger = tmp_path / "rules.jsonl"
+        ledger.write_text(json.dumps({"attribute": "age", "replacement": 30, "expect": 25}) + "\n")
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="ledger"), pytest.warns(UserWarning, match="no predictor"):
-            code = main(
-                ["manifest", "--out", str(out), "--casme2", str(index), "--ledger", str(tmp_path / "nope.jsonl")]
-            )
-        assert code == 0
-        assert (out / "manifest.jsonl").exists()
+        argv = ["manifest", "--out", str(out), "--casme2", str(index), "--predictor-table", str(table),
+                "--ledger", str(ledger)]
+        assert main(argv) == 0
+        ages = {r.subject_id: (r.age, r.corrected) for r in load_manifest(out / "manifest.jsonl").records}
+        assert ages == {"01": (30, True), "02": (40, False)}
 
     def test_annotation_error_fails_or_leaves_subject_unannotated(self, tmp_path, capsys):
         from mebench.flowcore import write_pgm
@@ -451,6 +459,7 @@ def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsy
         ("--ledger", b'{"attribute": "raw_ethnicity", "replacement": "Martian"}\n', 2),
         ("--ledger", b'{"attribute": "gender", "replacement": "x"}\n', 2),
         ("--ledger", b'{"attribute": "age", "replacement": "12", "dataset": "NOPE"}\n', 2),
+        ("--ledger", b'{"attribute": "age", "replacement": "12", "subject_id": 1}\n', 2),
         ("--predictor-table", b"{not json", 2),
         ("--predictor-table", b'{"01": "Martian"}', 2),
         ("--predictor-table", b'{"01": ["male"]}', 2),
@@ -467,7 +476,8 @@ def test_duplicate_list_entry_is_refused_before_any_file_is_read(tmp_path, capsy
          "index-not-utf8", "index-cell-over-200kb", "index-short-row", "index-onset-directory",
          "index-repeated-column", "index-long-row",
          "ledger-not-utf8", "ledger-list-rule", "ledger-age-not-integer", "ledger-age-negative",
-         "ledger-unknown-ethnicity", "ledger-unknown-gender", "ledger-unknown-dataset", "table-bad-json",
+         "ledger-unknown-ethnicity", "ledger-unknown-gender", "ledger-unknown-dataset", "ledger-subject-not-string",
+         "table-bad-json",
          "table-unknown-ethnicity", "table-short-entry", "table-object-entry", "table-not-object",
          "table-age-overflow", "table-age-negative", "table-age-fraction", "table-age-bool"],
 )
@@ -498,8 +508,10 @@ def test_malformed_text_input_is_not_internal_error(tmp_path, flag, content, cod
         (f"{_PROVENANCE}\n{json.dumps(_RECORD)}\n{{not json\n", "line 3: JSONDecodeError: "),
         (f"{_PROVENANCE}\n\n{json.dumps({k: v for k, v in _RECORD.items() if k != 'onset_path'})}\n",
          "line 3: KeyError: 'onset_path'"),
+        (f"{_PROVENANCE}\n{json.dumps({**_RECORD, 'age': -4})}\n",
+         "line 2: DataError: record ('01', 'a'): age must be >= 0, got -4"),
     ],
-    ids=["bad-json", "no-onset-after-a-blank-line"],
+    ids=["bad-json", "no-onset-after-a-blank-line", "negative-age"],
 )
 def test_a_malformed_manifest_record_names_its_line(tmp_path, capsys, content, message):
     bad = tmp_path / "manifest.jsonl"
@@ -666,7 +678,7 @@ class TestLosoCommand:
         if change == "flow":  # swap one clip's flow planes
             path = flow_image_path(flow_dir, manifest.records[0])
             image = read_flow_image(path)
-            swapped = OpticalFlowImage(image.data[[1, 0, 2]], image.normalization)
+            swapped = OpticalFlowImage(image.data[[1, 0, 2]])
             write_flow_image(swapped, path)
         else:  # relabel one clip as Surprise
             index = next(i for i, r in enumerate(manifest.records) if r.mapped_emotion == MappedEmotion.POSITIVE)
@@ -1010,6 +1022,38 @@ def test_missing_flow_image_is_data_error(synth_run, loso_run, tmp_path, capsys,
     assert "flow image missing for" in err and str(missing) in err
 
 
+@pytest.mark.parametrize("command", ["loso", "prima-facie", "gradcam"])
+def test_a_flow_image_with_foreign_clip_ranges_is_data_error(synth_run, loso_run, tmp_path, capsys, command):
+    # the clip ranges are a format constant: a file that declares others would otherwise be read as if it did not
+    _, corpus, flows = synth_run
+    flow_dir, out = tmp_path / "flows", tmp_path / "out"
+    shutil.copytree(flows, flow_dir)
+    eligible = load_manifest(corpus / "manifest.jsonl").eligible()
+    foreign = flow_image_path(flow_dir, next(r for r in eligible if r.mapped_emotion == MappedEmotion.POSITIVE))
+    data = foreign.read_bytes()
+    foreign.write_bytes(data[:-24] + np.array([-6, 6, -6, 6, 0, 1], dtype="<f4").tobytes())
+    capsys.readouterr()
+    assert main(_flow_reader_argv(command, corpus, flow_dir, out, loso_run)) == 3
+    assert f"{foreign}: clip ranges (-6.0, 6.0, -6.0, 6.0, 0.0, 1.0) in the trailer" in capsys.readouterr().err
+    assert not (out / "provenance.json").exists()
+
+
+def test_a_non_square_flow_image_is_refused_before_any_fold_runs(synth_run, tmp_path, monkeypatch, capsys):
+    _, corpus, flows = synth_run
+    flow_dir, out = tmp_path / "flows", tmp_path / "out"
+    shutil.copytree(flows, flow_dir)
+    eligible = load_manifest(corpus / "manifest.jsonl").eligible()
+    wide = OpticalFlowImage(np.full((3, 32, 40), 0.5, dtype=np.float32))
+    for record in eligible:
+        write_flow_image(wide, flow_image_path(flow_dir, record))
+    sizes = _count_train_fold(monkeypatch, stub=True)
+    capsys.readouterr()
+    assert main(_loso_argv(corpus, flow_dir, out)) == 3
+    assert f"{flow_image_path(flow_dir, eligible[0])}: the model takes square flow images, got 32x40" in (
+        capsys.readouterr().err)
+    assert sizes == [] and not out.exists()
+
+
 _DROP = object()  # deletes a field in a damage spec
 
 
@@ -1193,8 +1237,7 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("loso", ["--lr", "-1"], 2, "base_lr must be finite and > 0"),
         ("loso", ["--lr", "0"], 2, "base_lr must be finite and > 0"),
         ("loso", ["--lr-gamma", "0"], 2, "lr_gamma must be finite and > 0"),
-        ("loso", ["--epochs", "3", "--lr", "1e-300", "--lr-gamma", "1e200"], 2,
-         "the learning rate overflows by the last epoch"),
+        ("loso", ["--lr-gamma", "1.5"], 2, "lr_gamma is a per-epoch decay and must be <= 1, got 1.5"),
         ("prima-facie", ["--budget", "0"], 2, "subject budget must be >= 2"),
         ("prima-facie", ["--budget", "-2"], 2, "subject budget must be >= 2"),
         ("prima-facie", ["--seeds", "0"], 2, "needs at least one seed"),
@@ -1206,7 +1249,7 @@ def test_cold_loso_reads_and_hashes_each_flow_image_once(synth_run, tmp_path, mo
         ("flow", ["--alpha", "1e-200"], 2, "smoothness_alpha squared must be a normal float"),
         ("flow", ["--alpha", "1e-170", "--iterations", "3"], 2, "smoothness_alpha squared must be a normal float"),
     ],
-    ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "lr-overflows", "budget-0", "budget-negative",
+    ids=["batch-size-0", "epochs-0", "lr-negative", "lr-0", "lr-gamma-0", "lr-gamma-grows", "budget-0", "budget-negative",
          "seeds-0", "budget-odd", "scenarios-unknown", "image-size-patch-indivisible", "alpha-inf", "alpha-nan",
          "alpha-square-underflows", "alpha-square-underflows-few-iterations"],
 )
@@ -1245,18 +1288,6 @@ def test_a_diverged_loso_run_is_data_error(synth_run_36px, tmp_path, capsys):
         assert main(argv) == 3
     assert "logits are not finite" in capsys.readouterr().err
     assert not list(tmp_path.rglob("benchmark.*"))
-
-
-def test_a_scale_too_small_for_a_coarser_level_flows_as_one_level(synth_run, tmp_path):
-    # 1e-200 squared underflows to 0.0, so no pyramid sigma can be computed; none is needed, as no level is coarser
-    _, corpus, _ = synth_run
-    argv = ["flow", "--manifest", str(corpus / "manifest.jsonl")]
-    assert main([*argv, "--scale", "1e-200", "--out", str(tmp_path / "tiny")]) == 0
-    assert main([*argv, "--levels", "1", "--out", str(tmp_path / "one")]) == 0
-    names = sorted(path.name for path in (tmp_path / "one").glob("*.ofi"))
-    assert names and names == sorted(path.name for path in (tmp_path / "tiny").glob("*.ofi"))
-    for name in names:
-        assert (tmp_path / "tiny" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 @pytest.fixture(scope="module")

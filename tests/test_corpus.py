@@ -316,6 +316,21 @@ class TestCorrections:
         path.write_text("".join(json.dumps(to_json_dict(r)) + "\n" for r in rules), encoding="utf-8")
         assert load_ledger(path) == rules
 
+    def test_a_rule_reads_expect_in_its_string_form(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        path.write_text('{"attribute": "age", "replacement": 30, "expect": 25}\n', encoding="utf-8")
+        (rule,) = load_ledger(path)
+        assert rule == CorrectionRule(attribute="age", replacement="30", expect="25")
+        records = [replace(make_record("S01", "c1"), age=25), replace(make_record("S02", "c1"), age=40)]
+        corrected, audit = apply_heuristic_corrections(records, [rule])
+        assert [r.age for r in corrected] == [30, 40] and len(audit) == 1
+
+    def test_a_non_string_subject_id_names_the_ledger_line(self, tmp_path):
+        path = tmp_path / "rules.jsonl"
+        path.write_text('# screened\n{"attribute": "age", "replacement": "30", "subject_id": 7}\n', encoding="utf-8")
+        with pytest.raises(ConfigError, match="rules.jsonl:2: malformed correction rule: subject_id must be a string"):
+            load_ledger(path)
+
     def test_a_negative_age_replacement_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="age must be >= 0, got -40"):
             CorrectionRule(attribute="age", replacement="-40")

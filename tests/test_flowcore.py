@@ -113,6 +113,17 @@ class TestLoadFrame:
         assert rgb.shape == (3, 1, 2) and rgb.dtype == np.uint8 and maxval == 255
         assert rgb[0, 0, 0] == 255 and rgb[1, 0, 1] == 255
 
+    @pytest.mark.parametrize("data", [b"P5\n3 2\n255\n" + bytes([0, 7, 255, 9, 128, 1]),
+                                      b"P2\n3 2\n255\n0 7 255 9 128 1\n"], ids=["P5", "P2"])
+    def test_a_gray_frame_is_one_plane_seen_three_times(self, tmp_path, data):
+        p = tmp_path / "g.pgm"
+        p.write_bytes(data)
+        rgb, maxval = load_rgb_frame(p)
+        expected = np.array([[0, 7, 255], [9, 128, 1]], dtype=np.uint8)
+        assert rgb.shape == (3, 2, 3) and rgb.dtype == np.uint8 and maxval == 255
+        assert np.array_equal(rgb, np.stack([expected] * 3))
+        assert rgb.strides[0] == 0 and not rgb.flags.writeable  # one plane's bytes, not three
+
     @pytest.mark.parametrize(
         "data", [b"P2\n2 1\n255\n-5 10\n", b"P3\n1 1\n255\n-5 10 20\n"], ids=["P2", "P3"]
     )
@@ -236,17 +247,6 @@ class TestEstimateFlow:
         assert FlowParams(smoothness_alpha=1e-150).smoothness_alpha == 1e-150
         with pytest.raises(ConfigError):
             FlowParams(iterations=0)
-        with pytest.raises(ConfigError):
-            FlowParams(pyramid_scale=1.0)
-
-    def test_a_scale_too_small_for_a_coarser_level_solves_one_level(self):
-        # 1e-200 squared underflows to 0.0: no pyramid sigma may be computed when no level is coarser
-        tex = smooth_texture(24, 24, 4)
-        onset, apex = GrayFrame(tex), GrayFrame(translate_frame(tex, 0.7, -0.3))
-        assert_same_flow(
-            estimate_flow(onset, apex, FlowParams(pyramid_scale=1e-200)),
-            estimate_flow(onset, apex, FlowParams(pyramid_levels=1)),
-        )
 
     def test_too_small_frames(self):
         a = GrayFrame(np.zeros((4, 4)))
@@ -385,8 +385,8 @@ def _reference_solve_level(im1, im2, u, v, alpha, iterations):
 
 def reference_flow(onset, apex, params):
     """The one-pair pyramid loop, frozen: each level refined by _reference_solve_level."""
-    pyr1 = _pyramid(onset.values * 255.0, params.pyramid_levels, params.pyramid_scale)
-    pyr2 = _pyramid(apex.values * 255.0, params.pyramid_levels, params.pyramid_scale)
+    pyr1 = _pyramid(onset.values * 255.0, params.pyramid_levels)
+    pyr2 = _pyramid(apex.values * 255.0, params.pyramid_levels)
     u = np.zeros_like(pyr1[-1])
     v = np.zeros_like(pyr1[-1])
     for level in range(len(pyr1) - 1, -1, -1):
@@ -483,8 +483,8 @@ class TestFlowStacks:
 
     def test_a_64px_stack_fills_its_32px_chunk(self):
         assert stack_size(64, 64) == hornschunck._chunk_clips(32, 32)
-        assert hornschunck._level_shapes(64, 64, 3, 0.5) == [(64, 64), (32, 32), (16, 16)]
-        assert [level.shape for level in _pyramid(np.zeros((37, 64)), 5, 0.5)] == hornschunck._level_shapes(37, 64, 5, 0.5)
+        assert hornschunck._level_shapes(64, 64, 3) == [(64, 64), (32, 32), (16, 16)]
+        assert [level.shape for level in _pyramid(np.zeros((37, 64)), 5)] == hornschunck._level_shapes(37, 64, 5)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 26])
     def test_each_clip_matches_its_pair_at_64px(self, n):
@@ -566,14 +566,25 @@ def scipy_resize(img, new_h, new_w):
     return map_coordinates(img, [grid_y, grid_x], order=1, mode="nearest")
 
 
-def scipy_pyramid(values, levels, scale):
-    """_pyramid as it was written on scipy."""
+def scipy_pyramid(values, levels):
+    """_pyramid as it was written on scipy, when its level scale was a parameter, at the scale 1/2."""
+    scale = 0.5
     out = [values]
-    sigma = 0.5 * np.sqrt(max(1.0 / (scale * scale) - 1.0, 0.0))
-    for new_h, new_w in hornschunck._level_shapes(*values.shape, levels, scale)[1:]:
-        smoothed = gaussian_filter(out[-1], sigma=sigma, mode="nearest") if sigma > 0 else out[-1]
-        out.append(scipy_resize(smoothed, new_h, new_w))
+    sigma = 0.5 * np.sqrt(1.0 / (scale * scale) - 1.0)
+    for new_h, new_w in scale_level_shapes(*values.shape, levels, scale)[1:]:
+        out.append(scipy_resize(gaussian_filter(out[-1], sigma=sigma, mode="nearest"), new_h, new_w))
     return out
+
+
+def scale_level_shapes(h, w, levels, scale):
+    """_level_shapes as it was written with the level scale a parameter."""
+    shapes = [(h, w)]
+    for _ in range(1, levels):
+        new = (int(round(shapes[-1][0] * scale)), int(round(shapes[-1][1] * scale)))
+        if min(new) < 8 or new == shapes[-1]:
+            break
+        shapes.append(new)
+    return shapes
 
 
 def awkward_values(rng, shape, spread):
@@ -638,13 +649,12 @@ class TestScipyPorts:
 
     @LEADS
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(8, 70), st.integers(8, 70), st.integers(1, 4),
-           st.sampled_from([0.5, 0.6, 0.75, 0.9]))
-    def test_pyramid(self, lead, seed, h, w, levels, scale):
+    @given(st.integers(0, 10_000), st.integers(8, 70), st.integers(8, 70), st.integers(1, 4))
+    def test_pyramid(self, lead, seed, h, w, levels):
         values = np.random.Generator(np.random.PCG64(seed)).random((*lead, h, w)) * 255.0
-        got = _pyramid(values, levels, scale)
+        got = _pyramid(values, levels)
         for source, frame in zip(frames(values), zip(*(frames(level) for level in got))):
-            expected = scipy_pyramid(source, levels, scale)
+            expected = scipy_pyramid(source, levels)
             assert len(frame) == len(expected)
             for a, b in zip(frame, expected):
                 assert np.array_equal(bits(a), bits(b))
@@ -652,8 +662,14 @@ class TestScipyPorts:
     @pytest.mark.parametrize("side", [32, 64, 128])
     def test_pyramid_at_the_flow_shapes(self, side):
         values = smooth_texture(side, side, side) * 255.0
-        for a, b in zip(_pyramid(values, 3, 0.5), scipy_pyramid(values, 3, 0.5)):
+        for a, b in zip(_pyramid(values, 3), scipy_pyramid(values, 3)):
             assert np.array_equal(bits(a), bits(b))
+
+    def test_level_shapes_are_those_of_scale_one_half(self):
+        # the stop for a level as large as the one before it never fires at scale 1/2 above the 8 px floor
+        for side in range(8, 5001):
+            assert hornschunck._level_shapes(side, 8, 20) == scale_level_shapes(side, 8, 20, 0.5)
+            assert hornschunck._level_shapes(side, side, 20) == scale_level_shapes(side, side, 20, 0.5)
 
     @LEADS
     @settings(max_examples=60, deadline=None)
@@ -847,9 +863,9 @@ class TestFlowImage:
 
     def test_image_must_be_three_planes(self):
         with pytest.raises(DataError, match=r"must be \(3, H, W\), got shape \(2, 4, 4\)"):
-            OpticalFlowImage(np.full((2, 4, 4), 0.5, dtype=np.float32), NormalizationRecord())
+            OpticalFlowImage(np.full((2, 4, 4), 0.5, dtype=np.float32))
         with pytest.raises(DataError, match=r"got shape \(4, 4\)"):
-            OpticalFlowImage(np.full((4, 4), 0.5, dtype=np.float32), NormalizationRecord())
+            OpticalFlowImage(np.full((4, 4), 0.5, dtype=np.float32))
 
     @pytest.mark.parametrize("channel", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -863,7 +879,7 @@ class TestFlowImage:
         data[channel + 1 :, 3, 3] = np.nan  # a later bad channel does not mask this one
         name = ("channel_fx", "channel_fy", "channel_strain")[channel]
         with pytest.raises(DataError, match=f"^{name} {problem}$"):
-            OpticalFlowImage(data, NormalizationRecord())
+            OpticalFlowImage(data)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ofi"
@@ -876,6 +892,30 @@ class TestFlowImage:
         path.write_bytes(b"OFI1" + np.array([4, 4], dtype="<u4").tobytes() + bytes(10))
         with pytest.raises(TruncatedFileError):
             read_flow_image(path)
+
+    def test_every_file_ends_in_the_constant_clip_ranges(self, tmp_path):
+        flow = flat_flow(8, 8, u_val=0.5)
+        path = tmp_path / "clips.ofi"
+        write_flow_image(assemble_flow_image(flow, compute_strain(flow)), path)
+        assert path.read_bytes()[-24:] == np.array([-3, 3, -3, 3, 0, 0.5], dtype="<f4").tobytes()
+        assert OpticalFlowImage.normalization == NormalizationRecord()
+
+    @pytest.mark.parametrize("index, value", [(0, -4.0), (3, 3.5), (5, 1.0)], ids=["fx-lo", "fy-hi", "strain-hi"])
+    def test_a_foreign_clip_range_trailer_is_refused(self, tmp_path, index, value):
+        flow = flat_flow(8, 8, u_val=0.5)
+        path = tmp_path / "foreign.ofi"
+        write_flow_image(assemble_flow_image(flow, compute_strain(flow)), path)
+        data = bytearray(path.read_bytes())
+        start = len(data) - 24 + 4 * index
+        data[start:start + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: clip ranges .* in the trailer, expected"):
+            read_flow_image(path)
+
+    def test_equal_images_are_equal_planes(self):
+        data = np.full((3, 4, 4), 0.5, dtype=np.float32)
+        assert OpticalFlowImage(data) == OpticalFlowImage(data.copy())
+        assert OpticalFlowImage(data) != OpticalFlowImage(np.full((3, 4, 4), 0.25, dtype=np.float32))
 
     def test_trailing_bytes(self, tmp_path):
         flow = flat_flow(32, 32, u_val=0.5)

@@ -124,9 +124,9 @@ class TestEncodePatches:
         variances = []
         real_layer_norm = ad.layer_norm
 
-        def spy(x, gamma, beta, eps=1e-6):
+        def spy(x, gamma, beta):
             variances.append(x.data.var(axis=-1).mean())
-            return real_layer_norm(x, gamma, beta, eps)
+            return real_layer_norm(x, gamma, beta)
 
         monkeypatch.setattr(ad, "layer_norm", spy)
         rng = np.random.default_rng(0)
@@ -851,17 +851,18 @@ class TestOptimizer:
             optimizer_step(params, ParamSet({"p": np.zeros(2)}), AdamState.init(params), 0.01)
 
     def test_lr_schedule_values(self):
-        assert lr_schedule(0) == 0.001
-        assert abs(lr_schedule(1) - 0.0009) < 1e-15
-        assert abs(lr_schedule(5) - 0.001 * 0.9**5) < 1e-15
+        assert lr_schedule(0, 1e-3, 0.9) == 0.001
+        assert abs(lr_schedule(1, 1e-3, 0.9) - 0.0009) < 1e-15
+        assert abs(lr_schedule(5, 1e-3, 0.9) - 0.001 * 0.9**5) < 1e-15
 
-    def test_a_schedule_that_overflows_by_the_last_epoch_is_refused(self):
-        # 1e200 ** 2 overflows a float; the rate of epoch 1 is 1e-100
-        with pytest.raises(ConfigError, match="the learning rate overflows by the last epoch"):
-            TrainConfig(epochs=3, base_lr=1e-300, lr_gamma=1e200)
-        with pytest.raises(ConfigError, match="the learning rate overflows by the last epoch"):
-            TrainConfig(epochs=2, base_lr=1e10, lr_gamma=1e300)  # finite power, infinite product
-        TrainConfig(epochs=2, base_lr=1e-300, lr_gamma=1e200)  # accepted: the last epoch's rate is 1e-100
+    @pytest.mark.parametrize("gamma", [1.5, 1 + 2**-52, 1e200])
+    def test_a_growing_schedule_is_refused(self, gamma):
+        with pytest.raises(ConfigError, match="lr_gamma is a per-epoch decay and must be <= 1"):
+            TrainConfig(lr_gamma=gamma)
+
+    def test_a_constant_schedule_is_accepted(self):
+        config = TrainConfig(epochs=3, base_lr=1e308, lr_gamma=1.0)
+        assert [lr_schedule(e, config.base_lr, config.lr_gamma) for e in range(3)] == [1e308] * 3
 
     def test_first_adam_step_magnitude(self):
         # hand evaluation: m_hat = v_hat = 1 after the first step with g = 1,

@@ -1127,7 +1127,8 @@ def test_a_cold_run_reads_each_frame_twice(tiny_loso, tmp_path, monkeypatch):
 
 # Cache keys of fixed inputs, written by earlier versions; a change here silently invalidates every
 # stored cache entry.
-_DEFAULT_FLOW_KEY = "f0a587ee5a66032831420b30425315db98aa33d841a946ff7d11c91919017519"  # default FlowParams, fixed frames
+# default FlowParams, fixed frames; "f0a587ee..." while FlowParams also held pyramid_scale
+_DEFAULT_FLOW_KEY = "2975beeeb0bb955551b2a77f67776b04a929ef49602f4309c747df4f843c88c3"
 _TINY_LOSO_FOLD_KEYS = {  # run_tiny_loso's fold keys on fixed_loso_inputs
     "sa01": "5a4788b1fd3d967c6c4200c11a15c93a5b72304f17d10ff674d88e81d1251e6b",
     "sn01": "346952dba1d4e91c2d126d849fb45743e60ee74ccd642e7a13beab4c59d6c4ff",
